@@ -16,7 +16,7 @@ GO ?= go
 BENCH_LABEL ?= local
 BENCH_FLAGS ?=
 
-.PHONY: build vet test race fuzz smoke loadtest-smoke loadtest chaos-smoke chaos capacity-smoke verify bench
+.PHONY: build vet test race fuzz smoke loadtest-smoke loadtest chaos-smoke chaos capacity-smoke ctrbench-test verify bench
 
 build:
 	$(GO) build ./...
@@ -91,7 +91,13 @@ capacity-smoke:
 fuzz:
 	$(GO) test ./internal/integrity -run '^$$' -fuzz FuzzIntegrityTree -fuzztime 30s
 
-verify: build vet test race fuzz smoke loadtest-smoke chaos-smoke capacity-smoke
+# cmd/ctrbench is a nested Go module, so the root `go build ./...` never
+# compiles it: vet and test it here, or a change to the server or cluster
+# API could break the benchmark while every root check stays green.
+ctrbench-test:
+	cd cmd/ctrbench && $(GO) vet ./... && $(GO) test -short ./...
+
+verify: build vet test race fuzz smoke loadtest-smoke chaos-smoke capacity-smoke ctrbench-test
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . \

@@ -68,9 +68,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers = fs.String("workers", "", "concurrent jobs (number, empty/0 = one per CPU); with -coordinator: comma-separated worker base URLs")
 		queue   = fs.Int("queue", 0, "jobs queued beyond the running ones (0 = 2x workers, -1 = none); a full queue answers 429")
 		cache   = fs.Int("cache", 256, "result-cache entries (-1 disables caching)")
-		timeout = fs.Duration("timeout", 0, "default per-job deadline for requests that carry none (0 = unbounded)")
+		timeout = fs.Duration("timeout", 0, "default per-job deadline for requests that carry none (0 = unbounded; not with -coordinator)")
 		drain   = fs.Duration("drain", 5*time.Second, "graceful-shutdown window before running jobs are cancelled")
-		pprofF  = fs.Bool("pprof", false, "expose /debug/pprof")
+		pprofF  = fs.Bool("pprof", false, "expose /debug/pprof (not with -coordinator)")
 		smoke   = fs.Bool("smoke", false, "boot on an ephemeral port, push one job through the full HTTP path, verify the result and the cache, then exit")
 
 		coord     = fs.Bool("coordinator", false, "serve as a cluster coordinator over the -workers URLs instead of simulating locally")
@@ -99,6 +99,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *coord {
 		if *smoke {
 			fmt.Fprintln(stderr, "ctrpredd: -coordinator has no -smoke; use cmd/loadtest -smoke for the cluster self-test")
+			return 2
+		}
+		if *timeout != 0 || *pprofF {
+			fmt.Fprintln(stderr, `ctrpredd: -coordinator takes no -timeout or -pprof; bound a job with its own "timeout" field`)
 			return 2
 		}
 		urls := splitURLs(*workers)

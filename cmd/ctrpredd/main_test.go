@@ -75,3 +75,21 @@ func TestCoordinatorSmokeRejected(t *testing.T) {
 		t.Fatalf("stderr missing loadtest pointer: %s", errOut.String())
 	}
 }
+
+// TestCoordinatorRejectsNodeOnlyFlags: -timeout and -pprof configure a
+// single node's server; a coordinator must refuse them rather than
+// silently ignore them.
+func TestCoordinatorRejectsNodeOnlyFlags(t *testing.T) {
+	for _, flag := range [][]string{{"-timeout", "30s"}, {"-pprof"}} {
+		var out, errOut strings.Builder
+		// An unlistenable -addr: a coordinator that accepted the flag
+		// exits 1 at its listener instead of serving.
+		args := append([]string{"-coordinator", "-addr", "no-port", "-workers", "http://127.0.0.1:1"}, flag...)
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Fatalf("run %v = %d, want 2", args, code)
+		}
+		if !strings.Contains(errOut.String(), flag[0]) {
+			t.Fatalf("stderr does not name %s: %s", flag[0], errOut.String())
+		}
+	}
+}

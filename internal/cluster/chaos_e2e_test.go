@@ -453,14 +453,13 @@ func TestChaosDownWorkerTypedErrorAndRevival(t *testing.T) {
 
 	cell := expRequest("fig7")
 	cell.Benchmarks = []string{"gzip"}
-	cellBody, _ := json.Marshal(cell)
 	cellKey, err := cell.CacheKey()
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	// Direct runCell: the typed error is the contract.
-	_, err = c.runCell(context.Background(), cellBody, cellKey, false)
+	_, err = c.runCell(context.Background(), &server.ExperimentJob{Request: cell, Key: cellKey})
 	if !errors.Is(err, ErrDispatchExhausted) {
 		t.Fatalf("runCell against a dead worker = %v; want ErrDispatchExhausted", err)
 	}

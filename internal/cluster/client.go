@@ -171,11 +171,10 @@ func verifyDigest(node string, h http.Header, body []byte) error {
 }
 
 // PostStream sends a JSON job with streaming enabled and relays each
-// NDJSON event to onEvent along with its decoded form, until the stream
-// ends or onEvent returns an error. The worker's terminal event (result
-// or error) is the stream's outcome; a transport error mid-stream means
-// the worker died with the job in flight.
-func (c *Client) PostStream(ctx context.Context, base, path string, body []byte, onEvent func(server.Event, json.RawMessage) error) error {
+// NDJSON event to onEvent until the stream ends. The worker's terminal
+// event (result or error) is the stream's outcome; a transport error
+// mid-stream means the worker died with the job in flight.
+func (c *Client) PostStream(ctx context.Context, base, path string, body []byte, onEvent func(server.Event)) error {
 	// The idle watchdog cancels the request context when the stream goes
 	// silent for StreamIdle; decoding then fails and the error is
 	// rewrapped as ErrStreamStalled so callers can tell a wedged worker
@@ -213,8 +212,8 @@ func (c *Client) PostStream(ctx context.Context, base, path string, body []byte,
 	}
 	dec := json.NewDecoder(resp.Body)
 	for {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err != nil {
+		var ev server.Event
+		if err := dec.Decode(&ev); err != nil {
 			if err == io.EOF {
 				return nil
 			}
@@ -223,13 +222,7 @@ func (c *Client) PostStream(ctx context.Context, base, path string, body []byte,
 		if watchdog != nil {
 			watchdog.Reset(c.StreamIdle)
 		}
-		var ev server.Event
-		if err := json.Unmarshal(raw, &ev); err != nil {
-			return fmt.Errorf("malformed stream event: %w", err)
-		}
-		if err := onEvent(ev, raw); err != nil {
-			return err
-		}
+		onEvent(ev)
 	}
 }
 

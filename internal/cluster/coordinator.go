@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"net/url"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -16,7 +15,6 @@ import (
 	"ctrpred/internal/runpool"
 	"ctrpred/internal/server"
 	"ctrpred/internal/stats"
-	"ctrpred/internal/workload"
 )
 
 // Config sizes a Coordinator. The zero value plus a worker list is
@@ -92,21 +90,14 @@ type Config struct {
 	DisableLocalFallback bool
 }
 
+// withDefaults fills the cluster knobs; Backlog, CacheEntries and
+// DrainTimeout take the front's defaults, which are the same.
 func (cfg Config) withDefaults() Config {
 	if cfg.Jobs <= 0 {
-		cfg.Jobs = 2 * len(cfg.Workers)
-		if cfg.Jobs < 4 {
-			cfg.Jobs = 4
-		}
+		cfg.Jobs = max(4, 2*len(cfg.Workers))
 	}
-	if cfg.Backlog == 0 {
-		cfg.Backlog = 2 * cfg.Jobs
-	}
-	if cfg.Backlog < 0 {
-		cfg.Backlog = 0
-	}
-	if cfg.CacheEntries == 0 {
-		cfg.CacheEntries = 256
+	if cfg.DrainTimeout < 0 {
+		cfg.DrainTimeout = 0
 	}
 	if cfg.ProbeInterval == 0 {
 		cfg.ProbeInterval = time.Second
@@ -129,9 +120,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.MaxRetryWait <= 0 {
 		cfg.MaxRetryWait = 2 * time.Second
 	}
-	if cfg.DrainTimeout <= 0 {
-		cfg.DrainTimeout = 5 * time.Second
-	}
 	if cfg.CellTimeout <= 0 {
 		cfg.CellTimeout = 60 * time.Second
 	}
@@ -147,42 +135,28 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// Coordinator fronts a cluster of ctrpredd workers behind the same
-// HTTP/JSON surface a single node serves. It validates requests with
-// the server package's own request types, routes each job to the worker
-// owning its content address on the ring, splits partitionable
-// experiment grids into per-benchmark cells dispatched with bounded
-// fan-out, reassembles the parts byte-identically, retries saturated
-// workers with jittered backoff, and requeues cells when a worker dies
-// mid-job. Create with New, mount as an http.Handler, stop with
-// Shutdown.
+// Coordinator fronts a cluster of ctrpredd workers with the same HTTP
+// front a single node serves (internal/server), as that front's
+// executor. It routes each job to the worker owning its content address
+// on the ring, splits partitionable experiment grids into per-benchmark
+// cells dispatched with bounded fan-out, reassembles the parts
+// byte-identically, retries saturated workers with jittered backoff,
+// and requeues work when a worker dies mid-job. Create with New, mount
+// as an http.Handler, stop with Shutdown.
 type Coordinator struct {
+	front  *server.Server
 	cfg    Config
 	reg    *Registry
 	client *Client
-	pool   *runpool.Pool
-	cache  *server.ResultCache
-	mux    *http.ServeMux
-	start  time.Time
-	routes routeCounters
-
-	// jobsCtx parents every job; hardStop cancels it when the drain
-	// window expires.
-	jobsCtx  context.Context
-	hardStop context.CancelFunc
+	// local runs jobs in-process in degraded mode.
+	local server.Local
 
 	mu        sync.Mutex
-	draining  bool
+	rngState  uint64 // xorshift state for backoff jitter
 	probeStop chan struct{}
 	probeDone chan struct{}
-	rngState  uint64 // xorshift state for backoff jitter
+	stopProbe sync.Once
 
-	accepted   atomic.Uint64
-	rejected   atomic.Uint64
-	finished   atomic.Uint64
-	failed     atomic.Uint64
-	streamed   atomic.Uint64
-	cacheSrvd  atomic.Uint64
 	joins      atomic.Uint64
 	simsRelay  atomic.Uint64
 	expsSplit  atomic.Uint64
@@ -203,42 +177,29 @@ type Coordinator struct {
 	// cellLat tracks successful cell dispatch latencies for the
 	// adaptive hedge trigger.
 	cellLat latencyTracker
-
-	jobDurNS atomic.Int64
-	jobsDone atomic.Uint64
 }
 
 // New assembles a Coordinator over cfg.Workers and starts its health
 // prober (unless probing is disabled).
 func New(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
-	jobsCtx, hardStop := context.WithCancel(context.Background())
 	client := NewClient(cfg.HTTPClient)
 	client.StreamIdle = cfg.StreamIdleTimeout
 	c := &Coordinator{
 		cfg:      cfg,
 		reg:      NewRegistry(cfg.VNodes, cfg.FailThreshold, cfg.BreakerCooldown),
 		client:   client,
-		pool:     runpool.NewPool(cfg.Jobs, cfg.Backlog),
-		cache:    server.NewResultCache(cfg.CacheEntries),
-		mux:      http.NewServeMux(),
-		start:    time.Now(),
-		jobsCtx:  jobsCtx,
-		hardStop: hardStop,
 		rngState: 0x9e3779b97f4a7c15,
 	}
 	for _, w := range cfg.Workers {
 		c.reg.Add(w)
 	}
-	c.mux.HandleFunc("POST /v1/sim", c.routes.counted("sim", c.handleSim))
-	c.mux.HandleFunc("POST /v1/experiments", c.routes.counted("experiments", c.handleExperiment))
-	c.mux.HandleFunc("GET /v1/benchmarks", c.routes.counted("benchmarks", c.handleBenchmarks))
-	c.mux.HandleFunc("GET /v1/experiments", c.routes.counted("experiment_list", c.handleExperimentList))
-	c.mux.HandleFunc("GET /v1/results/{key}", c.routes.counted("results", c.handleResult))
-	c.mux.HandleFunc("POST /v1/cluster/join", c.routes.counted("join", c.handleJoin))
-	c.mux.HandleFunc("GET /v1/cluster", c.routes.counted("cluster", c.handleTopology))
-	c.mux.HandleFunc("GET /healthz", c.routes.counted("healthz", c.handleHealthz))
-	c.mux.HandleFunc("GET /metrics", c.routes.counted("metrics", c.handleMetrics))
+	c.front = server.NewFront("coordinator", server.Config{
+		Workers: cfg.Jobs, Backlog: cfg.Backlog,
+		CacheEntries: cfg.CacheEntries, DrainTimeout: cfg.DrainTimeout,
+	}, c)
+	c.front.Handle("POST /v1/cluster/join", "join", c.handleJoin)
+	c.front.Handle("GET /v1/cluster", "cluster", c.handleTopology)
 	if cfg.ProbeInterval > 0 {
 		c.probeStop = make(chan struct{})
 		c.probeDone = make(chan struct{})
@@ -247,36 +208,27 @@ func New(cfg Config) *Coordinator {
 	return c
 }
 
-func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.mux.ServeHTTP(w, r) }
+func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.front.ServeHTTP(w, r) }
+
+// Snapshot exports the coordinator's metrics tree (the /metrics
+// payload): the front's admission, pool, cache and endpoint nodes plus
+// the cluster's own counters (see Metrics).
+func (c *Coordinator) Snapshot() *stats.Snapshot { return c.front.Snapshot() }
 
 // Registry exposes the worker registry (topology inspection and tests).
 func (c *Coordinator) Registry() *Registry { return c.reg }
 
-// Shutdown stops the prober and admission, lets running jobs finish
-// within the drain window, then cancels them. Safe to call repeatedly.
+// Shutdown stops the prober, then drains the front: admission stops,
+// running jobs finish within the drain window, then they are cancelled.
+// Safe to call repeatedly.
 func (c *Coordinator) Shutdown(ctx context.Context) error {
-	c.mu.Lock()
-	alreadyDraining := c.draining
-	c.draining = true
-	c.mu.Unlock()
-	if c.probeStop != nil && !alreadyDraining {
-		close(c.probeStop)
-		<-c.probeDone
-	}
-	drainCtx, cancel := context.WithTimeout(ctx, c.cfg.DrainTimeout)
-	defer cancel()
-	if err := c.pool.Shutdown(drainCtx); err == nil {
-		c.hardStop()
-		return nil
-	}
-	c.hardStop()
-	return c.pool.Shutdown(ctx)
-}
-
-func (c *Coordinator) isDraining() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.draining
+	c.stopProbe.Do(func() {
+		if c.probeStop != nil {
+			close(c.probeStop)
+			<-c.probeDone
+		}
+	})
+	return c.front.Shutdown(ctx)
 }
 
 // probeLoop sweeps every registered worker's /healthz at the configured
@@ -305,392 +257,154 @@ func (c *Coordinator) probeLoop() {
 	}
 }
 
-// --- request dispatch (admission, cache, response shaping) ---
+// --- the executor: Sim, Experiment, Lookup, Health and Metrics are what
+// the front calls ---
 
-// dispatch mirrors the single node's request lifecycle: coordinator
-// cache probe, pool admission with 429 + Retry-After backpressure, job
-// execution, and the same streaming/plain response shapes — so a client
-// cannot tell a coordinator from a worker by protocol alone.
-func (c *Coordinator) dispatch(w http.ResponseWriter, r *http.Request, key, label string, noCache bool, run func(ctx context.Context, stream bool, emit func(server.Event))) {
-	stream := wantsStream(r)
+// Sim relays a simulation to the worker owning its content address.
+func (c *Coordinator) Sim(ctx context.Context, job *server.SimJob, progress func(server.Event)) (server.Result, error) {
+	c.simsRelay.Add(1)
+	return c.forward(ctx, "/v1/sim", job.Request, job.Key, job.Request.NoCache, job.Stream, progress,
+		func(ctx context.Context) (server.Result, error) { return c.local.Sim(ctx, job, progress) })
+}
 
-	if !noCache {
-		if body, ok := c.cache.Get(key); ok {
-			c.cacheSrvd.Add(1)
-			if stream {
-				sw := newStreamWriter(w)
-				sw.write(server.Event{Event: "accepted", Key: key, Cached: true})
-				sw.write(server.Event{Event: "result", Key: key, Cached: true, Snapshot: body})
-				return
-			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-Cache", "hit")
-			w.Header().Set("X-Result-Key", key)
-			w.Write(body)
-			return
+// Experiment splits a partitionable grid into per-benchmark cells.
+// Grids that do not decompose by benchmark run whole on the key's home
+// worker, exactly as a single node would run them.
+func (c *Coordinator) Experiment(ctx context.Context, job *server.ExperimentJob, progress func(server.Event)) (server.Result, error) {
+	if experiments.Partitionable(job.Request.ID) && len(job.Options.Benchmarks) > 1 {
+		c.expsSplit.Add(1)
+		return c.execPartitioned(ctx, job, progress)
+	}
+	c.expsFwd.Add(1)
+	return c.forward(ctx, "/v1/experiments", job.Request, job.Key, job.Request.NoCache, job.Stream, progress,
+		func(ctx context.Context) (server.Result, error) { return c.local.Experiment(ctx, job, progress) })
+}
+
+// Lookup asks the cluster for an already-computed result, home worker
+// first, then the rest of the ring sequence. Each probe is individually
+// deadlined so one stalled worker cannot wedge the sweep.
+func (c *Coordinator) Lookup(ctx context.Context, key string) ([]byte, bool) {
+	for _, node := range c.reg.Candidates(key) {
+		lctx, cancel := context.WithTimeout(ctx, c.cfg.LookupTimeout)
+		b, ok, err := c.client.LookupResult(lctx, node, key)
+		cancel()
+		if err == nil && ok {
+			c.peerHits.Add(1)
+			return b, true
 		}
 	}
+	return nil, false
+}
 
-	if c.isDraining() {
-		httpError(w, http.StatusServiceUnavailable, errors.New("coordinator draining"))
-		return
-	}
+// Health reports the worker count and how many are up.
+func (c *Coordinator) Health(runpool.PoolStats) (map[string]any, bool) {
+	return map[string]any{"workers": len(c.reg.All()), "workers_up": len(c.reg.Up())}, c.degraded()
+}
 
-	ctx, cancel := context.WithCancel(r.Context())
-	defer cancel()
-	unhook := context.AfterFunc(c.jobsCtx, cancel)
-	defer unhook()
+// degraded reports whether workers are registered but none is up — the
+// state in which dispatches end in local fallback (or typed errors).
+func (c *Coordinator) degraded() bool {
+	return len(c.reg.All()) > 0 && len(c.reg.Up()) == 0
+}
 
-	events := make(chan server.Event, 128)
-	emit := func(ev server.Event) { events <- ev }
-	emitOpt := func(ev server.Event) {
-		select {
-		case events <- ev:
-		default:
-		}
-	}
-	job := func() {
-		defer close(events)
-		start := time.Now()
-		defer func() {
-			c.jobDurNS.Add(int64(time.Since(start)))
-			c.jobsDone.Add(1)
-		}()
-		run(ctx, stream, func(ev server.Event) {
-			if ev.Event == "result" || ev.Event == "error" {
-				emit(ev)
-			} else {
-				emitOpt(ev)
-			}
-		})
-	}
+// Metrics adds the cluster's counters: routing and degraded mode at the
+// root, cell dispatch outcomes under "cells", one child per worker.
+func (c *Coordinator) Metrics(n *stats.Snapshot) {
+	n.Counter("joins", c.joins.Load())
+	n.Counter("sims_relayed", c.simsRelay.Load())
+	n.Counter("experiments_split", c.expsSplit.Load())
+	n.Counter("experiments_forwarded", c.expsFwd.Load())
+	n.Counter("degraded", boolCount(c.degraded()))
+	n.Counter("local_runs", c.localRuns.Load())
 
-	ps := c.pool.Stats()
-	queueDepth := ps.Pending
-	if err := c.pool.TrySubmit(label, job); err != nil {
-		c.rejected.Add(1)
-		if errors.Is(err, runpool.ErrPoolSaturated) {
-			w.Header().Set("Retry-After", strconv.Itoa(c.retryAfter(ps)))
-			httpError(w, http.StatusTooManyRequests, errors.New("cluster queue full; retry later"))
-		} else {
-			httpError(w, http.StatusServiceUnavailable, err)
-		}
-		return
-	}
-	c.accepted.Add(1)
+	cn := n.Child("cells")
+	cn.Counter("completed", c.cellsOK.Load())
+	cn.Counter("worker_cache_hits", c.cellsCache.Load())
+	cn.Counter("saturation_retries", c.satRetries.Load())
+	cn.Counter("failovers", c.failovers.Load())
+	cn.Counter("peer_hits", c.peerHits.Load())
+	cn.Counter("hedges", c.hedges.Load())
+	cn.Counter("hedge_wins", c.hedgeWins.Load())
+	cn.Counter("corrupt_bodies", c.corruptBodies.Load())
+	cn.Counter("journal_hits", c.journalHits.Load())
+	cn.Counter("journal_appends", c.journalApp.Load())
 
-	if stream {
-		c.streamed.Add(1)
-		sw := newStreamWriter(w)
-		sw.write(server.Event{Event: "accepted", Key: key, Queue: queueDepth})
-		for ev := range events {
-			switch ev.Event {
-			case "error":
-				c.failed.Add(1)
-			case "result":
-				c.finished.Add(1)
-			}
-			sw.write(ev)
-		}
-		return
-	}
-
-	var final server.Event
-	for ev := range events {
-		if ev.Event == "result" || ev.Event == "error" {
-			final = ev
-		}
-	}
-	switch final.Event {
-	case "result":
-		c.finished.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Cache", "miss")
-		w.Header().Set("X-Result-Key", key)
-		w.Write(final.Snapshot)
-	case "error":
-		c.failed.Add(1)
-		status := final.Status
-		if status == 0 {
-			status = statusForCode(final.Code)
-		}
-		writeJSON(w, status, final)
-	default:
-		httpError(w, http.StatusInternalServerError, errors.New("job produced no result"))
+	wn := n.Child("workers")
+	for _, w := range c.reg.Workers() {
+		one := wn.Child(w.URL)
+		one.Counter("dispatched", w.Dispatched)
+		one.Counter("failures", w.Failures)
+		one.Counter("mark_downs", w.MarkDowns)
+		one.Counter("down", boolCount(w.Down))
 	}
 }
 
-// retryAfter is the coordinator's Retry-After hint under saturation:
-// the waves model the single node uses, fed by the coordinator's own
-// mean job wall-clock.
-func (c *Coordinator) retryAfter(ps runpool.PoolStats) int {
-	mean := time.Second
-	if n := c.jobsDone.Load(); n > 0 {
-		mean = time.Duration(uint64(c.jobDurNS.Load()) / n)
-		if mean <= 0 {
-			mean = time.Second
-		}
-	}
-	if ps.Workers <= 0 {
+func boolCount(b bool) uint64 {
+	if b {
 		return 1
 	}
-	waves := 1 + ps.Pending/ps.Workers
-	secs := int((time.Duration(waves)*mean + time.Second - 1) / time.Second)
-	if secs < 1 {
-		secs = 1
-	}
-	if secs > 60 {
-		secs = 60
-	}
-	return secs
+	return 0
 }
 
-// --- handlers ---
+// --- dispatch ---
 
-func (c *Coordinator) handleSim(w http.ResponseWriter, r *http.Request) {
-	var req server.SimRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	key, err := req.CacheKey()
-	if err != nil {
-		httpError(w, server.BuildStatus(err), err)
-		return
-	}
+// forward relays one whole job (a sim, or a non-partitionable
+// experiment) to its home worker. A plain client gets the worker's
+// plain body — the canonical bytes a single node would have written. A
+// streaming client gets the worker's progress events relayed; it may
+// see them restart after a failover, but every simulation is
+// deterministic, so the result is the same bytes from any node.
+func (c *Coordinator) forward(ctx context.Context, path string, req any, key string, noCache, stream bool, progress func(server.Event), local func(context.Context) (server.Result, error)) (server.Result, error) {
 	body, err := json.Marshal(req)
 	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
+		return server.Result{}, err
 	}
-	label := fmt.Sprintf("relay sim %s %s", req.Bench, key[:12])
-	c.dispatch(w, r, key, label, req.NoCache, func(ctx context.Context, stream bool, emit func(server.Event)) {
-		c.simsRelay.Add(1)
-		c.execForward(ctx, "/v1/sim", body, key, req.NoCache, stream, emit)
-	})
-}
-
-func (c *Coordinator) handleExperiment(w http.ResponseWriter, r *http.Request) {
-	var req server.ExperimentRequest
-	if !decodeJSON(w, r, &req) {
-		return
-	}
-	key, err := req.CacheKey()
-	if err != nil {
-		httpError(w, server.BuildStatus(err), err)
-		return
-	}
-	benches, err := req.ResolvedBenchmarks()
-	if err != nil {
-		httpError(w, server.BuildStatus(err), err)
-		return
-	}
-	label := fmt.Sprintf("cluster exp %s %s", req.ID, key[:12])
-	if experiments.Partitionable(req.ID) && len(benches) > 1 {
-		c.dispatch(w, r, key, label, req.NoCache, func(ctx context.Context, stream bool, emit func(server.Event)) {
-			c.expsSplit.Add(1)
-			c.execPartitioned(ctx, req, benches, key, emit)
-		})
-		return
-	}
-	// Grids that do not decompose by benchmark run whole on the key's
-	// home worker, exactly as a single node would run them.
-	body, err := json.Marshal(req)
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	c.dispatch(w, r, key, label, req.NoCache, func(ctx context.Context, stream bool, emit func(server.Event)) {
-		c.expsFwd.Add(1)
-		c.execForward(ctx, "/v1/experiments", body, key, req.NoCache, stream, emit)
-	})
-}
-
-// execForward relays one whole job (a sim, or a non-partitionable
-// experiment) to its home worker. For a plain client it relays the
-// worker's plain response verbatim — the body a single node would have
-// written, byte for byte — and that canonical form is what the
-// coordinator caches. For a streaming client it relays the worker's
-// stream, dropping the worker's own "accepted" line (the coordinator
-// already emitted its own); the canonical body is then recovered from
-// the worker's cache for the coordinator's. Worker loss fails over to
-// the next ring candidate, probing the cluster's caches first in case
-// the result already exists somewhere; a streaming client may see
-// progress events restart, but every simulation is deterministic, so
-// the terminal result is the same bytes from any node.
-func (c *Coordinator) execForward(ctx context.Context, path string, body []byte, key string, noCache, stream bool, emit func(server.Event)) {
-	redispatch, satRetries := 0, 0
-	var lastErr error
-	for {
-		if err := ctx.Err(); err != nil {
-			emit(ctxErrEvent(err))
-			return
-		}
-		cands := c.reg.Candidates(key)
-		if len(cands) == 0 {
-			c.forwardFallback(ctx, path, body, key, noCache, emit, errors.New("no workers registered"))
-			return
-		}
-		node := cands[redispatch%len(cands)]
-		if redispatch > 0 && !noCache {
-			if b, ok := c.peerLookup(ctx, key); ok {
-				c.peerHits.Add(1)
-				c.cache.Put(key, b)
-				emit(server.Event{Event: "result", Key: key, Cached: true, Snapshot: b})
-				return
-			}
-		}
+	return c.place(ctx, key, noCache, func(ctx context.Context, node, _ string) (server.Result, string, error) {
 		c.reg.NoteDispatch(node)
-
-		var err error
-		terminal := false
 		if stream {
-			err = c.relayStream(ctx, node, path, body, key, noCache, emit, &terminal)
-		} else {
-			err = c.relayPlain(ctx, node, path, body, key, noCache, emit, &terminal)
+			res, err := c.relayStream(ctx, node, path, body, key, noCache, progress)
+			return res, node, err
 		}
-		if terminal {
-			return
-		}
-		if err == nil {
-			err = fmt.Errorf("worker %s closed the stream without a terminal event", node)
-		}
-		lastErr = err
-
-		var se *StatusError
-		if errors.As(err, &se) && se.Saturated() && satRetries < c.cfg.SaturationRetries {
-			satRetries++
-			c.satRetries.Add(1)
-			if !c.sleep(ctx, c.backoff(se.RetryAfter, satRetries)) {
-				emit(ctxErrEvent(ctx.Err()))
-				return
-			}
-			continue
-		}
-		if se != nil && se.Status >= 400 && se.Status < 500 && !se.Saturated() {
-			// The job itself is bad or failed deterministically; another
-			// node would answer with the same refusal.
-			emit(workerErrEvent(se))
-			return
-		}
-		if isIntegrityError(err) {
-			c.corruptBodies.Add(1)
-		}
-		c.reg.ReportFailure(node, err, transportFailure(err))
-		c.failovers.Add(1)
-		redispatch++
-		if redispatch > c.cfg.RetryBudget {
-			cause := fmt.Errorf("%w: job failed after %d dispatches: %v", ErrDispatchExhausted, redispatch, lastErr)
-			if len(c.reg.Up()) == 0 {
-				// Every worker is down and the budget is spent: degraded
-				// mode (unless disabled) answers locally rather than 502ing
-				// a deterministic job the coordinator can compute itself.
-				c.forwardFallback(ctx, path, body, key, noCache, emit, cause)
-				return
-			}
-			emit(errorEvent("unavailable", http.StatusBadGateway, cause))
-			return
-		}
-	}
+		out, _, err := c.client.PostJSON(ctx, node, path, body)
+		return server.Result{Body: out}, node, err
+	}, local)
 }
 
-// forwardFallback resolves a whole-job dispatch that ran out of
-// cluster: degraded-mode local execution when allowed, the typed
-// exhaustion error otherwise.
-func (c *Coordinator) forwardFallback(ctx context.Context, path string, body []byte, key string, noCache bool, emit func(server.Event), cause error) {
-	if c.cfg.DisableLocalFallback {
-		if !errors.Is(cause, ErrDispatchExhausted) {
-			cause = fmt.Errorf("%w: %v", ErrDispatchExhausted, cause)
-		}
-		emit(errorEvent("unavailable", http.StatusBadGateway, cause))
-		return
-	}
-	c.localRuns.Add(1)
-	out, err := server.ExecuteLocal(ctx, path, body)
-	if err != nil {
-		code, status := server.Classify(err)
-		emit(errorEvent(code, status, fmt.Errorf("degraded local run: %w", err)))
-		return
-	}
-	if !noCache {
-		c.cache.Put(key, out)
-	}
-	emit(server.Event{Event: "result", Key: key, Snapshot: out})
-}
-
-// relayPlain forwards one plain POST to node and emits the terminal
-// event. The worker's success body is relayed (and cached) untouched.
-func (c *Coordinator) relayPlain(ctx context.Context, node, path string, body []byte, key string, noCache bool, emit func(server.Event), terminal *bool) error {
-	out, _, err := c.client.PostJSON(ctx, node, path, body)
-	if err != nil {
-		var se *StatusError
-		if errors.As(err, &se) && se.Status >= 500 && se.Status < 600 && se.Status != http.StatusBadGateway {
-			// A worker-side job failure (timeout, panic, self-check) is an
-			// answer, not an outage — relay it as the terminal event. 502s
-			// and transport errors fall through to the failover loop.
-			*terminal = true
-			c.reg.ReportSuccess(node)
-			emit(workerErrEvent(se))
-			return nil
-		}
-		return err
-	}
-	*terminal = true
-	c.reg.ReportSuccess(node)
-	if !noCache {
-		c.cache.Put(key, out)
-	}
-	emit(server.Event{Event: "result", Key: key, Snapshot: out})
-	return nil
-}
-
-// relayStream forwards one streaming POST to node, relaying every event
-// but the worker's "accepted" line.
-func (c *Coordinator) relayStream(ctx context.Context, node, path string, body []byte, key string, noCache bool, emit func(server.Event), terminal *bool) error {
-	return c.client.PostStream(ctx, node, path, body, func(ev server.Event, _ json.RawMessage) error {
+// relayStream runs one streamed dispatch on node, relaying the worker's
+// progress but not its "accepted" line (the front sent its own). The
+// stream embeds the snapshot compacted; the canonical indented body is
+// recovered from the worker's cache, so the front caches exactly what a
+// single node would have.
+func (c *Coordinator) relayStream(ctx context.Context, node, path string, body []byte, key string, noCache bool, progress func(server.Event)) (server.Result, error) {
+	var final *server.Event
+	err := c.client.PostStream(ctx, node, path, body, func(ev server.Event) {
 		switch ev.Event {
 		case "accepted":
-			return nil
-		case "result":
-			*terminal = true
-			c.reg.ReportSuccess(node)
-			if !noCache {
-				// The stream embeds the snapshot compacted; the canonical
-				// indented body lives in the worker's cache. Cache that, so a
-				// later plain request through the coordinator returns exactly
-				// what a single node would have. Deadlined: recovering the
-				// canonical form is an optimization, not worth wedging on.
-				lctx, cancel := context.WithTimeout(ctx, c.cfg.LookupTimeout)
-				if canon, ok, err := c.client.LookupResult(lctx, node, key); err == nil && ok {
-					c.cache.Put(key, canon)
-				}
-				cancel()
-			}
-			emit(ev)
-		case "error":
-			// The worker answered; the job itself failed. Deterministic
-			// jobs fail the same way anywhere — report, don't requeue.
-			*terminal = true
-			c.reg.ReportSuccess(node)
-			ev.Status = statusForCode(ev.Code)
-			emit(ev)
+		case "result", "error":
+			final = &ev
 		default:
-			emit(ev)
+			progress(ev)
 		}
-		return nil
 	})
-}
-
-// workerErrEvent rebuilds a terminal error event from a worker's plain
-// error response: the worker wrote its final Event as the JSON body, so
-// the code and message survive the round trip; the status rides the
-// HTTP response.
-func workerErrEvent(se *StatusError) server.Event {
-	var ev server.Event
-	if len(se.Raw) > 0 && json.Unmarshal(se.Raw, &ev) == nil && ev.Event == "error" {
-		ev.Status = se.Status
-		return ev
+	switch {
+	case final == nil && err == nil:
+		return server.Result{}, fmt.Errorf("worker %s closed the stream without a terminal event", node)
+	case final == nil:
+		return server.Result{}, err
+	case final.Event == "error":
+		return server.Result{}, eventError(*final)
 	}
-	return errorEvent("upstream", se.Status, errors.New(se.Message))
+	res := server.Result{Body: final.Snapshot, Cached: final.Cached, Compacted: true}
+	if !noCache {
+		// Deadlined: recovering the canonical form is an optimization,
+		// not worth wedging on.
+		lctx, cancel := context.WithTimeout(ctx, c.cfg.LookupTimeout)
+		defer cancel()
+		if canon, ok, err := c.client.LookupResult(lctx, node, key); err == nil && ok {
+			res.Body, res.Compacted = canon, false
+		}
+	}
+	return res, nil
 }
 
 // execPartitioned splits a partitionable experiment into one cell per
@@ -699,25 +413,17 @@ func workerErrEvent(se *StatusError) server.Event {
 // address, so a repeated grid hits warm caches), and reassembles the
 // parts with experiments.MergeParts — byte-identical to the single-node
 // run of the full grid.
-func (c *Coordinator) execPartitioned(ctx context.Context, req server.ExperimentRequest, benches []string, key string, emit func(server.Event)) {
-	jobs := make([]runpool.Job[experiments.Result], 0, len(benches))
-	for _, bench := range benches {
-		cell := req
-		cell.Benchmarks = []string{bench}
-		cellBody, err := json.Marshal(cell)
+func (c *Coordinator) execPartitioned(ctx context.Context, job *server.ExperimentJob, progress func(server.Event)) (server.Result, error) {
+	jobs := make([]runpool.Job[experiments.Result], 0, len(job.Options.Benchmarks))
+	for _, bench := range job.Options.Benchmarks {
+		cell, err := cellJob(job, bench)
 		if err != nil {
-			emit(errorEvent("internal", http.StatusInternalServerError, err))
-			return
-		}
-		cellKey, err := cell.CacheKey()
-		if err != nil {
-			emit(errorEvent("internal", http.StatusInternalServerError, err))
-			return
+			return server.Result{}, err
 		}
 		jobs = append(jobs, runpool.Job[experiments.Result]{
-			Label: fmt.Sprintf("cell %s/%s", req.ID, bench),
+			Label: fmt.Sprintf("cell %s/%s", job.Request.ID, bench),
 			Fn: func(ctx context.Context) (experiments.Result, error) {
-				body, err := c.runCell(ctx, cellBody, cellKey, cell.NoCache)
+				body, err := c.runCell(ctx, cell)
 				if err != nil {
 					return experiments.Result{}, fmt.Errorf("cell %s: %w", bench, err)
 				}
@@ -728,35 +434,32 @@ func (c *Coordinator) execPartitioned(ctx context.Context, req server.Experiment
 
 	fanout := c.cfg.Fanout
 	if fanout <= 0 {
-		fanout = 2 * len(c.reg.All())
-		if fanout < 2 {
-			fanout = 2
-		}
+		fanout = max(2, 2*len(c.reg.All()))
 	}
 	parts, err := runpool.RunContext(ctx, runpool.Options{
-		Workers: fanout,
-		Progress: func(u runpool.Update) {
-			emit(server.Event{Event: "update", Update: wireUpdate(u)})
-		},
+		Workers:  fanout,
+		Progress: func(u runpool.Update) { progress(server.UpdateEvent(u)) },
 	}, jobs)
 	if err != nil {
-		emit(jobErrEvent(err))
-		return
+		return server.Result{}, err
 	}
-	merged, err := experiments.MergeParts(req.ID, parts)
+	merged, err := experiments.MergeParts(job.Request.ID, parts)
 	if err != nil {
-		emit(errorEvent("internal", http.StatusInternalServerError, err))
-		return
+		return server.Result{}, err
 	}
 	body, err := merged.Snapshot().JSON()
-	if err != nil {
-		emit(errorEvent("internal", http.StatusInternalServerError, err))
-		return
-	}
-	if !req.NoCache {
-		c.cache.Put(key, body)
-	}
-	emit(server.Event{Event: "result", Key: key, Snapshot: body})
+	return server.Result{Body: body}, err
+}
+
+// cellJob narrows a grid job to one benchmark's cell, with the cell's
+// own content address.
+func cellJob(job *server.ExperimentJob, bench string) (*server.ExperimentJob, error) {
+	cell := *job
+	cell.Request.Benchmarks = []string{bench}
+	cell.Options.Benchmarks = []string{bench}
+	key, err := cell.Request.CacheKey()
+	cell.Key = key
+	return &cell, err
 }
 
 // ErrDispatchExhausted is the typed failure of a job whose bounded
@@ -768,49 +471,76 @@ var ErrDispatchExhausted = errors.New("dispatch budget exhausted")
 
 // runCell runs one cell to completion and returns its snapshot body:
 // sweep journal first (a resumed grid re-runs zero finished cells),
-// then the cluster, journaling whatever the dispatch produced.
-func (c *Coordinator) runCell(ctx context.Context, body []byte, key string, noCache bool) ([]byte, error) {
+// then the cluster, journaling whatever the dispatch produced. Each
+// dispatch runs under a per-attempt deadline with a speculative hedge
+// to the next ring candidate when it runs long (see hedgedPost).
+func (c *Coordinator) runCell(ctx context.Context, cell *server.ExperimentJob) ([]byte, error) {
 	if j := c.cfg.Journal; j != nil {
-		if b, ok := j.Get(key); ok {
+		if b, ok := j.Get(cell.Key); ok {
 			c.journalHits.Add(1)
 			return b, nil
 		}
 	}
-	out, err := c.dispatchCell(ctx, body, key, noCache)
+	body, err := json.Marshal(cell.Request)
+	if err != nil {
+		return nil, err
+	}
+	res, err := c.place(ctx, cell.Key, cell.Request.NoCache, func(ctx context.Context, node, backup string) (server.Result, string, error) {
+		res := c.hedgedPost(ctx, node, backup, "/v1/experiments", body)
+		if res.err == nil {
+			c.cellsOK.Add(1)
+			if res.hdr.Get("X-Cache") == "hit" {
+				c.cellsCache.Add(1)
+			}
+		}
+		return server.Result{Body: res.out}, res.node, res.err
+	}, func(ctx context.Context) (server.Result, error) {
+		return c.local.Experiment(ctx, cell, func(server.Event) {})
+	})
 	if err != nil {
 		return nil, err
 	}
 	if j := c.cfg.Journal; j != nil {
-		if jerr := j.Put(key, out); jerr == nil {
+		if jerr := j.Put(cell.Key, res.Body); jerr == nil {
 			c.journalApp.Add(1)
 		}
 		// A failed append is not a failed cell: the result is in hand,
 		// only resumability degrades.
 	}
-	return out, nil
+	return res.Body, nil
 }
 
-// dispatchCell runs one cell somewhere on the cluster. The cell goes
-// to the worker owning its content address under a per-attempt
-// deadline, with a speculative hedge to the next ring candidate when
-// the attempt runs long (see hedgedPost); a 429 waits out the worker's
-// Retry-After (with jitter, bounded by SaturationRetries) before
-// failing over; a corrupt body (digest mismatch) is discarded and
-// re-fetched; a dead worker is marked down and the cell requeues on
-// the next ring candidate — after probing the cluster's caches, since
-// the dying worker may have finished and a peer may hold the bytes.
-// When the budget runs out with every worker down, degraded mode runs
-// the cell in-process (unless disabled).
-func (c *Coordinator) dispatchCell(ctx context.Context, body []byte, key string, noCache bool) ([]byte, error) {
+// attemptFunc dispatches work once to node (backup: the hedge target,
+// "" for none) and reports the node that answered.
+type attemptFunc func(ctx context.Context, node, backup string) (server.Result, string, error)
+
+// place runs one unit of work — a whole job or one cell — somewhere on
+// the cluster: the one failover loop. The work goes to the worker owning
+// key on the ring, and the same policy holds for plain, streamed and
+// cell dispatches:
+//
+//   - a 429 waits out the worker's Retry-After (with jitter, at most
+//     SaturationRetries times) on the same node;
+//   - a 502, a 503, a transport error, a digest mismatch or a stalled
+//     stream counts against the worker and fails over to the next ring
+//     candidate, after probing the cluster's caches (the dying worker
+//     may have finished, and a peer may hold the bytes);
+//   - any other 4xx, and a worker's 500 or 504 job failure, is the
+//     answer: a deterministic job fails the same way on every node.
+//
+// The job's own context ending a dispatch — the client gone, the
+// deadline passed, the coordinator shutting down — is not the worker's
+// failure and is returned as is. When the budget runs out with every
+// worker down, degraded mode runs the work in-process via local.
+func (c *Coordinator) place(ctx context.Context, key string, noCache bool, attempt attemptFunc, local func(context.Context) (server.Result, error)) (server.Result, error) {
 	redispatch, satRetries := 0, 0
-	var lastErr error
 	for {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return server.Result{}, err
 		}
 		cands := c.reg.Candidates(key)
 		if len(cands) == 0 {
-			return c.cellFallback(ctx, body, errors.New("no workers registered"))
+			return c.fallback(ctx, local, errors.New("no workers registered"))
 		}
 		node := cands[redispatch%len(cands)]
 		backup := ""
@@ -818,92 +548,110 @@ func (c *Coordinator) dispatchCell(ctx context.Context, body []byte, key string,
 			backup = cands[(redispatch+1)%len(cands)]
 		}
 		if redispatch > 0 && !noCache {
-			if b, ok := c.peerLookup(ctx, key); ok {
-				c.peerHits.Add(1)
-				return b, nil
+			if b, ok := c.Lookup(ctx, key); ok {
+				return server.Result{Body: b, Cached: true}, nil
 			}
 		}
-		res := c.hedgedPost(ctx, node, backup, "/v1/experiments", body)
-		if res.err == nil {
-			c.reg.ReportSuccess(res.node)
-			c.cellsOK.Add(1)
-			if res.hdr.Get("X-Cache") == "hit" {
-				c.cellsCache.Add(1)
-			}
-			return res.out, nil
+		res, served, err := attempt(ctx, node, backup)
+		if err == nil {
+			c.reg.ReportSuccess(served)
+			return res, nil
 		}
-		err := res.err
-		lastErr = err
-
+		if ctx.Err() != nil {
+			return server.Result{}, ctx.Err()
+		}
 		var se *StatusError
-		if errors.As(err, &se) {
-			if se.Saturated() && satRetries < c.cfg.SaturationRetries {
-				satRetries++
-				c.satRetries.Add(1)
-				if !c.sleep(ctx, c.backoff(se.RetryAfter, satRetries)) {
-					return nil, ctx.Err()
-				}
-				continue
+		var answer *server.JobError
+		errors.As(err, &se)
+		switch {
+		case se != nil && se.Saturated() && satRetries < c.cfg.SaturationRetries:
+			satRetries++
+			c.satRetries.Add(1)
+			if !c.sleep(ctx, c.backoff(se.RetryAfter, satRetries)) {
+				return server.Result{}, ctx.Err()
 			}
-			if se.Status >= 400 && se.Status < 500 && !se.Saturated() {
-				// The cell itself is bad or failed deterministically (a
-				// security halt is a 422): the same bytes would come back
-				// from every node.
-				return nil, err
-			}
+			continue
+		case se != nil && !se.Saturated() && se.Status != http.StatusBadGateway && se.Status != http.StatusServiceUnavailable:
+			c.reg.ReportSuccess(served)
+			return server.Result{}, workerError(se)
+		case errors.As(err, &answer):
+			c.reg.ReportSuccess(served)
+			return server.Result{}, err
 		}
 		if isIntegrityError(err) {
 			c.corruptBodies.Add(1)
 		}
-		c.reg.ReportFailure(res.node, err, transportFailure(err))
+		c.reg.ReportFailure(served, err, transportFailure(err))
 		c.failovers.Add(1)
 		redispatch++
 		if redispatch > c.cfg.RetryBudget {
-			cause := fmt.Errorf("%w: cell failed after %d dispatches: %v", ErrDispatchExhausted, redispatch, lastErr)
+			cause := fmt.Errorf("%w: failed after %d dispatches: %v", ErrDispatchExhausted, redispatch, err)
 			if len(c.reg.Up()) == 0 {
-				return c.cellFallback(ctx, body, cause)
+				// Every worker is down and the budget is spent: degraded mode
+				// answers locally rather than failing a deterministic job the
+				// coordinator can compute itself.
+				return c.fallback(ctx, local, cause)
 			}
-			return nil, cause
+			return server.Result{}, unavailable(cause)
 		}
 	}
 }
 
-// cellFallback resolves a cell that ran out of cluster: degraded-mode
-// local execution when allowed, the typed exhaustion error otherwise.
-func (c *Coordinator) cellFallback(ctx context.Context, body []byte, cause error) ([]byte, error) {
+// fallback resolves work that ran out of cluster: degraded-mode local
+// execution when allowed, the typed exhaustion error otherwise.
+func (c *Coordinator) fallback(ctx context.Context, local func(context.Context) (server.Result, error), cause error) (server.Result, error) {
 	if c.cfg.DisableLocalFallback {
-		if errors.Is(cause, ErrDispatchExhausted) {
-			return nil, cause
+		if !errors.Is(cause, ErrDispatchExhausted) {
+			cause = fmt.Errorf("%w: %v", ErrDispatchExhausted, cause)
 		}
-		return nil, fmt.Errorf("%w: %v", ErrDispatchExhausted, cause)
+		return server.Result{}, unavailable(cause)
 	}
 	c.localRuns.Add(1)
-	out, err := server.ExecuteLocal(ctx, "/v1/experiments", body)
+	res, err := local(ctx)
 	if err != nil {
-		return nil, fmt.Errorf("degraded local run: %w", err)
+		return server.Result{}, fmt.Errorf("degraded local run: %w", err)
 	}
-	return out, nil
+	return res, nil
 }
 
-// peerLookup asks the cluster for an already-computed result, home
-// worker first, then the rest of the ring sequence. Each probe is
-// individually deadlined so one stalled worker cannot wedge the sweep.
-func (c *Coordinator) peerLookup(ctx context.Context, key string) ([]byte, bool) {
-	for _, node := range c.reg.Candidates(key) {
-		lctx, cancel := context.WithTimeout(ctx, c.cfg.LookupTimeout)
-		b, ok, err := c.client.LookupResult(lctx, node, key)
-		cancel()
-		if err == nil && ok {
-			return b, true
-		}
+// unavailable marks an error as the cluster failing to place the job.
+func unavailable(err error) error { return &server.JobError{Code: "unavailable", Err: err} }
+
+// eventError turns a worker's terminal error event back into the job's
+// error, code and partial snapshot intact.
+func eventError(ev server.Event) error {
+	return &server.JobError{Code: ev.Code, Err: errors.New(ev.Error), Snapshot: ev.Snapshot}
+}
+
+// workerError is a worker's plain error answer as the job's error: the
+// worker wrote its terminal event as the body, so the code survives;
+// a body that is no event is an upstream failure.
+func workerError(se *StatusError) error {
+	var ev server.Event
+	if json.Unmarshal(se.Raw, &ev) == nil && ev.Event == "error" {
+		return eventError(ev)
 	}
-	return nil, false
+	return &server.JobError{Code: "upstream", Err: se}
 }
 
 // isIntegrityError reports whether err is a digest-mismatch discard.
 func isIntegrityError(err error) bool {
 	var ie *IntegrityError
 	return errors.As(err, &ie)
+}
+
+// transportFailure reports whether err looks like the worker process is
+// gone (connection-level failure) rather than an HTTP-level complaint —
+// gone workers are marked down immediately instead of waiting out the
+// probe threshold. A digest mismatch is neither: the worker answered,
+// the bytes were wrong, so it counts toward the threshold like any
+// HTTP-level failure instead of costing the node its traffic at once.
+func transportFailure(err error) bool {
+	var se *StatusError
+	if errors.As(err, &se) {
+		return false
+	}
+	return !isIntegrityError(err)
 }
 
 // backoff is the saturation wait: the worker's Retry-After hint when it
@@ -955,45 +703,26 @@ func (c *Coordinator) sleep(ctx context.Context, d time.Duration) bool {
 	}
 }
 
-// handleResult serves GET /v1/results/{key}: coordinator cache first,
-// then the cluster (home worker first). A cluster hit is copied into
-// the coordinator's cache on the way through.
-func (c *Coordinator) handleResult(w http.ResponseWriter, r *http.Request) {
-	key := r.PathValue("key")
-	if body, ok := c.cache.Get(key); ok {
-		c.cacheSrvd.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Cache", "hit")
-		w.Write(body)
-		return
-	}
-	if body, ok := c.peerLookup(r.Context(), key); ok {
-		c.peerHits.Add(1)
-		c.cache.Put(key, body)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Cache", "peer")
-		w.Write(body)
-		return
-	}
-	httpError(w, http.StatusNotFound, fmt.Errorf("no cached result for %q anywhere in the cluster", key))
-}
+// --- cluster routes ---
 
 // handleJoin serves POST /v1/cluster/join: a worker announcing itself.
 func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 	var req struct {
 		URL string `json:"url"`
 	}
-	if !decodeJSON(w, r, &req) {
+	if !server.DecodeJSON(w, r, &req) {
 		return
 	}
 	u, err := url.Parse(req.URL)
 	if err != nil || (u.Scheme != "http" && u.Scheme != "https") || u.Host == "" {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("join: want an http(s) base URL, got %q", req.URL))
+		server.WriteJSON(w, http.StatusBadRequest, map[string]string{
+			"error": fmt.Sprintf("join: want an http(s) base URL, got %q", req.URL),
+		})
 		return
 	}
 	c.joins.Add(1)
 	added := c.reg.Add(req.URL)
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"added":   added,
 		"workers": c.reg.Workers(),
 	})
@@ -1002,306 +731,7 @@ func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
 // handleTopology serves GET /v1/cluster: the ring membership and each
 // worker's state.
 func (c *Coordinator) handleTopology(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]any{
+	server.WriteJSON(w, http.StatusOK, map[string]any{
 		"workers": c.reg.Workers(),
 	})
-}
-
-// handleBenchmarks matches the worker surface so clients can point at
-// the coordinator alone. The list is static library data; no need to
-// ask a worker.
-func (c *Coordinator) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
-	type bench struct {
-		Name        string `json:"name"`
-		Description string `json:"description"`
-		MemoryBound bool   `json:"memory_bound"`
-		WriteHeavy  bool   `json:"write_heavy"`
-	}
-	var out []bench
-	for _, n := range workload.Names() {
-		sp, _ := workload.Lookup(n)
-		out = append(out, bench{Name: sp.Name, Description: sp.Description,
-			MemoryBound: sp.MemoryBound, WriteHeavy: sp.WriteHeavy})
-	}
-	writeJSON(w, http.StatusOK, out)
-}
-
-func (c *Coordinator) handleExperimentList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, experiments.IDs())
-}
-
-func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	status := "ok"
-	code := http.StatusOK
-	all, up := len(c.reg.All()), len(c.reg.Up())
-	switch {
-	case c.isDraining():
-		status = "draining"
-		code = http.StatusServiceUnavailable
-	case c.degraded():
-		// Every worker is down: still serving (local fallback, caches),
-		// but an operator should know.
-		status = "degraded"
-	}
-	writeJSON(w, code, map[string]any{
-		"status":     status,
-		"workers":    all,
-		"workers_up": up,
-	})
-}
-
-// degraded reports whether the coordinator has workers registered but
-// none of them up — the state in which dispatches end in local
-// fallback (or typed errors).
-func (c *Coordinator) degraded() bool {
-	return len(c.reg.All()) > 0 && len(c.reg.Up()) == 0
-}
-
-// Snapshot exports the coordinator's counters as a metrics tree: job
-// admission at the root, cell dispatch outcomes under "cells", the
-// admission pool and result cache as children, one child per worker.
-func (c *Coordinator) Snapshot() *stats.Snapshot {
-	n := stats.NewSnapshot("coordinator")
-	n.Counter("accepted", c.accepted.Load())
-	n.Counter("rejected", c.rejected.Load())
-	n.Counter("finished", c.finished.Load())
-	n.Counter("failed", c.failed.Load())
-	n.Counter("streamed", c.streamed.Load())
-	n.Counter("cache_served", c.cacheSrvd.Load())
-	n.Counter("joins", c.joins.Load())
-	n.Counter("sims_relayed", c.simsRelay.Load())
-	n.Counter("experiments_split", c.expsSplit.Load())
-	n.Counter("experiments_forwarded", c.expsFwd.Load())
-	n.Value("uptime_seconds", time.Since(c.start).Seconds())
-
-	degraded := uint64(0)
-	if c.degraded() {
-		degraded = 1
-	}
-	n.Counter("degraded", degraded)
-	n.Counter("local_runs", c.localRuns.Load())
-
-	cn := n.Child("cells")
-	cn.Counter("completed", c.cellsOK.Load())
-	cn.Counter("worker_cache_hits", c.cellsCache.Load())
-	cn.Counter("saturation_retries", c.satRetries.Load())
-	cn.Counter("failovers", c.failovers.Load())
-	cn.Counter("peer_hits", c.peerHits.Load())
-	cn.Counter("hedges", c.hedges.Load())
-	cn.Counter("hedge_wins", c.hedgeWins.Load())
-	cn.Counter("corrupt_bodies", c.corruptBodies.Load())
-	cn.Counter("journal_hits", c.journalHits.Load())
-	cn.Counter("journal_appends", c.journalApp.Load())
-
-	ps := c.pool.Stats()
-	pn := n.Child("pool")
-	pn.Counter("submitted", ps.Submitted)
-	pn.Counter("rejected", ps.Rejected)
-	pn.Counter("completed", ps.Completed)
-	pn.Counter("workers", uint64(ps.Workers))
-	pn.Counter("pending", uint64(ps.Pending))
-	pn.Counter("running", uint64(ps.Running))
-	pn.Value("occupancy", ps.Occupancy())
-
-	cs := c.cache.Stats()
-	can := n.Child("cache")
-	can.Counter("entries", uint64(cs.Entries))
-	can.Counter("capacity", uint64(max(cs.Capacity, 0)))
-	can.Counter("hits", cs.Hits)
-	can.Counter("misses", cs.Misses)
-	can.Counter("evictions", cs.Evictions)
-
-	wn := n.Child("workers")
-	for _, w := range c.reg.Workers() {
-		one := wn.Child(w.URL)
-		one.Counter("dispatched", w.Dispatched)
-		one.Counter("failures", w.Failures)
-		one.Counter("mark_downs", w.MarkDowns)
-		down := uint64(0)
-		if w.Down {
-			down = 1
-		}
-		one.Counter("down", down)
-	}
-
-	c.routes.addTo(n.Child("endpoints"))
-	return n
-}
-
-func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	body, err := c.Snapshot().JSON()
-	if err != nil {
-		httpError(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Write(body)
-}
-
-// --- event and error shaping ---
-
-// errorEvent builds a coordinator-origin terminal error event.
-func errorEvent(code string, status int, err error) server.Event {
-	return server.Event{Event: "error", Error: err.Error(), Code: code, Status: status}
-}
-
-// ctxErrEvent classifies a context error the way the single node does.
-func ctxErrEvent(err error) server.Event {
-	if errors.Is(err, context.DeadlineExceeded) {
-		return errorEvent("timeout", http.StatusGatewayTimeout, err)
-	}
-	return errorEvent("canceled", http.StatusServiceUnavailable, err)
-}
-
-// jobErrEvent classifies a failed fan-out: context errors keep their
-// single-node codes, upstream StatusErrors keep their statuses, the
-// rest is a bad gateway — some part of the cluster failed this job.
-func jobErrEvent(err error) server.Event {
-	switch {
-	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
-		return ctxErrEvent(err)
-	}
-	var se *StatusError
-	if errors.As(err, &se) {
-		return errorEvent("upstream", se.Status, err)
-	}
-	return errorEvent("unavailable", http.StatusBadGateway, err)
-}
-
-// statusForCode maps a relayed worker error code to the HTTP status a
-// plain response should carry: the worker's status travels in its HTTP
-// response, not in the stream event, so the coordinator re-derives it.
-func statusForCode(code string) int {
-	switch code {
-	case "bad_request":
-		return http.StatusBadRequest
-	case "security":
-		return http.StatusUnprocessableEntity
-	case "timeout":
-		return http.StatusGatewayTimeout
-	case "canceled", "unavailable":
-		return http.StatusServiceUnavailable
-	case "upstream":
-		return http.StatusBadGateway
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-// transportFailure reports whether err looks like the worker process is
-// gone (connection-level failure) rather than an HTTP-level complaint —
-// gone workers are marked down immediately instead of waiting out the
-// probe threshold. A digest mismatch is neither: the worker answered,
-// the bytes were wrong, so it counts toward the threshold like any
-// HTTP-level failure instead of costing the node its traffic at once.
-func transportFailure(err error) bool {
-	var se *StatusError
-	if errors.As(err, &se) {
-		return false
-	}
-	return !isIntegrityError(err)
-}
-
-// wireUpdate mirrors the single node's update framing for cell
-// progress.
-func wireUpdate(u runpool.Update) *server.UpdateWire {
-	w := &server.UpdateWire{
-		Index: u.Index, Label: u.Label,
-		ElapsedMS: float64(u.Elapsed) / float64(time.Millisecond),
-		Done:      u.Done, Total: u.Total,
-	}
-	if u.Err != nil {
-		w.Error = u.Err.Error()
-	}
-	return w
-}
-
-// --- HTTP plumbing (the coordinator speaks the same dialect as the
-// single node; these mirror internal/server's helpers) ---
-
-func wantsStream(r *http.Request) bool {
-	if v := r.URL.Query().Get("stream"); v == "1" || v == "true" {
-		return true
-	}
-	for _, accept := range r.Header.Values("Accept") {
-		if accept == "application/x-ndjson" || accept == "application/ndjson" {
-			return true
-		}
-	}
-	return false
-}
-
-type streamWriter struct {
-	w      http.ResponseWriter
-	rc     *http.ResponseController
-	enc    *json.Encoder
-	broken bool
-}
-
-func newStreamWriter(w http.ResponseWriter) *streamWriter {
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("Cache-Control", "no-store")
-	w.WriteHeader(http.StatusOK)
-	return &streamWriter{w: w, rc: http.NewResponseController(w), enc: json.NewEncoder(w)}
-}
-
-func (sw *streamWriter) write(ev server.Event) {
-	if sw.broken {
-		return
-	}
-	sw.rc.SetWriteDeadline(time.Now().Add(30 * time.Second))
-	if err := sw.enc.Encode(ev); err != nil {
-		sw.broken = true
-		return
-	}
-	sw.rc.Flush()
-}
-
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("request body: %w", err))
-		return false
-	}
-	return true
-}
-
-func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-// routeCounters counts requests per route for /metrics, mirroring the
-// worker's endpoint counters.
-type routeCounters struct {
-	mu     sync.Mutex
-	counts map[string]uint64
-}
-
-func (e *routeCounters) counted(name string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		e.mu.Lock()
-		if e.counts == nil {
-			e.counts = make(map[string]uint64)
-		}
-		e.counts[name]++
-		e.mu.Unlock()
-		h(w, r)
-	}
-}
-
-func (e *routeCounters) addTo(n *stats.Snapshot) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	for name, v := range e.counts {
-		n.Counter(name, v)
-	}
 }

@@ -5,12 +5,20 @@
 // warm), fails work over when a worker dies or saturates, and
 // reassembles results that are byte-identical to a single-node run.
 //
+// The coordinator serves the same HTTP front a single node does
+// (internal/server): routing, validation, the result cache, admission,
+// drain and response shaping all live there. The coordinator is the
+// front's cluster executor — it decides only where an admitted job runs.
+//
 // The pieces:
 //
 //   - Ring: a consistent-hash ring over worker URLs (ring.go)
-//   - Registry: worker membership and health state (registry.go)
+//   - Registry: worker membership, health and circuit breaker (registry.go)
 //   - Client: the coordinator's HTTP client for worker nodes (client.go)
-//   - Coordinator: the public http.Handler (coordinator.go)
+//   - hedgedPost: speculative duplicate cell dispatch (hedge.go)
+//   - Journal: the durable record of finished sweep cells (journal.go)
+//   - Coordinator: the executor — ring routing, cell dispatch and merge,
+//     the one failover loop, degraded mode (coordinator.go)
 //
 // Nothing here touches simulation math. Every simulation is fully
 // determined by its seeded configuration, so a cell computes the same

@@ -1,17 +1,100 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"sync/atomic"
+	"time"
 
 	"ctrpred/internal/experiments"
 	"ctrpred/internal/runpool"
+	"ctrpred/internal/secmem"
 	"ctrpred/internal/sha256"
 	"ctrpred/internal/sim"
+	"ctrpred/internal/stats"
 )
+
+// Local is the in-process executor: it runs each job on this node's
+// simulator. New puts one behind every single-node front; the cluster
+// coordinator keeps one for degraded mode. The zero value is ready.
+type Local struct {
+	simsRun atomic.Uint64
+	expsRun atomic.Uint64
+}
+
+// Sim runs one simulation, heartbeating at its instruction checkpoints.
+func (l *Local) Sim(ctx context.Context, job *SimJob, progress func(Event)) (Result, error) {
+	if err := ctx.Err(); err != nil {
+		return Result{}, err
+	}
+	m, err := sim.NewMachine(job.Bench, job.Config)
+	if err != nil {
+		return Result{}, &JobError{Code: "bad_request", Err: err}
+	}
+	var lastBeat time.Time
+	m.OnProgress(func(committed uint64) {
+		if time.Since(lastBeat) >= heartbeatEvery {
+			lastBeat = time.Now()
+			progress(Event{Event: "progress", Instructions: committed})
+		}
+	})
+	start := time.Now()
+	res, runErr := m.RunContext(ctx)
+	l.simsRun.Add(1)
+	progress(UpdateEvent(runpool.Update{Label: job.Bench + "/" + job.Config.Scheme.Name, Err: runErr, Elapsed: time.Since(start), Done: 1, Total: 1}))
+	if runErr != nil {
+		var serr *secmem.SecurityError
+		if errors.As(runErr, &serr) {
+			// The partial result up to the halt is still evidence; ship it
+			// with the error.
+			if body, jerr := res.Snapshot().JSON(); jerr == nil {
+				return Result{}, &JobError{Err: runErr, Snapshot: body}
+			}
+		}
+		return Result{}, runErr
+	}
+	body, err := res.Snapshot().JSON()
+	return Result{Body: body}, err
+}
+
+// Experiment regenerates one figure/table, forwarding every finished
+// grid cell as an update.
+func (l *Local) Experiment(ctx context.Context, job *ExperimentJob, progress func(Event)) (Result, error) {
+	if err := ctx.Err(); err != nil {
+		return Result{}, err
+	}
+	opt := job.Options
+	opt.Progress = func(u runpool.Update) {
+		progress(UpdateEvent(u))
+		if u.Err == nil {
+			l.simsRun.Add(1)
+		}
+	}
+	res, err := experiments.ByID(ctx, job.Request.ID, opt)
+	l.expsRun.Add(1)
+	if err != nil {
+		return Result{}, err
+	}
+	body, err := res.Snapshot().JSON()
+	return Result{Body: body}, err
+}
+
+// Lookup finds nothing: a single node's results live in its front's
+// cache alone.
+func (l *Local) Lookup(context.Context, string) ([]byte, bool) { return nil, false }
+
+// Health reports the job pool's occupancy.
+func (l *Local) Health(ps runpool.PoolStats) (map[string]any, bool) {
+	return map[string]any{"workers": ps.Workers, "running": ps.Running, "pending": ps.Pending}, false
+}
+
+// Metrics counts the simulations and experiments run here.
+func (l *Local) Metrics(n *stats.Snapshot) {
+	n.Counter("sims_run", l.simsRun.Load())
+	n.Counter("experiments_run", l.expsRun.Load())
+}
 
 // snapshotDigestHeader carries the hex SHA-256 of a canonical snapshot
 // body on every plain JSON result, so relays (the cluster coordinator)
@@ -25,86 +108,6 @@ const snapshotDigestHeader = "X-Snapshot-Digest"
 // a relay verifies before trusting them.
 func BodyDigest(b []byte) string {
 	return fmt.Sprintf("%x", sha256.Sum256(b))
-}
-
-// Classify maps a job error to its stream error code and HTTP status —
-// the same mapping the server's own handlers use. Exported so the
-// cluster coordinator's degraded-mode local execution shapes errors
-// exactly as a worker would have.
-func Classify(err error) (code string, status int) { return classify(err) }
-
-// badRequestError marks an ExecuteLocal failure as the request's fault
-// (malformed body, unknown benchmark), so Classify maps it to the same
-// status a worker's HTTP handler would have returned instead of a 500.
-type badRequestError struct{ err error }
-
-func (e *badRequestError) Error() string { return e.err.Error() }
-func (e *badRequestError) Unwrap() error { return e.err }
-
-func badRequest(err error) error {
-	if err == nil {
-		return nil
-	}
-	return &badRequestError{err: err}
-}
-
-// ExecuteLocal runs a job request body in-process, bypassing HTTP and
-// the job pool: the cluster coordinator's degraded-mode fallback when
-// every worker is down. path selects the job type ("/v1/sim" or
-// "/v1/experiments"); body is the same JSON a worker would have
-// received. The returned bytes are the canonical snapshot JSON —
-// byte-identical to what a healthy worker would have served, because a
-// run is fully determined by its configuration.
-//
-// All errors classify via Classify: bad bodies map to the same 4xx a
-// worker's HTTP handler would have sent, run failures to their usual
-// codes.
-func ExecuteLocal(ctx context.Context, path string, body []byte) ([]byte, error) {
-	switch path {
-	case "/v1/sim":
-		var req SimRequest
-		if err := decodeStrict(body, &req); err != nil {
-			return nil, badRequest(err)
-		}
-		bench, cfg, err := req.buildSim()
-		if err != nil {
-			return nil, badRequest(err)
-		}
-		m, err := sim.NewMachine(bench, cfg)
-		if err != nil {
-			return nil, err
-		}
-		res, err := m.RunContext(ctx)
-		if err != nil {
-			return nil, err
-		}
-		return res.Snapshot().JSON()
-	case "/v1/experiments":
-		var req ExperimentRequest
-		if err := decodeStrict(body, &req); err != nil {
-			return nil, badRequest(err)
-		}
-		opt, err := req.buildExperiment(runpool.DefaultWorkers())
-		if err != nil {
-			return nil, badRequest(err)
-		}
-		res, err := experiments.ByID(ctx, req.ID, opt)
-		if err != nil {
-			return nil, err
-		}
-		return res.Snapshot().JSON()
-	default:
-		return nil, badRequest(fmt.Errorf("local execution supports /v1/sim and /v1/experiments, not %q", path))
-	}
-}
-
-func decodeStrict(body []byte, dst any) error {
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		return fmt.Errorf("request body: %w", err)
-	}
-	return nil
 }
 
 // SetSnapshotDigest stamps the integrity digest of a canonical

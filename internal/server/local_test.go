@@ -2,8 +2,6 @@ package server
 
 import (
 	"bytes"
-	"context"
-	"encoding/json"
 	"net/http"
 	"testing"
 )
@@ -56,57 +54,5 @@ func TestSnapshotDigestHeader(t *testing.T) {
 	}
 	if !bytes.Equal(body, body3) {
 		t.Fatal("by-key body differs from the fresh one")
-	}
-}
-
-// TestExecuteLocal: the degraded-mode entry point must produce bytes
-// identical to the HTTP path for the same request, and classify bad
-// input the same way the handlers do.
-func TestExecuteLocal(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 2})
-	req := smallReq()
-	viaHTTP := readBody(t, postJSON(t, ts.URL+"/v1/sim", req))
-
-	body, _ := json.Marshal(req)
-	local, err := ExecuteLocal(context.Background(), "/v1/sim", body)
-	if err != nil {
-		t.Fatalf("ExecuteLocal(/v1/sim): %v", err)
-	}
-	if !bytes.Equal(local, viaHTTP) {
-		t.Error("local sim differs from the HTTP run")
-	}
-
-	expReq := ExperimentRequest{
-		ID: "fig7", Benchmarks: []string{"gzip"},
-		Instructions: 30_000, Footprint: "64K", Seed: 7, Workers: 2,
-	}
-	expHTTP := readBody(t, postJSON(t, ts.URL+"/v1/experiments", expReq))
-	expBody, _ := json.Marshal(expReq)
-	localExp, err := ExecuteLocal(context.Background(), "/v1/experiments", expBody)
-	if err != nil {
-		t.Fatalf("ExecuteLocal(/v1/experiments): %v", err)
-	}
-	if !bytes.Equal(localExp, expHTTP) {
-		t.Error("local experiment differs from the HTTP run")
-	}
-
-	for _, tc := range []struct {
-		name, path string
-		body       string
-		wantStatus int
-	}{
-		{"unknown path", "/v1/nope", "{}", http.StatusBadRequest},
-		{"bad json", "/v1/sim", "{", http.StatusBadRequest},
-		{"unknown field", "/v1/sim", `{"wat":1}`, http.StatusBadRequest},
-		{"unknown bench", "/v1/sim", `{"bench":"nope","scheme":"baseline"}`, http.StatusBadRequest},
-	} {
-		_, err := ExecuteLocal(context.Background(), tc.path, []byte(tc.body))
-		if err == nil {
-			t.Errorf("%s: ExecuteLocal succeeded; want an error", tc.name)
-			continue
-		}
-		if _, status := Classify(err); status != tc.wantStatus {
-			t.Errorf("%s: classified as %d; want %d (err: %v)", tc.name, status, tc.wantStatus, err)
-		}
 	}
 }

@@ -54,8 +54,9 @@ type SimRequest struct {
 	// CheckInterval paces cancellation checkpoints and progress
 	// heartbeats (instructions; 0 = default 10k). Never affects results.
 	CheckInterval uint64 `json:"check_interval,omitempty"`
-	// Timeout bounds the job (Go duration string, e.g. "30s"); empty
-	// uses the server's default.
+	// Timeout bounds the whole job, on a single node and a coordinator
+	// alike (Go duration string, e.g. "30s"); empty uses the server's
+	// default.
 	Timeout string `json:"timeout,omitempty"`
 	// NoCache skips the result cache on both read and write.
 	NoCache bool `json:"no_cache,omitempty"`
@@ -250,52 +251,25 @@ func (r ExperimentRequest) buildExperiment(maxWorkers int) (experiments.Options,
 	return opt, nil
 }
 
-// key returns the content address of a simulation request: the
-// fingerprint of the fully-resolved run configuration, so requests that
-// spell the same run differently (default vs explicit fields) share one
-// cache entry.
-func (r SimRequest) key() (string, error) {
-	bench, cfg, err := r.buildSim()
-	if err != nil {
-		return "", err
-	}
-	return sim.Fingerprint(bench, cfg), nil
-}
-
-// CacheKey exposes the request's content address to other packages: the
-// cluster coordinator hashes it onto the ring to pick the simulation's
-// home worker, so repeats of the same config land where the cache is
-// warm.
-func (r SimRequest) CacheKey() (string, error) { return r.key() }
-
-// CacheKey exposes the experiment request's content address. The key is
-// insensitive to Workers and timeouts (they change when a result
-// arrives, not what it is), so any worker-count argument would hash
-// identically; the coordinator and the serving node therefore agree on
-// the address without coordinating pool sizes.
-func (r ExperimentRequest) CacheKey() (string, error) { return r.key(1) }
-
-// ResolvedBenchmarks returns the benchmark set the request's grid
-// actually runs over — the explicit list, or the full registry when the
-// field is empty — in request order. The cluster coordinator partitions
-// a sweep into per-benchmark cells from this list.
-func (r ExperimentRequest) ResolvedBenchmarks() ([]string, error) {
+// CacheKey exposes the experiment request's content address: the
+// cluster coordinator addresses each per-benchmark cell of a grid by it.
+// The key is insensitive to Workers and timeouts (they change when a
+// result arrives, not what it is), so the coordinator and the serving
+// node agree on the address without coordinating pool sizes.
+func (r ExperimentRequest) CacheKey() (string, error) {
 	opt, err := r.buildExperiment(1)
 	if err != nil {
-		return nil, err
-	}
-	return opt.Benchmarks, nil
-}
-
-// key returns the content address of an experiment request: a hash over
-// the result-determining fields only. Workers and timeouts are excluded
-// — the sweep output is byte-identical for any worker count, and a
-// deadline changes when a result exists, not what it is.
-func (r ExperimentRequest) key(maxWorkers int) (string, error) {
-	opt, err := r.buildExperiment(maxWorkers)
-	if err != nil {
 		return "", err
 	}
+	return r.key(opt)
+}
+
+// key returns the content address of an experiment request, given the
+// options it resolved to: a hash over the result-determining fields
+// only. Workers and timeouts are excluded — the sweep output is
+// byte-identical for any worker count, and a deadline changes when a
+// result exists, not what it is.
+func (r ExperimentRequest) key(opt experiments.Options) (string, error) {
 	payload := struct {
 		Kind         string
 		ID           string

@@ -1,6 +1,14 @@
-// Package server exposes the simulator as a long-lived HTTP/JSON job
-// service — simulation-as-a-service over the same library surface the
-// CLIs drive.
+// Package server is ctrpredd's HTTP front: the job service through which
+// the simulator is exposed, on a single node and in front of a cluster
+// alike.
+//
+// The front owns everything a client sees: routing, request decoding and
+// validation, content keys, the result cache, pool admission, drain on
+// shutdown, the NDJSON and plain response shapes, the listings,
+// /healthz and /metrics. Once it has admitted a job it hands the job to
+// an Executor. There are two: Local runs jobs on this node's simulator
+// (New), and the cluster coordinator in internal/cluster spreads them
+// over worker nodes (NewFront).
 //
 // Requests land on a bounded runpool-backed queue (backpressure is a
 // 429 with Retry-After, never an unbounded goroutine pile), run under
@@ -77,10 +85,63 @@ const (
 	heartbeatEvery = 200 * time.Millisecond
 )
 
-// Server is the job service. Create with New, mount as an http.Handler,
-// stop with Shutdown.
+// Executor runs a job once the front has admitted it. progress takes
+// the job's non-terminal events (heartbeats, per-simulation updates)
+// and never blocks. The returned Result or error becomes the job's
+// terminal event, which the front caches, counts and shapes.
+type Executor interface {
+	Sim(ctx context.Context, job *SimJob, progress func(Event)) (Result, error)
+	Experiment(ctx context.Context, job *ExperimentJob, progress func(Event)) (Result, error)
+	// Lookup finds a result the front's cache does not hold, for
+	// GET /v1/results/{key}.
+	Lookup(ctx context.Context, key string) ([]byte, bool)
+	// Health returns the executor's /healthz fields given the front's
+	// pool, and whether it is degraded: still answering, but without the
+	// backends it normally runs on.
+	Health(ps runpool.PoolStats) (fields map[string]any, degraded bool)
+	// Metrics adds the executor's counters to the front's /metrics tree.
+	Metrics(n *stats.Snapshot)
+}
+
+// SimJob is an admitted POST /v1/sim: the request, the run it resolves
+// to, and its content address.
+type SimJob struct {
+	Request SimRequest
+	Bench   string
+	Config  sim.Config
+	Key     string
+	// Stream is set when the client reads the job as NDJSON.
+	Stream bool
+}
+
+// ExperimentJob is an admitted POST /v1/experiments: the request, the
+// sweep options it resolves to, and its content address.
+type ExperimentJob struct {
+	Request ExperimentRequest
+	Options experiments.Options
+	Key     string
+	// Stream is set when the client reads the job as NDJSON.
+	Stream bool
+}
+
+// Result is a finished job's snapshot body.
+type Result struct {
+	Body []byte
+	// Cached marks a body some cache already held; a streamed result
+	// event says so.
+	Cached bool
+	// Compacted marks a body copied off a relayed NDJSON stream instead
+	// of the canonical indented form. It answers this request but never
+	// enters the cache, which holds only canonical bodies.
+	Compacted bool
+}
+
+// Server is the HTTP front. Create with New (or NewFront), mount as an
+// http.Handler, stop with Shutdown.
 type Server struct {
 	cfg   Config
+	name  string
+	exec  Executor
 	pool  *runpool.Pool
 	cache *ResultCache
 	mux   *http.ServeMux
@@ -104,8 +165,6 @@ type Server struct {
 	rejected  atomic.Uint64
 	finished  atomic.Uint64
 	failed    atomic.Uint64
-	simsRun   atomic.Uint64
-	expsRun   atomic.Uint64
 	streamed  atomic.Uint64
 	cacheSrvd atomic.Uint64
 
@@ -116,8 +175,13 @@ type Server struct {
 	jobsDone atomic.Uint64
 }
 
-// New assembles a Server from cfg (see Config for zero-value defaults).
-func New(cfg Config) *Server {
+// New assembles a single-node Server from cfg (see Config for zero-value
+// defaults): the front over a Local executor.
+func New(cfg Config) *Server { return NewFront("server", cfg, &Local{}) }
+
+// NewFront assembles the front over exec; name roots the /metrics tree.
+// The cluster coordinator builds its front this way.
+func NewFront(name string, cfg Config, exec Executor) *Server {
 	if cfg.Workers <= 0 {
 		cfg.Workers = runpool.DefaultWorkers()
 	}
@@ -136,6 +200,8 @@ func New(cfg Config) *Server {
 	jobsCtx, hardStop := context.WithCancel(context.Background())
 	s := &Server{
 		cfg:      cfg,
+		name:     name,
+		exec:     exec,
 		pool:     runpool.NewPool(cfg.Workers, cfg.Backlog),
 		cache:    NewResultCache(cfg.CacheEntries),
 		mux:      http.NewServeMux(),
@@ -143,13 +209,13 @@ func New(cfg Config) *Server {
 		jobsCtx:  jobsCtx,
 		hardStop: hardStop,
 	}
-	s.mux.HandleFunc("POST /v1/sim", s.endpoints.counted("sim", s.handleSim))
-	s.mux.HandleFunc("POST /v1/experiments", s.endpoints.counted("experiments", s.handleExperiment))
-	s.mux.HandleFunc("GET /v1/benchmarks", s.endpoints.counted("benchmarks", s.handleBenchmarks))
-	s.mux.HandleFunc("GET /v1/experiments", s.endpoints.counted("experiment_list", s.handleExperimentList))
-	s.mux.HandleFunc("GET /v1/results/{key}", s.endpoints.counted("results", s.handleResult))
-	s.mux.HandleFunc("GET /healthz", s.endpoints.counted("healthz", s.handleHealthz))
-	s.mux.HandleFunc("GET /metrics", s.endpoints.counted("metrics", s.handleMetrics))
+	s.Handle("POST /v1/sim", "sim", s.handleSim)
+	s.Handle("POST /v1/experiments", "experiments", s.handleExperiment)
+	s.Handle("GET /v1/benchmarks", "benchmarks", s.handleBenchmarks)
+	s.Handle("GET /v1/experiments", "experiment_list", s.handleExperimentList)
+	s.Handle("GET /v1/results/{key}", "results", s.handleResult)
+	s.Handle("GET /healthz", "healthz", s.handleHealthz)
+	s.Handle("GET /metrics", "metrics", s.handleMetrics)
 	if cfg.EnablePprof {
 		s.mux.HandleFunc("/debug/pprof/", pprof.Index)
 		s.mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -158,6 +224,12 @@ func New(cfg Config) *Server {
 		s.mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 	return s
+}
+
+// Handle mounts a route, counting its requests under endpoint in
+// /metrics. Executors mount their own routes beside the job API.
+func (s *Server) Handle(pattern, endpoint string, h http.HandlerFunc) {
+	s.mux.HandleFunc(pattern, s.endpoints.counted(endpoint, h))
 }
 
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.ServeHTTP(w, r) }
@@ -200,7 +272,9 @@ type UpdateWire struct {
 	Total     int     `json:"total"`
 }
 
-func wireUpdate(u runpool.Update) *UpdateWire {
+// UpdateEvent frames one finished simulation of a job's grid as an
+// "update" stream event.
+func UpdateEvent(u runpool.Update) Event {
 	w := &UpdateWire{
 		Index: u.Index, Label: u.Label,
 		ElapsedMS: float64(u.Elapsed) / float64(time.Millisecond),
@@ -209,7 +283,7 @@ func wireUpdate(u runpool.Update) *UpdateWire {
 	if u.Err != nil {
 		w.Error = u.Err.Error()
 	}
-	return w
+	return Event{Event: "update", Update: w}
 }
 
 // Event is one NDJSON stream line. Event is "accepted", "progress",
@@ -230,84 +304,117 @@ type Event struct {
 	// on a security-halt error so the partial run is not lost).
 	Snapshot json.RawMessage `json:"snapshot,omitempty"`
 	Error    string          `json:"error,omitempty"`
-	// Code classifies an error: bad_request, security, self_check,
-	// timeout, canceled, panic, internal.
+	// Code classifies an error; statusByCode gives its HTTP status.
 	Code string `json:"code,omitempty"`
-
-	// Status is the HTTP status a non-streaming response should carry
-	// (coordinator and server both shape responses from events; not part
-	// of the wire form).
-	Status int `json:"-"`
 }
 
-// classify maps a job error to a stream code and HTTP status.
-func classify(err error) (code string, status int) {
+// statusByCode is the one map from an error code to the HTTP status a
+// plain response carries, on a single node and a coordinator alike.
+// Codes missing here (self_check, panic, internal) answer 500.
+var statusByCode = map[string]int{
+	"bad_request": http.StatusBadRequest,
+	// A well-formed request naming an unknown engine model.
+	"unknown_engine": http.StatusUnprocessableEntity,
+	// Tampering detected under the halt policy: the simulation did its
+	// job; the input memory was hostile.
+	"security": http.StatusUnprocessableEntity,
+	"timeout":  http.StatusGatewayTimeout,
+	"canceled": http.StatusServiceUnavailable,
+	// A cluster that could not place the job, and a worker that failed
+	// it without saying how.
+	"unavailable": http.StatusBadGateway,
+	"upstream":    http.StatusBadGateway,
+}
+
+func statusFor(code string) int {
+	if status, ok := statusByCode[code]; ok {
+		return status
+	}
+	return http.StatusInternalServerError
+}
+
+// JobError is a job failure an executor has already classified — a
+// worker's relayed error event, or a cluster that could not place the
+// job — or one that carries a partial snapshot worth shipping.
+type JobError struct {
+	// Code is the error event's code; empty classifies Err.
+	Code string
+	Err  error
+	// Snapshot rides the error event (a security halt's partial run).
+	Snapshot json.RawMessage
+}
+
+func (e *JobError) Error() string { return e.Err.Error() }
+func (e *JobError) Unwrap() error { return e.Err }
+
+// classify maps an error to its code.
+func classify(err error) string {
+	var jerr *JobError
 	var serr *secmem.SecurityError
 	var perr *runpool.PanicError
-	var berr *badRequestError
 	switch {
-	case errors.As(err, &berr):
-		// Only ExecuteLocal produces these; the HTTP handlers reject bad
-		// requests before a job ever runs.
-		return "bad_request", BuildStatus(berr.err)
+	case errors.As(err, &jerr) && jerr.Code != "":
+		return jerr.Code
+	case errors.Is(err, cryptoengine.ErrUnknownEngine):
+		return "unknown_engine"
 	case errors.As(err, &serr):
 		if serr.Kind == secmem.KindSelfCheck {
-			return "self_check", http.StatusInternalServerError
+			return "self_check"
 		}
-		// Tampering detected under the halt policy: the simulation did
-		// its job; the input memory was hostile.
-		return "security", http.StatusUnprocessableEntity
+		return "security"
 	case errors.As(err, &perr):
-		return "panic", http.StatusInternalServerError
+		return "panic"
 	case errors.Is(err, context.DeadlineExceeded):
-		return "timeout", http.StatusGatewayTimeout
+		return "timeout"
 	case errors.Is(err, context.Canceled):
-		return "canceled", http.StatusServiceUnavailable
+		return "canceled"
 	default:
-		return "internal", http.StatusInternalServerError
+		return "internal"
 	}
-}
-
-// BuildStatus maps a request-build error to its HTTP status: a
-// well-formed request naming an unknown engine model is semantically
-// unprocessable (422), everything else is a plain bad request (400).
-// Exported because the cluster coordinator validates requests with the
-// same request types and must reject them with the same statuses a
-// single node would.
-func BuildStatus(err error) int {
-	if errors.Is(err, cryptoengine.ErrUnknownEngine) {
-		return http.StatusUnprocessableEntity
-	}
-	return http.StatusBadRequest
 }
 
 func errEvent(err error) Event {
-	code, status := classify(err)
-	return Event{Event: "error", Error: err.Error(), Code: code, Status: status}
+	ev := Event{Event: "error", Error: err.Error(), Code: classify(err)}
+	var jerr *JobError
+	if errors.As(err, &jerr) {
+		ev.Snapshot = jerr.Snapshot
+	}
+	return ev
+}
+
+// reject answers a request that failed validation: a bad request, or an
+// unprocessable one when it names an unknown engine model.
+func reject(w http.ResponseWriter, err error) {
+	code := "bad_request"
+	if classify(err) == "unknown_engine" {
+		code = "unknown_engine"
+	}
+	httpError(w, statusFor(code), err)
 }
 
 // handleSim serves POST /v1/sim.
 func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	var req SimRequest
-	if !decodeJSON(w, r, &req) {
+	if !DecodeJSON(w, r, &req) {
 		return
 	}
 	bench, cfg, err := req.buildSim()
 	if err != nil {
-		httpError(w, BuildStatus(err), err)
+		reject(w, err)
 		return
 	}
 	timeout, err := parseTimeout(req.Timeout, s.cfg.DefaultTimeout)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		reject(w, err)
 		return
 	}
 	key := sim.Fingerprint(bench, cfg)
-	label := fmt.Sprintf("sim %s/%s %s", bench, cfg.Scheme.Name, key[:12])
+	job := &SimJob{Request: req, Bench: bench, Config: cfg, Key: key, Stream: wantsStream(r)}
 	s.dispatch(w, r, dispatchSpec{
-		key: key, label: label, noCache: req.NoCache, timeout: timeout,
-		run: func(ctx context.Context, emit func(Event)) {
-			s.execSim(ctx, bench, cfg, key, req.NoCache, emit)
+		key: key, noCache: req.NoCache, stream: job.Stream, timeout: timeout,
+		label: fmt.Sprintf("sim %s/%s %s", bench, cfg.Scheme.Name, key[:12]),
+		run: func(ctx context.Context, progress func(Event)) (Result, error) {
+			return s.exec.Sim(ctx, job, progress)
 		},
 	})
 }
@@ -315,29 +422,30 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 // handleExperiment serves POST /v1/experiments.
 func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	var req ExperimentRequest
-	if !decodeJSON(w, r, &req) {
+	if !DecodeJSON(w, r, &req) {
 		return
 	}
 	opt, err := req.buildExperiment(s.cfg.Workers)
 	if err != nil {
-		httpError(w, BuildStatus(err), err)
+		reject(w, err)
 		return
 	}
 	timeout, err := parseTimeout(req.Timeout, s.cfg.DefaultTimeout)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		reject(w, err)
 		return
 	}
-	key, err := req.key(s.cfg.Workers)
+	key, err := req.key(opt)
 	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+		reject(w, err)
 		return
 	}
-	label := fmt.Sprintf("exp %s %s", req.ID, key[:12])
+	job := &ExperimentJob{Request: req, Options: opt, Key: key, Stream: wantsStream(r)}
 	s.dispatch(w, r, dispatchSpec{
-		key: key, label: label, noCache: req.NoCache, timeout: timeout,
-		run: func(ctx context.Context, emit func(Event)) {
-			s.execExperiment(ctx, req.ID, opt, key, req.NoCache, emit)
+		key: key, noCache: req.NoCache, stream: job.Stream, timeout: timeout,
+		label: fmt.Sprintf("exp %s %s", req.ID, key[:12]),
+		run: func(ctx context.Context, progress func(Event)) (Result, error) {
+			return s.exec.Experiment(ctx, job, progress)
 		},
 	})
 }
@@ -346,30 +454,25 @@ type dispatchSpec struct {
 	key     string
 	label   string
 	noCache bool
+	stream  bool
 	timeout time.Duration
-	run     func(ctx context.Context, emit func(Event))
+	run     func(ctx context.Context, progress func(Event)) (Result, error)
 }
 
-// dispatch implements the shared request lifecycle: cache probe,
-// admission, execution, and response shaping for both the streaming and
+// dispatch implements the request lifecycle: cache probe, admission,
+// execution, caching, and response shaping for both the streaming and
 // the plain mode.
 func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, spec dispatchSpec) {
-	stream := wantsStream(r)
-
 	if !spec.noCache {
 		if body, ok := s.cache.Get(spec.key); ok {
 			s.cacheSrvd.Add(1)
-			if stream {
+			if spec.stream {
 				sw := newStreamWriter(w)
 				sw.write(Event{Event: "accepted", Key: spec.key, Cached: true})
 				sw.write(Event{Event: "result", Key: spec.key, Cached: true, Snapshot: body})
 				return
 			}
-			w.Header().Set("Content-Type", "application/json")
-			w.Header().Set("X-Cache", "hit")
-			w.Header().Set("X-Result-Key", spec.key)
-			SetSnapshotDigest(w.Header(), body)
-			w.Write(body)
+			writeSnapshot(w, "hit", spec.key, body)
 			return
 		}
 	}
@@ -391,12 +494,10 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, spec dispatchS
 		defer tcancel()
 	}
 
+	// Sized to absorb a burst of progress events between the handler's
+	// writes; progress beyond it is dropped, never blocking the job.
 	events := make(chan Event, 128)
-	emit := func(ev Event) { events <- ev }
-	// Heartbeats and updates must never wedge a worker behind a stalled
-	// consumer; terminal events use the blocking emit (the handler always
-	// drains to close).
-	emitOpt := func(ev Event) {
+	progress := func(ev Event) {
 		select {
 		case events <- ev:
 		default:
@@ -409,13 +510,17 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, spec dispatchS
 			s.jobDurNS.Add(int64(time.Since(start)))
 			s.jobsDone.Add(1)
 		}()
-		spec.run(ctx, func(ev Event) {
-			if ev.Event == "result" || ev.Event == "error" {
-				emit(ev)
-			} else {
-				emitOpt(ev)
-			}
-		})
+		// The terminal event uses a blocking send: the handler always
+		// drains to close.
+		res, err := spec.run(ctx, progress)
+		if err != nil {
+			events <- errEvent(err)
+			return
+		}
+		if !spec.noCache && !res.Compacted {
+			s.cache.Put(spec.key, res.Body)
+		}
+		events <- Event{Event: "result", Key: spec.key, Cached: res.Cached, Snapshot: res.Body}
 	}
 
 	ps := s.pool.Stats()
@@ -434,7 +539,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, spec dispatchS
 	}
 	s.accepted.Add(1)
 
-	if stream {
+	if spec.stream {
 		s.streamed.Add(1)
 		sw := newStreamWriter(w)
 		sw.write(Event{Event: "accepted", Key: spec.key, Queue: queueDepth})
@@ -458,17 +563,26 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, spec dispatchS
 	switch final.Event {
 	case "result":
 		s.finished.Add(1)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("X-Cache", "miss")
-		w.Header().Set("X-Result-Key", spec.key)
-		SetSnapshotDigest(w.Header(), final.Snapshot)
-		w.Write(final.Snapshot)
+		writeSnapshot(w, "miss", spec.key, final.Snapshot)
 	case "error":
 		s.failed.Add(1)
-		writeJSON(w, final.Status, final)
+		WriteJSON(w, statusFor(final.Code), final)
 	default:
 		httpError(w, http.StatusInternalServerError, errors.New("job produced no result"))
 	}
+}
+
+// writeSnapshot writes a plain result body with its cache disposition,
+// content address (when known) and integrity digest.
+func writeSnapshot(w http.ResponseWriter, cache, key string, body []byte) {
+	h := w.Header()
+	h.Set("Content-Type", "application/json")
+	h.Set("X-Cache", cache)
+	if key != "" {
+		h.Set("X-Result-Key", key)
+	}
+	SetSnapshotDigest(h, body)
+	w.Write(body)
 }
 
 // meanJobLatency is the average wall-clock duration of finished jobs,
@@ -518,99 +632,22 @@ func retryAfterSeconds(ps runpool.PoolStats, mean time.Duration) int {
 	return secs
 }
 
-// execSim runs one simulation and emits its stream events.
-func (s *Server) execSim(ctx context.Context, bench string, cfg sim.Config, key string, noCache bool, emit func(Event)) {
-	if err := ctx.Err(); err != nil {
-		emit(errEvent(err))
-		return
-	}
-	m, err := sim.NewMachine(bench, cfg)
-	if err != nil {
-		ev := errEvent(err)
-		ev.Code, ev.Status = "bad_request", http.StatusBadRequest
-		emit(ev)
-		return
-	}
-	var lastBeat time.Time
-	m.OnProgress(func(committed uint64) {
-		if time.Since(lastBeat) >= heartbeatEvery {
-			lastBeat = time.Now()
-			emit(Event{Event: "progress", Instructions: committed})
-		}
-	})
-	start := time.Now()
-	res, runErr := m.RunContext(ctx)
-	s.simsRun.Add(1)
-	up := runpool.Update{Label: bench + "/" + cfg.Scheme.Name, Err: runErr, Elapsed: time.Since(start), Done: 1, Total: 1}
-	emit(Event{Event: "update", Update: wireUpdate(up)})
-	if runErr != nil {
-		ev := errEvent(runErr)
-		var serr *secmem.SecurityError
-		if errors.As(runErr, &serr) {
-			// The partial result up to the halt is still evidence; ship it
-			// with the error.
-			if body, jerr := res.Snapshot().JSON(); jerr == nil {
-				ev.Snapshot = body
-			}
-		}
-		emit(ev)
-		return
-	}
-	body, err := res.Snapshot().JSON()
-	if err != nil {
-		emit(errEvent(err))
-		return
-	}
-	if !noCache {
-		s.cache.Put(key, body)
-	}
-	emit(Event{Event: "result", Key: key, Snapshot: body})
-}
-
-// execExperiment regenerates one figure/table and emits its stream
-// events, forwarding every finished grid cell as an update.
-func (s *Server) execExperiment(ctx context.Context, id string, opt experiments.Options, key string, noCache bool, emit func(Event)) {
-	if err := ctx.Err(); err != nil {
-		emit(errEvent(err))
-		return
-	}
-	opt.Progress = func(u runpool.Update) {
-		emit(Event{Event: "update", Update: wireUpdate(u)})
-		if u.Err == nil {
-			s.simsRun.Add(1)
-		}
-	}
-	res, err := experiments.ByID(ctx, id, opt)
-	s.expsRun.Add(1)
-	if err != nil {
-		emit(errEvent(err))
-		return
-	}
-	body, jerr := res.Snapshot().JSON()
-	if jerr != nil {
-		emit(errEvent(jerr))
-		return
-	}
-	if !noCache {
-		s.cache.Put(key, body)
-	}
-	emit(Event{Event: "result", Key: key, Snapshot: body})
-}
-
 // handleResult serves GET /v1/results/{key}: the content-addressed
-// fetch path of the cache.
+// fetch path of the cache, then of the executor (X-Cache: peer, copied
+// into the cache on the way through).
 func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 	key := r.PathValue("key")
-	body, ok := s.cache.Get(key)
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("no cached result for %q", key))
+	if body, ok := s.cache.Get(key); ok {
+		s.cacheSrvd.Add(1)
+		writeSnapshot(w, "hit", "", body)
 		return
 	}
-	s.cacheSrvd.Add(1)
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("X-Cache", "hit")
-	SetSnapshotDigest(w.Header(), body)
-	w.Write(body)
+	if body, ok := s.exec.Lookup(r.Context(), key); ok {
+		s.cache.Put(key, body)
+		writeSnapshot(w, "peer", "", body)
+		return
+	}
+	httpError(w, http.StatusNotFound, fmt.Errorf("no cached result for %q", key))
 }
 
 func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
@@ -626,44 +663,40 @@ func (s *Server) handleBenchmarks(w http.ResponseWriter, r *http.Request) {
 		out = append(out, bench{Name: sp.Name, Description: sp.Description,
 			MemoryBound: sp.MemoryBound, WriteHeavy: sp.WriteHeavy})
 	}
-	writeJSON(w, http.StatusOK, out)
+	WriteJSON(w, http.StatusOK, out)
 }
 
 func (s *Server) handleExperimentList(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, experiments.IDs())
+	WriteJSON(w, http.StatusOK, experiments.IDs())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	ps := s.pool.Stats()
-	status := "ok"
-	code := http.StatusOK
-	if s.isDraining() {
-		status = "draining"
-		code = http.StatusServiceUnavailable
+	fields, degraded := s.exec.Health(s.pool.Stats())
+	status, code := "ok", http.StatusOK
+	switch {
+	case s.isDraining():
+		status, code = "draining", http.StatusServiceUnavailable
+	case degraded:
+		status = "degraded"
 	}
-	writeJSON(w, code, map[string]any{
-		"status":  status,
-		"workers": ps.Workers,
-		"running": ps.Running,
-		"pending": ps.Pending,
-	})
+	fields["status"] = status
+	WriteJSON(w, code, fields)
 }
 
-// Snapshot exports the server's counters as a metrics tree (the
-// /metrics payload): job admission and outcomes at the root, the pool
-// and cache as children.
+// Snapshot exports the front's counters as a metrics tree (the /metrics
+// payload): job admission and the executor's counters at the root, the
+// pool, cache and endpoints as children.
 func (s *Server) Snapshot() *stats.Snapshot {
-	n := stats.NewSnapshot("server")
+	n := stats.NewSnapshot(s.name)
 	n.Counter("accepted", s.accepted.Load())
 	n.Counter("rejected", s.rejected.Load())
 	n.Counter("finished", s.finished.Load())
 	n.Counter("failed", s.failed.Load())
-	n.Counter("sims_run", s.simsRun.Load())
-	n.Counter("experiments_run", s.expsRun.Load())
 	n.Counter("streamed", s.streamed.Load())
 	n.Counter("cache_served", s.cacheSrvd.Load())
 	n.Value("uptime_seconds", time.Since(s.start).Seconds())
 	n.Value("mean_job_ms", float64(s.meanJobLatency())/float64(time.Millisecond))
+	s.exec.Metrics(n)
 
 	ps := s.pool.Stats()
 	pn := n.Child("pool")
@@ -785,7 +818,10 @@ func (sw *streamWriter) write(ev Event) {
 	sw.rc.Flush()
 }
 
-func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
+// DecodeJSON reads a request's JSON body into dst, refusing unknown
+// fields and bodies over 1 MiB; on failure it answers 400 itself and
+// reports false.
+func DecodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, 1<<20))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
@@ -796,10 +832,11 @@ func decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
 }
 
 func httpError(w http.ResponseWriter, status int, err error) {
-	writeJSON(w, status, map[string]string{"error": err.Error()})
+	WriteJSON(w, status, map[string]string{"error": err.Error()})
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON answers with v as indented JSON.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
