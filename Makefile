@@ -1,5 +1,5 @@
-# Verification recipe. `make verify` is the tier-1 gate: build, vet,
-# the full test suite, a race-detector pass over the concurrent
+# Verification recipe. `make verify` is the tier-1 gate: gofmt, build,
+# vet, the full test suite, a race-detector pass over the concurrent
 # packages (the run scheduler and the sweeps routed through it) plus
 # the fault-injection/recovery datapath, and a short fuzz smoke of the
 # integrity tree.
@@ -16,7 +16,12 @@ GO ?= go
 BENCH_LABEL ?= local
 BENCH_FLAGS ?=
 
-.PHONY: build vet test race fuzz smoke loadtest-smoke loadtest chaos-smoke chaos capacity-smoke ctrbench-test verify bench
+.PHONY: fmt build vet test race fuzz smoke loadtest-smoke loadtest chaos-smoke chaos capacity-smoke ctrbench-test verify bench
+
+# Every tracked Go file must be gofmt-clean; the target lists offenders
+# and fails when there are any.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed:"; echo "$$out"; exit 1; fi
 
 build:
 	$(GO) build ./...
@@ -97,7 +102,7 @@ fuzz:
 ctrbench-test:
 	cd cmd/ctrbench && $(GO) vet ./... && $(GO) test -short ./...
 
-verify: build vet test race fuzz smoke loadtest-smoke chaos-smoke capacity-smoke ctrbench-test
+verify: fmt build vet test race fuzz smoke loadtest-smoke chaos-smoke capacity-smoke ctrbench-test
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . \

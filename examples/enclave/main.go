@@ -28,7 +28,7 @@ func main() {
 	// Plant a recognizable secret in gzip's (read-only) input stream, and
 	// pick a line in its sliding window — the region the kernel rewrites
 	// constantly.
-	const secretAddr = 0x100040          // input region: value must survive
+	const secretAddr = 0x100040           // input region: value must survive
 	const windowAddr = 0x100000 + 0x40040 // window region: counter must churn
 	m.Image.Store(secretAddr, 8, 0xdeadbeefcafef00d)
 

@@ -84,9 +84,9 @@ func TestLRUOrder(t *testing.T) {
 	// 2-way: fill both ways, touch the first, then force an eviction —
 	// the least recently used (second) must go.
 	c := New(Config{Name: "l2", SizeBytes: 64, LineSize: 32, Ways: 2})
-	c.Access(0, false)   // way A
-	c.Access(64, false)  // way B (same single set)
-	c.Access(0, false)   // touch A
+	c.Access(0, false)  // way A
+	c.Access(64, false) // way B (same single set)
+	c.Access(0, false)  // touch A
 	_, ev := c.Access(128, false)
 	if !ev.Valid || ev.Addr != 64 {
 		t.Fatalf("evicted %+v, want line 64", ev)

@@ -13,10 +13,9 @@ import (
 // costs almost nothing, precomputing pads buys almost nothing, which is
 // the null hypothesis the `engines` experiment tests prediction against.
 type BipBip struct {
-	spec      Spec
-	ks        *ctr.Keystream
-	stats     Stats
-	reference bool
+	spec  Spec
+	ks    *ctr.Keystream
+	stats Stats
 }
 
 var _ EngineModel = (*BipBip)(nil)
@@ -37,32 +36,18 @@ func (b *BipBip) Spec() Spec { return b.spec }
 // Stats returns a copy of the accumulated statistics.
 func (b *BipBip) Stats() Stats { return b.stats }
 
-// SetReference is a no-op: BipBip has no batched fast path to bypass.
-func (b *BipBip) SetReference(on bool) { b.reference = on }
-
-// Keystream exposes the functional keystream.
+// Keystream exposes the machine's keystream.
 func (b *BipBip) Keystream() *ctr.Keystream { return b.ks }
 
-func (b *BipBip) schedule(now uint64, class Class) uint64 {
+// ScheduleOnly books one request; with no contention it is ready a
+// fixed LatencyCycles after now.
+func (b *BipBip) ScheduleOnly(now uint64, class Class) uint64 {
 	b.stats.Issued[class]++
 	b.stats.QueueWait.Observe(0)
 	ready := now + b.spec.LatencyCycles
 	if ready > b.stats.LastBusy {
 		b.stats.LastBusy = ready
 	}
-	return ready
-}
-
-// ScheduleOnly books one request; with no contention it is ready a
-// fixed LatencyCycles after now.
-func (b *BipBip) ScheduleOnly(now uint64, class Class) uint64 {
-	return b.schedule(now, class)
-}
-
-// ComputeInto books one request and writes the (vaddr, seq) pad into dst.
-func (b *BipBip) ComputeInto(dst *ctr.Pad, now uint64, vaddr, seq uint64, class Class) uint64 {
-	ready := b.schedule(now, class)
-	b.ks.PadInto(dst, vaddr, seq)
 	return ready
 }
 
@@ -88,14 +73,4 @@ func (b *BipBip) ScheduleGuesses(now uint64, guesses []uint64, trueSeq uint64) (
 		}
 	}
 	return -1, 0
-}
-
-// ComputeGuessesInto is ScheduleGuesses plus materializing the matching
-// pad into dst.
-func (b *BipBip) ComputeGuessesInto(dst *ctr.Pad, now uint64, vaddr uint64, guesses []uint64, trueSeq uint64) (matchIdx int, padReady uint64) {
-	matchIdx, padReady = b.ScheduleGuesses(now, guesses, trueSeq)
-	if matchIdx >= 0 {
-		b.ks.PadInto(dst, vaddr, trueSeq)
-	}
-	return matchIdx, padReady
 }

@@ -60,10 +60,9 @@ func TestConformanceMonotoneReady(t *testing.T) {
 
 // TestConformanceReservationOrder: requests issued back to back at one
 // cycle are served in issue order — interleaving classes and the
-// compute/schedule entry points must not reorder service.
+// single-request and guess-burst entry points must not reorder service.
 func TestConformanceReservationOrder(t *testing.T) {
 	forEachModel(t, func(t *testing.T, m EngineModel) {
-		var pad ctr.Pad
 		var readies []uint64
 		for i := 0; i < 12; i++ {
 			var r uint64
@@ -71,9 +70,9 @@ func TestConformanceReservationOrder(t *testing.T) {
 			case 0:
 				r = m.ScheduleOnly(10, ClassDemand)
 			case 1:
-				r = m.ComputeInto(&pad, 10, 0x1000, uint64(i), ClassWriteback)
+				r = m.ScheduleOnly(10, ClassWriteback)
 			case 2:
-				r = m.ScheduleOnly(10, ClassPrediction)
+				_, r = m.ScheduleGuesses(10, []uint64{uint64(i)}, uint64(i))
 			}
 			readies = append(readies, r)
 		}
@@ -90,11 +89,10 @@ func TestConformanceReservationOrder(t *testing.T) {
 // per class, including one prediction per guess of a speculative burst.
 func TestConformanceIssuedAccounting(t *testing.T) {
 	forEachModel(t, func(t *testing.T, m EngineModel) {
-		var pad ctr.Pad
 		guesses := []uint64{7, 8, 9, 10}
 		m.ScheduleGuesses(0, guesses, 9)
-		m.ComputeGuessesInto(&pad, 50, 0x2000, guesses, 1) // no match
-		m.ComputeInto(&pad, 100, 0x3000, 4, ClassDemand)
+		m.ScheduleGuesses(50, guesses, 1) // no match
+		m.ScheduleOnly(100, ClassDemand)
 		m.ScheduleOnly(150, ClassDemand)
 		m.ScheduleOnly(200, ClassWriteback)
 		st := m.Stats()
@@ -116,9 +114,9 @@ func TestConformanceIssuedAccounting(t *testing.T) {
 	})
 }
 
-// TestConformanceGuessSemantics: the batched guess paths agree on match
-// index, produce real pad bits on a match, and report (-1, 0) on a miss
-// — under every model, since pad bits come from the shared keystream.
+// TestConformanceGuessSemantics: a guess burst reports the index of the
+// first guess equal to the true counter with a nonzero ready cycle, and
+// (-1, 0) on a miss or an empty burst, under every model.
 func TestConformanceGuessSemantics(t *testing.T) {
 	forEachModel(t, func(t *testing.T, m EngineModel) {
 		guesses := []uint64{3, 4, 5, 6}
@@ -132,15 +130,6 @@ func TestConformanceGuessSemantics(t *testing.T) {
 		if idx, ready := m.ScheduleGuesses(0, nil, 5); idx != -1 || ready != 0 {
 			t.Fatalf("ScheduleGuesses empty = (%d, %d), want (-1, 0)", idx, ready)
 		}
-		var pad, want ctr.Pad
-		const vaddr, trueSeq = 0x4000, uint64(4)
-		if idx, _ := m.ComputeGuessesInto(&pad, 10, vaddr, guesses, trueSeq); idx != 1 {
-			t.Fatalf("ComputeGuessesInto match index = %d, want 1", idx)
-		}
-		m.Keystream().PadInto(&want, vaddr, trueSeq)
-		if pad != want {
-			t.Fatal("ComputeGuessesInto pad differs from the keystream's pad")
-		}
 	})
 }
 
@@ -148,20 +137,13 @@ func TestConformanceGuessSemantics(t *testing.T) {
 // allocate under any model (they run once per miss and per eviction).
 func TestConformanceZeroAlloc(t *testing.T) {
 	forEachModel(t, func(t *testing.T, m EngineModel) {
-		var pad ctr.Pad
 		guesses := []uint64{1, 2, 3, 4, 5}
 		var now uint64
 		if n := testing.AllocsPerRun(100, func() {
 			now += 10
-			m.ComputeInto(&pad, now, 0x5000, 7, ClassDemand)
+			m.ScheduleGuesses(now, guesses, 3)
 		}); n != 0 {
-			t.Errorf("ComputeInto allocates %.1f per run", n)
-		}
-		if n := testing.AllocsPerRun(100, func() {
-			now += 10
-			m.ComputeGuessesInto(&pad, now, 0x5000, guesses, 3)
-		}); n != 0 {
-			t.Errorf("ComputeGuessesInto allocates %.1f per run", n)
+			t.Errorf("ScheduleGuesses allocates %.1f per run", n)
 		}
 		if n := testing.AllocsPerRun(100, func() {
 			now += 10

@@ -11,8 +11,9 @@
 // over-aggressive predictor can delay demand traffic — the effect the
 // paper cites as the reason prediction depth cannot simply be increased.
 //
-// Functionally the engine delegates to ctr.Keystream, so pads it "computes"
-// are real pads; the simulator decrypts real ciphertext with them.
+// The engine models timing only. The controller draws the pad bits it
+// books requests for from the ctr.Keystream the engine carries, so the
+// simulator still decrypts real ciphertext with real pads.
 package cryptoengine
 
 import (
@@ -123,9 +124,6 @@ type Engine struct {
 	nextIssue uint64
 	// issuedThisCycle tracks multi-issue within the current nextIssue slot.
 	issuedThisCycle int
-	// reference routes the batched guess paths through the retained
-	// one-request-at-a-time loop (see SetReference).
-	reference bool
 }
 
 // New creates an engine using key material via the given keystream.
@@ -156,37 +154,10 @@ func (e *Engine) Spec() Spec {
 // Stats returns a copy of the accumulated statistics.
 func (e *Engine) Stats() Stats { return e.stats }
 
-// Compute issues a pad request at or after cycle now and returns the pad
-// plus the cycle at which it emerges from the pipeline. Requests are
-// serviced in issue order; if the current cycle's issue slots are full the
-// request slips to a later cycle (recorded as stall time).
-func (e *Engine) Compute(now uint64, vaddr, seq uint64, class Class) (ctr.Pad, uint64) {
-	var pad ctr.Pad
-	ready := e.ComputeInto(&pad, now, vaddr, seq, class)
-	return pad, ready
-}
-
-// ComputeInto is Compute writing the pad into dst — the allocation-free
-// form the fetch and eviction hot paths use. Timing and accounting are
-// identical to Compute.
-func (e *Engine) ComputeInto(dst *ctr.Pad, now uint64, vaddr, seq uint64, class Class) uint64 {
-	start := e.reserveSlot(now)
-	e.stats.Issued[class]++
-	if start > now {
-		e.stats.StallCycles += start - now
-	}
-	ready := start + e.cfg.LatencyCycles
-	if ready > e.stats.LastBusy {
-		e.stats.LastBusy = ready
-	}
-	e.ks.PadInto(dst, vaddr, seq)
-	return ready
-}
-
-// ScheduleOnly reserves a pipeline slot and returns the ready cycle
-// without computing the pad. The sequence-number-cache and oracle paths
-// use this when only timing matters (their pads are computed on the
-// functional path).
+// ScheduleOnly issues a pad request at or after cycle now and returns the
+// cycle at which it emerges from the pipeline. Requests are serviced in
+// issue order; if the current cycle's issue slots are full the request
+// slips to a later cycle (recorded as stall time).
 func (e *Engine) ScheduleOnly(now uint64, class Class) uint64 {
 	start := e.reserveSlot(now)
 	e.stats.Issued[class]++
@@ -199,17 +170,6 @@ func (e *Engine) ScheduleOnly(now uint64, class Class) uint64 {
 	}
 	return ready
 }
-
-// SetReference selects the retained scalar request loop for the batched
-// guess APIs: every guess goes through reserveSlot/ComputeInto one at a
-// time, exactly as the pre-batching engine did. The batched fast path is
-// defined to produce bit- and cycle-identical results, so this is a
-// debugging escape hatch (and the anchor for the equivalence suite), not
-// a behavioral mode.
-func (e *Engine) SetReference(on bool) { e.reference = on }
-
-// Reference reports whether the scalar reference loop is selected.
-func (e *Engine) Reference() bool { return e.reference }
 
 // ScheduleGuesses books one prediction-class pipeline slot per guess —
 // the speculative burst a counter-prediction miss issues — and returns
@@ -232,9 +192,9 @@ func (e *Engine) ScheduleGuesses(now uint64, guesses []uint64, trueSeq uint64) (
 	if n == 0 {
 		return -1, 0
 	}
-	if e.reference || e.cfg.IssuePerCycle != 1 {
-		// Scalar loop: the reference path, and the general multi-issue
-		// case where a burst does not map to one slot per cycle.
+	if e.cfg.IssuePerCycle != 1 {
+		// Multi-issue: a burst does not map to one slot per cycle, so
+		// book the guesses one request at a time.
 		for i := range guesses {
 			ready := e.ScheduleOnly(now, ClassPrediction)
 			if i == matchIdx {
@@ -262,19 +222,6 @@ func (e *Engine) ScheduleGuesses(now uint64, guesses []uint64, trueSeq uint64) (
 	return matchIdx, padReady
 }
 
-// ComputeGuessesInto is ScheduleGuesses plus pad materialization: when a
-// guess matches trueSeq, the matching pad (the only one whose bits are
-// observable) is computed into dst in a single fused counter-block pass.
-// Timing and accounting are identical to the pre-batching loop of one
-// ComputeInto for the match and ScheduleOnly for every other guess.
-func (e *Engine) ComputeGuessesInto(dst *ctr.Pad, now uint64, vaddr uint64, guesses []uint64, trueSeq uint64) (matchIdx int, padReady uint64) {
-	matchIdx, padReady = e.ScheduleGuesses(now, guesses, trueSeq)
-	if matchIdx >= 0 {
-		e.ks.PadInto(dst, vaddr, trueSeq)
-	}
-	return matchIdx, padReady
-}
-
 func (e *Engine) reserveSlot(now uint64) uint64 {
 	if now > e.nextIssue {
 		e.nextIssue = now
@@ -290,6 +237,6 @@ func (e *Engine) reserveSlot(now uint64) uint64 {
 	return start
 }
 
-// Keystream exposes the functional keystream, for paths that need a pad
-// without timing (e.g. initial memory image encryption).
+// Keystream exposes the machine's keystream, the source of every pad bit
+// the controller uses.
 func (e *Engine) Keystream() *ctr.Keystream { return e.ks }

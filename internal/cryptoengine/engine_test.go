@@ -1,9 +1,11 @@
 package cryptoengine
 
 import (
+	"reflect"
 	"testing"
 
 	"ctrpred/internal/ctr"
+	"ctrpred/internal/rng"
 )
 
 func newEngine(cfg Config) *Engine {
@@ -14,8 +16,7 @@ func newEngine(cfg Config) *Engine {
 
 func TestLatency(t *testing.T) {
 	e := newEngine(Config{LatencyCycles: 96, IssuePerCycle: 1})
-	_, ready := e.Compute(100, 0x1000, 1, ClassDemand)
-	if ready != 196 {
+	if ready := e.ScheduleOnly(100, ClassDemand); ready != 196 {
 		t.Fatalf("ready = %d, want 196", ready)
 	}
 }
@@ -26,8 +27,7 @@ func TestPipelinedIssue(t *testing.T) {
 	e := newEngine(Config{LatencyCycles: 10, IssuePerCycle: 1})
 	var readies []uint64
 	for i := 0; i < 4; i++ {
-		_, r := e.Compute(0, 0x1000, uint64(i), ClassPrediction)
-		readies = append(readies, r)
+		readies = append(readies, e.ScheduleOnly(0, ClassPrediction))
 	}
 	for i, r := range readies {
 		if want := uint64(10 + i); r != want {
@@ -43,8 +43,7 @@ func TestMultiIssue(t *testing.T) {
 	e := newEngine(Config{LatencyCycles: 10, IssuePerCycle: 2})
 	var readies []uint64
 	for i := 0; i < 4; i++ {
-		_, r := e.Compute(0, 0x1000, uint64(i), ClassPrediction)
-		readies = append(readies, r)
+		readies = append(readies, e.ScheduleOnly(0, ClassPrediction))
 	}
 	want := []uint64{10, 10, 11, 11}
 	for i := range want {
@@ -56,8 +55,8 @@ func TestMultiIssue(t *testing.T) {
 
 func TestIdleEngineAcceptsImmediately(t *testing.T) {
 	e := newEngine(Config{LatencyCycles: 5, IssuePerCycle: 1})
-	_, r1 := e.Compute(0, 0x1000, 0, ClassDemand)
-	_, r2 := e.Compute(1000, 0x1000, 1, ClassDemand)
+	r1 := e.ScheduleOnly(0, ClassDemand)
+	r2 := e.ScheduleOnly(1000, ClassDemand)
 	if r1 != 5 || r2 != 1005 {
 		t.Fatalf("r1=%d r2=%d", r1, r2)
 	}
@@ -66,22 +65,11 @@ func TestIdleEngineAcceptsImmediately(t *testing.T) {
 	}
 }
 
-func TestPadMatchesKeystream(t *testing.T) {
-	var key [32]byte
-	key[5] = 9
-	ks := ctr.NewKeystream(key)
-	e := New(DefaultConfig(), ks)
-	pad, _ := e.Compute(0, 0x2000, 77, ClassDemand)
-	if pad != ks.Pad(0x2000, 77) {
-		t.Fatal("engine pad differs from keystream pad")
-	}
-}
-
 func TestClassAccounting(t *testing.T) {
 	e := newEngine(Config{LatencyCycles: 1, IssuePerCycle: 4})
-	e.Compute(0, 0, 0, ClassPrediction)
-	e.Compute(0, 0, 1, ClassPrediction)
-	e.Compute(0, 0, 2, ClassDemand)
+	e.ScheduleOnly(0, ClassPrediction)
+	e.ScheduleOnly(0, ClassPrediction)
+	e.ScheduleOnly(0, ClassDemand)
 	e.ScheduleOnly(0, ClassWriteback)
 	s := e.Stats()
 	if s.Issued[ClassPrediction] != 2 || s.Issued[ClassDemand] != 1 || s.Issued[ClassWriteback] != 1 {
@@ -89,6 +77,55 @@ func TestClassAccounting(t *testing.T) {
 	}
 	if s.IssuedTotal() != 4 {
 		t.Fatalf("total = %d", s.IssuedTotal())
+	}
+}
+
+// TestBatchedGuessesMatchOneAtATime pins the batched guess booking
+// against the one-request-at-a-time loop it stands for. Twin
+// single-issue engines see the same random traffic: one books each
+// guess burst with ScheduleGuesses, the other with one ScheduleOnly per
+// guess, and both take identical demand and writeback requests in
+// between. They must agree on every match index and ready cycle and end
+// with identical Stats, QueueWait histogram included.
+func TestBatchedGuessesMatchOneAtATime(t *testing.T) {
+	cfg := Config{LatencyCycles: 96, IssuePerCycle: 1}
+	batched, single := newEngine(cfg), newEngine(cfg)
+	r := rng.New(0xba7c4ed)
+	var now uint64
+	for i := 0; i < 5000; i++ {
+		// A third of the requests arrive in the same cycle as their
+		// predecessor, so bursts queue behind earlier work.
+		now += uint64(r.Intn(3) * r.Intn(60))
+		if r.Bool(0.5) {
+			guesses := make([]uint64, r.Intn(8))
+			for j := range guesses {
+				guesses[j] = uint64(r.Intn(10))
+			}
+			trueSeq := uint64(r.Intn(10))
+			idx, ready := batched.ScheduleGuesses(now, guesses, trueSeq)
+			wantIdx, wantReady := -1, uint64(0)
+			for j, g := range guesses {
+				rd := single.ScheduleOnly(now, ClassPrediction)
+				if wantIdx < 0 && g == trueSeq {
+					wantIdx, wantReady = j, rd
+				}
+			}
+			if idx != wantIdx || ready != wantReady {
+				t.Fatalf("request %d: burst %v for %d at %d = (%d, %d), one at a time (%d, %d)",
+					i, guesses, trueSeq, now, idx, ready, wantIdx, wantReady)
+			}
+			continue
+		}
+		class := ClassDemand
+		if r.Bool(0.3) {
+			class = ClassWriteback
+		}
+		if a, b := batched.ScheduleOnly(now, class), single.ScheduleOnly(now, class); a != b {
+			t.Fatalf("request %d: %s at %d ready %d after batched bursts, %d after single requests", i, class, now, a, b)
+		}
+	}
+	if got, want := batched.Stats(), single.Stats(); !reflect.DeepEqual(got, want) {
+		t.Errorf("stats diverge:\nbatched %+v\nqueue   %v\nsingle  %+v\nqueue   %v", got, got.QueueWait, want, want.QueueWait)
 	}
 }
 

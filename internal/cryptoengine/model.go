@@ -13,8 +13,9 @@
 //   - bipbip: a low-latency tweakable block cipher decrypting on fetch,
 //     so speculative pads buy nothing; predictions become free no-ops.
 //
-// All models delegate pad bits to the same ctr.Keystream, so decryption
-// stays real under every model and results differ only in timing.
+// Models are timing-only: each carries the machine's ctr.Keystream, from
+// which the controller draws pad bits itself, so decryption stays real
+// under every model and results differ only in timing.
 package cryptoengine
 
 import (
@@ -29,32 +30,21 @@ import (
 
 // EngineModel is the timing contract between the memory controller and
 // a cipher engine: reserve issue slots, report ready cycles, account
-// activity. Pad bits always come from the shared ctr.Keystream, so a
-// model shapes when data is ready, never what it decrypts to.
+// activity. Pad bits come from the shared ctr.Keystream, never from the
+// model, so a model shapes when data is ready, never what it decrypts to.
 type EngineModel interface {
-	// ComputeInto books one request, writes the pad for (vaddr, seq)
-	// into dst, and returns the cycle the pad emerges.
-	ComputeInto(dst *ctr.Pad, now uint64, vaddr, seq uint64, class Class) uint64
-	// ScheduleOnly books one request and returns its ready cycle
-	// without materializing the pad.
+	// ScheduleOnly books one request and returns its ready cycle.
 	ScheduleOnly(now uint64, class Class) uint64
 	// ScheduleGuesses books one prediction-class request per guess and
 	// returns the index of the first guess equal to trueSeq (-1 if
 	// none) plus that guess's ready cycle (0 if none).
 	ScheduleGuesses(now uint64, guesses []uint64, trueSeq uint64) (matchIdx int, padReady uint64)
-	// ComputeGuessesInto is ScheduleGuesses plus materializing the
-	// matching pad into dst.
-	ComputeGuessesInto(dst *ctr.Pad, now uint64, vaddr uint64, guesses []uint64, trueSeq uint64) (matchIdx int, padReady uint64)
 	// Stats returns a copy of the accumulated accounting.
 	Stats() Stats
 	// Spec returns the normalized spec the model was built from.
 	Spec() Spec
-	// SetReference selects the model's scalar reference paths where it
-	// has any (a debugging escape hatch; a no-op for models whose fast
-	// paths are already scalar).
-	SetReference(on bool)
-	// Keystream exposes the functional keystream for paths that need
-	// pad bits without timing (image encryption, functional decrypt).
+	// Keystream exposes the machine's keystream, the source of every
+	// pad bit the controller uses.
 	Keystream() *ctr.Keystream
 }
 
@@ -220,8 +210,8 @@ func keyList(keys map[string]bool) string {
 	return strings.Join(names, ", ")
 }
 
-// NewModel builds the engine model the spec names, drawing pad bits
-// from ks. Unknown model names return an error wrapping
+// NewModel builds the engine model the spec names, carrying ks for the
+// controller's pad bits. Unknown model names return an error wrapping
 // ErrUnknownEngine.
 func NewModel(spec Spec, ks *ctr.Keystream) (EngineModel, error) {
 	spec = spec.Normalized()

@@ -23,9 +23,6 @@ type Sealer struct {
 	stats Stats
 	// bankFree[i] is the cycle at which bank i accepts its next request.
 	bankFree []uint64
-	// scratch avoids per-call allocation; Sealer has no batched fast
-	// path, so reference mode changes nothing (kept for the interface).
-	reference bool
 }
 
 var _ EngineModel = (*Sealer)(nil)
@@ -47,10 +44,7 @@ func (s *Sealer) Spec() Spec { return s.spec }
 // Stats returns a copy of the accumulated statistics.
 func (s *Sealer) Stats() Stats { return s.stats }
 
-// SetReference is a no-op: Sealer's only request path is the scalar one.
-func (s *Sealer) SetReference(on bool) { s.reference = on }
-
-// Keystream exposes the functional keystream.
+// Keystream exposes the machine's keystream.
 func (s *Sealer) Keystream() *ctr.Keystream { return s.ks }
 
 // reserveBank dispatches a request at cycle now to the earliest-free
@@ -71,7 +65,8 @@ func (s *Sealer) reserveBank(now uint64) uint64 {
 	return start
 }
 
-func (s *Sealer) schedule(now uint64, class Class) uint64 {
+// ScheduleOnly books one request and returns its ready cycle.
+func (s *Sealer) ScheduleOnly(now uint64, class Class) uint64 {
 	start := s.reserveBank(now)
 	s.stats.Issued[class]++
 	if start > now {
@@ -84,38 +79,16 @@ func (s *Sealer) schedule(now uint64, class Class) uint64 {
 	return ready
 }
 
-// ScheduleOnly books one request and returns its ready cycle.
-func (s *Sealer) ScheduleOnly(now uint64, class Class) uint64 {
-	return s.schedule(now, class)
-}
-
-// ComputeInto books one request and writes the (vaddr, seq) pad into dst.
-func (s *Sealer) ComputeInto(dst *ctr.Pad, now uint64, vaddr, seq uint64, class Class) uint64 {
-	ready := s.schedule(now, class)
-	s.ks.PadInto(dst, vaddr, seq)
-	return ready
-}
-
 // ScheduleGuesses books one prediction per guess across the banks, in
 // guess order, and returns the first match plus its ready cycle.
 func (s *Sealer) ScheduleGuesses(now uint64, guesses []uint64, trueSeq uint64) (matchIdx int, padReady uint64) {
 	matchIdx = -1
 	for i, g := range guesses {
-		ready := s.schedule(now, ClassPrediction)
+		ready := s.ScheduleOnly(now, ClassPrediction)
 		if matchIdx < 0 && g == trueSeq {
 			matchIdx = i
 			padReady = ready
 		}
-	}
-	return matchIdx, padReady
-}
-
-// ComputeGuessesInto is ScheduleGuesses plus materializing the matching
-// pad into dst.
-func (s *Sealer) ComputeGuessesInto(dst *ctr.Pad, now uint64, vaddr uint64, guesses []uint64, trueSeq uint64) (matchIdx int, padReady uint64) {
-	matchIdx, padReady = s.ScheduleGuesses(now, guesses, trueSeq)
-	if matchIdx >= 0 {
-		s.ks.PadInto(dst, vaddr, trueSeq)
 	}
 	return matchIdx, padReady
 }

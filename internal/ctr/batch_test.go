@@ -22,47 +22,6 @@ func TestPadIntoMatchesPad(t *testing.T) {
 	}
 }
 
-// TestPadsIntoMatchesPad checks the bulk API against per-pad generation
-// for batch sizes covering a miss's 1–16 candidate counters.
-func TestPadsIntoMatchesPad(t *testing.T) {
-	ks := NewKeystream([32]byte{7})
-	r := rng.New(5)
-	for _, batch := range []int{0, 1, 2, 6, 12, 16} {
-		vaddr := (r.Uint64() % (1 << 40)) &^ uint64(LineSize-1)
-		seqs := make([]uint64, batch)
-		for i := range seqs {
-			seqs[i] = r.Uint64()
-		}
-		dst := make([]Pad, batch)
-		ks.PadsInto(dst, vaddr, seqs)
-		for i, seq := range seqs {
-			if want := ks.Pad(vaddr, seq); dst[i] != want {
-				t.Fatalf("batch %d: PadsInto[%d] = %x, want %x", batch, i, dst[i], want)
-			}
-		}
-	}
-}
-
-func TestPadsIntoShortDstPanics(t *testing.T) {
-	ks := NewKeystream([32]byte{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PadsInto with short dst did not panic")
-		}
-	}()
-	ks.PadsInto(make([]Pad, 1), 0, []uint64{1, 2})
-}
-
-func TestPadsIntoUnalignedPanics(t *testing.T) {
-	ks := NewKeystream([32]byte{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("PadsInto with unaligned vaddr did not panic")
-		}
-	}()
-	ks.PadsInto(make([]Pad, 1), 8, []uint64{1})
-}
-
 // TestEncryptLineIntoMatchesEncryptLine pins the in-place line API.
 func TestEncryptLineIntoMatchesEncryptLine(t *testing.T) {
 	ks := NewKeystream([32]byte{9})
@@ -87,13 +46,6 @@ func TestEncryptLineIntoMatchesEncryptLine(t *testing.T) {
 // Allocation-regression guards: the pad hot paths must not allocate.
 func TestPadGenerationAllocFree(t *testing.T) {
 	ks := NewKeystream([32]byte{3})
-	seqs := []uint64{10, 11, 12, 13, 14, 15}
-	dst := make([]Pad, len(seqs))
-	if n := testing.AllocsPerRun(100, func() {
-		ks.PadsInto(dst, 1<<20, seqs)
-	}); n != 0 {
-		t.Errorf("PadsInto allocates %v times per run, want 0", n)
-	}
 	var pad Pad
 	if n := testing.AllocsPerRun(100, func() {
 		ks.PadInto(&pad, 1<<20, 42)
@@ -105,16 +57,6 @@ func TestPadGenerationAllocFree(t *testing.T) {
 		XORLine(&line, &line, &pad)
 	}); n != 0 {
 		t.Errorf("XORLine allocates %v times per run, want 0", n)
-	}
-}
-
-func BenchmarkPadsInto6(b *testing.B) {
-	ks := NewKeystream([32]byte{1})
-	seqs := []uint64{1, 2, 3, 4, 5, 6}
-	dst := make([]Pad, len(seqs))
-	b.SetBytes(int64(len(seqs) * LineSize))
-	for i := 0; i < b.N; i++ {
-		ks.PadsInto(dst, 1<<20, seqs)
 	}
 }
 

@@ -87,41 +87,6 @@ func (k *Keystream) PadInto(dst *Pad, vaddr, seq uint64) {
 	binary.BigEndian.PutUint32(dst[28:32], x3)
 }
 
-// PadsInto computes one pad per sequence number in seqs, all for the
-// line at vaddr, into dst[:len(seqs)] — the bulk API behind speculative
-// precomputation, where one miss wants pads for every guessed counter.
-// The address half of the counter blocks is assembled once and shared
-// across the batch; nothing is allocated. It panics if dst is shorter
-// than seqs.
-func (k *Keystream) PadsInto(dst []Pad, vaddr uint64, seqs []uint64) {
-	if vaddr%LineSize != 0 {
-		panic("ctr: pad address not line-aligned")
-	}
-	if len(dst) < len(seqs) {
-		panic("ctr: PadsInto destination shorter than sequence list")
-	}
-	// Shared counter-block setup: both halves' address words are fixed
-	// for the whole batch; only the sequence words vary per pad.
-	a0hi, a0lo := uint32(vaddr>>32), uint32(vaddr)
-	a1 := vaddr + HalfLine
-	a1hi, a1lo := uint32(a1>>32), uint32(a1)
-	for i, seq := range seqs {
-		seqHi, seqLo := uint32(seq>>32), uint32(seq)
-		p := &dst[i]
-		w0, w1, w2, w3, x0, x1, x2, x3 := k.cipher.EncryptWords2(
-			a0hi, a0lo, seqHi, seqLo,
-			a1hi, a1lo, seqHi, seqLo)
-		binary.BigEndian.PutUint32(p[0:4], w0)
-		binary.BigEndian.PutUint32(p[4:8], w1)
-		binary.BigEndian.PutUint32(p[8:12], w2)
-		binary.BigEndian.PutUint32(p[12:16], w3)
-		binary.BigEndian.PutUint32(p[16:20], x0)
-		binary.BigEndian.PutUint32(p[20:24], x1)
-		binary.BigEndian.PutUint32(p[24:28], x2)
-		binary.BigEndian.PutUint32(p[28:32], x3)
-	}
-}
-
 // XORLine XORs line with pad, writing into dst. dst may alias line.
 func XORLine(dst *Line, line *Line, pad *Pad) {
 	for i := range dst {

@@ -42,13 +42,13 @@ type Config struct {
 // 30+30+4×5 = 80 ns; a row conflict costs 110 ns; a row hit 50 ns.
 func DefaultConfig() Config {
 	return Config{
-		Banks:          8,
-		RowBytes:       2048,
-		BusBytes:       8,
-		BusRatio:       5,
-		TRCD:           30,
-		TCAS:           30,
-		TRP: 30,
+		Banks:    8,
+		RowBytes: 2048,
+		BusBytes: 8,
+		BusRatio: 5,
+		TRCD:     30,
+		TCAS:     30,
+		TRP:      30,
 		// No partition by default: the secure memory controller gives the
 		// counter table its own channel (see secmem), so the data channel
 		// keeps all its banks. Set PartitionAddr/PartitionBanks when

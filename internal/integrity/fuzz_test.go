@@ -24,9 +24,9 @@ import (
 // is injected at level 1, where detection is unconditional (higher
 // levels may legitimately sit above a trusted cached node).
 func FuzzIntegrityTree(f *testing.F) {
-	f.Add([]byte{0, 0, 1, 1, 0, 0})                                  // update then verify
-	f.Add([]byte{0, 0, 1, 4, 0, 3, 1, 0, 0, 0, 0, 2, 1, 0, 0})      // corrupt, detect, heal by update, verify
-	f.Add([]byte{0, 1, 7, 2, 1, 9, 3, 1, 5})                         // wrong-counter and wrong-ciphertext probes
+	f.Add([]byte{0, 0, 1, 1, 0, 0})                                     // update then verify
+	f.Add([]byte{0, 0, 1, 4, 0, 3, 1, 0, 0, 0, 0, 2, 1, 0, 0})          // corrupt, detect, heal by update, verify
+	f.Add([]byte{0, 1, 7, 2, 1, 9, 3, 1, 5})                            // wrong-counter and wrong-ciphertext probes
 	f.Add([]byte{0, 0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 4, 4, 2, 0, 1, 2, 0}) // many lines, corrupt one
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tree := New(DefaultConfig(), dram.New(dram.DefaultConfig()))

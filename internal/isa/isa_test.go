@@ -210,15 +210,15 @@ func TestProgramBytesDecode(t *testing.T) {
 
 func TestDisassembly(t *testing.T) {
 	cases := map[string]Instr{
-		"add r1, r2, r3":   {Op: OpAdd, Rd: 1, Rs1: 2, Rs2: 3},
-		"addi r1, r2, -5":  {Op: OpAddi, Rd: 1, Rs1: 2, Imm: -5},
-		"ld r4, 8(r5)":     {Op: OpLd, Rd: 4, Rs1: 5, Imm: 8},
-		"sd r6, 0(r7)":     {Op: OpSd, Rs2: 6, Rs1: 7},
-		"beq r1, r2, 16":   {Op: OpBeq, Rs1: 1, Rs2: 2, Imm: 16},
-		"jal r31, 32":      {Op: OpJal, Rd: 31, Imm: 32},
-		"jalr r0, r31, 0":  {Op: OpJalr, Rs1: 31},
-		"halt":             {Op: OpHalt},
-		"lui r3, 4096":     {Op: OpLui, Rd: 3, Imm: 4096},
+		"add r1, r2, r3":  {Op: OpAdd, Rd: 1, Rs1: 2, Rs2: 3},
+		"addi r1, r2, -5": {Op: OpAddi, Rd: 1, Rs1: 2, Imm: -5},
+		"ld r4, 8(r5)":    {Op: OpLd, Rd: 4, Rs1: 5, Imm: 8},
+		"sd r6, 0(r7)":    {Op: OpSd, Rs2: 6, Rs1: 7},
+		"beq r1, r2, 16":  {Op: OpBeq, Rs1: 1, Rs2: 2, Imm: 16},
+		"jal r31, 32":     {Op: OpJal, Rd: 31, Imm: 32},
+		"jalr r0, r31, 0": {Op: OpJalr, Rs1: 31},
+		"halt":            {Op: OpHalt},
+		"lui r3, 4096":    {Op: OpLui, Rd: 3, Imm: 4096},
 	}
 	for want, in := range cases {
 		if got := in.String(); got != want {

@@ -81,8 +81,8 @@ func (c Config) WithL2(size int) Config {
 
 // Stats aggregates hierarchy-level counters beyond the per-cache stats.
 type Stats struct {
-	DataAccesses  uint64
-	InstrFetches  uint64
+	DataAccesses    uint64
+	InstrFetches    uint64
 	L2Writebacks    uint64 // dirty L2 evictions (capacity/conflict)
 	FlushedLines    uint64 // dirty lines written back by periodic flushes
 	Flushes         uint64

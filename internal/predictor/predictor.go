@@ -180,10 +180,10 @@ type Predictor struct {
 	// horizon (nothing the built-in workloads map, but the API must not
 	// care) fall back to a sparse map. First-touch order, and therefore
 	// the root-draw sequence, is identical either way.
-	pageDense  []*pageMeta
-	pageSparse map[uint64]*pageMeta
-	pageCount  int
-	rnd        *rng.Xoshiro256
+	pageDense    []*pageMeta
+	pageSparse   map[uint64]*pageMeta
+	pageCount    int
+	rnd          *rng.Xoshiro256
 	lor          uint64 // latest offset register
 	lorValid     bool
 	rangeTable   []rangeEntry

@@ -35,7 +35,7 @@ func TestTamperedFetchDetected(t *testing.T) {
 	r := newIntegrityRig(t)
 	r.image.Store(0x2000, 8, 7)
 	r.ctrl.FetchLine(0, 0x2000) // materialize + install leaf
-	r.ctrl.TamperLine(0x2000, 13)
+	r.ctrl.TamperData(0x2000, 13)
 	res := r.ctrl.FetchLine(1000, 0x2000)
 	if res.Authentic {
 		t.Fatal("tampered line accepted")
@@ -54,7 +54,7 @@ func TestWritebackHealsTamper(t *testing.T) {
 	r := newIntegrityRig(t)
 	r.image.Store(0x3000, 8, 9)
 	r.ctrl.FetchLine(0, 0x3000)
-	r.ctrl.TamperLine(0x3000, 5)
+	r.ctrl.TamperData(0x3000, 5)
 	r.ctrl.EvictLine(100, 0x3000) // legitimate writeback overwrites RAM
 	res := r.ctrl.FetchLine(1000, 0x3000)
 	if !res.Authentic {
@@ -183,7 +183,7 @@ func TestDirectModeWithIntegrity(t *testing.T) {
 	if res := r.ctrl.FetchLine(0, 0x4000); !res.Authentic {
 		t.Fatal("authentic direct fetch rejected")
 	}
-	r.ctrl.TamperLine(0x4000, 3)
+	r.ctrl.TamperData(0x4000, 3)
 	if res := r.ctrl.FetchLine(1000, 0x4000); res.Authentic {
 		t.Fatal("tampered direct fetch accepted")
 	}

@@ -18,6 +18,8 @@
 package secmem
 
 import (
+	"slices"
+
 	"ctrpred/internal/cryptoengine"
 	"ctrpred/internal/ctr"
 	"ctrpred/internal/dram"
@@ -56,14 +58,14 @@ type Config struct {
 	// image and every encryption against pad-reuse (cheap; on by default
 	// in tests and examples).
 	SelfCheck bool
-	// CountersOnly drops the functional ciphertext/pad half of the model:
+	// CountersOnly skips the payload stage of every fetch and writeback:
 	// the controller tracks counters, predictor state, caches, DRAM and
 	// engine timing — everything the hit-rate figures observe — but never
-	// stores pads or ciphertext and never XORs data. Every statistic and
-	// every returned timing is identical to the full model (the engine's
-	// Schedule* paths book exactly what the Compute* paths do); only
-	// FetchResult.Plain, which has no consumer in this mode, stays zero.
-	// Long functional-mode sweeps use it to cut the dominant allocations.
+	// stores pads or ciphertext and never XORs data. The timing stage is
+	// the same code either way, so every statistic and every returned
+	// timing is identical to the full model; only FetchResult.Plain, which
+	// has no consumer in this mode, stays zero. Long functional-mode
+	// sweeps use it to cut the dominant allocations.
 	// Incompatible with SelfCheck, Direct, integrity trees and fault
 	// injection — New and the attach points enforce that.
 	CountersOnly bool
@@ -190,17 +192,6 @@ type Controller struct {
 	seqBuf     [4]uint64
 	seqBufAge  [4]uint64
 	seqBufTick uint64
-
-	// reference selects the retained one-request-at-a-time engine loop
-	// and disables the stored-pad shortcut (see SetReference).
-	reference bool
-
-	// fetchPad is FetchLine's pad scratch. With the engine behind the
-	// EngineModel interface, a function-local pad passed to ComputeInto
-	// is opaque to escape analysis and would heap-allocate on every
-	// miss; the controller is single-threaded per machine, so one
-	// reusable buffer restores the zero-allocation fetch path.
-	fetchPad ctr.Pad
 }
 
 // ctrState is the hot half of one protected line's off-chip state: what
@@ -222,14 +213,13 @@ type ctrState struct {
 // touched only by paths that actually move data bits.
 type padState struct {
 	enc ctr.Line // encrypted RAM contents
-	// pad, when padValid, holds the OTP for (line address, seq) — kept
-	// from whichever path last encrypted the line (template pre-aging,
-	// materialization, writeback, heal). Counter mode reuses the exact
-	// pad to decrypt, so a fetch whose counter matches books its
-	// pipeline slots normally and skips re-running AES; every path that
-	// changes seq either refreshes the pad or clears padValid. This is
-	// the functional analogue of the paper's precomputation buffer,
-	// ignored in reference mode.
+	// pad, when padValid, holds the OTP for (line address, seq), kept by
+	// sealLine, which every path that encrypts the line goes through
+	// (template pre-aging, materialization, writeback, heal). Counter
+	// mode decrypts with the exact pad, so a fetch books its pipeline
+	// slots normally and skips re-running AES; every path that changes
+	// seq either reseals the line or clears padValid. This is the
+	// functional analogue of the paper's precomputation buffer.
 	pad      ctr.Pad
 	padValid bool
 }
@@ -294,11 +284,16 @@ func (c *Controller) Stats() Stats { return c.stats }
 func (c *Controller) SetFetchObserver(fn func(latency uint64)) { c.fetchObs = fn }
 
 // observeFetch books one serviced fetch's end-to-end latency into the
-// histogram and, when registered, the exact-sample observer.
-func (c *Controller) observeFetch(lat uint64) {
+// histogram and, when registered, the exact-sample observer, plus the
+// decryption latency exposed past the line's arrival.
+func (c *Controller) observeFetch(now uint64, res *FetchResult) {
+	lat := res.Done - now
 	c.stats.FetchLatency.Observe(lat)
 	if c.fetchObs != nil {
 		c.fetchObs(lat)
+	}
+	if res.Done > res.LineDone {
+		c.stats.DecryptExposed += res.Done - res.LineDone
 	}
 }
 
@@ -315,19 +310,6 @@ func (c *Controller) PadViolations() uint64 { return c.tracker.Violations }
 // model (see Config.CountersOnly).
 func (c *Controller) CountersOnly() bool { return c.cfg.CountersOnly }
 
-// SetReference selects the retained scalar fetch path: the engine books
-// every speculative guess one request at a time and the controller
-// recomputes every pad instead of reusing the materialization pad. The
-// batched fast path is defined to be bit- and cycle-identical, so this
-// exists as a debugging escape hatch and as the anchor the equivalence
-// suite compares the fast path against.
-func (c *Controller) SetReference(on bool) {
-	c.reference = on
-	if c.engine != nil {
-		c.engine.SetReference(on)
-	}
-}
-
 // AttachIntegrity enables hash-tree verification of every fetch and
 // update of every writeback. Must be called before any line is touched so
 // the tree covers the whole image.
@@ -343,16 +325,6 @@ func (c *Controller) AttachIntegrity(t *integrity.Tree) {
 
 // IntegrityTree returns the attached tree, or nil.
 func (c *Controller) IntegrityTree() *integrity.Tree { return c.tree }
-
-// TamperLine flips one ciphertext bit of the line containing vaddr.
-//
-// Deprecated: TamperLine only covers data-ciphertext corruption. Use
-// TamperData, TamperCounter, TamperTreeNode, SpliceLines or ReplayStale
-// — or drive a faults.Injector via ArmFaults — for the full attack
-// surface of the threat model.
-func (c *Controller) TamperLine(vaddr uint64, bit int) {
-	c.TamperData(mem.LineAddr(vaddr), bit)
-}
 
 // TamperData flips one ciphertext bit of line la in the untrusted RAM —
 // the basic adversary move. The next fetch must fail integrity
@@ -517,9 +489,13 @@ func (c *Controller) fetchCounter(now uint64, la uint64) uint64 {
 // image through the crypto engine with the page's initial (root) counter.
 // It returns the line's off-chip state for *reading*: when the state is a
 // view of a shared pre-aged template the pointers may reach into the
-// template, so mutation paths must go through owned instead.
+// template, so mutation paths must go through owned instead. The pad
+// half is nil in counters-only mode.
 func (c *Controller) materialize(la uint64) (*ctrState, *padState) {
 	if cs := c.ctrs.Lookup(la); cs != nil {
+		if c.cfg.CountersOnly {
+			return cs, nil
+		}
 		return cs, c.pads.Lookup(la)
 	}
 	return c.owned(la)
@@ -529,59 +505,68 @@ func (c *Controller) materialize(la uint64) (*ctrState, *padState) {
 // line if needed and, when the state is a view of a shared template,
 // forces the copy-on-write so the caller's mutation stays machine-local.
 func (c *Controller) owned(la uint64) (*ctrState, *padState) {
-	cs, fresh := c.ctrs.Ensure(la)
-	ps, _ := c.pads.Ensure(la)
+	cs, ps, fresh := c.ensure(la)
 	if fresh {
-		c.initLine(cs, ps, la)
+		c.initLine(cs, ps, la, 0)
 	}
 	return cs, ps
 }
 
-// ctrOnly returns la's counter state, initializing a fresh line's
-// counters from its page root — the counters-only materialization, which
-// never touches the pad table. forWrite forces the copy-on-write even
-// when the line exists in a shared template.
-func (c *Controller) ctrOnly(la uint64, forWrite bool) *ctrState {
-	if !forWrite {
-		if cs := c.ctrs.Lookup(la); cs != nil {
-			return cs
-		}
-	}
+// ensure creates la's table entries, or copies them out of a shared
+// template, and reports whether the line is new. Counters-only mode
+// never touches the pad table and returns a nil pad half.
+func (c *Controller) ensure(la uint64) (*ctrState, *padState, bool) {
 	cs, fresh := c.ctrs.Ensure(la)
-	if fresh {
-		root := c.pred.Root(la)
-		cs.seq = root
-		cs.goodSeq = root
+	if c.cfg.CountersOnly {
+		return cs, nil, fresh
 	}
-	return cs
+	ps, _ := c.pads.Ensure(la)
+	return cs, ps, fresh
 }
 
 // initLine encrypts a freshly created line's architectural contents into
-// its off-chip state under the page's root counter.
-func (c *Controller) initLine(cs *ctrState, ps *padState, la uint64) {
+// its off-chip state: under the page's root counter plus offset in
+// counter mode (a nonzero offset models pre-aged update history), under
+// the address tweak alone in direct mode. Installing the tree leaf is
+// untimed, like the image load it models.
+func (c *Controller) initLine(cs *ctrState, ps *padState, la, offset uint64) {
+	var seq uint64
 	if c.direct != nil {
 		ps.enc = c.direct.EncryptLine(c.image.LineAt(la), la)
-		if c.tree != nil {
-			c.tree.Update(0, la, 0, ps.enc)
-		}
-		return
-	}
-	root := c.pred.Root(la)
-	cs.seq = root
-	cs.goodSeq = root
-	plain := c.image.LineAt(la)
-	// Keep the pad: the fetch that triggered this materialization (and
-	// any later fetch while the counter is unchanged) decrypts under the
-	// identical (address, root) pad.
-	c.engine.Keystream().PadInto(&ps.pad, la, root)
-	ctr.XORLine(&ps.enc, &plain, &ps.pad)
-	ps.padValid = true
-	if c.cfg.SelfCheck {
-		c.tracker.RecordEncrypt(la, root)
+	} else {
+		seq = c.pred.Root(la) + offset
+		c.seal(cs, ps, la, seq)
 	}
 	if c.tree != nil {
-		c.tree.Update(0, la, root, ps.enc) // image load: untimed
+		c.tree.Update(0, la, seq, ps.enc)
 	}
+}
+
+// seal sets la's counter to seq and, unless the pad half is absent
+// (counters-only mode), encrypts the line's architectural contents under
+// it, keeping the pad: the next fetch, and any later one while the
+// counter is unchanged, decrypts under the identical pad.
+func (c *Controller) seal(cs *ctrState, ps *padState, la, seq uint64) {
+	sealLine(c.engine.Keystream(), c.image, cs, ps, la, seq)
+	if c.cfg.SelfCheck {
+		c.tracker.RecordEncrypt(la, seq)
+	}
+}
+
+// sealLine is seal's per-line step, shared with BuildAgedTemplate, which
+// records the pad in the template's tracker instead of a controller's.
+func sealLine(ks *ctr.Keystream, image *mem.Memory, cs *ctrState, ps *padState, la, seq uint64) {
+	cs.seq, cs.goodSeq, cs.tampered = seq, seq, false
+	if ps == nil {
+		return
+	}
+	ks.PadInto(&ps.pad, la, seq)
+	plain := image.LineRef(la) // nil for never-written memory, which reads as zero
+	if plain == nil {
+		plain = &ctr.Line{}
+	}
+	ctr.XORLine(&ps.enc, plain, &ps.pad)
+	ps.padValid = true
 }
 
 // AgeLine initializes the counter of the line containing vaddr to
@@ -589,31 +574,14 @@ func (c *Controller) initLine(cs *ctrState, ps *padState, la uint64) {
 // window (the paper's multi-billion-instruction fast-forward "updates the
 // profiled memory status"). It must be called before the line is first
 // fetched or evicted; calls after the line has been touched are ignored.
+// Direct mode has no counter to age and just materializes the line.
 func (c *Controller) AgeLine(vaddr uint64, offset uint64) {
 	la := mem.LineAddr(vaddr)
 	if c.ctrs.Lookup(la) != nil {
 		return
 	}
-	cs, _ := c.ctrs.Ensure(la)
-	seq := c.pred.Root(la) + offset
-	cs.seq = seq
-	cs.goodSeq = seq
-	if c.cfg.CountersOnly {
-		// Counter dynamics are all the functional figures observe; skip
-		// the (AES-heavy) pad/ciphertext half entirely.
-		return
-	}
-	ps, _ := c.pads.Ensure(la)
-	plain := c.image.LineAt(la)
-	c.engine.Keystream().PadInto(&ps.pad, la, seq)
-	ctr.XORLine(&ps.enc, &plain, &ps.pad)
-	ps.padValid = true
-	if c.cfg.SelfCheck {
-		c.tracker.RecordEncrypt(la, seq)
-	}
-	if c.tree != nil {
-		c.tree.Update(0, la, seq, ps.enc)
-	}
+	cs, ps, _ := c.ensure(la)
+	c.initLine(cs, ps, la, offset)
 }
 
 // AgedTemplate is a frozen pre-aged off-chip state — the result of the
@@ -653,12 +621,7 @@ func BuildAgedTemplate(ks *ctr.Keystream, image *mem.Memory, roots func(la uint6
 		}
 		ps, _ := t.pads.Ensure(la)
 		seq := roots(la) + offset
-		cs.seq = seq
-		cs.goodSeq = seq
-		plain := image.LineAt(la)
-		ks.PadInto(&ps.pad, la, seq)
-		ctr.XORLine(&ps.enc, &plain, &ps.pad)
-		ps.padValid = true
+		sealLine(ks, image, cs, ps, la, seq)
 		t.tracker.RecordEncrypt(la, seq)
 	})
 	t.ctrs.Freeze()
@@ -696,12 +659,16 @@ func (c *Controller) Release() {
 
 // FetchLine services an L2 miss for the line containing vaddr, starting
 // at cycle now. It returns the decrypted line and full timing detail.
+//
+// Every fetch runs two stages. The timing stage — fetchTiming in counter
+// mode, fetchDirect under direct encryption — books counter
+// availability, the DRAM line access and the engine's pad requests, and
+// fixes when the data is usable. The payload stage then moves the data
+// bits: decryption, integrity verification, tamper handling and the
+// self-check. Counters-only mode stores no ciphertext and skips it.
 func (c *Controller) FetchLine(now uint64, vaddr uint64) FetchResult {
 	la := mem.LineAddr(vaddr)
 	c.stats.Fetches++
-	if c.cfg.CountersOnly {
-		return c.fetchCountersOnly(now, la)
-	}
 	cs, ps := c.materialize(la)
 	if c.faults != nil {
 		if !cs.tampered && c.faults.WantsPairs() {
@@ -716,20 +683,29 @@ func (c *Controller) FetchLine(now uint64, vaddr uint64) FetchResult {
 		// reads the corrupted machine-local copy, not the template's.
 		cs, ps = c.materialize(la)
 	}
+	var res FetchResult
 	if c.direct != nil {
-		return c.fetchDirect(now, la, cs, ps)
+		c.fetchDirect(&res, now, la)
+	} else {
+		c.fetchTiming(&res, now, la, cs.seq)
 	}
-
-	trueSeq := cs.seq
-	res := FetchResult{TrueSeq: trueSeq}
-
-	// Counter availability. The counter fetch is issued ahead of the line
-	// fetch (it is on the pad critical path); both stream over the same
-	// DRAM channel.
-	seqInCache := false
-	if c.scache != nil {
-		seqInCache = c.scache.Access(la)
+	if ps != nil {
+		c.payload(&res, now, la, cs, ps)
 	}
+	c.observeFetch(now, &res)
+	return res
+}
+
+// fetchTiming is the counter-mode timing stage (Figure 4). The counter
+// fetch is issued ahead of the line fetch (it is on the pad critical
+// path) and both stream over DRAM; speculative pads are booked for the
+// predicted counters, and a demand pad follows the true counter unless a
+// prediction already covers it. Data is usable one XOR cycle after both
+// ciphertext and pad are in hand.
+func (c *Controller) fetchTiming(res *FetchResult, now, la, trueSeq uint64) {
+	res.TrueSeq = trueSeq
+	res.Authentic = true
+	seqInCache := c.scache != nil && c.scache.Access(la)
 	switch {
 	case c.cfg.Oracle:
 		res.SeqDone = now
@@ -743,94 +719,81 @@ func (c *Controller) FetchLine(now uint64, vaddr uint64) FetchResult {
 	}
 	res.LineDone = c.dram.Access(now, la, ctr.LineSize, false)
 
-	// Pad generation (Figure 4). Prediction only engages when the counter
-	// is not already on chip; membership is still evaluated for the
-	// Figure 9 overlap accounting. When the line still carries the pad
-	// of its current counter — set at pre-aging, materialization,
-	// writeback or heal — the fetch books its pipeline slots normally
-	// but reuses the stored bits instead of re-running AES.
-	pad := &c.fetchPad
-	padp := pad
+	// Prediction only engages when the counter is not already on chip;
+	// membership is still evaluated for the Figure 9 overlap accounting.
+	// Every guess occupies a pipeline slot (a discarded pad's value is
+	// unobservable, its timing is not); the whole burst is booked in one
+	// batched engine pass.
 	var padReady uint64
-	predicted := false
-	var cached *ctr.Pad
-	if ps.padValid && !c.reference {
-		cached = &ps.pad
-	}
 	if !c.cfg.Oracle {
 		if guesses := c.pred.Predict(la); len(guesses) > 0 {
 			if res.SeqHit {
-				// Counter already known: no speculative pads are issued,
-				// but record whether prediction would have covered it.
-				for _, g := range guesses {
-					if g == trueSeq {
-						predicted = true
-						break
-					}
-				}
+				res.PredHit = slices.Contains(guesses, trueSeq)
 			} else {
-				// Every guess occupies a pipeline slot; only the matching
-				// pad's bits are materialized (a discarded pad's value is
-				// unobservable, its timing is not). The whole burst is
-				// booked in one batched engine pass.
 				var matchIdx int
-				if cached != nil {
-					matchIdx, padReady = c.engine.ScheduleGuesses(now, guesses, trueSeq)
-					if matchIdx >= 0 {
-						padp = cached
-					}
-				} else {
-					matchIdx, padReady = c.engine.ComputeGuessesInto(pad, now, la, guesses, trueSeq)
-				}
-				predicted = matchIdx >= 0
+				matchIdx, padReady = c.engine.ScheduleGuesses(now, guesses, trueSeq)
+				res.PredHit = matchIdx >= 0
 			}
 			// The guess list is handed back so the hit depth is attributed
 			// to this fetch's own guesses, never a stale internal buffer.
 			c.pred.Observe(la, trueSeq, guesses)
 		}
 	}
-	if predicted {
+	if res.PredHit {
 		c.stats.PredHits++
 		if res.SeqHit {
 			c.stats.BothHits++
 		}
-		res.PredHit = true
+	}
+	if res.PredHit && !res.SeqHit {
 		// A speculative pad is confirmed only when the true counter is
 		// available for comparison.
-		if padReady < res.SeqDone {
-			padReady = res.SeqDone
-		}
-		if res.SeqHit {
-			// Counter was on chip; the demand path below would also have
-			// been taken in hardware. Use the demand pad timing instead.
-			predicted = false
-		}
+		padReady = max(padReady, res.SeqDone)
+	} else {
+		// Not predicted, or the counter was on chip, where hardware takes
+		// the demand path too.
+		padReady = c.engine.ScheduleOnly(res.SeqDone, cryptoengine.ClassDemand)
 	}
-	if !predicted || res.SeqHit {
-		if cached != nil {
-			padReady = c.engine.ScheduleOnly(res.SeqDone, cryptoengine.ClassDemand)
-			padp = cached
-		} else {
-			padReady = c.engine.ComputeInto(pad, res.SeqDone, la, trueSeq, cryptoengine.ClassDemand)
-			padp = pad
+	res.Done = max(res.LineDone, padReady) + 1
+}
+
+// fetchDirect is the timing stage under direct encryption: decryption
+// can only start once the whole ciphertext has arrived — the
+// serialization counter mode exists to break.
+func (c *Controller) fetchDirect(res *FetchResult, now, la uint64) {
+	res.Authentic = true
+	res.LineDone = c.dram.Access(now, la, ctr.LineSize, false)
+	res.SeqDone = res.LineDone // no counters in this mode
+	res.Done = c.engine.ScheduleOnly(res.LineDone, cryptoengine.ClassDemand) + 1
+}
+
+// payload is the fetch's data stage. Counter mode decrypts under the pad
+// the line kept from its last encryption; only after the adversary has
+// changed the counter is the pad recomputed from the keystream. The
+// result is then verified against the integrity tree, handed to tamper
+// handling if rejected, and compared with the architectural image.
+func (c *Controller) payload(res *FetchResult, now, la uint64, cs *ctrState, ps *padState) {
+	if c.direct != nil {
+		res.Plain = c.direct.DecryptLine(ps.enc, la)
+	} else {
+		pad := &ps.pad
+		var fresh ctr.Pad
+		if !ps.padValid {
+			c.engine.Keystream().PadInto(&fresh, la, res.TrueSeq)
+			pad = &fresh
 		}
+		ctr.XORLine(&res.Plain, &ps.enc, pad)
 	}
-	// Decrypt once both ciphertext and pad are in hand (+1 cycle XOR).
-	res.Done = maxU64(res.LineDone, padReady) + 1
-	ctr.XORLine(&res.Plain, &ps.enc, padp)
 
 	// Integrity verification proceeds from ciphertext arrival, in
 	// parallel with pad generation; data is architecturally usable only
 	// once both decryption and verification complete.
-	res.Authentic = true
 	if c.tree != nil {
-		ok, vDone := c.tree.Verify(res.LineDone, la, trueSeq, ps.enc)
+		ok, vDone := c.tree.Verify(res.LineDone, la, res.TrueSeq, ps.enc)
 		res.Authentic = ok
-		if vDone+1 > res.Done {
-			res.Done = vDone + 1
-		}
+		res.Done = max(res.Done, vDone+1)
 		if !ok {
-			c.handleTamper(&res, now, la, trueSeq, cs, ps)
+			c.handleTamper(res, now, la, cs, ps)
 		}
 	}
 
@@ -838,118 +801,9 @@ func (c *Controller) FetchLine(now uint64, vaddr uint64) FetchResult {
 		want := c.image.LineRef(la) // nil for never-written memory, which reads as zero
 		if (want != nil && res.Plain != *want) || (want == nil && res.Plain != (ctr.Line{})) {
 			c.stats.SelfCheckFails++
-			c.recordSecurityError(KindSelfCheck, la, trueSeq, now)
+			c.recordSecurityError(KindSelfCheck, la, res.TrueSeq, now)
 		}
 	}
-
-	c.observeFetch(res.Done - now)
-	if res.Done > res.LineDone {
-		c.stats.DecryptExposed += res.Done - res.LineDone
-	}
-	return res
-}
-
-// fetchCountersOnly is FetchLine for the counters-only model: identical
-// counter, cache, DRAM, predictor and engine bookings — the engine's
-// Schedule* paths reserve exactly the slots the Compute* paths do — with
-// no pad bits materialized and no ciphertext XORed. Every FetchResult
-// field except Plain matches the full model's.
-func (c *Controller) fetchCountersOnly(now, la uint64) FetchResult {
-	trueSeq := c.ctrOnly(la, false).seq
-	res := FetchResult{TrueSeq: trueSeq, Authentic: true}
-
-	seqInCache := false
-	if c.scache != nil {
-		seqInCache = c.scache.Access(la)
-	}
-	switch {
-	case c.cfg.Oracle:
-		res.SeqDone = now
-		c.stats.OracleHits++
-	case seqInCache:
-		res.SeqDone = now
-		res.SeqHit = true
-		c.stats.SeqCacheHits++
-	default:
-		res.SeqDone = c.fetchCounter(now, la)
-	}
-	res.LineDone = c.dram.Access(now, la, ctr.LineSize, false)
-
-	var padReady uint64
-	predicted := false
-	if !c.cfg.Oracle {
-		if guesses := c.pred.Predict(la); len(guesses) > 0 {
-			if res.SeqHit {
-				for _, g := range guesses {
-					if g == trueSeq {
-						predicted = true
-						break
-					}
-				}
-			} else {
-				var matchIdx int
-				matchIdx, padReady = c.engine.ScheduleGuesses(now, guesses, trueSeq)
-				predicted = matchIdx >= 0
-			}
-			c.pred.Observe(la, trueSeq, guesses)
-		}
-	}
-	if predicted {
-		c.stats.PredHits++
-		if res.SeqHit {
-			c.stats.BothHits++
-		}
-		res.PredHit = true
-		if padReady < res.SeqDone {
-			padReady = res.SeqDone
-		}
-		if res.SeqHit {
-			predicted = false
-		}
-	}
-	if !predicted || res.SeqHit {
-		padReady = c.engine.ScheduleOnly(res.SeqDone, cryptoengine.ClassDemand)
-	}
-	res.Done = maxU64(res.LineDone, padReady) + 1
-
-	c.observeFetch(res.Done - now)
-	if res.Done > res.LineDone {
-		c.stats.DecryptExposed += res.Done - res.LineDone
-	}
-	return res
-}
-
-// fetchDirect services a miss under direct encryption: decryption can
-// only start once the whole ciphertext has arrived — the serialization
-// counter mode exists to break.
-func (c *Controller) fetchDirect(now uint64, la uint64, cs *ctrState, ps *padState) FetchResult {
-	res := FetchResult{Authentic: true}
-	res.LineDone = c.dram.Access(now, la, ctr.LineSize, false)
-	res.SeqDone = res.LineDone // no counters in this mode
-	ready := c.engine.ScheduleOnly(res.LineDone, cryptoengine.ClassDemand)
-	res.Done = ready + 1
-	res.Plain = c.direct.DecryptLine(ps.enc, la)
-	if c.tree != nil {
-		ok, vDone := c.tree.Verify(res.LineDone, la, 0, ps.enc)
-		res.Authentic = ok
-		if vDone+1 > res.Done {
-			res.Done = vDone + 1
-		}
-		if !ok {
-			c.handleTamper(&res, now, la, 0, cs, ps)
-		}
-	}
-	if c.cfg.SelfCheck && (res.Authentic || res.Recovered) && !cs.tampered {
-		if want := c.image.LineAt(la); res.Plain != want {
-			c.stats.SelfCheckFails++
-			c.recordSecurityError(KindSelfCheck, la, 0, now)
-		}
-	}
-	c.observeFetch(res.Done - now)
-	if res.Done > res.LineDone {
-		c.stats.DecryptExposed += res.Done - res.LineDone
-	}
-	return res
 }
 
 // handleTamper reacts to a failed integrity verification at la: under
@@ -958,21 +812,19 @@ func (c *Controller) fetchDirect(now uint64, la uint64, cs *ctrState, ps *padSta
 // re-fetches within the retry budget, and heals persistent corruption
 // from the protected domain, updating res with the recovered data and
 // completion time.
-func (c *Controller) handleTamper(res *FetchResult, now, la, seq uint64, cs *ctrState, ps *padState) {
+func (c *Controller) handleTamper(res *FetchResult, now, la uint64, cs *ctrState, ps *padState) {
 	c.stats.TamperDetected++
 	if c.faults != nil {
 		c.faults.ObserveDetection(la, res.Done)
 	}
 	if c.cfg.Recovery != RecoveryQuarantine {
-		c.recordSecurityError(KindTamper, la, seq, now)
+		c.recordSecurityError(KindTamper, la, res.TrueSeq, now)
 		return
 	}
 	plain, done := c.quarantine(res.Done, la, cs, ps)
 	res.Plain = plain
 	res.Recovered = true
-	if done > res.Done {
-		res.Done = done
-	}
+	res.Done = max(res.Done, done)
 }
 
 // quarantine re-fetches a rejected line up to the retry budget (a
@@ -985,9 +837,9 @@ func (c *Controller) quarantine(now uint64, la uint64, cs *ctrState, ps *padStat
 	if budget <= 0 {
 		budget = DefaultRetryBudget
 	}
-	// Direct mode keys the tree with counter 0 everywhere (fetchDirect,
-	// evictDirect, heal); the re-verify must match or a transient fault
-	// could never requalify.
+	// Direct mode keys the tree with counter 0 everywhere (fetches and
+	// writebacks); the re-verify must match or a transient fault could
+	// never requalify.
 	seq := cs.seq
 	if c.direct != nil {
 		seq = 0
@@ -1018,43 +870,14 @@ func (c *Controller) quarantine(now uint64, la uint64, cs *ctrState, ps *padStat
 	return c.image.LineAt(la), t + 1
 }
 
-// heal re-encrypts la's architectural contents under a fresh counter and
-// reinstalls its tree path — the recovery writeback. The fresh counter
-// advances from the shadow goodSeq, so adversarial rollback can never
-// trick recovery into pad reuse.
+// heal is the recovery writeback: it re-encrypts la's architectural
+// contents under a fresh counter and reinstalls its tree path, and it
+// completes only once the tree update has too.
 func (c *Controller) heal(now uint64, la uint64) uint64 {
 	cs, ps := c.owned(la)
 	c.sec.Healed++
-	if c.direct != nil {
-		ready := c.engine.ScheduleOnly(now, cryptoengine.ClassWriteback)
-		ps.enc = c.direct.EncryptLine(c.image.LineAt(la), la)
-		cs.tampered = false
-		upDone := c.tree.Update(now, la, 0, ps.enc)
-		t := c.dram.Access(now, la, ctr.LineSize, true)
-		return maxU64(maxU64(t, ready), upDone)
-	}
-	// Advance from the shadow goodSeq alone: a legitimate cs.seq never
-	// exceeds it (tampering only lowers or replays counters), so a larger
-	// cs.seq is attacker-controlled — e.g. an underflowed rollback — and
-	// must not steer the fresh-counter choice.
-	next := c.pred.NextSeqForEvict(la, cs.goodSeq)
-	cs.seq = next
-	cs.goodSeq = next
-	padReady := c.engine.ComputeInto(&ps.pad, now, la, next, cryptoengine.ClassWriteback)
-	plain := c.image.LineAt(la)
-	ctr.XORLine(&ps.enc, &plain, &ps.pad)
-	ps.padValid = true
-	cs.tampered = false
-	if c.cfg.SelfCheck {
-		c.tracker.RecordEncrypt(la, next)
-	}
-	upDone := c.tree.Update(now, la, next, ps.enc)
-	if c.scache != nil {
-		c.scache.Update(la)
-	}
-	tLine := c.dram.Access(now, la, ctr.LineSize, true)
-	tSeq := c.seqDRAM.Access(now, c.seqAddr(la), seqcache.SeqBytes, true)
-	return maxU64(maxU64(maxU64(tLine, tSeq), padReady), upDone)
+	done, treeDone := c.writeback(now, la, cs, ps)
+	return max(done, treeDone)
 }
 
 // EvictLine writes back the (dirty) line containing vaddr, re-encrypting
@@ -1064,98 +887,61 @@ func (c *Controller) heal(now uint64, la uint64) uint64 {
 func (c *Controller) EvictLine(now uint64, vaddr uint64) uint64 {
 	la := mem.LineAddr(vaddr)
 	c.stats.Evictions++
-	if c.cfg.CountersOnly {
-		return c.evictCountersOnly(now, la)
-	}
 	cs, ps := c.owned(la) // a store-allocated line may never have been fetched
-	if c.direct != nil {
-		return c.evictDirect(now, la, cs, ps)
-	}
-
 	if c.faults != nil && c.faults.WantsPairs() {
 		// The adversary records the off-chip pair this writeback replaces:
 		// the most stale replay material an attacker snooping the bus from
 		// run begin could hold.
 		c.faults.ObservePair(la, ps.enc, cs.seq)
 	}
-	// Advance from the shadow goodSeq, never the off-chip counter: a
-	// legitimate cs.seq equals goodSeq, and any divergence is adversarial
-	// (rollback, replay, or underflow wrap) — a writeback must never let
-	// it pick the pad.
-	next := c.pred.NextSeqForEvict(la, cs.goodSeq)
-	cs.seq = next
-	cs.goodSeq = next
+	done, _ := c.writeback(now, la, cs, ps)
+	return done
+}
 
-	padReady := c.engine.ComputeInto(&ps.pad, now, la, next, cryptoengine.ClassWriteback)
-	if plain := c.image.LineRef(la); plain != nil {
-		ctr.XORLine(&ps.enc, plain, &ps.pad)
+// writeback is the one writeback pipeline behind EvictLine and heal. It
+// books the engine's writeback pad and re-encrypts la's architectural
+// contents — under the line's next counter in counter mode, under the
+// address tweak in direct mode — then updates the tree and books the
+// line and counter writes. Counters-only mode advances the counter and
+// books identical timing without sealing any data. It returns the cycle
+// the pad and the DRAM writes complete, and separately the cycle the
+// tree update completes (0 without a tree).
+func (c *Controller) writeback(now, la uint64, cs *ctrState, ps *padState) (done, treeDone uint64) {
+	done = c.engine.ScheduleOnly(now, cryptoengine.ClassWriteback)
+	var seq uint64
+	if c.direct != nil {
+		ps.enc = c.direct.EncryptLine(c.image.LineAt(la), la)
+		cs.tampered = false
 	} else {
-		var zero ctr.Line
-		ctr.XORLine(&ps.enc, &zero, &ps.pad)
-	}
-	ps.padValid = true
-	cs.tampered = false // a legitimate writeback replaces corrupted data
-	if c.cfg.SelfCheck {
-		c.tracker.RecordEncrypt(la, next)
+		// Advance from the shadow goodSeq, never the off-chip counter: a
+		// legitimate cs.seq equals goodSeq, and any divergence is
+		// adversarial (rollback, replay, or underflow wrap) — a writeback
+		// must never let it pick the pad.
+		seq = c.pred.NextSeqForEvict(la, cs.goodSeq)
+		c.seal(cs, ps, la, seq) // also clears tampered: the writeback replaces corrupted data
 	}
 	if c.tree != nil {
-		c.tree.Update(now, la, next, ps.enc)
-	}
-
-	// Counter writes are write-through; the cached copy (if any) is
-	// updated in place.
-	if c.scache != nil {
-		c.scache.Update(la)
+		treeDone = c.tree.Update(now, la, seq, ps.enc)
 	}
 	// The evicted line sits in the write buffer while its pad is
 	// computed; its DRAM traffic is scheduled from the eviction time so
 	// buffered writebacks do not block younger demand fetches (the model
 	// serializes channel reservations in call order).
-	tLine := c.dram.Access(now, la, ctr.LineSize, true)
-	tSeq := c.seqDRAM.Access(now, c.seqAddr(la), seqcache.SeqBytes, true)
-	return maxU64(maxU64(tLine, tSeq), padReady)
-}
-
-// evictCountersOnly is EvictLine for the counters-only model: the counter
-// advances exactly as in the full model (predictor and seq-cache dynamics
-// depend on it) and the engine/DRAM book the same writeback traffic, but
-// no pad is computed and no ciphertext is stored.
-func (c *Controller) evictCountersOnly(now, la uint64) uint64 {
-	cs := c.ctrOnly(la, true) // a store-allocated line may never have been fetched
-	next := c.pred.NextSeqForEvict(la, cs.goodSeq)
-	cs.seq = next
-	cs.goodSeq = next
-	padReady := c.engine.ScheduleOnly(now, cryptoengine.ClassWriteback)
-	if c.scache != nil {
-		c.scache.Update(la)
+	done = max(done, c.dram.Access(now, la, ctr.LineSize, true))
+	if c.direct == nil {
+		// Counter writes are write-through; the cached copy (if any) is
+		// updated in place.
+		if c.scache != nil {
+			c.scache.Update(la)
+		}
+		done = max(done, c.seqDRAM.Access(now, c.seqAddr(la), seqcache.SeqBytes, true))
 	}
-	tLine := c.dram.Access(now, la, ctr.LineSize, true)
-	tSeq := c.seqDRAM.Access(now, c.seqAddr(la), seqcache.SeqBytes, true)
-	return maxU64(maxU64(tLine, tSeq), padReady)
-}
-
-// evictDirect writes back a line under direct encryption.
-func (c *Controller) evictDirect(now uint64, la uint64, cs *ctrState, ps *padState) uint64 {
-	ready := c.engine.ScheduleOnly(now, cryptoengine.ClassWriteback)
-	if c.faults != nil && c.faults.WantsPairs() {
-		c.faults.ObservePair(la, ps.enc, 0)
-	}
-	ps.enc = c.direct.EncryptLine(c.image.LineAt(la), la)
-	cs.tampered = false
-	if c.tree != nil {
-		c.tree.Update(now, la, 0, ps.enc)
-	}
-	t := c.dram.Access(now, la, ctr.LineSize, true)
-	return maxU64(t, ready)
+	return done, treeDone
 }
 
 // Seq returns the current counter of the line containing vaddr (tests).
 func (c *Controller) Seq(vaddr uint64) uint64 {
-	la := mem.LineAddr(vaddr)
-	if c.cfg.CountersOnly {
-		return c.ctrOnly(la, false).seq
-	}
-	cs, _ := c.materialize(la)
+	cs, _ := c.materialize(mem.LineAddr(vaddr))
 	return cs.seq
 }
 
@@ -1169,11 +955,4 @@ func (c *Controller) EncryptedLine(vaddr uint64) ctr.Line {
 	la := mem.LineAddr(vaddr)
 	_, ps := c.materialize(la)
 	return ps.enc
-}
-
-func maxU64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -83,7 +83,7 @@ func TestPredictionHidesLatency(t *testing.T) {
 		t.Fatalf("baseline done %d before seq+96 (%d)", b.Done, b.SeqDone+96)
 	}
 	// Predicted fetch is bounded by the slower of line fetch and pad.
-	if p.Done > maxU64(p.LineDone, p.SeqDone)+2+96 {
+	if p.Done > max(p.LineDone, p.SeqDone)+2+96 {
 		t.Fatalf("prediction did not overlap pad generation: %+v", p)
 	}
 }

@@ -137,6 +137,33 @@ func TestCounterRollbackDetected(t *testing.T) {
 	}
 }
 
+// TestRollbackDecryptsUnderStaleCounter: a fetch decrypts under the pad
+// of the counter it reads from RAM. The line still holds the pad of its
+// legitimate counter, which no longer applies after a rollback, so the
+// fetch recomputes the stale counter's pad and sees the wrong plaintext —
+// corruption that only the integrity tree (absent here) can catch.
+func TestRollbackDecryptsUnderStaleCounter(t *testing.T) {
+	r := newRig(predictor.SchemeRegular, 0, false)
+	addr := uint64(0x5000)
+	r.image.Store(addr, 8, 1)
+	r.ctrl.EvictLine(0, addr) // advance the counter past the root
+	enc := r.ctrl.EncryptedLine(addr)
+	stale := r.ctrl.Seq(addr) - 1
+	if !r.ctrl.TamperCounter(addr, 1) {
+		t.Fatal("counter rollback refused in counter mode")
+	}
+	res := r.ctrl.FetchLine(1000, addr)
+	if res.TrueSeq != stale {
+		t.Fatalf("fetch read counter %d, want the rolled-back %d", res.TrueSeq, stale)
+	}
+	if want := r.ctrl.engine.Keystream().DecryptLine(enc, addr, stale); res.Plain != want {
+		t.Fatal("fetch after a rollback did not decrypt under the stale counter's pad")
+	}
+	if res.Plain == r.image.LineAt(addr) {
+		t.Fatal("rolled-back fetch decrypted to the architectural contents")
+	}
+}
+
 func TestRollbackNeverReusesPad(t *testing.T) {
 	// After an adversarial rollback, recovery and later writebacks must
 	// advance from the shadow goodSeq — never re-encrypt under a counter
@@ -302,16 +329,6 @@ func TestDirectQuarantineRequalifiesWithCounterZero(t *testing.T) {
 	s := r.ctrl.SecurityStats()
 	if s.Requalified != 1 || s.Healed != 0 {
 		t.Fatalf("stats = %+v, want a requalification and no heal", s)
-	}
-}
-
-func TestDeprecatedTamperLineStillFlips(t *testing.T) {
-	r := newSecurityRig(t, RecoveryHalt)
-	r.ctrl.FetchLine(0, 0x1000)
-	before := r.ctrl.EncryptedLine(0x1000)
-	r.ctrl.TamperLine(0x1000, 4)
-	if r.ctrl.EncryptedLine(0x1000) == before {
-		t.Fatal("TamperLine no longer flips ciphertext")
 	}
 }
 

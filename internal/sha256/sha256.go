@@ -29,9 +29,9 @@ var k = [64]uint32{
 // Digest is an incremental SHA-256 computation. The zero value is NOT
 // valid; use New.
 type Digest struct {
-	h     [8]uint32
-	block [BlockSize]byte
-	nx    int
+	h      [8]uint32
+	block  [BlockSize]byte
+	nx     int
 	length uint64
 }
 

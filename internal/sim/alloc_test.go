@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"ctrpred/internal/faults"
 	"ctrpred/internal/predictor"
 	"ctrpred/internal/workload"
 )
@@ -86,6 +87,9 @@ func TestCountersOnlyGating(t *testing.T) {
 		{"performance", func(c *Config) { c.Mode = Performance }, false},
 		{"selfcheck", func(c *Config) { c.SelfCheck = true }, false},
 		{"integrity", func(c *Config) { c.Integrity = true }, false},
+		{"faults", func(c *Config) {
+			c.Faults = &faults.Plan{Attacks: []faults.Attack{{Kind: faults.BitFlip, Trigger: faults.Trigger{Fetch: 10}}}}
+		}, false},
 		{"direct", func(c *Config) { c.Scheme = SchemeDirect() }, false},
 	}
 	for _, tc := range cases {

@@ -1,9 +1,17 @@
 package sim
 
 import (
+	"bufio"
+	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"ctrpred/internal/faults"
@@ -13,16 +21,25 @@ import (
 	"ctrpred/internal/workload"
 )
 
-// TestFastPathMatchesReference is the equivalence suite for the batched
-// fast paths: across randomized configurations, a run on the default
-// paths — batched pad precompute, stored-pad reuse, and (in functional
-// mode) the counters-only model — must produce a Result.Snapshot
-// byte-identical to the same run forced through the retained scalar
-// reference loop (Config.Reference). The reference machine always runs
-// the full ciphertext model, so a functional-mode case here also pins
-// the counters-only model against the full one, timing and statistics
-// included.
-func TestFastPathMatchesReference(t *testing.T) {
+var updateGolden = flag.Bool("update", false, "rewrite testdata/equivalence.golden")
+
+const equivalenceGolden = "equivalence.golden"
+
+// equivalenceCase is one frozen configuration of TestEquivalenceGolden.
+type equivalenceCase struct {
+	name  string
+	bench string
+	cfg   Config
+}
+
+// equivalenceCases returns the configurations TestEquivalenceGolden pins.
+// The first fourteen come from a seeded random draw over benchmarks,
+// schemes, modes, self-check and integrity, plus armed fault plans under
+// quarantine recovery. The rest reach paths that draw barely touches:
+// direct encryption with integrity, direct-mode tamper healing, and the
+// counters-only hit-rate model under every counter-availability scheme.
+func equivalenceCases() []equivalenceCase {
+	var cases []equivalenceCase
 	benches := []string{"gzip", "mcf", "gcc", "twolf", "swim"}
 	schemes := []Scheme{
 		SchemeBaseline(),
@@ -35,8 +52,7 @@ func TestFastPathMatchesReference(t *testing.T) {
 		SchemeDirect(),
 	}
 	r := rng.New(0x5eed_e901)
-	const cases = 10
-	for i := 0; i < cases; i++ {
+	for i := 0; i < 10; i++ {
 		bench := benches[r.Intn(len(benches))]
 		cfg := DefaultConfig(schemes[r.Intn(len(schemes))])
 		cfg.Scale = workload.Scale{
@@ -53,13 +69,11 @@ func TestFastPathMatchesReference(t *testing.T) {
 		}
 		name := fmt.Sprintf("%02d-%s-%s-mode%d-sc%v-int%v",
 			i, bench, cfg.Scheme.Name, cfg.Mode, cfg.SelfCheck, cfg.Integrity)
-		t.Run(name, func(t *testing.T) { assertMatchesReference(t, bench, cfg) })
+		cases = append(cases, equivalenceCase{name, bench, cfg})
 	}
 
-	// Adversarial cases: an armed fault plan exercises the tamper,
-	// quarantine and heal paths, which must also be identical either way.
-	// Quarantine recovery lets the runs complete so full snapshots
-	// compare; integrity is on so every attack is detected.
+	// Adversarial draws: integrity on so every attack is detected,
+	// quarantine recovery so the runs complete.
 	kinds := []faults.Kind{faults.BitFlip, faults.Splice, faults.Rollback}
 	for i := 0; i < 4; i++ {
 		bench := benches[r.Intn(len(benches))]
@@ -75,36 +89,164 @@ func TestFastPathMatchesReference(t *testing.T) {
 		cfg.Faults = &faults.Plan{Attacks: []faults.Attack{
 			{Kind: kind, Trigger: faults.Trigger{Fetch: uint64(10 + r.Intn(200))}},
 		}}
-		name := fmt.Sprintf("faults-%02d-%s-%s", i, bench, kind)
-		t.Run(name, func(t *testing.T) { assertMatchesReference(t, bench, cfg) })
+		cases = append(cases, equivalenceCase{fmt.Sprintf("faults-%02d-%s-%s", i, bench, kind), bench, cfg})
+	}
+
+	direct := DefaultConfig(SchemeDirect()).WithIntegrity()
+	direct.Scale = workload.Scale{Footprint: 512 << 10, Instructions: 120_000}
+	cases = append(cases, equivalenceCase{"direct-swim-integrity", "swim", direct})
+
+	heal := DefaultConfig(SchemeDirect()).WithIntegrity().WithRecovery(secmem.RecoveryQuarantine)
+	heal.Scale = workload.Scale{Footprint: 256 << 10, Instructions: 150_000}
+	heal.Faults = &faults.Plan{Attacks: []faults.Attack{
+		{Kind: faults.BitFlip, Trigger: faults.Trigger{Fetch: 50}},
+		{Kind: faults.Splice, Trigger: faults.Trigger{Fetch: 120}},
+	}}
+	cases = append(cases, equivalenceCase{"direct-twolf-quarantine", "twolf", heal})
+
+	for _, s := range []Scheme{
+		SchemeBaseline(),
+		SchemeOracle(),
+		SchemePred(predictor.SchemeRegular),
+		SchemePred(predictor.SchemeTwoLevel),
+		SchemePred(predictor.SchemeContext),
+		SchemeCombined(32<<10, predictor.SchemeContext),
+	} {
+		cfg := DefaultConfig(s).WithMode(HitRate)
+		cfg.Scale = workload.Scale{Footprint: 1 << 20, Instructions: 150_000}
+		cfg.SelfCheck = false
+		cases = append(cases, equivalenceCase{"ctronly-bzip2-" + s.Name, "bzip2", cfg})
+	}
+	return cases
+}
+
+// TestEquivalenceGolden pins the full Result.Snapshot of every
+// equivalenceCases configuration by sha256 against
+// testdata/equivalence.golden: one "name digest" line per case. Any
+// change to timing, statistics or recovery behavior on these paths shows
+// up as a digest mismatch. Regenerate with
+//
+//	go test ./internal/sim -run TestEquivalenceGolden -update
+//
+// only when an intentional modeling change alters the numbers.
+func TestEquivalenceGolden(t *testing.T) {
+	want := map[string]string{}
+	if !*updateGolden {
+		want = readEquivalenceGolden(t)
+	}
+	cases := equivalenceCases()
+	var out bytes.Buffer
+	for _, tc := range cases {
+		var digest string
+		t.Run(tc.name, func(t *testing.T) {
+			res, err := Run(tc.bench, tc.cfg)
+			if err != nil {
+				t.Fatalf("run: %v", err)
+			}
+			js, err := res.Snapshot().JSON()
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum := sha256.Sum256(js)
+			digest = hex.EncodeToString(sum[:])
+			if *updateGolden {
+				return
+			}
+			if w, ok := want[tc.name]; !ok {
+				t.Errorf("no digest in %s (run with -update)", equivalenceGolden)
+			} else if digest != w {
+				t.Errorf("snapshot digest %s, golden %s", digest, w)
+			}
+		})
+		fmt.Fprintf(&out, "%s %s\n", tc.name, digest)
+	}
+	if *updateGolden {
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join("testdata", equivalenceGolden), out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if len(want) != len(cases) {
+		t.Errorf("%s holds %d digests, want %d (run with -update)", equivalenceGolden, len(want), len(cases))
 	}
 }
 
-// assertMatchesReference runs cfg on the default fast paths and again
-// with Config.Reference, and requires byte-identical snapshots.
-func assertMatchesReference(t *testing.T, bench string, cfg Config) {
+func readEquivalenceGolden(t *testing.T) map[string]string {
 	t.Helper()
-	fast, err := Run(bench, cfg)
+	f, err := os.Open(filepath.Join("testdata", equivalenceGolden))
 	if err != nil {
-		t.Fatalf("fast run: %v", err)
+		t.Fatalf("missing golden (run with -update): %v", err)
 	}
-	rcfg := cfg
-	rcfg.Reference = true
-	ref, err := Run(bench, rcfg)
-	if err != nil {
-		t.Fatalf("reference run: %v", err)
+	defer f.Close()
+	want := map[string]string{}
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		name, digest, ok := strings.Cut(sc.Text(), " ")
+		if !ok {
+			t.Fatalf("malformed golden line %q", sc.Text())
+		}
+		want[name] = digest
 	}
-	fastJSON, err := fast.Snapshot().JSON()
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return want
+}
+
+// TestCountersOnlyMatchesFullModel pins the counters-only model against
+// the full ciphertext model. The same hit-rate run with self-check off
+// skips the controller's payload stage; with self-check on it runs it.
+// The payload stage moves data bits, never time or statistics, so the
+// two snapshots must be byte-identical.
+func TestCountersOnlyMatchesFullModel(t *testing.T) {
+	schemes := []Scheme{
+		SchemeBaseline(),
+		SchemePred(predictor.SchemeContext),
+		SchemeCombined(64<<10, predictor.SchemeRegular),
+		SchemeOracle(),
+	}
+	for _, bench := range []string{"gzip", "mcf", "swim"} {
+		for _, s := range schemes {
+			t.Run(bench+"/"+s.Name, func(t *testing.T) {
+				cfg := DefaultConfig(s).WithMode(HitRate)
+				cfg.Scale = workload.Scale{Footprint: 512 << 10, Instructions: 100_000}
+				cfg.SelfCheck = false
+				countersOnly := runSnapshotJSON(t, bench, cfg, true)
+				cfg.SelfCheck = true
+				full := runSnapshotJSON(t, bench, cfg, false)
+				if countersOnly != full {
+					t.Errorf("counters-only snapshot diverges from the full model\ncounters-only:\n%s\nfull:\n%s", countersOnly, full)
+				}
+			})
+		}
+	}
+}
+
+// runSnapshotJSON runs bench under cfg, requiring the controller to run
+// the counters-only model exactly when countersOnly is set, and returns
+// the result's snapshot JSON.
+func runSnapshotJSON(t *testing.T, bench string, cfg Config, countersOnly bool) string {
+	t.Helper()
+	m, err := NewMachine(bench, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refJSON, err := ref.Snapshot().JSON()
+	defer m.Close()
+	if got := m.Ctrl.CountersOnly(); got != countersOnly {
+		t.Fatalf("CountersOnly = %v, want %v", got, countersOnly)
+	}
+	res, err := m.RunContext(context.Background())
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	js, err := res.Snapshot().JSON()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if string(fastJSON) != string(refJSON) {
-		t.Errorf("fast-path snapshot diverges from reference loop\nfast:\n%s\nreference:\n%s", fastJSON, refJSON)
-	}
+	return string(js)
 }
 
 // TestCheckpointPromptness pins the RunContext cancellation contract in

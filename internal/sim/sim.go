@@ -92,9 +92,9 @@ func sizeLabel(bytes int) string {
 
 // Config is a full machine + run configuration.
 type Config struct {
-	CPU    cpu.Config
-	Mem    memsys.Config
-	DRAM   dram.Config
+	CPU  cpu.Config
+	Mem  memsys.Config
+	DRAM dram.Config
 	// Engine selects the cipher-engine timing model (see
 	// cryptoengine.ParseEngine). The zero Spec is the default pipelined
 	// AES, so configs predating engine models keep their meaning.
@@ -128,15 +128,6 @@ type Config struct {
 	// RetryBudget bounds quarantine re-fetch attempts (0 = secmem's
 	// DefaultRetryBudget).
 	RetryBudget int
-	// Reference routes the machine through the retained scalar paths:
-	// the crypto engine books every speculative guess one request at a
-	// time, the controller recomputes every pad instead of reusing
-	// stored material, and the counters-only model is disabled. The
-	// batched fast path is defined to be bit- and cycle-identical to
-	// this, so Reference exists as a debugging escape hatch and as the
-	// anchor the equivalence suite compares fast runs against. It has no
-	// effect on results — only on how they are computed.
-	Reference bool
 }
 
 // DefaultCheckInterval is the cancellation-checkpoint spacing used when
@@ -342,19 +333,15 @@ func NewMachine(bench string, cfg Config) (*Machine, error) {
 	// Functional hit-rate runs observe only counter, predictor and cache
 	// dynamics; when nothing needs the plaintext path — no self-check, no
 	// integrity tree, no armed adversary, not direct encryption — the
-	// controller runs its counters-only model, which books identical
-	// timing and statistics without storing pads or ciphertext. This is
-	// what lets long hit-rate sweeps run in a fraction of the memory.
+	// controller skips its payload stage: identical timing and statistics
+	// without storing pads or ciphertext. This is what lets long hit-rate
+	// sweeps run in a fraction of the memory.
 	scfg.CountersOnly = cfg.Mode == HitRate && !cfg.SelfCheck &&
-		!cfg.Integrity && cfg.Faults == nil && !cfg.Scheme.Direct &&
-		!cfg.Reference
+		!cfg.Integrity && cfg.Faults == nil && !cfg.Scheme.Direct
 	scfg.Scheme = cfg.Scheme.Name
 	scfg.Recovery = cfg.Recovery
 	scfg.RetryBudget = cfg.RetryBudget
 	ctrl := secmem.New(scfg, d, engine, pred, sc, image)
-	if cfg.Reference {
-		ctrl.SetReference(true)
-	}
 	if cfg.Integrity {
 		ctrl.AttachIntegrity(integrity.New(integrity.DefaultConfig(), d))
 	}

@@ -72,16 +72,16 @@ func TestWriteCSVShape(t *testing.T) {
 		got[parts[0]+","+parts[1]] = parts[2]
 	}
 	for key, want := range map[string]string{
-		"run,benchmark":                 "mcf",
-		"run,fetches":                   "100",
-		"run,ipc":                       "0.5",
-		"run/cpu,cycles":                "2000",
-		"run/ctrl,latency.total":        "3",
-		"run/ctrl,latency.sum":          "555",
-		"run/ctrl,latency.max":          "500",
-		"run/ctrl,latency.mean":         "185",
-		"run/ctrl,latency.le_10":        "1",
-		"run/ctrl,latency.overflow":     "1",
+		"run,benchmark":             "mcf",
+		"run,fetches":               "100",
+		"run,ipc":                   "0.5",
+		"run/cpu,cycles":            "2000",
+		"run/ctrl,latency.total":    "3",
+		"run/ctrl,latency.sum":      "555",
+		"run/ctrl,latency.max":      "500",
+		"run/ctrl,latency.mean":     "185",
+		"run/ctrl,latency.le_10":    "1",
+		"run/ctrl,latency.overflow": "1",
 	} {
 		if got[key] != want {
 			t.Errorf("CSV row %q = %q, want %q", key, got[key], want)

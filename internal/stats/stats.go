@@ -83,20 +83,6 @@ func (h *Histogram) bucket(v uint64) int {
 	return len(h.Bounds)
 }
 
-// ObserveN records n identical samples in one update — the batch path
-// used by the crypto engine when it books a whole guess burst at once.
-func (h *Histogram) ObserveN(v uint64, n uint64) {
-	if n == 0 {
-		return
-	}
-	h.Counts[h.bucket(v)] += n
-	h.Total += n
-	h.Sum += v * n
-	if v > h.Max {
-		h.Max = v
-	}
-}
-
 // ObserveRange records the arithmetic run v, v+1, …, v+n-1 (n samples)
 // in one pass — the shape produced by consecutive pipeline slots, where
 // the i-th queued request waits one cycle longer than its predecessor.
