@@ -1,7 +1,7 @@
 # Verification recipe. `make verify` is the tier-1 gate: gofmt, build,
 # vet, the full test suite, a race-detector pass over the concurrent
 # packages (the run scheduler and the sweeps routed through it) plus
-# the fault-injection/recovery datapath, and a short fuzz smoke of the
+# the fault-injection/recovery datapath, and short fuzz smokes of the
 # integrity tree.
 #
 # `make bench` runs the benchmark suite once and appends a labeled entry
@@ -89,12 +89,15 @@ capacity-smoke:
 	cmp /tmp/ctrpred_capacity_j1.json /tmp/ctrpred_capacity_j4.json
 	rm -f /tmp/ctrpred_capacity_j1.json /tmp/ctrpred_capacity_j4.json
 
-# Short coverage-guided smoke of the integrity tree's update/verify/
-# corrupt interleavings; the committed seed corpus under
+# Short coverage-guided smokes of the integrity tree: its security
+# contract under update/verify/corrupt interleavings, and its agreement
+# with the eager-hashing oracle call for call. One `go test -fuzz` run
+# fuzzes one target, hence two lines. The committed seed corpus under
 # internal/integrity/testdata runs as regression tests in plain
 # `go test` too.
 fuzz:
 	$(GO) test ./internal/integrity -run '^$$' -fuzz FuzzIntegrityTree -fuzztime 30s
+	$(GO) test ./internal/integrity -run '^$$' -fuzz FuzzTreeMatchesEager -fuzztime 30s
 
 # cmd/ctrbench is a nested Go module, so the root `go build ./...` never
 # compiles it: vet and test it here, or a change to the server or cluster

@@ -252,6 +252,28 @@ func BenchmarkSingleRunMcfFaultsArmed(b *testing.B) {
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "sim_instrs/s")
 }
 
+// BenchmarkSingleRunSwimIntegrity is cmd/ctrbench's secure-write swim
+// cell: a write-heavy run with the integrity tree and self-check on, so
+// every run pays the tree's image load in NewMachine and a tree update
+// on every writeback. It prices the hash tree's host work per run.
+func BenchmarkSingleRunSwimIntegrity(b *testing.B) {
+	cfg := DefaultConfig(SchemePred(PredContext)).WithIntegrity()
+	cfg.Scale = Scale{Footprint: 256 << 10, Instructions: 100_000}
+	if _, err := Run("swim", cfg); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	var instrs uint64
+	for i := 0; i < b.N; i++ {
+		res, err := Run("swim", cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		instrs += res.CPU.Instructions
+	}
+	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "sim_instrs/s")
+}
+
 // BenchmarkAttackCampaign runs the adversarial detection-coverage
 // matrix: every attack class against every scheme family with the
 // integrity tree enabled and quarantine recovery. The experiment fails

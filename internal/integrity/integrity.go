@@ -10,11 +10,14 @@
 // children's digests and hashes to its parent's slot; the root never
 // leaves the processor. Verification walks from the leaf toward the root
 // and may stop early at any node held in the trusted on-chip node cache
-// (a verified node is as good as the root). Updates rewrite the path to
-// the root. Both walks cost DRAM accesses for uncached nodes plus a
-// hashing latency per level — the classic log-depth overhead the paper's
-// prediction does NOT address (it targets the decryption pad), which is
-// why the two mechanisms compose.
+// (a verified node is as good as the root). An update installs the new
+// leaf digest and marks every node above it stale; a node's digest is
+// computed only when something reads it (a verification walk climbing
+// past it, CorruptPath, Root), after refreshing its stale children. The
+// timing model does not change with that: both walks still charge DRAM
+// accesses for uncached nodes plus a hashing latency per level — the
+// classic log-depth overhead the paper's prediction does NOT address (it
+// targets the decryption pad), which is why the two mechanisms compose.
 //
 // The tree is sparse: only paths touching protected lines materialize,
 // with absent children treated as the zero digest, so gigabyte-scale
@@ -23,6 +26,7 @@ package integrity
 
 import (
 	"encoding/binary"
+	"math/bits"
 
 	"ctrpred/internal/cache"
 	"ctrpred/internal/ctr"
@@ -39,12 +43,13 @@ type Config struct {
 	// LineSize is the protected block size (32).
 	LineSize int
 	// Arity is the number of children per interior node (8 → a node is
-	// 256 bytes of child digests).
+	// 256 bytes of child digests); at most 64.
 	Arity int
 	// Levels is the tree height above the leaves; Arity^Levels leaves are
-	// addressable per tree "segment" and segments are chained into the
-	// root, so any 64-bit space is covered. 8 levels of arity 8 cover
-	// 16 M lines (512 MB) per segment.
+	// addressable per tree "segment", and any 64-bit space is covered by
+	// as many segments as it needs. Segments are not chained together:
+	// Root is the top digest of the most recently updated segment. 8
+	// levels of arity 8 cover 16 M lines (512 MB) per segment.
 	Levels int
 	// NodeCacheBytes sizes the trusted on-chip cache of verified nodes.
 	NodeCacheBytes int
@@ -97,17 +102,23 @@ type nodeKey struct {
 
 type node struct {
 	children []Digest
-	sum      Digest
-	valid    bool // sum is up to date
+	// stale has bit i set while children[i] lags behind child i's
+	// digest; the slot is refreshed when this node's digest is read.
+	stale uint64
+	sum   Digest
+	valid bool // sum is up to date; never while stale != 0
 }
 
 // Tree is the integrity tree plus its timing model.
 type Tree struct {
-	cfg       Config
-	leaves    map[uint64]Digest // by line address
-	nodes     map[nodeKey]*node
-	root      Digest // on-chip, always trusted
-	rootValid bool
+	cfg    Config
+	leaves map[uint64]Digest // by line address
+	nodes  map[nodeKey]*node
+	root   Digest // on-chip, always trusted
+	// top is the top node of the last updated path; while topDirty,
+	// root has yet to be read from it.
+	top       nodeKey
+	topDirty  bool
 	nodeCache *cache.Cache
 	dram      *dram.DRAM
 	stats     Stats
@@ -116,7 +127,7 @@ type Tree struct {
 // New builds an empty tree over the given DRAM channel (used for node
 // fetch/writeback timing; may be the data channel).
 func New(cfg Config, d *dram.DRAM) *Tree {
-	if cfg.Arity < 2 || cfg.Levels < 1 || cfg.LineSize <= 0 {
+	if cfg.Arity < 2 || cfg.Arity > 64 || cfg.Levels < 1 || cfg.LineSize <= 0 {
 		panic("integrity: invalid tree geometry")
 	}
 	t := &Tree{
@@ -147,8 +158,15 @@ func (t *Tree) Config() Config { return t.cfg }
 // Stats returns a copy of the statistics.
 func (t *Tree) Stats() Stats { return t.stats }
 
-// Root returns the current on-chip root digest.
-func (t *Tree) Root() Digest { return t.root }
+// Root returns the on-chip root digest: the top digest of the most
+// recently updated path, as of that Update.
+func (t *Tree) Root() Digest {
+	if t.topDirty {
+		t.root = t.nodeDigest(t.top, t.nodes[t.top])
+		t.topDirty = false
+	}
+	return t.root
+}
 
 func (t *Tree) leafDigest(lineAddr uint64, counter uint64, ct ctr.Line) Digest {
 	var buf [16 + ctr.LineSize]byte
@@ -162,8 +180,8 @@ func (t *Tree) leafIndex(lineAddr uint64) uint64 {
 	return lineAddr / uint64(t.cfg.LineSize)
 }
 
-// childSlot returns the node key and slot of the given entity (leaf index
-// at level 0, or node index at level ≥ 1) within its parent.
+// parentOf returns the key of the given entity's parent (leaf index at
+// level 0, or node index at level ≥ 1) and the entity's slot in it.
 func (t *Tree) parentOf(level int, index uint64) (nodeKey, int) {
 	return nodeKey{level: level + 1, index: index / uint64(t.cfg.Arity)},
 		int(index % uint64(t.cfg.Arity))
@@ -178,13 +196,22 @@ func (t *Tree) getNode(k nodeKey) *node {
 	return n
 }
 
-func (t *Tree) nodeDigest(n *node) Digest {
+// nodeDigest returns the digest of node n at key k, first refreshing
+// every stale child slot from the child's own digest.
+func (t *Tree) nodeDigest(k nodeKey, n *node) Digest {
 	if !n.valid {
-		h := sha256.New()
+		for s := n.stale; s != 0; s &= s - 1 {
+			i := bits.TrailingZeros64(s)
+			ck := nodeKey{level: k.level - 1, index: k.index*uint64(t.cfg.Arity) + uint64(i)}
+			n.children[i] = t.nodeDigest(ck, t.nodes[ck])
+		}
+		n.stale = 0
+		var h sha256.Digest
+		h.Reset()
 		for i := range n.children {
 			h.Write(n.children[i][:])
 		}
-		copy(n.sum[:], h.Sum(nil))
+		n.sum = h.Checksum()
 		n.valid = true
 	}
 	return n.sum
@@ -198,9 +225,12 @@ func (t *Tree) nodeAddr(k nodeKey) uint64 {
 }
 
 // Update installs the leaf for (lineAddr, counter, ciphertext) and
-// rewrites the path to the root, returning the cycle the last node write
-// completes. Called by the secure memory controller on every writeback
-// (and on image materialization with now == 0 for a free warm start).
+// charges a rehash and write of every node on its path to the root,
+// returning the cycle the last node write completes. The leaf digest
+// goes into its parent at once; each node above only marks the slot on
+// the path stale, to be rehashed when read.
+// Called by the secure memory controller on every writeback (and on
+// image materialization with now == 0 for a free warm start).
 func (t *Tree) Update(now uint64, lineAddr uint64, counter uint64, ct ctr.Line) uint64 {
 	t.stats.Updates++
 	d := t.leafDigest(lineAddr, counter, ct)
@@ -211,9 +241,12 @@ func (t *Tree) Update(now uint64, lineAddr uint64, counter uint64, ct ctr.Line) 
 	for level := 0; level < t.cfg.Levels; level++ {
 		k, slot := t.parentOf(level, index)
 		n := t.getNode(k)
-		n.children[slot] = d
+		if level == 0 {
+			n.children[slot] = d
+		} else {
+			n.stale |= 1 << slot
+		}
 		n.valid = false
-		d = t.nodeDigest(n)
 		index = k.index
 
 		// Timing: updated nodes are hashed and written back; the node
@@ -230,8 +263,7 @@ func (t *Tree) Update(now uint64, lineAddr uint64, counter uint64, ct ctr.Line) 
 			done = t.dram.Access(done, t.nodeAddr(k), t.cfg.Arity*sha256.Size, true)
 		}
 	}
-	t.root = d
-	t.rootValid = true
+	t.top, t.topDirty = nodeKey{level: t.cfg.Levels, index: index}, true
 	return done
 }
 
@@ -252,18 +284,30 @@ func (t *Tree) Verify(now uint64, lineAddr uint64, counter uint64, ct ctr.Line) 
 	got := t.leafDigest(lineAddr, counter, ct)
 	authentic := got == want
 
-	// Walk toward the root for timing and structural verification.
+	// Walk toward the root for timing and structural verification. The
+	// digest of the node below is computed only once the walk climbs
+	// past it; a stale slot is refreshed from it (and so matches), a
+	// current one is compared as stored.
 	d := want
 	index := t.leafIndex(lineAddr)
 	done := now
+	var below nodeKey
+	var belowNode *node
 	for level := 0; level < t.cfg.Levels; level++ {
 		t.stats.LevelsWalked++
 		k, slot := t.parentOf(level, index)
 		n := t.getNode(k)
+		if belowNode != nil {
+			d = t.nodeDigest(below, belowNode)
+			if n.stale&(1<<slot) != 0 {
+				n.children[slot] = d
+				n.stale &^= 1 << slot
+			}
+		}
 		if n.children[slot] != d {
 			authentic = false
 		}
-		d = t.nodeDigest(n)
+		below, belowNode = k, n
 		index = k.index
 
 		done += t.cfg.HashLatency
@@ -290,7 +334,8 @@ func (t *Tree) Verify(now uint64, lineAddr uint64, counter uint64, ct ctr.Line) 
 // digest's copy inside its parent — always compared on the next Verify
 // of the leaf; higher levels may sit above a trusted cached node). The
 // node's cached hash is invalidated, as rehashing the fetched corrupted
-// node would be in hardware. It reports false when the leaf was never
+// node would be in hardware, while its parent keeps the digest from
+// before the corruption. It reports false when the leaf was never
 // installed or the level is out of range; a later Update of the same
 // leaf rewrites the path and restores verifiability.
 func (t *Tree) CorruptPath(lineAddr uint64, level int, bit int) bool {
@@ -307,6 +352,14 @@ func (t *Tree) CorruptPath(lineAddr uint64, level int, bit int) bool {
 	}
 	k, slot := t.parentOf(level-1, index)
 	n := t.getNode(k)
+	// Settle the root and every pending digest in the node's segment
+	// first, so no later refresh folds the flip into the parent.
+	t.Root()
+	top := k
+	for top.level < t.cfg.Levels {
+		top, _ = t.parentOf(top.level, top.index)
+	}
+	t.nodeDigest(top, t.nodes[top])
 	n.children[slot][(bit/8)%sha256.Size] ^= 1 << (bit % 8)
 	n.valid = false
 	return true

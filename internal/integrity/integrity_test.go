@@ -171,6 +171,7 @@ func TestBadGeometryPanics(t *testing.T) {
 		{Arity: 1, Levels: 4, LineSize: 32},
 		{Arity: 8, Levels: 0, LineSize: 32},
 		{Arity: 8, Levels: 4, LineSize: 0},
+		{Arity: 65, Levels: 4, LineSize: 32}, // wider than the stale mask
 	} {
 		func() {
 			defer func() {
@@ -189,6 +190,26 @@ func TestNilDRAMWorks(t *testing.T) {
 	tr.Update(0, 0x100, 1, line(9))
 	if ok, _ := tr.Verify(0, 0x100, 1, line(9)); !ok {
 		t.Fatal("functional-only tree rejected authentic line")
+	}
+}
+
+// TestUpdateVerifyAllocFree pins the writeback and fetch paths to zero
+// allocations once a line's path exists: both run on every simulated
+// memory access of an integrity machine. Without a node cache each
+// Verify walks, and so rehashes, every level Update left stale.
+func TestUpdateVerifyAllocFree(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NodeCacheBytes = 0
+	tr := New(cfg, dram.New(dram.DefaultConfig()))
+	tr.Update(0, 0x1000, 1, line(1))
+	seq := uint64(1)
+	n := testing.AllocsPerRun(100, func() {
+		seq++
+		tr.Update(seq, 0x1000, seq, line(byte(seq)))
+		tr.Verify(seq, 0x1000, seq, line(byte(seq)))
+	})
+	if n != 0 {
+		t.Fatalf("Update+Verify allocate %.1f times, want 0", n)
 	}
 }
 

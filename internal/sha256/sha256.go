@@ -3,8 +3,8 @@
 // paper notes that counter-mode encryption is malleable and "extra or
 // additional measures such as Hash/MAC tree for integrity protection must
 // be used together with counter mode encryption" (Section 2.2), citing
-// the AEGIS-style trees; this package provides the hash those trees and
-// MACs are built from.
+// the AEGIS-style trees; this package provides the hash those trees are
+// built from.
 package sha256
 
 import "encoding/binary"
@@ -78,7 +78,14 @@ func (d *Digest) Write(p []byte) (int, error) {
 // Sum returns the digest of everything written so far, without consuming
 // the state, appended to b.
 func (d *Digest) Sum(b []byte) []byte {
-	dd := *d // copy so Sum doesn't disturb further Writes
+	out := d.Checksum()
+	return append(b, out[:]...)
+}
+
+// Checksum returns the digest of everything written so far, without
+// consuming the state. Unlike Sum it allocates nothing.
+func (d *Digest) Checksum() [Size]byte {
+	dd := *d // copy so Checksum doesn't disturb further Writes
 	var pad [BlockSize + 8]byte
 	pad[0] = 0x80
 	msgLen := dd.length
@@ -94,7 +101,7 @@ func (d *Digest) Sum(b []byte) []byte {
 	for i, v := range dd.h {
 		binary.BigEndian.PutUint32(out[4*i:], v)
 	}
-	return append(b, out[:]...)
+	return out
 }
 
 func rotr(x uint32, n uint) uint32 { return x>>n | x<<(32-n) }
@@ -131,36 +138,8 @@ func (d *Digest) compress(p []byte) {
 
 // Sum256 returns the SHA-256 digest of data.
 func Sum256(data []byte) [Size]byte {
-	d := New()
+	var d Digest
+	d.Reset()
 	d.Write(data)
-	var out [Size]byte
-	copy(out[:], d.Sum(nil))
-	return out
-}
-
-// HMAC computes HMAC-SHA256(key, msg) per RFC 2104 / FIPS 198-1. The
-// integrity layer uses it as the keyed MAC over ciphertext+counter.
-func HMAC(key, msg []byte) [Size]byte {
-	var k0 [BlockSize]byte
-	if len(key) > BlockSize {
-		sum := Sum256(key)
-		copy(k0[:], sum[:])
-	} else {
-		copy(k0[:], key)
-	}
-	var ipad, opad [BlockSize]byte
-	for i := range k0 {
-		ipad[i] = k0[i] ^ 0x36
-		opad[i] = k0[i] ^ 0x5c
-	}
-	inner := New()
-	inner.Write(ipad[:])
-	inner.Write(msg)
-	innerSum := inner.Sum(nil)
-	outer := New()
-	outer.Write(opad[:])
-	outer.Write(innerSum)
-	var out [Size]byte
-	copy(out[:], outer.Sum(nil))
-	return out
+	return d.Checksum()
 }

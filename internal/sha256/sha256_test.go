@@ -95,47 +95,12 @@ func TestSumAppends(t *testing.T) {
 	}
 }
 
-// RFC 4231 HMAC-SHA-256 test cases.
-func TestHMACVectors(t *testing.T) {
-	unhex := func(s string) []byte {
-		b, err := hex.DecodeString(s)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	cases := []struct{ key, msg, want string }{
-		{
-			"0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b0b",
-			hex.EncodeToString([]byte("Hi There")),
-			"b0344c61d8db38535ca8afceaf0bf12b881dc200c9833da726e9376c2e32cff7",
-		},
-		{
-			hex.EncodeToString([]byte("Jefe")),
-			hex.EncodeToString([]byte("what do ya want for nothing?")),
-			"5bdcc146bf60754e6a042426089575c75a003f089d2739839dec58b964ec3843",
-		},
-		{ // key longer than the block size (131 bytes of 0xaa)
-			hex.EncodeToString(bytes.Repeat([]byte{0xaa}, 131)),
-			hex.EncodeToString([]byte("Test Using Larger Than Block-Size Key - Hash Key First")),
-			"60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54",
-		},
-	}
-	for i, c := range cases {
-		got := HMAC(unhex(c.key), unhex(c.msg))
-		if hex.EncodeToString(got[:]) != c.want {
-			t.Errorf("case %d: HMAC = %x, want %s", i, got, c.want)
-		}
-	}
-}
-
-func TestHMACKeySeparation(t *testing.T) {
-	m := []byte("message")
-	if HMAC([]byte("k1"), m) == HMAC([]byte("k2"), m) {
-		t.Fatal("different keys, same MAC")
-	}
-	if HMAC([]byte("k"), []byte("a")) == HMAC([]byte("k"), []byte("b")) {
-		t.Fatal("different messages, same MAC")
+// TestSum256AllocFree pins the one-shot hash to the stack: the
+// integrity tree hashes a leaf on every update and verification.
+func TestSum256AllocFree(t *testing.T) {
+	buf := make([]byte, 48)
+	if n := testing.AllocsPerRun(100, func() { Sum256(buf) }); n != 0 {
+		t.Fatalf("Sum256 allocates %.1f times per call, want 0", n)
 	}
 }
 
@@ -144,14 +109,5 @@ func BenchmarkSum256(b *testing.B) {
 	b.SetBytes(4096)
 	for i := 0; i < b.N; i++ {
 		Sum256(buf)
-	}
-}
-
-func BenchmarkHMAC(b *testing.B) {
-	key := []byte("0123456789abcdef0123456789abcdef")
-	msg := make([]byte, 64)
-	b.SetBytes(64)
-	for i := 0; i < b.N; i++ {
-		HMAC(key, msg)
 	}
 }

@@ -36,7 +36,8 @@ type equivalenceCase struct {
 // The first fourteen come from a seeded random draw over benchmarks,
 // schemes, modes, self-check and integrity, plus armed fault plans under
 // quarantine recovery. The rest reach paths that draw barely touches:
-// direct encryption with integrity, direct-mode tamper healing, and the
+// interior-node corruption (alone and after a replay), direct
+// encryption with integrity, direct-mode tamper healing, and the
 // counters-only hit-rate model under every counter-availability scheme.
 func equivalenceCases() []equivalenceCase {
 	var cases []equivalenceCase
@@ -91,6 +92,27 @@ func equivalenceCases() []equivalenceCase {
 		}}
 		cases = append(cases, equivalenceCase{fmt.Sprintf("faults-%02d-%s-%s", i, bench, kind), bench, cfg})
 	}
+
+	// The draw above never corrupts a tree node; these two do, so the
+	// tree's CorruptPath ordering against pending updates is frozen too.
+	nodeCorrupt := DefaultConfig(SchemePred(predictor.SchemeContext)).
+		WithIntegrity().WithRecovery(secmem.RecoveryQuarantine).WithSeed(77)
+	nodeCorrupt.Scale = workload.Scale{Footprint: 256 << 10, Instructions: 120_000}
+	nodeCorrupt.Faults = &faults.Plan{Attacks: []faults.Attack{
+		{Kind: faults.NodeCorrupt, Trigger: faults.Trigger{Fetch: 40}},
+		{Kind: faults.NodeCorrupt, Trigger: faults.Trigger{Fetch: 120}},
+	}}
+	cases = append(cases, equivalenceCase{"faults-nodecorrupt-swim", "swim", nodeCorrupt})
+
+	replay := DefaultConfig(SchemePred(predictor.SchemeRegular)).WithL2(64 << 10).
+		WithIntegrity().WithRecovery(secmem.RecoveryQuarantine).WithSeed(77)
+	replay.Scale = workload.Scale{Footprint: 256 << 10, Instructions: 200_000}
+	replay.Mem.FlushInterval = 20_000
+	replay.Faults = &faults.Plan{Attacks: []faults.Attack{
+		{Kind: faults.Replay, Trigger: faults.Trigger{Fetch: 50}},
+		{Kind: faults.NodeCorrupt, Trigger: faults.Trigger{Fetch: 90}},
+	}}
+	cases = append(cases, equivalenceCase{"faults-replay-nodecorrupt-bzip2", "bzip2", replay})
 
 	direct := DefaultConfig(SchemeDirect()).WithIntegrity()
 	direct.Scale = workload.Scale{Footprint: 512 << 10, Instructions: 120_000}
