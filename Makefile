@@ -2,7 +2,7 @@
 # vet, the full test suite, a race-detector pass over the concurrent
 # packages (the run scheduler and the sweeps routed through it) plus
 # the fault-injection/recovery datapath, and short fuzz smokes of the
-# integrity tree.
+# integrity tree and the run-spec grammar.
 #
 # `make bench` runs the benchmark suite once and appends a labeled entry
 # to the tracked ledger BENCH_sim.json (label via BENCH_LABEL=...), so
@@ -89,15 +89,17 @@ capacity-smoke:
 	cmp /tmp/ctrpred_capacity_j1.json /tmp/ctrpred_capacity_j4.json
 	rm -f /tmp/ctrpred_capacity_j1.json /tmp/ctrpred_capacity_j4.json
 
-# Short coverage-guided smokes of the integrity tree: its security
+# Short coverage-guided smokes of the integrity tree (its security
 # contract under update/verify/corrupt interleavings, and its agreement
-# with the eager-hashing oracle call for call. One `go test -fuzz` run
-# fuzzes one target, hence two lines. The committed seed corpus under
-# internal/integrity/testdata runs as regression tests in plain
-# `go test` too.
+# with the eager-hashing oracle call for call) and of the run-spec
+# grammar every job body and CLI flag resolves through. One
+# `go test -fuzz` run fuzzes one target, hence one line each. The
+# committed seed corpora under internal/integrity/testdata and
+# internal/spec/testdata run as regression tests in plain `go test` too.
 fuzz:
 	$(GO) test ./internal/integrity -run '^$$' -fuzz FuzzIntegrityTree -fuzztime 30s
 	$(GO) test ./internal/integrity -run '^$$' -fuzz FuzzTreeMatchesEager -fuzztime 30s
+	$(GO) test ./internal/spec -run '^$$' -fuzz FuzzResolve -fuzztime 30s
 
 # cmd/ctrbench is a nested Go module, so the root `go build ./...` never
 # compiles it: vet and test it here, or a change to the server or cluster

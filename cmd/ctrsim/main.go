@@ -15,6 +15,13 @@
 // engine timing model (aes, aes:lat=48, sealer, sealer:banks=8,
 // bipbip); see the README's engine-model table.
 //
+// The machine flags (-bench -scheme -engine -l2 -footprint -instr -mode
+// -seed -flush -integrity -faults -recovery -retry-budget) are the
+// fields of a POST /v1/sim body and resolve the same way (internal/spec),
+// so a run here and the same body on ctrpredd give identical snapshots.
+// A zero value means the library default: -flush 0 is Table 1's
+// 25M-cycle dirty flush, -seed 0 is seed 1, -instr 0 the 2M default.
+//
 // -tenants switches to multi-tenant mode: each listed benchmark becomes
 // a tenant (own key domain, seeded -seed, -seed+1, …) with the shared
 // machine configuration and a per-tenant budget of -instr instructions,
@@ -38,6 +45,7 @@ import (
 	"strings"
 
 	"ctrpred"
+	"ctrpred/internal/spec"
 )
 
 func main() {
@@ -50,19 +58,13 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("ctrsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	r := spec.Run{
+		Bench: "mcf", Scheme: "pred-regular", Engine: "aes", L2: "256K",
+		Footprint: "2M", Instructions: 1_000_000, Mode: "performance",
+		Seed: 1, Recovery: "halt",
+	}
+	r.Bind(fs)
 	var (
-		bench   = fs.String("bench", "mcf", "benchmark to run (see -list)")
-		scheme  = fs.String("scheme", "pred-regular", "counter scheme: baseline|oracle|direct|seqcache:<size>|pred-regular|pred-twolevel|pred-context|combined:<size>")
-		engine  = fs.String("engine", "aes", "cipher engine model: aes[:lat=N,issue=N]|sealer[:banks=N,lat=N]|bipbip[:lat=N]")
-		l2      = fs.String("l2", "256K", "L2 size (256K or 1M per the paper; any power of two works)")
-		instr   = fs.Uint64("instr", 1_000_000, "instruction budget")
-		foot    = fs.String("footprint", "2M", "workload footprint")
-		mode    = fs.String("mode", "performance", "performance (IPC) or hitrate (fast functional)")
-		seed    = fs.Uint64("seed", 1, "random seed")
-		flush   = fs.Uint64("flush", 0, "dirty-flush interval in cycles (0 = instr/10)")
-		integ   = fs.Bool("integrity", false, "attach the hash-tree integrity layer")
-		faultsF = fs.String("faults", "", "attack plan, e.g. 'bitflip@fetch:100,replay@instr:50000' (implies -integrity)")
-		recov   = fs.String("recovery", "halt", "recovery policy on detected tampering: halt|quarantine")
 		metrics = fs.String("metrics", "", "write the metrics snapshot to this path (JSON; a .csv suffix selects CSV; '-' = stdout)")
 		tenants = fs.String("tenants", "", "comma-separated benchmarks to run as interleaved tenants (multi-tenant mode; -bench is ignored)")
 		arrival = fs.String("arrival", "poisson", "tenancy arrival process: poisson|bursty")
@@ -103,113 +105,63 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}()
 	}
 
-	sch, err := ctrpred.ParseScheme(*scheme)
-	if err != nil {
-		return fatal(err)
-	}
-	eng, err := ctrpred.ParseEngine(*engine)
-	if err != nil {
-		return fatal(err)
-	}
-	l2Bytes, err := ctrpred.ParseSize(*l2)
-	if err != nil {
-		return fatal(err)
-	}
-	footBytes, err := ctrpred.ParseSize(*foot)
-	if err != nil {
-		return fatal(err)
-	}
-
-	cfg := ctrpred.DefaultConfig(sch).
-		WithEngine(eng).
-		WithL2(l2Bytes).
-		WithFootprint(footBytes).
-		WithInstrBudget(*instr).
-		WithSeed(*seed)
-	if *mode == "hitrate" {
-		cfg = cfg.WithMode(ctrpred.ModeHitRate)
-	} else if *mode != "performance" {
-		return fatal(fmt.Errorf("unknown mode %q", *mode))
-	}
-
 	if *tenants != "" {
-		// Multi-tenant mode. The flush default stays 0 here: the schedule's
-		// context switches drive all eviction traffic, so the interference
-		// counters attribute cleanly to switch-in disturbance.
-		if *flush != 0 {
-			cfg.Mem.FlushInterval = *flush
-		}
-		if *integ {
-			cfg = cfg.WithIntegrity()
-		}
+		// Multi-tenant mode: every tenant resolves the same spec for the
+		// shared machine, under its own benchmark and seed.
 		kind, err := ctrpred.ParseArrival(*arrival)
 		if err != nil {
 			return fatal(err)
 		}
-		scn := ctrpred.TenancyScenario{
-			Kind: kind, Quantum: *quantum, Seed: *seed, RetainPredictor: *retain,
-			SLO: ctrpred.TenancySLO{MaxSlowdown: *sloSlow, P99FetchLatency: *sloP99},
+		slo, err := spec.SLO(*sloSlow, *sloP99)
+		if err != nil {
+			return fatal(err)
 		}
+		scn := ctrpred.TenancyScenario{Kind: kind, Quantum: *quantum, RetainPredictor: *retain, SLO: slo}
 		names := strings.Split(*tenants, ",")
 		for i, raw := range names {
-			name := strings.TrimSpace(raw)
-			if name == "" {
+			t := r
+			t.Bench = strings.TrimSpace(raw)
+			if t.Bench == "" {
 				return fatal(fmt.Errorf("empty tenant name in -tenants %q", *tenants))
 			}
-			tcfg := cfg.WithSeed(*seed + uint64(i))
-			if *faultsF != "" && i == len(names)-1 {
+			if i < len(names)-1 {
+				t.Faults = ""
+			} else if t.Faults != "" {
 				// The last tenant is the adversary: armed with the attack
 				// plan, quarantine recovery so its slices complete.
-				plan, err := ctrpred.ParseFaultPlan(*faultsF)
-				if err != nil {
-					return fatal(err)
-				}
-				tcfg = tcfg.WithIntegrity().WithFaults(&plan).WithRecovery(ctrpred.RecoveryQuarantine)
+				t.Recovery = "quarantine"
 			}
-			scn.Tenants = append(scn.Tenants, ctrpred.TenancyTenant{Bench: name, Config: tcfg})
+			_, tcfg, err := t.Resolve()
+			if err != nil {
+				return fatal(err)
+			}
+			// Tenant i runs seed -seed+i; the scenario draws its arrivals
+			// from -seed.
+			if i == 0 {
+				scn.Seed = tcfg.Seed
+			}
+			tcfg.Seed += uint64(i)
+			scn.Tenants = append(scn.Tenants, ctrpred.TenancyTenant{Bench: t.Bench, Config: tcfg})
 		}
 		rep, err := ctrpred.RunTenancy(context.Background(), scn)
 		if err != nil {
-			if errors.Is(err, ctrpred.ErrUnknownBenchmark) {
-				return fatal(fmt.Errorf("%v\nrun 'ctrsim -list' for the benchmark set", err))
-			}
 			return fatal(err)
 		}
 		printTenancy(stdout, rep)
 		if *metrics != "" {
-			if err := writeMetrics(stdout, *metrics, rep.Snapshot()); err != nil {
+			if err := rep.Snapshot().Export(*metrics, stdout); err != nil {
 				return fatal(err)
 			}
 		}
 		return 0
 	}
 
-	if *flush != 0 {
-		cfg.Mem.FlushInterval = *flush
-	} else {
-		cfg.Mem.FlushInterval = *instr / 10
-	}
-	if *integ || *faultsF != "" {
-		cfg = cfg.WithIntegrity()
-	}
-	if *faultsF != "" {
-		plan, err := ctrpred.ParseFaultPlan(*faultsF)
-		if err != nil {
-			return fatal(err)
-		}
-		cfg = cfg.WithFaults(&plan)
-	}
-	policy, err := ctrpred.ParseRecovery(*recov)
+	bench, cfg, err := r.Resolve()
 	if err != nil {
 		return fatal(err)
 	}
-	cfg = cfg.WithRecovery(policy)
-
-	res, err := ctrpred.Run(*bench, cfg)
+	res, err := ctrpred.Run(bench, cfg)
 	if err != nil {
-		if errors.Is(err, ctrpred.ErrUnknownBenchmark) {
-			return fatal(fmt.Errorf("%v\nrun 'ctrsim -list' for the benchmark set", err))
-		}
 		var serr *ctrpred.SecurityError
 		if errors.As(err, &serr) {
 			// The run halted on a detected security violation: report what
@@ -250,7 +202,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	printSecurity(stdout, res)
 	if *metrics != "" {
-		if err := writeMetrics(stdout, *metrics, res.Snapshot()); err != nil {
+		if err := res.Snapshot().Export(*metrics, stdout); err != nil {
 			return fatal(err)
 		}
 	}
@@ -291,27 +243,4 @@ func printSecurity(w io.Writer, res ctrpred.Result) {
 		fmt.Fprintf(w, "quarantined/retries/healed %d/%d/%d\n",
 			res.Security.Quarantined, res.Security.Retries, res.Security.Healed)
 	}
-}
-
-// writeMetrics serializes the snapshot to path: JSON by default, CSV when
-// the path ends in .csv, stdout when path is "-".
-func writeMetrics(stdout io.Writer, path string, snap *ctrpred.Snapshot) error {
-	var w io.Writer = stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if strings.HasSuffix(path, ".csv") {
-		return snap.WriteCSV(w)
-	}
-	b, err := snap.JSON()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
 }

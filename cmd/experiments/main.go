@@ -36,170 +36,115 @@ import (
 	"time"
 
 	"ctrpred"
+	"ctrpred/internal/spec"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is main with its streams and exit code lifted out, so the CLI
+// contract — flag validation, exit codes, the metrics export — is
+// testable in-process.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	sw := bindSweep(fs)
 	var (
-		exps     = flag.String("exp", "all", "comma-separated experiment ids (table1, fig4, fig7..fig16, ablation, ctxswitch, integrity, hybrid, seqsweep, valuepred, attack, engines, tenants, capacity) or 'all'")
-		engine   = flag.String("engine", "aes", "cipher engine model every simulation runs under: aes[:lat=N,issue=N]|sealer[:banks=N,lat=N]|bipbip[:lat=N] (ignored by the 'engines' experiment, which sweeps them)")
-		instr    = flag.Uint64("instr", 0, "per-run instruction budget (0 = default)")
-		foot     = flag.String("footprint", "", "workload footprint with optional K/M suffix, e.g. 8M (empty = default)")
-		bench    = flag.String("bench", "", "comma-separated benchmark subset (default: all 14)")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		jobs     = flag.Int("j", 0, "concurrent simulations per sweep (0 = one per CPU)")
-		timeout  = flag.Duration("simtimeout", 0, "per-simulation deadline (0 = none), e.g. 30s")
-		metrics  = flag.String("metrics", "", "write every experiment's metrics snapshot to this path (JSON; a .csv suffix selects CSV; '-' = stdout)")
-		arrival  = flag.String("arrival", "poisson", "tenancy experiments' arrival process: poisson|bursty")
-		maxTen   = flag.Int("maxtenants", 0, "capacity experiment's search ceiling (0 = default 8)")
-		sloSlow  = flag.Float64("slo-slowdown", 0, "capacity SLO: max end-to-end slowdown vs solo (0 = default 8)")
-		sloP99   = flag.Float64("slo-p99", 0, "capacity SLO: max p99 fetch latency in cycles (0 = unconstrained)")
-		pprof    = flag.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
-		progress = flag.Bool("progress", true, "print per-simulation progress/timing lines to stderr")
+		exps     = fs.String("exp", "all", "comma-separated experiment ids (table1, fig4, fig7..fig16, ablation, ctxswitch, integrity, hybrid, seqsweep, valuepred, attack, engines, tenants, capacity) or 'all'")
+		jobs     = fs.Int("j", 0, "concurrent simulations per sweep (0 = one per CPU)")
+		timeout  = fs.Duration("simtimeout", 0, "per-simulation deadline (0 = none), e.g. 30s")
+		metrics  = fs.String("metrics", "", "write every experiment's metrics snapshot to this path (JSON; a .csv suffix selects CSV; '-' = stdout)")
+		pprof    = fs.String("pprof", "", "serve net/http/pprof on this address (e.g. localhost:6060)")
+		progress = fs.Bool("progress", true, "print per-simulation progress/timing lines to stderr")
 	)
-	flag.Parse()
-
-	if *pprof != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprof, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "experiments: pprof:", err)
-			}
-		}()
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-
-	opt := ctrpred.DefaultOptions()
-	opt.Seed = *seed
-	opt.Workers = *jobs
-	opt.SimTimeout = *timeout
-	eng, err := ctrpred.ParseEngine(*engine)
-	if err != nil {
-		fatal(err)
-	}
-	opt.Engine = eng
-	kind, err := ctrpred.ParseArrival(*arrival)
-	if err != nil {
-		fatal(err)
-	}
-	opt.Arrival = kind
-	opt.MaxTenants = *maxTen
-	opt.SLOMaxSlowdown = *sloSlow
-	opt.SLOP99Fetch = *sloP99
-	if *instr != 0 {
-		opt.Scale.Instructions = *instr
-	}
-	if *foot != "" {
-		bytes, err := ctrpred.ParseSize(*foot)
-		if err != nil {
-			fatal(err)
-		}
-		opt.Scale.Footprint = bytes
-	}
-	if *bench != "" {
-		benchmarks, err := splitValidated(*bench, ctrpred.Benchmarks(), "benchmark")
-		if err != nil {
-			fatal(err)
-		}
-		opt.Benchmarks = benchmarks
-	}
-	if *progress {
-		opt.Progress = func(u ctrpred.RunUpdate) {
-			status := "ok"
-			if u.Err != nil {
-				status = "FAIL: " + u.Err.Error()
-			}
-			fmt.Fprintf(os.Stderr, "[%d/%d] %s (%.2fs) %s\n",
-				u.Done, u.Total, u.Label, u.Elapsed.Seconds(), status)
-		}
+	fatal := func(err error) int {
+		fmt.Fprintln(stderr, "experiments:", err)
+		return 2
 	}
 
 	ids := ctrpred.ExperimentIDs()
 	if *exps != "all" {
-		var err error
-		ids, err = splitValidated(*exps, ctrpred.ExperimentIDs(), "experiment")
-		if err != nil {
-			fatal(err)
+		ids = nil
+		for _, raw := range strings.Split(*exps, ",") {
+			if id := strings.TrimSpace(raw); id != "" {
+				ids = append(ids, id)
+			}
 		}
+		if len(ids) == 0 {
+			return fatal(errors.New("no experiments given"))
+		}
+	}
+	var progressFn func(ctrpred.RunUpdate)
+	if *progress {
+		progressFn = func(u ctrpred.RunUpdate) {
+			status := "ok"
+			if u.Err != nil {
+				status = "FAIL: " + u.Err.Error()
+			}
+			fmt.Fprintf(stderr, "[%d/%d] %s (%.2fs) %s\n",
+				u.Done, u.Total, u.Label, u.Elapsed.Seconds(), status)
+		}
+	}
+	// Every sweep resolves before the first runs, so a bad flag fails
+	// up front instead of deep inside a run.
+	opts := make([]ctrpred.ExperimentOptions, len(ids))
+	for i, id := range ids {
+		sw.ID = id
+		opt, err := sw.Resolve()
+		if err != nil {
+			return fatal(err)
+		}
+		opt.Workers, opt.SimTimeout, opt.Progress = *jobs, *timeout, progressFn
+		opts[i] = opt
+	}
+
+	if *pprof != "" {
+		go func() {
+			if err := http.ListenAndServe(*pprof, nil); err != nil {
+				fmt.Fprintln(stderr, "experiments: pprof:", err)
+			}
+		}()
 	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt)
 	defer stop()
 
 	root := ctrpred.Snapshot{Name: "experiments"}
-	for _, id := range ids {
+	for i, id := range ids {
 		start := time.Now()
-		res, err := ctrpred.RunExperimentContext(ctx, id, opt)
+		res, err := ctrpred.RunExperimentContext(ctx, id, opts[i])
 		if err != nil {
 			var pe *ctrpred.PartialError
 			if errors.As(err, &pe) {
-				fmt.Fprintf(os.Stderr, "experiments: %s interrupted: %v\n", id, pe.Cause)
-				fmt.Fprintf(os.Stderr, "  %d/%d simulations had finished\n", len(pe.Completed), pe.Total)
+				fmt.Fprintf(stderr, "experiments: %s interrupted: %v\n", id, pe.Cause)
+				fmt.Fprintf(stderr, "  %d/%d simulations had finished\n", len(pe.Completed), pe.Total)
 			}
-			fatal(err)
+			return fatal(err)
 		}
-		fmt.Println(res.Table)
+		fmt.Fprintln(stdout, res.Table)
 		if res.Notes != "" {
-			fmt.Printf("paper shape: %s\n", res.Notes)
+			fmt.Fprintf(stdout, "paper shape: %s\n", res.Notes)
 		}
-		fmt.Printf("(%s regenerated in %.1fs)\n\n", res.ID, time.Since(start).Seconds())
+		fmt.Fprintf(stdout, "(%s regenerated in %.1fs)\n\n", res.ID, time.Since(start).Seconds())
 		if *metrics != "" {
 			root.Children = append(root.Children, res.Snapshot())
 		}
 	}
 	if *metrics != "" {
-		if err := writeMetrics(*metrics, &root); err != nil {
-			fatal(err)
+		if err := root.Export(*metrics, stdout); err != nil {
+			return fatal(err)
 		}
 	}
+	return 0
 }
 
-// writeMetrics serializes the snapshot to path: JSON by default, CSV when
-// the path ends in .csv, stdout when path is "-".
-func writeMetrics(path string, snap *ctrpred.Snapshot) error {
-	var w io.Writer = os.Stdout
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		w = f
-	}
-	if strings.HasSuffix(path, ".csv") {
-		return snap.WriteCSV(w)
-	}
-	b, err := snap.JSON()
-	if err != nil {
-		return err
-	}
-	_, err = w.Write(b)
-	return err
-}
-
-// splitValidated splits a comma-separated flag value, trims whitespace,
-// and rejects any entry not in the valid set — up front, with the valid
-// names in the error, instead of deep inside a run.
-func splitValidated(list string, valid []string, kind string) ([]string, error) {
-	ok := make(map[string]bool, len(valid))
-	for _, v := range valid {
-		ok[v] = true
-	}
-	var out []string
-	for _, raw := range strings.Split(list, ",") {
-		name := strings.TrimSpace(raw)
-		if name == "" {
-			continue
-		}
-		if !ok[name] {
-			return nil, fmt.Errorf("unknown %s %q (valid: %s)", kind, name, strings.Join(valid, ", "))
-		}
-		out = append(out, name)
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("no %ss given", kind)
-	}
-	return out, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(2)
+// bindSweep registers the sweep flags with this command's defaults.
+func bindSweep(fs *flag.FlagSet) *spec.Sweep {
+	sw := &spec.Sweep{Engine: "aes", Seed: 1, Arrival: "poisson"}
+	sw.Bind(fs)
+	return sw
 }

@@ -46,7 +46,6 @@ import (
 	"ctrpred/internal/cluster"
 	"ctrpred/internal/experiments"
 	"ctrpred/internal/server"
-	"ctrpred/internal/sim"
 	"ctrpred/internal/stats"
 )
 
@@ -204,21 +203,6 @@ func (o options) request(i int) server.ExperimentRequest {
 	}
 }
 
-// referenceOptions mirrors the server's request building for the direct
-// library run the verify phase compares against.
-func (o options) referenceOptions(seed uint64) (experiments.Options, error) {
-	opt := experiments.DefaultOptions()
-	opt.Benchmarks = o.benches
-	opt.Scale.Instructions = o.instr
-	n, err := sim.ParseSize(o.footprint)
-	if err != nil {
-		return opt, err
-	}
-	opt.Scale.Footprint = n
-	opt.Seed = seed
-	return opt, nil
-}
-
 // driveCluster boots an n-worker cluster and runs the three phases.
 func driveCluster(opt options, n int, stdout io.Writer) (result, error) {
 	var res result
@@ -287,7 +271,7 @@ func driveCluster(opt options, n int, stdout io.Writer) (result, error) {
 	// byte with the in-process single-node run.
 	for s := 0; s < opt.seeds; s++ {
 		req := opt.request(s)
-		refOpt, err := opt.referenceOptions(req.Seed)
+		refOpt, err := req.Resolve()
 		if err != nil {
 			return res, err
 		}

@@ -79,6 +79,11 @@ func (c Config) WithL2(size int) Config {
 	return c
 }
 
+// L2Cache returns the L2's cache geometry, the one New builds.
+func (c Config) L2Cache() cache.Config {
+	return cache.Config{Name: "L2", SizeBytes: c.L2Size, LineSize: c.LineSize, Ways: c.L2Ways, HitLatency: c.L2Latency}
+}
+
 // Stats aggregates hierarchy-level counters beyond the per-cache stats.
 type Stats struct {
 	DataAccesses    uint64
@@ -131,7 +136,7 @@ func New(cfg Config, ctrl *secmem.Controller) *System {
 	s := &System{cfg: cfg, ctrl: ctrl}
 	s.l1i = cache.New(cache.Config{Name: "L1I", SizeBytes: cfg.L1ISize, LineSize: cfg.LineSize, Ways: 1, HitLatency: cfg.L1Latency})
 	s.l1d = cache.New(cache.Config{Name: "L1D", SizeBytes: cfg.L1DSize, LineSize: cfg.LineSize, Ways: 1, HitLatency: cfg.L1Latency, WriteThrough: true})
-	s.l2 = cache.New(cache.Config{Name: "L2", SizeBytes: cfg.L2Size, LineSize: cfg.LineSize, Ways: cfg.L2Ways, HitLatency: cfg.L2Latency})
+	s.l2 = cache.New(cfg.L2Cache())
 	s.itlb = tlb.New(tlb.Config{Name: "ITLB", Entries: cfg.TLBEntries, Ways: cfg.TLBWays, MissPenalty: cfg.TLBMissPenalty})
 	s.dtlb = tlb.New(tlb.Config{Name: "DTLB", Entries: cfg.TLBEntries, Ways: cfg.TLBWays, MissPenalty: cfg.TLBMissPenalty})
 	return s

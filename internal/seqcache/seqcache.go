@@ -27,18 +27,20 @@ type Cache struct {
 }
 
 // New creates a sequence-number cache of the given total size in bytes
-// (4 KB … 512 KB in the paper's sweeps), 4-way with 32-byte lines.
+// (4 KB … 512 KB in the paper's sweeps).
 func New(sizeBytes int) *Cache {
+	return &Cache{inner: cache.New(Geometry(sizeBytes))}
+}
+
+// Geometry returns the cache shape New builds for sizeBytes: 4-way with
+// 32-byte lines. Check it with Validate before New, which panics on a
+// size the cache model cannot build.
+func Geometry(sizeBytes int) cache.Config {
 	ways := 4
 	if sizeBytes/32 < ways { // degenerate tiny caches used in tests
 		ways = 1
 	}
-	return &Cache{inner: cache.New(cache.Config{
-		Name:      "seqcache",
-		SizeBytes: sizeBytes,
-		LineSize:  32,
-		Ways:      ways,
-	})}
+	return cache.Config{Name: "seqcache", SizeBytes: sizeBytes, LineSize: 32, Ways: ways}
 }
 
 // entryAddr maps a data line address to its counter's address in the

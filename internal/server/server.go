@@ -398,7 +398,7 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	if !DecodeJSON(w, r, &req) {
 		return
 	}
-	bench, cfg, err := req.buildSim()
+	bench, cfg, err := req.Resolve()
 	if err != nil {
 		reject(w, err)
 		return
@@ -425,17 +425,24 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	if !DecodeJSON(w, r, &req) {
 		return
 	}
-	opt, err := req.buildExperiment(s.cfg.Workers)
+	opt, err := req.Resolve()
 	if err != nil {
 		reject(w, err)
 		return
+	}
+	// One experiment occupies one queue slot; its internal parallelism
+	// defaults to a single worker so a grid cannot monopolize the host
+	// unless the operator sized the server for it.
+	opt.Workers = 1
+	if req.Workers > 0 {
+		opt.Workers = min(req.Workers, s.cfg.Workers)
 	}
 	timeout, err := parseTimeout(req.Timeout, s.cfg.DefaultTimeout)
 	if err != nil {
 		reject(w, err)
 		return
 	}
-	key, err := req.key(opt)
+	key, err := req.CacheKey()
 	if err != nil {
 		reject(w, err)
 		return

@@ -104,9 +104,9 @@ func TestSimMatchesDirectRunAndCaches(t *testing.T) {
 	body := readBody(t, resp)
 
 	// The same run, driven directly through the library.
-	bench, cfg, err := req.buildSim()
+	bench, cfg, err := req.Resolve()
 	if err != nil {
-		t.Fatalf("buildSim: %v", err)
+		t.Fatalf("Resolve: %v", err)
 	}
 	m, err := sim.NewMachine(bench, cfg)
 	if err != nil {
@@ -484,7 +484,12 @@ func TestBadRequests(t *testing.T) {
 		{"bad mode", "/v1/sim", SimRequest{Bench: "mcf", Scheme: "baseline", Mode: "sideways"}},
 		{"bad recovery", "/v1/sim", SimRequest{Bench: "mcf", Scheme: "baseline", Recovery: "pray"}},
 		{"bad timeout", "/v1/sim", SimRequest{Bench: "mcf", Scheme: "baseline", Timeout: "soon"}},
+		{"l2 geometry", "/v1/sim", SimRequest{Bench: "mcf", Scheme: "baseline", L2: "3K"}},
+		{"seqcache geometry", "/v1/sim", SimRequest{Bench: "mcf", Scheme: "seqcache:1"}},
 		{"unknown experiment", "/v1/experiments", ExperimentRequest{ID: "fig99"}},
+		{"negative max tenants", "/v1/experiments", ExperimentRequest{ID: "capacity", MaxTenants: -1}},
+		{"negative slo slowdown", "/v1/experiments", ExperimentRequest{ID: "capacity", SLOMaxSlowdown: -1}},
+		{"negative slo p99", "/v1/experiments", ExperimentRequest{ID: "fig7", SLOP99Fetch: -1}},
 		{"unknown field", "/v1/sim", map[string]any{"bench": "mcf", "scheme": "baseline", "warp": 9}},
 	}
 	for _, tc := range cases {

@@ -158,9 +158,9 @@ func (c Config) WithL2(size int) Config {
 	return c
 }
 
-// WithMode returns the config in the given mode. HitRate mode scales the
-// dirty-flush interval to instruction counting (one instruction ≈ one
-// cycle there).
+// WithMode returns the config in the given mode. It leaves the
+// dirty-flush interval alone; a caller that compresses the run's window
+// scales the interval itself, as the figure harness does.
 func (c Config) WithMode(m Mode) Config {
 	c.Mode = m
 	return c

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"sort"
+	"strings"
 )
 
 // Snapshot is one node of a metrics tree: a named bag of counters, float
@@ -140,6 +142,35 @@ func (s *Snapshot) JSON() ([]byte, error) {
 		return nil, err
 	}
 	return append(b, '\n'), nil
+}
+
+// Export writes the snapshot to path: JSON by default, CSV when the
+// path ends in .csv, and to stdout instead of a file when path is "-".
+func (s *Snapshot) Export(path string, stdout io.Writer) error {
+	if path == "-" {
+		return s.export(stdout, false)
+	}
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := s.export(f, strings.HasSuffix(path, ".csv")); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
+}
+
+func (s *Snapshot) export(w io.Writer, csv bool) error {
+	if csv {
+		return s.WriteCSV(w)
+	}
+	b, err := s.JSON()
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(b)
+	return err
 }
 
 // WriteCSV flattens the tree to "path,metric,value" rows (header

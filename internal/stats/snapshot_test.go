@@ -2,6 +2,8 @@ package stats
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -126,5 +128,43 @@ func TestNilHistogramSkipped(t *testing.T) {
 	n.Histogram("h", nil)
 	if len(n.Histograms) != 0 {
 		t.Fatal("nil histogram recorded")
+	}
+}
+
+// TestExport: a path writes JSON, a .csv path writes CSV rows, and "-"
+// writes JSON to the given stdout.
+func TestExport(t *testing.T) {
+	snap := buildTree([]int{0, 1, 2, 3, 4, 5, 6})
+	js, err := snap.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var csv bytes.Buffer
+	if err := snap.WriteCSV(&csv); err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	for path, want := range map[string][]byte{
+		filepath.Join(dir, "run.json"): js,
+		filepath.Join(dir, "run.csv"):  csv.Bytes(),
+	} {
+		var stdout bytes.Buffer
+		if err := snap.Export(path, &stdout); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) || stdout.Len() != 0 {
+			t.Errorf("Export(%s) wrote %q (stdout %q), want %q", path, got, stdout.String(), want)
+		}
+	}
+	var stdout bytes.Buffer
+	if err := snap.Export("-", &stdout); err != nil || !bytes.Equal(stdout.Bytes(), js) {
+		t.Errorf("Export(-) wrote %q, %v; want the JSON", stdout.String(), err)
+	}
+	if err := snap.Export(filepath.Join(dir, "missing", "run.json"), &stdout); err == nil {
+		t.Error("Export into a missing directory succeeded")
 	}
 }
