@@ -1,8 +1,9 @@
 # Verification recipe. `make verify` is the tier-1 gate: gofmt, build,
 # vet, the full test suite, a race-detector pass over the concurrent
 # packages (the run scheduler and the sweeps routed through it) plus
-# the fault-injection/recovery datapath, and short fuzz smokes of the
-# integrity tree and the run-spec grammar.
+# the fault-injection/recovery datapath and the machine-template cache,
+# and short fuzz smokes of the integrity tree, the run-spec grammar and
+# the chaos schedule grammar.
 #
 # `make bench` runs the benchmark suite once and appends a labeled entry
 # to the tracked ledger BENCH_sim.json (label via BENCH_LABEL=...), so
@@ -42,7 +43,7 @@ race:
 	$(GO) test -race ./internal/runpool ./internal/server ./internal/cryptoengine ./internal/cluster ./internal/chaos ./internal/tenancy
 	$(GO) test -race ./internal/experiments -run 'Parallel|SweepProgress|SweepError|SweepCancel|SweepPreCancelled|SimTimeout|EnginesDeterministic|TenantsDeterministic'
 	$(GO) test -race ./internal/faults ./internal/secmem
-	$(GO) test -race ./internal/sim -run 'Tamper|Replay|Halt|CleanRunWithArmed|RunContextCancel'
+	$(GO) test -race ./internal/sim -run 'Tamper|Replay|Halt|CleanRunWithArmed|RunContextCancel|TemplateConcurrentAttach|TemplateBuildErrorNotCached'
 
 # Boot the job server on an ephemeral port, push one simulation through
 # the full HTTP path (streamed NDJSON, then a cache-hit repeat), and
@@ -91,15 +92,17 @@ capacity-smoke:
 
 # Short coverage-guided smokes of the integrity tree (its security
 # contract under update/verify/corrupt interleavings, and its agreement
-# with the eager-hashing oracle call for call) and of the run-spec
-# grammar every job body and CLI flag resolves through. One
-# `go test -fuzz` run fuzzes one target, hence one line each. The
-# committed seed corpora under internal/integrity/testdata and
-# internal/spec/testdata run as regression tests in plain `go test` too.
+# with the eager-hashing oracle call for call), of the run-spec grammar
+# every job body and CLI flag resolves through, and of the chaos
+# schedule grammar. One `go test -fuzz` run fuzzes one target, hence one
+# line each. The committed seed corpora under internal/integrity,
+# internal/spec and internal/chaos testdata run as regression tests in
+# plain `go test` too.
 fuzz:
 	$(GO) test ./internal/integrity -run '^$$' -fuzz FuzzIntegrityTree -fuzztime 30s
 	$(GO) test ./internal/integrity -run '^$$' -fuzz FuzzTreeMatchesEager -fuzztime 30s
 	$(GO) test ./internal/spec -run '^$$' -fuzz FuzzResolve -fuzztime 30s
+	$(GO) test ./internal/chaos -run '^$$' -fuzz FuzzChaosParse -fuzztime 30s
 
 # cmd/ctrbench is a nested Go module, so the root `go build ./...` never
 # compiles it: vet and test it here, or a change to the server or cluster

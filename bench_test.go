@@ -274,6 +274,45 @@ func BenchmarkSingleRunSwimIntegrity(b *testing.B) {
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "sim_instrs/s")
 }
 
+// coldSeed hands each cold-template iteration a seed no earlier
+// iteration or benchmark used.
+var coldSeed uint64 = 1 << 40
+
+// benchColdTemplate times NewMachine with an uncached (benchmark, scale,
+// seed) template: every iteration takes a fresh seed, so each builds the
+// program, image and aged state from scratch. The other root benchmarks
+// warm their templates before timing; this one prices the build.
+func benchColdTemplate(b *testing.B, bench string, cfg Config) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		coldSeed++
+		m, err := NewMachine(bench, cfg.WithSeed(coldSeed))
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/template")
+}
+
+// BenchmarkTemplateColdHitRate8M is a cold counters-only machine at the
+// hit-rate figures' scale (8 MiB footprint, a 1M-instruction window):
+// what each new (benchmark, seed) of a Figure 7 sweep pays first.
+func BenchmarkTemplateColdHitRate8M(b *testing.B) {
+	cfg := DefaultConfig(SchemePred(PredRegular)).WithMode(ModeHitRate)
+	cfg.Scale = Scale{Footprint: 8 << 20, Instructions: 1_000_000}
+	cfg.SelfCheck = false
+	benchColdTemplate(b, "mcf", cfg)
+}
+
+// BenchmarkTemplateColdFull1M is a cold full-model machine at
+// BenchmarkSingleRunMcfContext's scale: the template and its pad half.
+func BenchmarkTemplateColdFull1M(b *testing.B) {
+	cfg := DefaultConfig(SchemePred(PredContext))
+	cfg.Scale = Scale{Footprint: 1 << 20, Instructions: 50_000}
+	benchColdTemplate(b, "mcf", cfg)
+}
+
 // BenchmarkAttackCampaign runs the adversarial detection-coverage
 // matrix: every attack class against every scheme family with the
 // integrity tree enabled and quarantine recovery. The experiment fails

@@ -49,6 +49,7 @@ package chaos
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -160,7 +161,7 @@ func (r Rule) String() string {
 		}
 	}
 	if r.P > 0 && r.P < 1 {
-		kv = append(kv, strings.TrimRight(strings.TrimRight(fmt.Sprintf("p=%.3f", r.P), "0"), "."))
+		kv = append(kv, "p="+strconv.FormatFloat(r.P, 'g', -1, 64))
 	}
 	add("ms", r.MS)
 	add("jitter", r.Jitter)
@@ -223,7 +224,7 @@ func (r *Rule) set(key, val string) error {
 	switch key {
 	case "p":
 		p, err := strconv.ParseFloat(val, 64)
-		if err != nil || p < 0 || p > 1 {
+		if err != nil || math.IsNaN(p) || p < 0 || p > 1 {
 			return fmt.Errorf("want a probability in [0,1], got %q", val)
 		}
 		r.P = p

@@ -81,6 +81,31 @@ func TestParseRoundTrip(t *testing.T) {
 	}
 }
 
+// TestParseProbabilityRendering pins the probability's round trip:
+// small and close probabilities keep their value through String (and so
+// their own Stats key), NaN is rejected, and the schedules the repo uses
+// render exactly as written.
+func TestParseProbabilityRendering(t *testing.T) {
+	for _, in := range []string{
+		"latency:p=0.0004,ms=5",
+		"err:p=0.1231,status=503;err:p=0.1234,status=503",
+		"latency:p=0.1,ms=50;err:p=0.1,status=503;corrupt:p=0.05",
+		"latency:p=0.2,ms=500;err:p=0.3,status=503;err:p=0.5,status=503",
+	} {
+		if got := mustParse(t, in).String(); got != in {
+			t.Errorf("Parse(%q).String() = %q", in, got)
+		}
+	}
+	in := New(mustParse(t, "err:p=0.1231;err:p=0.1234"), 1)
+	in.Decide("/v1/sim")
+	if _, _, perRule := in.Stats(); len(perRule) != 2 {
+		t.Errorf("two distinct rules share Stats keys: %v", perRule)
+	}
+	if _, err := Parse("err:p=NaN"); err == nil {
+		t.Error("Parse accepted p=NaN")
+	}
+}
+
 func TestDeterministicDecisions(t *testing.T) {
 	sched := mustParse(t, "latency:p=0.3,ms=10,jitter=5;err:p=0.2")
 	a := New(sched, 42)

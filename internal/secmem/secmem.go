@@ -19,6 +19,8 @@ package secmem
 
 import (
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"ctrpred/internal/cryptoengine"
 	"ctrpred/internal/ctr"
@@ -214,8 +216,8 @@ type ctrState struct {
 type padState struct {
 	enc ctr.Line // encrypted RAM contents
 	// pad, when padValid, holds the OTP for (line address, seq), kept by
-	// sealLine, which every path that encrypts the line goes through
-	// (template pre-aging, materialization, writeback, heal). Counter
+	// sealPad, which every path that encrypts the line goes through
+	// (the template's seal, materialization, writeback, heal). Counter
 	// mode decrypts with the exact pad, so a fetch books its pipeline
 	// slots normally and skips re-running AES; every path that changes
 	// seq either reseals the line or clears padValid. This is the
@@ -547,19 +549,18 @@ func (c *Controller) initLine(cs *ctrState, ps *padState, la, offset uint64) {
 // it, keeping the pad: the next fetch, and any later one while the
 // counter is unchanged, decrypts under the identical pad.
 func (c *Controller) seal(cs *ctrState, ps *padState, la, seq uint64) {
-	sealLine(c.engine.Keystream(), c.image, cs, ps, la, seq)
+	cs.seq, cs.goodSeq, cs.tampered = seq, seq, false
+	if ps != nil {
+		sealPad(c.engine.Keystream(), c.image, ps, la, seq)
+	}
 	if c.cfg.SelfCheck {
 		c.tracker.RecordEncrypt(la, seq)
 	}
 }
 
-// sealLine is seal's per-line step, shared with BuildAgedTemplate, which
-// records the pad in the template's tracker instead of a controller's.
-func sealLine(ks *ctr.Keystream, image *mem.Memory, cs *ctrState, ps *padState, la, seq uint64) {
-	cs.seq, cs.goodSeq, cs.tampered = seq, seq, false
-	if ps == nil {
-		return
-	}
+// sealPad is seal's data step, shared with an AgedTemplate's lazy seal:
+// it encrypts la's architectural contents under seq and keeps the pad.
+func sealPad(ks *ctr.Keystream, image *mem.Memory, ps *padState, la, seq uint64) {
 	ks.PadInto(&ps.pad, la, seq)
 	plain := image.LineRef(la) // nil for never-written memory, which reads as zero
 	if plain == nil {
@@ -586,13 +587,29 @@ func (c *Controller) AgeLine(vaddr uint64, offset uint64) {
 
 // AgedTemplate is a frozen pre-aged off-chip state — the result of the
 // AgeLine setup loop run once — that any number of machines with the same
-// (key, image, counter seed) share copy-on-write instead of re-encrypting
-// megabytes of aged lines per run. Build one with BuildAgedTemplate and
-// attach it with Controller.UseAgedTemplate. Counter and pad halves are
-// separate tables so counters-only machines share — and copy-on-write —
-// only the 24-byte counter half, never the 72-byte pad half.
+// (key, image, counter seed) share copy-on-write instead of re-aging
+// megabytes of lines per run. Build one with BuildAgedTemplate and attach
+// it with Controller.UseAgedTemplate.
+//
+// It has two halves, kept in separate tables so a view copies only what
+// its machine writes. The counter half (24 bytes a line) is built
+// eagerly; it is all a counters-only machine reads. The pad half — each
+// line's ciphertext and pad (72 bytes a line) and the tracker of every
+// pad the template used — is sealed once, from the counter half, when
+// the first full-model controller attaches, so a hit-rate sweep never
+// computes a pad.
 type AgedTemplate struct {
-	ctrs    *paged.Table[ctrState]
+	ctrs *paged.Table[ctrState]
+	// ks and image are the lazy seal's key and frozen plaintext.
+	ks    *ctr.Keystream
+	image *mem.Memory
+
+	sealOnce sync.Once
+	pads     atomic.Pointer[agedPads] // nil until sealed
+}
+
+// agedPads is an AgedTemplate's pad half.
+type agedPads struct {
 	pads    *paged.Table[padState]
 	tracker ctr.PadTracker
 }
@@ -600,43 +617,65 @@ type AgedTemplate struct {
 // Lines reports how many distinct lines the template pre-aged.
 func (t *AgedTemplate) Lines() int { return t.ctrs.Count() }
 
-// BuildAgedTemplate replays the aging setup loop once into a frozen
-// template: visit yields the sampled (line address, counter offset) pairs
-// in setup order, roots maps a line address to its page root counter
-// (it is consulted exactly once per distinct line, in first-touch order,
-// so a caller drawing roots from a seeded stream reproduces the per-run
-// draw sequence), and ks/image supply the key and plaintext. Duplicate
-// line addresses are skipped exactly as Controller.AgeLine skips
-// already-touched lines.
+// Sealed reports whether the pad half has been built, i.e. whether a
+// full-model controller has attached the template.
+func (t *AgedTemplate) Sealed() bool { return t.pads.Load() != nil }
+
+// BuildAgedTemplate replays the aging setup loop once into the counter
+// half of a frozen template: visit yields the sampled (line address,
+// counter offset) pairs in setup order, roots maps a line address to its
+// page root counter (it is consulted exactly once per distinct line, in
+// first-touch order, so a caller drawing roots from a seeded stream
+// reproduces the per-run draw sequence), and ks/image supply the key and
+// plaintext for the pad half, sealed later. Duplicate line addresses are
+// skipped exactly as Controller.AgeLine skips already-touched lines. The
+// caller must not modify image afterwards.
 func BuildAgedTemplate(ks *ctr.Keystream, image *mem.Memory, roots func(la uint64) uint64, visit func(yield func(la, offset uint64))) *AgedTemplate {
-	t := &AgedTemplate{
-		ctrs: paged.New[ctrState](ctr.LineSize),
-		pads: paged.New[padState](ctr.LineSize),
-	}
+	t := &AgedTemplate{ctrs: paged.New[ctrState](ctr.LineSize), ks: ks, image: image}
 	visit(func(la, offset uint64) {
 		la = mem.LineAddr(la)
 		cs, fresh := t.ctrs.Ensure(la)
 		if !fresh {
 			return
 		}
-		ps, _ := t.pads.Ensure(la)
 		seq := roots(la) + offset
-		sealLine(ks, image, cs, ps, la, seq)
-		t.tracker.RecordEncrypt(la, seq)
+		cs.seq, cs.goodSeq = seq, seq
 	})
 	t.ctrs.Freeze()
-	t.pads.Freeze()
 	return t
 }
 
+// padHalf returns the pad half, sealing it on first use: every line of
+// the counter half is encrypted under its recorded counter, in ascending
+// address order, and each pad is recorded in the template's tracker
+// (a set, so the order is immaterial). The seal reads only the frozen
+// counter half and image, and freezes its table before any caller
+// sees it.
+func (t *AgedTemplate) padHalf() *agedPads {
+	t.sealOnce.Do(func() {
+		p := &agedPads{pads: paged.New[padState](ctr.LineSize)}
+		t.ctrs.ForEach(func(la uint64, cs *ctrState) {
+			ps, _ := p.pads.Ensure(la)
+			sealPad(t.ks, t.image, ps, la, cs.seq)
+			p.tracker.RecordEncrypt(la, cs.seq)
+		})
+		p.pads.Freeze()
+		t.pads.Store(p)
+	})
+	return t.pads.Load()
+}
+
 // UseAgedTemplate replaces the controller's empty off-chip state with a
-// copy-on-write view of the template and shares the template's pad-use
-// history read-only (pads the template recorded count as used, so reuse
-// is still a violation). The caller must have advanced the controller's
-// predictor to the same per-page roots the template was built with — sim
-// does this by replaying the root draws in template order. Must be called
-// before any line is touched; incompatible with an integrity tree, whose
-// per-machine contents are built during eager aging.
+// copy-on-write view of the template. A full-model controller also views
+// the pad half, sealing it if no controller has yet, and shares the
+// template's pad-use history read-only (pads the template recorded count
+// as used, so reuse is still a violation); a counters-only controller
+// views the counter half alone. The caller must have advanced the
+// controller's predictor to the same per-page roots the template was
+// built with — sim does this by replaying the root draws in template
+// order. Must be called before any line is touched; incompatible with
+// an integrity tree, whose per-machine contents are built during eager
+// aging.
 func (c *Controller) UseAgedTemplate(t *AgedTemplate) {
 	if c.ctrs.Count() != 0 {
 		panic("secmem: UseAgedTemplate after lines were touched")
@@ -645,8 +684,12 @@ func (c *Controller) UseAgedTemplate(t *AgedTemplate) {
 		panic("secmem: UseAgedTemplate with integrity tree attached")
 	}
 	c.ctrs = paged.NewView(t.ctrs)
-	c.pads = paged.NewView(t.pads)
-	c.tracker.SetBase(&t.tracker)
+	if c.cfg.CountersOnly {
+		return
+	}
+	p := t.padHalf()
+	c.pads = paged.NewView(p.pads)
+	c.tracker.SetBase(&p.tracker)
 }
 
 // Release returns the controller's copy-on-write line state to the aged

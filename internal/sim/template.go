@@ -1,11 +1,15 @@
 // Machine-construction template cache: everything NewMachine derives
 // purely from (benchmark, scale, seed) — the assembled program, the
 // written image, the sampled counter-aging profile, and the pre-aged
-// encrypted off-chip state — is built once and shared copy-on-write
-// across every machine of a sweep. A figure-7-style sweep builds dozens
-// of machines per benchmark that differ only in scheme; before this
-// cache each of them re-assembled and re-encrypted megabytes of
-// identical state.
+// off-chip state — is built once and shared copy-on-write across every
+// machine of a sweep. A figure-7-style sweep builds dozens of machines
+// per benchmark that differ only in scheme; before this cache each of
+// them re-assembled and re-aged megabytes of identical state.
+//
+// The pre-aged state is a secmem.AgedTemplate. Its counter half is built
+// with the template; its pad half (ciphertext, pads and pad-use history)
+// is sealed only when the first full-model machine attaches, so the
+// counters-only machines of the hit-rate figures never pay for AES.
 //
 // Sharing is sound because all of the cached artifacts are functions of
 // the key (seed-derived), the image (seed-derived), and the counter
@@ -19,6 +23,8 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"sync"
 
 	"ctrpred/internal/ctr"
@@ -58,42 +64,75 @@ type templateKey struct {
 	seed  uint64
 }
 
+// tmplEntry is one cache slot. Its template is built at most once, by
+// whichever caller gets there first; later callers for the key wait on
+// the once, and callers for other keys never wait on it at all.
+type tmplEntry struct {
+	once sync.Once
+	t    *machineTemplate
+	err  error
+}
+
 var (
-	tmplMu    sync.Mutex
-	tmplCache = map[templateKey]*machineTemplate{}
+	tmplMu    sync.Mutex // guards tmplCache and tmplOrder, never a build
+	tmplCache = map[templateKey]*tmplEntry{}
 	tmplOrder []templateKey
 )
 
-// tmplCacheMax bounds cached templates (FIFO). A template holds the
-// image plus the aged ciphertext, single-digit MiB at default scale;
-// the cap comfortably covers a full benchmark sweep at two scales.
+// tmplCacheMax bounds cached templates (FIFO). At the hit-rate figures'
+// 8 MiB footprint a template measures 16–18 MiB (image, aging profile and
+// a 6–7 MiB counter half); the first full-model machine to attach adds a
+// 26–28 MiB pad half. The cap covers a full benchmark sweep at two
+// scales.
 const tmplCacheMax = 32
 
 // getTemplate returns the cached template for (bench, scale, seed),
-// building it on first use. Safe for concurrent sweeps.
+// building it on first use. Safe for concurrent sweeps: builds run per
+// key, outside the cache lock, so a build blocks only the callers
+// waiting for that same key. A failed build is not cached; the next
+// call for the key retries.
 func getTemplate(bench string, cfg Config) (*machineTemplate, error) {
 	key := templateKey{bench: bench, scale: cfg.Scale, seed: cfg.Seed}
 	tmplMu.Lock()
-	defer tmplMu.Unlock()
-	if t, ok := tmplCache[key]; ok {
-		return t, nil
+	e, ok := tmplCache[key]
+	if !ok {
+		if len(tmplOrder) >= tmplCacheMax {
+			delete(tmplCache, tmplOrder[0])
+			tmplOrder = tmplOrder[1:]
+		}
+		e = &tmplEntry{}
+		tmplCache[key] = e
+		tmplOrder = append(tmplOrder, key)
 	}
-	t, err := buildTemplate(bench, cfg)
-	if err != nil {
-		return nil, err
+	tmplMu.Unlock()
+
+	e.once.Do(func() {
+		// Overwritten unless buildTemplate panics; then the key's other
+		// callers get an error, not a nil template.
+		e.err = fmt.Errorf("sim: building the %s template panicked", bench)
+		e.t, e.err = buildTemplate(bench, cfg)
+	})
+	if e.err != nil {
+		tmplMu.Lock()
+		if tmplCache[key] == e {
+			dropTemplate(key)
+		}
+		tmplMu.Unlock()
+		return nil, e.err
 	}
-	if len(tmplOrder) >= tmplCacheMax {
-		delete(tmplCache, tmplOrder[0])
-		tmplOrder = tmplOrder[1:]
-	}
-	tmplCache[key] = t
-	tmplOrder = append(tmplOrder, key)
-	return t, nil
+	return e.t, nil
+}
+
+// dropTemplate removes key from the cache. The caller holds tmplMu.
+func dropTemplate(key templateKey) {
+	delete(tmplCache, key)
+	tmplOrder = slices.DeleteFunc(tmplOrder, func(k templateKey) bool { return k == key })
 }
 
 // buildTemplate runs the seed-deterministic half of machine construction
 // once: build the workload, sample its aging profile, and pre-age the
-// encrypted off-chip state under the machine key. Root counters are
+// off-chip counters (the pad half is sealed under the machine key on
+// first full-model use, see secmem.AgedTemplate). Root counters are
 // drawn through a throwaway default-geometry predictor so the draw
 // sequence matches what any machine's own predictor produces when it
 // replays roots in agePages order.
