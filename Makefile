@@ -2,8 +2,8 @@
 # vet, the full test suite, a race-detector pass over the concurrent
 # packages (the run scheduler and the sweeps routed through it) plus
 # the fault-injection/recovery datapath and the machine-template cache,
-# and short fuzz smokes of the integrity tree, the run-spec grammar and
-# the chaos schedule grammar.
+# and short fuzz smokes of the integrity tree, the run-spec grammar,
+# the chaos schedule grammar and the cluster journal's reload.
 #
 # `make bench` runs the benchmark suite once and appends a labeled entry
 # to the tracked ledger BENCH_sim.json (label via BENCH_LABEL=...), so
@@ -93,16 +93,18 @@ capacity-smoke:
 # Short coverage-guided smokes of the integrity tree (its security
 # contract under update/verify/corrupt interleavings, and its agreement
 # with the eager-hashing oracle call for call), of the run-spec grammar
-# every job body and CLI flag resolves through, and of the chaos
-# schedule grammar. One `go test -fuzz` run fuzzes one target, hence one
-# line each. The committed seed corpora under internal/integrity,
-# internal/spec and internal/chaos testdata run as regression tests in
-# plain `go test` too.
+# every job body and CLI flag resolves through, of the chaos schedule
+# grammar, and of the cluster journal's reload over torn and corrupt
+# files. One `go test -fuzz` run fuzzes one target, hence one line each.
+# The committed seed corpora under internal/integrity, internal/spec,
+# internal/chaos and internal/cluster testdata run as regression tests
+# in plain `go test` too.
 fuzz:
 	$(GO) test ./internal/integrity -run '^$$' -fuzz FuzzIntegrityTree -fuzztime 30s
 	$(GO) test ./internal/integrity -run '^$$' -fuzz FuzzTreeMatchesEager -fuzztime 30s
 	$(GO) test ./internal/spec -run '^$$' -fuzz FuzzResolve -fuzztime 30s
 	$(GO) test ./internal/chaos -run '^$$' -fuzz FuzzChaosParse -fuzztime 30s
+	$(GO) test ./internal/cluster -run '^$$' -fuzz FuzzJournalReload -fuzztime 30s
 
 # cmd/ctrbench is a nested Go module, so the root `go build ./...` never
 # compiles it: vet and test it here, or a change to the server or cluster

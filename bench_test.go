@@ -306,11 +306,33 @@ func BenchmarkTemplateColdHitRate8M(b *testing.B) {
 }
 
 // BenchmarkTemplateColdFull1M is a cold full-model machine at
-// BenchmarkSingleRunMcfContext's scale: the template and its pad half.
+// BenchmarkSingleRunMcfContext's scale: the template's counter half and
+// its empty pad slots. No line is sealed until the machine runs.
 func BenchmarkTemplateColdFull1M(b *testing.B) {
 	cfg := DefaultConfig(SchemePred(PredContext))
 	cfg.Scale = Scale{Footprint: 1 << 20, Instructions: 50_000}
 	benchColdTemplate(b, "mcf", cfg)
+}
+
+// BenchmarkColdSimFull512K is a cold /v1/sim of cmd/ctrbench's
+// service-mix: every iteration takes a fresh seed, then builds, runs and
+// closes a full-model mcf pred-context machine at 512 KiB and 20k
+// instructions. It prices a cold request end to end: the template, the
+// seals of the lines the run touches, and the run itself.
+func BenchmarkColdSimFull512K(b *testing.B) {
+	cfg := DefaultConfig(SchemePred(PredContext))
+	cfg.Scale = Scale{Footprint: 512 << 10, Instructions: 20_000}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		coldSeed++
+		m, err := NewMachine("mcf", cfg.WithSeed(coldSeed))
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.Run()
+		m.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/sim")
 }
 
 // BenchmarkAttackCampaign runs the adversarial detection-coverage

@@ -754,6 +754,43 @@ func TestJournal(t *testing.T) {
 	}
 }
 
+// TestJournalAppendAfterTornTail restarts over a tail torn without a
+// newline: the next cell must land on a line of its own, not be glued
+// onto the fragment and lost with it on the following load.
+func TestJournalAppendAfterTornTail(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "j")
+	j, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Put("a", []byte(`{"a":1}`)); err != nil {
+		t.Fatal(err)
+	}
+	j.Close()
+	appendFile(t, path, `{"key":"b","sha2`)
+
+	j2, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := j2.Put("c", []byte(`{"c":3}`)); err != nil {
+		t.Fatal(err)
+	}
+	j2.Close()
+
+	j3, err := OpenJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j3.Close()
+	if got, ok := j3.Get("c"); !ok || string(got) != `{"c":3}` {
+		t.Fatalf("Get(c) = %q, %v after a restart over a torn tail", got, ok)
+	}
+	if j3.Len() != 2 {
+		t.Fatalf("Len = %d; want 2 (a and c)", j3.Len())
+	}
+}
+
 // appendFile tacks raw bytes onto a journal file, simulating torn or
 // tampered tails.
 func appendFile(t *testing.T, path, s string) {

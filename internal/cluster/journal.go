@@ -22,9 +22,10 @@ import (
 //
 // The file is append-only and tolerant of a torn tail: a line that
 // fails to parse or whose body does not match its recorded digest is
-// skipped on load (a crash mid-append loses at most that one cell).
-// Cell bodies are deterministic functions of their key, so replaying
-// an entry is always safe and duplicate appends are harmless.
+// skipped on load, and bytes after the last newline (an append cut short)
+// are cut off before the next one, so a crash mid-append loses at most
+// that one cell. Cell bodies are deterministic functions of their key, so
+// replaying an entry is always safe and duplicate appends are harmless.
 type Journal struct {
 	mu      sync.Mutex
 	f       *os.File
@@ -43,8 +44,8 @@ type journalEntry struct {
 	Body   string `json:"body"`
 }
 
-// OpenJournal opens (creating if needed) the journal at path and loads
-// every intact entry.
+// OpenJournal opens (creating if needed) the journal at path, loads
+// every intact entry, and truncates a torn tail.
 func OpenJournal(path string) (*Journal, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -52,25 +53,37 @@ func OpenJournal(path string) (*Journal, error) {
 	}
 	j := &Journal{f: f, entries: make(map[string][]byte)}
 	r := bufio.NewReader(f)
+	var end int64 // offset just past the last complete line
+	torn := false
 	for {
 		line, err := r.ReadBytes('\n')
-		if len(line) > 0 {
-			var e journalEntry
-			if json.Unmarshal(line, &e) == nil && e.Key != "" &&
-				server.BodyDigest([]byte(e.Body)) == e.SHA256 {
-				j.entries[e.Key] = []byte(e.Body)
-			}
-			// Anything else is a torn or corrupted line; skip it.
-		}
 		if err == io.EOF {
+			// Every append ends in a newline, so bytes after the last
+			// one are an append the crash cut short.
+			torn = len(line) > 0
 			break
 		}
 		if err != nil {
 			f.Close()
 			return nil, fmt.Errorf("journal: %w", err)
 		}
+		end += int64(len(line))
+		var e journalEntry
+		if json.Unmarshal(line, &e) == nil && e.Key != "" &&
+			server.BodyDigest([]byte(e.Body)) == e.SHA256 {
+			j.entries[e.Key] = []byte(e.Body)
+		}
+		// Anything else is a corrupted line; skip it.
 	}
-	if _, err := f.Seek(0, io.SeekEnd); err != nil {
+	if torn {
+		// Cut the fragment, or the next append would be glued onto it
+		// and lost with it on the following load.
+		if err := f.Truncate(end); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("journal: %w", err)
+		}
+	}
+	if _, err := f.Seek(end, io.SeekStart); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("journal: %w", err)
 	}

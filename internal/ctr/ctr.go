@@ -130,10 +130,10 @@ type PadTracker struct {
 	slots []padID // power-of-two open-addressed table
 	state []uint8 // 1 = slot occupied
 	count int
-	// base is an optional frozen tracker whose pairs count as already
-	// used: machines running from a pre-aged template share the
-	// template's (vaddr, seq) set read-only instead of re-recording it.
-	base *PadTracker
+	// base optionally reports pairs that count as already used without
+	// being recorded here: machines running from a pre-aged template
+	// ask the template's frozen counters instead of re-recording them.
+	base func(vaddr, seq uint64) bool
 	// Violations counts encryptions that reused a (vaddr, seq) pair.
 	Violations uint64
 	// Encryptions counts all recorded encryptions.
@@ -176,34 +176,17 @@ func (t *PadTracker) grow() {
 	}
 }
 
-// SetBase installs a frozen tracker whose recorded pairs count as
-// already-used pads. The base must not be mutated afterwards; callers
-// record into this tracker only. Encryptions that hit a base pair are
-// violations, exactly as if the base's history had been recorded here.
-func (t *PadTracker) SetBase(base *PadTracker) { t.base = base }
-
-// contains reports whether (vaddr, seq) has been recorded, without
-// consulting the base or mutating anything.
-func (t *PadTracker) contains(vaddr, seq uint64) bool {
-	if len(t.slots) == 0 {
-		return false
-	}
-	mask := uint64(len(t.slots) - 1)
-	h := padHash(vaddr, seq) & mask
-	for t.state[h] != 0 {
-		if t.slots[h].vaddr == vaddr && t.slots[h].seq == seq {
-			return true
-		}
-		h = (h + 1) & mask
-	}
-	return false
-}
+// SetBase installs a membership test for pairs that count as
+// already-used pads. It must be a pure function of its arguments;
+// callers record into this tracker only. Encryptions under a base pair
+// are violations, exactly as if the pair had been recorded here.
+func (t *PadTracker) SetBase(used func(vaddr, seq uint64) bool) { t.base = used }
 
 // RecordEncrypt notes that (vaddr, seq) was used to encrypt a new data
 // version and reports whether the pair was fresh.
 func (t *PadTracker) RecordEncrypt(vaddr, seq uint64) bool {
 	t.Encryptions++
-	if t.base != nil && t.base.contains(vaddr, seq) {
+	if t.base != nil && t.base(vaddr, seq) {
 		t.Violations++
 		return false
 	}

@@ -138,6 +138,23 @@ func TestPadTracker(t *testing.T) {
 	}
 }
 
+// TestPadTrackerBase checks that pairs the base reports count as used
+// without being recorded: reusing one is a violation, and other pairs
+// are tracked as usual.
+func TestPadTrackerBase(t *testing.T) {
+	var tr PadTracker
+	tr.SetBase(func(vaddr, seq uint64) bool { return vaddr == 0x1000 && seq == 7 })
+	if tr.RecordEncrypt(0x1000, 7) {
+		t.Fatal("a base pair was reported fresh")
+	}
+	if !tr.RecordEncrypt(0x1000, 8) || tr.RecordEncrypt(0x1000, 8) {
+		t.Fatal("pairs outside the base are not tracked")
+	}
+	if tr.Violations != 2 || tr.Encryptions != 3 {
+		t.Fatalf("violations=%d encryptions=%d", tr.Violations, tr.Encryptions)
+	}
+}
+
 func BenchmarkPad(b *testing.B) {
 	ks := NewKeystream(testKey())
 	b.SetBytes(LineSize)

@@ -15,9 +15,17 @@
 // decryption against the architectural image in package mem. Prediction
 // can therefore never corrupt data — a mispredicted pad simply fails the
 // counter comparison and is discarded, exactly as in the hardware.
+//
+// Pads are computed only for lines whose data actually moves. Machines
+// built from a shared pre-aged image (AgedTemplate) start from its
+// counters, and each template line is encrypted the first time any of
+// those machines fetches or writes it, into a slot every later machine
+// reads; a cold machine pays AES for the lines it touches, not the
+// whole image.
 package secmem
 
 import (
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -168,8 +176,13 @@ type Controller struct {
 	// arrays (flat indexing, no hashing on the fetch/evict hot path) with
 	// a sparse fallback beyond the dense horizon; a line is materialized
 	// exactly when its counter-table entry exists.
-	ctrs   *paged.Table[ctrState]
-	pads   *paged.Table[padState]
+	ctrs *paged.Table[ctrState]
+	pads *paged.Table[padState]
+	// tmpl is the pre-aged template a full-model controller views (nil
+	// otherwise). Its lines have no entry in pads until this controller
+	// writes them; until then they read through the template's sealed
+	// slots.
+	tmpl   *AgedTemplate
 	tree   *integrity.Tree   // optional hash-tree integrity protection
 	direct *ctr.DirectCipher // non-nil in direct mode
 
@@ -212,12 +225,14 @@ type ctrState struct {
 }
 
 // padState is the cold half: the functional ciphertext and pad material,
-// touched only by paths that actually move data bits.
+// touched only by paths that actually move data bits. A template line
+// this controller has not written has no padState of its own: it reads
+// the template's sealed slot, and its first write copies that slot here.
 type padState struct {
 	enc ctr.Line // encrypted RAM contents
 	// pad, when padValid, holds the OTP for (line address, seq), kept by
 	// sealPad, which every path that encrypts the line goes through
-	// (the template's seal, materialization, writeback, heal). Counter
+	// (a template slot's seal, materialization, writeback, heal). Counter
 	// mode decrypts with the exact pad, so a fetch books its pipeline
 	// slots normally and skips re-running AES; every path that changes
 	// seq either reseals the line or clears padValid. This is the
@@ -491,14 +506,18 @@ func (c *Controller) fetchCounter(now uint64, la uint64) uint64 {
 // image through the crypto engine with the page's initial (root) counter.
 // It returns the line's off-chip state for *reading*: when the state is a
 // view of a shared pre-aged template the pointers may reach into the
-// template, so mutation paths must go through owned instead. The pad
-// half is nil in counters-only mode.
+// template (a template line this controller never wrote reads its sealed
+// slot, sealing it if no controller has yet), so mutation paths must go
+// through owned instead. The pad half is nil in counters-only mode.
 func (c *Controller) materialize(la uint64) (*ctrState, *padState) {
 	if cs := c.ctrs.Lookup(la); cs != nil {
 		if c.cfg.CountersOnly {
 			return cs, nil
 		}
-		return cs, c.pads.Lookup(la)
+		if ps := c.pads.Lookup(la); ps != nil {
+			return cs, ps
+		}
+		return cs, c.tmpl.slot(la)
 	}
 	return c.owned(la)
 }
@@ -515,14 +534,19 @@ func (c *Controller) owned(la uint64) (*ctrState, *padState) {
 }
 
 // ensure creates la's table entries, or copies them out of a shared
-// template, and reports whether the line is new. Counters-only mode
-// never touches the pad table and returns a nil pad half.
+// template, and reports whether the line is new. A template line's first
+// write starts from its sealed slot. Counters-only mode never touches the
+// pad table and returns a nil pad half.
 func (c *Controller) ensure(la uint64) (*ctrState, *padState, bool) {
 	cs, fresh := c.ctrs.Ensure(la)
 	if c.cfg.CountersOnly {
 		return cs, nil, fresh
 	}
-	ps, _ := c.pads.Ensure(la)
+	ps, padFresh := c.pads.Ensure(la)
+	if padFresh && !fresh {
+		// Only template lines have a counter but no pad entry.
+		*ps = *c.tmpl.slot(la)
+	}
 	return cs, ps, fresh
 }
 
@@ -558,7 +582,7 @@ func (c *Controller) seal(cs *ctrState, ps *padState, la, seq uint64) {
 	}
 }
 
-// sealPad is seal's data step, shared with an AgedTemplate's lazy seal:
+// sealPad is seal's data step, shared with an AgedTemplate's slot seal:
 // it encrypts la's architectural contents under seq and keeps the pad.
 func sealPad(ks *ctr.Keystream, image *mem.Memory, ps *padState, la, seq uint64) {
 	ks.PadInto(&ps.pad, la, seq)
@@ -591,35 +615,52 @@ func (c *Controller) AgeLine(vaddr uint64, offset uint64) {
 // megabytes of lines per run. Build one with BuildAgedTemplate and attach
 // it with Controller.UseAgedTemplate.
 //
-// It has two halves, kept in separate tables so a view copies only what
-// its machine writes. The counter half (24 bytes a line) is built
-// eagerly; it is all a counters-only machine reads. The pad half — each
-// line's ciphertext and pad (72 bytes a line) and the tracker of every
-// pad the template used — is sealed once, from the counter half, when
-// the first full-model controller attaches, so a hit-rate sweep never
-// computes a pad.
+// It has two halves. The counter half (24 bytes a line) is built eagerly
+// and frozen; it is all a counters-only machine reads. The pad half is a
+// table of slots, one per counter-half line, allocated when the first
+// full-model controller attaches: a slot holds the line's ciphertext and
+// pad under its counter-half seq (72 bytes) and is sealed the first time
+// any attached controller reads or writes the line. A cold machine so
+// pays AES only for the lines it touches, and every later machine reads
+// the seals earlier ones made. Pads depend only on (key, line, seq), so
+// the seal order never shows in any result.
 type AgedTemplate struct {
 	ctrs *paged.Table[ctrState]
-	// ks and image are the lazy seal's key and frozen plaintext.
+	// ks and image are the slot seal's key and frozen plaintext.
 	ks    *ctr.Keystream
 	image *mem.Memory
 
-	sealOnce sync.Once
-	pads     atomic.Pointer[agedPads] // nil until sealed
+	padOnce sync.Once
+	// slots is the pad half, built by padOnce and frozen before any
+	// controller sees it; a slot's contents are published by its state.
+	slots *paged.Table[padSlot]
+	// pool is an empty frozen table whose page pool backs every attached
+	// controller's own pad table: pages a closed machine released serve
+	// the next machine's first writes.
+	pool    *paged.Table[padState]
+	nsealed atomic.Int64 // slots sealed so far
 }
 
-// agedPads is an AgedTemplate's pad half.
-type agedPads struct {
-	pads    *paged.Table[padState]
-	tracker ctr.PadTracker
+// padSlot is one line of a template's pad half. Its state moves once
+// from slotEmpty through slotSealing to slotSealed; ps may be read only
+// after loading slotSealed.
+type padSlot struct {
+	state atomic.Uint32
+	ps    padState
 }
+
+const (
+	slotEmpty uint32 = iota
+	slotSealing
+	slotSealed
+)
 
 // Lines reports how many distinct lines the template pre-aged.
 func (t *AgedTemplate) Lines() int { return t.ctrs.Count() }
 
-// Sealed reports whether the pad half has been built, i.e. whether a
-// full-model controller has attached the template.
-func (t *AgedTemplate) Sealed() bool { return t.pads.Load() != nil }
+// SealedLines reports how many of the template's lines attached
+// full-model controllers have sealed so far.
+func (t *AgedTemplate) SealedLines() int { return int(t.nsealed.Load()) }
 
 // BuildAgedTemplate replays the aging setup loop once into the counter
 // half of a frozen template: visit yields the sampled (line address,
@@ -627,9 +668,9 @@ func (t *AgedTemplate) Sealed() bool { return t.pads.Load() != nil }
 // page root counter (it is consulted exactly once per distinct line, in
 // first-touch order, so a caller drawing roots from a seeded stream
 // reproduces the per-run draw sequence), and ks/image supply the key and
-// plaintext for the pad half, sealed later. Duplicate line addresses are
-// skipped exactly as Controller.AgeLine skips already-touched lines. The
-// caller must not modify image afterwards.
+// plaintext for the pad half, sealed later line by line. Duplicate line
+// addresses are skipped exactly as Controller.AgeLine skips
+// already-touched lines. The caller must not modify image afterwards.
 func BuildAgedTemplate(ks *ctr.Keystream, image *mem.Memory, roots func(la uint64) uint64, visit func(yield func(la, offset uint64))) *AgedTemplate {
 	t := &AgedTemplate{ctrs: paged.New[ctrState](ctr.LineSize), ks: ks, image: image}
 	visit(func(la, offset uint64) {
@@ -645,37 +686,55 @@ func BuildAgedTemplate(ks *ctr.Keystream, image *mem.Memory, roots func(la uint6
 	return t
 }
 
-// padHalf returns the pad half, sealing it on first use: every line of
-// the counter half is encrypted under its recorded counter, in ascending
-// address order, and each pad is recorded in the template's tracker
-// (a set, so the order is immaterial). The seal reads only the frozen
-// counter half and image, and freezes its table before any caller
-// sees it.
-func (t *AgedTemplate) padHalf() *agedPads {
-	t.sealOnce.Do(func() {
-		p := &agedPads{pads: paged.New[padState](ctr.LineSize)}
-		t.ctrs.ForEach(func(la uint64, cs *ctrState) {
-			ps, _ := p.pads.Ensure(la)
-			sealPad(t.ks, t.image, ps, la, cs.seq)
-			p.tracker.RecordEncrypt(la, cs.seq)
-		})
-		p.pads.Freeze()
-		t.pads.Store(p)
-	})
-	return t.pads.Load()
+// buildPadHalf allocates one empty slot per counter-half line, and the
+// page pool, on the first full-model attach. It computes no pad.
+func (t *AgedTemplate) buildPadHalf() {
+	t.slots = paged.New[padSlot](ctr.LineSize)
+	t.ctrs.ForEach(func(la uint64, _ *ctrState) { t.slots.Ensure(la) })
+	t.slots.Freeze()
+	t.pool = paged.New[padState](ctr.LineSize)
+	t.pool.Freeze()
+}
+
+// slot returns template line la's slot, sealing it under the counter
+// half's seq if no controller has yet. Controllers racing to seal one
+// line agree through the slot's state: one seals, the others wait for it.
+func (t *AgedTemplate) slot(la uint64) *padState {
+	s := t.slots.Lookup(la)
+	if s.state.Load() == slotSealed {
+		return &s.ps
+	}
+	if s.state.CompareAndSwap(slotEmpty, slotSealing) {
+		sealPad(t.ks, t.image, &s.ps, la, t.ctrs.Lookup(la).seq)
+		t.nsealed.Add(1)
+		s.state.Store(slotSealed)
+		return &s.ps
+	}
+	for s.state.Load() != slotSealed {
+		runtime.Gosched()
+	}
+	return &s.ps
+}
+
+// usedPad reports whether (la, seq) is a template pad: the pair each
+// counter-half line is sealed under, whether or not any controller has
+// sealed it yet.
+func (t *AgedTemplate) usedPad(la, seq uint64) bool {
+	cs := t.ctrs.Lookup(la)
+	return cs != nil && cs.seq == seq
 }
 
 // UseAgedTemplate replaces the controller's empty off-chip state with a
-// copy-on-write view of the template. A full-model controller also views
-// the pad half, sealing it if no controller has yet, and shares the
-// template's pad-use history read-only (pads the template recorded count
-// as used, so reuse is still a violation); a counters-only controller
-// views the counter half alone. The caller must have advanced the
-// controller's predictor to the same per-page roots the template was
-// built with — sim does this by replaying the root draws in template
-// order. Must be called before any line is touched; incompatible with
-// an integrity tree, whose per-machine contents are built during eager
-// aging.
+// copy-on-write view of the template's counter half. A full-model
+// controller also reads the pad half (allocating its empty slots if no
+// controller has yet) and counts every template pad as used, so
+// re-encrypting a line under its template counter is still a violation;
+// its own pad table starts empty. A counters-only controller views the
+// counter half alone. The caller must have advanced the controller's
+// predictor to the same per-page roots the template was built with — sim
+// does this by replaying the root draws in template order. Must be
+// called before any line is touched; incompatible with an integrity
+// tree, whose per-machine contents are built during eager aging.
 func (c *Controller) UseAgedTemplate(t *AgedTemplate) {
 	if c.ctrs.Count() != 0 {
 		panic("secmem: UseAgedTemplate after lines were touched")
@@ -687,9 +746,10 @@ func (c *Controller) UseAgedTemplate(t *AgedTemplate) {
 	if c.cfg.CountersOnly {
 		return
 	}
-	p := t.padHalf()
-	c.pads = paged.NewView(p.pads)
-	c.tracker.SetBase(&p.tracker)
+	t.padOnce.Do(t.buildPadHalf)
+	c.tmpl = t
+	c.pads = paged.NewView(t.pool)
+	c.tracker.SetBase(t.usedPad)
 }
 
 // Release returns the controller's copy-on-write line state to the aged

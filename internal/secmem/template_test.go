@@ -1,6 +1,7 @@
 package secmem
 
 import (
+	"sync"
 	"testing"
 
 	"ctrpred/internal/cryptoengine"
@@ -70,36 +71,66 @@ func TestAgedTemplateCountersOnlyLeavesPadsUnbuilt(t *testing.T) {
 		now = c.FetchLine(now, la).Done
 		c.EvictLine(now, la)
 	})
-	if tmpl.Sealed() {
-		t.Fatal("a counters-only attach sealed the template's pad half")
+	if tmpl.slots != nil || tmpl.SealedLines() != 0 {
+		t.Fatal("a counters-only attach allocated or sealed the template's pad half")
 	}
 	if got, want := c.Seq(0x10040), c.Predictor().Root(0x10040)+7; got <= want {
 		t.Fatalf("evicted aged line's counter = %d, want past %d", got, want)
 	}
 }
 
+// templateLines returns the first n image lines in address order.
+func (s *agedSetup) templateLines(n int) []uint64 {
+	var las []uint64
+	s.image.ForEachLine(func(la uint64) {
+		if len(las) < n {
+			las = append(las, la)
+		}
+	})
+	return las
+}
+
+// TestAgedTemplateFullAttachSealsOnce pins the lazy seal: attaching
+// computes no pad, each fetched template line is sealed exactly once,
+// and a second controller reuses the slot table and the first one's
+// seals.
 func TestAgedTemplateFullAttachSealsOnce(t *testing.T) {
 	s := newAgedSetup()
 	tmpl := s.build()
 	a := s.controller(DefaultConfig())
 	a.UseAgedTemplate(tmpl)
-	first := tmpl.pads.Load()
-	if first == nil {
-		t.Fatal("a full-model attach left the pad half unbuilt")
+	slots := tmpl.slots
+	if slots == nil {
+		t.Fatal("a full-model attach left the pad half unallocated")
 	}
-	if got := first.pads.Count(); got != tmpl.Lines() {
-		t.Fatalf("pad half has %d lines, counter half %d", got, tmpl.Lines())
+	if got := tmpl.SealedLines(); got != 0 {
+		t.Fatalf("attaching sealed %d lines, want 0", got)
+	}
+	las := s.templateLines(5)
+	var now uint64
+	for _, la := range las {
+		now = a.FetchLine(now, la).Done
+		now = a.FetchLine(now, la).Done // a re-fetch reads the same slot
+	}
+	if got := tmpl.SealedLines(); got != len(las) {
+		t.Fatalf("fetching %d distinct lines sealed %d", len(las), got)
 	}
 	b := s.controller(DefaultConfig())
 	b.UseAgedTemplate(tmpl)
-	if tmpl.pads.Load() != first {
-		t.Fatal("a second full-model attach resealed the template")
+	if tmpl.slots != slots {
+		t.Fatal("a second full-model attach rebuilt the pad half")
 	}
-	s.image.ForEachLine(func(la uint64) {
-		if a.EncryptedLine(la) != b.EncryptedLine(la) {
-			t.Fatalf("line %#x: two attaches see different ciphertext", la)
+	for _, la := range las {
+		if res := b.FetchLine(now, la); res.Plain != s.image.LineAt(la) {
+			t.Fatalf("line %#x decrypted wrong on the second controller", la)
 		}
-	})
+		if a.EncryptedLine(la) != b.EncryptedLine(la) {
+			t.Fatalf("line %#x: two controllers see different ciphertext", la)
+		}
+	}
+	if got := tmpl.SealedLines(); got != len(las) {
+		t.Fatalf("a second controller re-fetching sealed %d more lines", got-len(las))
+	}
 }
 
 // TestAgedTemplateMatchesEagerAging pins the lazy seal to the per-line
@@ -143,5 +174,95 @@ func TestAgedTemplatePadReuseIsViolation(t *testing.T) {
 	c.seal(cs, ps, la, seq) // re-encrypt under the template's own (la, seq)
 	if got := c.PadViolations(); got != 1 {
 		t.Fatalf("PadViolations = %d after reusing a template pad, want 1", got)
+	}
+}
+
+// TestAgedTemplateEvictFirstReuseIsViolation covers a template line whose
+// first touch is a writeback: its template pad still counts as used,
+// though the eviction sealed a fresh counter over it.
+func TestAgedTemplateEvictFirstReuseIsViolation(t *testing.T) {
+	s := newAgedSetup()
+	tmpl := s.build()
+	c := s.controller(DefaultConfig())
+	c.UseAgedTemplate(tmpl)
+	const la = 0x10040
+	tseq := tmpl.ctrs.Lookup(la).seq
+	c.EvictLine(0, la)
+	if c.Seq(la) == tseq {
+		t.Fatal("the writeback did not advance the template counter")
+	}
+	cs, ps := c.owned(la)
+	c.seal(cs, ps, la, tseq)
+	if got := c.PadViolations(); got != 1 {
+		t.Fatalf("PadViolations = %d after reusing an evicted line's template pad, want 1", got)
+	}
+}
+
+// TestAgedTemplateReplayOfTemplatePairRefused replays a never-fetched
+// line's own template pair: the controller must compare against the
+// sealed slot, find the pair identical, and refuse it as a no-op.
+func TestAgedTemplateReplayOfTemplatePairRefused(t *testing.T) {
+	s := newAgedSetup()
+	tmpl := s.build()
+	c := s.controller(DefaultConfig())
+	c.UseAgedTemplate(tmpl)
+	const la = 0x12000
+	seq := tmpl.ctrs.Lookup(la).seq
+	enc := ctr.NewKeystream(s.key).EncryptLine(s.image.LineAt(la), la, seq)
+	if c.ReplayStale(la, enc, seq) {
+		t.Fatal("replaying the line's current template pair was accepted")
+	}
+	if got := tmpl.SealedLines(); got != 1 {
+		t.Fatalf("SealedLines = %d after the replay check, want 1", got)
+	}
+	if res := c.FetchLine(0, la); res.Plain != s.image.LineAt(la) {
+		t.Fatal("the refused replay changed the line")
+	}
+}
+
+// TestAgedTemplateConcurrentSeal races full-model controllers over
+// overlapping lines of one fresh template (run under -race by make race):
+// every line is sealed once and every controller reads the same bytes.
+func TestAgedTemplateConcurrentSeal(t *testing.T) {
+	s := newAgedSetup()
+	tmpl := s.build()
+	las := s.templateLines(64)
+	const n = 6
+	ctrls := make([]*Controller, n)
+	for i := range ctrls {
+		ctrls[i] = s.controller(DefaultConfig())
+	}
+	var wg sync.WaitGroup
+	for i, c := range ctrls {
+		wg.Add(1)
+		go func(i int, c *Controller) {
+			defer wg.Done()
+			c.UseAgedTemplate(tmpl)
+			var now uint64
+			// Each controller walks from its own offset, half of them
+			// evicting as they go, so seals and first writes collide.
+			for k := range las {
+				la := las[(k+i*7)%len(las)]
+				now = c.FetchLine(now, la).Done
+				if i%2 == 1 {
+					c.EvictLine(now, la)
+				}
+			}
+		}(i, c)
+	}
+	wg.Wait()
+	if got := tmpl.SealedLines(); got != len(las) {
+		t.Fatalf("%d controllers over %d lines sealed %d", n, len(las), got)
+	}
+	for _, la := range las {
+		if ctrls[0].EncryptedLine(la) != ctrls[2].EncryptedLine(la) {
+			t.Fatalf("line %#x: fetch-only controllers disagree", la)
+		}
+	}
+	for i, c := range ctrls {
+		if c.PadViolations() != 0 || c.Stats().SelfCheckFails != 0 {
+			t.Fatalf("controller %d: %d pad violations, %d self-check failures",
+				i, c.PadViolations(), c.Stats().SelfCheckFails)
+		}
 	}
 }

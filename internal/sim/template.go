@@ -7,9 +7,13 @@
 // them re-assembled and re-aged megabytes of identical state.
 //
 // The pre-aged state is a secmem.AgedTemplate. Its counter half is built
-// with the template; its pad half (ciphertext, pads and pad-use history)
-// is sealed only when the first full-model machine attaches, so the
-// counters-only machines of the hit-rate figures never pay for AES.
+// with the template. Its pad half is a table of per-line slots that
+// exists only once a full-model machine attaches, and each slot is
+// sealed (encrypted under the line's aged counter) the first time any
+// machine reads or writes that line. The counters-only machines of the
+// hit-rate figures so never pay for AES; a cold full-model machine pays
+// for the lines it touches (about one in ten at service scale); a warm
+// one finds them sealed by the machines before it.
 //
 // Sharing is sound because all of the cached artifacts are functions of
 // the key (seed-derived), the image (seed-derived), and the counter
@@ -79,10 +83,12 @@ var (
 	tmplOrder []templateKey
 )
 
-// tmplCacheMax bounds cached templates (FIFO). At the hit-rate figures'
-// 8 MiB footprint a template measures 16–18 MiB (image, aging profile and
-// a 6–7 MiB counter half); the first full-model machine to attach adds a
-// 26–28 MiB pad half. The cap covers a full benchmark sweep at two
+// tmplCacheMax bounds cached templates (FIFO). A template (image, aging
+// profile and counter half) measures 1.1–1.3 MiB at 512 KiB footprints,
+// 2.1–2.5 MiB at 1 MiB and 16–17 MiB at the hit-rate figures' 8 MiB. The
+// first full-model machine to attach adds the pad-slot table, 72 bytes a
+// line: 1.1–1.4, 2.3–2.8 and 18–19 MiB, where a slot is written only
+// when its line is sealed. The cap covers a full benchmark sweep at two
 // scales.
 const tmplCacheMax = 32
 
@@ -131,8 +137,8 @@ func dropTemplate(key templateKey) {
 
 // buildTemplate runs the seed-deterministic half of machine construction
 // once: build the workload, sample its aging profile, and pre-age the
-// off-chip counters (the pad half is sealed under the machine key on
-// first full-model use, see secmem.AgedTemplate). Root counters are
+// off-chip counters (each line's pad is sealed under the machine key on
+// its first full-model use, see secmem.AgedTemplate). Root counters are
 // drawn through a throwaway default-geometry predictor so the draw
 // sequence matches what any machine's own predictor produces when it
 // replays roots in agePages order.

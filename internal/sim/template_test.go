@@ -49,13 +49,24 @@ func templateMix(seed uint64) []Config {
 }
 
 // TestTemplateConcurrentAttach races counters-only and full-model
-// machines onto one fresh template while other keys build alongside,
-// and checks every snapshot against the same run made sequentially
-// from a template built without contention.
+// machines onto one fresh template while other keys build alongside —
+// the full-model ones fetch overlapping lines, so they race to seal the
+// same slots — and checks every snapshot against the same run made
+// sequentially from a template built without contention.
 func TestTemplateConcurrentAttach(t *testing.T) {
 	const seed = 0x7e3a17
 	const bench = "gzip"
 	cfgs := templateMix(seed)
+	const attachers = 10
+	full := 0
+	for i := 0; i < attachers; i++ {
+		if cfgs[i%len(cfgs)].SelfCheck { // templateMix's full-model runs
+			full++
+		}
+	}
+	if full < 4 {
+		t.Fatalf("only %d full-model attachers race on the template", full)
+	}
 	want := make([]string, len(cfgs))
 	for i, cfg := range cfgs {
 		js, err := snapshotOf(bench, cfg)
@@ -66,7 +77,6 @@ func TestTemplateConcurrentAttach(t *testing.T) {
 	}
 	forgetTemplate(bench, cfgs[0])
 
-	const attachers = 10
 	others := []string{"mcf", "swim", "twolf"}
 	got := make([]string, attachers)
 	errs := make([]error, attachers+len(others))
@@ -94,6 +104,14 @@ func TestTemplateConcurrentAttach(t *testing.T) {
 			t.Errorf("attacher %d: snapshot differs from its sequential twin", i)
 		}
 	}
+	tmpl, err := getTemplate(bench, cfgs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := tmpl.aged.SealedLines(); n == 0 || n >= tmpl.aged.Lines() {
+		t.Errorf("racing machines sealed %d of %d template lines", n, tmpl.aged.Lines())
+	}
+	forgetTemplate(bench, cfgs[0])
 	for _, other := range others {
 		forgetTemplate(other, cfgs[0])
 	}
@@ -124,8 +142,8 @@ func TestTemplateBuildErrorNotCached(t *testing.T) {
 
 // TestHitRateSweepLeavesPadsUnbuilt runs a Figure-7-shaped grid — the
 // counters-only hit-rate model over seq caches and prediction — and
-// checks that it never sealed its template's pad half; the first
-// full-model machine then does.
+// checks that it sealed no template line; a full-model machine then
+// seals the lines it touches, not the whole image.
 func TestHitRateSweepLeavesPadsUnbuilt(t *testing.T) {
 	const seed = 0x5f1e7
 	for _, bench := range []string{"mcf", "swim"} {
@@ -146,15 +164,15 @@ func TestHitRateSweepLeavesPadsUnbuilt(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tmpl.aged.Sealed() {
-			t.Fatalf("%s: a counters-only sweep sealed the template's pad half", bench)
+		if n := tmpl.aged.SealedLines(); n != 0 {
+			t.Fatalf("%s: a counters-only sweep sealed %d template lines", bench, n)
 		}
 		cfg.SelfCheck = true
 		if _, err := Run(bench, cfg); err != nil {
 			t.Fatal(err)
 		}
-		if !tmpl.aged.Sealed() {
-			t.Fatalf("%s: a full-model run left the pad half unbuilt", bench)
+		if n, all := tmpl.aged.SealedLines(), tmpl.aged.Lines(); n == 0 || n >= all {
+			t.Fatalf("%s: a full-model run sealed %d of %d template lines", bench, n, all)
 		}
 		forgetTemplate(bench, cfg)
 	}
