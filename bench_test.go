@@ -253,9 +253,12 @@ func BenchmarkSingleRunMcfFaultsArmed(b *testing.B) {
 }
 
 // BenchmarkSingleRunSwimIntegrity is cmd/ctrbench's secure-write swim
-// cell: a write-heavy run with the integrity tree and self-check on, so
-// every run pays the tree's image load in NewMachine and a tree update
-// on every writeback. It prices the hash tree's host work per run.
+// cell: a write-heavy run with the integrity tree and self-check on.
+// NewMachine clones the tree the template's aged lines were loaded into
+// (BenchmarkIntegrityMachine256K prices that); the run verifies every
+// fetch, updates the tree on every writeback and installs the leaf of
+// each unaged line it first touches. It prices the hash tree's host
+// work per run.
 func BenchmarkSingleRunSwimIntegrity(b *testing.B) {
 	cfg := DefaultConfig(SchemePred(PredContext)).WithIntegrity()
 	cfg.Scale = Scale{Footprint: 256 << 10, Instructions: 100_000}
@@ -272,6 +275,30 @@ func BenchmarkSingleRunSwimIntegrity(b *testing.B) {
 		instrs += res.CPU.Instructions
 	}
 	b.ReportMetric(float64(instrs)/b.Elapsed().Seconds(), "sim_instrs/s")
+}
+
+// BenchmarkIntegrityMachine256K builds and closes
+// BenchmarkSingleRunSwimIntegrity's machine from a warm template: what
+// NewMachine costs an integrity machine before it runs, mostly the clone
+// of the template's loaded tree, node cache and data channel.
+func BenchmarkIntegrityMachine256K(b *testing.B) {
+	cfg := DefaultConfig(SchemePred(PredContext)).WithIntegrity()
+	cfg.Scale = Scale{Footprint: 256 << 10, Instructions: 100_000}
+	m, err := NewMachine("swim", cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m, err := NewMachine("swim", cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		m.Close()
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/machine")
 }
 
 // coldSeed hands each cold-template iteration a seed no earlier

@@ -125,6 +125,19 @@ func New(cfg Config) *Cache {
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
+// Clone returns an independent copy of the cache: same lines, LRU order
+// and statistics.
+func (c *Cache) Clone() *Cache {
+	d := *c
+	backing := make([]line, c.numSets*c.cfg.Ways)
+	d.sets = make([][]line, c.numSets)
+	for i, ways := range c.sets {
+		d.sets[i] = backing[i*c.cfg.Ways : (i+1)*c.cfg.Ways]
+		copy(d.sets[i], ways)
+	}
+	return &d
+}
+
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 

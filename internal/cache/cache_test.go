@@ -236,3 +236,27 @@ func BenchmarkAccess(b *testing.B) {
 		c.Access(uint64(i*64), i%4 == 0)
 	}
 }
+
+// TestCloneIsIndependent checks a clone keeps the original's lines, LRU
+// order and statistics, and that the two then evolve separately.
+func TestCloneIsIndependent(t *testing.T) {
+	c := New(Config{Name: "t", SizeBytes: 256, LineSize: 32, Ways: 2})
+	for _, a := range []uint64{0, 128, 256, 0, 512} {
+		c.Access(a, a == 128)
+	}
+	d := c.Clone()
+	if d.Stats() != c.Stats() || d.DirtyLines() != c.DirtyLines() {
+		t.Fatal("clone lost the original's state")
+	}
+	for _, a := range []uint64{0, 256, 640, 384, 32} {
+		hc, ec := c.Access(a, true)
+		hd, ed := d.Access(a, true)
+		if hc != hd || ec != ed {
+			t.Fatalf("access %#x: original (%v, %+v), clone (%v, %+v)", a, hc, ec, hd, ed)
+		}
+	}
+	d.InvalidateAll()
+	if !c.Probe(32) || d.Probe(32) {
+		t.Fatal("invalidating the clone reached the original")
+	}
+}

@@ -13,6 +13,7 @@ package dram
 
 import (
 	"math/bits"
+	"slices"
 
 	"ctrpred/internal/stats"
 )
@@ -115,6 +116,14 @@ func New(cfg Config) *DRAM {
 
 // Config returns the channel configuration.
 func (d *DRAM) Config() Config { return d.cfg }
+
+// Clone returns an independent copy of the channel: same open rows, bank
+// and bus reservations, and statistics.
+func (d *DRAM) Clone() *DRAM {
+	c := *d
+	c.banks = slices.Clone(d.banks)
+	return &c
+}
 
 // Stats returns a copy of the accumulated statistics.
 func (d *DRAM) Stats() Stats { return d.stats }

@@ -152,3 +152,26 @@ func TestBankPartition(t *testing.T) {
 		t.Fatalf("cross-partition thrash: only %d row hits (%+v)", s.RowHits, s)
 	}
 }
+
+// TestCloneIsIndependent checks a clone keeps the original's open rows,
+// reservations and statistics, and that the two then evolve separately.
+func TestCloneIsIndependent(t *testing.T) {
+	d := New(DefaultConfig())
+	for i := uint64(0); i < 6; i++ {
+		d.Access(i*10, i*4096, 32, i%2 == 0)
+	}
+	c := d.Clone()
+	for i := uint64(0); i < 6; i++ {
+		addr := i * 2048
+		if a, b := d.Access(100, addr, 32, false), c.Access(100, addr, 32, false); a != b {
+			t.Fatalf("access %#x: original done %d, clone %d", addr, a, b)
+		}
+	}
+	if d.Stats() != c.Stats() {
+		t.Fatalf("stats %+v, clone %+v", d.Stats(), c.Stats())
+	}
+	c.Access(0, 1<<20, 32, true)
+	if d.Stats() == c.Stats() {
+		t.Fatal("an access to the clone reached the original")
+	}
+}

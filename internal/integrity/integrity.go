@@ -22,11 +22,17 @@
 // The tree is sparse: only paths touching protected lines materialize,
 // with absent children treated as the zero digest, so gigabyte-scale
 // address spaces cost memory proportional to the touched working set.
+// A leaf's digest is stored once, in its level-1 parent's slot.
+//
+// A frozen tree is a shareable image: Clone hands each copy the frozen
+// nodes, and a copy duplicates a node only before it first writes it.
 package integrity
 
 import (
 	"encoding/binary"
+	"maps"
 	"math/bits"
+	"slices"
 
 	"ctrpred/internal/cache"
 	"ctrpred/internal/ctr"
@@ -105,16 +111,21 @@ type node struct {
 	// stale has bit i set while children[i] lags behind child i's
 	// digest; the slot is refreshed when this node's digest is read.
 	stale uint64
-	sum   Digest
-	valid bool // sum is up to date; never while stale != 0
+	// leaves has bit i set once a level-1 node's children[i] holds an
+	// installed leaf digest.
+	leaves uint64
+	sum    Digest
+	valid  bool // sum is up to date; never while stale != 0
+	// shared marks a node of a frozen tree, which every clone reads and
+	// none may write; it is always valid.
+	shared bool
 }
 
 // Tree is the integrity tree plus its timing model.
 type Tree struct {
-	cfg    Config
-	leaves map[uint64]Digest // by line address
-	nodes  map[nodeKey]*node
-	root   Digest // on-chip, always trusted
+	cfg   Config
+	nodes map[nodeKey]*node
+	root  Digest // on-chip, always trusted
 	// top is the top node of the last updated path; while topDirty,
 	// root has yet to be read from it.
 	top       nodeKey
@@ -122,6 +133,7 @@ type Tree struct {
 	nodeCache *cache.Cache
 	dram      *dram.DRAM
 	stats     Stats
+	frozen    bool // set by Freeze: only Clone may use the tree
 }
 
 // New builds an empty tree over the given DRAM channel (used for node
@@ -131,10 +143,9 @@ func New(cfg Config, d *dram.DRAM) *Tree {
 		panic("integrity: invalid tree geometry")
 	}
 	t := &Tree{
-		cfg:    cfg,
-		leaves: make(map[uint64]Digest),
-		nodes:  make(map[nodeKey]*node),
-		dram:   d,
+		cfg:   cfg,
+		nodes: make(map[nodeKey]*node),
+		dram:  d,
 	}
 	if cfg.NodeCacheBytes > 0 {
 		nodeBytes := cfg.Arity * sha256.Size
@@ -187,13 +198,36 @@ func (t *Tree) parentOf(level int, index uint64) (nodeKey, int) {
 		int(index % uint64(t.cfg.Arity))
 }
 
-func (t *Tree) getNode(k nodeKey) *node {
+// writable returns node k for writing: created when absent, and copied
+// out of the frozen tree it is shared with before the first write.
+func (t *Tree) writable(k nodeKey) *node {
 	n := t.nodes[k]
-	if n == nil {
+	switch {
+	case n == nil:
 		n = &node{children: make([]Digest, t.cfg.Arity)}
+		t.nodes[k] = n
+	case n.shared:
+		own := *n
+		own.children = slices.Clone(n.children)
+		own.shared = false
+		n = &own
 		t.nodes[k] = n
 	}
 	return n
+}
+
+// leaf returns lineAddr's level-1 parent and slot, and whether the leaf
+// was ever installed.
+func (t *Tree) leaf(lineAddr uint64) (*node, int, bool) {
+	k, slot := t.parentOf(0, t.leafIndex(lineAddr))
+	n := t.nodes[k]
+	return n, slot, n != nil && n.leaves&(1<<slot) != 0
+}
+
+// Has reports whether lineAddr's leaf was ever installed.
+func (t *Tree) Has(lineAddr uint64) bool {
+	_, _, ok := t.leaf(lineAddr)
+	return ok
 }
 
 // nodeDigest returns the digest of node n at key k, first refreshing
@@ -229,20 +263,22 @@ func (t *Tree) nodeAddr(k nodeKey) uint64 {
 // returning the cycle the last node write completes. The leaf digest
 // goes into its parent at once; each node above only marks the slot on
 // the path stale, to be rehashed when read.
-// Called by the secure memory controller on every writeback (and on
-// image materialization with now == 0 for a free warm start).
+// Called by the secure memory controller on every writeback, and with
+// now == 0 when a line is first loaded. Those load updates are timed
+// like any other: their node writes occupy the node cache and the DRAM
+// channel from cycle 0.
 func (t *Tree) Update(now uint64, lineAddr uint64, counter uint64, ct ctr.Line) uint64 {
 	t.stats.Updates++
 	d := t.leafDigest(lineAddr, counter, ct)
-	t.leaves[lineAddr] = d
 
 	index := t.leafIndex(lineAddr)
 	done := now
 	for level := 0; level < t.cfg.Levels; level++ {
 		k, slot := t.parentOf(level, index)
-		n := t.getNode(k)
+		n := t.writable(k)
 		if level == 0 {
 			n.children[slot] = d
+			n.leaves |= 1 << slot
 		} else {
 			n.stale |= 1 << slot
 		}
@@ -272,7 +308,7 @@ func (t *Tree) Update(now uint64, lineAddr uint64, counter uint64, ct ctr.Line) 
 // completed. The walk stops at the first trusted (on-chip cached) node.
 func (t *Tree) Verify(now uint64, lineAddr uint64, counter uint64, ct ctr.Line) (bool, uint64) {
 	t.stats.Verifies++
-	want, known := t.leaves[lineAddr]
+	parent, slot, known := t.leaf(lineAddr)
 	if !known {
 		// Never-written line: authentic only if the stored digest chain
 		// is absent too — recompute and compare against the zero-backed
@@ -281,6 +317,7 @@ func (t *Tree) Verify(now uint64, lineAddr uint64, counter uint64, ct ctr.Line) 
 		t.stats.TamperDetected++
 		return false, now
 	}
+	want := parent.children[slot]
 	got := t.leafDigest(lineAddr, counter, ct)
 	authentic := got == want
 
@@ -296,7 +333,10 @@ func (t *Tree) Verify(now uint64, lineAddr uint64, counter uint64, ct ctr.Line) 
 	for level := 0; level < t.cfg.Levels; level++ {
 		t.stats.LevelsWalked++
 		k, slot := t.parentOf(level, index)
-		n := t.getNode(k)
+		// The path exists: Update built it when it installed the leaf. A
+		// node is stale only after a write below it, which made it this
+		// tree's own, so a shared node is only ever read here.
+		n := t.nodes[k]
 		if belowNode != nil {
 			d = t.nodeDigest(below, belowNode)
 			if n.stale&(1<<slot) != 0 {
@@ -342,7 +382,7 @@ func (t *Tree) CorruptPath(lineAddr uint64, level int, bit int) bool {
 	if level < 1 || level > t.cfg.Levels {
 		return false
 	}
-	if _, known := t.leaves[lineAddr]; !known {
+	if !t.Has(lineAddr) {
 		return false
 	}
 	index := t.leafIndex(lineAddr)
@@ -351,7 +391,7 @@ func (t *Tree) CorruptPath(lineAddr uint64, level int, bit int) bool {
 		index = k.index
 	}
 	k, slot := t.parentOf(level-1, index)
-	n := t.getNode(k)
+	n := t.writable(k)
 	// Settle the root and every pending digest in the node's segment
 	// first, so no later refresh folds the flip into the parent.
 	t.Root()
@@ -367,3 +407,35 @@ func (t *Tree) CorruptPath(lineAddr uint64, level int, bit int) bool {
 
 // NodeCount reports materialized interior nodes (tests).
 func (t *Tree) NodeCount() int { return len(t.nodes) }
+
+// Freeze settles every pending digest and marks all nodes shared, making
+// the tree an image for Clone. Settling only computes now what reads
+// would compute later, so no result changes. The frozen tree must not be
+// used afterwards except through Clone, which may run concurrently.
+func (t *Tree) Freeze() {
+	for k, n := range t.nodes {
+		t.nodeDigest(k, n)
+	}
+	t.Root()
+	for _, n := range t.nodes {
+		n.shared = true
+	}
+	t.frozen = true
+}
+
+// Clone returns a copy of a frozen tree bound to DRAM channel d: it
+// shares the frozen nodes until it writes them and starts from the
+// image's root, node-cache contents and statistics.
+func (t *Tree) Clone(d *dram.DRAM) *Tree {
+	if !t.frozen {
+		panic("integrity: Clone of a tree that is not frozen")
+	}
+	c := *t
+	c.frozen = false
+	c.nodes = maps.Clone(t.nodes)
+	if t.nodeCache != nil {
+		c.nodeCache = t.nodeCache.Clone()
+	}
+	c.dram = d
+	return &c
+}

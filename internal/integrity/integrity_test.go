@@ -6,6 +6,7 @@ import (
 
 	"ctrpred/internal/ctr"
 	"ctrpred/internal/dram"
+	"ctrpred/internal/rng"
 )
 
 func newTree() *Tree {
@@ -229,4 +230,83 @@ func BenchmarkVerify(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		tr.Verify(uint64(i), uint64(i%4096)*32, 1, line(byte(i)))
 	}
+}
+
+// TestCloneMatchesOriginal freezes a loaded tree and checks two clones
+// against an unfrozen twin built by the same updates: a random stream
+// of updates, verifications, corruptions and root reads gives the same
+// results, timing and statistics on the twin and the first clone, while
+// the second clone, run afterwards, still starts from the frozen image.
+func TestCloneMatchesOriginal(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.NodeCacheBytes = 2 << 10
+	twinDRAM, imgDRAM := dram.New(dram.DefaultConfig()), dram.New(dram.DefaultConfig())
+	twin, img := New(cfg, twinDRAM), New(cfg, imgDRAM)
+	for i, la := range diffLines[:20] {
+		twin.Update(0, la, 1, line(byte(i)))
+		img.Update(0, la, 1, line(byte(i)))
+	}
+	img.Freeze()
+	root := twin.Root()
+	clones := []*Tree{img.Clone(imgDRAM.Clone()), img.Clone(imgDRAM.Clone())}
+	for _, c := range clones {
+		if c.Root() != root || c.Stats() != twin.Stats() || c.NodeCount() != twin.NodeCount() {
+			t.Fatal("a clone does not start from the frozen tree's state")
+		}
+	}
+
+	r := rng.New(7)
+	seqs := map[uint64]uint64{}
+	now := uint64(0)
+	for i := 0; i < 3000; i++ {
+		la := diffLines[r.Intn(len(diffLines))]
+		now += uint64(r.Intn(200))
+		switch op := r.Intn(4); op {
+		case 0:
+			seqs[la]++
+			ct := line(byte(seqs[la]))
+			if a, b := twin.Update(now, la, seqs[la]+1, ct), clones[0].Update(now, la, seqs[la]+1, ct); a != b {
+				t.Fatalf("op %d: Update done %d, clone %d", i, a, b)
+			}
+		case 1:
+			ct := line(byte(seqs[la]))
+			okA, doneA := twin.Verify(now, la, seqs[la]+1, ct)
+			okB, doneB := clones[0].Verify(now, la, seqs[la]+1, ct)
+			if okA != okB || doneA != doneB {
+				t.Fatalf("op %d: Verify (%v, %d), clone (%v, %d)", i, okA, doneA, okB, doneB)
+			}
+		case 2:
+			level, bit := 1+r.Intn(cfg.Levels), r.Intn(256)
+			if a, b := twin.CorruptPath(la, level, bit), clones[0].CorruptPath(la, level, bit); a != b {
+				t.Fatalf("op %d: CorruptPath %v, clone %v", i, a, b)
+			}
+		case 3:
+			if twin.Root() != clones[0].Root() {
+				t.Fatalf("op %d: roots differ", i)
+			}
+		}
+		if twin.Stats() != clones[0].Stats() {
+			t.Fatalf("op %d: stats %+v, clone %+v", i, twin.Stats(), clones[0].Stats())
+		}
+	}
+	if twinDRAM.Stats() == imgDRAM.Stats() {
+		t.Fatal("the stream never reached DRAM")
+	}
+	if clones[1].Root() != root {
+		t.Fatal("the first clone's writes reached the frozen image")
+	}
+	for i, la := range diffLines[:20] {
+		if ok, _ := clones[1].Verify(0, la, 1, line(byte(i))); !ok {
+			t.Fatalf("line %#x rejected by the untouched clone", la)
+		}
+	}
+}
+
+func TestCloneRequiresFreeze(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Clone of an unfrozen tree did not panic")
+		}
+	}()
+	newTree().Clone(nil)
 }

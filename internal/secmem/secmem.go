@@ -21,7 +21,9 @@
 // counters, and each template line is encrypted the first time any of
 // those machines fetches or writes it, into a slot every later machine
 // reads; a cold machine pays AES for the lines it touches, not the
-// whole image.
+// whole image. A machine with an integrity tree starts from a clone of
+// the tree the image loads into (see AgedTemplate.LoadTree) and seals
+// the template lines it touches into its own pad table.
 package secmem
 
 import (
@@ -178,10 +180,11 @@ type Controller struct {
 	// exactly when its counter-table entry exists.
 	ctrs *paged.Table[ctrState]
 	pads *paged.Table[padState]
-	// tmpl is the pre-aged template a full-model controller views (nil
-	// otherwise). Its lines have no entry in pads until this controller
-	// writes them; until then they read through the template's sealed
-	// slots.
+	// tmpl is the pre-aged template a full-model controller without a
+	// tree views (nil otherwise). Its lines have no entry in pads until
+	// this controller writes them; until then they read through the
+	// template's sealed slots. An integrity controller on a template
+	// leaves tmpl nil: it seals a template line into pads at first touch.
 	tmpl   *AgedTemplate
 	tree   *integrity.Tree   // optional hash-tree integrity protection
 	direct *ctr.DirectCipher // non-nil in direct mode
@@ -328,8 +331,11 @@ func (c *Controller) PadViolations() uint64 { return c.tracker.Violations }
 func (c *Controller) CountersOnly() bool { return c.cfg.CountersOnly }
 
 // AttachIntegrity enables hash-tree verification of every fetch and
-// update of every writeback. Must be called before any line is touched so
-// the tree covers the whole image.
+// update of every writeback. Must be called before any line is touched,
+// and so before UseAgedTemplate, so the tree covers the whole image. On
+// a template, t must be a clone of the tree the template's aged lines
+// were loaded into (AgedTemplate.LoadTree); every other template line
+// gets its leaf when the controller first touches it.
 func (c *Controller) AttachIntegrity(t *integrity.Tree) {
 	if c.cfg.CountersOnly {
 		panic("secmem: AttachIntegrity on a counters-only controller (no ciphertext to verify)")
@@ -517,7 +523,12 @@ func (c *Controller) materialize(la uint64) (*ctrState, *padState) {
 		if ps := c.pads.Lookup(la); ps != nil {
 			return cs, ps
 		}
-		return cs, c.tmpl.slot(la)
+		if c.tmpl != nil {
+			return cs, c.tmpl.slot(la)
+		}
+		ps, _ := c.pads.Ensure(la)
+		c.loadLine(ps, la, cs.seq)
+		return cs, ps
 	}
 	return c.owned(la)
 }
@@ -535,8 +546,9 @@ func (c *Controller) owned(la uint64) (*ctrState, *padState) {
 
 // ensure creates la's table entries, or copies them out of a shared
 // template, and reports whether the line is new. A template line's first
-// write starts from its sealed slot. Counters-only mode never touches the
-// pad table and returns a nil pad half.
+// write starts from its sealed slot, or on an integrity controller from
+// loadLine. Counters-only mode never touches the pad table and returns a
+// nil pad half.
 func (c *Controller) ensure(la uint64) (*ctrState, *padState, bool) {
 	cs, fresh := c.ctrs.Ensure(la)
 	if c.cfg.CountersOnly {
@@ -545,16 +557,33 @@ func (c *Controller) ensure(la uint64) (*ctrState, *padState, bool) {
 	ps, padFresh := c.pads.Ensure(la)
 	if padFresh && !fresh {
 		// Only template lines have a counter but no pad entry.
-		*ps = *c.tmpl.slot(la)
+		if c.tmpl != nil {
+			*ps = *c.tmpl.slot(la)
+		} else {
+			c.loadLine(ps, la, cs.seq)
+		}
 	}
 	return cs, ps, fresh
+}
+
+// loadLine is an integrity controller's first touch of template line la:
+// it seals the line under its template counter seq into this
+// controller's pad table and, unless the tree already holds the leaf
+// (the aged lines LoadTree installed), installs it exactly as initLine
+// does when eager aging's controller first touches the line.
+func (c *Controller) loadLine(ps *padState, la, seq uint64) {
+	sealPad(c.engine.Keystream(), c.image, ps, la, seq)
+	if !c.tree.Has(la) {
+		c.tree.Update(0, la, seq, ps.enc)
+	}
 }
 
 // initLine encrypts a freshly created line's architectural contents into
 // its off-chip state: under the page's root counter plus offset in
 // counter mode (a nonzero offset models pre-aged update history), under
-// the address tweak alone in direct mode. Installing the tree leaf is
-// untimed, like the image load it models.
+// the address tweak alone in direct mode. The tree leaf is installed at
+// cycle 0, and that load update is timed: its node writes occupy the
+// node cache and the data channel like any writeback's.
 func (c *Controller) initLine(cs *ctrState, ps *padState, la, offset uint64) {
 	var seq uint64
 	if c.direct != nil {
@@ -618,12 +647,16 @@ func (c *Controller) AgeLine(vaddr uint64, offset uint64) {
 // It has two halves. The counter half (24 bytes a line) is built eagerly
 // and frozen; it is all a counters-only machine reads. The pad half is a
 // table of slots, one per counter-half line, allocated when the first
-// full-model controller attaches: a slot holds the line's ciphertext and
-// pad under its counter-half seq (72 bytes) and is sealed the first time
-// any attached controller reads or writes the line. A cold machine so
-// pays AES only for the lines it touches, and every later machine reads
-// the seals earlier ones made. Pads depend only on (key, line, seq), so
-// the seal order never shows in any result.
+// full-model controller without a tree attaches: a slot holds the line's
+// ciphertext and pad under its counter-half seq (72 bytes) and is sealed
+// the first time any attached controller reads or writes the line. A
+// cold machine so pays AES only for the lines it touches, and every
+// later machine reads the seals earlier ones made. Pads depend only on
+// (key, line, seq), so the seal order never shows in any result.
+//
+// Integrity controllers never read the pad half: each starts from a clone
+// of a tree LoadTree built once and seals the lines it touches into its
+// own pad table, so an integrity-only template allocates no slots.
 type AgedTemplate struct {
 	ctrs *paged.Table[ctrState]
 	// ks and image are the slot seal's key and frozen plaintext.
@@ -686,6 +719,26 @@ func BuildAgedTemplate(ks *ctr.Keystream, image *mem.Memory, roots func(la uint6
 	return t
 }
 
+// LoadTree installs into tree, at cycle 0 and in the order lines yields
+// them, the leaf of each distinct line: under its counter-half seq, over
+// its ciphertext sealed with the template key into a temporary. A line
+// the tree already holds is skipped, as AgeLine skips a touched line, so
+// yielding eager aging's samples reproduces the tree, node-cache and DRAM
+// state that aging leaves on an integrity machine. Every yielded line must
+// be a template line.
+func (t *AgedTemplate) LoadTree(tree *integrity.Tree, lines func(yield func(la uint64))) {
+	var ps padState
+	lines(func(la uint64) {
+		la = mem.LineAddr(la)
+		if tree.Has(la) {
+			return
+		}
+		seq := t.ctrs.Lookup(la).seq
+		sealPad(t.ks, t.image, &ps, la, seq)
+		tree.Update(0, la, seq, ps.enc)
+	})
+}
+
 // buildPadHalf allocates one empty slot per counter-half line, and the
 // page pool, on the first full-model attach. It computes no pad.
 func (t *AgedTemplate) buildPadHalf() {
@@ -726,30 +779,31 @@ func (t *AgedTemplate) usedPad(la, seq uint64) bool {
 
 // UseAgedTemplate replaces the controller's empty off-chip state with a
 // copy-on-write view of the template's counter half. A full-model
-// controller also reads the pad half (allocating its empty slots if no
-// controller has yet) and counts every template pad as used, so
-// re-encrypting a line under its template counter is still a violation;
-// its own pad table starts empty. A counters-only controller views the
-// counter half alone. The caller must have advanced the controller's
-// predictor to the same per-page roots the template was built with — sim
-// does this by replaying the root draws in template order. Must be
-// called before any line is touched; incompatible with an integrity
-// tree, whose per-machine contents are built during eager aging.
+// controller counts every template pad as used, so re-encrypting a line
+// under its template counter is still a violation. Without a tree it
+// also reads the pad half (allocating its empty slots if no controller
+// has yet) and its own pad table starts empty; with one (attached first,
+// see AttachIntegrity) it seals each template line into its own pad
+// table at first touch. A counters-only controller views the counter
+// half alone. The caller must have advanced the controller's predictor
+// to the same per-page roots the template was built with — sim does this
+// by replaying the root draws in template order. Must be called before
+// any line is touched.
 func (c *Controller) UseAgedTemplate(t *AgedTemplate) {
 	if c.ctrs.Count() != 0 {
 		panic("secmem: UseAgedTemplate after lines were touched")
-	}
-	if c.tree != nil {
-		panic("secmem: UseAgedTemplate with integrity tree attached")
 	}
 	c.ctrs = paged.NewView(t.ctrs)
 	if c.cfg.CountersOnly {
 		return
 	}
+	c.tracker.SetBase(t.usedPad)
+	if c.tree != nil {
+		return
+	}
 	t.padOnce.Do(t.buildPadHalf)
 	c.tmpl = t
 	c.pads = paged.NewView(t.pool)
-	c.tracker.SetBase(t.usedPad)
 }
 
 // Release returns the controller's copy-on-write line state to the aged

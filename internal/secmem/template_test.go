@@ -7,6 +7,7 @@ import (
 	"ctrpred/internal/cryptoengine"
 	"ctrpred/internal/ctr"
 	"ctrpred/internal/dram"
+	"ctrpred/internal/integrity"
 	"ctrpred/internal/mem"
 	"ctrpred/internal/predictor"
 )
@@ -48,10 +49,15 @@ func (s *agedSetup) build() *AgedTemplate {
 // controller returns a controller over a view of the image whose
 // predictor has drawn the template's roots, as sim's replay does.
 func (s *agedSetup) controller(cfg Config) *Controller {
+	return s.controllerOn(cfg, dram.New(dram.DefaultConfig()))
+}
+
+// controllerOn is controller over data channel d.
+func (s *agedSetup) controllerOn(cfg Config, d *dram.DRAM) *Controller {
 	p := predictor.New(predictor.DefaultConfig(predictor.SchemeRegular))
 	s.visit(func(la, _ uint64) { p.Root(la) })
 	e := cryptoengine.New(cryptoengine.DefaultConfig(), ctr.NewKeystream(s.key))
-	return New(cfg, dram.New(dram.DefaultConfig()), e, p, nil, mem.NewView(s.image))
+	return New(cfg, d, e, p, nil, mem.NewView(s.image))
 }
 
 func countersOnlyConfig() Config {
@@ -263,6 +269,85 @@ func TestAgedTemplateConcurrentSeal(t *testing.T) {
 		if c.PadViolations() != 0 || c.Stats().SelfCheckFails != 0 {
 			t.Fatalf("controller %d: %d pad violations, %d self-check failures",
 				i, c.PadViolations(), c.Stats().SelfCheckFails)
+		}
+	}
+}
+
+// loadedTree loads the setup's aged lines into a tree over a fresh
+// channel and freezes it, as sim's tree image does.
+func (s *agedSetup) loadedTree(tmpl *AgedTemplate) (*integrity.Tree, *dram.DRAM) {
+	d := dram.New(dram.DefaultConfig())
+	tree := integrity.New(integrity.DefaultConfig(), d)
+	tmpl.LoadTree(tree, func(yield func(la uint64)) {
+		for _, a := range s.ages {
+			yield(a[0])
+		}
+	})
+	tree.Freeze()
+	return tree, d
+}
+
+// integrityController attaches a clone of the loaded tree image, over a
+// clone of its channel, and then the template.
+func (s *agedSetup) integrityController(tmpl *AgedTemplate, img *integrity.Tree, imgDRAM *dram.DRAM) *Controller {
+	d := imgDRAM.Clone()
+	c := s.controllerOn(DefaultConfig(), d)
+	c.AttachIntegrity(img.Clone(d))
+	c.UseAgedTemplate(tmpl)
+	return c
+}
+
+// TestAgedTemplateIntegrityMatchesEager pins an integrity controller on a
+// template — a clone of the loaded tree image, each unaged line's leaf
+// installed at first touch, pads sealed into its own table — to eager
+// aging call for call, and checks that its writes never reach the image
+// a second clone starts from.
+func TestAgedTemplateIntegrityMatchesEager(t *testing.T) {
+	s := newAgedSetup()
+	tmpl := s.build()
+	img, imgDRAM := s.loadedTree(tmpl)
+	root := img.Clone(nil).Root()
+
+	lazy := s.integrityController(tmpl, img, imgDRAM)
+	ed := dram.New(dram.DefaultConfig())
+	eager := s.controllerOn(DefaultConfig(), ed)
+	eager.AttachIntegrity(integrity.New(integrity.DefaultConfig(), ed))
+	for _, a := range s.ages {
+		eager.AgeLine(a[0], a[1])
+	}
+	lt, et := lazy.IntegrityTree(), eager.IntegrityTree()
+	if lt.Root() != et.Root() || lt.Stats() != et.Stats() || lazy.dram.Stats() != ed.Stats() {
+		t.Fatal("the cloned tree image differs from eager aging's tree")
+	}
+
+	var now uint64
+	s.image.ForEachLine(func(la uint64) {
+		lr, er := lazy.FetchLine(now, la), eager.FetchLine(now, la)
+		if lr != er || !lr.Authentic || lr.Plain != s.image.LineAt(la) {
+			t.Fatalf("line %#x: fetch %+v, eager %+v", la, lr, er)
+		}
+		now = lr.Done
+		if l, e := lazy.EvictLine(now, la), eager.EvictLine(now, la); l != e {
+			t.Fatalf("line %#x: writeback done %d, eager %d", la, l, e)
+		}
+	})
+	if lt.Root() != et.Root() || lt.Stats() != et.Stats() || lazy.dram.Stats() != ed.Stats() {
+		t.Fatal("after a fetch and a writeback of every line, the trees differ")
+	}
+	if tmpl.slots != nil || tmpl.SealedLines() != 0 {
+		t.Fatal("an integrity controller allocated or sealed the template's pad half")
+	}
+	if err := lazy.SecurityErr(); err != nil || lazy.PadViolations() != 0 {
+		t.Fatalf("security error %v, %d pad violations", err, lazy.PadViolations())
+	}
+
+	again := s.integrityController(tmpl, img, imgDRAM)
+	if again.IntegrityTree().Root() != root || again.dram.Stats() != imgDRAM.Stats() {
+		t.Fatal("a controller's writes reached the shared tree image")
+	}
+	for _, a := range s.ages {
+		if res := again.FetchLine(0, a[0]); !res.Authentic {
+			t.Fatalf("aged line %#x rejected by a second clone", a[0])
 		}
 	}
 }

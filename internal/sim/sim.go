@@ -297,10 +297,11 @@ func (m *Machine) Close() {
 
 // NewMachine builds the machine and loads the named workload. The
 // seed-deterministic parts — assembled program, written image, aging
-// profile, pre-aged encrypted state — come from a process-wide template
-// cache (see template.go) and are attached copy-on-write, so building
-// the N-th machine of a sweep costs caches and predictor state, not a
-// rebuild of megabytes of identical memory contents.
+// profile, pre-aged encrypted state and the hash tree loaded with it —
+// come from a process-wide template cache (see template.go) and are
+// attached copy-on-write or cloned, so building the N-th machine of a
+// sweep costs caches and predictor state, not a rebuild of megabytes of
+// identical memory contents.
 func NewMachine(bench string, cfg Config) (*Machine, error) {
 	tmpl, err := getTemplate(bench, cfg)
 	if err != nil {
@@ -308,7 +309,27 @@ func NewMachine(bench string, cfg Config) (*Machine, error) {
 	}
 	image := mem.NewView(tmpl.image)
 
-	d := dram.New(cfg.DRAM)
+	// Direct mode ages nothing, and custom predictor geometry replays
+	// eager aging below; every other machine attaches the template.
+	attach := !cfg.Scheme.Direct && cfg.Scheme.PredConfig == nil
+	var d *dram.DRAM
+	var tree *integrity.Tree
+	switch {
+	case cfg.Integrity && attach:
+		// The tree eager aging would build, with the node-cache and
+		// data-channel state its timed load leaves behind.
+		imgTree, imgDRAM, err := tmpl.treeImage(cfg.DRAM)
+		if err != nil {
+			return nil, err
+		}
+		d = imgDRAM.Clone()
+		tree = imgTree.Clone(d)
+	case cfg.Integrity:
+		d = dram.New(cfg.DRAM)
+		tree = integrity.New(integrity.DefaultConfig(), d)
+	default:
+		d = dram.New(cfg.DRAM)
+	}
 	engine, err := cryptoengine.NewModel(cfg.Engine, ctr.NewKeystream(machineKey(cfg.Seed)))
 	if err != nil {
 		return nil, err
@@ -342,8 +363,8 @@ func NewMachine(bench string, cfg Config) (*Machine, error) {
 	scfg.Recovery = cfg.Recovery
 	scfg.RetryBudget = cfg.RetryBudget
 	ctrl := secmem.New(scfg, d, engine, pred, sc, image)
-	if cfg.Integrity {
-		ctrl.AttachIntegrity(integrity.New(integrity.DefaultConfig(), d))
+	if tree != nil {
+		ctrl.AttachIntegrity(tree)
 	}
 	var inj *faults.Injector
 	if cfg.Faults != nil {
@@ -359,12 +380,13 @@ func NewMachine(bench string, cfg Config) (*Machine, error) {
 	// The common case attaches the template's pre-aged encrypted state as
 	// a copy-on-write view and only replays the per-page root draws into
 	// this machine's predictor (in template order, so the drawn values
-	// are identical to eager aging). Integrity machines build their hash
-	// tree during aging and custom predictor geometry changes which pages
-	// draw roots, so those replay the eager per-line loop from the cached
-	// sample list — byte-identical to the original sampling loop.
+	// are identical to eager aging); an integrity machine's tree was
+	// cloned above already loaded. Custom predictor geometry changes
+	// which pages draw roots, so it replays the eager per-line loop from
+	// the cached sample list — byte-identical to the original sampling
+	// loop.
 	if !cfg.Scheme.Direct {
-		if cfg.Integrity || cfg.Scheme.PredConfig != nil {
+		if !attach {
 			for _, s := range tmpl.ageList {
 				ctrl.AgeLine(s.la, s.off)
 				pred.WarmRange(s.la, s.off)

@@ -8,20 +8,29 @@
 //
 // The pre-aged state is a secmem.AgedTemplate. Its counter half is built
 // with the template. Its pad half is a table of per-line slots that
-// exists only once a full-model machine attaches, and each slot is
-// sealed (encrypted under the line's aged counter) the first time any
-// machine reads or writes that line. The counters-only machines of the
-// hit-rate figures so never pay for AES; a cold full-model machine pays
-// for the lines it touches (about one in ten at service scale); a warm
-// one finds them sealed by the machines before it.
+// exists only once a full-model machine without a tree attaches, and
+// each slot is sealed (encrypted under the line's aged counter) the
+// first time any machine reads or writes that line. The counters-only
+// machines of the hit-rate figures so never pay for AES; a cold
+// full-model machine pays for the lines it touches (about one in ten at
+// service scale); a warm one finds them sealed by the machines before
+// it.
+//
+// Integrity machines attach the counter half too. Eager aging would also
+// load every aged line into the machine's hash tree at cycle 0, and
+// those timed updates leave node-cache and data-DRAM state behind, so
+// the template keeps one loaded, frozen tree per DRAM configuration
+// (built on first use, like the template) and each integrity machine
+// starts from a clone of it and of its DRAM channel. Such a machine seals
+// the template lines it touches into its own pad table.
 //
 // Sharing is sound because all of the cached artifacts are functions of
-// the key (seed-derived), the image (seed-derived), and the counter
-// roots (drawn from rng.New(seed^0xabcdef) in aged-page first-touch
-// order, which is itself seed-derived) — scheme choice influences none
-// of them. Machines whose setup is *not* reproduced by the template
-// (integrity trees are built during eager aging; custom predictor page
-// geometry changes which pages draw roots) replay the eager per-line
+// the key (seed-derived), the image (seed-derived), the counter roots
+// (drawn from rng.New(seed^0xabcdef) in aged-page first-touch order,
+// which is itself seed-derived) and, for a tree image, the DRAM
+// configuration — scheme choice influences none of them. Machines with
+// custom predictor page geometry, which changes which pages draw roots,
+// are not reproduced by the template: they replay the eager per-line
 // aging loop from the cached sample list instead, which is still
 // byte-identical to the pre-template construction path.
 package sim
@@ -30,8 +39,11 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"ctrpred/internal/ctr"
+	"ctrpred/internal/dram"
+	"ctrpred/internal/integrity"
 	"ctrpred/internal/isa"
 	"ctrpred/internal/mem"
 	"ctrpred/internal/predictor"
@@ -60,6 +72,20 @@ type machineTemplate struct {
 	// root-draw replay sequence for machines that attach the aged state.
 	agePages []uint64
 	aged     *secmem.AgedTemplate
+
+	treeMu    sync.Mutex // guards trees, never a build
+	trees     map[dram.Config]*treeEntry
+	treeLoads atomic.Int32 // tree image builds started (tests)
+}
+
+// treeEntry is one loaded tree image: the frozen tree eager aging leaves
+// on an integrity machine with that DRAM configuration, and the data
+// channel its load updates wrote to. Built at most once, like tmplEntry.
+type treeEntry struct {
+	once sync.Once
+	tree *integrity.Tree
+	dram *dram.DRAM
+	err  error
 }
 
 type templateKey struct {
@@ -88,8 +114,11 @@ var (
 // 2.1–2.5 MiB at 1 MiB and 16–17 MiB at the hit-rate figures' 8 MiB. The
 // first full-model machine to attach adds the pad-slot table, 72 bytes a
 // line: 1.1–1.4, 2.3–2.8 and 18–19 MiB, where a slot is written only
-// when its line is sealed. The cap covers a full benchmark sweep at two
-// scales.
+// when its line is sealed. The first integrity machine adds a loaded
+// tree image per DRAM configuration, about 370 bytes a tree node: at
+// most 0.44 MiB at 256 KiB and 14 MiB at 8 MiB, where benchmarks whose
+// aged lines cluster load 0.01–3 MiB. The cap covers a full benchmark
+// sweep at two scales.
 const tmplCacheMax = 32
 
 // getTemplate returns the cached template for (bench, scale, seed),
@@ -129,6 +158,45 @@ func getTemplate(bench string, cfg Config) (*machineTemplate, error) {
 	return e.t, nil
 }
 
+// treeImage returns the template's loaded tree and data channel for
+// dcfg, building them on first use outside every cache lock. Callers
+// clone both; neither may be used directly. A build that panics leaves
+// no entry, so the next call retries.
+func (t *machineTemplate) treeImage(dcfg dram.Config) (*integrity.Tree, *dram.DRAM, error) {
+	t.treeMu.Lock()
+	e := t.trees[dcfg]
+	if e == nil {
+		e = &treeEntry{}
+		t.trees[dcfg] = e
+	}
+	t.treeMu.Unlock()
+
+	e.once.Do(func() {
+		// Cleared unless the build panics; then the entry is dropped
+		// before the panic propagates, and the key's waiting callers get
+		// this error.
+		e.err = fmt.Errorf("sim: loading the integrity tree image panicked")
+		defer func() {
+			if e.err != nil {
+				t.treeMu.Lock()
+				delete(t.trees, dcfg)
+				t.treeMu.Unlock()
+			}
+		}()
+		t.treeLoads.Add(1)
+		e.dram = dram.New(dcfg)
+		e.tree = integrity.New(integrity.DefaultConfig(), e.dram)
+		t.aged.LoadTree(e.tree, func(yield func(la uint64)) {
+			for _, s := range t.ageList {
+				yield(s.la)
+			}
+		})
+		e.tree.Freeze()
+		e.err = nil
+	})
+	return e.tree, e.dram, e.err
+}
+
 // dropTemplate removes key from the cache. The caller holds tmplMu.
 func dropTemplate(key templateKey) {
 	delete(tmplCache, key)
@@ -148,7 +216,7 @@ func buildTemplate(bench string, cfg Config) (*machineTemplate, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &machineTemplate{prog: wl.Prog, image: image}
+	t := &machineTemplate{prog: wl.Prog, image: image, trees: map[dram.Config]*treeEntry{}}
 
 	ager := rng.New(cfg.Seed ^ 0xa6e0a6e)
 	// A span yields at most one sample per covered line; sizing the list
