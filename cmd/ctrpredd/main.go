@@ -98,7 +98,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	if *coord {
 		if *smoke {
-			fmt.Fprintln(stderr, "ctrpredd: -coordinator has no -smoke; use cmd/loadtest -smoke for the cluster self-test")
+			fmt.Fprintln(stderr, "ctrpredd: -coordinator has no -smoke; the cluster self-test is go test ./internal/cluster -run TestClusterConcurrentStreamingClients")
 			return 2
 		}
 		if *timeout != 0 || *pprofF {

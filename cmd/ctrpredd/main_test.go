@@ -64,15 +64,15 @@ func TestDaemonRejectsURLWorkers(t *testing.T) {
 	}
 }
 
-// TestCoordinatorSmokeRejected: the cluster self-test lives in
-// cmd/loadtest; -coordinator -smoke should say so.
+// TestCoordinatorSmokeRejected: the cluster self-test is an
+// internal/cluster test; -coordinator -smoke should name it.
 func TestCoordinatorSmokeRejected(t *testing.T) {
 	var out, errOut strings.Builder
 	if code := run([]string{"-coordinator", "-smoke"}, &out, &errOut); code != 2 {
 		t.Fatalf("run -coordinator -smoke = %d, want 2", code)
 	}
-	if !strings.Contains(errOut.String(), "loadtest") {
-		t.Fatalf("stderr missing loadtest pointer: %s", errOut.String())
+	if !strings.Contains(errOut.String(), "go test ./internal/cluster -run TestClusterConcurrentStreamingClients") {
+		t.Fatalf("stderr missing the cluster self-test pointer: %s", errOut.String())
 	}
 }
 

@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"context"
 	"errors"
 	"io"
 	"net/http"
@@ -287,6 +288,48 @@ func TestTransportReset(t *testing.T) {
 	}
 	if hit != 1 {
 		t.Fatalf("reset: backend hits = %d, want 1 (work done, response lost)", hit)
+	}
+}
+
+// closeRecorder is a request body that records whether it was closed.
+type closeRecorder struct {
+	io.Reader
+	closed bool
+}
+
+func (c *closeRecorder) Close() error {
+	c.closed = true
+	return nil
+}
+
+// TestTransportClosesRequestBody: an http.RoundTripper must close the
+// request body on every path, errors included, and these three never
+// hand the request to the base transport that would close it.
+func TestTransportClosesRequestBody(t *testing.T) {
+	srv := newBackend(t, "payload")
+	for _, tc := range []struct{ name, sched string }{
+		{"synthesized-err", "err:status=503"},
+		{"partition-drop", "partition:from=0,to=1"},
+		{"latency-cut-short", "latency:ms=5000"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// A cancelled context cuts the injected delay short; the other
+			// rows inject none, so it does not change their path.
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			body := &closeRecorder{Reader: strings.NewReader("job")}
+			req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL, body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp, err := NewTransport(nil, New(mustParse(t, tc.sched), 1)).RoundTrip(req)
+			if err == nil {
+				resp.Body.Close()
+			}
+			if !body.closed {
+				t.Errorf("%s: RoundTrip returned (err %v) without closing the request body", tc.sched, err)
+			}
+		})
 	}
 }
 

@@ -44,16 +44,19 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 	d := t.inj.Decide(req.URL.Path)
 	if d.Delay > 0 {
 		if err := sleepCtx(req.Context(), d.Delay); err != nil {
+			closeBody(req)
 			return nil, err
 		}
 	}
 	if d.Drop {
 		// The request never reaches the worker: a partitioned link.
+		closeBody(req)
 		return nil, &errInjected{kind: KindPartition, url: req.URL.String()}
 	}
 	if d.Status != 0 {
 		// Short-circuit with a synthesized error response; the worker
 		// never sees the request (an intermediary 5xx).
+		closeBody(req)
 		return synthesized(req, d.Status), nil
 	}
 	resp, err := t.base.RoundTrip(req)
@@ -77,6 +80,15 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 func (t *Transport) CloseIdleConnections() {
 	if ci, ok := t.base.(interface{ CloseIdleConnections() }); ok {
 		ci.CloseIdleConnections()
+	}
+}
+
+// closeBody closes the body of a request RoundTrip answers without the
+// base transport: an http.RoundTripper must close it on every path,
+// errors included.
+func closeBody(req *http.Request) {
+	if req.Body != nil {
+		req.Body.Close()
 	}
 }
 

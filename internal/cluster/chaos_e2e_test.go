@@ -612,9 +612,9 @@ func TestProberBoundedByStalledWorker(t *testing.T) {
 
 // TestBackoffBounds pins the jittered-backoff contract: hints are
 // respected up to the cap, the default ramp doubles, jitter stays
-// within 25%, and gigantic attempt counts (loadtest runs with
-// SaturationRetries in the thousands) cannot overflow into zero-length
-// waits.
+// within 25%, and gigantic attempt counts (a coordinator set to wait
+// out saturation runs with SaturationRetries in the thousands) cannot
+// overflow into zero-length waits.
 func TestBackoffBounds(t *testing.T) {
 	cfg := chaosConfig()
 	cfg.MaxRetryWait = 2 * time.Second

@@ -663,8 +663,9 @@ func (c *Coordinator) backoff(hint time.Duration, attempt int) time.Duration {
 	if wait <= 0 {
 		// Clamp the exponent: the ramp is capped by MaxRetryWait anyway,
 		// and an unchecked shift overflows time.Duration into zero-length
-		// waits (a hot spin) once attempt grows past ~40 — loadtest runs
-		// with SaturationRetries in the thousands.
+		// waits (a hot spin) once attempt grows past ~40 — a coordinator
+		// set to wait out saturation runs with SaturationRetries in the
+		// thousands.
 		shift := attempt - 1
 		if shift > 6 {
 			shift = 6

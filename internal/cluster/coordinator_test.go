@@ -10,10 +10,12 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"ctrpred/internal/chaos"
 	"ctrpred/internal/experiments"
 	"ctrpred/internal/server"
 	"ctrpred/internal/testutil"
@@ -108,6 +110,45 @@ func postJSON(t *testing.T, url string, v any) (*http.Response, []byte) {
 		t.Fatal(err)
 	}
 	return resp, out
+}
+
+// readStream posts v to url as a streamed (?stream=1) job and decodes
+// its NDJSON events. It reports a failure with t.Errorf and returns nil,
+// so client goroutines may call it too.
+func readStream(t *testing.T, url string, v any) []server.Event {
+	t.Helper()
+	body, err := json.Marshal(v)
+	if err != nil {
+		t.Errorf("marshal %T: %v", v, err)
+		return nil
+	}
+	resp, err := http.Post(url+"?stream=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Errorf("POST %s: %v", url, err)
+		return nil
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Errorf("POST %s: status %d: %s", url, resp.StatusCode, msg)
+		return nil
+	}
+	var events []server.Event
+	sc := bufio.NewScanner(resp.Body)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		var ev server.Event
+		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
+			t.Errorf("POST %s: bad stream line %q: %v", url, sc.Text(), err)
+			return nil
+		}
+		events = append(events, ev)
+	}
+	if err := sc.Err(); err != nil {
+		t.Errorf("POST %s: reading stream: %v", url, err)
+		return nil
+	}
+	return events
 }
 
 // referenceOptions mirrors what the server builds from expRequest, for
@@ -361,29 +402,8 @@ func TestClusterSimRelayStreams(t *testing.T) {
 		Bench: "gzip", Scheme: "pred-context",
 		Footprint: "1M", Instructions: testInstr, Seed: testSeed,
 	}
-	body, _ := json.Marshal(simReq)
 
-	readStream := func(url string) []server.Event {
-		t.Helper()
-		resp, err := http.Post(url+"/v1/sim?stream=1", "application/json", bytes.NewReader(body))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		var events []server.Event
-		sc := bufio.NewScanner(resp.Body)
-		sc.Buffer(make([]byte, 1<<20), 1<<20)
-		for sc.Scan() {
-			var ev server.Event
-			if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-				t.Fatalf("bad stream line %q: %v", sc.Text(), err)
-			}
-			events = append(events, ev)
-		}
-		return events
-	}
-
-	events := readStream(ts.URL)
+	events := readStream(t, ts.URL+"/v1/sim", simReq)
 	if len(events) < 2 {
 		t.Fatalf("stream had %d events; want at least accepted+result", len(events))
 	}
@@ -404,7 +424,10 @@ func TestClusterSimRelayStreams(t *testing.T) {
 	// Relay fidelity: the snapshot on the relayed stream is the same
 	// bytes a direct worker stream ends with (the run is cached by now,
 	// so the direct stream replays the identical result).
-	directStream := readStream(workers[0].URL)
+	directStream := readStream(t, workers[0].URL+"/v1/sim", simReq)
+	if len(directStream) == 0 {
+		t.Fatal("direct stream had no events")
+	}
 	directFinal := directStream[len(directStream)-1]
 	if directFinal.Event != "result" {
 		t.Fatalf("direct stream terminal event = %+v; want result", directFinal)
@@ -426,6 +449,133 @@ func TestClusterSimRelayStreams(t *testing.T) {
 	}
 	if !bytes.Equal(viaCluster, direct) {
 		t.Error("plain sim via coordinator differs from a direct worker run")
+	}
+}
+
+// TestClusterConcurrentStreamingClients drives a two-worker cluster
+// the way a crowd of users would: 8 concurrent clients stream 16 fig7
+// requests cycling over 4 seeds (cold), stream the same 16 again (warm),
+// then send each distinct request plain (verify). Every cold stream
+// ends in a result, every warm stream is answered from cache, and every
+// plain body is byte-identical to a direct library run. The
+// chaos-transport row runs every coordinator->worker connection through
+// a fault-injecting transport; the clients must not see the difference.
+func TestClusterConcurrentStreamingClients(t *testing.T) {
+	const (
+		clients  = 8
+		requests = 16
+		seeds    = 4
+	)
+	request := func(i int) server.ExperimentRequest {
+		req := expRequest("fig7")
+		req.Seed = uint64(1 + i%seeds)
+		return req
+	}
+	for _, tc := range []struct {
+		name  string
+		sched string // fault schedule on the coordinator's worker connections ("": none)
+	}{
+		{"clean", ""},
+		{"chaos-transport", "latency:p=0.1,ms=50;err:p=0.1,status=503;corrupt:p=0.05"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// Saturation is expected under this load: wait it out.
+			cfg := Config{SaturationRetries: 10_000, MaxRetryWait: 200 * time.Millisecond, Jobs: 16}
+			var inj *chaos.Injector
+			if tc.sched != "" {
+				sched, err := chaos.Parse(tc.sched)
+				if err != nil {
+					t.Fatal(err)
+				}
+				inj = chaos.New(sched, 7)
+				cfg.HTTPClient = &http.Client{Transport: chaos.NewTransport(nil, inj)}
+				// A deeper redispatch budget absorbs the injected failures.
+				cfg.RetryBudget = 12
+				cfg.BreakerCooldown = 250 * time.Millisecond
+			}
+			_, ts, _ := newCluster(t, 2, cfg)
+
+			// stream sends every request through the clients and returns
+			// how many were answered from cache.
+			stream := func() int {
+				var (
+					wg     sync.WaitGroup
+					cached atomic.Int64
+					work   = make(chan int)
+				)
+				for range clients {
+					wg.Add(1)
+					go func() {
+						defer wg.Done()
+						for i := range work {
+							events := readStream(t, ts.URL+"/v1/experiments", request(i))
+							if len(events) == 0 {
+								continue // readStream reported why
+							}
+							if last := events[len(events)-1]; last.Event != "result" {
+								t.Errorf("request %d: terminal event %q: %s", i, last.Event, last.Error)
+							}
+							for _, ev := range events {
+								if ev.Cached {
+									cached.Add(1)
+									break
+								}
+							}
+						}
+					}()
+				}
+				for i := range requests {
+					work <- i
+				}
+				close(work)
+				wg.Wait()
+				return int(cached.Load())
+			}
+
+			stream()
+			if t.Failed() {
+				t.FailNow()
+			}
+			// Warm answers come from the coordinator's own cache, so no
+			// warm request crosses the chaos transport.
+			if hits := stream(); hits != requests {
+				t.Errorf("warm phase: %d of %d streams answered from cache; want all", hits, requests)
+			}
+
+			for s := range seeds {
+				req := request(s)
+				opt, err := req.Resolve()
+				if err != nil {
+					t.Fatal(err)
+				}
+				ref, err := experiments.ByID(context.Background(), req.ID, opt)
+				if err != nil {
+					t.Fatalf("reference run seed %d: %v", req.Seed, err)
+				}
+				want, err := ref.Snapshot().JSON()
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, got := postJSON(t, ts.URL+"/v1/experiments", req)
+				if resp.StatusCode != http.StatusOK {
+					t.Errorf("seed %d: status %d: %s", req.Seed, resp.StatusCode, got)
+				} else if !bytes.Equal(got, want) {
+					t.Errorf("seed %d: cluster body differs from the single-node run", req.Seed)
+				}
+			}
+
+			if inj != nil {
+				// With no match the rules depend only on the request index,
+				// and the cold phase sends at least 12 worker requests (4
+				// seeds x 3 cells), past every rule's first firing at seed 7.
+				reqs, _, fired := inj.Stats()
+				for rule, n := range fired {
+					if n == 0 {
+						t.Errorf("rule %s never fired over %d worker requests", rule, reqs)
+					}
+				}
+			}
+		})
 	}
 }
 

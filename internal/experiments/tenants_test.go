@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"testing"
 
@@ -82,6 +83,31 @@ func TestTenantsDeterministicAcrossWorkers(t *testing.T) {
 	}
 	if string(ja) != string(jb) {
 		t.Errorf("tenants snapshot differs between -j 1 and -j 4:\n%s\nvs\n%s", ja, jb)
+	}
+}
+
+// TestCapacityDeterministicAcrossWorkers: the capacity search over a
+// tiny grid (experiments -exp capacity -bench gzip -instr 5000
+// -maxtenants 3) exports a byte-identical snapshot whether its probes
+// run sequentially or on four workers.
+func TestCapacityDeterministicAcrossWorkers(t *testing.T) {
+	opt := DefaultOptions()
+	opt.Benchmarks = []string{"gzip"}
+	opt.Scale.Instructions = 5_000
+	opt.MaxTenants = 3
+	var snaps [2][]byte
+	for i, workers := range []int{1, 4} {
+		opt.Workers = workers
+		res, err := ByID(context.Background(), "capacity", opt)
+		if err != nil {
+			t.Fatalf("workers %d: %v", workers, err)
+		}
+		if snaps[i], err = res.Snapshot().JSON(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(snaps[0], snaps[1]) {
+		t.Errorf("capacity snapshot differs between 1 and 4 workers:\n%s\nvs\n%s", snaps[0], snaps[1])
 	}
 }
 
