@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -57,36 +58,16 @@ func main() {
 	)
 	flag.Parse()
 
-	entry := RunEntry{Label: *label, Date: time.Now().UTC().Format(time.RFC3339)}
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	failed := false
-	for sc.Scan() {
-		line := sc.Text()
-		if !*quiet {
-			fmt.Fprintln(os.Stderr, line)
-		}
-		switch {
-		case strings.HasPrefix(line, "cpu:"):
-			entry.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-		case strings.HasPrefix(line, "goos:"), strings.HasPrefix(line, "goarch:"):
-			entry.Go = strings.TrimSpace(entry.Go + " " + strings.TrimSpace(line))
-		case strings.HasPrefix(line, "FAIL"):
-			failed = true
-		}
-		if b, ok := parseBenchLine(line); ok {
-			entry.Benchmarks = append(entry.Benchmarks, b)
-		}
+	echo := io.Writer(os.Stderr)
+	if *quiet {
+		echo = io.Discard
 	}
-	if err := sc.Err(); err != nil {
+	entry, err := readRun(os.Stdin, echo)
+	if err != nil {
 		fatal(err)
 	}
-	if failed {
-		fatal(fmt.Errorf("benchmark run reported FAIL; not recording"))
-	}
-	if len(entry.Benchmarks) == 0 {
-		fatal(fmt.Errorf("no benchmark result lines found on stdin"))
-	}
+	entry.Label = *label
+	entry.Date = time.Now().UTC().Format(time.RFC3339)
 
 	var ledger Ledger
 	if data, err := os.ReadFile(*out); err == nil {
@@ -123,6 +104,48 @@ func main() {
 		len(entry.Benchmarks), *label, *out)
 }
 
+// readRun parses a `go test -bench` stream into a run entry's Go, CPU
+// and Benchmarks fields, echoing every line to echo. The stream may hold
+// several rounds (-count N, or concatenated invocations); each round
+// repeats the goos/goarch/cpu headers, and each header is recorded once.
+// A FAIL line anywhere, or a stream without result lines, is an error:
+// such a run is not recorded.
+func readRun(r io.Reader, echo io.Writer) (RunEntry, error) {
+	var entry RunEntry
+	seen := map[string]bool{}
+	failed := false
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		fmt.Fprintln(echo, line)
+		switch {
+		case strings.HasPrefix(line, "cpu:"):
+			entry.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+		case strings.HasPrefix(line, "goos:"), strings.HasPrefix(line, "goarch:"):
+			if h := strings.TrimSpace(line); !seen[h] {
+				seen[h] = true
+				entry.Go = strings.TrimSpace(entry.Go + " " + h)
+			}
+		case strings.HasPrefix(line, "FAIL"):
+			failed = true
+		}
+		if b, ok := parseBenchLine(line); ok {
+			entry.Benchmarks = append(entry.Benchmarks, b)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return RunEntry{}, err
+	}
+	if failed {
+		return RunEntry{}, fmt.Errorf("benchmark run reported FAIL; not recording")
+	}
+	if len(entry.Benchmarks) == 0 {
+		return RunEntry{}, fmt.Errorf("no benchmark result lines found on stdin")
+	}
+	return entry, nil
+}
+
 // checkLabel refuses to append a run whose label the ledger already
 // holds: labels address entries in before/after comparisons, and a
 // silent duplicate would make "the <label> run" ambiguous. force
@@ -148,39 +171,34 @@ const regressionThreshold = 0.10
 // returns one warning line per metric that moved more than
 // regressionThreshold in the wrong direction. Throughput units
 // (anything ending in "/s") regress downward; cost units (ns/op, B/op,
-// allocs/op, …) regress upward. A benchmark present in only one run
-// has no numbers to compare, but its appearance or disappearance is
-// itself worth a line: two consecutive entries with disjoint suites
-// (it happened — a cluster-only run following a chaos-only run) would
-// otherwise diff as "no movement" when really nothing was compared at
-// all.
+// allocs/op, …) regress upward. A multi-round entry lists each name
+// once per round; its rounds are averaged first (roundMeans), so every
+// name and metric is compared, and warned about, once. A benchmark
+// present in only one run has no numbers to compare, but its appearance
+// or disappearance is itself worth a line: two consecutive entries with
+// disjoint suites (it happened — a cluster-only run following a
+// chaos-only run) would otherwise diff as "no movement" when really
+// nothing was compared at all.
 func compareRuns(prev, cur RunEntry) []string {
-	prevBy := make(map[string]Benchmark, len(prev.Benchmarks))
-	for _, b := range prev.Benchmarks {
-		prevBy[b.Name] = b
-	}
-	curBy := make(map[string]Benchmark, len(cur.Benchmarks))
-	for _, b := range cur.Benchmarks {
-		curBy[b.Name] = b
-	}
+	prevBy, curBy := roundMeans(prev.Benchmarks), roundMeans(cur.Benchmarks)
 	var warnings []string
-	for _, b := range prev.Benchmarks {
-		if _, ok := curBy[b.Name]; !ok {
+	for name := range prevBy {
+		if _, ok := curBy[name]; !ok {
 			warnings = append(warnings, fmt.Sprintf(
 				"%s removed: present in %q (%s) but not in this run",
-				b.Name, prev.Label, prev.Date))
+				name, prev.Label, prev.Date))
 		}
 	}
-	for _, b := range cur.Benchmarks {
-		pb, ok := prevBy[b.Name]
+	for name, metrics := range curBy {
+		pm, ok := prevBy[name]
 		if !ok {
 			warnings = append(warnings, fmt.Sprintf(
 				"%s added: no baseline in %q (%s) to compare against",
-				b.Name, prev.Label, prev.Date))
+				name, prev.Label, prev.Date))
 			continue
 		}
-		for unit, v := range b.Metrics {
-			pv, ok := pb.Metrics[unit]
+		for unit, v := range metrics {
+			pv, ok := pm[unit]
 			if !ok || pv == 0 {
 				continue
 			}
@@ -193,12 +211,33 @@ func compareRuns(prev, cur RunEntry) []string {
 			if regressed {
 				warnings = append(warnings, fmt.Sprintf(
 					"%s %s regressed %+.1f%% vs %q (%s): %g -> %g",
-					b.Name, unit, 100*change, prev.Label, prev.Date, pv, v))
+					name, unit, 100*change, prev.Label, prev.Date, pv, v))
 			}
 		}
 	}
 	sort.Strings(warnings)
 	return warnings
+}
+
+// roundMeans folds an entry's rounds into one metric set per benchmark
+// name, each metric averaged over the rounds that report it; a
+// single-round entry's metrics come back unchanged.
+func roundMeans(bs []Benchmark) map[string]map[string]float64 {
+	means := map[string]map[string]float64{}
+	rounds := map[[2]string]float64{} // {name, unit} -> rounds reporting it
+	for _, b := range bs {
+		if means[b.Name] == nil {
+			means[b.Name] = map[string]float64{}
+		}
+		for unit, v := range b.Metrics {
+			means[b.Name][unit] += v
+			rounds[[2]string{b.Name, unit}]++
+		}
+	}
+	for k, n := range rounds {
+		means[k[0]][k[1]] /= n
+	}
+	return means
 }
 
 // parseBenchLine parses one `go test -bench` result line:

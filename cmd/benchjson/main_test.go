@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"strconv"
 	"strings"
 	"testing"
@@ -148,6 +149,94 @@ func TestCompareRunsDisjointSuites(t *testing.T) {
 	for _, w := range warnings {
 		if strings.Contains(w, "regressed") {
 			t.Errorf("disjoint suites produced a metric regression: %q", w)
+		}
+	}
+}
+
+// TestCompareRunsMultiRound pins that a multi-round entry (-count N, or
+// concatenated runs) is compared once per name: an added or removed
+// benchmark is one line, not one per round, and a metric is judged on
+// its mean over the rounds.
+func TestCompareRunsMultiRound(t *testing.T) {
+	rounds := func(n int, bs ...Benchmark) []Benchmark {
+		var out []Benchmark
+		for i := 0; i < n; i++ {
+			out = append(out, bs...)
+		}
+		return out
+	}
+	ns := func(v float64) map[string]float64 { return map[string]float64{"ns/op": v} }
+	prev := RunEntry{Label: "before", Date: "2026-01-01T00:00:00Z", Benchmarks: rounds(3,
+		Benchmark{Name: "Hot", Metrics: ns(100)},
+		Benchmark{Name: "Gone", Metrics: ns(50)},
+	)}
+	for _, tc := range []struct {
+		name string
+		cur  []Benchmark
+		want []string
+	}{
+		{"added and removed", rounds(3,
+			Benchmark{Name: "Hot", Metrics: ns(100)},
+			Benchmark{Name: "New", Metrics: ns(1)},
+		), []string{"Gone removed", "New added"}},
+		{"rounds averaged", append(rounds(2,
+			Benchmark{Name: "Hot", Metrics: ns(130)}, // each round +30%
+			Benchmark{Name: "Gone", Metrics: ns(50)},
+		), Benchmark{Name: "Hot", Metrics: ns(40)}), // mean 100: no movement
+			nil},
+		{"one regression per metric", rounds(3,
+			Benchmark{Name: "Hot", Metrics: ns(125)},
+			Benchmark{Name: "Gone", Metrics: ns(50)},
+		), []string{"Hot ns/op regressed +25.0%"}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			warnings := compareRuns(prev, RunEntry{Label: "after", Benchmarks: tc.cur})
+			if len(warnings) != len(tc.want) {
+				t.Fatalf("got %d warnings %v, want %d", len(warnings), warnings, len(tc.want))
+			}
+			for i, want := range tc.want {
+				if !strings.Contains(warnings[i], want) {
+					t.Errorf("warning %d = %q, want it to contain %q", i, warnings[i], want)
+				}
+			}
+		})
+	}
+}
+
+// TestReadRunRounds feeds readRun two concatenated rounds of `go test
+// -bench` output: the goos/goarch/cpu headers each round repeats are
+// recorded once, every result line is kept, and a FAIL or an empty
+// stream is refused.
+func TestReadRunRounds(t *testing.T) {
+	round := `goos: linux
+goarch: amd64
+pkg: ctrpred
+cpu: Test CPU @ 2.00GHz
+BenchmarkHot-2   	       1	   1000 ns/op	  2000 sim_instrs/s
+BenchmarkCold-2  	       1	   3000 ns/op
+PASS
+ok  	ctrpred	1.234s
+`
+	var echo strings.Builder
+	entry, err := readRun(strings.NewReader(round+round), &echo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if entry.Go != "goos: linux goarch: amd64" {
+		t.Errorf("Go = %q, want each header once", entry.Go)
+	}
+	if entry.CPU != "Test CPU @ 2.00GHz" {
+		t.Errorf("CPU = %q", entry.CPU)
+	}
+	if len(entry.Benchmarks) != 4 {
+		t.Errorf("got %d benchmarks, want 4 (two per round)", len(entry.Benchmarks))
+	}
+	if echo.String() != round+round {
+		t.Error("input stream not echoed verbatim")
+	}
+	for _, bad := range []string{round + "FAIL\tctrpred\n", "goos: linux\nPASS\n"} {
+		if _, err := readRun(strings.NewReader(bad), io.Discard); err == nil {
+			t.Errorf("readRun(%q) accepted", bad)
 		}
 	}
 }

@@ -126,9 +126,7 @@ type System struct {
 	// monotonically non-decreasing start times even when the out-of-order
 	// core discovers them out of order.
 	lastIssue uint64
-	// refSink, when set, observes every data reference (trace recording).
-	refSink func(addr uint64, write bool)
-	stats   Stats
+	stats     Stats
 }
 
 // New wires the hierarchy onto a secure memory controller.
@@ -156,12 +154,6 @@ func (s *System) TLBs() (itlb, dtlb *tlb.TLB) { return s.itlb, s.dtlb }
 
 // Stats returns a copy of the hierarchy statistics.
 func (s *System) Stats() Stats { return s.stats }
-
-// SetReferenceSink registers fn to observe every data reference as it
-// enters the hierarchy — how cmd/tracegen records live workload traces.
-func (s *System) SetReferenceSink(fn func(addr uint64, write bool)) {
-	s.refSink = fn
-}
 
 // handleL2Eviction writes back a displaced dirty line and maintains
 // inclusion by removing the line from the L1s.
@@ -216,9 +208,6 @@ func (s *System) prefetchAfterMiss(now uint64, addr uint64) {
 // earlier; callers decide which latency to charge.
 func (s *System) Access(now uint64, addr uint64, write bool) uint64 {
 	s.stats.DataAccesses++
-	if s.refSink != nil {
-		s.refSink(addr, write)
-	}
 	now = s.inOrder(now)
 	s.MaybeFlush(now)
 	s.maybeContextSwitch(now)

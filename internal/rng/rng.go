@@ -2,7 +2,7 @@
 // generators used throughout the simulator.
 //
 // Everything in ctrpred that needs randomness — per-page root sequence
-// numbers, workload data layouts, synthetic reference streams — draws from
+// numbers, workload data layouts, tenant arrival schedules — draws from
 // this package so that a run is exactly reproducible from its seed. The
 // generators are NOT cryptographically secure; the paper's hardware random
 // number generator is a true RNG, but for simulation purposes determinism
@@ -93,88 +93,3 @@ func (x *Xoshiro256) Float64() float64 {
 
 // Bool returns true with probability p.
 func (x *Xoshiro256) Bool(p float64) bool { return x.Float64() < p }
-
-// Geometric returns a sample from a geometric distribution with success
-// probability p (mean 1/p - 1 failures). Used for burst lengths in the
-// synthetic reference generators. p must be in (0, 1].
-func (x *Xoshiro256) Geometric(p float64) int {
-	if p >= 1 {
-		return 0
-	}
-	if p <= 0 {
-		panic("rng: Geometric called with p <= 0")
-	}
-	n := 0
-	for !x.Bool(p) {
-		n++
-		if n >= 1<<20 { // hard cap; keeps pathological p from hanging a sim
-			break
-		}
-	}
-	return n
-}
-
-// Zipf samples an integer in [0, n) with a Zipf-like distribution of
-// exponent s (s > 0) using inverse-CDF over a precomputed table is too
-// memory hungry for large n, so we use rejection-inversion is overkill;
-// instead we use the simple bounded power-law transform which is adequate
-// for shaping locality in synthetic workloads.
-func (x *Xoshiro256) Zipf(n int, s float64) int {
-	if n <= 1 {
-		return 0
-	}
-	// Inverse transform on a continuous power-law, clamped to [0, n).
-	u := x.Float64()
-	if u == 0 {
-		u = 1e-12
-	}
-	v := int(float64(n) * pow(u, s))
-	if v >= n {
-		v = n - 1
-	}
-	return v
-}
-
-// pow computes u**s for u in (0,1], s > 0 without importing math: the
-// simulator keeps floating-point dependencies minimal so results are
-// bit-stable across platforms. Uses exp/log via series would drift; a
-// simple repeated-squaring on the exponent's binary expansion with a
-// fixed-point fractional part is stable enough for workload shaping.
-func pow(u, s float64) float64 {
-	// Handle integer part by repeated multiplication.
-	r := 1.0
-	for s >= 1 {
-		r *= u
-		s--
-	}
-	if s <= 0 {
-		return r
-	}
-	// Fractional part via 24 steps of square-root bisection:
-	// u^s = product of u^(1/2^k) for set bits of s's binary fraction.
-	root := u
-	for i := 0; i < 24; i++ {
-		root = sqrt(root)
-		s *= 2
-		if s >= 1 {
-			r *= root
-			s--
-		}
-		if s == 0 {
-			break
-		}
-	}
-	return r
-}
-
-// sqrt is Newton's method; u in (0, 1].
-func sqrt(u float64) float64 {
-	if u <= 0 {
-		return 0
-	}
-	z := u
-	for i := 0; i < 32; i++ {
-		z = 0.5 * (z + u/z)
-	}
-	return z
-}

@@ -112,67 +112,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestGeometricMean(t *testing.T) {
-	x := New(5)
-	n := 50000
-	sum := 0
-	for i := 0; i < n; i++ {
-		sum += x.Geometric(0.5)
-	}
-	mean := float64(sum) / float64(n)
-	if mean < 0.9 || mean > 1.1 { // mean of Geom(0.5) failures = 1
-		t.Fatalf("Geometric(0.5) mean = %v, want ≈1", mean)
-	}
-}
-
-func TestGeometricPEdge(t *testing.T) {
-	x := New(9)
-	if g := x.Geometric(1); g != 0 {
-		t.Fatalf("Geometric(1) = %d, want 0", g)
-	}
-}
-
-func TestZipfRange(t *testing.T) {
-	x := New(13)
-	for i := 0; i < 10000; i++ {
-		v := x.Zipf(1000, 2.0)
-		if v < 0 || v >= 1000 {
-			t.Fatalf("Zipf out of range: %d", v)
-		}
-	}
-	if v := x.Zipf(1, 2.0); v != 0 {
-		t.Fatalf("Zipf(1) = %d, want 0", v)
-	}
-}
-
-func TestZipfSkew(t *testing.T) {
-	// With exponent > 1, small indices should be much more common than a
-	// uniform draw would make them.
-	x := New(17)
-	n := 100000
-	low := 0
-	for i := 0; i < n; i++ {
-		if x.Zipf(1024, 3.0) < 128 {
-			low++
-		}
-	}
-	if frac := float64(low) / float64(n); frac < 0.4 {
-		t.Fatalf("Zipf(1024, 3) P(<128) = %v, want skewed (> 0.4)", frac)
-	}
-}
-
-func TestSqrt(t *testing.T) {
-	for _, u := range []float64{0.25, 0.5, 1.0, 0.0625} {
-		got := sqrt(u)
-		if d := got*got - u; d > 1e-9 || d < -1e-9 {
-			t.Fatalf("sqrt(%v) = %v, square differs by %v", u, got, d)
-		}
-	}
-	if sqrt(0) != 0 {
-		t.Fatal("sqrt(0) != 0")
-	}
-}
-
 func BenchmarkXoshiroUint64(b *testing.B) {
 	x := New(1)
 	var sink uint64

@@ -1,6 +1,7 @@
-// Package stats provides the counters, rate helpers, histograms and
-// fixed-width table rendering used by the simulator to report experiment
-// results in the same shape as the paper's tables and figures.
+// Package stats provides the rate and percentile helpers, histograms,
+// fixed-width table rendering and the metrics snapshot tree used by the
+// simulator to report experiment results in the same shape as the
+// paper's tables and figures.
 package stats
 
 import (
@@ -10,18 +11,6 @@ import (
 	"strings"
 )
 
-// Counter is a named monotonically increasing event count.
-type Counter struct {
-	Name  string
-	Value uint64
-}
-
-// Add increments the counter by n.
-func (c *Counter) Add(n uint64) { c.Value += n }
-
-// Inc increments the counter by one.
-func (c *Counter) Inc() { c.Value++ }
-
 // Rate returns num/den as a float64, or 0 when den is zero. It is the
 // single definition of "rate" used across every experiment so that hit
 // rates, prediction rates and IPC ratios are all computed identically.
@@ -30,11 +19,6 @@ func Rate(num, den uint64) float64 {
 		return 0
 	}
 	return float64(num) / float64(den)
-}
-
-// Percent formats Rate(num, den) as a percentage with one decimal.
-func Percent(num, den uint64) string {
-	return fmt.Sprintf("%.1f%%", 100*Rate(num, den))
 }
 
 // Histogram is a fixed-bucket histogram over non-negative integer samples.
@@ -264,30 +248,10 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// GeoMean returns the geometric mean of vals, skipping non-positive
-// entries (which would otherwise zero the product); it returns 0 if no
-// positive values exist. The paper's "Average" bars over normalized IPC
-// are reproduced with this.
-func GeoMean(vals []float64) float64 {
-	prod := 1.0
-	n := 0
-	for _, v := range vals {
-		if v > 0 {
-			prod *= v
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return nthRoot(prod, n)
-}
-
 // Percentile returns the q-th percentile (q in 0..1) of vals by the
 // nearest-rank method on a sorted copy: the smallest value such that at
 // least q of the samples are at or below it. Exact — no bucketing — so
-// the load-test harness reports true p50/p99 latencies; 0 for empty
-// input.
+// callers report true p50/p99 latencies; 0 for empty input.
 func Percentile(vals []float64, q float64) float64 {
 	if len(vals) == 0 {
 		return 0
@@ -305,40 +269,4 @@ func Percentile(vals []float64, q float64) float64 {
 		rank = 1
 	}
 	return s[rank-1]
-}
-
-// Mean returns the arithmetic mean of vals (0 for empty input).
-func Mean(vals []float64) float64 {
-	if len(vals) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, v := range vals {
-		sum += v
-	}
-	return sum / float64(len(vals))
-}
-
-// nthRoot computes x^(1/n) by Newton iteration; x > 0, n >= 1.
-func nthRoot(x float64, n int) float64 {
-	if n == 1 || x == 0 {
-		return x
-	}
-	z := x
-	if z > 1 {
-		z = 1 + (x-1)/float64(n) // decent starting point
-	}
-	for i := 0; i < 64; i++ {
-		// z^{n-1}
-		zn1 := 1.0
-		for j := 1; j < n; j++ {
-			zn1 *= z
-		}
-		// Newton update: z -= (z^n - x) / (n z^{n-1})
-		z -= (zn1*z - x) / (float64(n) * zn1)
-		if z <= 0 {
-			z = x / 2
-		}
-	}
-	return z
 }

@@ -3,17 +3,7 @@ package stats
 import (
 	"strings"
 	"testing"
-	"testing/quick"
 )
-
-func TestCounter(t *testing.T) {
-	c := Counter{Name: "hits"}
-	c.Inc()
-	c.Add(4)
-	if c.Value != 5 {
-		t.Fatalf("counter = %d, want 5", c.Value)
-	}
-}
 
 func TestRate(t *testing.T) {
 	if got := Rate(1, 4); got != 0.25 {
@@ -21,12 +11,6 @@ func TestRate(t *testing.T) {
 	}
 	if got := Rate(3, 0); got != 0 {
 		t.Fatalf("Rate(3,0) = %v, want 0", got)
-	}
-}
-
-func TestPercent(t *testing.T) {
-	if got := Percent(82, 100); got != "82.0%" {
-		t.Fatalf("Percent = %q", got)
 	}
 }
 
@@ -147,46 +131,6 @@ func TestTableRendering(t *testing.T) {
 	}
 	if tbl.NumRows() != 2 {
 		t.Fatalf("NumRows = %d", tbl.NumRows())
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	got := GeoMean([]float64{2, 8})
-	if got < 3.999 || got > 4.001 {
-		t.Fatalf("GeoMean(2,8) = %v, want 4", got)
-	}
-	if GeoMean(nil) != 0 {
-		t.Fatal("GeoMean(nil) != 0")
-	}
-	// Non-positive entries are skipped, not zeroing.
-	got = GeoMean([]float64{0, 4})
-	if got < 3.999 || got > 4.001 {
-		t.Fatalf("GeoMean(0,4) = %v, want 4", got)
-	}
-}
-
-func TestMean(t *testing.T) {
-	if m := Mean([]float64{1, 2, 3}); m != 2 {
-		t.Fatalf("Mean = %v", m)
-	}
-	if Mean(nil) != 0 {
-		t.Fatal("Mean(nil) != 0")
-	}
-}
-
-func TestGeoMeanBetweenMinMax(t *testing.T) {
-	f := func(a, b uint16) bool {
-		x := 1 + float64(a%1000)
-		y := 1 + float64(b%1000)
-		g := GeoMean([]float64{x, y})
-		lo, hi := x, y
-		if lo > hi {
-			lo, hi = hi, lo
-		}
-		return g >= lo-1e-6 && g <= hi+1e-6
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -100,7 +100,7 @@ func (p *burstyProc) next() (uint64, uint64) {
 // expDraw returns an exponential variate with the given mean, floored at
 // 1: ⌈mean · (−ln U)⌉ for uniform U in (0,1]. Inverse-CDF sampling costs
 // one uniform draw, so schedule construction is O(jobs) regardless of
-// the mean (rng.Geometric's rejection loop is O(mean) per draw).
+// the mean; a Bernoulli-trial loop would cost O(mean) draws per variate.
 func expDraw(r *rng.Xoshiro256, mean float64) uint64 {
 	u := r.Float64()
 	if u == 0 {
@@ -117,9 +117,8 @@ func expDraw(r *rng.Xoshiro256, mean float64) uint64 {
 const ln2 = 0.6931471805599453
 
 // negLn returns −ln u for u in (0, 1], using fixed-iteration float64
-// arithmetic only — bit-identical on every platform, like internal/rng's
-// hand-rolled pow and sqrt — rather than math.Log, whose implementation
-// is assembly on some architectures.
+// arithmetic only — bit-identical on every platform — rather than
+// math.Log, whose implementation is assembly on some architectures.
 func negLn(u float64) float64 {
 	if u >= 1 {
 		return 0

@@ -172,8 +172,8 @@ func MustBuild(name string, s Scale, img *mem.Memory, seed uint64) *Workload {
 
 // SampleAges walks a span's chunks and lines, calling fn with each aged
 // line's address and counter offset. Offsets are drawn deterministically
-// from r: chunk bases are geometric with the configured mean, per-line
-// noise is uniform.
+// from r: a chunk's base is the configured mean moved by a uniform draw
+// within ±Spread, per-line noise is uniform.
 func (a AgeSpan) SampleAges(r *rng.Xoshiro256, fn func(lineAddr uint64, offset uint64)) {
 	if a.Bytes <= 0 {
 		return
