@@ -10,6 +10,12 @@ import "ctrpred/internal/isa"
 // (Figures 7–9 and 12–14), where only hit rates — not IPC — are measured.
 // It mirrors the paper's "simplified mode that simulates the memory
 // hierarchy and OTP prediction for 8 billion instructions".
+//
+// The core ignores every latency the hierarchy returns: the cycle of each
+// access, and so the stream of fetches, writebacks, flushes and context
+// switches reaching the secure memory controller, is fixed by the
+// program alone. sim.RunGroupContext depends on this invariant to drive
+// several controllers from one run of the hierarchy.
 func (c *Core) RunFunctional(maxInstructions uint64) Stats {
 	now := c.lastCommit
 	base := c.prog.Base

@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -51,10 +52,10 @@ func TestSweepCancelMidRun(t *testing.T) {
 	opt.Workers = 1
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var done int
+	var reported []string
 	opt.Progress = func(u runpool.Update) {
-		done++
-		if done == 2 {
+		reported = append(reported, u.Label)
+		if len(reported) == 2 {
 			cancel()
 		}
 	}
@@ -66,15 +67,14 @@ func TestSweepCancelMidRun(t *testing.T) {
 	if !errors.As(err, &pe) {
 		t.Fatalf("error %T does not wrap *runpool.PartialError: %v", err, err)
 	}
-	// With one worker, exactly the two cells that reported progress
-	// completed; the other seven of the 3×3 grid were skipped.
-	if len(pe.Completed) != 2 || pe.Total != 9 {
-		t.Fatalf("partial progress = %d/%d (%v), want 2/9", len(pe.Completed), pe.Total, pe.Completed)
+	// With one worker, the cancel lands while the first row reports its
+	// cells, which finished together: exactly that row's three cells
+	// completed, and the other two rows of the 3×3 grid were skipped.
+	if len(pe.Completed) != 3 || pe.Total != 9 {
+		t.Fatalf("partial progress = %d/%d (%v), want 3/9", len(pe.Completed), pe.Total, pe.Completed)
 	}
-	for _, label := range pe.Completed {
-		if label == "" {
-			t.Fatalf("unlabeled completed cell: %v", pe.Completed)
-		}
+	if !reflect.DeepEqual(pe.Completed, reported) {
+		t.Fatalf("completed cells %v, want the cells that reported progress %v", pe.Completed, reported)
 	}
 }
 

@@ -46,12 +46,17 @@ type Options struct {
 	// output is byte-identical for any worker count.
 	Workers int
 	// Progress, when non-nil, receives one update per finished
-	// simulation (serialized, in completion order).
+	// simulation (serialized, in completion order). A hit-rate row, whose
+	// cells share one simulated front end, finishes its cells together:
+	// it then reports one update per cell, each carrying the row's
+	// elapsed time, and Done and Total count cells.
 	Progress func(runpool.Update)
 	// SimTimeout, when positive, bounds each individual simulation with
 	// its own deadline (context.WithTimeout around every grid cell). A
 	// cell that exceeds it fails with context.DeadlineExceeded without
-	// cancelling the rest of the sweep's context.
+	// cancelling the rest of the sweep's context. A hit-rate row is one
+	// simulation: the deadline bounds the row's shared run, and expiry
+	// fails every cell of the row.
 	SimTimeout time.Duration
 	// Engine selects the cipher-engine timing model every simulation of
 	// the experiment runs under (zero value: the default pipelined AES).
@@ -157,38 +162,73 @@ func (o Options) pool() runpool.Options {
 // runSim runs one simulation under ctx, applying the per-simulation
 // deadline from Options.SimTimeout when one is set.
 func (o Options) runSim(ctx context.Context, bench string, cfg sim.Config) (sim.Result, error) {
-	if o.SimTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.SimTimeout)
-		defer cancel()
-	}
+	ctx, cancel := o.simContext(ctx)
+	defer cancel()
 	return sim.RunContext(ctx, bench, cfg)
 }
 
-// sweep runs every benchmark × scheme pair — in parallel across the
-// worker pool — and assembles the table in input order, so the result is
-// identical to a sequential sweep of the same seed.
-func sweep(ctx context.Context, id, title, notes string, opt Options, schemes []sim.Scheme, colNames []string, run runner) (Result, error) {
-	opt = opt.normalized()
-	res := Result{
-		ID:     id,
-		Title:  title,
-		Notes:  notes,
-		Series: make(map[string]map[string]float64),
-	}
-	cols := append([]string{"benchmark"}, colNames...)
-	res.Table = stats.NewTable(fmt.Sprintf("%s — %s", id, title), cols...)
-	for _, name := range colNames {
-		res.Series[name] = make(map[string]float64)
-	}
-	benchmarks := append([]string(nil), opt.Benchmarks...)
-	sort.Strings(benchmarks)
+// runRow runs one benchmark's hit-rate row, one config per cell, over
+// one shared front end (sim.RunGroupContext). The row is one simulation
+// of that front end, so SimTimeout bounds it as a whole.
+func (o Options) runRow(ctx context.Context, bench string, cfgs []sim.Config) ([]sim.Result, error) {
+	ctx, cancel := o.simContext(ctx)
+	defer cancel()
+	return sim.RunGroupContext(ctx, bench, cfgs)
+}
 
+// simContext layers the per-simulation deadline, if any, on ctx.
+func (o Options) simContext(ctx context.Context) (context.Context, context.CancelFunc) {
+	if o.SimTimeout > 0 {
+		return context.WithTimeout(ctx, o.SimTimeout)
+	}
+	return ctx, func() {}
+}
+
+// hitRateRow is one hit-rate grid row as a single pool job: bench's
+// cells, named by labels and configured by cfgs, run over one shared
+// front end, and value reads cell i's number from its result. A failure
+// reads "name: cause".
+func hitRateRow[T any](opt Options, name, bench string, labels []string, cfgs []sim.Config, value func(i int, r sim.Result) T) runpool.Row[T] {
+	return runpool.Row[T]{
+		Labels: labels,
+		Fn: func(ctx context.Context) ([]T, error) {
+			rs, err := opt.runRow(ctx, bench, cfgs)
+			if err != nil {
+				return nil, fmt.Errorf("%s: %w", name, err)
+			}
+			vals := make([]T, len(rs))
+			for i, r := range rs {
+				vals[i] = value(i, r)
+			}
+			return vals, nil
+		},
+	}
+}
+
+// coverage is the number a hit-rate cell plots: the prediction rate
+// under a predicting scheme, else the sequence-number cache hit rate.
+func coverage(sch sim.Scheme, r sim.Result) float64 {
+	if sch.Pred != predictor.SchemeNone {
+		return r.PredRate()
+	}
+	return r.SeqHitRate()
+}
+
+// cellLabel names one (benchmark, scheme) cell of a figure's grid.
+func cellLabel(id, bench string, sch sim.Scheme) string {
+	return fmt.Sprintf("%s %s/%s", id, bench, sch.Name)
+}
+
+// sweep runs every benchmark × scheme cell as its own job — in parallel
+// across the worker pool — and assembles the table in input order, so
+// the result is identical to a sequential sweep of the same seed.
+func sweep(ctx context.Context, id, title, notes string, opt Options, schemes []sim.Scheme, colNames []string, run runner) (Result, error) {
+	benchmarks := gridBenchmarks(opt)
 	jobs := make([]runpool.Job[float64], 0, len(benchmarks)*len(schemes))
 	for _, bench := range benchmarks {
 		for i, sch := range schemes {
 			jobs = append(jobs, runpool.Job[float64]{
-				Label: fmt.Sprintf("%s %s/%s", id, bench, sch.Name),
+				Label: cellLabel(id, bench, sch),
 				Fn: func(ctx context.Context) (float64, error) {
 					v, err := run(ctx, bench, i, sch)
 					if err != nil {
@@ -203,12 +243,58 @@ func sweep(ctx context.Context, id, title, notes string, opt Options, schemes []
 	if err != nil {
 		return Result{}, err
 	}
+	return gridResult(id, title, notes, benchmarks, colNames, vals), nil
+}
 
-	sums := make([]float64, len(schemes))
+// hitRateSweep is sweep for a hit-rate grid at L2 size l2: a benchmark's
+// cells share one front end, so its whole row is one job, and each cell
+// plots its scheme's coverage.
+func hitRateSweep(ctx context.Context, id, title, notes string, opt Options, schemes []sim.Scheme, colNames []string, l2 int) (Result, error) {
+	benchmarks := gridBenchmarks(opt)
+	rows := make([]runpool.Row[float64], len(benchmarks))
+	for b, bench := range benchmarks {
+		labels := make([]string, len(schemes))
+		cfgs := make([]sim.Config, len(schemes))
+		for i, sch := range schemes {
+			labels[i] = cellLabel(id, bench, sch)
+			cfgs[i] = hitRateConfig(opt, sch, l2)
+		}
+		rows[b] = hitRateRow(opt, id+": "+bench, bench, labels, cfgs,
+			func(i int, r sim.Result) float64 { return coverage(schemes[i], r) })
+	}
+	vals, err := runpool.RunRowsContext(ctx, opt.pool(), rows)
+	if err != nil {
+		return Result{}, err
+	}
+	return gridResult(id, title, notes, benchmarks, colNames, vals), nil
+}
+
+// gridBenchmarks is a sweep's row order: opt's benchmarks, sorted.
+func gridBenchmarks(opt Options) []string {
+	benchmarks := append([]string(nil), opt.normalized().Benchmarks...)
+	sort.Strings(benchmarks)
+	return benchmarks
+}
+
+// gridResult assembles a sweep's table from its values, one per
+// (benchmark, column) in row-major input order, plus an Average row.
+func gridResult(id, title, notes string, benchmarks, colNames []string, vals []float64) Result {
+	res := Result{
+		ID:     id,
+		Title:  title,
+		Notes:  notes,
+		Series: make(map[string]map[string]float64),
+	}
+	cols := append([]string{"benchmark"}, colNames...)
+	res.Table = stats.NewTable(fmt.Sprintf("%s — %s", id, title), cols...)
+	for _, name := range colNames {
+		res.Series[name] = make(map[string]float64)
+	}
+	sums := make([]float64, len(colNames))
 	k := 0
 	for _, bench := range benchmarks {
-		row := make([]float64, len(schemes))
-		for i := range schemes {
+		row := make([]float64, len(colNames))
+		for i := range colNames {
 			v := vals[k]
 			k++
 			row[i] = v
@@ -217,13 +303,13 @@ func sweep(ctx context.Context, id, title, notes string, opt Options, schemes []
 		}
 		res.Table.AddFloats(bench, 3, row...)
 	}
-	avgs := make([]float64, len(schemes))
-	for i := range schemes {
+	avgs := make([]float64, len(colNames))
+	for i := range colNames {
 		avgs[i] = sums[i] / float64(len(benchmarks))
 		res.Series[colNames[i]]["Average"] = avgs[i]
 	}
 	res.Table.AddFloats("Average", 3, avgs...)
-	return res, nil
+	return res
 }
 
 // oracleBaselines runs the oracle scheme for every benchmark across the
@@ -300,16 +386,7 @@ func hitRateFigure(ctx context.Context, id string, l2 int, opt Options) (Result,
 	cols := []string{"128K_Seq#_Cache", "512K_Seq#_Cache", "Pred"}
 	title := fmt.Sprintf("Sequence Number Hit Rates, %s L2", l2Name(l2))
 	notes := "Paper: Pred ≈ 0.82 average (0.80 at 1MB), above both 128KB and 512KB sequence-number caches."
-	return sweep(ctx, id, title, notes, opt, schemes, cols, func(ctx context.Context, bench string, _ int, sch sim.Scheme) (float64, error) {
-		res, err := opt.runSim(ctx, bench, hitRateConfig(opt, sch, l2))
-		if err != nil {
-			return 0, err
-		}
-		if sch.Pred != predictor.SchemeNone {
-			return res.PredRate(), nil
-		}
-		return res.SeqHitRate(), nil
-	})
+	return hitRateSweep(ctx, id, title, notes, opt, schemes, cols, l2)
 }
 
 // Figure7 regenerates Figure 7 (256 KB L2).
@@ -431,13 +508,7 @@ func optHitRateFigure(ctx context.Context, id string, l2 int, opt Options) (Resu
 	cols := []string{"Regular", "Two-level", "Context"}
 	title := fmt.Sprintf("Prediction Rate of Two-level and Context-based vs Regular, %s L2", l2Name(l2))
 	notes := "Paper: regular ≈ 0.82, two-level ≈ 0.96, context ≈ 0.99 (256KB L2)."
-	return sweep(ctx, id, title, notes, opt, schemes, cols, func(ctx context.Context, bench string, _ int, sch sim.Scheme) (float64, error) {
-		res, err := opt.runSim(ctx, bench, hitRateConfig(opt, sch, l2))
-		if err != nil {
-			return 0, err
-		}
-		return res.PredRate(), nil
-	})
+	return hitRateSweep(ctx, id, title, notes, opt, schemes, cols, l2)
 }
 
 // Figure12 regenerates Figure 12 (optimized prediction rates, 256 KB L2).

@@ -62,42 +62,35 @@ func ContextSwitch(ctx context.Context, opt Options) (Result, error) {
 		sim.SchemeSeqCache(128 << 10),
 		sim.SchemePred(predictor.SchemeRegular),
 	}
-	var jobs []runpool.Job[float64]
+	var jobs []runpool.Row[float64]
 	for _, iv := range intervals {
-		for _, sch := range schemes {
-			for _, bench := range opt.Benchmarks {
-				jobs = append(jobs, runpool.Job[float64]{
-					Label: fmt.Sprintf("ContextSwitch %s %s/%s", iv.name, bench, sch.Name),
-					Fn: func(ctx context.Context) (float64, error) {
-						cfg := hitRateConfig(opt, sch, 256<<10)
-						cfg.Mem.ContextSwitchInterval = iv.cycles(cfg.Scale.Instructions)
-						r, err := opt.runSim(ctx, bench, cfg)
-						if err != nil {
-							return 0, fmt.Errorf("ctxswitch %s/%s: %w", iv.name, bench, err)
-						}
-						if sch.Pred != predictor.SchemeNone {
-							return r.PredRate(), nil
-						}
-						return r.SeqHitRate(), nil
-					},
-				})
+		for _, bench := range opt.Benchmarks {
+			labels := make([]string, len(schemes))
+			cfgs := make([]sim.Config, len(schemes))
+			for i, sch := range schemes {
+				labels[i] = fmt.Sprintf("ContextSwitch %s %s/%s", iv.name, bench, sch.Name)
+				cfgs[i] = hitRateConfig(opt, sch, 256<<10)
+				cfgs[i].Mem.ContextSwitchInterval = iv.cycles(cfgs[i].Scale.Instructions)
 			}
+			jobs = append(jobs, hitRateRow(opt, fmt.Sprintf("ctxswitch %s/%s", iv.name, bench), bench, labels, cfgs,
+				func(i int, r sim.Result) float64 { return coverage(schemes[i], r) }))
 		}
 	}
-	covered, err := runpool.RunContext(ctx, opt.pool(), jobs)
+	covered, err := runpool.RunRowsContext(ctx, opt.pool(), jobs)
 	if err != nil {
 		return Result{}, err
 	}
-	k := 0
-	for _, iv := range intervals {
-		vals := make([]float64, len(schemes))
+	// covered holds interval-major rows of benchmarks, each one value
+	// per scheme; average every (interval, scheme) over the benchmarks.
+	nb, ns := len(opt.Benchmarks), len(schemes)
+	for v, iv := range intervals {
+		vals := make([]float64, ns)
 		for i := range schemes {
 			var sum float64
-			for range opt.Benchmarks {
-				sum += covered[k]
-				k++
+			for b := range nb {
+				sum += covered[(v*nb+b)*ns+i]
 			}
-			vals[i] = sum / float64(len(opt.Benchmarks))
+			vals[i] = sum / float64(nb)
 		}
 		res.Series["seqcache-128K"][iv.name] = vals[0]
 		res.Series["pred-regular"][iv.name] = vals[1]
@@ -245,46 +238,41 @@ func SeqCacheSweep(ctx context.Context, opt Options) (Result, error) {
 		"capacity", "avg hit rate", "marginal gain / 2x size")
 
 	sizes := []int{4 << 10, 16 << 10, 64 << 10, 128 << 10, 256 << 10, 512 << 10, 1 << 20}
-	var jobs []runpool.Job[float64]
+	var schemes []sim.Scheme
 	for _, size := range sizes {
-		for _, bench := range opt.Benchmarks {
-			jobs = append(jobs, runpool.Job[float64]{
-				Label: fmt.Sprintf("SeqCacheSweep %dKB/%s", size>>10, bench),
-				Fn: func(ctx context.Context) (float64, error) {
-					r, err := opt.runSim(ctx, bench, hitRateConfig(opt, sim.SchemeSeqCache(size), 256<<10))
-					if err != nil {
-						return 0, err
-					}
-					return r.SeqHitRate(), nil
-				},
-			})
-		}
+		schemes = append(schemes, sim.SchemeSeqCache(size))
 	}
 	// Reference line: prediction with zero dedicated storage.
+	schemes = append(schemes, sim.SchemePred(predictor.SchemeRegular))
+	var jobs []runpool.Row[float64]
 	for _, bench := range opt.Benchmarks {
-		jobs = append(jobs, runpool.Job[float64]{
-			Label: fmt.Sprintf("SeqCacheSweep prediction/%s", bench),
-			Fn: func(ctx context.Context) (float64, error) {
-				r, err := opt.runSim(ctx, bench, hitRateConfig(opt, sim.SchemePred(predictor.SchemeRegular), 256<<10))
-				if err != nil {
-					return 0, err
-				}
-				return r.PredRate(), nil
-			},
-		})
+		labels := make([]string, len(schemes))
+		cfgs := make([]sim.Config, len(schemes))
+		for i, sch := range schemes {
+			labels[i] = fmt.Sprintf("SeqCacheSweep %dKB/%s", sch.SeqCacheBytes>>10, bench)
+			cfgs[i] = hitRateConfig(opt, sch, 256<<10)
+		}
+		labels[len(sizes)] = fmt.Sprintf("SeqCacheSweep prediction/%s", bench)
+		jobs = append(jobs, hitRateRow(opt, "SeqCacheSweep "+bench, bench, labels, cfgs,
+			func(i int, r sim.Result) float64 { return coverage(schemes[i], r) }))
 	}
-	rates, err := runpool.RunContext(ctx, opt.pool(), jobs)
+	rates, err := runpool.RunRowsContext(ctx, opt.pool(), jobs)
 	if err != nil {
 		return Result{}, err
 	}
-	nb := len(opt.Benchmarks)
+	// rates holds one row per benchmark, one value per scheme; colAvg
+	// averages scheme i's column over the benchmarks.
+	nb, ns := len(opt.Benchmarks), len(schemes)
+	colAvg := func(i int) float64 {
+		var sum float64
+		for b := range nb {
+			sum += rates[b*ns+i]
+		}
+		return sum / float64(nb)
+	}
 	prev := 0.0
 	for i, size := range sizes {
-		var sum float64
-		for _, r := range rates[i*nb : (i+1)*nb] {
-			sum += r
-		}
-		avg := sum / float64(nb)
+		avg := colAvg(i)
 		name := fmt.Sprintf("%dKB", size>>10)
 		res.Series["hit_rate"][name] = avg
 		gain := 0.0
@@ -294,13 +282,9 @@ func SeqCacheSweep(ctx context.Context, opt Options) (Result, error) {
 		res.Table.AddFloats(name, 3, avg, gain)
 		prev = avg
 	}
-	var sum float64
-	for _, r := range rates[len(sizes)*nb:] {
-		sum += r
-	}
-	avg := sum / float64(nb)
-	res.Series["hit_rate"]["prediction (0KB)"] = avg
-	res.Table.AddFloats("prediction (0KB)", 3, avg, 0)
+	predAvg := colAvg(len(sizes))
+	res.Series["hit_rate"]["prediction (0KB)"] = predAvg
+	res.Table.AddFloats("prediction (0KB)", 3, predAvg, 0)
 	return res, nil
 }
 

@@ -13,7 +13,7 @@ import (
 // Workers=4 produces byte-identical tables and identical series to
 // Workers=1 for the same seed.
 func TestParallelSweepDeterministic(t *testing.T) {
-	for _, id := range []string{"fig7", "fig10"} {
+	for _, id := range []string{"fig7", "fig10", "seqsweep"} {
 		opt := quickOpts()
 		if id == "fig10" {
 			opt.Benchmarks = []string{"mcf", "gzip", "swim"}
@@ -43,23 +43,41 @@ func TestParallelSweepDeterministic(t *testing.T) {
 }
 
 // TestSweepProgressUpdates checks the per-simulation progress plumbing:
-// one update per (benchmark, scheme) cell, labels carrying the figure id.
+// one update per (benchmark, scheme) cell — also where a benchmark's
+// cells run as one row — labels carrying the figure id, and Done
+// counting cells from 1 to the grid's size.
 func TestSweepProgressUpdates(t *testing.T) {
-	opt := quickOpts()
-	opt.Workers = 2
-	var labels []string
-	opt.Progress = func(u runpool.Update) { labels = append(labels, u.Label) }
-	if _, err := Figure7(context.Background(), opt); err != nil {
-		t.Fatal(err)
-	}
-	// 3 benchmarks × 3 schemes.
-	if len(labels) != 9 {
-		t.Fatalf("%d progress updates, want 9: %v", len(labels), labels)
-	}
-	for _, l := range labels {
-		if !strings.HasPrefix(l, "Figure 7 ") {
-			t.Fatalf("progress label %q missing figure id", l)
-		}
+	// quickOpts runs 3 benchmarks.
+	for _, tc := range []struct {
+		id, prefix string
+		cells      int
+	}{
+		{"fig7", "Figure 7 ", 3 * 3},
+		{"fig12", "Figure 12 ", 3 * 3},
+		{"seqsweep", "SeqCacheSweep ", 3 * 8},
+		{"ctxswitch", "ContextSwitch ", 3 * 4 * 2},
+		{"ablation", "Ablation ", 3 * 10},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			opt := quickOpts()
+			opt.Workers = 2
+			var updates []runpool.Update
+			opt.Progress = func(u runpool.Update) { updates = append(updates, u) }
+			if _, err := ByID(context.Background(), tc.id, opt); err != nil {
+				t.Fatal(err)
+			}
+			if len(updates) != tc.cells {
+				t.Fatalf("%d progress updates, want %d", len(updates), tc.cells)
+			}
+			for i, u := range updates {
+				if !strings.HasPrefix(u.Label, tc.prefix) {
+					t.Fatalf("progress label %q missing figure id %q", u.Label, tc.prefix)
+				}
+				if u.Done != i+1 || u.Total != tc.cells {
+					t.Fatalf("update %d reads %d/%d, want %d/%d", i, u.Done, u.Total, i+1, tc.cells)
+				}
+			}
+		})
 	}
 }
 

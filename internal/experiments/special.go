@@ -143,45 +143,43 @@ func Ablation(ctx context.Context, opt Options) (Result, error) {
 		{"context swing=1", func(c *predictor.Config) { c.Scheme = predictor.SchemeContext; c.Swing = 1 }},
 		{"context swing=7", func(c *predictor.Config) { c.Scheme = predictor.SchemeContext; c.Swing = 7 }},
 	}
-	var jobs []runpool.Job[[2]float64]
-	for _, v := range variants {
+	schemes := make([]sim.Scheme, len(variants))
+	for i, v := range variants {
 		pc := predictor.DefaultConfig(predictor.SchemeRegular)
 		v.mod(&pc)
-		scheme := sim.Scheme{Name: v.name, Pred: pc.Scheme, PredConfig: &pc}
-		for _, bench := range opt.Benchmarks {
-			jobs = append(jobs, runpool.Job[[2]float64]{
-				Label: fmt.Sprintf("Ablation %s/%s", bench, v.name),
-				Fn: func(ctx context.Context) ([2]float64, error) {
-					r, err := opt.runSim(ctx, bench, hitRateConfig(opt, scheme, 256<<10))
-					if err != nil {
-						return [2]float64{}, fmt.Errorf("ablation %s: %w", v.name, err)
-					}
-					var gpf float64
-					if r.Pred.Fetches > 0 {
-						gpf = float64(r.Pred.Guesses) / float64(r.Pred.Fetches)
-					}
-					return [2]float64{r.PredRate(), gpf}, nil
-				},
-			})
-		}
+		schemes[i] = sim.Scheme{Name: v.name, Pred: pc.Scheme, PredConfig: &pc}
 	}
-	vals, err := runpool.RunContext(ctx, opt.pool(), jobs)
+	var jobs []runpool.Row[[2]float64]
+	for _, bench := range opt.Benchmarks {
+		labels := make([]string, len(schemes))
+		cfgs := make([]sim.Config, len(schemes))
+		for i, sch := range schemes {
+			labels[i] = fmt.Sprintf("Ablation %s/%s", bench, sch.Name)
+			cfgs[i] = hitRateConfig(opt, sch, 256<<10)
+		}
+		jobs = append(jobs, hitRateRow(opt, "ablation "+bench, bench, labels, cfgs, func(_ int, r sim.Result) [2]float64 {
+			var gpf float64
+			if r.Pred.Fetches > 0 {
+				gpf = float64(r.Pred.Guesses) / float64(r.Pred.Fetches)
+			}
+			return [2]float64{r.PredRate(), gpf}
+		}))
+	}
+	vals, err := runpool.RunRowsContext(ctx, opt.pool(), jobs)
 	if err != nil {
 		return Result{}, err
 	}
-	k := 0
-	for _, v := range variants {
+	// vals holds one row per benchmark, one cell per variant.
+	nb, nv := len(opt.Benchmarks), len(variants)
+	for i, v := range variants {
 		var rateSum, guessPerFetch float64
-		var n int
-		for range opt.Benchmarks {
-			rateSum += vals[k][0]
-			guessPerFetch += vals[k][1]
-			k++
-			n++
+		for b := range nb {
+			rateSum += vals[b*nv+i][0]
+			guessPerFetch += vals[b*nv+i][1]
 		}
-		avg := rateSum / float64(n)
+		avg := rateSum / float64(nb)
 		res.Series["pred_rate"][v.name] = avg
-		res.Table.AddFloats(v.name, 3, avg, guessPerFetch/float64(n))
+		res.Table.AddFloats(v.name, 3, avg, guessPerFetch/float64(nb))
 	}
 	return res, nil
 }

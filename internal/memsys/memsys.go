@@ -9,6 +9,16 @@
 // back-invalidates the L1s. Dirty L2 lines are flushed (written back but
 // kept resident) every FlushInterval cycles, modeling the paper's
 // OS-induced flush every 25M cycles.
+//
+// The hierarchy can drive several controllers at once. The first is the
+// machine's own: its fetch timing is what Access and FetchInstr return.
+// The rest are mirrors, which see the identical stream of fetches,
+// writebacks, flushes and context switches and whose timing is
+// discarded. A mirror's statistics equal a solo run of its controller
+// only where the core's access stream cannot depend on that timing,
+// which holds for the functional core (cpu.Core.RunFunctional): this is
+// how a hit-rate row simulates its front end once for every counter
+// scheme (sim.RunGroupContext).
 package memsys
 
 import (
@@ -116,7 +126,10 @@ type System struct {
 	l2   *cache.Cache
 	itlb *tlb.TLB
 	dtlb *tlb.TLB
-	ctrl *secmem.Controller
+	// ctrls are the machine's controller followed by its mirrors: each
+	// receives every fetch and writeback, in the same order and at the
+	// same cycles.
+	ctrls []*secmem.Controller
 
 	lastFlush  uint64
 	lastSwitch uint64
@@ -129,9 +142,10 @@ type System struct {
 	stats     Stats
 }
 
-// New wires the hierarchy onto a secure memory controller.
-func New(cfg Config, ctrl *secmem.Controller) *System {
-	s := &System{cfg: cfg, ctrl: ctrl}
+// New wires the hierarchy onto a secure memory controller, and onto the
+// mirror controllers, if any (see the package doc).
+func New(cfg Config, ctrl *secmem.Controller, mirrors ...*secmem.Controller) *System {
+	s := &System{cfg: cfg, ctrls: append([]*secmem.Controller{ctrl}, mirrors...)}
 	s.l1i = cache.New(cache.Config{Name: "L1I", SizeBytes: cfg.L1ISize, LineSize: cfg.LineSize, Ways: 1, HitLatency: cfg.L1Latency})
 	s.l1d = cache.New(cache.Config{Name: "L1D", SizeBytes: cfg.L1DSize, LineSize: cfg.LineSize, Ways: 1, HitLatency: cfg.L1Latency, WriteThrough: true})
 	s.l2 = cache.New(cfg.L2Cache())
@@ -144,7 +158,7 @@ func New(cfg Config, ctrl *secmem.Controller) *System {
 func (s *System) Config() Config { return s.cfg }
 
 // Controller returns the secure memory controller.
-func (s *System) Controller() *secmem.Controller { return s.ctrl }
+func (s *System) Controller() *secmem.Controller { return s.ctrls[0] }
 
 // Caches returns the three caches for statistics reporting.
 func (s *System) Caches() (l1i, l1d, l2 *cache.Cache) { return s.l1i, s.l1d, s.l2 }
@@ -154,6 +168,24 @@ func (s *System) TLBs() (itlb, dtlb *tlb.TLB) { return s.itlb, s.dtlb }
 
 // Stats returns a copy of the hierarchy statistics.
 func (s *System) Stats() Stats { return s.stats }
+
+// fetch issues the encrypted fetch of the line containing addr to every
+// controller and returns the first controller's completion cycle.
+func (s *System) fetch(now, addr uint64) uint64 {
+	done := s.ctrls[0].FetchLine(now, addr).Done
+	for _, c := range s.ctrls[1:] {
+		c.FetchLine(now, addr)
+	}
+	return done
+}
+
+// evict writes back the dirty line containing addr through every
+// controller.
+func (s *System) evict(now, addr uint64) {
+	for _, c := range s.ctrls {
+		c.EvictLine(now, addr)
+	}
+}
 
 // handleL2Eviction writes back a displaced dirty line and maintains
 // inclusion by removing the line from the L1s.
@@ -169,7 +201,7 @@ func (s *System) handleL2Eviction(now uint64, ev cache.Eviction) {
 	}
 	if ev.Dirty {
 		s.stats.L2Writebacks++
-		s.ctrl.EvictLine(now, ev.Addr)
+		s.evict(now, ev.Addr)
 	}
 }
 
@@ -181,9 +213,9 @@ func (s *System) accessL2(now uint64, addr uint64, write bool) uint64 {
 	if hit {
 		return now + s.cfg.L2Latency
 	}
-	res := s.ctrl.FetchLine(now+s.cfg.L2Latency, addr)
+	done := s.fetch(now+s.cfg.L2Latency, addr)
 	s.prefetchAfterMiss(now, addr)
-	return res.Done
+	return done
 }
 
 // prefetchAfterMiss issues next-line prefetches with pre-decryption: the
@@ -198,7 +230,7 @@ func (s *System) prefetchAfterMiss(now uint64, addr uint64) {
 		s.stats.Prefetches++
 		_, ev := s.l2.Access(next, false)
 		s.handleL2Eviction(now, ev)
-		s.ctrl.FetchLine(now+s.cfg.L2Latency, next)
+		s.fetch(now+s.cfg.L2Latency, next)
 	}
 }
 
@@ -250,9 +282,7 @@ func (s *System) MaybeFlush(now uint64) {
 	}
 	s.lastFlush = now
 	s.stats.Flushes++
-	n := s.l2.FlushDirty(func(lineAddr uint64) {
-		s.ctrl.EvictLine(now, lineAddr)
-	})
+	n := s.l2.FlushDirty(func(lineAddr uint64) { s.evict(now, lineAddr) })
 	s.stats.FlushedLines += uint64(n)
 }
 
@@ -277,23 +307,21 @@ func (s *System) maybeContextSwitch(now uint64) {
 // own slice boundaries.
 func (s *System) ContextSwitch(now uint64) {
 	s.stats.ContextSwitches++
-	s.l2.FlushDirty(func(lineAddr uint64) {
-		s.ctrl.EvictLine(now, lineAddr)
-	})
+	s.l2.FlushDirty(func(lineAddr uint64) { s.evict(now, lineAddr) })
 	s.l1i.InvalidateAll()
 	s.l1d.InvalidateAll()
 	s.l2.InvalidateAll()
 	s.itlb.FlushAll()
 	s.dtlb.FlushAll()
-	if sc := s.ctrl.SeqCache(); sc != nil {
-		sc.InvalidateAll()
+	for _, c := range s.ctrls {
+		if sc := c.SeqCache(); sc != nil {
+			sc.InvalidateAll()
+		}
 	}
 }
 
 // DrainDirty writes back every dirty L2 line immediately (end of a
 // simulation region), without counting as a periodic flush.
 func (s *System) DrainDirty(now uint64) int {
-	return s.l2.FlushDirty(func(lineAddr uint64) {
-		s.ctrl.EvictLine(now, lineAddr)
-	})
+	return s.l2.FlushDirty(func(lineAddr uint64) { s.evict(now, lineAddr) })
 }

@@ -12,6 +12,10 @@
 // of their input index, and the error returned is always the
 // lowest-index failure regardless of completion order.
 //
+// A job may also be a Row: several cells computed in one run, such as a
+// hit-rate row whose schemes share one simulated front end. The pool
+// schedules the row as one job and accounts for it cell by cell.
+//
 // Runs are cancellable: RunContext stops dispatching new jobs once the
 // context is done, jobs receive the context so they can abandon work at
 // their own checkpoints, and the returned *PartialError records which
@@ -46,6 +50,8 @@ type Job[T any] struct {
 
 // Update describes one finished job. Progress callbacks receive updates
 // in completion order (not input order), serialized — never concurrently.
+// For a Row each of its cells is a job here: Index is the cell's position
+// in the flattened results, and Err and Elapsed are the row's.
 type Update struct {
 	// Index is the job's position in the input slice.
 	Index int
@@ -133,11 +139,53 @@ func Run[T any](opt Options, jobs []Job[T]) ([]T, error) {
 // in-flight jobs are left to notice the cancellation themselves, and the
 // returned error is a *PartialError wrapping ctx.Err() that lists the
 // jobs that did finish; their results are valid in the returned slice.
+//
+// A job is a row of one cell: RunContext is RunRowsContext over such
+// rows.
 func RunContext[T any](ctx context.Context, opt Options, jobs []Job[T]) ([]T, error) {
-	results := make([]T, len(jobs))
-	errs := make([]error, len(jobs))
-	skipped := make([]bool, len(jobs))
-	if len(jobs) == 0 {
+	rows := make([]Row[T], len(jobs))
+	for i, j := range jobs {
+		rows[i] = Row[T]{
+			Labels: []string{j.Label},
+			Fn: func(ctx context.Context) ([]T, error) {
+				v, err := j.Fn(ctx)
+				return []T{v}, err
+			},
+		}
+	}
+	return RunRowsContext(ctx, opt, rows)
+}
+
+// Row is one unit of work that produces several cells: the cells of a
+// grid row that share their computation. The pool schedules the row as
+// one job, but progress, partial results and totals count its cells.
+type Row[T any] struct {
+	// Labels names the row's cells, one per value Fn returns.
+	Labels []string
+	// Fn computes the row's values, one per label and in label order,
+	// under the same contract as Job.Fn.
+	Fn func(ctx context.Context) ([]T, error)
+}
+
+// RunRowsContext executes every row across the pool and returns the
+// cells' values flattened in input order, with RunContext's semantics
+// stated per cell: when a row finishes, Progress receives one update per
+// cell, each with the row's error and elapsed time and with Done and
+// Total counting cells; a *PartialError lists the cells of the rows that
+// finished and counts every cell in Total. A failed row's error (the
+// lowest-index one, if several failed) fails every cell of the row, and
+// a panic is labeled with all of the row's cell labels.
+func RunRowsContext[T any](ctx context.Context, opt Options, rows []Row[T]) ([]T, error) {
+	// Row r's cells occupy results[first[r]:first[r+1]].
+	first := make([]int, len(rows)+1)
+	for r, row := range rows {
+		first[r+1] = first[r] + len(row.Labels)
+	}
+	total := first[len(rows)]
+	results := make([]T, total)
+	errs := make([]error, len(rows))
+	skipped := make([]bool, len(rows))
+	if len(rows) == 0 {
 		return results, ctx.Err()
 	}
 
@@ -145,44 +193,52 @@ func RunContext[T any](ctx context.Context, opt Options, jobs []Job[T]) ([]T, er
 	if workers <= 0 {
 		workers = DefaultWorkers()
 	}
-	if workers > len(jobs) {
-		workers = len(jobs)
+	if workers > len(rows) {
+		workers = len(rows)
 	}
 
 	var (
 		mu   sync.Mutex // serializes Progress and the done counter
 		done int
 	)
-	finish := func(i int, elapsed time.Duration) {
+	finish := func(r int, elapsed time.Duration) {
 		if opt.Progress == nil {
 			return
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		done++
-		opt.Progress(Update{
-			Index:   i,
-			Label:   jobs[i].Label,
-			Err:     errs[i],
-			Elapsed: elapsed,
-			Done:    done,
-			Total:   len(jobs),
-		})
+		for c, label := range rows[r].Labels {
+			done++
+			opt.Progress(Update{
+				Index:   first[r] + c,
+				Label:   label,
+				Err:     errs[r],
+				Elapsed: elapsed,
+				Done:    done,
+				Total:   total,
+			})
+		}
 	}
-	exec := func(i int) {
+	exec := func(r int) {
 		if err := ctx.Err(); err != nil {
-			errs[i] = err
-			skipped[i] = true
+			errs[r] = err
+			skipped[r] = true
 			return
 		}
 		start := time.Now()
 		defer func() {
 			if v := recover(); v != nil {
-				errs[i] = &PanicError{Label: jobs[i].Label, Value: v, Stack: debug.Stack()}
+				errs[r] = &PanicError{Label: strings.Join(rows[r].Labels, ", "), Value: v, Stack: debug.Stack()}
 			}
-			finish(i, time.Since(start))
+			finish(r, time.Since(start))
 		}()
-		results[i], errs[i] = jobs[i].Fn(ctx)
+		vals, err := rows[r].Fn(ctx)
+		if err == nil && len(vals) != len(rows[r].Labels) {
+			err = fmt.Errorf("runpool: row %q returned %d values for %d cells",
+				strings.Join(rows[r].Labels, ", "), len(vals), len(rows[r].Labels))
+		}
+		copy(results[first[r]:first[r+1]], vals)
+		errs[r] = err
 	}
 
 	idx := make(chan int)
@@ -191,22 +247,22 @@ func RunContext[T any](ctx context.Context, opt Options, jobs []Job[T]) ([]T, er
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				exec(i)
+			for r := range idx {
+				exec(r)
 			}
 		}()
 	}
-	for i := range jobs {
-		idx <- i
+	for r := range rows {
+		idx <- r
 	}
 	close(idx)
 	wg.Wait()
 
 	if cause := ctx.Err(); cause != nil {
-		perr := &PartialError{Cause: cause, Total: len(jobs)}
-		for i := range jobs {
-			if !skipped[i] && errs[i] == nil {
-				perr.Completed = append(perr.Completed, jobs[i].Label)
+		perr := &PartialError{Cause: cause, Total: total}
+		for r, row := range rows {
+			if !skipped[r] && errs[r] == nil {
+				perr.Completed = append(perr.Completed, row.Labels...)
 			}
 		}
 		return results, perr

@@ -213,3 +213,79 @@ func TestPreCancelledSkipsEverything(t *testing.T) {
 		t.Fatalf("want empty PartialError, got %v", err)
 	}
 }
+
+// TestRowsAccountPerCell checks that a row is one job but every count is
+// per cell: values flatten in input order, each finished row reports one
+// update per cell with Done and Total counting cells, and an interrupted
+// run's PartialError names finished cells and counts all of them.
+func TestRowsAccountPerCell(t *testing.T) {
+	rows := []Row[string]{
+		{Labels: []string{"a", "b"}, Fn: func(context.Context) ([]string, error) { return []string{"A", "B"}, nil }},
+		{Labels: []string{"c"}, Fn: func(context.Context) ([]string, error) { return []string{"C"}, nil }},
+		{Labels: []string{"d", "e", "f"}, Fn: func(context.Context) ([]string, error) { return []string{"D", "E", "F"}, nil }},
+	}
+	var updates []Update
+	got, err := RunRowsContext(context.Background(), Options{Workers: 2, Progress: func(u Update) { updates = append(updates, u) }}, rows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(got, "") != "ABCDEF" {
+		t.Fatalf("values %q, want ABCDEF in input order", got)
+	}
+	if len(updates) != 6 {
+		t.Fatalf("%d updates, want one per cell (6)", len(updates))
+	}
+	seen := map[int]string{}
+	for i, u := range updates {
+		if u.Done != i+1 || u.Total != 6 {
+			t.Fatalf("update %d reads %d/%d, want %d/6", i, u.Done, u.Total, i+1)
+		}
+		seen[u.Index] = u.Label
+	}
+	for i, want := range []string{"a", "b", "c", "d", "e", "f"} {
+		if seen[i] != want {
+			t.Fatalf("cell %d reported as %q, want %q", i, seen[i], want)
+		}
+	}
+
+	// Cancel inside the first row: its two cells finished, the rest of
+	// the five cells were skipped.
+	ctx, cancel := context.WithCancel(context.Background())
+	_, err = RunRowsContext(ctx, Options{Workers: 1}, []Row[int]{
+		{Labels: []string{"x", "y"}, Fn: func(context.Context) ([]int, error) { cancel(); return []int{1, 2}, nil }},
+		{Labels: []string{"z", "w", "v"}, Fn: func(context.Context) ([]int, error) { return []int{3, 4, 5}, nil }},
+	})
+	var pe *PartialError
+	if !errors.As(err, &pe) || strings.Join(pe.Completed, ",") != "x,y" || pe.Total != 5 {
+		t.Fatalf("err = %v, want a PartialError naming x,y of 5 cells", err)
+	}
+}
+
+// TestRowFailures checks that a failed row fails all its cells: a panic
+// is labeled with the row's cells, and a row returning the wrong number
+// of values is an error, not a short result.
+func TestRowFailures(t *testing.T) {
+	var errs []error
+	_, err := RunRowsContext(context.Background(), Options{Workers: 2, Progress: func(u Update) { errs = append(errs, u.Err) }}, []Row[int]{
+		{Labels: []string{"p", "q"}, Fn: func(context.Context) ([]int, error) { panic("boom") }},
+		{Labels: []string{"r", "s"}, Fn: func(context.Context) ([]int, error) { return []int{1}, nil }},
+	})
+	var pe *PanicError
+	if !errors.As(err, &pe) || pe.Label != "p, q" {
+		t.Fatalf("err = %v, want the first row's panic labeled with both cells", err)
+	}
+	if len(errs) != 4 {
+		t.Fatalf("%d updates, want 4", len(errs))
+	}
+	for _, e := range errs {
+		if e == nil {
+			t.Fatal("a cell of a failed row reported success")
+		}
+	}
+	_, err = RunRowsContext(context.Background(), Options{}, []Row[int]{
+		{Labels: []string{"r", "s"}, Fn: func(context.Context) ([]int, error) { return []int{1}, nil }},
+	})
+	if err == nil || !strings.Contains(err.Error(), "1 values for 2 cells") {
+		t.Fatalf("err = %v, want a value-count error", err)
+	}
+}

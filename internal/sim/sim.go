@@ -6,7 +6,9 @@
 // Two modes mirror the paper's methodology (Section 5.1): Performance
 // mode runs the detailed out-of-order model and reports IPC; HitRate mode
 // runs the fast functional model over longer windows and reports
-// prediction/seq-cache hit rates.
+// prediction/seq-cache hit rates. A HitRate run's front end does the
+// same work under every counter scheme, so RunGroupContext runs one
+// front end for several schemes at once.
 package sim
 
 import (
@@ -253,7 +255,9 @@ func (r Result) SeqHitRate() float64 {
 }
 
 // Machine is an assembled simulator instance. Most callers use Run; the
-// examples use Machine directly to poke at components.
+// examples use Machine directly to poke at components. The counter
+// side's components — Ctrl, Pred, SCache, Engine, DRAM and Faults — are
+// promoted from the embedded side.
 type Machine struct {
 	Config Config
 	// Benchmark is the workload the machine was built for; results carry
@@ -262,19 +266,33 @@ type Machine struct {
 	Image     *mem.Memory
 	Core      *cpu.Core
 	Sys       *memsys.System
-	Ctrl      *secmem.Controller
-	Pred      *predictor.Predictor
-	SCache    *seqcache.Cache
-	Engine    cryptoengine.EngineModel
-	DRAM      *dram.DRAM
-	// Faults is the armed adversary, or nil for clean memory.
-	Faults *faults.Injector
+	*side
+	// mirrors are the further counter sides of a group run, driven by the
+	// same hierarchy as the machine's own (see RunGroupContext).
+	mirrors []*side
 
 	// progress, when set, is invoked at every RunContext checkpoint with
 	// the committed-instruction count. It rides the existing
 	// CheckInterval polling, so it has zero cost when unset and no
 	// effect on timing or statistics either way.
 	progress func(committed uint64)
+}
+
+// side is one counter side: the secure memory controller with its
+// predictor, sequence-number cache, cipher-engine model and DRAM
+// channels. Everything above it — the image view, the core, the caches,
+// the TLBs and memsys — is the front end, which a group run shares
+// among several sides.
+type side struct {
+	Ctrl   *secmem.Controller
+	Pred   *predictor.Predictor
+	SCache *seqcache.Cache
+	Engine cryptoengine.EngineModel
+	DRAM   *dram.DRAM
+	// Faults is the armed adversary, or nil for clean memory.
+	Faults *faults.Injector
+
+	scheme string // labels the side's Result
 }
 
 // OnProgress registers fn to be called at every RunContext checkpoint
@@ -285,14 +303,30 @@ type Machine struct {
 func (m *Machine) OnProgress(fn func(committed uint64)) { m.progress = fn }
 
 // Close returns the machine's copy-on-write pages — the architectural
-// image view and the controller's line state — to their templates'
+// image view and the controllers' line state — to their templates'
 // shared pools, so the next machine of the sweep reuses the memory
 // instead of allocating it. The machine must not be run or inspected
 // afterward. Optional: an unclosed machine is reclaimed by the garbage
 // collector as usual, it just recycles nothing.
 func (m *Machine) Close() {
 	m.Ctrl.Release()
+	for _, s := range m.mirrors {
+		s.Ctrl.Release()
+	}
 	m.Image.Release()
+}
+
+// countersOnly reports whether cfg runs the controller's counters-only
+// model. Functional hit-rate runs observe only counter, predictor and
+// cache dynamics; when nothing needs the plaintext path — no self-check,
+// no integrity tree, no armed adversary, not direct encryption — the
+// controller skips its payload stage: identical timing and statistics
+// without storing pads or ciphertext. This is what lets long hit-rate
+// sweeps run in a fraction of the memory, and what lets a row of them
+// share one front end.
+func countersOnly(cfg Config) bool {
+	return cfg.Mode == HitRate && !cfg.SelfCheck && !cfg.Integrity &&
+		cfg.Faults == nil && !cfg.Scheme.Direct
 }
 
 // NewMachine builds the machine and loads the named workload. The
@@ -303,12 +337,40 @@ func (m *Machine) Close() {
 // sweep costs caches and predictor state, not a rebuild of megabytes of
 // identical memory contents.
 func NewMachine(bench string, cfg Config) (*Machine, error) {
+	return build(bench, []Config{cfg})
+}
+
+// build assembles one front end, decided by cfgs[0], around one counter
+// side per config: the first is the machine's own, the rest its mirrors.
+func build(bench string, cfgs []Config) (*Machine, error) {
+	cfg := cfgs[0]
 	tmpl, err := getTemplate(bench, cfg)
 	if err != nil {
 		return nil, err
 	}
 	image := mem.NewView(tmpl.image)
+	sides := make([]*side, len(cfgs))
+	ctrls := make([]*secmem.Controller, len(cfgs))
+	for i, c := range cfgs {
+		if sides[i], err = newSide(c, tmpl, image); err != nil {
+			return nil, err
+		}
+		ctrls[i] = sides[i].Ctrl
+	}
+	sys := memsys.New(cfg.Mem, ctrls[0], ctrls[1:]...)
+	core := cpu.New(cfg.CPU, tmpl.prog, image, sys)
+	if inj := sides[0].Faults; inj != nil {
+		inj.SetInstrSource(core.Committed)
+	}
+	return &Machine{
+		Config: cfg, Benchmark: bench, Image: image, Core: core, Sys: sys,
+		side: sides[0], mirrors: sides[1:],
+	}, nil
+}
 
+// newSide builds cfg's counter side over the template and the machine's
+// image view, aged as a long fast-forward would have left it.
+func newSide(cfg Config, tmpl *machineTemplate, image *mem.Memory) (*side, error) {
 	// Direct mode ages nothing, and custom predictor geometry replays
 	// eager aging below; every other machine attaches the template.
 	attach := !cfg.Scheme.Direct && cfg.Scheme.PredConfig == nil
@@ -351,14 +413,7 @@ func NewMachine(bench string, cfg Config) (*Machine, error) {
 	scfg.Oracle = cfg.Scheme.Oracle
 	scfg.Direct = cfg.Scheme.Direct
 	scfg.SelfCheck = cfg.SelfCheck
-	// Functional hit-rate runs observe only counter, predictor and cache
-	// dynamics; when nothing needs the plaintext path — no self-check, no
-	// integrity tree, no armed adversary, not direct encryption — the
-	// controller skips its payload stage: identical timing and statistics
-	// without storing pads or ciphertext. This is what lets long hit-rate
-	// sweeps run in a fraction of the memory.
-	scfg.CountersOnly = cfg.Mode == HitRate && !cfg.SelfCheck &&
-		!cfg.Integrity && cfg.Faults == nil && !cfg.Scheme.Direct
+	scfg.CountersOnly = countersOnly(cfg)
 	scfg.Scheme = cfg.Scheme.Name
 	scfg.Recovery = cfg.Recovery
 	scfg.RetryBudget = cfg.RetryBudget
@@ -379,12 +434,11 @@ func NewMachine(bench string, cfg Config) (*Machine, error) {
 	//
 	// The common case attaches the template's pre-aged encrypted state as
 	// a copy-on-write view and only replays the per-page root draws into
-	// this machine's predictor (in template order, so the drawn values
-	// are identical to eager aging); an integrity machine's tree was
-	// cloned above already loaded. Custom predictor geometry changes
-	// which pages draw roots, so it replays the eager per-line loop from
-	// the cached sample list — byte-identical to the original sampling
-	// loop.
+	// this side's predictor (in template order, so the drawn values are
+	// identical to eager aging); an integrity side's tree was cloned
+	// above already loaded. Custom predictor geometry changes which pages
+	// draw roots, so it replays the eager per-line loop from the cached
+	// sample list — byte-identical to the original sampling loop.
 	if !cfg.Scheme.Direct {
 		if !attach {
 			for _, s := range tmpl.ageList {
@@ -407,16 +461,9 @@ func NewMachine(bench string, cfg Config) (*Machine, error) {
 		}
 	}
 
-	sys := memsys.New(cfg.Mem, ctrl)
-	core := cpu.New(cfg.CPU, tmpl.prog, image, sys)
-	if inj != nil {
-		inj.SetInstrSource(core.Committed)
-	}
-
-	return &Machine{
-		Config: cfg, Benchmark: bench, Image: image, Core: core, Sys: sys,
+	return &side{
 		Ctrl: ctrl, Pred: pred, SCache: sc, Engine: engine, DRAM: d,
-		Faults: inj,
+		Faults: inj, scheme: cfg.Scheme.Name,
 	}, nil
 }
 
@@ -440,15 +487,18 @@ func (m *Machine) RunContext(ctx context.Context) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
 	}
+	return m.collect(m.run(ctx), m.side), m.runErr()
+}
+
+// run drives the core to the configured instruction budget under the
+// checkpoint poll and returns its statistics.
+func (m *Machine) run(ctx context.Context) cpu.Stats {
 	m.armCheckpoint(ctx)
 	defer m.Core.SetCheckpoint(0, nil)
-	var cs cpu.Stats
 	if m.Config.Mode == HitRate {
-		cs = m.Core.RunFunctional(m.Config.Scale.Instructions)
-	} else {
-		cs = m.Core.Run(m.Config.Scale.Instructions)
+		return m.Core.RunFunctional(m.Config.Scale.Instructions)
 	}
-	return m.collect(cs), m.runErr()
+	return m.Core.Run(m.Config.Scale.Instructions)
 }
 
 // armCheckpoint installs the per-interval poll RunContext and
@@ -485,36 +535,37 @@ func (m *Machine) runErr() error {
 	return err
 }
 
-// collect assembles the Result from the machine's current statistics.
-func (m *Machine) collect(cs cpu.Stats) Result {
+// collect assembles counter side s's Result from the front end's
+// current statistics and the side's own.
+func (m *Machine) collect(cs cpu.Stats, s *side) Result {
 	_, l1d, l2 := m.Sys.Caches()
 	res := Result{
 		Benchmark:     m.Benchmark,
-		Scheme:        m.Config.Scheme.Name,
+		Scheme:        s.scheme,
 		Mode:          m.Config.Mode,
 		CPU:           cs,
-		Ctrl:          m.Ctrl.Stats(),
-		Pred:          m.Pred.Stats(),
-		Engine:        m.Engine.Stats(),
-		DRAM:          m.DRAM.Stats(),
+		Ctrl:          s.Ctrl.Stats(),
+		Pred:          s.Pred.Stats(),
+		Engine:        s.Engine.Stats(),
+		DRAM:          s.DRAM.Stats(),
 		Hierarchy:     m.Sys.Stats(),
 		L1D:           l1d.Stats(),
 		L2:            l2.Stats(),
-		PadViolations: m.Ctrl.PadViolations(),
+		PadViolations: s.Ctrl.PadViolations(),
 	}
-	if m.SCache != nil {
-		s := m.SCache.Stats()
-		res.SeqCache = &s
+	if s.SCache != nil {
+		st := s.SCache.Stats()
+		res.SeqCache = &st
 	}
-	if tree := m.Ctrl.IntegrityTree(); tree != nil {
-		s := tree.Stats()
-		res.Integrity = &s
+	if tree := s.Ctrl.IntegrityTree(); tree != nil {
+		st := tree.Stats()
+		res.Integrity = &st
 	}
-	if m.Faults != nil {
-		fs := m.Faults.Stats()
+	if s.Faults != nil {
+		fs := s.Faults.Stats()
 		res.Faults = &fs
 	}
-	if ss := m.Ctrl.SecurityStats(); m.Faults != nil || ss != (secmem.SecurityStats{}) {
+	if ss := s.Ctrl.SecurityStats(); s.Faults != nil || ss != (secmem.SecurityStats{}) {
 		res.Security = &ss
 	}
 	return res
@@ -559,7 +610,7 @@ func (m *Machine) SwitchIn(retainPredictor bool) {
 // assembled from everything the slices accumulated.
 func (m *Machine) Finish() Result {
 	m.Sys.DrainDirty(m.Core.Stats().Cycles)
-	return m.collect(m.Core.Stats())
+	return m.collect(m.Core.Stats(), m.side)
 }
 
 // Run builds and runs the named benchmark under cfg.
