@@ -37,13 +37,15 @@ test:
 
 # The experiments race run is restricted to the tests that exercise the
 # worker pool; a full -race suite multiplies the 40 s experiment tests
-# several-fold for no extra concurrency coverage. cryptoengine rides
+# several-fold for no extra concurrency coverage. The MergeParts tests
+# run every grid whole and split by benchmark, through the one assemble
+# a node's run and a cluster merge share. cryptoengine rides
 # along (it is cheap) so the engine-model conformance suite runs under
 # the race detector too — engine models are shared state inside every
 # concurrently-run machine of a sweep.
 race:
 	$(GO) test -race ./internal/runpool ./internal/server ./internal/cryptoengine ./internal/cluster ./internal/chaos ./internal/tenancy
-	$(GO) test -race ./internal/experiments -run 'Parallel|SweepProgress|SweepError|SweepCancel|SweepPreCancelled|SimTimeout|EnginesDeterministic|TenantsDeterministic|CapacityDeterministic'
+	$(GO) test -race ./internal/experiments -run 'Parallel|SweepProgress|SweepError|SweepCancel|SweepPreCancelled|SimTimeout|EnginesDeterministic|TenantsDeterministic|CapacityDeterministic|MergeParts'
 	$(GO) test -race ./internal/faults ./internal/secmem
 	$(GO) test -race ./internal/sim -run 'Tamper|Replay|Halt|CleanRunWithArmed|RunContextCancel|TemplateConcurrentAttach|TemplateBuildErrorNotCached|IntegrityTreeImageErrorNotCached|Group'
 

@@ -51,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	sw := bindSweep(fs)
 	var (
-		exps     = fs.String("exp", "all", "comma-separated experiment ids (table1, fig4, fig7..fig16, ablation, ctxswitch, integrity, hybrid, seqsweep, valuepred, attack, engines, tenants, capacity) or 'all'")
+		exps     = fs.String("exp", "all", "comma-separated experiment ids ("+strings.Join(ctrpred.ExperimentIDs(), ", ")+") or 'all'")
 		jobs     = fs.Int("j", 0, "concurrent simulations per sweep (0 = one per CPU)")
 		timeout  = fs.Duration("simtimeout", 0, "per-simulation deadline (0 = none), e.g. 30s")
 		metrics  = fs.String("metrics", "", "write every experiment's metrics snapshot to this path (JSON; a .csv suffix selects CSV; '-' = stdout)")

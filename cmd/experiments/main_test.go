@@ -34,6 +34,7 @@ func TestUsageErrorsFailFast(t *testing.T) {
 		{[]string{"-exp", " , "}, "no experiments given"},
 		{[]string{"-exp", "fig7", "-bench", "mcf,nope"}, "valid: ammp"},
 		{[]string{"-exp", "fig7", "-bench", ","}, "no benchmarks given"},
+		{[]string{"-exp", "fig7", "-bench", "gzip,mcf,mcf"}, "listed twice"},
 		{[]string{"-exp", "capacity", "-maxtenants", "-1"}, "max_tenants"},
 		{[]string{"-exp", "capacity", "-slo-slowdown", "-1"}, "slowdown"},
 		{[]string{"-exp", "fig7", "-engine", "quantum"}, "quantum"},

@@ -324,14 +324,12 @@ func ConfigFingerprint(bench string, cfg Config) string {
 // and scale.
 func DefaultOptions() ExperimentOptions { return experiments.DefaultOptions() }
 
-// RunExperiment regenerates one of the paper's tables or figures by id
-// ("table1", "fig4", "fig7" … "fig16", "ablation"), or one of the
-// extension studies ("ctxswitch", "integrity", "hybrid", "seqsweep",
-// "valuepred", "attack", "engines"). Each simulation of the figure's
-// benchmark × scheme grid is independent, so they run concurrently
-// across opt.Workers workers;
-// results are assembled in input order, making the output byte-identical
-// for any worker count at a given seed.
+// RunExperiment regenerates one of the paper's tables or figures, or one
+// of the extension studies, by id: ExperimentIDs lists them. Each
+// simulation of the figure's benchmark × scheme grid is independent, so
+// they run concurrently across opt.Workers workers; results are
+// assembled in input order, making the output byte-identical for any
+// worker count at a given seed.
 func RunExperiment(id string, opt ExperimentOptions) (ExperimentResult, error) {
 	return experiments.ByID(context.Background(), id, opt)
 }

@@ -59,7 +59,7 @@ func TestSweepCancelMidRun(t *testing.T) {
 			cancel()
 		}
 	}
-	_, err := Figure7(ctx, opt)
+	_, err := ByID(ctx, "fig7", opt)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want errors.Is(err, context.Canceled)", err)
 	}
@@ -84,7 +84,7 @@ func TestSweepCancelMidRun(t *testing.T) {
 func TestSimTimeoutExpires(t *testing.T) {
 	opt := quickOpts()
 	opt.SimTimeout = time.Nanosecond
-	_, err := Figure7(context.Background(), opt)
+	_, err := ByID(context.Background(), "fig7", opt)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want errors.Is(err, context.DeadlineExceeded)", err)
 	}
@@ -128,7 +128,7 @@ func TestSweepPreCancelled(t *testing.T) {
 	opt := quickOpts()
 	ran := false
 	opt.Progress = func(runpool.Update) { ran = true }
-	_, err := Figure7(ctx, opt)
+	_, err := ByID(ctx, "fig7", opt)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}

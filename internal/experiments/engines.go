@@ -3,13 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"ctrpred/internal/cryptoengine"
 	"ctrpred/internal/predictor"
 	"ctrpred/internal/runpool"
 	"ctrpred/internal/sim"
-	"ctrpred/internal/stats"
 )
 
 // enginesAESLatencies is the AES-latency sweep of the engines
@@ -38,91 +36,57 @@ func enginesColumns() []cryptoengine.Spec {
 	return specs
 }
 
-// Engines sweeps scheme × engine × latency on the Figure 7 benchmarks:
-// for every engine model it runs baseline and pred-context in
-// performance mode and reports pred-context's IPC edge (IPC ratio over
+// enginesGrid declares the engines experiment: for every engine model
+// of the sweep it runs baseline and pred-context in performance mode on
+// each benchmark and reports pred-context's IPC edge (IPC ratio over
 // baseline). The paper's 96-cycle pipelined AES is one column among the
 // sweep; the AES latency ladder locates the crossover latency below
 // which context prediction's edge over the baseline vanishes, and the
 // sealer/bipbip columns bracket the modern design space. Options.Engine
 // is ignored — sweeping engines is this experiment's job.
-func Engines(ctx context.Context, opt Options) (Result, error) {
-	opt = opt.normalized()
+func enginesGrid() *grid {
 	specs := enginesColumns()
-	colNames := make([]string, len(specs))
+	cols := make([]string, len(specs))
 	for i, s := range specs {
-		colNames[i] = s.String()
+		cols[i] = s.String()
 	}
-
-	res := Result{
-		ID:     "engines",
-		Title:  "Context prediction's IPC edge over baseline, per cipher engine",
-		Series: make(map[string]map[string]float64),
+	return &grid{
+		id:     "engines",
+		cols:   cols,
+		title:  fixedTitle("Context prediction's IPC edge over baseline, per cipher engine"),
+		finish: enginesFinalize,
+		cells: func(ctx context.Context, opt Options, benchmarks []string) ([]float64, error) {
+			// One job per benchmark × engine, running the baseline and the
+			// pred-context machine back to back: the edge is a ratio of the
+			// two, so pairing them in one job keeps the grid half the size
+			// and the division local.
+			jobs := make([]runpool.Job[float64], 0, len(benchmarks)*len(specs))
+			for _, bench := range benchmarks {
+				for _, spec := range specs {
+					jobs = append(jobs, runpool.Job[float64]{
+						Label: fmt.Sprintf("engines %s/%s", bench, spec),
+						Fn: func(ctx context.Context) (float64, error) {
+							base, err := opt.runSim(ctx, bench, perfConfig(opt, sim.SchemeBaseline(), 256<<10).WithEngine(spec))
+							if err != nil {
+								return 0, fmt.Errorf("engines: %s/%s baseline: %w", bench, spec, err)
+							}
+							pred, err := opt.runSim(ctx, bench, perfConfig(opt, sim.SchemePred(predictor.SchemeContext), 256<<10).WithEngine(spec))
+							if err != nil {
+								return 0, fmt.Errorf("engines: %s/%s pred-context: %w", bench, spec, err)
+							}
+							return pred.IPC() / base.IPC(), nil
+						},
+					})
+				}
+			}
+			return runpool.RunContext(ctx, opt.pool(), jobs)
+		},
 	}
-	cols := append([]string{"benchmark"}, colNames...)
-	res.Table = stats.NewTable(fmt.Sprintf("%s — %s", res.ID, res.Title), cols...)
-	for _, name := range colNames {
-		res.Series[name] = make(map[string]float64)
-	}
-	benchmarks := append([]string(nil), opt.Benchmarks...)
-	sort.Strings(benchmarks)
-
-	// One job per benchmark × engine, running the baseline and the
-	// pred-context machine back to back: the edge is a ratio of the two,
-	// so pairing them in one job keeps the grid half the size and the
-	// division local.
-	jobs := make([]runpool.Job[float64], 0, len(benchmarks)*len(specs))
-	for _, bench := range benchmarks {
-		for _, spec := range specs {
-			jobs = append(jobs, runpool.Job[float64]{
-				Label: fmt.Sprintf("engines %s/%s", bench, spec),
-				Fn: func(ctx context.Context) (float64, error) {
-					base, err := opt.runSim(ctx, bench, perfConfig(opt, sim.SchemeBaseline(), 256<<10).WithEngine(spec))
-					if err != nil {
-						return 0, fmt.Errorf("engines: %s/%s baseline: %w", bench, spec, err)
-					}
-					pred, err := opt.runSim(ctx, bench, perfConfig(opt, sim.SchemePred(predictor.SchemeContext), 256<<10).WithEngine(spec))
-					if err != nil {
-						return 0, fmt.Errorf("engines: %s/%s pred-context: %w", bench, spec, err)
-					}
-					return pred.IPC() / base.IPC(), nil
-				},
-			})
-		}
-	}
-	vals, err := runpool.RunContext(ctx, opt.pool(), jobs)
-	if err != nil {
-		return Result{}, err
-	}
-
-	sums := make([]float64, len(specs))
-	k := 0
-	for _, bench := range benchmarks {
-		row := make([]float64, len(specs))
-		for i := range specs {
-			v := vals[k]
-			k++
-			row[i] = v
-			sums[i] += v
-			res.Series[colNames[i]][bench] = v
-		}
-		res.Table.AddFloats(bench, 3, row...)
-	}
-	avgs := make([]float64, len(specs))
-	for i := range specs {
-		avgs[i] = sums[i] / float64(len(benchmarks))
-		res.Series[colNames[i]]["Average"] = avgs[i]
-	}
-	res.Table.AddFloats("Average", 3, avgs...)
-
-	enginesFinalize(&res, avgs)
-	return res, nil
 }
 
-// enginesFinalize derives the crossover latency and the notes line from
-// the per-column average edges. It is shared with MergeParts so a
-// cluster-assembled engines result finalizes through exactly the same
-// code path as a single-node run.
+// enginesFinalize is the engines grid's finish: it derives the
+// crossover latency and the notes line from the per-column average
+// edges.
 func enginesFinalize(res *Result, avgs []float64) {
 	// Crossover: the largest swept AES latency whose average edge stays
 	// within the noise threshold — below it, precomputing pads no longer

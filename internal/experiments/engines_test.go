@@ -51,7 +51,7 @@ func TestEnginesDeterministic(t *testing.T) {
 // (when decryption is nearly free there is nearly nothing to predict
 // around), and a crossover series present.
 func TestEnginesShape(t *testing.T) {
-	res, err := Engines(context.Background(), enginesOpts())
+	res, err := ByID(context.Background(), "engines", enginesOpts())
 	if err != nil {
 		t.Fatal(err)
 	}

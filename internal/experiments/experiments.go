@@ -16,7 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"strings"
 	"time"
 
 	"ctrpred/internal/cryptoengine"
@@ -149,11 +149,6 @@ func (r Result) Snapshot() *stats.Snapshot {
 	return n
 }
 
-// runner abstracts "run benchmark b under scheme s and return the value
-// this figure plots". col is the scheme's column index, for figures
-// whose columns vary something besides the scheme (Figure 14's L2 size).
-type runner func(ctx context.Context, bench string, col int, scheme sim.Scheme) (float64, error)
-
 // pool adapts the experiment options to the run scheduler.
 func (o Options) pool() runpool.Options {
 	return runpool.Options{Workers: o.Workers, Progress: o.Progress}
@@ -219,99 +214,6 @@ func cellLabel(id, bench string, sch sim.Scheme) string {
 	return fmt.Sprintf("%s %s/%s", id, bench, sch.Name)
 }
 
-// sweep runs every benchmark × scheme cell as its own job — in parallel
-// across the worker pool — and assembles the table in input order, so
-// the result is identical to a sequential sweep of the same seed.
-func sweep(ctx context.Context, id, title, notes string, opt Options, schemes []sim.Scheme, colNames []string, run runner) (Result, error) {
-	benchmarks := gridBenchmarks(opt)
-	jobs := make([]runpool.Job[float64], 0, len(benchmarks)*len(schemes))
-	for _, bench := range benchmarks {
-		for i, sch := range schemes {
-			jobs = append(jobs, runpool.Job[float64]{
-				Label: cellLabel(id, bench, sch),
-				Fn: func(ctx context.Context) (float64, error) {
-					v, err := run(ctx, bench, i, sch)
-					if err != nil {
-						return 0, fmt.Errorf("%s: %s/%s: %w", id, bench, sch.Name, err)
-					}
-					return v, nil
-				},
-			})
-		}
-	}
-	vals, err := runpool.RunContext(ctx, opt.pool(), jobs)
-	if err != nil {
-		return Result{}, err
-	}
-	return gridResult(id, title, notes, benchmarks, colNames, vals), nil
-}
-
-// hitRateSweep is sweep for a hit-rate grid at L2 size l2: a benchmark's
-// cells share one front end, so its whole row is one job, and each cell
-// plots its scheme's coverage.
-func hitRateSweep(ctx context.Context, id, title, notes string, opt Options, schemes []sim.Scheme, colNames []string, l2 int) (Result, error) {
-	benchmarks := gridBenchmarks(opt)
-	rows := make([]runpool.Row[float64], len(benchmarks))
-	for b, bench := range benchmarks {
-		labels := make([]string, len(schemes))
-		cfgs := make([]sim.Config, len(schemes))
-		for i, sch := range schemes {
-			labels[i] = cellLabel(id, bench, sch)
-			cfgs[i] = hitRateConfig(opt, sch, l2)
-		}
-		rows[b] = hitRateRow(opt, id+": "+bench, bench, labels, cfgs,
-			func(i int, r sim.Result) float64 { return coverage(schemes[i], r) })
-	}
-	vals, err := runpool.RunRowsContext(ctx, opt.pool(), rows)
-	if err != nil {
-		return Result{}, err
-	}
-	return gridResult(id, title, notes, benchmarks, colNames, vals), nil
-}
-
-// gridBenchmarks is a sweep's row order: opt's benchmarks, sorted.
-func gridBenchmarks(opt Options) []string {
-	benchmarks := append([]string(nil), opt.normalized().Benchmarks...)
-	sort.Strings(benchmarks)
-	return benchmarks
-}
-
-// gridResult assembles a sweep's table from its values, one per
-// (benchmark, column) in row-major input order, plus an Average row.
-func gridResult(id, title, notes string, benchmarks, colNames []string, vals []float64) Result {
-	res := Result{
-		ID:     id,
-		Title:  title,
-		Notes:  notes,
-		Series: make(map[string]map[string]float64),
-	}
-	cols := append([]string{"benchmark"}, colNames...)
-	res.Table = stats.NewTable(fmt.Sprintf("%s — %s", id, title), cols...)
-	for _, name := range colNames {
-		res.Series[name] = make(map[string]float64)
-	}
-	sums := make([]float64, len(colNames))
-	k := 0
-	for _, bench := range benchmarks {
-		row := make([]float64, len(colNames))
-		for i := range colNames {
-			v := vals[k]
-			k++
-			row[i] = v
-			sums[i] += v
-			res.Series[colNames[i]][bench] = v
-		}
-		res.Table.AddFloats(bench, 3, row...)
-	}
-	avgs := make([]float64, len(colNames))
-	for i := range colNames {
-		avgs[i] = sums[i] / float64(len(benchmarks))
-		res.Series[colNames[i]]["Average"] = avgs[i]
-	}
-	res.Table.AddFloats("Average", 3, avgs...)
-	return res
-}
-
 // oracleBaselines runs the oracle scheme for every benchmark across the
 // pool and returns benchmark → IPC, the denominator of the normalized-IPC
 // figures.
@@ -375,53 +277,131 @@ func perfConfig(opt Options, scheme sim.Scheme, l2 int) sim.Config {
 	return cfg.WithEngine(opt.Engine)
 }
 
-// hitRateFigure produces Figures 7/8: seq-cache hit rate vs prediction
-// rate, as a fraction of L2-miss fetches whose counter was covered.
-func hitRateFigure(ctx context.Context, id string, l2 int, opt Options) (Result, error) {
-	schemes := []sim.Scheme{
-		sim.SchemeSeqCache(128 << 10),
-		sim.SchemeSeqCache(512 << 10),
-		sim.SchemePred(predictor.SchemeRegular),
+// A figure is one of the paper's figure pairs that plot the same schemes
+// under a 256 KB and a 1 MB L2 (Figures 7/8, 10/11, 12/13 and 15/16).
+type figure struct {
+	schemes []sim.Scheme
+	cols    []string
+	// title is the pair's; each figure's title appends its L2 size.
+	title string
+	notes string
+}
+
+var (
+	cacheCoverage = figure{
+		schemes: []sim.Scheme{
+			sim.SchemeSeqCache(128 << 10),
+			sim.SchemeSeqCache(512 << 10),
+			sim.SchemePred(predictor.SchemeRegular),
+		},
+		cols:  []string{"128K_Seq#_Cache", "512K_Seq#_Cache", "Pred"},
+		title: "Sequence Number Hit Rates",
+		notes: "Paper: Pred ≈ 0.82 average (0.80 at 1MB), above both 128KB and 512KB sequence-number caches.",
 	}
-	cols := []string{"128K_Seq#_Cache", "512K_Seq#_Cache", "Pred"}
-	title := fmt.Sprintf("Sequence Number Hit Rates, %s L2", l2Name(l2))
-	notes := "Paper: Pred ≈ 0.82 average (0.80 at 1MB), above both 128KB and 512KB sequence-number caches."
-	return hitRateSweep(ctx, id, title, notes, opt, schemes, cols, l2)
+	cacheIPC = figure{
+		schemes: []sim.Scheme{
+			sim.SchemeSeqCache(4 << 10),
+			sim.SchemeSeqCache(128 << 10),
+			sim.SchemeSeqCache(512 << 10),
+			sim.SchemePred(predictor.SchemeRegular),
+		},
+		cols:  []string{"Seq_Cache_4K", "Seq_Cache_128K", "Seq_Cache_512K", "Pred"},
+		title: "Normalized IPC (oracle=1.0)",
+		notes: "Paper: Pred outperforms every cache size on average; gains of 15–40% over small caches on memory-bound programs.",
+	}
+	predictorCoverage = figure{
+		schemes: predictorSchemes,
+		cols:    predictorCols,
+		title:   "Prediction Rate of Two-level and Context-based vs Regular",
+		notes:   "Paper: regular ≈ 0.82, two-level ≈ 0.96, context ≈ 0.99 (256KB L2).",
+	}
+	predictorIPC = figure{
+		schemes: predictorSchemes,
+		cols:    predictorCols,
+		title:   "Normalized IPC of Two-level and Context-based vs Regular",
+		notes:   "Paper: up to ~7% additional IPC over regular prediction; context ≥ two-level for most programs.",
+	}
+	// predictorSchemes are the optimized predictors Figures 12/13 and
+	// 15/16 compare with the regular one.
+	predictorSchemes = []sim.Scheme{
+		sim.SchemePred(predictor.SchemeRegular),
+		sim.SchemePred(predictor.SchemeTwoLevel),
+		sim.SchemePred(predictor.SchemeContext),
+	}
+	predictorCols = []string{"Regular", "Two-level", "Context"}
+)
+
+// at declares the figure under L2 size l2 as grid id, computing its
+// cells with cells.
+func (f figure) at(id string, l2 int, cells func(ctx context.Context, opt Options, benchmarks []string) ([]float64, error)) *grid {
+	return &grid{
+		id:    id,
+		cols:  f.cols,
+		title: fixedTitle(fmt.Sprintf("%s, %s L2", f.title, l2Name(l2))),
+		notes: f.notes,
+		cells: cells,
+	}
 }
 
-// Figure7 regenerates Figure 7 (256 KB L2).
-func Figure7(ctx context.Context, opt Options) (Result, error) {
-	return hitRateFigure(ctx, "Figure 7", 256<<10, opt)
+// hitRates declares the figure as a hit-rate grid (Figures 7/8, 12/13):
+// each cell is its scheme's counter coverage, as a fraction of L2-miss
+// fetches. A benchmark's cells share one front end, so its whole row is
+// one job.
+func (f figure) hitRates(id string, l2 int) *grid {
+	return f.at(id, l2, func(ctx context.Context, opt Options, benchmarks []string) ([]float64, error) {
+		rows := make([]runpool.Row[float64], len(benchmarks))
+		for b, bench := range benchmarks {
+			labels := make([]string, len(f.schemes))
+			cfgs := make([]sim.Config, len(f.schemes))
+			for i, sch := range f.schemes {
+				labels[i] = cellLabel(id, bench, sch)
+				cfgs[i] = hitRateConfig(opt, sch, l2)
+			}
+			rows[b] = hitRateRow(opt, id+": "+bench, bench, labels, cfgs,
+				func(i int, r sim.Result) float64 { return coverage(f.schemes[i], r) })
+		}
+		return runpool.RunRowsContext(ctx, opt.pool(), rows)
+	})
 }
 
-// Figure8 regenerates Figure 8 (1 MB L2).
-func Figure8(ctx context.Context, opt Options) (Result, error) {
-	return hitRateFigure(ctx, "Figure 8", 1<<20, opt)
+// normalizedIPC declares the figure as a performance-mode grid (Figures
+// 10/11, 15/16): each cell is its scheme's IPC normalized to the
+// oracle's on the same benchmark.
+func (f figure) normalizedIPC(id string, l2 int) *grid {
+	return f.at(id, l2, func(ctx context.Context, opt Options, benchmarks []string) ([]float64, error) {
+		oracleIPC, err := oracleBaselines(ctx, opt, l2)
+		if err != nil {
+			return nil, err
+		}
+		return sweep(ctx, opt, id, benchmarks, f.schemes, func(ctx context.Context, bench string, _ int, sch sim.Scheme) (float64, error) {
+			r, err := opt.runSim(ctx, bench, perfConfig(opt, sch, l2))
+			if err != nil {
+				return 0, err
+			}
+			base := oracleIPC[bench]
+			if base == 0 {
+				return 0, nil
+			}
+			return r.IPC() / base, nil
+		})
+	})
 }
 
-// Figure9 regenerates Figure 9: the breakdown of counter coverage with a
+// figure9 declares Figure 9: the breakdown of counter coverage with a
 // 32 KB sequence-number cache combined with prediction — hits covered by
 // both mechanisms, by prediction only, and by the cache only.
-func Figure9(ctx context.Context, opt Options) (Result, error) {
-	opt = opt.normalized()
-	res := Result{
-		ID:     "Figure 9",
-		Title:  "Breakdown of Contribution of Sequence Number Cache (32KB) and OTP Prediction",
-		Notes:  "Paper: prediction uncovers coverage the cache misses (Pred_Hit large, Seq_Only small).",
-		Series: map[string]map[string]float64{"Pred_Hit": {}, "Seq_Only": {}, "Both_Hit": {}},
-	}
-	res.Table = stats.NewTable("Figure 9 — "+res.Title, "benchmark", "Pred_Hit", "Seq_Only", "Both_Hit")
-	benchmarks := append([]string(nil), opt.Benchmarks...)
-	sort.Strings(benchmarks)
-	jobs := make([]runpool.Job[[3]float64], len(benchmarks))
-	for i, bench := range benchmarks {
-		jobs[i] = runpool.Job[[3]float64]{
-			Label: fmt.Sprintf("Figure 9 %s", bench),
-			Fn: func(ctx context.Context) ([3]float64, error) {
+func figure9() *grid {
+	return &grid{
+		id:    "Figure 9",
+		cols:  []string{"Pred_Hit", "Seq_Only", "Both_Hit"},
+		title: fixedTitle("Breakdown of Contribution of Sequence Number Cache (32KB) and OTP Prediction"),
+		notes: "Paper: prediction uncovers coverage the cache misses (Pred_Hit large, Seq_Only small).",
+		cells: func(ctx context.Context, opt Options, benchmarks []string) ([]float64, error) {
+			return benchRows(ctx, opt, "Figure 9", benchmarks, func(ctx context.Context, bench string) ([]float64, error) {
 				cfg := hitRateConfig(opt, sim.SchemeCombined(32<<10, predictor.SchemeRegular), 256<<10)
 				r, err := opt.runSim(ctx, bench, cfg)
 				if err != nil {
-					return [3]float64{}, err
+					return nil, err
 				}
 				fetches := float64(r.Ctrl.Fetches)
 				if fetches == 0 {
@@ -430,154 +410,33 @@ func Figure9(ctx context.Context, opt Options) (Result, error) {
 				both := float64(r.Ctrl.BothHits) / fetches
 				predOnly := float64(r.Ctrl.PredHits-r.Ctrl.BothHits) / fetches
 				seqOnly := float64(r.Ctrl.SeqCacheHits-r.Ctrl.BothHits) / fetches
-				return [3]float64{predOnly, seqOnly, both}, nil
-			},
-		}
+				return []float64{predOnly, seqOnly, both}, nil
+			})
+		},
 	}
-	vals, err := runpool.RunContext(ctx, opt.pool(), jobs)
-	if err != nil {
-		return Result{}, err
-	}
-	var sumP, sumS, sumB float64
-	for i, bench := range benchmarks {
-		predOnly, seqOnly, both := vals[i][0], vals[i][1], vals[i][2]
-		res.Series["Pred_Hit"][bench] = predOnly
-		res.Series["Seq_Only"][bench] = seqOnly
-		res.Series["Both_Hit"][bench] = both
-		sumP += predOnly
-		sumS += seqOnly
-		sumB += both
-		res.Table.AddFloats(bench, 3, predOnly, seqOnly, both)
-	}
-	n := float64(len(benchmarks))
-	res.Table.AddFloats("Average", 3, sumP/n, sumS/n, sumB/n)
-	res.Series["Pred_Hit"]["Average"] = sumP / n
-	res.Series["Seq_Only"]["Average"] = sumS / n
-	res.Series["Both_Hit"]["Average"] = sumB / n
-	return res, nil
 }
 
-// ipcFigure produces Figures 10/11: IPC normalized to the oracle, for
-// three sequence-number cache sizes vs adaptive prediction.
-func ipcFigure(ctx context.Context, id string, l2 int, opt Options) (Result, error) {
-	opt = opt.normalized()
-	schemes := []sim.Scheme{
-		sim.SchemeSeqCache(4 << 10),
-		sim.SchemeSeqCache(128 << 10),
-		sim.SchemeSeqCache(512 << 10),
-		sim.SchemePred(predictor.SchemeRegular),
-	}
-	cols := []string{"Seq_Cache_4K", "Seq_Cache_128K", "Seq_Cache_512K", "Pred"}
-	title := fmt.Sprintf("Normalized IPC (oracle=1.0), %s L2", l2Name(l2))
-	notes := "Paper: Pred outperforms every cache size on average; gains of 15–40% over small caches on memory-bound programs."
-	oracleIPC, err := oracleBaselines(ctx, opt, l2)
-	if err != nil {
-		return Result{}, err
-	}
-	return sweep(ctx, id, title, notes, opt, schemes, cols, func(ctx context.Context, bench string, _ int, sch sim.Scheme) (float64, error) {
-		r, err := opt.runSim(ctx, bench, perfConfig(opt, sch, l2))
-		if err != nil {
-			return 0, err
-		}
-		base := oracleIPC[bench]
-		if base == 0 {
-			return 0, nil
-		}
-		return r.IPC() / base, nil
-	})
-}
-
-// Figure10 regenerates Figure 10 (normalized IPC, 256 KB L2).
-func Figure10(ctx context.Context, opt Options) (Result, error) {
-	return ipcFigure(ctx, "Figure 10", 256<<10, opt)
-}
-
-// Figure11 regenerates Figure 11 (normalized IPC, 1 MB L2).
-func Figure11(ctx context.Context, opt Options) (Result, error) {
-	return ipcFigure(ctx, "Figure 11", 1<<20, opt)
-}
-
-// optHitRateFigure produces Figures 12/13: regular vs two-level vs
-// context-based prediction rates.
-func optHitRateFigure(ctx context.Context, id string, l2 int, opt Options) (Result, error) {
-	schemes := []sim.Scheme{
-		sim.SchemePred(predictor.SchemeRegular),
-		sim.SchemePred(predictor.SchemeTwoLevel),
-		sim.SchemePred(predictor.SchemeContext),
-	}
-	cols := []string{"Regular", "Two-level", "Context"}
-	title := fmt.Sprintf("Prediction Rate of Two-level and Context-based vs Regular, %s L2", l2Name(l2))
-	notes := "Paper: regular ≈ 0.82, two-level ≈ 0.96, context ≈ 0.99 (256KB L2)."
-	return hitRateSweep(ctx, id, title, notes, opt, schemes, cols, l2)
-}
-
-// Figure12 regenerates Figure 12 (optimized prediction rates, 256 KB L2).
-func Figure12(ctx context.Context, opt Options) (Result, error) {
-	return optHitRateFigure(ctx, "Figure 12", 256<<10, opt)
-}
-
-// Figure13 regenerates Figure 13 (optimized prediction rates, 1 MB L2).
-func Figure13(ctx context.Context, opt Options) (Result, error) {
-	return optHitRateFigure(ctx, "Figure 13", 1<<20, opt)
-}
-
-// Figure14 regenerates Figure 14: the absolute number of predictions
-// (speculative pad requests) issued under each L2 size.
-func Figure14(ctx context.Context, opt Options) (Result, error) {
-	schemes := []sim.Scheme{
-		sim.SchemePred(predictor.SchemeContext),
-		sim.SchemePred(predictor.SchemeContext),
-	}
-	cols := []string{"256KB_L2", "1MB_L2"}
+// figure14 declares Figure 14: the absolute number of predictions
+// (speculative pad requests) context-based prediction issues under each
+// L2 size.
+func figure14() *grid {
 	l2s := []int{256 << 10, 1 << 20}
-	title := "Number of Predictions under 256KB vs 1MB L2 (context-based)"
-	notes := "Paper: larger L2 ⇒ fewer misses ⇒ far fewer predictions."
-	return sweep(ctx, "Figure 14", title, notes, opt, schemes, cols, func(ctx context.Context, bench string, col int, sch sim.Scheme) (float64, error) {
-		res, err := opt.runSim(ctx, bench, hitRateConfig(opt, sch, l2s[col]))
-		if err != nil {
-			return 0, err
-		}
-		return float64(res.Pred.Guesses), nil
-	})
-}
-
-// optIPCFigure produces Figures 15/16: normalized IPC of the optimized
-// predictors vs the regular one.
-func optIPCFigure(ctx context.Context, id string, l2 int, opt Options) (Result, error) {
-	opt = opt.normalized()
-	schemes := []sim.Scheme{
-		sim.SchemePred(predictor.SchemeRegular),
-		sim.SchemePred(predictor.SchemeTwoLevel),
-		sim.SchemePred(predictor.SchemeContext),
+	schemes := []sim.Scheme{sim.SchemePred(predictor.SchemeContext), sim.SchemePred(predictor.SchemeContext)}
+	return &grid{
+		id:    "Figure 14",
+		cols:  []string{"256KB_L2", "1MB_L2"},
+		title: fixedTitle("Number of Predictions under 256KB vs 1MB L2 (context-based)"),
+		notes: "Paper: larger L2 ⇒ fewer misses ⇒ far fewer predictions.",
+		cells: func(ctx context.Context, opt Options, benchmarks []string) ([]float64, error) {
+			return sweep(ctx, opt, "Figure 14", benchmarks, schemes, func(ctx context.Context, bench string, col int, sch sim.Scheme) (float64, error) {
+				res, err := opt.runSim(ctx, bench, hitRateConfig(opt, sch, l2s[col]))
+				if err != nil {
+					return 0, err
+				}
+				return float64(res.Pred.Guesses), nil
+			})
+		},
 	}
-	cols := []string{"Regular", "Two-level", "Context"}
-	title := fmt.Sprintf("Normalized IPC of Two-level and Context-based vs Regular, %s L2", l2Name(l2))
-	notes := "Paper: up to ~7% additional IPC over regular prediction; context ≥ two-level for most programs."
-	oracleIPC, err := oracleBaselines(ctx, opt, l2)
-	if err != nil {
-		return Result{}, err
-	}
-	return sweep(ctx, id, title, notes, opt, schemes, cols, func(ctx context.Context, bench string, _ int, sch sim.Scheme) (float64, error) {
-		r, err := opt.runSim(ctx, bench, perfConfig(opt, sch, l2))
-		if err != nil {
-			return 0, err
-		}
-		base := oracleIPC[bench]
-		if base == 0 {
-			return 0, nil
-		}
-		return r.IPC() / base, nil
-	})
-}
-
-// Figure15 regenerates Figure 15 (optimized normalized IPC, 256 KB L2).
-func Figure15(ctx context.Context, opt Options) (Result, error) {
-	return optIPCFigure(ctx, "Figure 15", 256<<10, opt)
-}
-
-// Figure16 regenerates Figure 16 (optimized normalized IPC, 1 MB L2).
-func Figure16(ctx context.Context, opt Options) (Result, error) {
-	return optIPCFigure(ctx, "Figure 16", 1<<20, opt)
 }
 
 func l2Name(l2 int) string {
@@ -587,63 +446,70 @@ func l2Name(l2 int) string {
 	return fmt.Sprintf("%dKB", l2>>10)
 }
 
-// ByID runs the experiment with the given identifier ("table1", "fig4",
-// "fig7" … "fig16", "ablation"). The context cancels the sweep between
-// simulations and, via sim checkpoints, inside them.
-func ByID(ctx context.Context, id string, opt Options) (Result, error) {
-	switch id {
-	case "table1":
-		return Table1(), nil
-	case "fig4":
-		return Figure4Timeline(ctx, opt)
-	case "fig7":
-		return Figure7(ctx, opt)
-	case "fig8":
-		return Figure8(ctx, opt)
-	case "fig9":
-		return Figure9(ctx, opt)
-	case "fig10":
-		return Figure10(ctx, opt)
-	case "fig11":
-		return Figure11(ctx, opt)
-	case "fig12":
-		return Figure12(ctx, opt)
-	case "fig13":
-		return Figure13(ctx, opt)
-	case "fig14":
-		return Figure14(ctx, opt)
-	case "fig15":
-		return Figure15(ctx, opt)
-	case "fig16":
-		return Figure16(ctx, opt)
-	case "ablation":
-		return Ablation(ctx, opt)
-	case "ctxswitch":
-		return ContextSwitch(ctx, opt)
-	case "integrity":
-		return Integrity(ctx, opt)
-	case "hybrid":
-		return Hybrid(ctx, opt)
-	case "seqsweep":
-		return SeqCacheSweep(ctx, opt)
-	case "valuepred":
-		return ValuePrediction(ctx, opt)
-	case "attack":
-		return AttackCampaign(ctx, opt)
-	case "engines":
-		return Engines(ctx, opt)
-	case "tenants":
-		return Tenants(ctx, opt)
-	case "capacity":
-		return Capacity(ctx, opt)
+// An experiment is one registry entry: a grid, or the run function of
+// an experiment whose rows are not benchmarks.
+type experiment struct {
+	id   string
+	grid *grid
+	run  func(context.Context, Options) (Result, error)
+}
+
+// registry lists every experiment in paper order. IDs, ByID,
+// Partitionable and MergeParts all read it.
+var registry = []experiment{
+	{id: "table1", run: func(context.Context, Options) (Result, error) { return Table1(), nil }},
+	{id: "fig4", run: Figure4Timeline},
+	{id: "fig7", grid: cacheCoverage.hitRates("Figure 7", 256<<10)},
+	{id: "fig8", grid: cacheCoverage.hitRates("Figure 8", 1<<20)},
+	{id: "fig9", grid: figure9()},
+	{id: "fig10", grid: cacheIPC.normalizedIPC("Figure 10", 256<<10)},
+	{id: "fig11", grid: cacheIPC.normalizedIPC("Figure 11", 1<<20)},
+	{id: "fig12", grid: predictorCoverage.hitRates("Figure 12", 256<<10)},
+	{id: "fig13", grid: predictorCoverage.hitRates("Figure 13", 1<<20)},
+	{id: "fig14", grid: figure14()},
+	{id: "fig15", grid: predictorIPC.normalizedIPC("Figure 15", 256<<10)},
+	{id: "fig16", grid: predictorIPC.normalizedIPC("Figure 16", 1<<20)},
+	{id: "ablation", run: Ablation},
+	{id: "ctxswitch", run: ContextSwitch},
+	{id: "integrity", run: Integrity},
+	{id: "hybrid", run: Hybrid},
+	{id: "seqsweep", run: SeqCacheSweep},
+	{id: "valuepred", run: ValuePrediction},
+	{id: "attack", run: AttackCampaign},
+	{id: "engines", grid: enginesGrid()},
+	{id: "tenants", grid: tenantsGrid()},
+	{id: "capacity", grid: capacityGrid()},
+}
+
+// find returns id's registry entry, or nil for an unknown id.
+func find(id string) *experiment {
+	for i := range registry {
+		if registry[i].id == id {
+			return &registry[i]
+		}
 	}
-	return Result{}, fmt.Errorf("experiments: %w %q (want table1, fig4, fig7..fig16, ablation, ctxswitch, integrity, hybrid, seqsweep, valuepred, attack, engines, tenants, capacity)", ErrUnknownExperiment, id)
+	return nil
+}
+
+// ByID runs the experiment with the given identifier, one of IDs(). The
+// context cancels the sweep between simulations and, via sim
+// checkpoints, inside them.
+func ByID(ctx context.Context, id string, opt Options) (Result, error) {
+	e := find(id)
+	switch {
+	case e == nil:
+		return Result{}, fmt.Errorf("experiments: %w %q (want %s)", ErrUnknownExperiment, id, strings.Join(IDs(), ", "))
+	case e.grid != nil:
+		return e.grid.run(ctx, opt)
+	}
+	return e.run(ctx, opt)
 }
 
 // IDs lists every experiment identifier in paper order.
 func IDs() []string {
-	return []string{"table1", "fig4", "fig7", "fig8", "fig9", "fig10",
-		"fig11", "fig12", "fig13", "fig14", "fig15", "fig16", "ablation",
-		"ctxswitch", "integrity", "hybrid", "seqsweep", "valuepred", "attack",
-		"engines", "tenants", "capacity"}
+	ids := make([]string, len(registry))
+	for i, e := range registry {
+		ids[i] = e.id
+	}
+	return ids
 }

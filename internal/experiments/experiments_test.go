@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"strings"
@@ -20,14 +21,30 @@ func quickOpts() Options {
 	}
 }
 
+// TestIDsRoundTrip: every listed id dispatches (a cancelled context
+// keeps the runs from simulating anything), no id is listed twice, and
+// the unknown-id error names every id.
 func TestIDsRoundTrip(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	seen := map[string]bool{}
 	for _, id := range IDs() {
-		if id == "table1" {
-			continue // no sim needed
+		if seen[id] {
+			t.Errorf("id %q listed twice", id)
+		}
+		seen[id] = true
+		if _, err := ByID(ctx, id, quickOpts()); errors.Is(err, ErrUnknownExperiment) {
+			t.Errorf("listed id %q does not resolve: %v", id, err)
 		}
 	}
-	if _, err := ByID(context.Background(), "bogus", quickOpts()); !errors.Is(err, ErrUnknownExperiment) {
+	_, err := ByID(context.Background(), "bogus", quickOpts())
+	if !errors.Is(err, ErrUnknownExperiment) {
 		t.Fatalf("ByID(bogus) = %v, want errors.Is(err, ErrUnknownExperiment)", err)
+	}
+	for _, id := range IDs() {
+		if !strings.Contains(err.Error(), id) {
+			t.Errorf("unknown-id error %q does not name %q", err, id)
+		}
 	}
 	if len(IDs()) != 22 {
 		t.Fatalf("IDs() has %d entries", len(IDs()))
@@ -62,7 +79,7 @@ func TestFigure4Timeline(t *testing.T) {
 }
 
 func TestFigure7Shape(t *testing.T) {
-	res, err := Figure7(context.Background(), quickOpts())
+	res, err := ByID(context.Background(), "fig7", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +98,7 @@ func TestFigure7Shape(t *testing.T) {
 }
 
 func TestFigure9Shape(t *testing.T) {
-	res, err := Figure9(context.Background(), quickOpts())
+	res, err := ByID(context.Background(), "fig9", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +113,7 @@ func TestFigure9Shape(t *testing.T) {
 func TestFigure10Shape(t *testing.T) {
 	opt := quickOpts()
 	opt.Benchmarks = []string{"mcf"} // keep the perf-mode run count low
-	res, err := Figure10(context.Background(), opt)
+	res, err := ByID(context.Background(), "fig10", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +130,7 @@ func TestFigure10Shape(t *testing.T) {
 }
 
 func TestFigure12Shape(t *testing.T) {
-	res, err := Figure12(context.Background(), quickOpts())
+	res, err := ByID(context.Background(), "fig12", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +146,7 @@ func TestFigure12Shape(t *testing.T) {
 }
 
 func TestFigure14Shape(t *testing.T) {
-	res, err := Figure14(context.Background(), quickOpts())
+	res, err := ByID(context.Background(), "fig14", quickOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,6 +264,37 @@ func TestValuePredictionShape(t *testing.T) {
 	}
 	if v["otp-pred+lvp"] < v["otp-pred-only"]-0.02 {
 		t.Fatalf("adding LVP hurt (%.3f vs %.3f)", v["otp-pred+lvp"], v["otp-pred-only"])
+	}
+}
+
+// TestGridsResolveOmittedDefaults: every grid resolves zero-valued
+// options to DefaultOptions' values, as Options.Scale's doc promises, so
+// omitting a default and spelling it out give byte-equal snapshots.
+func TestGridsResolveOmittedDefaults(t *testing.T) {
+	omitted := Options{Benchmarks: []string{"parser"}, Scale: workload.Scale{Instructions: 2_000}}
+	spelled := DefaultOptions()
+	spelled.Benchmarks = omitted.Benchmarks
+	spelled.Scale.Instructions = omitted.Scale.Instructions
+	spelled.MaxTenants, spelled.SLOMaxSlowdown = 8, 8
+	for _, id := range IDs() {
+		if !Partitionable(id) {
+			continue
+		}
+		t.Run(id, func(t *testing.T) {
+			var snaps [2][]byte
+			for i, opt := range []Options{omitted, spelled} {
+				res, err := ByID(context.Background(), id, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if snaps[i], err = res.Snapshot().JSON(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(snaps[0], snaps[1]) {
+				t.Errorf("omitted defaults differ from spelled defaults:\n%s\nvs\n%s", snaps[0], snaps[1])
+			}
+		})
 	}
 }
 

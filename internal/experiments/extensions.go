@@ -99,6 +99,52 @@ func ContextSwitch(ctx context.Context, opt Options) (Result, error) {
 	return res, nil
 }
 
+// A variant is one row of a variant table: a scheme, and an optional
+// edit of its performance-mode config at the default 256 KB L2.
+type variant struct {
+	name   string
+	scheme sim.Scheme
+	edit   func(*sim.Config)
+}
+
+// config is the variant's performance-mode config.
+func (v variant) config(opt Options) sim.Config {
+	cfg := perfConfig(opt, v.scheme, 256<<10)
+	if v.edit != nil {
+		v.edit(&cfg)
+	}
+	return cfg
+}
+
+// variantTable fills res, which names the experiment and holds its table
+// header, with one row per variant. Each variant × benchmark cell is one
+// job, labeled "<res.ID> <bench>/<variant>", whose ratio cell computes.
+// A row, and its point of the "normalized_ipc" series, is the variant's
+// mean ratio over the benchmarks.
+func variantTable(ctx context.Context, opt Options, res Result, variants []variant, cell func(ctx context.Context, bench string, v variant) (ratio, error)) (Result, error) {
+	var jobs []runpool.Job[ratio]
+	for _, v := range variants {
+		for _, bench := range opt.Benchmarks {
+			jobs = append(jobs, runpool.Job[ratio]{
+				Label: fmt.Sprintf("%s %s/%s", res.ID, bench, v.name),
+				Fn:    func(ctx context.Context) (ratio, error) { return cell(ctx, bench, v) },
+			})
+		}
+	}
+	ratios, err := runpool.RunContext(ctx, opt.pool(), jobs)
+	if err != nil {
+		return Result{}, err
+	}
+	nb := len(opt.Benchmarks)
+	res.Series = map[string]map[string]float64{"normalized_ipc": {}}
+	for i, v := range variants {
+		avg := meanRatios(ratios[i*nb : (i+1)*nb])
+		res.Series["normalized_ipc"][v.name] = avg
+		res.Table.AddFloats(v.name, 3, avg)
+	}
+	return res, nil
+}
+
 // Integrity measures the cost of composing the paper's assumed hash-tree
 // authentication with each counter-availability scheme: IPC with the
 // tree, normalized to the same scheme without it, averaged over the
@@ -107,53 +153,35 @@ func ContextSwitch(ctx context.Context, opt Options) (Result, error) {
 // the two mechanisms compose.
 func Integrity(ctx context.Context, opt Options) (Result, error) {
 	opt = opt.normalized()
-	res := Result{
-		ID:     "Integrity",
-		Title:  "IPC with hash-tree authentication, normalized to no-tree (average)",
-		Notes:  "Counter prediction and integrity verification address different latencies and compose.",
-		Series: map[string]map[string]float64{"normalized_ipc": {}},
-	}
-	res.Table = stats.NewTable("Integrity — hash-tree overhead per scheme",
-		"scheme", "IPC ratio (tree/no-tree)")
-	schemes := []sim.Scheme{
+	var variants []variant
+	for _, sch := range []sim.Scheme{
 		sim.SchemeBaseline(),
 		sim.SchemeSeqCache(128 << 10),
 		sim.SchemePred(predictor.SchemeRegular),
 		sim.SchemePred(predictor.SchemeContext),
 		sim.SchemeOracle(),
+	} {
+		variants = append(variants, variant{name: sch.Name, scheme: sch})
 	}
-	var jobs []runpool.Job[ratio]
-	for _, sch := range schemes {
-		for _, bench := range opt.Benchmarks {
-			jobs = append(jobs, runpool.Job[ratio]{
-				Label: fmt.Sprintf("Integrity %s/%s", bench, sch.Name),
-				Fn: func(ctx context.Context) (ratio, error) {
-					base, err := opt.runSim(ctx, bench, perfConfig(opt, sch, 256<<10))
-					if err != nil {
-						return ratio{}, err
-					}
-					withTree, err := opt.runSim(ctx, bench, perfConfig(opt, sch, 256<<10).WithIntegrity())
-					if err != nil {
-						return ratio{}, err
-					}
-					if base.IPC() <= 0 {
-						return ratio{}, nil
-					}
-					return ratio{v: withTree.IPC() / base.IPC(), ok: true}, nil
-				},
-			})
+	return variantTable(ctx, opt, Result{
+		ID:    "Integrity",
+		Title: "IPC with hash-tree authentication, normalized to no-tree (average)",
+		Notes: "Counter prediction and integrity verification address different latencies and compose.",
+		Table: stats.NewTable("Integrity — hash-tree overhead per scheme", "scheme", "IPC ratio (tree/no-tree)"),
+	}, variants, func(ctx context.Context, bench string, v variant) (ratio, error) {
+		base, err := opt.runSim(ctx, bench, v.config(opt))
+		if err != nil {
+			return ratio{}, err
 		}
-	}
-	ratios, err := runpool.RunContext(ctx, opt.pool(), jobs)
-	if err != nil {
-		return Result{}, err
-	}
-	for i, sch := range schemes {
-		avg := meanRatios(ratios[i*len(opt.Benchmarks) : (i+1)*len(opt.Benchmarks)])
-		res.Series["normalized_ipc"][sch.Name] = avg
-		res.Table.AddFloats(sch.Name, 3, avg)
-	}
-	return res, nil
+		withTree, err := opt.runSim(ctx, bench, v.config(opt).WithIntegrity())
+		if err != nil {
+			return ratio{}, err
+		}
+		if base.IPC() <= 0 {
+			return ratio{}, nil
+		}
+		return ratio{v: withTree.IPC() / base.IPC(), ok: true}, nil
+	})
 }
 
 // Hybrid evaluates Section 9.2's suggestion that memory pre-decryption
@@ -161,62 +189,60 @@ func Integrity(ctx context.Context, opt Options) (Result, error) {
 // be designed for further performance improvement": IPC normalized to the
 // oracle for the baseline, prefetch alone, prediction alone, and both.
 func Hybrid(ctx context.Context, opt Options) (Result, error) {
-	opt = opt.normalized()
-	res := Result{
-		ID:     "Hybrid",
-		Title:  "Prediction × pre-decryption prefetch, IPC normalized to oracle (average)",
-		Notes:  "Paper §9.2: the techniques are orthogonal; the hybrid should top either alone.",
-		Series: map[string]map[string]float64{"normalized_ipc": {}},
-	}
-	res.Table = stats.NewTable("Hybrid — composing prediction with pre-decryption",
-		"configuration", "normalized IPC")
+	return withPrediction(ctx, opt, Result{
+		ID:    "Hybrid",
+		Title: "Prediction × pre-decryption prefetch, IPC normalized to oracle (average)",
+		Notes: "Paper §9.2: the techniques are orthogonal; the hybrid should top either alone.",
+		Table: stats.NewTable("Hybrid — composing prediction with pre-decryption", "configuration", "normalized IPC"),
+	}, [4]string{"baseline", "prefetch-only", "prediction-only", "hybrid"},
+		func(cfg *sim.Config) { cfg.Mem.PrefetchDegree = 1 })
+}
 
-	type variant struct {
-		name     string
-		scheme   sim.Scheme
-		prefetch int
-	}
-	variants := []variant{
-		{"baseline", sim.SchemeBaseline(), 0},
-		{"prefetch-only", sim.SchemeBaseline(), 1},
-		{"prediction-only", sim.SchemePred(predictor.SchemeRegular), 0},
-		{"hybrid", sim.SchemePred(predictor.SchemeRegular), 1},
-	}
+// ValuePrediction evaluates Section 9.3's related-work contrast: load
+// value prediction also tolerates memory latency, but "does not
+// specifically address the issue of sequence number fetch on the critical
+// path of memory decryption" — its predictability source is value
+// locality, OTP prediction's is counter locality. The experiment reports
+// IPC normalized to the oracle for each mechanism alone and combined.
+func ValuePrediction(ctx context.Context, opt Options) (Result, error) {
+	return withPrediction(ctx, opt, Result{
+		ID:    "ValuePrediction",
+		Title: "OTP prediction vs load-value prediction, IPC normalized to oracle (average)",
+		Notes: "Paper §9.3: different predictability sources; LVP alone cannot recover what counter prediction does on encrypted memory.",
+		Table: stats.NewTable("ValuePrediction — latency-tolerance mechanisms compared", "configuration", "normalized IPC"),
+	}, [4]string{"baseline", "lvp-only", "otp-pred-only", "otp-pred+lvp"},
+		func(cfg *sim.Config) { cfg.CPU.LVPEntries = 4096 })
+}
+
+// withPrediction runs the variant table that composes regular OTP
+// prediction with another latency-tolerance mechanism, enabled by
+// mechanism: IPC normalized to the oracle for the baseline, the
+// mechanism alone, prediction alone and both, named by names in that
+// order.
+func withPrediction(ctx context.Context, opt Options, res Result, names [4]string, mechanism func(*sim.Config)) (Result, error) {
+	opt = opt.normalized()
 	oracleIPC, err := oracleBaselines(ctx, opt, 256<<10)
 	if err != nil {
 		return Result{}, err
 	}
-	var jobs []runpool.Job[ratio]
-	for _, v := range variants {
-		for _, bench := range opt.Benchmarks {
-			jobs = append(jobs, runpool.Job[ratio]{
-				Label: fmt.Sprintf("Hybrid %s/%s", bench, v.name),
-				Fn: func(ctx context.Context) (ratio, error) {
-					cfg := perfConfig(opt, v.scheme, 256<<10)
-					cfg.Mem.PrefetchDegree = v.prefetch
-					r, err := opt.runSim(ctx, bench, cfg)
-					if err != nil {
-						return ratio{}, err
-					}
-					base := oracleIPC[bench]
-					if base <= 0 {
-						return ratio{}, nil
-					}
-					return ratio{v: r.IPC() / base, ok: true}, nil
-				},
-			})
+	baseline, pred := sim.SchemeBaseline(), sim.SchemePred(predictor.SchemeRegular)
+	variants := []variant{
+		{names[0], baseline, nil},
+		{names[1], baseline, mechanism},
+		{names[2], pred, nil},
+		{names[3], pred, mechanism},
+	}
+	return variantTable(ctx, opt, res, variants, func(ctx context.Context, bench string, v variant) (ratio, error) {
+		r, err := opt.runSim(ctx, bench, v.config(opt))
+		if err != nil {
+			return ratio{}, err
 		}
-	}
-	ratios, err := runpool.RunContext(ctx, opt.pool(), jobs)
-	if err != nil {
-		return Result{}, err
-	}
-	for i, v := range variants {
-		avg := meanRatios(ratios[i*len(opt.Benchmarks) : (i+1)*len(opt.Benchmarks)])
-		res.Series["normalized_ipc"][v.name] = avg
-		res.Table.AddFloats(v.name, 3, avg)
-	}
-	return res, nil
+		base := oracleIPC[bench]
+		if base <= 0 {
+			return ratio{}, nil
+		}
+		return ratio{v: r.IPC() / base, ok: true}, nil
+	})
 }
 
 // SeqCacheSweep regenerates the paper's motivating claim (Section 2.2):
@@ -285,70 +311,5 @@ func SeqCacheSweep(ctx context.Context, opt Options) (Result, error) {
 	predAvg := colAvg(len(sizes))
 	res.Series["hit_rate"]["prediction (0KB)"] = predAvg
 	res.Table.AddFloats("prediction (0KB)", 3, predAvg, 0)
-	return res, nil
-}
-
-// ValuePrediction evaluates Section 9.3's related-work contrast: load
-// value prediction also tolerates memory latency, but "does not
-// specifically address the issue of sequence number fetch on the critical
-// path of memory decryption" — its predictability source is value
-// locality, OTP prediction's is counter locality. The experiment reports
-// IPC normalized to the oracle for each mechanism alone and combined.
-func ValuePrediction(ctx context.Context, opt Options) (Result, error) {
-	opt = opt.normalized()
-	res := Result{
-		ID:     "ValuePrediction",
-		Title:  "OTP prediction vs load-value prediction, IPC normalized to oracle (average)",
-		Notes:  "Paper §9.3: different predictability sources; LVP alone cannot recover what counter prediction does on encrypted memory.",
-		Series: map[string]map[string]float64{"normalized_ipc": {}},
-	}
-	res.Table = stats.NewTable("ValuePrediction — latency-tolerance mechanisms compared",
-		"configuration", "normalized IPC")
-
-	type variant struct {
-		name   string
-		scheme sim.Scheme
-		lvp    int
-	}
-	variants := []variant{
-		{"baseline", sim.SchemeBaseline(), 0},
-		{"lvp-only", sim.SchemeBaseline(), 4096},
-		{"otp-pred-only", sim.SchemePred(predictor.SchemeRegular), 0},
-		{"otp-pred+lvp", sim.SchemePred(predictor.SchemeRegular), 4096},
-	}
-	oracleIPC, err := oracleBaselines(ctx, opt, 256<<10)
-	if err != nil {
-		return Result{}, err
-	}
-	var jobs []runpool.Job[ratio]
-	for _, v := range variants {
-		for _, bench := range opt.Benchmarks {
-			jobs = append(jobs, runpool.Job[ratio]{
-				Label: fmt.Sprintf("ValuePrediction %s/%s", bench, v.name),
-				Fn: func(ctx context.Context) (ratio, error) {
-					cfg := perfConfig(opt, v.scheme, 256<<10)
-					cfg.CPU.LVPEntries = v.lvp
-					r, err := opt.runSim(ctx, bench, cfg)
-					if err != nil {
-						return ratio{}, err
-					}
-					base := oracleIPC[bench]
-					if base <= 0 {
-						return ratio{}, nil
-					}
-					return ratio{v: r.IPC() / base, ok: true}, nil
-				},
-			})
-		}
-	}
-	ratios, err := runpool.RunContext(ctx, opt.pool(), jobs)
-	if err != nil {
-		return Result{}, err
-	}
-	for i, v := range variants {
-		avg := meanRatios(ratios[i*len(opt.Benchmarks) : (i+1)*len(opt.Benchmarks)])
-		res.Series["normalized_ipc"][v.name] = avg
-		res.Table.AddFloats(v.name, 3, avg)
-	}
 	return res, nil
 }

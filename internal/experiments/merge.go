@@ -3,73 +3,31 @@ package experiments
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
+	"slices"
 
 	"ctrpred/internal/stats"
 )
 
 // This file is the reassembly half of distributed experiments. A
-// cluster coordinator splits a partitionable experiment's grid into
-// per-benchmark cells — each cell is the same experiment run with
-// Benchmarks restricted to one name — dispatches the cells to worker
-// nodes, and calls MergeParts to reassemble the full Result. Every
-// simulation inside a cell is an isolated seeded machine, so a cell
-// computes exactly the values the full run would have computed for that
-// benchmark; the merge then rebuilds the table rows in sorted benchmark
-// order and re-accumulates the Average row with the same float
-// operations the single-node sweep uses. The assembled Result — table
-// string and Snapshot JSON — is byte-identical to a single-node
-// RunExperimentContext of the full grid.
+// cluster coordinator splits a grid into per-benchmark cells — each cell
+// is the same experiment run with Benchmarks restricted to one name —
+// dispatches the cells to worker nodes, and calls MergeParts to
+// reassemble the full Result. Every simulation inside a cell is an
+// isolated seeded machine, so a cell computes exactly the values the
+// full run would have computed for that benchmark; the merge then hands
+// the union to the grid's assemble, the code a single-node run builds
+// its table with. The assembled Result — table string and Snapshot JSON
+// — is byte-identical to a single-node RunExperimentContext of the full
+// grid.
 
-// partitionColumns names, in table order, the series columns of every
-// experiment whose grid decomposes by benchmark: one table row per
-// benchmark plus an arithmetic-mean Average row. Experiments whose rows
-// are not benchmarks (ablation variants, attack classes, cache-size
-// sweeps, the static tables) are absent — a coordinator runs those as a
-// single cell on one node. Engines is special-cased: its columns are
-// the engine-spec ladder, and its crossover/notes derive from the
-// merged averages (see MergeParts).
-var partitionColumns = map[string][]string{
-	"fig7":  {"128K_Seq#_Cache", "512K_Seq#_Cache", "Pred"},
-	"fig8":  {"128K_Seq#_Cache", "512K_Seq#_Cache", "Pred"},
-	"fig9":  {"Pred_Hit", "Seq_Only", "Both_Hit"},
-	"fig10": {"Seq_Cache_4K", "Seq_Cache_128K", "Seq_Cache_512K", "Pred"},
-	"fig11": {"Seq_Cache_4K", "Seq_Cache_128K", "Seq_Cache_512K", "Pred"},
-	"fig12": {"Regular", "Two-level", "Context"},
-	"fig13": {"Regular", "Two-level", "Context"},
-	"fig14": {"256KB_L2", "1MB_L2"},
-	"fig15": {"Regular", "Two-level", "Context"},
-	"fig16": {"Regular", "Two-level", "Context"},
-	"tenants": {"Solo_IPC", "Mix_IPC", "Mix_Slowdown", "Mix_p99_Fetch",
-		"Retain_Slowdown", "Adv_Slowdown", "Adv_p99_Fetch"},
-	"capacity": {"Seq_Cache_32K", "Pred", "Combined_32K"},
-}
-
-// Partitionable reports whether the experiment's grid decomposes into
-// independent per-benchmark cells that MergeParts can reassemble.
+// Partitionable reports whether the experiment is a grid: its table
+// decomposes into independent per-benchmark cells that MergeParts can
+// reassemble. Experiments whose rows are not benchmarks (ablation
+// variants, attack classes, cache-size sweeps, the static tables) run
+// as a single cell on one node.
 func Partitionable(id string) bool {
-	if id == "engines" {
-		return true
-	}
-	_, ok := partitionColumns[id]
-	return ok
-}
-
-// columnOrder returns the table column order for a partitionable id.
-func columnOrder(id string) ([]string, error) {
-	if id == "engines" {
-		specs := enginesColumns()
-		cols := make([]string, len(specs))
-		for i, s := range specs {
-			cols[i] = s.String()
-		}
-		return cols, nil
-	}
-	cols, ok := partitionColumns[id]
-	if !ok {
-		return nil, fmt.Errorf("experiments: %q does not partition by benchmark", id)
-	}
-	return cols, nil
+	e := find(id)
+	return e != nil && e.grid != nil
 }
 
 // DecodeResultSnapshot parses a Result.Snapshot JSON body — the wire
@@ -102,97 +60,45 @@ func DecodeResultSnapshot(body []byte) (Result, error) {
 	return res, nil
 }
 
-// MergeParts reassembles the full Result of a partitionable experiment
-// from per-benchmark parts (each a Result holding one or more
-// benchmarks' rows, as decoded from a cell's snapshot). Rows are merged
-// in sorted benchmark order and the Average row is re-accumulated with
-// the same operation order as the single-node sweep, so the merged
-// table and Snapshot are byte-identical to running the whole grid in
-// one process. JSON round-trips are exact for float64, so parts that
+// MergeParts reassembles the full Result of a grid from per-benchmark
+// parts (each a Result holding one or more benchmarks' rows, as decoded
+// from a cell's snapshot). The parts' Average rows are artifacts of the
+// split and are discarded; the grid's assemble lays out the union's rows
+// in sorted benchmark order and re-accumulates the Average row, so the
+// merged table and Snapshot are byte-identical to running the whole grid
+// in one process. JSON round-trips are exact for float64, so parts that
 // crossed the network merge without drift.
 func MergeParts(id string, parts []Result) (Result, error) {
-	if !Partitionable(id) {
+	e := find(id)
+	if e == nil || e.grid == nil {
 		return Result{}, fmt.Errorf("experiments: %q does not partition by benchmark", id)
 	}
+	g := e.grid
 	if len(parts) == 0 {
 		return Result{}, fmt.Errorf("experiments: no parts to merge for %q", id)
 	}
-	cols, err := columnOrder(id)
-	if err != nil {
-		return Result{}, err
+	series := make(map[string]map[string]float64, len(g.cols))
+	for _, name := range g.cols {
+		series[name] = make(map[string]float64)
 	}
-
-	res := Result{
-		ID:     parts[0].ID,
-		Title:  parts[0].Title,
-		Notes:  parts[0].Notes,
-		Series: make(map[string]map[string]float64),
-	}
-	for _, name := range cols {
-		res.Series[name] = make(map[string]float64)
-	}
-
-	// Union the parts' benchmarks (the per-part Average rows are
-	// artifacts of the split and are discarded — the real Average is
-	// re-accumulated over the merged set below).
-	benchSet := make(map[string]bool)
+	var benchmarks []string
 	for _, p := range parts {
-		if p.ID != res.ID {
-			return Result{}, fmt.Errorf("experiments: merging mismatched parts %q and %q", res.ID, p.ID)
+		if p.ID != g.id {
+			return Result{}, fmt.Errorf("experiments: merging a %q part into %s (%q)", p.ID, id, g.id)
 		}
-		for _, name := range cols {
+		for _, name := range g.cols {
 			for bench, v := range p.Series[name] {
 				if bench == "Average" {
 					continue
 				}
-				if prev, ok := res.Series[name][bench]; ok && prev != v {
+				if prev, ok := series[name][bench]; ok && prev != v {
 					return Result{}, fmt.Errorf("experiments: %s: parts disagree on %s/%s: %g vs %g", id, name, bench, prev, v)
 				}
-				res.Series[name][bench] = v
-				benchSet[bench] = true
+				series[name][bench] = v
+				benchmarks = append(benchmarks, bench)
 			}
 		}
 	}
-	benchmarks := make([]string, 0, len(benchSet))
-	for b := range benchSet {
-		benchmarks = append(benchmarks, b)
-	}
-	sort.Strings(benchmarks)
-
-	res.Table = stats.NewTable(fmt.Sprintf("%s — %s", tableID(id, res), res.Title),
-		append([]string{"benchmark"}, cols...)...)
-	sums := make([]float64, len(cols))
-	for _, bench := range benchmarks {
-		row := make([]float64, len(cols))
-		for i, name := range cols {
-			v, ok := res.Series[name][bench]
-			if !ok {
-				return Result{}, fmt.Errorf("experiments: %s: no part supplied %s/%s", id, name, bench)
-			}
-			row[i] = v
-			sums[i] += v
-		}
-		res.Table.AddFloats(bench, 3, row...)
-	}
-	avgs := make([]float64, len(cols))
-	for i, name := range cols {
-		avgs[i] = sums[i] / float64(len(benchmarks))
-		res.Series[name]["Average"] = avgs[i]
-	}
-	res.Table.AddFloats("Average", 3, avgs...)
-
-	if id == "engines" {
-		enginesFinalize(&res, avgs)
-	}
-	return res, nil
-}
-
-// tableID returns the string the experiment uses as the table-title
-// prefix: the figure experiments title their tables with the Result ID
-// ("Figure 7"), which differs from the request id ("fig7").
-func tableID(id string, res Result) string {
-	if res.ID != "" {
-		return res.ID
-	}
-	return id
+	slices.Sort(benchmarks)
+	return g.assemble(parts[0].Title, parts[0].Notes, slices.Compact(benchmarks), series)
 }

@@ -53,7 +53,10 @@ func TestMergePartsByteIdentical(t *testing.T) {
 		t.Skip("multi-experiment sweep in -short mode")
 	}
 	opt := mergeOpts()
-	for _, id := range []string{"fig7", "fig9", "fig14", "engines", "tenants", "capacity"} {
+	for _, id := range IDs() {
+		if !Partitionable(id) {
+			continue
+		}
 		t.Run(id, func(t *testing.T) {
 			full, err := ByID(context.Background(), id, opt)
 			if err != nil {
@@ -128,5 +131,9 @@ func TestMergePartsValidation(t *testing.T) {
 	}}
 	if _, err := MergeParts("fig7", []Result{a, b}); err == nil {
 		t.Error("MergeParts with disagreeing parts succeeded")
+	}
+	// A part of another grid is rejected, even as the only part.
+	if _, err := MergeParts("fig8", []Result{a}); err == nil {
+		t.Error("MergeParts merged a Figure 7 part as fig8")
 	}
 }

@@ -87,7 +87,7 @@ func TestSweepErrorLabeled(t *testing.T) {
 	opt := quickOpts()
 	opt.Benchmarks = []string{"nonesuch"}
 	opt.Workers = 4
-	_, err := Figure7(context.Background(), opt)
+	_, err := ByID(context.Background(), "fig7", opt)
 	if err == nil {
 		t.Fatal("sweep over an unknown benchmark succeeded")
 	}

@@ -3,14 +3,11 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"ctrpred/internal/faults"
 	"ctrpred/internal/predictor"
-	"ctrpred/internal/runpool"
 	"ctrpred/internal/secmem"
 	"ctrpred/internal/sim"
-	"ctrpred/internal/stats"
 	"ctrpred/internal/tenancy"
 )
 
@@ -79,113 +76,81 @@ func tenantsScheme() sim.Scheme {
 	return sim.SchemeCombined(32<<10, predictor.SchemeRegular)
 }
 
-// tenantsColumns names the interference matrix's series in table order
-// — the same slice MergeParts reassembles cluster cells by.
-var tenantsColumns = partitionColumns["tenants"]
-
-// Tenants runs the multi-tenant interference matrix: every benchmark as
-// the victim tenant, interleaved with a fixed background tenant by the
-// configured arrival process, under three scenarios — the plain mix
-// (predictor flushed on switch), the same mix with predictor state
-// retained across switches (the paper's save/restore-with-context
+// tenantsGrid declares the multi-tenant interference matrix: every
+// benchmark as the victim tenant, interleaved with a fixed background
+// tenant by the configured arrival process, under three scenarios — the
+// plain mix (predictor flushed on switch), the same mix with predictor
+// state retained across switches (the paper's save/restore-with-context
 // policy), and an adversarial mix whose co-tenant continuously absorbs
-// injected attacks under quarantine recovery. Reported per victim:
-// solo IPC, in-mix IPC, end-to-end slowdown (solo IPC over effective
-// IPC, waiting included) and p99 fetch latency.
-func Tenants(ctx context.Context, opt Options) (Result, error) {
-	opt = opt.normalized()
-	res := Result{
-		ID: "Tenants",
-		Title: fmt.Sprintf("Multi-tenant interference matrix (vs %s, %s arrivals, combined 32K+pred)",
-			tenantBackgroundBench, opt.Arrival),
-		Notes: "Retain_Slowdown ≤ Mix_Slowdown shows the value of saving predictor state with process context; " +
+// injected attacks under quarantine recovery. Reported per victim: solo
+// IPC, in-mix IPC, end-to-end slowdown (solo IPC over effective IPC,
+// waiting included) and p99 fetch latency.
+func tenantsGrid() *grid {
+	return &grid{
+		id: "Tenants",
+		cols: []string{"Solo_IPC", "Mix_IPC", "Mix_Slowdown", "Mix_p99_Fetch",
+			"Retain_Slowdown", "Adv_Slowdown", "Adv_p99_Fetch"},
+		title: func(opt Options) string {
+			return fmt.Sprintf("Multi-tenant interference matrix (vs %s, %s arrivals, combined 32K+pred)",
+				tenantBackgroundBench, opt.Arrival)
+		},
+		notes: "Retain_Slowdown ≤ Mix_Slowdown shows the value of saving predictor state with process context; " +
 			"Adv_* rows co-schedule a tenant absorbing bit-flip attacks under quarantine recovery.",
-		Series: make(map[string]map[string]float64),
+		cells: func(ctx context.Context, opt Options, benchmarks []string) ([]float64, error) {
+			return benchRows(ctx, opt, "tenants", benchmarks, func(ctx context.Context, bench string) ([]float64, error) {
+				return tenantsRow(ctx, opt, bench)
+			})
+		},
 	}
-	res.Table = stats.NewTable("Tenants — "+res.Title, append([]string{"benchmark"}, tenantsColumns...)...)
-	for _, name := range tenantsColumns {
-		res.Series[name] = make(map[string]float64)
-	}
-	benchmarks := append([]string(nil), opt.Benchmarks...)
-	sort.Strings(benchmarks)
+}
 
+// tenantsRow runs bench's three scenarios and returns its row of the
+// interference matrix.
+func tenantsRow(ctx context.Context, opt Options, bench string) ([]float64, error) {
 	scheme := tenantsScheme()
-	jobs := make([]runpool.Job[[7]float64], len(benchmarks))
-	for i, bench := range benchmarks {
-		jobs[i] = runpool.Job[[7]float64]{
-			Label: fmt.Sprintf("tenants %s", bench),
-			Fn: func(ctx context.Context) ([7]float64, error) {
-				var out [7]float64
-				victimCfg := tenantConfig(opt, scheme, tenantSeed(opt.Seed, 0))
-				bgCfg := tenantConfig(opt, scheme, tenantSeed(opt.Seed, 1))
-				soloV, err := opt.runSim(ctx, bench, victimCfg)
-				if err != nil {
-					return out, fmt.Errorf("tenants %s: victim solo: %w", bench, err)
-				}
-				soloB, err := opt.runSim(ctx, tenantBackgroundBench, bgCfg)
-				if err != nil {
-					return out, fmt.Errorf("tenants %s: background solo: %w", bench, err)
-				}
-				solos := []float64{soloV.IPC(), soloB.IPC()}
-				base := tenancy.Config{
-					Tenants: []tenancy.Tenant{
-						{Bench: bench, Config: victimCfg},
-						{Bench: tenantBackgroundBench, Config: bgCfg},
-					},
-					Kind: opt.Arrival, Seed: opt.Seed, SoloIPC: solos,
-				}
-				mix, err := opt.runScenario(ctx, base)
-				if err != nil {
-					return out, fmt.Errorf("tenants %s: mix: %w", bench, err)
-				}
-				retainCfg := base
-				retainCfg.RetainPredictor = true
-				retain, err := opt.runScenario(ctx, retainCfg)
-				if err != nil {
-					return out, fmt.Errorf("tenants %s: retain: %w", bench, err)
-				}
-				advCfg := base
-				advCfg.Tenants = []tenancy.Tenant{
-					{Bench: bench, Config: victimCfg},
-					{Bench: tenantBackgroundBench, Config: adversaryConfig(opt, scheme, tenantSeed(opt.Seed, 1))},
-				}
-				adv, err := opt.runScenario(ctx, advCfg)
-				if err != nil {
-					return out, fmt.Errorf("tenants %s: adversarial: %w", bench, err)
-				}
-				v := mix.Tenants[0]
-				out = [7]float64{
-					solos[0], v.IPC, v.Slowdown, v.P99FetchLatency,
-					retain.Tenants[0].Slowdown,
-					adv.Tenants[0].Slowdown, adv.Tenants[0].P99FetchLatency,
-				}
-				return out, nil
-			},
-		}
-	}
-	vals, err := runpool.RunContext(ctx, opt.pool(), jobs)
+	victimCfg := tenantConfig(opt, scheme, tenantSeed(opt.Seed, 0))
+	bgCfg := tenantConfig(opt, scheme, tenantSeed(opt.Seed, 1))
+	soloV, err := opt.runSim(ctx, bench, victimCfg)
 	if err != nil {
-		return Result{}, err
+		return nil, fmt.Errorf("tenants %s: victim solo: %w", bench, err)
 	}
-
-	sums := make([]float64, len(tenantsColumns))
-	for i, bench := range benchmarks {
-		row := make([]float64, len(tenantsColumns))
-		for j, name := range tenantsColumns {
-			row[j] = vals[i][j]
-			sums[j] += row[j]
-			res.Series[name][bench] = row[j]
-		}
-		res.Table.AddFloats(bench, 3, row...)
+	soloB, err := opt.runSim(ctx, tenantBackgroundBench, bgCfg)
+	if err != nil {
+		return nil, fmt.Errorf("tenants %s: background solo: %w", bench, err)
 	}
-	n := float64(len(benchmarks))
-	avgs := make([]float64, len(tenantsColumns))
-	for j, name := range tenantsColumns {
-		avgs[j] = sums[j] / n
-		res.Series[name]["Average"] = avgs[j]
+	solos := []float64{soloV.IPC(), soloB.IPC()}
+	base := tenancy.Config{
+		Tenants: []tenancy.Tenant{
+			{Bench: bench, Config: victimCfg},
+			{Bench: tenantBackgroundBench, Config: bgCfg},
+		},
+		Kind: opt.Arrival, Seed: opt.Seed, SoloIPC: solos,
 	}
-	res.Table.AddFloats("Average", 3, avgs...)
-	return res, nil
+	mix, err := opt.runScenario(ctx, base)
+	if err != nil {
+		return nil, fmt.Errorf("tenants %s: mix: %w", bench, err)
+	}
+	retainCfg := base
+	retainCfg.RetainPredictor = true
+	retain, err := opt.runScenario(ctx, retainCfg)
+	if err != nil {
+		return nil, fmt.Errorf("tenants %s: retain: %w", bench, err)
+	}
+	advCfg := base
+	advCfg.Tenants = []tenancy.Tenant{
+		{Bench: bench, Config: victimCfg},
+		{Bench: tenantBackgroundBench, Config: adversaryConfig(opt, scheme, tenantSeed(opt.Seed, 1))},
+	}
+	adv, err := opt.runScenario(ctx, advCfg)
+	if err != nil {
+		return nil, fmt.Errorf("tenants %s: adversarial: %w", bench, err)
+	}
+	v := mix.Tenants[0]
+	return []float64{
+		solos[0], v.IPC, v.Slowdown, v.P99FetchLatency,
+		retain.Tenants[0].Slowdown,
+		adv.Tenants[0].Slowdown, adv.Tenants[0].P99FetchLatency,
+	}, nil
 }
 
 // capacitySLO assembles the declared SLO from the options.
@@ -249,30 +214,36 @@ func capacitySearch(ctx context.Context, opt Options, bench string, scheme sim.S
 	return float64(lo), nil
 }
 
-// Capacity runs the capacity-planning experiment: for every benchmark
-// and each scheme of the availability ladder, the largest number of
-// co-scheduled tenants (identical programs, separate key domains) that
-// still meets the declared SLO. The question under test, lifting the
-// paper's context-switch analysis to a served deployment: whether
-// prediction-based designs sustain more tenants at the same SLO than
-// sequence-number caches, whose warm state is costlier to lose on a
+// capacityGrid declares the capacity-planning experiment: for every
+// benchmark and each scheme of the availability ladder, the largest
+// number of co-scheduled tenants (identical programs, separate key
+// domains) that still meets the declared SLO. The question under test,
+// lifting the paper's context-switch analysis to a served deployment:
+// whether prediction-based designs sustain more tenants at the same SLO
+// than sequence-number caches, whose warm state is costlier to lose on a
 // switch. Tight SLOs separate the schemes; loose ones are dominated by
 // core sharing and tie.
-func Capacity(ctx context.Context, opt Options) (Result, error) {
-	opt = opt.normalized()
+func capacityGrid() *grid {
 	schemes := []sim.Scheme{
 		sim.SchemeSeqCache(32 << 10),
 		sim.SchemePred(predictor.SchemeRegular),
 		sim.SchemeCombined(32<<10, predictor.SchemeRegular),
 	}
-	cols := []string{"Seq_Cache_32K", "Pred", "Combined_32K"}
-	title := fmt.Sprintf("Max sustainable tenants (SLO: slowdown ≤ %g%s, %s arrivals, ≤ %d tenants)",
-		opt.SLOMaxSlowdown, p99Clause(opt.SLOP99Fetch), opt.Arrival, opt.MaxTenants)
-	notes := "Capacity = largest co-tenant count meeting the SLO; the binary search converges " +
-		"to the same count for a fixed seed and SLO on every run and worker count."
-	return sweep(ctx, "Capacity", title, notes, opt, schemes, cols, func(ctx context.Context, bench string, _ int, sch sim.Scheme) (float64, error) {
-		return capacitySearch(ctx, opt, bench, sch)
-	})
+	return &grid{
+		id:   "Capacity",
+		cols: []string{"Seq_Cache_32K", "Pred", "Combined_32K"},
+		title: func(opt Options) string {
+			return fmt.Sprintf("Max sustainable tenants (SLO: slowdown ≤ %g%s, %s arrivals, ≤ %d tenants)",
+				opt.SLOMaxSlowdown, p99Clause(opt.SLOP99Fetch), opt.Arrival, opt.MaxTenants)
+		},
+		notes: "Capacity = largest co-tenant count meeting the SLO; the binary search converges " +
+			"to the same count for a fixed seed and SLO on every run and worker count.",
+		cells: func(ctx context.Context, opt Options, benchmarks []string) ([]float64, error) {
+			return sweep(ctx, opt, "Capacity", benchmarks, schemes, func(ctx context.Context, bench string, _ int, sch sim.Scheme) (float64, error) {
+				return capacitySearch(ctx, opt, bench, sch)
+			})
+		},
+	}
 }
 
 // p99Clause renders the optional p99 bound for the capacity title.

@@ -25,11 +25,11 @@ func tenancyOpts() Options {
 // its slices on quarantine recovery) delays the victim at least as much
 // as the clean one.
 func TestTenantsShape(t *testing.T) {
-	res, err := Tenants(context.Background(), tenancyOpts())
+	res, err := ByID(context.Background(), "tenants", tenancyOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range tenantsColumns {
+	for _, name := range find("tenants").grid.cols {
 		if _, ok := res.Series[name]; !ok {
 			t.Fatalf("series %q missing", name)
 		}
@@ -65,11 +65,11 @@ func TestTenantsDeterministicAcrossWorkers(t *testing.T) {
 	seq.Workers = 1
 	par := tenancyOpts()
 	par.Workers = 4
-	a, err := Tenants(context.Background(), seq)
+	a, err := ByID(context.Background(), "tenants", seq)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Tenants(context.Background(), par)
+	b, err := ByID(context.Background(), "tenants", par)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,15 +122,15 @@ func TestCapacityConverges(t *testing.T) {
 	opt.Benchmarks = []string{"gzip"}
 
 	opt.SLOMaxSlowdown = 1 // only a solo run is exactly 1
-	res, err := Capacity(context.Background(), opt)
+	res, err := ByID(context.Background(), "capacity", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	again, err := Capacity(context.Background(), opt)
+	again, err := ByID(context.Background(), "capacity", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, col := range partitionColumns["capacity"] {
+	for _, col := range find("capacity").grid.cols {
 		got := res.Series[col]["gzip"]
 		if got != 1 {
 			t.Errorf("slowdown-1 SLO: capacity[%s] = %v, want 1", col, got)
@@ -141,11 +141,11 @@ func TestCapacityConverges(t *testing.T) {
 	}
 
 	opt.SLOMaxSlowdown = 1e6 // effectively unconstrained
-	res, err = Capacity(context.Background(), opt)
+	res, err = ByID(context.Background(), "capacity", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, col := range partitionColumns["capacity"] {
+	for _, col := range find("capacity").grid.cols {
 		if got := res.Series[col]["gzip"]; got != float64(opt.MaxTenants) {
 			t.Errorf("loose SLO: capacity[%s] = %v, want MaxTenants %d", col, got, opt.MaxTenants)
 		}

@@ -487,6 +487,7 @@ func TestBadRequests(t *testing.T) {
 		{"l2 geometry", "/v1/sim", SimRequest{Bench: "mcf", Scheme: "baseline", L2: "3K"}},
 		{"seqcache geometry", "/v1/sim", SimRequest{Bench: "mcf", Scheme: "seqcache:1"}},
 		{"unknown experiment", "/v1/experiments", ExperimentRequest{ID: "fig99"}},
+		{"repeated benchmark", "/v1/experiments", ExperimentRequest{ID: "fig7", Benchmarks: []string{"gzip", "mcf", "mcf"}}},
 		{"negative max tenants", "/v1/experiments", ExperimentRequest{ID: "capacity", MaxTenants: -1}},
 		{"negative slo slowdown", "/v1/experiments", ExperimentRequest{ID: "capacity", SLOMaxSlowdown: -1}},
 		{"negative slo p99", "/v1/experiments", ExperimentRequest{ID: "fig7", SLOP99Fetch: -1}},

@@ -92,6 +92,7 @@ func TestSweepResolveRejects(t *testing.T) {
 		{"missing id", func(s *Sweep) { s.ID = "" }, `"id"`},
 		{"unknown id", func(s *Sweep) { s.ID = "fig99" }, "valid: table1"},
 		{"unknown bench", func(s *Sweep) { s.Benchmarks = []string{"mcf", "nope"} }, "nope"},
+		{"repeated bench", func(s *Sweep) { s.Benchmarks = []string{"gzip", "mcf", "mcf"} }, `"mcf" listed twice`},
 		{"bad footprint", func(s *Sweep) { s.Footprint = "huge" }, "footprint"},
 		{"bad engine", func(s *Sweep) { s.Engine = "sealer:warp=9" }, "warp"},
 		{"bad sim timeout", func(s *Sweep) { s.SimTimeout = "soon" }, "sim_timeout"},

@@ -67,9 +67,14 @@ func (r Sweep) Resolve() (experiments.Options, error) {
 	if !slices.Contains(experiments.IDs(), r.ID) {
 		return zero, fmt.Errorf("%w %q (valid: %s)", experiments.ErrUnknownExperiment, r.ID, strings.Join(experiments.IDs(), ", "))
 	}
-	for _, b := range r.Benchmarks {
+	for i, b := range r.Benchmarks {
 		if err := knownBenchmark(b); err != nil {
 			return zero, err
+		}
+		// A grid has one row per benchmark: a repeat would be counted
+		// twice in a node's Average but once in a cluster merge.
+		if slices.Contains(r.Benchmarks[:i], b) {
+			return zero, fmt.Errorf("benchmarks: %q listed twice", b)
 		}
 	}
 	opt := experiments.DefaultOptions()
