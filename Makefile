@@ -1,5 +1,6 @@
 # Verification recipe. `make verify` is the tier-1 gate: gofmt, build,
-# vet, the full test suite, a race-detector pass over the concurrent
+# vet, the full test suite, the crypto kernels' portable fallback held to
+# the references and snapshots, a race-detector pass over the concurrent
 # packages (the run scheduler and the sweeps routed through it, the
 # cluster with its concurrent streaming clients) plus the
 # fault-injection/recovery datapath and the machine-template cache,
@@ -19,7 +20,7 @@ GO ?= go
 BENCH_LABEL ?= local
 BENCH_FLAGS ?=
 
-.PHONY: fmt build vet test race fuzz smoke ctrbench-test verify bench
+.PHONY: fmt build vet test purego race fuzz smoke ctrbench-test verify bench
 
 # Every tracked Go file must be gofmt-clean; the target lists offenders
 # and fails when there are any.
@@ -34,6 +35,14 @@ vet:
 
 test:
 	$(GO) test ./...
+
+# AES and SHA-256 run the standard library's kernels, which use the CPU's
+# AES and SHA instructions where it has them. A host without them runs
+# the stdlib's portable fallback; -tags purego forces that fallback here
+# and holds it to the same reference implementations and frozen snapshots.
+purego:
+	$(GO) test -tags purego ./internal/aes ./internal/sha256 ./internal/ctr ./internal/integrity
+	$(GO) test -tags purego ./internal/sim -run EquivalenceGolden
 
 # The experiments race run is restricted to the tests that exercise the
 # worker pool; a full -race suite multiplies the 40 s experiment tests
@@ -77,7 +86,7 @@ fuzz:
 ctrbench-test:
 	cd cmd/ctrbench && $(GO) vet ./... && $(GO) test -short ./...
 
-verify: fmt build vet test race fuzz smoke ctrbench-test
+verify: fmt build vet test purego race fuzz smoke ctrbench-test
 
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . \

@@ -5,8 +5,10 @@
 // The library contains everything the paper's evaluation needs, built on
 // the Go standard library alone:
 //
-//   - a counter-mode memory-encryption layer over a from-scratch AES-256
-//     (pads of the form AES(key, vaddr‖counter) XORed with 32-byte lines),
+//   - a counter-mode memory-encryption layer over AES-256 (pads of the
+//     form AES(key, vaddr‖counter) XORed with 32-byte lines; the
+//     standard library's kernel, held to the package's own FIPS-197
+//     reference),
 //   - the paper's contribution: sequence-number (OTP) prediction and
 //     precomputation — regular, adaptive (PHV root resets), two-level
 //     (range table) and context-based (LOR) predictors,

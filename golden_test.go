@@ -1,5 +1,6 @@
-// Determinism guard: the fast paths (T-table AES, batched pads, map-free
-// memory state) must not change a single byte of experiment output. These
+// Determinism guard: the fast paths (the standard library's AES and
+// SHA-256 kernels, batched pads, map-free memory state and tree nodes)
+// must not change a single byte of experiment output. These
 // tests pin the fig7 and fig10 tables and a Result.Snapshot JSON at the
 // 100k-instruction bench scale (fixed seed) against golden fixtures in
 // testdata/. Regenerate with

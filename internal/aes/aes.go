@@ -1,26 +1,28 @@
-// Package aes implements the AES (Rijndael) block cipher from scratch,
-// per FIPS-197, for key sizes of 128, 192 and 256 bits.
+// Package aes provides the AES (Rijndael) block cipher of FIPS-197 for
+// key sizes of 128, 192 and 256 bits.
 //
 // The paper's crypto engine is a fully pipelined hardware AES-256 unit;
 // this package provides the functional half of that engine (the timing
-// half lives in internal/cryptoengine). The S-box and its inverse are
+// half lives in internal/cryptoengine). The simulator really encrypts
+// every memory block it touches — mispredicted pads are computed and
+// discarded exactly as the hardware would — so Encrypt and Decrypt run
+// the standard library's crypto/aes, which uses the CPU's AES
+// instructions where it has them and a constant-time portable fallback
+// elsewhere (build with -tags purego to force the fallback).
+//
+// Beside that kernel sits the package's own byte-wise reference
+// (EncryptReference/DecryptReference) that applies SubBytes, ShiftRows
+// and MixColumns as separate auditable steps. Its S-box and inverse are
 // generated at init time from the GF(2^8) multiplicative inverse and the
 // affine transform, rather than embedded as opaque tables, so the tests
-// can cross-check the construction against the published constants.
-//
-// Two implementations share the derived tables: a byte-wise reference
-// (EncryptReference/DecryptReference) that applies SubBytes, ShiftRows
-// and MixColumns as separate auditable steps, and the production T-table
-// path (Encrypt/Decrypt) whose four fused lookup tables are generated at
-// init from that same S-box/gmul construction. The tests assert the two
-// paths agree on the FIPS-197 known-answer vectors and on random blocks,
-// so the fast path inherits the reference's auditability. The simulator
-// really encrypts every memory block it touches — mispredicted pads are
-// computed and discarded exactly as the hardware would — which is why the
-// fast path matters.
+// can cross-check the construction against the published constants. The
+// tests hold Encrypt and Decrypt to the reference on the FIPS-197
+// known-answer vectors and on random blocks at every key size.
 package aes
 
 import (
+	"crypto/aes"
+	"crypto/cipher"
 	"encoding/binary"
 	"fmt"
 )
@@ -40,18 +42,9 @@ var (
 	invSbox [256]byte
 	// rcon[i] is the round constant for key expansion round i (1-based).
 	rcon [15]byte
-	// Precomputed GF(2^8) multiplication tables for the (inv)MixColumns
-	// coefficients; computed once from gmul so the hot path is lookups.
+	// Precomputed GF(2^8) multiplication tables for the reference's
+	// (inv)MixColumns coefficients, computed once from gmul.
 	mul2, mul3, mul9, mul11, mul13, mul14 [256]byte
-	// T-tables: each entry fuses SubBytes, ShiftRows and MixColumns for
-	// one state byte's contribution to an output column, so a round is
-	// 16 lookups and 16 XORs instead of byte-wise transforms. They are
-	// derived at init from the same S-box/gmul construction the byte-wise
-	// reference uses (never embedded as opaque constants) and the tests
-	// cross-check the two paths block-for-block, preserving the package's
-	// auditability story. te1..te3/td1..td3 are byte rotations of te0/td0.
-	te0, te1, te2, te3 [256]uint32
-	td0, td1, td2, td3 [256]uint32
 )
 
 func init() {
@@ -65,28 +58,6 @@ func init() {
 		mul11[i] = gmul(b, 11)
 		mul13[i] = gmul(b, 13)
 		mul14[i] = gmul(b, 14)
-	}
-	initTTables()
-}
-
-// initTTables derives the fused round tables from the S-box and the
-// MixColumns coefficient tables. te0[x] is MixColumns applied to the
-// column (sbox[x], 0, 0, 0); td0[x] is InvMixColumns applied to
-// (invSbox[x], 0, 0, 0). The other three tables of each set serve the
-// remaining rows and are plain byte rotations.
-func initTTables() {
-	rotr8 := func(w uint32) uint32 { return w>>8 | w<<24 }
-	for i := 0; i < 256; i++ {
-		s := sbox[i]
-		te0[i] = uint32(mul2[s])<<24 | uint32(s)<<16 | uint32(s)<<8 | uint32(mul3[s])
-		te1[i] = rotr8(te0[i])
-		te2[i] = rotr8(te1[i])
-		te3[i] = rotr8(te2[i])
-		v := invSbox[i]
-		td0[i] = uint32(mul14[v])<<24 | uint32(mul9[v])<<16 | uint32(mul13[v])<<8 | uint32(mul11[v])
-		td1[i] = rotr8(td0[i])
-		td2[i] = rotr8(td1[i])
-		td3[i] = rotr8(td2[i])
 	}
 }
 
@@ -142,13 +113,24 @@ func initRcon() {
 	}
 }
 
-// Cipher is an AES cipher instance with an expanded key schedule. It is
-// safe for concurrent use by multiple goroutines once created.
+// Cipher is an AES cipher instance: the standard library's block for
+// Encrypt and Decrypt, and the reference path's key schedules. Encrypt
+// and Decrypt stage every block through the Cipher's own buffer, so a
+// Cipher serves one goroutine at a time; the reference methods only read
+// it.
 type Cipher struct {
+	block  cipher.Block
 	rounds int
-	// enc and dec hold the round keys as 4-byte words, 4*(rounds+1) each.
+	// enc and dec hold the reference path's round keys as 4-byte words,
+	// 4*(rounds+1) each.
 	enc []uint32
 	dec []uint32
+	// buf is the block the standard library's cipher reads and writes.
+	// That cipher sits behind an interface, so escape analysis moves any
+	// buffer handed to it to the heap; staging through this one, which
+	// lives with the Cipher, keeps the callers' blocks (a pad on the
+	// fetch path) on their stacks.
+	buf [BlockSize]byte
 }
 
 // KeySizeError reports an invalid AES key length.
@@ -171,7 +153,11 @@ func New(key []byte) (*Cipher, error) {
 	default:
 		return nil, KeySizeError(len(key))
 	}
-	c := &Cipher{rounds: rounds}
+	block, err := aes.NewCipher(key)
+	if err != nil {
+		return nil, err // unreachable: the length was checked above
+	}
+	c := &Cipher{block: block, rounds: rounds}
 	c.expandKey(key)
 	return c, nil
 }
@@ -323,169 +309,33 @@ func (s *state) invMixColumns() {
 	}
 }
 
-// Encrypt encrypts the 16-byte block src into dst via the T-table fast
-// path. dst and src may overlap entirely (in-place) but must each be at
-// least BlockSize long.
+// Encrypt encrypts the 16-byte block src into dst. dst and src may
+// overlap entirely (in-place) but must each be at least BlockSize long.
 func (c *Cipher) Encrypt(dst, src []byte) {
 	if len(src) < BlockSize || len(dst) < BlockSize {
 		panic("aes: input or output block too short")
 	}
-	s0 := binary.BigEndian.Uint32(src[0:4])
-	s1 := binary.BigEndian.Uint32(src[4:8])
-	s2 := binary.BigEndian.Uint32(src[8:12])
-	s3 := binary.BigEndian.Uint32(src[12:16])
-	s0, s1, s2, s3 = c.EncryptWords(s0, s1, s2, s3)
-	binary.BigEndian.PutUint32(dst[0:4], s0)
-	binary.BigEndian.PutUint32(dst[4:8], s1)
-	binary.BigEndian.PutUint32(dst[8:12], s2)
-	binary.BigEndian.PutUint32(dst[12:16], s3)
+	copy(c.buf[:], src)
+	c.block.Encrypt(c.buf[:], c.buf[:])
+	copy(dst, c.buf[:])
 }
 
-// EncryptWords encrypts one block given (and returning) the four
-// big-endian column words of the state. It is the allocation-free core
-// of Encrypt, exposed so counter-mode pad generation can keep the whole
-// block in registers.
-func (c *Cipher) EncryptWords(s0, s1, s2, s3 uint32) (uint32, uint32, uint32, uint32) {
-	rk := c.enc
-	s0 ^= rk[0]
-	s1 ^= rk[1]
-	s2 ^= rk[2]
-	s3 ^= rk[3]
-	k := 4
-	for r := 1; r < c.rounds; r++ {
-		t0 := te0[s0>>24] ^ te1[s1>>16&0xff] ^ te2[s2>>8&0xff] ^ te3[s3&0xff] ^ rk[k+0]
-		t1 := te0[s1>>24] ^ te1[s2>>16&0xff] ^ te2[s3>>8&0xff] ^ te3[s0&0xff] ^ rk[k+1]
-		t2 := te0[s2>>24] ^ te1[s3>>16&0xff] ^ te2[s0>>8&0xff] ^ te3[s1&0xff] ^ rk[k+2]
-		t3 := te0[s3>>24] ^ te1[s0>>16&0xff] ^ te2[s1>>8&0xff] ^ te3[s2&0xff] ^ rk[k+3]
-		s0, s1, s2, s3 = t0, t1, t2, t3
-		k += 4
-	}
-	// Final round: SubBytes and ShiftRows only.
-	t0 := uint32(sbox[s0>>24])<<24 | uint32(sbox[s1>>16&0xff])<<16 | uint32(sbox[s2>>8&0xff])<<8 | uint32(sbox[s3&0xff])
-	t1 := uint32(sbox[s1>>24])<<24 | uint32(sbox[s2>>16&0xff])<<16 | uint32(sbox[s3>>8&0xff])<<8 | uint32(sbox[s0&0xff])
-	t2 := uint32(sbox[s2>>24])<<24 | uint32(sbox[s3>>16&0xff])<<16 | uint32(sbox[s0>>8&0xff])<<8 | uint32(sbox[s1&0xff])
-	t3 := uint32(sbox[s3>>24])<<24 | uint32(sbox[s0>>16&0xff])<<16 | uint32(sbox[s1>>8&0xff])<<8 | uint32(sbox[s2&0xff])
-	return t0 ^ rk[k+0], t1 ^ rk[k+1], t2 ^ rk[k+2], t3 ^ rk[k+3]
-}
-
-// EncryptWords2 encrypts two independent blocks through one interleaved
-// round loop. AES rounds are a serial dependence chain — each T-table
-// lookup needs the previous round's words — so a single block leaves the
-// core's load ports idle between rounds. Interleaving two blocks gives
-// the scheduler a second independent chain to overlap, which is the
-// software analogue of the paper's pipelined crypto engine accepting a
-// new block per cycle. Counter-mode pads are the natural caller: every
-// 32-byte line wants exactly two block encryptions.
-func (c *Cipher) EncryptWords2(a0, a1, a2, a3, b0, b1, b2, b3 uint32) (uint32, uint32, uint32, uint32, uint32, uint32, uint32, uint32) {
-	rk := c.enc
-	a0 ^= rk[0]
-	a1 ^= rk[1]
-	a2 ^= rk[2]
-	a3 ^= rk[3]
-	b0 ^= rk[0]
-	b1 ^= rk[1]
-	b2 ^= rk[2]
-	b3 ^= rk[3]
-	k := 4
-	for r := 1; r < c.rounds; r++ {
-		k0, k1, k2, k3 := rk[k+0], rk[k+1], rk[k+2], rk[k+3]
-		u0 := te0[a0>>24] ^ te1[a1>>16&0xff] ^ te2[a2>>8&0xff] ^ te3[a3&0xff] ^ k0
-		u1 := te0[a1>>24] ^ te1[a2>>16&0xff] ^ te2[a3>>8&0xff] ^ te3[a0&0xff] ^ k1
-		u2 := te0[a2>>24] ^ te1[a3>>16&0xff] ^ te2[a0>>8&0xff] ^ te3[a1&0xff] ^ k2
-		u3 := te0[a3>>24] ^ te1[a0>>16&0xff] ^ te2[a1>>8&0xff] ^ te3[a2&0xff] ^ k3
-		v0 := te0[b0>>24] ^ te1[b1>>16&0xff] ^ te2[b2>>8&0xff] ^ te3[b3&0xff] ^ k0
-		v1 := te0[b1>>24] ^ te1[b2>>16&0xff] ^ te2[b3>>8&0xff] ^ te3[b0&0xff] ^ k1
-		v2 := te0[b2>>24] ^ te1[b3>>16&0xff] ^ te2[b0>>8&0xff] ^ te3[b1&0xff] ^ k2
-		v3 := te0[b3>>24] ^ te1[b0>>16&0xff] ^ te2[b1>>8&0xff] ^ te3[b2&0xff] ^ k3
-		a0, a1, a2, a3 = u0, u1, u2, u3
-		b0, b1, b2, b3 = v0, v1, v2, v3
-		k += 4
-	}
-	k0, k1, k2, k3 := rk[k+0], rk[k+1], rk[k+2], rk[k+3]
-	u0 := uint32(sbox[a0>>24])<<24 | uint32(sbox[a1>>16&0xff])<<16 | uint32(sbox[a2>>8&0xff])<<8 | uint32(sbox[a3&0xff])
-	u1 := uint32(sbox[a1>>24])<<24 | uint32(sbox[a2>>16&0xff])<<16 | uint32(sbox[a3>>8&0xff])<<8 | uint32(sbox[a0&0xff])
-	u2 := uint32(sbox[a2>>24])<<24 | uint32(sbox[a3>>16&0xff])<<16 | uint32(sbox[a0>>8&0xff])<<8 | uint32(sbox[a1&0xff])
-	u3 := uint32(sbox[a3>>24])<<24 | uint32(sbox[a0>>16&0xff])<<16 | uint32(sbox[a1>>8&0xff])<<8 | uint32(sbox[a2&0xff])
-	v0 := uint32(sbox[b0>>24])<<24 | uint32(sbox[b1>>16&0xff])<<16 | uint32(sbox[b2>>8&0xff])<<8 | uint32(sbox[b3&0xff])
-	v1 := uint32(sbox[b1>>24])<<24 | uint32(sbox[b2>>16&0xff])<<16 | uint32(sbox[b3>>8&0xff])<<8 | uint32(sbox[b0&0xff])
-	v2 := uint32(sbox[b2>>24])<<24 | uint32(sbox[b3>>16&0xff])<<16 | uint32(sbox[b0>>8&0xff])<<8 | uint32(sbox[b1&0xff])
-	v3 := uint32(sbox[b3>>24])<<24 | uint32(sbox[b0>>16&0xff])<<16 | uint32(sbox[b1>>8&0xff])<<8 | uint32(sbox[b2&0xff])
-	return u0 ^ k0, u1 ^ k1, u2 ^ k2, u3 ^ k3, v0 ^ k0, v1 ^ k1, v2 ^ k2, v3 ^ k3
-}
-
-// EncryptBlocks encrypts len(src)/BlockSize consecutive blocks from src
-// into dst — the batch API behind speculative pad precomputation, where
-// one L2 miss wants pads for every guessed counter at once. Blocks are
-// processed in pairs through the interleaved EncryptWords2 path (an odd
-// trailing block takes the single-block path). dst may alias src; both
-// lengths must be multiples of BlockSize with dst at least as long.
-func (c *Cipher) EncryptBlocks(dst, src []byte) {
-	if len(src)%BlockSize != 0 || len(dst) < len(src) {
-		panic("aes: EncryptBlocks input not block-aligned or output too short")
-	}
-	n := len(src) / BlockSize
-	i := 0
-	for ; i+1 < n; i += 2 {
-		o := i * BlockSize
-		a0 := binary.BigEndian.Uint32(src[o+0:])
-		a1 := binary.BigEndian.Uint32(src[o+4:])
-		a2 := binary.BigEndian.Uint32(src[o+8:])
-		a3 := binary.BigEndian.Uint32(src[o+12:])
-		b0 := binary.BigEndian.Uint32(src[o+16:])
-		b1 := binary.BigEndian.Uint32(src[o+20:])
-		b2 := binary.BigEndian.Uint32(src[o+24:])
-		b3 := binary.BigEndian.Uint32(src[o+28:])
-		a0, a1, a2, a3, b0, b1, b2, b3 = c.EncryptWords2(a0, a1, a2, a3, b0, b1, b2, b3)
-		binary.BigEndian.PutUint32(dst[o+0:], a0)
-		binary.BigEndian.PutUint32(dst[o+4:], a1)
-		binary.BigEndian.PutUint32(dst[o+8:], a2)
-		binary.BigEndian.PutUint32(dst[o+12:], a3)
-		binary.BigEndian.PutUint32(dst[o+16:], b0)
-		binary.BigEndian.PutUint32(dst[o+20:], b1)
-		binary.BigEndian.PutUint32(dst[o+24:], b2)
-		binary.BigEndian.PutUint32(dst[o+28:], b3)
-	}
-	if i < n {
-		c.Encrypt(dst[i*BlockSize:], src[i*BlockSize:])
-	}
-}
-
-// Decrypt decrypts the 16-byte block src into dst using the equivalent
-// inverse cipher over the inverse T-tables. dst and src may overlap
-// entirely.
+// Decrypt decrypts the 16-byte block src into dst. dst and src may
+// overlap entirely.
 func (c *Cipher) Decrypt(dst, src []byte) {
 	if len(src) < BlockSize || len(dst) < BlockSize {
 		panic("aes: input or output block too short")
 	}
-	rk := c.dec
-	s0 := binary.BigEndian.Uint32(src[0:4]) ^ rk[0]
-	s1 := binary.BigEndian.Uint32(src[4:8]) ^ rk[1]
-	s2 := binary.BigEndian.Uint32(src[8:12]) ^ rk[2]
-	s3 := binary.BigEndian.Uint32(src[12:16]) ^ rk[3]
-	k := 4
-	for r := 1; r < c.rounds; r++ {
-		t0 := td0[s0>>24] ^ td1[s3>>16&0xff] ^ td2[s2>>8&0xff] ^ td3[s1&0xff] ^ rk[k+0]
-		t1 := td0[s1>>24] ^ td1[s0>>16&0xff] ^ td2[s3>>8&0xff] ^ td3[s2&0xff] ^ rk[k+1]
-		t2 := td0[s2>>24] ^ td1[s1>>16&0xff] ^ td2[s0>>8&0xff] ^ td3[s3&0xff] ^ rk[k+2]
-		t3 := td0[s3>>24] ^ td1[s2>>16&0xff] ^ td2[s1>>8&0xff] ^ td3[s0&0xff] ^ rk[k+3]
-		s0, s1, s2, s3 = t0, t1, t2, t3
-		k += 4
-	}
-	t0 := uint32(invSbox[s0>>24])<<24 | uint32(invSbox[s3>>16&0xff])<<16 | uint32(invSbox[s2>>8&0xff])<<8 | uint32(invSbox[s1&0xff])
-	t1 := uint32(invSbox[s1>>24])<<24 | uint32(invSbox[s0>>16&0xff])<<16 | uint32(invSbox[s3>>8&0xff])<<8 | uint32(invSbox[s2&0xff])
-	t2 := uint32(invSbox[s2>>24])<<24 | uint32(invSbox[s1>>16&0xff])<<16 | uint32(invSbox[s0>>8&0xff])<<8 | uint32(invSbox[s3&0xff])
-	t3 := uint32(invSbox[s3>>24])<<24 | uint32(invSbox[s2>>16&0xff])<<16 | uint32(invSbox[s1>>8&0xff])<<8 | uint32(invSbox[s0&0xff])
-	binary.BigEndian.PutUint32(dst[0:4], t0^rk[k+0])
-	binary.BigEndian.PutUint32(dst[4:8], t1^rk[k+1])
-	binary.BigEndian.PutUint32(dst[8:12], t2^rk[k+2])
-	binary.BigEndian.PutUint32(dst[12:16], t3^rk[k+3])
+	copy(c.buf[:], src)
+	c.block.Decrypt(c.buf[:], c.buf[:])
+	copy(dst, c.buf[:])
 }
 
 // EncryptReference is the byte-wise FIPS-197 reference implementation of
 // Encrypt: SubBytes, ShiftRows, MixColumns and AddRoundKey applied as
 // separate auditable steps. The tests assert Encrypt ≡ EncryptReference
 // over the FIPS known-answer vectors and random blocks; the simulator
-// never calls it on a hot path.
+// never calls it.
 func (c *Cipher) EncryptReference(dst, src []byte) {
 	if len(src) < BlockSize || len(dst) < BlockSize {
 		panic("aes: input or output block too short")
@@ -522,13 +372,6 @@ func (c *Cipher) DecryptReference(dst, src []byte) {
 	s.invShiftRows()
 	s.addRoundKey(c.dec[4*c.rounds : 4*c.rounds+4])
 	s.store(dst)
-}
-
-// EncryptBlock is a convenience wrapper over Encrypt for array blocks.
-func (c *Cipher) EncryptBlock(src [BlockSize]byte) [BlockSize]byte {
-	var out [BlockSize]byte
-	c.Encrypt(out[:], src[:])
-	return out
 }
 
 // Sbox returns the value of the AES S-box at i (exported for the tests of

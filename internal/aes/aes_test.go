@@ -132,8 +132,8 @@ func TestRounds(t *testing.T) {
 func TestEncryptDecryptRoundTrip(t *testing.T) {
 	f := func(key [32]byte, block [16]byte) bool {
 		c := Must256(key)
-		enc := c.EncryptBlock(block)
-		var dec [16]byte
+		var enc, dec [16]byte
+		c.Encrypt(enc[:], block[:])
 		c.Decrypt(dec[:], enc[:])
 		return dec == block
 	}
@@ -157,9 +157,10 @@ func TestEncryptAvalanche(t *testing.T) {
 	// Flipping one plaintext bit should flip roughly half the ciphertext
 	// bits — the property that makes OTP pads unlinkable across counters.
 	c := Must256([32]byte{0xaa})
-	var p0, p1 [16]byte
+	var p0, p1, c0, c1 [16]byte
 	p1[0] = 0x01
-	c0, c1 := c.EncryptBlock(p0), c.EncryptBlock(p1)
+	c.Encrypt(c0[:], p0[:])
+	c.Encrypt(c1[:], p1[:])
 	diff := 0
 	for i := range c0 {
 		x := c0[i] ^ c1[i]
@@ -250,92 +251,3 @@ func BenchmarkDecrypt256(b *testing.B) {
 		c.Decrypt(block[:], block[:])
 	}
 }
-
-func TestEncryptWords2MatchesSingle(t *testing.T) {
-	// The interleaved two-block path must agree with the single-block
-	// word path (and therefore, transitively, with the byte-wise
-	// reference) on random blocks and keys.
-	f := func(key [32]byte, a, b [16]byte) bool {
-		c := Must256(key)
-		wantA, wantB := c.EncryptBlock(a), c.EncryptBlock(b)
-		var got [32]byte
-		a0, a1, a2, a3, b0, b1, b2, b3 := c.EncryptWords2(
-			be32(a[0:]), be32(a[4:]), be32(a[8:]), be32(a[12:]),
-			be32(b[0:]), be32(b[4:]), be32(b[8:]), be32(b[12:]))
-		putBE32(got[0:], a0)
-		putBE32(got[4:], a1)
-		putBE32(got[8:], a2)
-		putBE32(got[12:], a3)
-		putBE32(got[16:], b0)
-		putBE32(got[20:], b1)
-		putBE32(got[24:], b2)
-		putBE32(got[28:], b3)
-		return bytes.Equal(got[:16], wantA[:]) && bytes.Equal(got[16:], wantB[:])
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func be32(b []byte) uint32 {
-	return uint32(b[0])<<24 | uint32(b[1])<<16 | uint32(b[2])<<8 | uint32(b[3])
-}
-
-func putBE32(b []byte, v uint32) {
-	b[0], b[1], b[2], b[3] = byte(v>>24), byte(v>>16), byte(v>>8), byte(v)
-}
-
-func TestEncryptBlocksMatchesEncrypt(t *testing.T) {
-	// Batch encryption over 0..5 blocks must match block-at-a-time
-	// Encrypt, including the odd trailing block and in-place use.
-	c := Must256([32]byte{7, 7, 7})
-	src := make([]byte, 5*BlockSize)
-	for i := range src {
-		src[i] = byte(i*37 + 11)
-	}
-	for n := 0; n <= 5; n++ {
-		want := make([]byte, n*BlockSize)
-		for i := 0; i < n; i++ {
-			c.Encrypt(want[i*BlockSize:], src[i*BlockSize:])
-		}
-		got := make([]byte, n*BlockSize)
-		c.EncryptBlocks(got, src[:n*BlockSize])
-		if !bytes.Equal(got, want) {
-			t.Errorf("EncryptBlocks(%d blocks) disagrees with Encrypt", n)
-		}
-		inPlace := append([]byte(nil), src[:n*BlockSize]...)
-		c.EncryptBlocks(inPlace, inPlace)
-		if !bytes.Equal(inPlace, want) {
-			t.Errorf("in-place EncryptBlocks(%d blocks) disagrees", n)
-		}
-	}
-}
-
-func TestEncryptBlocksPanics(t *testing.T) {
-	c := Must256([32]byte{})
-	for _, f := range []func(){
-		func() { c.EncryptBlocks(make([]byte, 32), make([]byte, 17)) },
-		func() { c.EncryptBlocks(make([]byte, 16), make([]byte, 32)) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("EncryptBlocks with bad sizes did not panic")
-				}
-			}()
-			f()
-		}()
-	}
-}
-
-func BenchmarkEncryptWords2(b *testing.B) {
-	c := Must256([32]byte{1})
-	var s uint32
-	for i := 0; i < b.N; i++ {
-		a0, _, _, _, _, _, _, b3 := c.EncryptWords2(uint32(i), 0, 0, 1, uint32(i), 16, 0, 1)
-		s += a0 ^ b3
-	}
-	sinkWord = s
-}
-
-var sinkWord uint32

@@ -36,7 +36,8 @@ type Line [LineSize]byte
 
 // Keystream derives one-time pads from a secret AES-256 key. It is the
 // functional model of the paper's crypto engine datapath (Figure 3); the
-// pipeline timing model lives in package cryptoengine.
+// pipeline timing model lives in package cryptoengine. Like its cipher,
+// a Keystream serves one goroutine at a time.
 type Keystream struct {
 	cipher *aes.Cipher
 	key    [32]byte
@@ -63,28 +64,18 @@ func (k *Keystream) Pad(vaddr, seq uint64) Pad {
 
 // PadInto computes the OTP for the line at line-aligned vaddr under seq
 // directly into *dst. It is the allocation-free core of Pad: the two
-// counter blocks (vaddr‖seq and vaddr+16‖seq) are assembled as state
-// words and run through the cipher's word-level path, so the whole pad
-// stays in registers until the final store.
+// counter blocks (vaddr‖seq and vaddr+16‖seq) are written into dst and
+// encrypted in place, and dst may live on the caller's stack.
 func (k *Keystream) PadInto(dst *Pad, vaddr, seq uint64) {
 	if vaddr%LineSize != 0 {
 		panic("ctr: pad address not line-aligned")
 	}
-	seqHi, seqLo := uint32(seq>>32), uint32(seq)
-	a1 := vaddr + HalfLine
-	// The two half-line blocks are independent, so they run through the
-	// interleaved two-block path in one fused pass.
-	w0, w1, w2, w3, x0, x1, x2, x3 := k.cipher.EncryptWords2(
-		uint32(vaddr>>32), uint32(vaddr), seqHi, seqLo,
-		uint32(a1>>32), uint32(a1), seqHi, seqLo)
-	binary.BigEndian.PutUint32(dst[0:4], w0)
-	binary.BigEndian.PutUint32(dst[4:8], w1)
-	binary.BigEndian.PutUint32(dst[8:12], w2)
-	binary.BigEndian.PutUint32(dst[12:16], w3)
-	binary.BigEndian.PutUint32(dst[16:20], x0)
-	binary.BigEndian.PutUint32(dst[20:24], x1)
-	binary.BigEndian.PutUint32(dst[24:28], x2)
-	binary.BigEndian.PutUint32(dst[28:32], x3)
+	binary.BigEndian.PutUint64(dst[0:8], vaddr)
+	binary.BigEndian.PutUint64(dst[8:16], seq)
+	binary.BigEndian.PutUint64(dst[16:24], vaddr+HalfLine)
+	binary.BigEndian.PutUint64(dst[24:32], seq)
+	k.cipher.Encrypt(dst[:HalfLine], dst[:HalfLine])
+	k.cipher.Encrypt(dst[HalfLine:], dst[HalfLine:])
 }
 
 // XORLine XORs line with pad, writing into dst. dst may alias line.
@@ -220,7 +211,7 @@ func (t *PadTracker) RecordEncrypt(vaddr, seq uint64) bool {
 // the latency motivation for counter mode), and encryption is
 // deterministic per address, so rewriting a line with the same data
 // produces the same ciphertext (an information leak counter mode's
-// fresh counters prevent).
+// fresh counters prevent). A DirectCipher serves one goroutine at a time.
 type DirectCipher struct {
 	cipher *aes.Cipher
 }

@@ -16,6 +16,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"time"
 
@@ -214,32 +215,22 @@ func cellLabel(id, bench string, sch sim.Scheme) string {
 	return fmt.Sprintf("%s %s/%s", id, bench, sch.Name)
 }
 
-// oracleBaselines runs the oracle scheme for every benchmark across the
-// pool and returns benchmark → IPC, the denominator of the normalized-IPC
-// figures.
-func oracleBaselines(ctx context.Context, opt Options, l2 int) (map[string]float64, error) {
-	jobs := make([]runpool.Job[float64], len(opt.Benchmarks))
-	for i, bench := range opt.Benchmarks {
-		jobs[i] = runpool.Job[float64]{
-			Label: fmt.Sprintf("oracle baseline %s", bench),
-			Fn: func(ctx context.Context) (float64, error) {
-				r, err := opt.runSim(ctx, bench, perfConfig(opt, sim.SchemeOracle(), l2))
-				if err != nil {
-					return 0, err
-				}
-				return r.IPC(), nil
-			},
+// divideOutOracle turns row-major cells, rows of n whose first cell is
+// the oracle's IPC and the rest other schemes' IPCs, into rows of n-1
+// IPCs normalized to the oracle's (0 where the oracle's is 0).
+func divideOutOracle(ipcs []float64, n int) []float64 {
+	out := make([]float64, 0, len(ipcs)/n*(n-1))
+	for r := 0; r < len(ipcs); r += n {
+		oracle := ipcs[r]
+		for _, ipc := range ipcs[r+1 : r+n] {
+			if oracle == 0 {
+				out = append(out, 0)
+			} else {
+				out = append(out, ipc/oracle)
+			}
 		}
 	}
-	vals, err := runpool.RunContext(ctx, opt.pool(), jobs)
-	if err != nil {
-		return nil, err
-	}
-	ipc := make(map[string]float64, len(vals))
-	for i, bench := range opt.Benchmarks {
-		ipc[bench] = vals[i]
-	}
-	return ipc, nil
+	return out
 }
 
 // hitRateWindowFactor scales the instruction budget of hit-rate studies
@@ -366,24 +357,23 @@ func (f figure) hitRates(id string, l2 int) *grid {
 
 // normalizedIPC declares the figure as a performance-mode grid (Figures
 // 10/11, 15/16): each cell is its scheme's IPC normalized to the
-// oracle's on the same benchmark.
+// oracle's on the same benchmark. The oracle runs are cells of the same
+// sweep, an extra first column divided out once every cell is in, so
+// progress and a cancelled run's PartialError count them with the rest.
 func (f figure) normalizedIPC(id string, l2 int) *grid {
+	schemes := append([]sim.Scheme{sim.SchemeOracle()}, f.schemes...)
 	return f.at(id, l2, func(ctx context.Context, opt Options, benchmarks []string) ([]float64, error) {
-		oracleIPC, err := oracleBaselines(ctx, opt, l2)
-		if err != nil {
-			return nil, err
-		}
-		return sweep(ctx, opt, id, benchmarks, f.schemes, func(ctx context.Context, bench string, _ int, sch sim.Scheme) (float64, error) {
+		ipcs, err := sweep(ctx, opt, id, benchmarks, schemes, func(ctx context.Context, bench string, _ int, sch sim.Scheme) (float64, error) {
 			r, err := opt.runSim(ctx, bench, perfConfig(opt, sch, l2))
 			if err != nil {
 				return 0, err
 			}
-			base := oracleIPC[bench]
-			if base == 0 {
-				return 0, nil
-			}
-			return r.IPC() / base, nil
+			return r.IPC(), nil
 		})
+		if err != nil {
+			return nil, err
+		}
+		return divideOutOracle(ipcs, len(schemes)), nil
 	})
 }
 
@@ -493,16 +483,32 @@ func find(id string) *experiment {
 
 // ByID runs the experiment with the given identifier, one of IDs(). The
 // context cancels the sweep between simulations and, via sim
-// checkpoints, inside them.
+// checkpoints, inside them. A benchmark listed twice is an error (see
+// CheckBenchmarks).
 func ByID(ctx context.Context, id string, opt Options) (Result, error) {
 	e := find(id)
-	switch {
-	case e == nil:
+	if e == nil {
 		return Result{}, fmt.Errorf("experiments: %w %q (want %s)", ErrUnknownExperiment, id, strings.Join(IDs(), ", "))
-	case e.grid != nil:
+	}
+	if err := CheckBenchmarks(opt.Benchmarks); err != nil {
+		return Result{}, err
+	}
+	if e.grid != nil {
 		return e.grid.run(ctx, opt)
 	}
 	return e.run(ctx, opt)
+}
+
+// CheckBenchmarks rejects a benchmark listed twice. A grid has one row
+// per benchmark, so a repeat would be counted twice in a node's Average
+// but once in a cluster merge.
+func CheckBenchmarks(benchmarks []string) error {
+	for i, b := range benchmarks {
+		if slices.Contains(benchmarks[:i], b) {
+			return fmt.Errorf("benchmarks: %q listed twice", b)
+		}
+	}
+	return nil
 }
 
 // IDs lists every experiment identifier in paper order.

@@ -51,6 +51,25 @@ func TestIDsRoundTrip(t *testing.T) {
 	}
 }
 
+// TestByIDRejectsRepeatedBenchmark: a library caller listing a
+// benchmark twice gets spec.Sweep.Resolve's error before anything runs,
+// for a grid and for an experiment whose rows are not benchmarks alike,
+// instead of a table that counts the repeat twice in its Average.
+func TestByIDRejectsRepeatedBenchmark(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel() // nothing may run either way
+	opt := Options{Benchmarks: []string{"gzip", "mcf", "mcf"}}
+	for _, id := range []string{"fig9", "fig10", "ablation", "integrity"} {
+		_, err := ByID(ctx, id, opt)
+		if err == nil || err.Error() != `benchmarks: "mcf" listed twice` {
+			t.Errorf("ByID(%q) over gzip,mcf,mcf: err = %v, want the repeat rejected", id, err)
+		}
+	}
+	if err := CheckBenchmarks([]string{"gzip", "mcf"}); err != nil {
+		t.Errorf("CheckBenchmarks rejects distinct benchmarks: %v", err)
+	}
+}
+
 func TestTable1(t *testing.T) {
 	res := Table1()
 	s := res.Table.String()

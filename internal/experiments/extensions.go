@@ -116,25 +116,27 @@ func (v variant) config(opt Options) sim.Config {
 	return cfg
 }
 
-// variantTable fills res, which names the experiment and holds its table
-// header, with one row per variant. Each variant × benchmark cell is one
-// job, labeled "<res.ID> <bench>/<variant>", whose ratio cell computes.
-// A row, and its point of the "normalized_ipc" series, is the variant's
-// mean ratio over the benchmarks.
-func variantTable(ctx context.Context, opt Options, res Result, variants []variant, cell func(ctx context.Context, bench string, v variant) (ratio, error)) (Result, error) {
-	var jobs []runpool.Job[ratio]
+// variantCells runs every variant × benchmark cell as one job, labeled
+// "<id> <bench>/<variant>", across one pool, and returns the cells
+// variant-major: variants[v]'s value on benchmark b at v*len(benchmarks)+b.
+func variantCells[T any](ctx context.Context, opt Options, id string, variants []variant, cell func(ctx context.Context, bench string, v variant) (T, error)) ([]T, error) {
+	var jobs []runpool.Job[T]
 	for _, v := range variants {
 		for _, bench := range opt.Benchmarks {
-			jobs = append(jobs, runpool.Job[ratio]{
-				Label: fmt.Sprintf("%s %s/%s", res.ID, bench, v.name),
-				Fn:    func(ctx context.Context) (ratio, error) { return cell(ctx, bench, v) },
+			jobs = append(jobs, runpool.Job[T]{
+				Label: fmt.Sprintf("%s %s/%s", id, bench, v.name),
+				Fn:    func(ctx context.Context) (T, error) { return cell(ctx, bench, v) },
 			})
 		}
 	}
-	ratios, err := runpool.RunContext(ctx, opt.pool(), jobs)
-	if err != nil {
-		return Result{}, err
-	}
+	return runpool.RunContext(ctx, opt.pool(), jobs)
+}
+
+// variantTable fills res, which names the experiment and holds its table
+// header, with one row per variant, from variant-major ratios (see
+// variantCells). A row, and its point of the "normalized_ipc" series, is
+// the variant's mean ratio over the benchmarks.
+func variantTable(opt Options, res Result, variants []variant, ratios []ratio) Result {
 	nb := len(opt.Benchmarks)
 	res.Series = map[string]map[string]float64{"normalized_ipc": {}}
 	for i, v := range variants {
@@ -142,7 +144,7 @@ func variantTable(ctx context.Context, opt Options, res Result, variants []varia
 		res.Series["normalized_ipc"][v.name] = avg
 		res.Table.AddFloats(v.name, 3, avg)
 	}
-	return res, nil
+	return res
 }
 
 // Integrity measures the cost of composing the paper's assumed hash-tree
@@ -163,12 +165,13 @@ func Integrity(ctx context.Context, opt Options) (Result, error) {
 	} {
 		variants = append(variants, variant{name: sch.Name, scheme: sch})
 	}
-	return variantTable(ctx, opt, Result{
+	res := Result{
 		ID:    "Integrity",
 		Title: "IPC with hash-tree authentication, normalized to no-tree (average)",
 		Notes: "Counter prediction and integrity verification address different latencies and compose.",
 		Table: stats.NewTable("Integrity — hash-tree overhead per scheme", "scheme", "IPC ratio (tree/no-tree)"),
-	}, variants, func(ctx context.Context, bench string, v variant) (ratio, error) {
+	}
+	ratios, err := variantCells(ctx, opt, res.ID, variants, func(ctx context.Context, bench string, v variant) (ratio, error) {
 		base, err := opt.runSim(ctx, bench, v.config(opt))
 		if err != nil {
 			return ratio{}, err
@@ -182,6 +185,10 @@ func Integrity(ctx context.Context, opt Options) (Result, error) {
 		}
 		return ratio{v: withTree.IPC() / base.IPC(), ok: true}, nil
 	})
+	if err != nil {
+		return Result{}, err
+	}
+	return variantTable(opt, res, variants, ratios), nil
 }
 
 // Hybrid evaluates Section 9.2's suggestion that memory pre-decryption
@@ -218,31 +225,36 @@ func ValuePrediction(ctx context.Context, opt Options) (Result, error) {
 // prediction with another latency-tolerance mechanism, enabled by
 // mechanism: IPC normalized to the oracle for the baseline, the
 // mechanism alone, prediction alone and both, named by names in that
-// order.
+// order. The oracle runs are a first variant of the same pool, divided
+// out and left out of the table.
 func withPrediction(ctx context.Context, opt Options, res Result, names [4]string, mechanism func(*sim.Config)) (Result, error) {
 	opt = opt.normalized()
-	oracleIPC, err := oracleBaselines(ctx, opt, 256<<10)
-	if err != nil {
-		return Result{}, err
-	}
 	baseline, pred := sim.SchemeBaseline(), sim.SchemePred(predictor.SchemeRegular)
 	variants := []variant{
+		{"oracle", sim.SchemeOracle(), nil},
 		{names[0], baseline, nil},
 		{names[1], baseline, mechanism},
 		{names[2], pred, nil},
 		{names[3], pred, mechanism},
 	}
-	return variantTable(ctx, opt, res, variants, func(ctx context.Context, bench string, v variant) (ratio, error) {
+	ipcs, err := variantCells(ctx, opt, res.ID, variants, func(ctx context.Context, bench string, v variant) (float64, error) {
 		r, err := opt.runSim(ctx, bench, v.config(opt))
 		if err != nil {
-			return ratio{}, err
+			return 0, err
 		}
-		base := oracleIPC[bench]
-		if base <= 0 {
-			return ratio{}, nil
-		}
-		return ratio{v: r.IPC() / base, ok: true}, nil
+		return r.IPC(), nil
 	})
+	if err != nil {
+		return Result{}, err
+	}
+	nb := len(opt.Benchmarks)
+	ratios := make([]ratio, len(ipcs)-nb)
+	for i, ipc := range ipcs[nb:] {
+		if base := ipcs[i%nb]; base > 0 {
+			ratios[i] = ratio{v: ipc / base, ok: true}
+		}
+	}
+	return variantTable(opt, res, variants[1:], ratios), nil
 }
 
 // SeqCacheSweep regenerates the paper's motivating claim (Section 2.2):

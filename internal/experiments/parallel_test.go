@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"strings"
 	"testing"
@@ -76,6 +77,70 @@ func TestSweepProgressUpdates(t *testing.T) {
 				if u.Done != i+1 || u.Total != tc.cells {
 					t.Fatalf("update %d reads %d/%d, want %d/%d", i, u.Done, u.Total, i+1, tc.cells)
 				}
+			}
+		})
+	}
+}
+
+// TestOracleCellsInFigurePool checks that the oracle runs a
+// normalized-IPC experiment divides by are cells of its one pool: at one
+// worker, progress counts every cell once from 1 to the whole set, each
+// label carries the experiment's id, and a run cancelled at its first
+// cell reports a PartialError over the whole set.
+func TestOracleCellsInFigurePool(t *testing.T) {
+	for _, tc := range []struct {
+		id, prefix string
+		cells      int // per benchmark: the oracle plus the table's columns or rows
+	}{
+		{"fig10", "Figure 10 ", 1 + 4},
+		{"fig15", "Figure 15 ", 1 + 3},
+		{"hybrid", "Hybrid ", 1 + 4},
+		{"valuepred", "ValuePrediction ", 1 + 4},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			opt := quickOpts()
+			opt.Scale.Instructions = 5_000
+			opt.Benchmarks = []string{"mcf", "gzip"}
+			opt.Workers = 1
+			total := tc.cells * len(opt.Benchmarks)
+			var updates []runpool.Update
+			opt.Progress = func(u runpool.Update) { updates = append(updates, u) }
+			if _, err := ByID(context.Background(), tc.id, opt); err != nil {
+				t.Fatal(err)
+			}
+			if len(updates) != total {
+				t.Fatalf("%d progress updates, want %d", len(updates), total)
+			}
+			oracles := 0
+			for i, u := range updates {
+				if !strings.HasPrefix(u.Label, tc.prefix) {
+					t.Fatalf("progress label %q missing id %q", u.Label, tc.prefix)
+				}
+				if u.Done != i+1 || u.Total != total {
+					t.Fatalf("update %d (%s) reads %d/%d, want %d/%d", i, u.Label, u.Done, u.Total, i+1, total)
+				}
+				if strings.HasSuffix(u.Label, "/oracle") {
+					oracles++
+				}
+			}
+			if oracles != len(opt.Benchmarks) {
+				t.Fatalf("%d oracle cells, want one per benchmark", oracles)
+			}
+
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			var first []string
+			opt.Progress = func(u runpool.Update) {
+				first = append(first, u.Label)
+				cancel()
+			}
+			_, err := ByID(ctx, tc.id, opt)
+			var pe *runpool.PartialError
+			if !errors.As(err, &pe) {
+				t.Fatalf("cancelled run: %v, want a *runpool.PartialError", err)
+			}
+			if pe.Total != total || !reflect.DeepEqual(pe.Completed, first) {
+				t.Fatalf("partial progress %v of %d, want %v of %d", pe.Completed, pe.Total, first, total)
 			}
 		})
 	}

@@ -22,21 +22,27 @@
 // The tree is sparse: only paths touching protected lines materialize,
 // with absent children treated as the zero digest, so gigabyte-scale
 // address spaces cost memory proportional to the touched working set.
-// A leaf's digest is stored once, in its level-1 parent's slot.
+// A leaf's digest is stored once, in its level-1 parent's slot. Each
+// level keeps its nodes in a flat table indexed by node number (package
+// paged), so a walk indexes arrays instead of hashing keys, and a node
+// keeps its children's digests back to back, so it hashes in one call.
 //
-// A frozen tree is a shareable image: Clone hands each copy the frozen
-// nodes, and a copy duplicates a node only before it first writes it.
+// A frozen tree is a shareable image: Clone gives each copy a
+// copy-on-write view of every level, so a clone costs the same for any
+// node count. A copy duplicates a table page the first time it writes a
+// node on it, and the node itself before its first write; Release hands
+// its pages back for the next clone.
 package integrity
 
 import (
 	"encoding/binary"
-	"maps"
 	"math/bits"
 	"slices"
 
 	"ctrpred/internal/cache"
 	"ctrpred/internal/ctr"
 	"ctrpred/internal/dram"
+	"ctrpred/internal/paged"
 	"ctrpred/internal/sha256"
 	"ctrpred/internal/stats"
 )
@@ -107,11 +113,13 @@ type nodeKey struct {
 }
 
 type node struct {
-	children []Digest
-	// stale has bit i set while children[i] lags behind child i's
-	// digest; the slot is refreshed when this node's digest is read.
+	// children holds the Arity child digests back to back: slot i is
+	// children[i*sha256.Size:(i+1)*sha256.Size].
+	children []byte
+	// stale has bit i set while slot i lags behind child i's digest;
+	// the slot is refreshed when this node's digest is read.
 	stale uint64
-	// leaves has bit i set once a level-1 node's children[i] holds an
+	// leaves has bit i set once a level-1 node's slot i holds an
 	// installed leaf digest.
 	leaves uint64
 	sum    Digest
@@ -121,11 +129,23 @@ type node struct {
 	shared bool
 }
 
+// child returns slot i's digest.
+func (n *node) child(i int) Digest {
+	return Digest(n.children[i*sha256.Size : (i+1)*sha256.Size])
+}
+
+// setChild stores d in slot i.
+func (n *node) setChild(i int, d Digest) {
+	copy(n.children[i*sha256.Size:], d[:])
+}
+
 // Tree is the integrity tree plus its timing model.
 type Tree struct {
-	cfg   Config
-	nodes map[nodeKey]*node
-	root  Digest // on-chip, always trusted
+	cfg Config
+	// levels[l-1] holds level l's nodes by index. A clone's levels are
+	// copy-on-write views of its image's.
+	levels []*paged.Table[*node]
+	root   Digest // on-chip, always trusted
 	// top is the top node of the last updated path; while topDirty,
 	// root has yet to be read from it.
 	top       nodeKey
@@ -134,6 +154,7 @@ type Tree struct {
 	dram      *dram.DRAM
 	stats     Stats
 	frozen    bool // set by Freeze: only Clone may use the tree
+	clone     bool // set by Clone: the levels are views of an image
 }
 
 // New builds an empty tree over the given DRAM channel (used for node
@@ -143,9 +164,12 @@ func New(cfg Config, d *dram.DRAM) *Tree {
 		panic("integrity: invalid tree geometry")
 	}
 	t := &Tree{
-		cfg:   cfg,
-		nodes: make(map[nodeKey]*node),
-		dram:  d,
+		cfg:    cfg,
+		levels: make([]*paged.Table[*node], cfg.Levels),
+		dram:   d,
+	}
+	for i := range t.levels {
+		t.levels[i] = paged.New[*node](1) // keyed by node index
 	}
 	if cfg.NodeCacheBytes > 0 {
 		nodeBytes := cfg.Arity * sha256.Size
@@ -173,7 +197,7 @@ func (t *Tree) Stats() Stats { return t.stats }
 // recently updated path, as of that Update.
 func (t *Tree) Root() Digest {
 	if t.topDirty {
-		t.root = t.nodeDigest(t.top, t.nodes[t.top])
+		t.root = t.nodeDigest(t.top, t.node(t.top))
 		t.topDirty = false
 	}
 	return t.root
@@ -198,29 +222,35 @@ func (t *Tree) parentOf(level int, index uint64) (nodeKey, int) {
 		int(index % uint64(t.cfg.Arity))
 }
 
+// node returns node k, or nil when nothing was ever written under it.
+func (t *Tree) node(k nodeKey) *node {
+	if p := t.levels[k.level-1].Lookup(k.index); p != nil {
+		return *p
+	}
+	return nil
+}
+
 // writable returns node k for writing: created when absent, and copied
 // out of the frozen tree it is shared with before the first write.
 func (t *Tree) writable(k nodeKey) *node {
-	n := t.nodes[k]
-	switch {
+	p, _ := t.levels[k.level-1].Ensure(k.index)
+	switch n := *p; {
 	case n == nil:
-		n = &node{children: make([]Digest, t.cfg.Arity)}
-		t.nodes[k] = n
+		*p = &node{children: make([]byte, t.cfg.Arity*sha256.Size)}
 	case n.shared:
 		own := *n
 		own.children = slices.Clone(n.children)
 		own.shared = false
-		n = &own
-		t.nodes[k] = n
+		*p = &own
 	}
-	return n
+	return *p
 }
 
 // leaf returns lineAddr's level-1 parent and slot, and whether the leaf
 // was ever installed.
 func (t *Tree) leaf(lineAddr uint64) (*node, int, bool) {
 	k, slot := t.parentOf(0, t.leafIndex(lineAddr))
-	n := t.nodes[k]
+	n := t.node(k)
 	return n, slot, n != nil && n.leaves&(1<<slot) != 0
 }
 
@@ -237,15 +267,10 @@ func (t *Tree) nodeDigest(k nodeKey, n *node) Digest {
 		for s := n.stale; s != 0; s &= s - 1 {
 			i := bits.TrailingZeros64(s)
 			ck := nodeKey{level: k.level - 1, index: k.index*uint64(t.cfg.Arity) + uint64(i)}
-			n.children[i] = t.nodeDigest(ck, t.nodes[ck])
+			n.setChild(i, t.nodeDigest(ck, t.node(ck)))
 		}
 		n.stale = 0
-		var h sha256.Digest
-		h.Reset()
-		for i := range n.children {
-			h.Write(n.children[i][:])
-		}
-		n.sum = h.Checksum()
+		n.sum = sha256.Sum256(n.children)
 		n.valid = true
 	}
 	return n.sum
@@ -277,7 +302,7 @@ func (t *Tree) Update(now uint64, lineAddr uint64, counter uint64, ct ctr.Line) 
 		k, slot := t.parentOf(level, index)
 		n := t.writable(k)
 		if level == 0 {
-			n.children[slot] = d
+			n.setChild(slot, d)
 			n.leaves |= 1 << slot
 		} else {
 			n.stale |= 1 << slot
@@ -317,7 +342,7 @@ func (t *Tree) Verify(now uint64, lineAddr uint64, counter uint64, ct ctr.Line) 
 		t.stats.TamperDetected++
 		return false, now
 	}
-	want := parent.children[slot]
+	want := parent.child(slot)
 	got := t.leafDigest(lineAddr, counter, ct)
 	authentic := got == want
 
@@ -336,15 +361,15 @@ func (t *Tree) Verify(now uint64, lineAddr uint64, counter uint64, ct ctr.Line) 
 		// The path exists: Update built it when it installed the leaf. A
 		// node is stale only after a write below it, which made it this
 		// tree's own, so a shared node is only ever read here.
-		n := t.nodes[k]
+		n := t.node(k)
 		if belowNode != nil {
 			d = t.nodeDigest(below, belowNode)
 			if n.stale&(1<<slot) != 0 {
-				n.children[slot] = d
+				n.setChild(slot, d)
 				n.stale &^= 1 << slot
 			}
 		}
-		if n.children[slot] != d {
+		if n.child(slot) != d {
 			authentic = false
 		}
 		below, belowNode = k, n
@@ -399,43 +424,74 @@ func (t *Tree) CorruptPath(lineAddr uint64, level int, bit int) bool {
 	for top.level < t.cfg.Levels {
 		top, _ = t.parentOf(top.level, top.index)
 	}
-	t.nodeDigest(top, t.nodes[top])
-	n.children[slot][(bit/8)%sha256.Size] ^= 1 << (bit % 8)
+	t.nodeDigest(top, t.node(top))
+	n.children[slot*sha256.Size+(bit/8)%sha256.Size] ^= 1 << (bit % 8)
 	n.valid = false
 	return true
 }
 
 // NodeCount reports materialized interior nodes (tests).
-func (t *Tree) NodeCount() int { return len(t.nodes) }
+func (t *Tree) NodeCount() int {
+	n := 0
+	for _, lv := range t.levels {
+		n += lv.Count()
+	}
+	return n
+}
 
 // Freeze settles every pending digest and marks all nodes shared, making
 // the tree an image for Clone. Settling only computes now what reads
 // would compute later, so no result changes. The frozen tree must not be
-// used afterwards except through Clone, which may run concurrently.
+// used afterwards except through Clone, which may run concurrently. A
+// clone cannot be frozen: its levels are views of another image.
 func (t *Tree) Freeze() {
-	for k, n := range t.nodes {
-		t.nodeDigest(k, n)
+	if t.clone {
+		panic("integrity: Freeze of a clone")
+	}
+	for l, lv := range t.levels {
+		lv.ForEach(func(index uint64, n **node) {
+			t.nodeDigest(nodeKey{level: l + 1, index: index}, *n)
+		})
 	}
 	t.Root()
-	for _, n := range t.nodes {
-		n.shared = true
+	for _, lv := range t.levels {
+		lv.ForEach(func(_ uint64, n **node) { (*n).shared = true })
+		lv.Freeze()
 	}
 	t.frozen = true
 }
 
 // Clone returns a copy of a frozen tree bound to DRAM channel d: it
-// shares the frozen nodes until it writes them and starts from the
-// image's root, node-cache contents and statistics.
+// reads the frozen nodes until it writes them and starts from the
+// image's root, node-cache contents and statistics. Its cost does not
+// grow with the image's node count.
 func (t *Tree) Clone(d *dram.DRAM) *Tree {
 	if !t.frozen {
 		panic("integrity: Clone of a tree that is not frozen")
 	}
 	c := *t
-	c.frozen = false
-	c.nodes = maps.Clone(t.nodes)
+	c.frozen, c.clone = false, true
+	c.levels = make([]*paged.Table[*node], len(t.levels))
+	for i, lv := range t.levels {
+		c.levels[i] = paged.NewView(lv)
+	}
 	if t.nodeCache != nil {
 		c.nodeCache = t.nodeCache.Clone()
 	}
 	c.dram = d
 	return &c
+}
+
+// Release hands a clone's table pages back to its image, whose next
+// clone reuses them; the pages drop their node pointers first, so a
+// pooled page keeps no dead clone's nodes alive. The tree must not be
+// used afterwards. It is a no-op on a tree that is not a clone.
+func (t *Tree) Release() {
+	if !t.clone {
+		return
+	}
+	for _, lv := range t.levels {
+		lv.ForEach(func(_ uint64, n **node) { *n = nil })
+		lv.Release()
+	}
 }

@@ -1,6 +1,8 @@
 package integrity
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -299,6 +301,125 @@ func TestCloneMatchesOriginal(t *testing.T) {
 		if ok, _ := clones[1].Verify(0, la, 1, line(byte(i))); !ok {
 			t.Fatalf("line %#x rejected by the untouched clone", la)
 		}
+	}
+}
+
+// allocatedBytes reports the heap bytes fn allocates, averaged over
+// runs calls.
+func allocatedBytes(runs int, fn func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		fn()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// frozenImage freezes a tree loaded with lines consecutive lines.
+func frozenImage(lines int) *Tree {
+	img := New(DefaultConfig(), nil)
+	for i := range lines {
+		img.Update(0, uint64(i)*32, 1, line(byte(i)))
+	}
+	img.Freeze()
+	return img
+}
+
+// TestCloneCostIndependentOfNodeCount pins Clone to a fixed cost: a
+// clone views the image's levels instead of copying its nodes, so
+// cloning an image of about 9,400 nodes allocates no more than cloning
+// one of 8.
+func TestCloneCostIndependentOfNodeCount(t *testing.T) {
+	small, large := frozenImage(8), frozenImage(1<<16)
+	if small.NodeCount() != 8 || large.NodeCount() < 9000 {
+		t.Fatalf("images hold %d and %d nodes", small.NodeCount(), large.NodeCount())
+	}
+	smallBytes := allocatedBytes(50, func() { small.Clone(nil) })
+	largeBytes := allocatedBytes(50, func() { large.Clone(nil) })
+	if largeBytes > smallBytes+smallBytes/4 {
+		t.Errorf("cloning %d nodes allocates %d B, %d nodes %d B: clone cost grows with node count",
+			large.NodeCount(), largeBytes, small.NodeCount(), smallBytes)
+	}
+}
+
+// TestReleaseRecyclesPages checks that a released clone's table pages
+// serve the next clone: a clone that writes one path and is released
+// costs the same steady-state bytes as the path's node copies, not a
+// fresh page per level, and the image stays intact for later clones.
+func TestReleaseRecyclesPages(t *testing.T) {
+	img := frozenImage(64)
+	root := img.Root()
+	write := func(release bool) func() {
+		return func() {
+			c := img.Clone(nil)
+			c.Update(0, 0, 9, line(9))
+			if release {
+				c.Release()
+			}
+		}
+	}
+	write(true)() // seed the pool
+	kept := allocatedBytes(20, write(false))
+	released := allocatedBytes(20, write(true))
+	// A page holds 2048 node pointers (16 KiB); each kept clone
+	// allocates one per level it writes.
+	const page = 2048 * 8
+	if kept-released < uint64(img.Config().Levels)*page {
+		t.Errorf("a released clone saves %d B of the %d B a kept one allocates; want at least a page per level",
+			kept-released, kept)
+	}
+	c := img.Clone(nil)
+	if c.Root() != root {
+		t.Fatal("released clones' writes reached the image")
+	}
+	for i := range 64 {
+		if ok, _ := c.Verify(0, uint64(i)*32, 1, line(byte(i))); !ok {
+			t.Fatalf("line %d rejected after clones were released", i)
+		}
+	}
+}
+
+// TestConcurrentClones races clones of one image, as a sweep's
+// integrity machines do: each writes and verifies its own lines, checks
+// its root against the same stream run alone, and releases its pages
+// into the pool the others draw from.
+func TestConcurrentClones(t *testing.T) {
+	img := frozenImage(256)
+	stream := func(tr *Tree, g int) (Digest, bool) {
+		ok := true
+		for i := range 64 {
+			la := uint64((i*37+g)%256) * 32
+			tr.Update(uint64(i), la, uint64(2+g), line(byte(g)))
+			authentic, _ := tr.Verify(uint64(i), la, uint64(2+g), line(byte(g)))
+			ok = ok && authentic
+		}
+		return tr.Root(), ok
+	}
+	const goroutines = 8
+	want := make([]Digest, goroutines)
+	for g := range want {
+		c := img.Clone(nil)
+		want[g], _ = stream(c, g)
+		c.Release()
+	}
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range 4 {
+				c := img.Clone(nil)
+				if root, ok := stream(c, g); root != want[g] || !ok {
+					t.Errorf("clone %d: root %x (all verified: %v), alone %x", g, root, ok, want[g])
+				}
+				c.Release()
+			}
+		}()
+	}
+	wg.Wait()
+	if img.Clone(nil).Root() != frozenImage(256).Root() {
+		t.Fatal("concurrent clones' writes reached the image")
 	}
 }
 

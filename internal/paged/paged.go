@@ -1,9 +1,11 @@
 // Package paged provides the line-granular backing store behind the
-// simulator's hot memory tables (the architectural image in package mem
-// and the encrypted-RAM state in package secmem). The seed implementation
-// kept those tables in Go maps, which put a hash + probe on every load,
-// store and fetch; workload footprints are bounded and known at config
-// time, so the common case deserves plain array indexing.
+// simulator's hot memory tables: the architectural image in package mem,
+// the encrypted-RAM state in package secmem, and each level of the
+// integrity tree (keyed by node index, with a line size of 1). The seed
+// implementation kept those tables in Go maps, which put a hash + probe
+// on every load, store and fetch; workload footprints are bounded and
+// known at config time, so the common case deserves plain array
+// indexing.
 //
 // A Table divides the line-address space into fixed 64 KiB pages (2048
 // 32-byte lines). Pages below the dense horizon (4 GiB) live behind a

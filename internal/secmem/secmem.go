@@ -659,9 +659,12 @@ func (c *Controller) AgeLine(vaddr uint64, offset uint64) {
 // own pad table, so an integrity-only template allocates no slots.
 type AgedTemplate struct {
 	ctrs *paged.Table[ctrState]
-	// ks and image are the slot seal's key and frozen plaintext.
-	ks    *ctr.Keystream
-	image *mem.Memory
+	// ks and image are the slot seal's key and frozen plaintext. A
+	// keystream serves one goroutine at a time, and controllers seal
+	// slots and tree loads seal lines concurrently: sealMu takes turns.
+	ks     *ctr.Keystream
+	image  *mem.Memory
+	sealMu sync.Mutex
 
 	padOnce sync.Once
 	// slots is the pad half, built by padOnce and frozen before any
@@ -734,9 +737,16 @@ func (t *AgedTemplate) LoadTree(tree *integrity.Tree, lines func(yield func(la u
 			return
 		}
 		seq := t.ctrs.Lookup(la).seq
-		sealPad(t.ks, t.image, &ps, la, seq)
+		t.seal(&ps, la, seq)
 		tree.Update(0, la, seq, ps.enc)
 	})
+}
+
+// seal is sealPad under the template key, from any goroutine.
+func (t *AgedTemplate) seal(ps *padState, la, seq uint64) {
+	t.sealMu.Lock()
+	sealPad(t.ks, t.image, ps, la, seq)
+	t.sealMu.Unlock()
 }
 
 // buildPadHalf allocates one empty slot per counter-half line, and the
@@ -758,7 +768,7 @@ func (t *AgedTemplate) slot(la uint64) *padState {
 		return &s.ps
 	}
 	if s.state.CompareAndSwap(slotEmpty, slotSealing) {
-		sealPad(t.ks, t.image, &s.ps, la, t.ctrs.Lookup(la).seq)
+		t.seal(&s.ps, la, t.ctrs.Lookup(la).seq)
 		t.nsealed.Add(1)
 		s.state.Store(slotSealed)
 		return &s.ps
@@ -807,11 +817,15 @@ func (c *Controller) UseAgedTemplate(t *AgedTemplate) {
 }
 
 // Release returns the controller's copy-on-write line state to the aged
-// template's page pools (a no-op unless UseAgedTemplate attached one).
-// The controller must not be used afterward.
+// template's page pools (a no-op unless UseAgedTemplate attached one),
+// and a cloned tree's node pages to its image. The controller must not
+// be used afterward.
 func (c *Controller) Release() {
 	c.ctrs.Release()
 	c.pads.Release()
+	if c.tree != nil {
+		c.tree.Release()
+	}
 }
 
 // FetchLine services an L2 miss for the line containing vaddr, starting

@@ -1,13 +1,23 @@
-// Package sha256 implements the SHA-256 hash function (FIPS 180-4) from
-// scratch. It underpins the integrity layer (package integrity): the
-// paper notes that counter-mode encryption is malleable and "extra or
-// additional measures such as Hash/MAC tree for integrity protection must
-// be used together with counter mode encryption" (Section 2.2), citing
-// the AEGIS-style trees; this package provides the hash those trees are
-// built from.
+// Package sha256 provides the SHA-256 hash function (FIPS 180-4) that
+// underpins the integrity layer (package integrity): the paper notes that
+// counter-mode encryption is malleable and "extra or additional measures
+// such as Hash/MAC tree for integrity protection must be used together
+// with counter mode encryption" (Section 2.2), citing the AEGIS-style
+// trees; this package provides the hash those trees are built from.
+//
+// Sum256 runs the standard library's crypto/sha256, which uses the CPU's
+// SHA instructions where it has them and a portable fallback elsewhere
+// (build with -tags purego to force the fallback). Digest is the
+// package's own incremental implementation of the FIPS 180-4 padding and
+// compression function, kept as the reference the tests hold Sum256 to
+// on the FIPS 180-4 vectors and on inputs of every length across the
+// padding edges.
 package sha256
 
-import "encoding/binary"
+import (
+	stdsha256 "crypto/sha256"
+	"encoding/binary"
+)
 
 // Size is the digest length in bytes.
 const Size = 32
@@ -26,8 +36,8 @@ var k = [64]uint32{
 	0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 }
 
-// Digest is an incremental SHA-256 computation. The zero value is NOT
-// valid; use New.
+// Digest is the incremental SHA-256 reference. The zero
+// value is NOT valid; use New.
 type Digest struct {
 	h      [8]uint32
 	block  [BlockSize]byte
@@ -136,10 +146,7 @@ func (d *Digest) compress(p []byte) {
 	d.h[7] += h
 }
 
-// Sum256 returns the SHA-256 digest of data.
+// Sum256 returns the SHA-256 digest of data. It allocates nothing.
 func Sum256(data []byte) [Size]byte {
-	var d Digest
-	d.Reset()
-	d.Write(data)
-	return d.Checksum()
+	return stdsha256.Sum256(data)
 }

@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 
+	"ctrpred/internal/ctr"
 	"ctrpred/internal/faults"
 	"ctrpred/internal/predictor"
 	"ctrpred/internal/workload"
@@ -39,6 +40,76 @@ func TestSteadyStateAccessAllocFree(t *testing.T) {
 		t.Errorf("steady-state L2-hit access allocates %v times per run, want 0", n)
 	}
 }
+
+// TestSteadyStateMissAllocFree pins the counter-mode fetch and
+// writeback paths: five stores whose lines share one L2 set (64 KiB
+// apart) and one L1D set cycle through the 4-way L2, so every store
+// misses the L2, fetches and decrypts its line, and evicts a dirty line,
+// which re-encrypts under a fresh pad. Self-check is off because its
+// pad tracker's table doubles as it records new pads, an amortized
+// growth this guard does not pin.
+func TestSteadyStateMissAllocFree(t *testing.T) {
+	cfg := DefaultConfig(SchemePred(predictor.SchemeContext))
+	cfg.Scale = workload.Scale{Footprint: 1 << 16, Instructions: 1_000}
+	cfg.Mem.FlushInterval = 0
+	cfg.SelfCheck = false
+	m, err := NewMachine("mcf", cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+
+	stride := uint64(cfg.Mem.L2Size / cfg.Mem.L2Ways)
+	var now uint64
+	cycle := func() {
+		for i := range uint64(cfg.Mem.L2Ways + 1) {
+			now = m.Sys.Access(now, 1<<20+i*stride, true)
+		}
+	}
+	cycle()
+	cycle()
+	before := m.Ctrl.Stats()
+	if n := testing.AllocsPerRun(200, cycle); n != 0 {
+		t.Errorf("steady-state L2-miss fetch and writeback allocate %v times per run, want 0", n)
+	}
+	after := m.Ctrl.Stats()
+	if after.Fetches == before.Fetches || after.Evictions == before.Evictions {
+		t.Fatalf("measured loop fetched %d and evicted %d lines, want both > 0",
+			after.Fetches-before.Fetches, after.Evictions-before.Evictions)
+	}
+}
+
+// TestPadOnStackAllocFree pins pad generation to the caller's stack: a
+// pad declared inside the measured function must stay there, although
+// the AES kernel is reached through an interface that would move any
+// buffer handed to it to the heap.
+func TestPadOnStackAllocFree(t *testing.T) {
+	ks := ctr.NewKeystream(machineKey(1))
+	if n := testing.AllocsPerRun(100, func() {
+		var pad ctr.Pad
+		ks.PadInto(&pad, 1<<20, 42)
+		sinkByte ^= pad[0]
+	}); n != 0 {
+		t.Errorf("PadInto into a stack pad allocates %v times per run, want 0", n)
+	}
+}
+
+// TestDirectCipherAllocFree pins direct-mode encryption, which runs on
+// every fetch and writeback of a direct-mode machine, to the stack.
+func TestDirectCipherAllocFree(t *testing.T) {
+	dc := ctr.NewDirectCipher(machineKey(1))
+	if n := testing.AllocsPerRun(100, func() {
+		var plain ctr.Line
+		plain[0] = 1
+		enc := dc.EncryptLine(plain, 1<<20)
+		dec := dc.DecryptLine(enc, 1<<20)
+		sinkByte ^= dec[0]
+	}); n != 0 {
+		t.Errorf("DirectCipher round trip allocates %v times per run, want 0", n)
+	}
+}
+
+var sinkByte byte
 
 // TestHitRateSteadyStateAllocs pins the per-run allocation behavior the
 // functional-mode sweeps depend on: once the (benchmark, scale, seed)

@@ -303,8 +303,9 @@ type side struct {
 func (m *Machine) OnProgress(fn func(committed uint64)) { m.progress = fn }
 
 // Close returns the machine's copy-on-write pages — the architectural
-// image view and the controllers' line state — to their templates'
-// shared pools, so the next machine of the sweep reuses the memory
+// image view, the controllers' line state and a cloned integrity tree's
+// node tables — to their templates' shared pools, so the next machine of
+// the sweep reuses the memory
 // instead of allocating it. The machine must not be run or inspected
 // afterward. Optional: an unclosed machine is reclaimed by the garbage
 // collector as usual, it just recycles nothing.

@@ -67,15 +67,13 @@ func (r Sweep) Resolve() (experiments.Options, error) {
 	if !slices.Contains(experiments.IDs(), r.ID) {
 		return zero, fmt.Errorf("%w %q (valid: %s)", experiments.ErrUnknownExperiment, r.ID, strings.Join(experiments.IDs(), ", "))
 	}
-	for i, b := range r.Benchmarks {
+	for _, b := range r.Benchmarks {
 		if err := knownBenchmark(b); err != nil {
 			return zero, err
 		}
-		// A grid has one row per benchmark: a repeat would be counted
-		// twice in a node's Average but once in a cluster merge.
-		if slices.Contains(r.Benchmarks[:i], b) {
-			return zero, fmt.Errorf("benchmarks: %q listed twice", b)
-		}
+	}
+	if err := experiments.CheckBenchmarks(r.Benchmarks); err != nil {
+		return zero, err
 	}
 	opt := experiments.DefaultOptions()
 	opt.Benchmarks = r.Benchmarks
