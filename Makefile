@@ -15,12 +15,24 @@
 # BENCH_FLAGS=-force) and prints non-blocking warnings for metrics that
 # regressed >10% against the previous entry. See EXPERIMENTS.md for the
 # profiling workflow built on top of it.
+#
+# `make bench-ab BASE=<rev>` is a same-session A/B of the root
+# benchmarks: it builds the root test binary of <rev> (from git archive,
+# with this tree's bench_test.go copied in, so both sides run the same
+# benchmarks) and this tree's own, runs the two alternately for ROUNDS
+# rounds of 5 iterations over the BENCH regexp, and records each side in
+# BENCH_sim.json as $(BENCH_LABEL)-parent and $(BENCH_LABEL). The
+# binaries and their output live in a temporary directory (under
+# $TMPDIR) removed on exit.
 
 GO ?= go
 BENCH_LABEL ?= local
 BENCH_FLAGS ?=
+BASE ?=
+ROUNDS ?= 8
+BENCH ?= .
 
-.PHONY: fmt build vet test purego race fuzz smoke ctrbench-test verify bench
+.PHONY: fmt build vet test purego race fuzz smoke ctrbench-test verify bench bench-ab
 
 # Every tracked Go file must be gofmt-clean; the target lists offenders
 # and fails when there are any.
@@ -91,3 +103,22 @@ verify: fmt build vet test purego race fuzz smoke ctrbench-test
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime 1x . \
 		| $(GO) run ./cmd/benchjson -label '$(BENCH_LABEL)' $(BENCH_FLAGS) -o BENCH_sim.json
+
+# Odd rounds run the base first, even rounds this tree, so neither side
+# always runs on the warmer (or the more contended) half of a round.
+bench-ab:
+	@test -n "$(BASE)" || { echo "usage: make bench-ab BASE=<rev> [ROUNDS=8] [BENCH=regexp] [BENCH_LABEL=name]" >&2; exit 2; }
+	@set -e; dir=$$(mktemp -d); trap 'rm -rf "$$dir"' EXIT; \
+	mkdir "$$dir/base"; git archive "$(BASE)" | tar -x -C "$$dir/base"; \
+	cp bench_test.go "$$dir/base/"; \
+	(cd "$$dir/base" && $(GO) test -c -o "$$dir/base.test" .); \
+	$(GO) test -c -o "$$dir/head.test" .; \
+	run() { (cd "$$2" && "$$dir/$$1.test" -test.run '^$$' -test.bench '$(BENCH)' \
+		-test.benchmem -test.benchtime 5x) >> "$$dir/$$1.out"; }; \
+	for i in $$(seq $(ROUNDS)); do \
+		echo "bench-ab: round $$i of $(ROUNDS)" >&2; \
+		if [ $$((i % 2)) = 1 ]; then run base "$$dir/base"; run head .; \
+		else run head .; run base "$$dir/base"; fi; \
+	done; \
+	$(GO) run ./cmd/benchjson -q -label '$(BENCH_LABEL)-parent' $(BENCH_FLAGS) -o BENCH_sim.json < "$$dir/base.out"; \
+	$(GO) run ./cmd/benchjson -q -label '$(BENCH_LABEL)' $(BENCH_FLAGS) -o BENCH_sim.json < "$$dir/head.out"

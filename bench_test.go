@@ -12,6 +12,9 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"ctrpred/internal/mem"
+	"ctrpred/internal/workload"
 )
 
 // benchOptions is the per-figure budget used by the benchmarks.
@@ -305,21 +308,24 @@ func BenchmarkIntegrityMachine256K(b *testing.B) {
 // iteration or benchmark used.
 var coldSeed uint64 = 1 << 40
 
-// benchColdTemplate times NewMachine with an uncached (benchmark, scale,
-// seed) template: every iteration takes a fresh seed, so each builds the
-// program, image and aged state from scratch. The other root benchmarks
-// warm their templates before timing; this one prices the build.
-func benchColdTemplate(b *testing.B, bench string, cfg Config) {
+// benchColdTemplate times NewMachine with uncached (benchmark, scale,
+// seed) templates: every iteration takes a fresh seed, so each builds the
+// program, image and aged state of every named benchmark from scratch.
+// The other root benchmarks warm their templates before timing; this one
+// prices the build, per template.
+func benchColdTemplate(b *testing.B, cfg Config, benches ...string) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		coldSeed++
-		m, err := NewMachine(bench, cfg.WithSeed(coldSeed))
-		if err != nil {
-			b.Fatal(err)
+		for _, bench := range benches {
+			m, err := NewMachine(bench, cfg.WithSeed(coldSeed))
+			if err != nil {
+				b.Fatal(err)
+			}
+			m.Close()
 		}
-		m.Close()
 	}
-	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/template")
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N*len(benches)), "ms/template")
 }
 
 // BenchmarkTemplateColdHitRate8M is a cold counters-only machine at the
@@ -329,7 +335,7 @@ func BenchmarkTemplateColdHitRate8M(b *testing.B) {
 	cfg := DefaultConfig(SchemePred(PredRegular)).WithMode(ModeHitRate)
 	cfg.Scale = Scale{Footprint: 8 << 20, Instructions: 1_000_000}
 	cfg.SelfCheck = false
-	benchColdTemplate(b, "mcf", cfg)
+	benchColdTemplate(b, cfg, "mcf")
 }
 
 // BenchmarkTemplateColdFull1M is a cold full-model machine at
@@ -338,7 +344,35 @@ func BenchmarkTemplateColdHitRate8M(b *testing.B) {
 func BenchmarkTemplateColdFull1M(b *testing.B) {
 	cfg := DefaultConfig(SchemePred(PredContext))
 	cfg.Scale = Scale{Footprint: 1 << 20, Instructions: 50_000}
-	benchColdTemplate(b, "mcf", cfg)
+	benchColdTemplate(b, cfg, "mcf")
+}
+
+// BenchmarkTemplateColdService512K is the template a cold service-mix
+// /v1/sim builds before it runs: full-model pred-context machines for
+// mcf, swim and gzip at 512 KiB and 20k instructions, each iteration on a
+// fresh seed, built and closed without running.
+func BenchmarkTemplateColdService512K(b *testing.B) {
+	cfg := DefaultConfig(SchemePred(PredContext))
+	cfg.Scale = Scale{Footprint: 512 << 10, Instructions: 20_000}
+	benchColdTemplate(b, cfg, "mcf", "swim", "gzip")
+}
+
+// BenchmarkWorkloadBuild8M builds every benchmark's program and image at
+// the hit-rate figures' 8 MiB footprint, on a fresh seed each iteration:
+// the image half of a cold hit-rate template, per build.
+func BenchmarkWorkloadBuild8M(b *testing.B) {
+	s := workload.Scale{Footprint: 8 << 20, Instructions: 1_000_000}
+	names := workload.Names()
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		coldSeed++
+		for _, name := range names {
+			if _, err := workload.Build(name, s, mem.New(), coldSeed); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N*len(names)), "ms/build")
 }
 
 // BenchmarkColdSimFull512K is a cold /v1/sim of cmd/ctrbench's

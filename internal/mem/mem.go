@@ -11,6 +11,7 @@
 package mem
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"ctrpred/internal/ctr"
@@ -97,6 +98,23 @@ func (m *Memory) Store(addr uint64, size int, val uint64) {
 	}
 }
 
+// StoreWords writes words as consecutive little-endian 8-byte values from
+// addr, which must be 8-byte aligned, up to at most the end of addr's
+// line: the bulk path image builders write through, one table lookup per
+// line instead of one per word. Bytes of the line past the last word keep
+// their contents.
+func (m *Memory) StoreWords(addr uint64, words ...uint64) {
+	off := int(addr % uint64(ctr.LineSize))
+	if addr%8 != 0 || off+8*len(words) > ctr.LineSize {
+		panic(fmt.Sprintf("mem: %d words at %#x cross a line boundary or are misaligned", len(words), addr))
+	}
+	l, _ := m.lines.Ensure(addr)
+	for _, w := range words {
+		binary.LittleEndian.PutUint64(l[off:], w)
+		off += 8
+	}
+}
+
 // LineAt returns a copy of the line containing addr.
 func (m *Memory) LineAt(addr uint64) ctr.Line {
 	if l := m.lines.Lookup(addr); l != nil {
@@ -157,4 +175,12 @@ func (m *Memory) TouchedLines() int { return m.lines.Count() }
 // copied pages, so call this on the underlying memory, not a view.
 func (m *Memory) ForEachLine(fn func(la uint64)) {
 	m.lines.ForEach(func(addr uint64, _ *ctr.Line) { fn(addr) })
+}
+
+// Cover makes every line m holds present in t as well, a page at a time
+// in ascending address order, calling fill (unless nil) with each line it
+// adds: how a template's counter half comes to shadow its image (see
+// paged.Cover). m must not be a view.
+func Cover[V any](t *paged.Table[V], m *Memory, fill func(la uint64, v *V)) {
+	paged.Cover(t, m.lines, fill)
 }

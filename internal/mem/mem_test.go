@@ -132,3 +132,38 @@ func TestStoreLoadProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+func TestStoreWords(t *testing.T) {
+	m := New()
+	m.Store(0x1018, 8, 0xffff) // last word of the line survives
+	m.StoreWords(0x1000, 1, 2, 3)
+	m.StoreWords(0x1028, 0x1122334455667788)
+	for addr, want := range map[uint64]uint64{
+		0x1000: 1, 0x1008: 2, 0x1010: 3, 0x1018: 0xffff, 0x1020: 0, 0x1028: 0x1122334455667788,
+	} {
+		if got := m.Load(addr, 8); got != want {
+			t.Errorf("Load(%#x) = %#x, want %#x", addr, got, want)
+		}
+	}
+	if n := m.TouchedLines(); n != 2 {
+		t.Errorf("TouchedLines = %d, want 2", n)
+	}
+	for name, f := range map[string]func(){
+		"crossing":   func() { m.StoreWords(0x1010, 1, 2, 3) },
+		"misaligned": func() { m.StoreWords(0x1004, 1) },
+		"frozen": func() {
+			f := New()
+			f.Freeze()
+			f.StoreWords(0, 1)
+		},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s StoreWords did not panic", name)
+				}
+			}()
+			f()
+		}()
+	}
+}

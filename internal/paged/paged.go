@@ -217,26 +217,11 @@ func (t *Table[V]) Ensure(addr uint64) (v *V, fresh bool) {
 	li := addr >> t.lineShift
 	pi := li >> pageLineBits
 	var p *page[V]
-	if pi < denseMaxPages {
-		if pi >= uint64(len(t.dense)) {
-			grown := make([]*page[V], pi+1)
-			copy(grown, t.dense)
-			t.dense = grown
-		}
+	if pi < uint64(len(t.dense)) {
 		p = t.dense[pi]
-		if p == nil {
-			p = t.newPage(pi)
-			t.dense[pi] = p
-		}
-	} else {
-		if t.sparse == nil {
-			t.sparse = make(map[uint64]*page[V])
-		}
-		p = t.sparse[pi]
-		if p == nil {
-			p = t.newPage(pi)
-			t.sparse[pi] = p
-		}
+	}
+	if p == nil {
+		p = t.ownPage(pi)
 	}
 	slot := li & (pageLines - 1)
 	word, bit := slot>>6, uint64(1)<<(slot&63)
@@ -248,6 +233,73 @@ func (t *Table[V]) Ensure(addr uint64) (v *V, fresh bool) {
 	return &p.lines[slot], fresh
 }
 
+// ownPage returns the table's own page pi, allocating it (on a view, as
+// a copy of the template's) if absent.
+func (t *Table[V]) ownPage(pi uint64) *page[V] {
+	if pi < denseMaxPages {
+		if pi >= uint64(len(t.dense)) {
+			grown := make([]*page[V], pi+1)
+			copy(grown, t.dense)
+			t.dense = grown
+		}
+		p := t.dense[pi]
+		if p == nil {
+			p = t.newPage(pi)
+			t.dense[pi] = p
+		}
+		return p
+	}
+	if t.sparse == nil {
+		t.sparse = make(map[uint64]*page[V])
+	}
+	p := t.sparse[pi]
+	if p == nil {
+		p = t.newPage(pi)
+		t.sparse[pi] = p
+	}
+	return p
+}
+
+// Cover makes every line present in src present in t as well, the bulk
+// form of calling Ensure for each of src's lines in ascending address
+// order. It walks src's presence bitmaps a page at a time, adds to each
+// of t's pages the lines it lacks with a few word operations, and calls
+// fill, unless it is nil, with the address and (zero) value of each line
+// it added, in ascending address order. A table built to shadow another
+// (a template's counters over its image, its pad slots over its
+// counters) so pays one page lookup per page, not one Ensure per line.
+// Both tables must share a line size; t must be neither frozen nor a
+// view, and src must not be a view, whose own pages are not its
+// contents.
+func Cover[V, W any](t *Table[V], src *Table[W], fill func(addr uint64, v *V)) {
+	switch {
+	case t.frozen:
+		panic("paged: Cover into a frozen table")
+	case t.ro != nil || src.ro != nil:
+		panic("paged: Cover on a view")
+	case t.lineShift != src.lineShift:
+		panic("paged: Cover across line sizes")
+	}
+	src.eachPage(func(pi uint64, sp *page[W]) {
+		p := t.ownPage(pi)
+		for w, used := range sp.used {
+			add := used &^ p.used[w]
+			if add == 0 {
+				continue
+			}
+			p.used[w] |= add
+			t.count += bits.OnesCount64(add)
+			if fill == nil {
+				continue
+			}
+			for b := add; b != 0; b &= b - 1 {
+				slot := uint64(w*64 + bits.TrailingZeros64(b))
+				fill((pi<<pageLineBits|slot)<<t.lineShift, &p.lines[slot])
+			}
+		}
+	})
+}
+
 // Count reports how many distinct lines have been Ensured.
 func (t *Table[V]) Count() int { return t.count }
 
@@ -256,7 +308,7 @@ func (t *Table[V]) Count() int { return t.count }
 // table's own pages only (views walk their template separately if they
 // need to) and must not be called concurrently with Ensure.
 func (t *Table[V]) ForEach(fn func(addr uint64, v *V)) {
-	visit := func(pi uint64, p *page[V]) {
+	t.eachPage(func(pi uint64, p *page[V]) {
 		for w, word := range p.used {
 			for b := word; b != 0; b &= b - 1 {
 				slot := uint64(w*64) + uint64(bits.TrailingZeros64(b))
@@ -264,10 +316,14 @@ func (t *Table[V]) ForEach(fn func(addr uint64, v *V)) {
 				fn(li<<t.lineShift, &p.lines[slot])
 			}
 		}
-	}
+	})
+}
+
+// eachPage visits the table's own pages in ascending address order.
+func (t *Table[V]) eachPage(fn func(pi uint64, p *page[V])) {
 	for pi, p := range t.dense {
 		if p != nil {
-			visit(uint64(pi), p)
+			fn(uint64(pi), p)
 		}
 	}
 	if len(t.sparse) > 0 {
@@ -277,7 +333,7 @@ func (t *Table[V]) ForEach(fn func(addr uint64, v *V)) {
 		}
 		sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
 		for _, pi := range keys {
-			visit(pi, t.sparse[pi])
+			fn(pi, t.sparse[pi])
 		}
 	}
 }

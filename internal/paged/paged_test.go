@@ -1,6 +1,7 @@
 package paged
 
 import (
+	"slices"
 	"testing"
 
 	"ctrpred/internal/rng"
@@ -117,6 +118,120 @@ func TestBadLineSizePanics(t *testing.T) {
 				}
 			}()
 			New[int](sz)
+		}()
+	}
+}
+
+// TestCoverMatchesEnsure holds Cover to its per-line definition: Ensure
+// of every src line, in ascending address order, into a table that
+// already holds some lines. Both tables span dense pages (some full,
+// some with one line, some empty between them) and sparse pages past
+// the dense horizon; fill must see exactly the lines Ensure reports
+// fresh, in the same order, and the tables must end up equal.
+func TestCoverMatchesEnsure(t *testing.T) {
+	for seed := uint64(1); seed <= 4; seed++ {
+		r := rng.New(seed)
+		src := New[uint8](32)
+		var srcLines []uint64
+		add := func(la uint64) {
+			if _, fresh := src.Ensure(la); fresh {
+				srcLines = append(srcLines, la)
+			}
+		}
+		for i := uint64(0); i < pageLines; i++ { // a full page
+			add(3*pageLines*32 + i*32)
+		}
+		add(5 * pageLines * 32) // a page with one line, after an empty one
+		for n := 0; n < 3000; n++ {
+			la := r.Uint64() % (1 << 24) &^ 31
+			if pi := la >> 5 >> pageLineBits; pi >= 3 && pi <= 5 {
+				continue // keep pages 3 (full), 4 (empty) and 5 (one line)
+			}
+			if r.Bool(0.2) {
+				la += 1 << 32 // past the dense horizon
+			}
+			add(la)
+		}
+		slices.Sort(srcLines)
+
+		got, want := New[uint64](32), New[uint64](32)
+		for n := 0; n < 500; n++ { // lines the destination already holds
+			la := r.Uint64() % (1 << 25) &^ 31
+			if r.Bool(0.2) {
+				la = srcLines[r.Intn(len(srcLines))]
+			}
+			v, _ := got.Ensure(la)
+			*v = la ^ 1
+			v, _ = want.Ensure(la)
+			*v = la ^ 1
+		}
+		var wantFresh, gotFresh []uint64
+		for _, la := range srcLines {
+			if v, fresh := want.Ensure(la); fresh {
+				*v = la
+				wantFresh = append(wantFresh, la)
+			}
+		}
+		Cover(got, src, func(addr uint64, v *uint64) {
+			if *v != 0 {
+				t.Fatalf("seed %d: fill handed line %#x a nonzero value", seed, addr)
+			}
+			*v = addr
+			gotFresh = append(gotFresh, addr)
+		})
+		if !slices.Equal(gotFresh, wantFresh) {
+			t.Fatalf("seed %d: fill saw %d lines, Ensure made %d fresh (or in another order)", seed, len(gotFresh), len(wantFresh))
+		}
+		if got.Count() != want.Count() {
+			t.Fatalf("seed %d: Count %d, per-line %d", seed, got.Count(), want.Count())
+		}
+		type line struct{ addr, v uint64 }
+		var gl, wl []line
+		got.ForEach(func(addr uint64, v *uint64) { gl = append(gl, line{addr, *v}) })
+		want.ForEach(func(addr uint64, v *uint64) { wl = append(wl, line{addr, *v}) })
+		if !slices.Equal(gl, wl) {
+			t.Fatalf("seed %d: covered table differs from the per-line one", seed)
+		}
+
+		// A nil fill adds the same lines and leaves their values zero.
+		bare := New[uint64](32)
+		Cover(bare, src, nil)
+		if bare.Count() != len(srcLines) {
+			t.Fatalf("seed %d: nil-fill Count %d, want %d", seed, bare.Count(), len(srcLines))
+		}
+		for _, la := range srcLines {
+			if v := bare.Lookup(la); v == nil || *v != 0 {
+				t.Fatalf("seed %d: nil-fill line %#x = %v", seed, la, v)
+			}
+		}
+	}
+}
+
+// TestCoverRefuses pins Cover's preconditions: it never writes a frozen
+// table or a view, never reads a view's local pages as its contents, and
+// never pairs tables of different line sizes.
+func TestCoverRefuses(t *testing.T) {
+	src := New[int](32)
+	src.Ensure(64)
+	frozen := New[int](32)
+	frozen.Freeze()
+	tmpl := New[int](32)
+	tmpl.Ensure(64)
+	view := NewView(tmpl)
+	cases := map[string]func(){
+		"frozen destination": func() { Cover(frozen, src, nil) },
+		"view destination":   func() { Cover(view, src, nil) },
+		"view source":        func() { Cover(New[int](32), view, nil) },
+		"line sizes differ":  func() { Cover(New[int](64), src, nil) },
+	}
+	for name, f := range cases {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: Cover did not panic", name)
+				}
+			}()
+			f()
 		}()
 	}
 }

@@ -698,48 +698,60 @@ func (t *AgedTemplate) Lines() int { return t.ctrs.Count() }
 // full-model controllers have sealed so far.
 func (t *AgedTemplate) SealedLines() int { return int(t.nsealed.Load()) }
 
-// BuildAgedTemplate replays the aging setup loop once into the counter
-// half of a frozen template: visit yields the sampled (line address,
-// counter offset) pairs in setup order, roots maps a line address to its
-// page root counter (it is consulted exactly once per distinct line, in
-// first-touch order, so a caller drawing roots from a seeded stream
-// reproduces the per-run draw sequence), and ks/image supply the key and
-// plaintext for the pad half, sealed later line by line. Duplicate line
-// addresses are skipped exactly as Controller.AgeLine skips
-// already-touched lines. The caller must not modify image afterwards.
-func BuildAgedTemplate(ks *ctr.Keystream, image *mem.Memory, roots func(la uint64) uint64, visit func(yield func(la, offset uint64))) *AgedTemplate {
+// AgedLine is one sample of a workload's aging profile: the line at Addr
+// starts the measured window Offset updates past its page root.
+type AgedLine struct {
+	Addr, Offset uint64
+}
+
+// BuildAgedTemplate runs the aging setup once into the counter half of a
+// frozen template, in the order eager aging and first-touch
+// materialization would reach each line: first the aged samples, in
+// sampling order, each distinct line at its page root plus its offset
+// (a repeated line keeps its first sample, as Controller.AgeLine skips a
+// touched line); then every other line the image holds, in ascending
+// address order, at its page root. roots maps a line address to its
+// page root counter and is consulted exactly once per distinct line, in
+// that order, so a caller drawing roots from a seeded stream reproduces
+// the per-run draw sequence. The image's lines are added a page at a
+// time from its presence bitmaps. ks and image supply the key and
+// plaintext of the pad half, sealed later line by line; the caller must
+// not modify image afterwards.
+func BuildAgedTemplate(ks *ctr.Keystream, image *mem.Memory, roots func(la uint64) uint64, aged []AgedLine) *AgedTemplate {
 	t := &AgedTemplate{ctrs: paged.New[ctrState](ctr.LineSize), ks: ks, image: image}
-	visit(func(la, offset uint64) {
-		la = mem.LineAddr(la)
-		cs, fresh := t.ctrs.Ensure(la)
-		if !fresh {
-			return
+	for _, a := range aged {
+		la := mem.LineAddr(a.Addr)
+		if cs, fresh := t.ctrs.Ensure(la); fresh {
+			seq := roots(la) + a.Offset
+			cs.seq, cs.goodSeq = seq, seq
 		}
-		seq := roots(la) + offset
+	}
+	mem.Cover(t.ctrs, image, func(la uint64, cs *ctrState) {
+		seq := roots(la)
 		cs.seq, cs.goodSeq = seq, seq
 	})
 	t.ctrs.Freeze()
 	return t
 }
 
-// LoadTree installs into tree, at cycle 0 and in the order lines yields
-// them, the leaf of each distinct line: under its counter-half seq, over
-// its ciphertext sealed with the template key into a temporary. A line
-// the tree already holds is skipped, as AgeLine skips a touched line, so
-// yielding eager aging's samples reproduces the tree, node-cache and DRAM
-// state that aging leaves on an integrity machine. Every yielded line must
-// be a template line.
-func (t *AgedTemplate) LoadTree(tree *integrity.Tree, lines func(yield func(la uint64))) {
+// LoadTree installs into tree, at cycle 0 and in sampling order, the
+// leaf of each distinct aged line: under its counter-half seq, over its
+// ciphertext sealed with the template key into a temporary. A line the
+// tree already holds is skipped, as AgeLine skips a touched line, so
+// eager aging's samples reproduce the tree, node-cache and DRAM state
+// that aging leaves on an integrity machine. Every line must be a
+// template line.
+func (t *AgedTemplate) LoadTree(tree *integrity.Tree, aged []AgedLine) {
 	var ps padState
-	lines(func(la uint64) {
-		la = mem.LineAddr(la)
+	for _, a := range aged {
+		la := mem.LineAddr(a.Addr)
 		if tree.Has(la) {
-			return
+			continue
 		}
 		seq := t.ctrs.Lookup(la).seq
 		t.seal(&ps, la, seq)
 		tree.Update(0, la, seq, ps.enc)
-	})
+	}
 }
 
 // seal is sealPad under the template key, from any goroutine.
@@ -749,11 +761,12 @@ func (t *AgedTemplate) seal(ps *padState, la, seq uint64) {
 	t.sealMu.Unlock()
 }
 
-// buildPadHalf allocates one empty slot per counter-half line, and the
-// page pool, on the first full-model attach. It computes no pad.
+// buildPadHalf allocates one empty slot per counter-half line, a page of
+// slots per counter-half page, and the page pool, on the first
+// full-model attach. It computes no pad.
 func (t *AgedTemplate) buildPadHalf() {
 	t.slots = paged.New[padSlot](ctr.LineSize)
-	t.ctrs.ForEach(func(la uint64, _ *ctrState) { t.slots.Ensure(la) })
+	paged.Cover(t.slots, t.ctrs, nil)
 	t.slots.Freeze()
 	t.pool = paged.New[padState](ctr.LineSize)
 	t.pool.Freeze()

@@ -1,6 +1,7 @@
 package secmem
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -9,7 +10,9 @@ import (
 	"ctrpred/internal/dram"
 	"ctrpred/internal/integrity"
 	"ctrpred/internal/mem"
+	"ctrpred/internal/paged"
 	"ctrpred/internal/predictor"
+	"ctrpred/internal/rng"
 )
 
 // agedSetup is a small pre-aged workload: a written image and an aging
@@ -18,32 +21,39 @@ import (
 type agedSetup struct {
 	key   [32]byte
 	image *mem.Memory
-	ages  [][2]uint64 // (line address, counter offset) in setup order
+	lines []uint64   // the image's lines, ascending
+	ages  []AgedLine // the aging profile in setup order
 }
 
 func newAgedSetup() *agedSetup {
 	s := &agedSetup{image: mem.New()}
 	s.key[0] = 0x42
 	for i := uint64(0); i < 96; i++ {
-		s.image.Store(0x10000+i*40, 8, i*0x9e3779b97f4a7c15)
+		addr := 0x10000 + i*40
+		s.image.Store(addr, 8, i*0x9e3779b97f4a7c15)
+		if la := mem.LineAddr(addr); len(s.lines) == 0 || s.lines[len(s.lines)-1] != la {
+			s.lines = append(s.lines, la)
+		}
 	}
-	s.ages = [][2]uint64{{0x10040, 7}, {0x12000, 3}, {0x10040, 9}, {0x20000, 1}}
+	s.ages = []AgedLine{{0x10040, 7}, {0x12000, 3}, {0x10040, 9}, {0x20000, 1}}
 	s.image.Freeze()
 	return s
 }
 
 // visit yields the aging profile, then every image line at offset 0 —
-// sim's template order.
+// the template's order, line by line.
 func (s *agedSetup) visit(yield func(la, offset uint64)) {
 	for _, a := range s.ages {
-		yield(a[0], a[1])
+		yield(a.Addr, a.Offset)
 	}
-	s.image.ForEachLine(func(la uint64) { yield(la, 0) })
+	for _, la := range s.lines {
+		yield(la, 0)
+	}
 }
 
 func (s *agedSetup) build() *AgedTemplate {
 	tp := predictor.New(predictor.DefaultConfig(predictor.SchemeNone))
-	return BuildAgedTemplate(ctr.NewKeystream(s.key), s.image, tp.Root, s.visit)
+	return BuildAgedTemplate(ctr.NewKeystream(s.key), s.image, tp.Root, s.ages)
 }
 
 // controller returns a controller over a view of the image whose
@@ -73,10 +83,10 @@ func TestAgedTemplateCountersOnlyLeavesPadsUnbuilt(t *testing.T) {
 	c := s.controller(countersOnlyConfig())
 	c.UseAgedTemplate(tmpl)
 	var now uint64
-	s.image.ForEachLine(func(la uint64) {
+	for _, la := range s.lines {
 		now = c.FetchLine(now, la).Done
 		c.EvictLine(now, la)
-	})
+	}
 	if tmpl.slots != nil || tmpl.SealedLines() != 0 {
 		t.Fatal("a counters-only attach allocated or sealed the template's pad half")
 	}
@@ -87,13 +97,7 @@ func TestAgedTemplateCountersOnlyLeavesPadsUnbuilt(t *testing.T) {
 
 // templateLines returns the first n image lines in address order.
 func (s *agedSetup) templateLines(n int) []uint64 {
-	var las []uint64
-	s.image.ForEachLine(func(la uint64) {
-		if len(las) < n {
-			las = append(las, la)
-		}
-	})
-	return las
+	return s.lines[:min(n, len(s.lines))]
 }
 
 // TestAgedTemplateFullAttachSealsOnce pins the lazy seal: attaching
@@ -151,7 +155,7 @@ func TestAgedTemplateMatchesEagerAging(t *testing.T) {
 	s.visit(eager.AgeLine)
 
 	var now uint64
-	s.image.ForEachLine(func(la uint64) {
+	for _, la := range s.lines {
 		if lazy.Seq(la) != eager.Seq(la) || lazy.EncryptedLine(la) != eager.EncryptedLine(la) {
 			t.Fatalf("line %#x: template state differs from eager aging", la)
 		}
@@ -160,7 +164,7 @@ func TestAgedTemplateMatchesEagerAging(t *testing.T) {
 		if res.Plain != s.image.LineAt(la) {
 			t.Fatalf("line %#x decrypted wrong", la)
 		}
-	})
+	}
 	if err := lazy.SecurityErr(); err != nil {
 		t.Fatal(err)
 	}
@@ -278,11 +282,7 @@ func TestAgedTemplateConcurrentSeal(t *testing.T) {
 func (s *agedSetup) loadedTree(tmpl *AgedTemplate) (*integrity.Tree, *dram.DRAM) {
 	d := dram.New(dram.DefaultConfig())
 	tree := integrity.New(integrity.DefaultConfig(), d)
-	tmpl.LoadTree(tree, func(yield func(la uint64)) {
-		for _, a := range s.ages {
-			yield(a[0])
-		}
-	})
+	tmpl.LoadTree(tree, s.ages)
 	tree.Freeze()
 	return tree, d
 }
@@ -313,7 +313,7 @@ func TestAgedTemplateIntegrityMatchesEager(t *testing.T) {
 	eager := s.controllerOn(DefaultConfig(), ed)
 	eager.AttachIntegrity(integrity.New(integrity.DefaultConfig(), ed))
 	for _, a := range s.ages {
-		eager.AgeLine(a[0], a[1])
+		eager.AgeLine(a.Addr, a.Offset)
 	}
 	lt, et := lazy.IntegrityTree(), eager.IntegrityTree()
 	if lt.Root() != et.Root() || lt.Stats() != et.Stats() || lazy.dram.Stats() != ed.Stats() {
@@ -321,7 +321,7 @@ func TestAgedTemplateIntegrityMatchesEager(t *testing.T) {
 	}
 
 	var now uint64
-	s.image.ForEachLine(func(la uint64) {
+	for _, la := range s.lines {
 		lr, er := lazy.FetchLine(now, la), eager.FetchLine(now, la)
 		if lr != er || !lr.Authentic || lr.Plain != s.image.LineAt(la) {
 			t.Fatalf("line %#x: fetch %+v, eager %+v", la, lr, er)
@@ -330,7 +330,7 @@ func TestAgedTemplateIntegrityMatchesEager(t *testing.T) {
 		if l, e := lazy.EvictLine(now, la), eager.EvictLine(now, la); l != e {
 			t.Fatalf("line %#x: writeback done %d, eager %d", la, l, e)
 		}
-	})
+	}
 	if lt.Root() != et.Root() || lt.Stats() != et.Stats() || lazy.dram.Stats() != ed.Stats() {
 		t.Fatal("after a fetch and a writeback of every line, the trees differ")
 	}
@@ -346,8 +346,134 @@ func TestAgedTemplateIntegrityMatchesEager(t *testing.T) {
 		t.Fatal("a controller's writes reached the shared tree image")
 	}
 	for _, a := range s.ages {
-		if res := again.FetchLine(0, a[0]); !res.Authentic {
-			t.Fatalf("aged line %#x rejected by a second clone", a[0])
+		if res := again.FetchLine(0, a.Addr); !res.Authentic {
+			t.Fatalf("aged line %#x rejected by a second clone", a.Addr)
+		}
+	}
+}
+
+// perLineTemplate is the per-line construction the page-wise builders
+// replaced, kept as their oracle: every aged sample, then every image
+// line in ascending address order, through one Ensure each, a root
+// drawn for each line the Ensure creates; and a pad half of one Ensure
+// per counter-half line.
+func perLineTemplate(lines []uint64, roots func(la uint64) uint64, aged []AgedLine) (*paged.Table[ctrState], *paged.Table[padSlot]) {
+	ctrs := paged.New[ctrState](ctr.LineSize)
+	age := func(la, offset uint64) {
+		if cs, fresh := ctrs.Ensure(la); fresh {
+			seq := roots(la) + offset
+			cs.seq, cs.goodSeq = seq, seq
+		}
+	}
+	for _, a := range aged {
+		age(mem.LineAddr(a.Addr), a.Offset)
+	}
+	for _, la := range lines {
+		age(la, 0)
+	}
+	slots := paged.New[padSlot](ctr.LineSize)
+	ctrs.ForEach(func(la uint64, _ *ctrState) { slots.Ensure(la) })
+	return ctrs, slots
+}
+
+// recordingRoots draws page roots from a fresh default-geometry
+// predictor, as sim's template builder does, and records the line of
+// every draw.
+func recordingRoots() (func(la uint64) uint64, *[]uint64) {
+	tp := predictor.New(predictor.DefaultConfig(predictor.SchemeNone))
+	var calls []uint64
+	return func(la uint64) uint64 {
+		calls = append(calls, la)
+		return tp.Root(la)
+	}, &calls
+}
+
+// TestAgedTemplateMatchesPerLineOracle holds the page-wise counter half
+// and pad half to perLineTemplate over random images and aging profiles:
+// repeated samples, samples outside the image, a full page, a one-line
+// page after an empty one, and lines past the 4 GiB dense horizon. Both
+// must hold the same lines with the same counters, and the roots must be
+// drawn for the same lines in the same order.
+func TestAgedTemplateMatchesPerLineOracle(t *testing.T) {
+	const pageBytes = 2048 * ctr.LineSize // one paged page of lines
+	for seed := uint64(1); seed <= 6; seed++ {
+		r := rng.New(seed)
+		image := mem.New()
+		present := map[uint64]bool{}
+		var lines []uint64
+		write := func(la uint64) {
+			image.StoreWords(la, r.Uint64())
+			if !present[la] {
+				present[la] = true
+				lines = append(lines, la)
+			}
+		}
+		for la := uint64(3 * pageBytes); la < 4*pageBytes; la += ctr.LineSize {
+			write(la)
+		}
+		write(5*pageBytes + 7*ctr.LineSize)
+		for n := 0; n < 2000; n++ {
+			la := mem.LineAddr(r.Uint64() % (1 << 22))
+			if pg := la / pageBytes; pg >= 3 && pg <= 5 {
+				continue // keep pages 3 (full), 4 (empty) and 5 (one line)
+			}
+			if r.Bool(0.1) {
+				la += 1 << 32
+			}
+			write(la)
+		}
+		slices.Sort(lines)
+		var aged []AgedLine
+		for n := 0; n < 1500; n++ {
+			var addr uint64
+			switch k := r.Intn(4); {
+			case k == 0 && len(aged) > 0: // a repeat, with another offset
+				addr = aged[r.Intn(len(aged))].Addr
+			case k == 1: // outside the image, perhaps past the horizon
+				addr = r.Uint64()%(1<<23) + uint64(r.Intn(2))<<33
+			default: // an image line, at any byte of it
+				addr = lines[r.Intn(len(lines))] + uint64(r.Intn(ctr.LineSize))
+			}
+			aged = append(aged, AgedLine{Addr: addr, Offset: uint64(1 + r.Intn(9))})
+		}
+		image.Freeze()
+
+		roots, calls := recordingRoots()
+		tmpl := BuildAgedTemplate(ctr.NewKeystream([32]byte{byte(seed)}), image, roots, aged)
+		oracleRoots, oracleCalls := recordingRoots()
+		ctrs, slots := perLineTemplate(lines, oracleRoots, aged)
+
+		if !slices.Equal(*calls, *oracleCalls) {
+			t.Fatalf("seed %d: roots drawn for %d lines, the oracle %d (or in another order)", seed, len(*calls), len(*oracleCalls))
+		}
+		if tmpl.Lines() != ctrs.Count() || tmpl.ctrs.Count() != ctrs.Count() {
+			t.Fatalf("seed %d: counter half holds %d lines, the oracle %d", seed, tmpl.Lines(), ctrs.Count())
+		}
+		type line struct {
+			la uint64
+			cs ctrState
+		}
+		var got, want []line
+		tmpl.ctrs.ForEach(func(la uint64, cs *ctrState) { got = append(got, line{la, *cs}) })
+		ctrs.ForEach(func(la uint64, cs *ctrState) { want = append(want, line{la, *cs}) })
+		if !slices.Equal(got, want) {
+			t.Fatalf("seed %d: counter half differs from the per-line oracle", seed)
+		}
+
+		tmpl.buildPadHalf()
+		if tmpl.slots.Count() != slots.Count() {
+			t.Fatalf("seed %d: pad half holds %d slots, the oracle %d", seed, tmpl.slots.Count(), slots.Count())
+		}
+		var gotSlots, wantSlots []uint64
+		tmpl.slots.ForEach(func(la uint64, s *padSlot) {
+			if s.state.Load() != slotEmpty || s.ps != (padState{}) {
+				t.Fatalf("seed %d: slot %#x is not empty", seed, la)
+			}
+			gotSlots = append(gotSlots, la)
+		})
+		slots.ForEach(func(la uint64, _ *padSlot) { wantSlots = append(wantSlots, la) })
+		if !slices.Equal(gotSlots, wantSlots) {
+			t.Fatalf("seed %d: pad half covers other lines than the oracle's", seed)
 		}
 	}
 }

@@ -21,7 +21,7 @@ import (
 	"ctrpred/internal/workload"
 )
 
-var updateGolden = flag.Bool("update", false, "rewrite testdata/equivalence.golden")
+var updateGolden = flag.Bool("update", false, "rewrite the testdata goldens of the tests that run")
 
 const equivalenceGolden = "equivalence.golden"
 
@@ -154,7 +154,7 @@ func equivalenceCases() []equivalenceCase {
 func TestEquivalenceGolden(t *testing.T) {
 	want := map[string]string{}
 	if !*updateGolden {
-		want = readEquivalenceGolden(t)
+		want = readGolden(t, equivalenceGolden)
 	}
 	cases := equivalenceCases()
 	var out bytes.Buffer
@@ -196,9 +196,10 @@ func TestEquivalenceGolden(t *testing.T) {
 	}
 }
 
-func readEquivalenceGolden(t *testing.T) map[string]string {
+// readGolden reads testdata/name's "key digest" lines.
+func readGolden(t *testing.T, name string) map[string]string {
 	t.Helper()
-	f, err := os.Open(filepath.Join("testdata", equivalenceGolden))
+	f, err := os.Open(filepath.Join("testdata", name))
 	if err != nil {
 		t.Fatalf("missing golden (run with -update): %v", err)
 	}

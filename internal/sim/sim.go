@@ -443,8 +443,8 @@ func newSide(cfg Config, tmpl *machineTemplate, image *mem.Memory) (*side, error
 	if !cfg.Scheme.Direct {
 		if !attach {
 			for _, s := range tmpl.ageList {
-				ctrl.AgeLine(s.la, s.off)
-				pred.WarmRange(s.la, s.off)
+				ctrl.AgeLine(s.Addr, s.Offset)
+				pred.WarmRange(s.Addr, s.Offset)
 			}
 		} else {
 			if pcfg.Scheme == predictor.SchemeTwoLevel {
@@ -452,7 +452,7 @@ func newSide(cfg Config, tmpl *machineTemplate, image *mem.Memory) (*side, error
 				// counter pages in sample order, matching eager aging
 				// (where AgeLine touched each page at the same point).
 				for _, s := range tmpl.ageList {
-					pred.WarmRange(s.la, s.off)
+					pred.WarmRange(s.Addr, s.Offset)
 				}
 			}
 			for _, la := range tmpl.agePages {

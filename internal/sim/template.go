@@ -6,6 +6,13 @@
 // per benchmark that differ only in scheme; before this cache each of
 // them re-assembled and re-aged megabytes of identical state.
 //
+// A cold template costs about what its bytes cost. The workload
+// builders write the image a line at a time, in address order; the
+// counter half is laid over the image a page at a time from its
+// presence bitmaps (secmem.BuildAgedTemplate), and the pad half's slot
+// table takes one page per counter-half page. What remains is mostly
+// allocating and first touching those pages.
+//
 // The pre-aged state is a secmem.AgedTemplate. Its counter half is built
 // with the template. Its pad half is a table of per-line slots that
 // exists only once a full-model machine without a tree attaches, and
@@ -52,13 +59,6 @@ import (
 	"ctrpred/internal/workload"
 )
 
-// agedSample is one (line, counter offset) pair from the workload's
-// aging profile, in sampling order.
-type agedSample struct {
-	la  uint64
-	off uint64
-}
-
 // machineTemplate is the frozen seed-deterministic part of a machine.
 type machineTemplate struct {
 	prog  *isa.Program
@@ -66,7 +66,7 @@ type machineTemplate struct {
 	// ageList is the full sampled aging profile in draw order, including
 	// lines sampled more than once — the eager replay path consumes it
 	// exactly as the original sampling loop did.
-	ageList []agedSample
+	ageList []secmem.AgedLine
 	// agePages holds one representative line address per distinct
 	// default-geometry (4 KiB) counter page, in first-touch order: the
 	// root-draw replay sequence for machines that attach the aged state.
@@ -118,7 +118,13 @@ var (
 // tree image per DRAM configuration, about 370 bytes a tree node: at
 // most 0.44 MiB at 256 KiB and 14 MiB at 8 MiB, where benchmarks whose
 // aged lines cluster load 0.01–3 MiB. The cap covers a full benchmark
-// sweep at two scales.
+// sweep at two scales. An evicted template is rebuilt on its next use:
+// on a 2-vCPU host, building one with its pad-slot table takes a median
+// over the 14 benchmarks of 1.6–2.6 ms at 512 KiB, 5.0–5.7 ms at 1 MiB
+// and 29–40 ms at 8 MiB (lowest and highest of two runs; at 8 MiB the
+// benchmarks range from 1.5 ms for twolf, whose image stops at 512 KiB,
+// to 40 ms). The benchmark's service-mix draws its cold sims from 384
+// (benchmark, seed) keys, so about 95% of them rebuild their template.
 const tmplCacheMax = 32
 
 // getTemplate returns the cached template for (bench, scale, seed),
@@ -186,11 +192,7 @@ func (t *machineTemplate) treeImage(dcfg dram.Config) (*integrity.Tree, *dram.DR
 		t.treeLoads.Add(1)
 		e.dram = dram.New(dcfg)
 		e.tree = integrity.New(integrity.DefaultConfig(), e.dram)
-		t.aged.LoadTree(e.tree, func(yield func(la uint64)) {
-			for _, s := range t.ageList {
-				yield(s.la)
-			}
-		})
+		t.aged.LoadTree(e.tree, t.ageList)
 		e.tree.Freeze()
 		e.err = nil
 	})
@@ -228,16 +230,16 @@ func buildTemplate(bench string, cfg Config) (*machineTemplate, error) {
 			est += span.Bytes / 32
 		}
 	}
-	t.ageList = make([]agedSample, 0, est)
+	t.ageList = make([]secmem.AgedLine, 0, est)
 	for _, span := range wl.Ages {
 		span.SampleAges(ager, func(lineAddr, offset uint64) {
-			t.ageList = append(t.ageList, agedSample{la: lineAddr, off: offset})
+			t.ageList = append(t.ageList, secmem.AgedLine{Addr: lineAddr, Offset: offset})
 		})
 	}
 	if slack := cap(t.ageList) - len(t.ageList); slack > len(t.ageList)/8 {
 		// Static chunks and zero offsets were skipped; don't let the
 		// cached template pin the unused tail.
-		t.ageList = append(make([]agedSample, 0, len(t.ageList)), t.ageList...)
+		t.ageList = append(make([]secmem.AgedLine, 0, len(t.ageList)), t.ageList...)
 	}
 
 	tpcfg := predictor.DefaultConfig(predictor.SchemeNone)
@@ -245,30 +247,20 @@ func buildTemplate(bench string, cfg Config) (*machineTemplate, error) {
 	tp := predictor.New(tpcfg)
 	pages := 0
 	ks := ctr.NewKeystream(machineKey(cfg.Seed))
-	t.aged = secmem.BuildAgedTemplate(ks, image,
-		func(la uint64) uint64 {
-			root := tp.Root(la)
-			if n := tp.PageCount(); n > pages {
-				pages = n
-				t.agePages = append(t.agePages, la)
-			}
-			return root
-		},
-		func(yield func(la, offset uint64)) {
-			// Aged lines first, in sampling order, so their counters and
-			// root-draw sequence match eager aging exactly; then every
-			// remaining image line at its root counter (offset 0), which
-			// is precisely what Controller first-touch materialization
-			// would produce — done here once instead of on the fetch
-			// path of every machine. Already-aged lines are deduped by
-			// the builder's fresh-line guard.
-			for _, s := range t.ageList {
-				yield(s.la, s.off)
-			}
-			image.ForEachLine(func(la uint64) {
-				yield(la, 0)
-			})
-		})
+	// Roots are drawn in the builder's order: aged lines first, in
+	// sampling order, so their counters and root-draw sequence match
+	// eager aging exactly; then every other image line at its root
+	// counter (offset 0), which is precisely what Controller first-touch
+	// materialization would produce — done here once instead of on the
+	// fetch path of every machine.
+	t.aged = secmem.BuildAgedTemplate(ks, image, func(la uint64) uint64 {
+		root := tp.Root(la)
+		if n := tp.PageCount(); n > pages {
+			pages = n
+			t.agePages = append(t.agePages, la)
+		}
+		return root
+	}, t.ageList)
 	image.Freeze()
 	return t, nil
 }

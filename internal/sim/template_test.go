@@ -2,8 +2,14 @@ package sim
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
@@ -390,4 +396,88 @@ func TestIntegrityTreeImageErrorNotCached(t *testing.T) {
 		t.Errorf("two calls started %d loads, want 2 (the failure was cached)", n)
 	}
 	forgetTemplate("gzip", cfg)
+}
+
+const countersGolden = "counters.golden"
+
+// TestCounterHalfGolden pins every template's counter half, not just the
+// lines a run touches: for each benchmark at service scale (seeds 1 and
+// 2) and at the hit-rate figures' 8 MiB (seed 1), a sha256 over
+// (line, counter) of every image line and every aged line, in ascending
+// address order, against testdata/counters.golden. The counters are the
+// page roots drawn in template order plus each aged line's offset, so a
+// slip in root-draw order on a line no run fetches still fails here.
+// Regenerate with
+//
+//	go test ./internal/sim -run TestCounterHalfGolden -update
+//
+// only for an intended change to images, aging or root draws.
+func TestCounterHalfGolden(t *testing.T) {
+	want := map[string]string{}
+	if !*updateGolden {
+		want = readGolden(t, countersGolden)
+	}
+	type point struct {
+		scale workload.Scale
+		seed  uint64
+	}
+	points := []point{
+		{workload.Scale{Footprint: 512 << 10, Instructions: 20_000}, 1},
+		{workload.Scale{Footprint: 512 << 10, Instructions: 20_000}, 2},
+		{workload.Scale{Footprint: 8 << 20, Instructions: 1_000_000}, 1},
+	}
+	var out bytes.Buffer
+	rows := 0
+	for _, bench := range workload.Names() {
+		for _, p := range points {
+			key := fmt.Sprintf("%s/%dK/%d/%d", bench, p.scale.Footprint>>10, p.scale.Instructions, p.seed)
+			cfg := DefaultConfig(SchemePred(predictor.SchemeRegular)).WithMode(HitRate).WithSeed(p.seed)
+			cfg.Scale = p.scale
+			cfg.SelfCheck = false
+			m, err := NewMachine(bench, cfg)
+			if err != nil {
+				t.Fatalf("%s: %v", key, err)
+			}
+			tmpl, _ := getTemplate(bench, cfg)
+			var las []uint64
+			tmpl.image.ForEachLine(func(la uint64) { las = append(las, la) })
+			for _, s := range tmpl.ageList {
+				las = append(las, s.Addr)
+			}
+			slices.Sort(las)
+			las = slices.Compact(las)
+			if len(las) != tmpl.aged.Lines() {
+				t.Errorf("%s: counter half holds %d lines, image and aged lines %d", key, tmpl.aged.Lines(), len(las))
+			}
+			h := sha256.New()
+			var w [16]byte
+			for _, la := range las {
+				binary.LittleEndian.PutUint64(w[:8], la)
+				binary.LittleEndian.PutUint64(w[8:], m.Ctrl.Seq(la))
+				h.Write(w[:])
+			}
+			m.Close()
+			forgetTemplate(bench, cfg)
+			digest := hex.EncodeToString(h.Sum(nil))
+			fmt.Fprintf(&out, "%s %s\n", key, digest)
+			rows++
+			if *updateGolden {
+				continue
+			}
+			if w, ok := want[key]; !ok {
+				t.Errorf("%s: no digest in %s (run with -update)", key, countersGolden)
+			} else if digest != w {
+				t.Errorf("%s: counter-half digest %s, golden %s", key, digest, w)
+			}
+		}
+	}
+	if *updateGolden {
+		if err := os.WriteFile(filepath.Join("testdata", countersGolden), out.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if len(want) != rows {
+		t.Errorf("%s holds %d digests, want %d (run with -update)", countersGolden, len(want), rows)
+	}
 }

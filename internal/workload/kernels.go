@@ -41,7 +41,10 @@ func buildMcf(s Scale, img *mem.Memory, r *rng.Xoshiro256) (string, []AgeSpan) {
 	if nodes < 2 {
 		nodes = 2
 	}
-	// Random Hamiltonian cycle over the nodes.
+	// Random Hamiltonian cycle over the nodes: perm is the visiting
+	// order, and node perm[i] costs the i-th draw after the shuffle. The
+	// image is written by node, so each node's successor and cost are
+	// packed into one int first (costs are below 1024).
 	perm := make([]int, nodes)
 	for i := range perm {
 		perm[i] = i
@@ -50,11 +53,13 @@ func buildMcf(s Scale, img *mem.Memory, r *rng.Xoshiro256) (string, []AgeSpan) {
 		j := r.Intn(i + 1)
 		perm[i], perm[j] = perm[j], perm[i]
 	}
+	succ := make([]int, nodes)
+	for i, from := range perm {
+		succ[from] = perm[(i+1)%nodes]<<10 | r.Intn(1000)
+	}
 	addr := func(i int) uint64 { return DataBase + uint64(i)*32 }
-	for i := 0; i < nodes; i++ {
-		from, to := perm[i], perm[(i+1)%nodes]
-		img.Store(addr(from), 8, addr(to))
-		img.Store(addr(from)+8, 8, uint64(r.Intn(1000)))
+	for n, sc := range succ {
+		img.StoreWords(addr(n), addr(sc>>10), uint64(sc&1023))
 	}
 	n := iters(s, 6)
 	src := fmt.Sprintf(`
@@ -533,12 +538,11 @@ func buildVortex(s Scale, img *mem.Memory, r *rng.Xoshiro256) (string, []AgeSpan
 	heads := make([]uint64, buckets)
 	for i := 0; i < objects; i++ {
 		b := r.Intn(buckets)
-		img.Store(objAddr(i), 8, heads[b])
-		img.Store(objAddr(i)+8, 8, uint64(i))
+		img.StoreWords(objAddr(i), heads[b], uint64(i))
 		heads[b] = objAddr(i)
 	}
-	for b, h := range heads {
-		img.Store(bucketBase+uint64(b)*8, 8, h)
+	for b := 0; b < buckets; b += lineWords {
+		img.StoreWords(bucketBase+uint64(b)*8, heads[b:min(b+lineWords, buckets)]...)
 	}
 	n := iters(s, 30)
 	src := fmt.Sprintf(`
@@ -576,11 +580,13 @@ done:
 func buildVpr(s Scale, img *mem.Memory, r *rng.Xoshiro256) (string, []AgeSpan) {
 	nodes := pow2AtMost(s.Footprint / 32)
 	addr := func(i int) uint64 { return DataBase + uint64(i)*32 }
+	var node [lineWords]uint64 // three neighbours, then the weight
 	for i := 0; i < nodes; i++ {
 		for k := 0; k < 3; k++ {
-			img.Store(addr(i)+uint64(k)*8, 8, addr(r.Intn(nodes)))
+			node[k] = addr(r.Intn(nodes))
 		}
-		img.Store(addr(i)+24, 8, uint64(r.Intn(100)))
+		node[3] = uint64(r.Intn(100))
+		img.StoreWords(addr(i), node[:]...)
 	}
 	n := iters(s, 13)
 	src := fmt.Sprintf(`
@@ -619,10 +625,12 @@ func buildAmmp(s Scale, img *mem.Memory, r *rng.Xoshiro256) (string, []AgeSpan) 
 	nbrBase := (posBase + uint64(atoms)*8 + 4095) &^ 4095
 	frcBase := (nbrBase + uint64(atoms)*32 + 4095) &^ 4095
 	fillRandom(img, posBase, atoms, r)
+	var nbr [lineWords]uint64 // one atom's list fills one line
 	for i := 0; i < atoms; i++ {
-		for k := 0; k < 4; k++ {
-			img.Store(nbrBase+uint64(i*4+k)*8, 8, posBase+uint64(r.Intn(atoms))*8)
+		for k := range nbr {
+			nbr[k] = posBase + uint64(r.Intn(atoms))*8
 		}
+		img.StoreWords(nbrBase+uint64(i)*32, nbr[:]...)
 	}
 	perAtom := 4*3 + 6
 	passes := iters(s, atoms*perAtom)

@@ -234,9 +234,18 @@ func pow2AtMost(n int) int {
 	return p
 }
 
-// fillRandom writes n 8-byte random words starting at base.
+// lineWords is the number of 8-byte words in a 32-byte line.
+const lineWords = 4
+
+// fillRandom writes n 8-byte random words starting at base, a
+// line-aligned address, a line at a time.
 func fillRandom(img *mem.Memory, base uint64, n int, r *rng.Xoshiro256) {
-	for i := 0; i < n; i++ {
-		img.Store(base+uint64(i)*8, 8, r.Uint64())
+	var line [lineWords]uint64
+	for i := 0; i < n; i += lineWords {
+		w := line[:min(lineWords, n-i)]
+		for j := range w {
+			w[j] = r.Uint64()
+		}
+		img.StoreWords(base+uint64(i)*8, w...)
 	}
 }
