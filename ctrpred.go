@@ -67,6 +67,9 @@ type (
 	// PredScheme selects a prediction algorithm.
 	PredScheme = predictor.Scheme
 	// PredConfig exposes every predictor knob (depth, swing, PHV, …).
+	// Page geometry is not one: every machine has 4 KiB pages of 32-byte
+	// lines, the geometry its aged starting state is built for, so the
+	// config has no page or line size.
 	PredConfig = predictor.Config
 	// Machine is an assembled simulator instance for direct component
 	// access (the examples use it).

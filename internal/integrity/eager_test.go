@@ -75,7 +75,7 @@ func (t *eagerTree) leafDigest(lineAddr uint64, counter uint64, ct ctr.Line) Dig
 }
 
 func (t *eagerTree) leafIndex(lineAddr uint64) uint64 {
-	return lineAddr / uint64(t.cfg.LineSize)
+	return lineAddr / ctr.LineSize
 }
 
 func (t *eagerTree) parentOf(level int, index uint64) (eagerKey, int) {

@@ -52,8 +52,6 @@ type Digest = [sha256.Size]byte
 
 // Config parameterizes the tree.
 type Config struct {
-	// LineSize is the protected block size (32).
-	LineSize int
 	// Arity is the number of children per interior node (8 → a node is
 	// 256 bytes of child digests); at most 64.
 	Arity int
@@ -75,7 +73,6 @@ type Config struct {
 // 8 levels, 32 KB node cache, 80-cycle hash.
 func DefaultConfig() Config {
 	return Config{
-		LineSize:       32,
 		Arity:          8,
 		Levels:         8,
 		NodeCacheBytes: 32 << 10,
@@ -160,7 +157,7 @@ type Tree struct {
 // New builds an empty tree over the given DRAM channel (used for node
 // fetch/writeback timing; may be the data channel).
 func New(cfg Config, d *dram.DRAM) *Tree {
-	if cfg.Arity < 2 || cfg.Arity > 64 || cfg.Levels < 1 || cfg.LineSize <= 0 {
+	if cfg.Arity < 2 || cfg.Arity > 64 || cfg.Levels < 1 {
 		panic("integrity: invalid tree geometry")
 	}
 	t := &Tree{
@@ -212,7 +209,7 @@ func (t *Tree) leafDigest(lineAddr uint64, counter uint64, ct ctr.Line) Digest {
 }
 
 func (t *Tree) leafIndex(lineAddr uint64) uint64 {
-	return lineAddr / uint64(t.cfg.LineSize)
+	return lineAddr / ctr.LineSize
 }
 
 // parentOf returns the key of the given entity's parent (leaf index at

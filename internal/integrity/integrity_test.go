@@ -171,10 +171,9 @@ func TestVerifyUpdateProperty(t *testing.T) {
 
 func TestBadGeometryPanics(t *testing.T) {
 	for _, cfg := range []Config{
-		{Arity: 1, Levels: 4, LineSize: 32},
-		{Arity: 8, Levels: 0, LineSize: 32},
-		{Arity: 8, Levels: 4, LineSize: 0},
-		{Arity: 65, Levels: 4, LineSize: 32}, // wider than the stale mask
+		{Arity: 1, Levels: 4},
+		{Arity: 8, Levels: 0},
+		{Arity: 65, Levels: 4}, // wider than the stale mask
 	} {
 		func() {
 			defer func() {

@@ -50,6 +50,10 @@ func NewView(template *Memory) *Memory {
 // LineAddr returns addr rounded down to its 32-byte line.
 func LineAddr(addr uint64) uint64 { return addr &^ uint64(ctr.LineSize-1) }
 
+// PageShift is log2 of the 4 KiB virtual page: the unit the TLBs
+// translate and the predictor keeps one root counter for.
+const PageShift = 12
+
 func (m *Memory) line(addr uint64, create bool) *ctr.Line {
 	if create {
 		l, _ := m.lines.Ensure(addr)

@@ -15,6 +15,8 @@ package predictor
 import (
 	"fmt"
 
+	"ctrpred/internal/ctr"
+	"ctrpred/internal/mem"
 	"ctrpred/internal/rng"
 	"ctrpred/internal/stats"
 )
@@ -75,9 +77,6 @@ type Config struct {
 	RangeTableEntries int
 	// RangeBits is the per-line range index width (4 → 16 ranges).
 	RangeBits int
-	// PageSize and LineSize define page geometry (4096 / 32).
-	PageSize int
-	LineSize int
 	// MaxRootDistance bounds the offset a sequence number may have from
 	// the current root and still be considered as counting from it
 	// (Section 3.2's "negative or too large" test).
@@ -98,8 +97,6 @@ func DefaultConfig(scheme Scheme) Config {
 		HistoryDepth:      0,
 		RangeTableEntries: 64,
 		RangeBits:         4,
-		PageSize:          4096,
-		LineSize:          32,
 		MaxRootDistance:   1 << 32,
 		Seed:              0x5eed,
 	}
@@ -180,25 +177,24 @@ type Predictor struct {
 	// horizon (nothing the built-in workloads map, but the API must not
 	// care) fall back to a sparse map. First-touch order, and therefore
 	// the root-draw sequence, is identical either way.
-	pageDense    []*pageMeta
-	pageSparse   map[uint64]*pageMeta
-	pageCount    int
-	rnd          *rng.Xoshiro256
-	lor          uint64 // latest offset register
-	lorValid     bool
-	rangeTable   []rangeEntry
-	rangeClock   uint64
-	linesPerPage int
-	rangeSpan    uint64 // width of one range = Depth+1
-	maxRange     uint8
-	stats        Stats
-	scratch      []uint64 // reused guess buffer
+	pageDense  []*pageMeta
+	pageSparse map[uint64]*pageMeta
+	pageCount  int
+	rnd        *rng.Xoshiro256
+	lor        uint64 // latest offset register
+	lorValid   bool
+	rangeTable []rangeEntry
+	rangeClock uint64
+	rangeSpan  uint64 // width of one range = Depth+1
+	maxRange   uint8
+	stats      Stats
+	scratch    []uint64 // reused guess buffer
 }
 
 // New creates a predictor; it panics on nonsensical parameters.
 func New(cfg Config) *Predictor {
-	if cfg.Depth < 0 || cfg.PageSize <= 0 || cfg.LineSize <= 0 || cfg.PageSize%cfg.LineSize != 0 {
-		panic("predictor: invalid geometry")
+	if cfg.Depth < 0 {
+		panic("predictor: negative Depth")
 	}
 	if cfg.PHVBits <= 0 || cfg.PHVBits > 32 {
 		panic("predictor: PHVBits must be in 1..32")
@@ -210,11 +206,10 @@ func New(cfg Config) *Predictor {
 		cfg.MaxRootDistance = 1 << 32
 	}
 	p := &Predictor{
-		cfg:          cfg,
-		rnd:          rng.New(cfg.Seed),
-		linesPerPage: cfg.PageSize / cfg.LineSize,
-		rangeSpan:    uint64(cfg.Depth + 1),
-		maxRange:     uint8(1<<cfg.RangeBits - 1),
+		cfg:       cfg,
+		rnd:       rng.New(cfg.Seed),
+		rangeSpan: uint64(cfg.Depth + 1),
+		maxRange:  uint8(1<<cfg.RangeBits - 1),
 	}
 	if cfg.Scheme == SchemeTwoLevel {
 		if cfg.RangeTableEntries <= 0 || cfg.RangeBits <= 0 || cfg.RangeBits > 8 {
@@ -260,21 +255,23 @@ func (p *Predictor) Stats() Stats { return p.stats }
 // Name reports the scheme name, for experiment output.
 func (p *Predictor) Name() string { return p.cfg.Scheme.String() }
 
-func (p *Predictor) vpage(vaddr uint64) uint64 { return vaddr / uint64(p.cfg.PageSize) }
+const linesPerPage = 1 << mem.PageShift / ctr.LineSize
 
-func (p *Predictor) lineIndex(vaddr uint64) int {
-	return int(vaddr % uint64(p.cfg.PageSize) / uint64(p.cfg.LineSize))
+func vpage(vaddr uint64) uint64 { return vaddr >> mem.PageShift }
+
+func lineIndex(vaddr uint64) int {
+	return int(vaddr & (1<<mem.PageShift - 1) / ctr.LineSize)
 }
 
 // densePageMax bounds the flat page directory: virtual pages below
-// cover the first 4 GiB of address space at the default 4 KiB geometry.
+// cover the first 4 GiB of address space.
 const densePageMax = 1 << 20
 
 // page returns (allocating if needed) the metadata for vaddr's page. A
 // fresh page gets a random root — the model of the hardware RNG assigning
 // a root when the virtual page is mapped.
 func (p *Predictor) page(vaddr uint64) *pageMeta {
-	vp := p.vpage(vaddr)
+	vp := vpage(vaddr)
 	if vp < densePageMax {
 		if vp < uint64(len(p.pageDense)) {
 			if m := p.pageDense[vp]; m != nil {
@@ -468,12 +465,12 @@ func (p *Predictor) rangeLookup(vaddr uint64) (uint8, bool) {
 	if m.ranges == nil {
 		return 0, false
 	}
-	resident := p.rangeTableResident(p.vpage(vaddr))
-	p.touchRangeTable(p.vpage(vaddr)) // refill / refresh
+	resident := p.rangeTableResident(vpage(vaddr))
+	p.touchRangeTable(vpage(vaddr)) // refill / refresh
 	if !resident {
 		return 0, false
 	}
-	return m.ranges[p.lineIndex(vaddr)], true
+	return m.ranges[lineIndex(vaddr)], true
 }
 
 func (p *Predictor) rangeTableResident(vp uint64) bool {
@@ -493,14 +490,14 @@ func (p *Predictor) rangeUpdate(vaddr uint64, offset uint64) {
 	}
 	m := p.page(vaddr)
 	if m.ranges == nil {
-		m.ranges = make([]uint8, p.linesPerPage)
+		m.ranges = make([]uint8, linesPerPage)
 	}
-	p.touchRangeTable(p.vpage(vaddr))
+	p.touchRangeTable(vpage(vaddr))
 	r := offset / p.rangeSpan
 	if r > uint64(p.maxRange) {
 		r = uint64(p.maxRange)
 	}
-	m.ranges[p.lineIndex(vaddr)] = uint8(r)
+	m.ranges[lineIndex(vaddr)] = uint8(r)
 }
 
 // touchRangeTable maintains the on-chip table's LRU state and eviction

@@ -404,11 +404,10 @@ func TestMonotoneCountersUnique(t *testing.T) {
 
 func TestBadConfigsPanic(t *testing.T) {
 	bad := []Config{
-		{Scheme: SchemeRegular, Depth: -1, PageSize: 4096, LineSize: 32, PHVBits: 16, ResetThreshold: 12},
-		{Scheme: SchemeRegular, Depth: 5, PageSize: 100, LineSize: 32, PHVBits: 16, ResetThreshold: 12},
-		{Scheme: SchemeRegular, Depth: 5, PageSize: 4096, LineSize: 32, PHVBits: 0, ResetThreshold: 12},
-		{Scheme: SchemeRegular, Depth: 5, PageSize: 4096, LineSize: 32, PHVBits: 16, ResetThreshold: 20},
-		{Scheme: SchemeTwoLevel, Depth: 5, PageSize: 4096, LineSize: 32, PHVBits: 16, ResetThreshold: 12, RangeTableEntries: 0},
+		{Scheme: SchemeRegular, Depth: -1, PHVBits: 16, ResetThreshold: 12},
+		{Scheme: SchemeRegular, Depth: 5, PHVBits: 0, ResetThreshold: 12},
+		{Scheme: SchemeRegular, Depth: 5, PHVBits: 16, ResetThreshold: 20},
+		{Scheme: SchemeTwoLevel, Depth: 5, PHVBits: 16, ResetThreshold: 12, RangeTableEntries: 0},
 	}
 	for i, cfg := range bad {
 		func() {

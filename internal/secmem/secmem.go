@@ -46,10 +46,6 @@ import (
 
 // Config parameterizes the controller.
 type Config struct {
-	// SeqTableBase is the physical address of the counter table; it is
-	// placed far from data so the two compete for DRAM banks realistically
-	// but never overlap.
-	SeqTableBase uint64
 	// Oracle makes every counter available at request time (the paper's
 	// normalization baseline for IPC figures).
 	Oracle bool
@@ -57,15 +53,6 @@ type Config struct {
 	// the prior-art organization the paper contrasts against: no counters
 	// anywhere, but decryption strictly serializes after the line fetch.
 	Direct bool
-	// SharedCounterChannel routes counter-table traffic over the data
-	// channel instead of the dedicated two-bank counter channel. The
-	// default (false) models counter storage with its own devices, the
-	// usual organization: interleaving 8-byte counter reads between line
-	// bursts on one channel thrashes open rows on every miss and
-	// penalizes every scheme that must fetch counters.
-	SharedCounterChannel bool
-	// CounterBanks sizes the dedicated counter channel (default 2).
-	CounterBanks int
 	// SelfCheck verifies every decryption against the architectural
 	// image and every encryption against pad-reuse (cheap; on by default
 	// in tests and examples).
@@ -95,8 +82,19 @@ type Config struct {
 
 // DefaultConfig returns the standard controller configuration.
 func DefaultConfig() Config {
-	return Config{SeqTableBase: 1 << 40, SelfCheck: true}
+	return Config{SelfCheck: true}
 }
+
+// The counter table sits at seqTableBase, far from data, and is read
+// and written over a dedicated channel of counterBanks banks with the
+// data channel's timing: counter storage with its own devices, the usual
+// organization. Interleaving 8-byte counter reads between line bursts on
+// one channel would thrash open rows on every miss and penalize every
+// scheme that must fetch counters.
+const (
+	seqTableBase = 1 << 40
+	counterBanks = 2
+)
 
 // Stats aggregates controller activity.
 type Stats struct {
@@ -162,7 +160,7 @@ type FetchResult struct {
 type Controller struct {
 	cfg     Config
 	dram    *dram.DRAM
-	seqDRAM *dram.DRAM // counter-table channel (== dram when shared)
+	seqDRAM *dram.DRAM // counter-table channel
 	engine  cryptoengine.EngineModel
 	pred    *predictor.Predictor
 	scache  *seqcache.Cache // nil when the design has no seq cache
@@ -259,17 +257,10 @@ func New(cfg Config, d *dram.DRAM, e cryptoengine.EngineModel, pred *predictor.P
 			panic("secmem: CountersOnly is meaningless under direct encryption")
 		}
 	}
-	if cfg.SeqTableBase == 0 {
-		cfg.SeqTableBase = 1 << 40
-	}
-	seqD := d
-	if !cfg.SharedCounterChannel && d != nil {
-		banks := cfg.CounterBanks
-		if banks == 0 {
-			banks = 2
-		}
+	var seqD *dram.DRAM
+	if d != nil {
 		scfg := d.Config()
-		scfg.Banks = banks
+		scfg.Banks = counterBanks
 		scfg.PartitionAddr = 0
 		seqD = dram.New(scfg)
 	}
@@ -481,7 +472,7 @@ func (c *Controller) recordSecurityError(kind ErrorKind, la, seq, cycle uint64) 
 }
 
 func (c *Controller) seqAddr(lineAddr uint64) uint64 {
-	return c.cfg.SeqTableBase + lineAddr/ctr.LineSize*seqcache.SeqBytes
+	return seqTableBase + lineAddr/ctr.LineSize*seqcache.SeqBytes
 }
 
 // fetchCounter returns the cycle at which the counter of la is available,
@@ -509,12 +500,15 @@ func (c *Controller) fetchCounter(now uint64, la uint64) uint64 {
 
 // materialize lazily creates the encrypted copy of a line the first time
 // the off-chip image is touched, modeling the loader writing the program
-// image through the crypto engine with the page's initial (root) counter.
-// It returns the line's off-chip state for *reading*: when the state is a
-// view of a shared pre-aged template the pointers may reach into the
-// template (a template line this controller never wrote reads its sealed
-// slot, sealing it if no controller has yet), so mutation paths must go
-// through owned instead. The pad half is nil in counters-only mode.
+// image through the crypto engine. A template line already holds its
+// counter: the root its page was mapped with, plus its aged offset, even
+// if the page's root has reset since. Any other line is created under
+// its page's current root. It returns the line's off-chip state for
+// *reading*: when the state is a view of a shared pre-aged template the
+// pointers may reach into the template (a template line this controller
+// never wrote reads its sealed slot, sealing it if no controller has
+// yet), so mutation paths must go through owned instead. The pad half
+// is nil in counters-only mode.
 func (c *Controller) materialize(la uint64) (*ctrState, *padState) {
 	if cs := c.ctrs.Lookup(la); cs != nil {
 		if c.cfg.CountersOnly {
@@ -629,6 +623,8 @@ func sealPad(ks *ctr.Keystream, image *mem.Memory, ps *padState, la, seq uint64)
 // profiled memory status"). It must be called before the line is first
 // fetched or evicted; calls after the line has been touched are ignored.
 // Direct mode has no counter to age and just materializes the line.
+// Machines start from an AgedTemplate instead; AgeLine is the per-line
+// reference tests hold templates to.
 func (c *Controller) AgeLine(vaddr uint64, offset uint64) {
 	la := mem.LineAddr(vaddr)
 	if c.ctrs.Lookup(la) != nil {

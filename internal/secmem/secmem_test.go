@@ -266,6 +266,8 @@ func TestStatsLatencyHistogram(t *testing.T) {
 	}
 }
 
+// TestNilPredictorPanics: New with every dependency nil still stops at the
+// predictor check rather than dereferencing a nil DRAM or engine first.
 func TestNilPredictorPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -275,15 +277,17 @@ func TestNilPredictorPanics(t *testing.T) {
 	New(DefaultConfig(), nil, nil, nil, nil, nil)
 }
 
-func TestSeqTableBaseDefault(t *testing.T) {
+// TestCounterTableClearOfData fetches the line at address 0: data there
+// must never collide with the counter table.
+func TestCounterTableClearOfData(t *testing.T) {
 	var key [32]byte
 	image := mem.New()
 	d := dram.New(dram.DefaultConfig())
 	e := cryptoengine.New(cryptoengine.DefaultConfig(), ctr.NewKeystream(key))
 	p := predictor.New(predictor.DefaultConfig(predictor.SchemeNone))
 	c := New(Config{SelfCheck: true}, d, e, p, nil, image)
-	c.FetchLine(0, 0) // data at 0 must not collide with the counter table
+	c.FetchLine(0, 0)
 	if c.Stats().SelfCheckFails != 0 {
-		t.Fatal("self-check failed with defaulted SeqTableBase")
+		t.Fatal("self-check failed on the line at address 0")
 	}
 }

@@ -370,9 +370,10 @@ func TestSelfCheckFailureHaltsEvenUnderQuarantine(t *testing.T) {
 	}
 }
 
+// TestConstructorNilPredictorPanics: a nil predictor is a programmer error,
+// not a runtime security event, so New documents it as a panic and keeps it
+// so even when the rest of the controller is wired up.
 func TestConstructorNilPredictorPanics(t *testing.T) {
-	// Programmer error, not a runtime security event: documented as a
-	// panic and kept that way.
 	defer func() {
 		if recover() == nil {
 			t.Fatal("New(nil predictor) did not panic")

@@ -173,6 +173,73 @@ func TestAgedTemplateMatchesEagerAging(t *testing.T) {
 	}
 }
 
+// TestAgedTemplateKeepsMappingRootAfterReset pins the one rule in which
+// a template differs from eager aging: a page's root resets before a
+// template line of that page is first touched. The line still holds the
+// root its page was mapped with, so its fetch is no prediction hit yet
+// decrypts to the image, and its next writeback re-bases it onto the
+// current root. Eager aging creates such a line at its first touch,
+// under the page's current root.
+func TestAgedTemplateKeepsMappingRootAfterReset(t *testing.T) {
+	s := newAgedSetup()
+	const la = 0x10000 // an unaged image line on the aged line 0x10040's page
+	// resetRoot drives la's page to one adaptive root reset with a full
+	// history vector of misses, and returns the root it had before.
+	resetRoot := func(c *Controller) uint64 {
+		p := c.Predictor()
+		mapped := p.Root(la)
+		for range p.Config().PHVBits {
+			p.Observe(la, 0, nil)
+		}
+		if p.Stats().Resets != 1 || p.Root(la) == mapped {
+			t.Fatalf("%d misses reset the root %d times", p.Config().PHVBits, p.Stats().Resets)
+		}
+		return mapped
+	}
+
+	c := s.controller(DefaultConfig())
+	c.UseAgedTemplate(s.build())
+	mapped := resetRoot(c)
+	cur := c.Predictor().Root(la)
+	res := c.FetchLine(0, la)
+	if got := c.Seq(la); got != mapped {
+		t.Fatalf("template line's counter = %d, want its page's mapping root %d (current root %d)", got, mapped, cur)
+	}
+	if res.PredHit {
+		t.Fatal("a counter on the discarded root was predicted")
+	}
+	if res.Plain != s.image.LineAt(la) {
+		t.Fatal("template line decrypted wrong")
+	}
+	rebases := c.Predictor().Stats().Rebases
+	c.EvictLine(res.Done, la)
+	if got := c.Predictor().Stats().Rebases - rebases; got != 1 {
+		t.Fatalf("writeback re-based %d times, want 1", got)
+	}
+	if got := c.Seq(la); got != cur {
+		t.Fatalf("re-based counter = %d, want the current root %d", got, cur)
+	}
+	if err := c.SecurityErr(); err != nil {
+		t.Fatal(err)
+	}
+	if f := c.Stats().SelfCheckFails; f != 0 {
+		t.Fatalf("%d self-check failures", f)
+	}
+
+	eager := s.controller(DefaultConfig())
+	for _, a := range s.ages {
+		eager.AgeLine(a.Addr, a.Offset)
+	}
+	resetRoot(eager)
+	res = eager.FetchLine(0, la)
+	if got, want := eager.Seq(la), eager.Predictor().Root(la); got != want {
+		t.Fatalf("eagerly created line's counter = %d, want the current root %d", got, want)
+	}
+	if !res.PredHit {
+		t.Fatal("a line created at the current root was not predicted")
+	}
+}
+
 func TestAgedTemplatePadReuseIsViolation(t *testing.T) {
 	s := newAgedSetup()
 	tmpl := s.build()

@@ -26,23 +26,18 @@ func groupConfig(s Scheme, l2 int, switchEvery uint64) Config {
 
 // groupSchemeSets are the rows TestGroupMatchesSolo runs as groups: the
 // scheme sets of Figures 7 and 12, the sequence-number cache sweep with
-// its prediction reference, custom predictor geometry (which ages
-// eagerly instead of attaching the template) and the remaining schemes.
+// its prediction reference, custom predictor configs (the ablation's
+// variants) and the remaining schemes.
 func groupSchemeSets() [][]Scheme {
-	variant := func(name string, mod func(*predictor.Config)) Scheme {
-		pc := predictor.DefaultConfig(predictor.SchemeRegular)
-		mod(&pc)
-		return Scheme{Name: name, Pred: pc.Scheme, PredConfig: &pc}
-	}
 	return [][]Scheme{
 		{SchemeSeqCache(128 << 10), SchemeSeqCache(512 << 10), SchemePred(predictor.SchemeRegular)},
 		{SchemePred(predictor.SchemeRegular), SchemePred(predictor.SchemeTwoLevel), SchemePred(predictor.SchemeContext)},
 		{SchemeSeqCache(4 << 10), SchemeSeqCache(64 << 10), SchemeSeqCache(1 << 20), SchemePred(predictor.SchemeRegular)},
 		{
-			variant("non-adaptive", func(c *predictor.Config) { c.Adaptive = false }),
-			variant("depth=1", func(c *predictor.Config) { c.Depth = 1 }),
-			variant("history=2", func(c *predictor.Config) { c.HistoryDepth = 2 }),
-			variant("context swing=1", func(c *predictor.Config) { c.Scheme = predictor.SchemeContext; c.Swing = 1 }),
+			predVariant("non-adaptive", func(c *predictor.Config) { c.Adaptive = false }),
+			predVariant("depth=1", func(c *predictor.Config) { c.Depth = 1 }),
+			predVariant("history=2", func(c *predictor.Config) { c.HistoryDepth = 2 }),
+			predVariant("context swing=1", func(c *predictor.Config) { c.Scheme = predictor.SchemeContext; c.Swing = 1 }),
 		},
 		{SchemeCombined(32<<10, predictor.SchemeRegular), SchemeOracle(), SchemeBaseline()},
 	}

@@ -370,17 +370,18 @@ func build(bench string, cfgs []Config) (*Machine, error) {
 }
 
 // newSide builds cfg's counter side over the template and the machine's
-// image view, aged as a long fast-forward would have left it.
+// image view, aged as a long fast-forward would have left it: it views
+// the template's pre-aged counters copy-on-write and replays the
+// template's per-page root draws into its own predictor. An integrity
+// side starts from a clone of the tree the template loads with those
+// counters, and of the data channel that load wrote to. Direct mode has
+// no counters to age: it starts from a fresh channel (and tree) and
+// encrypts each line at first touch.
 func newSide(cfg Config, tmpl *machineTemplate, image *mem.Memory) (*side, error) {
-	// Direct mode ages nothing, and custom predictor geometry replays
-	// eager aging below; every other machine attaches the template.
-	attach := !cfg.Scheme.Direct && cfg.Scheme.PredConfig == nil
 	var d *dram.DRAM
 	var tree *integrity.Tree
 	switch {
-	case cfg.Integrity && attach:
-		// The tree eager aging would build, with the node-cache and
-		// data-channel state its timed load leaves behind.
+	case cfg.Integrity && !cfg.Scheme.Direct:
 		imgTree, imgDRAM, err := tmpl.treeImage(cfg.DRAM)
 		if err != nil {
 			return nil, err
@@ -393,6 +394,30 @@ func newSide(cfg Config, tmpl *machineTemplate, image *mem.Memory) (*side, error
 	default:
 		d = dram.New(cfg.DRAM)
 	}
+	s, err := wireSide(cfg, d, tree, image)
+	if err != nil || cfg.Scheme.Direct {
+		return s, err
+	}
+	if s.Pred.Config().Scheme == predictor.SchemeTwoLevel {
+		// The paper simulates the prediction mechanism during
+		// fast-forward, so two-level range state starts warm. The table
+		// walks create pages in sample order, the order the template
+		// drew their roots in.
+		for _, a := range tmpl.ageList {
+			s.Pred.WarmRange(a.Addr, a.Offset)
+		}
+	}
+	for _, la := range tmpl.agePages {
+		s.Pred.Root(la)
+	}
+	s.Ctrl.UseAgedTemplate(tmpl.aged)
+	return s, nil
+}
+
+// wireSide builds cfg's engine, predictor, sequence-number cache and
+// controller over data channel d, attaches tree when it is non-nil and
+// arms cfg's fault plan. The side's off-chip state starts empty.
+func wireSide(cfg Config, d *dram.DRAM, tree *integrity.Tree, image *mem.Memory) (*side, error) {
 	engine, err := cryptoengine.NewModel(cfg.Engine, ctr.NewKeystream(machineKey(cfg.Seed)))
 	if err != nil {
 		return nil, err
@@ -427,41 +452,6 @@ func newSide(cfg Config, tmpl *machineTemplate, image *mem.Memory) (*side, error
 		inj = faults.NewInjector(*cfg.Faults, cfg.Seed^0xfa0175)
 		ctrl.ArmFaults(inj)
 	}
-
-	// Apply the workload's counter-aging profile: the update history a
-	// long fast-forward would have left in each write region, including
-	// warm two-level range state (the paper simulates the prediction
-	// mechanism during fast-forward). Direct mode has no counters to age.
-	//
-	// The common case attaches the template's pre-aged encrypted state as
-	// a copy-on-write view and only replays the per-page root draws into
-	// this side's predictor (in template order, so the drawn values are
-	// identical to eager aging); an integrity side's tree was cloned
-	// above already loaded. Custom predictor geometry changes which pages
-	// draw roots, so it replays the eager per-line loop from the cached
-	// sample list — byte-identical to the original sampling loop.
-	if !cfg.Scheme.Direct {
-		if !attach {
-			for _, s := range tmpl.ageList {
-				ctrl.AgeLine(s.Addr, s.Offset)
-				pred.WarmRange(s.Addr, s.Offset)
-			}
-		} else {
-			if pcfg.Scheme == predictor.SchemeTwoLevel {
-				// Warm range state first: its table walks create the
-				// counter pages in sample order, matching eager aging
-				// (where AgeLine touched each page at the same point).
-				for _, s := range tmpl.ageList {
-					pred.WarmRange(s.Addr, s.Offset)
-				}
-			}
-			for _, la := range tmpl.agePages {
-				pred.Root(la)
-			}
-			ctrl.UseAgedTemplate(tmpl.aged)
-		}
-	}
-
 	return &side{
 		Ctrl: ctrl, Pred: pred, SCache: sc, Engine: engine, DRAM: d,
 		Faults: inj, scheme: cfg.Scheme.Name,

@@ -23,23 +23,28 @@
 // service scale); a warm one finds them sealed by the machines before
 // it.
 //
-// Integrity machines attach the counter half too. Eager aging would also
-// load every aged line into the machine's hash tree at cycle 0, and
-// those timed updates leave node-cache and data-DRAM state behind, so
-// the template keeps one loaded, frozen tree per DRAM configuration
-// (built on first use, like the template) and each integrity machine
-// starts from a clone of it and of its DRAM channel. Such a machine seals
-// the template lines it touches into its own pad table.
+// Integrity machines attach the counter half too. Every aged line's leaf
+// is loaded into the machine's hash tree at cycle 0, and those timed
+// updates leave node-cache and data-DRAM state behind, so the template
+// keeps one loaded, frozen tree per DRAM configuration (built on first
+// use, like the template) and each integrity machine starts from a clone
+// of it and of its DRAM channel. Such a machine seals the template lines
+// it touches into its own pad table.
 //
 // Sharing is sound because all of the cached artifacts are functions of
 // the key (seed-derived), the image (seed-derived), the counter roots
 // (drawn from rng.New(seed^0xabcdef) in aged-page first-touch order,
 // which is itself seed-derived) and, for a tree image, the DRAM
-// configuration — scheme choice influences none of them. Machines with
-// custom predictor page geometry, which changes which pages draw roots,
-// are not reproduced by the template: they replay the eager per-line
-// aging loop from the cached sample list instead, which is still
-// byte-identical to the pre-template construction path.
+// configuration — scheme choice influences none of them.
+//
+// The template is the only way a counter-mode machine gets its starting
+// state. The per-line aging loop it replaced (Controller.AgeLine over the
+// sample list, each other line created at first touch) lives on as a
+// test oracle, and the two differ in one case only: when a page's root
+// resets before a template line of that page is first touched. The
+// template line still holds the root its page was mapped with, so its
+// fetch misses and its next writeback re-bases it; the loop would have
+// created it then, under the page's current root.
 package sim
 
 import (
@@ -64,12 +69,12 @@ type machineTemplate struct {
 	prog  *isa.Program
 	image *mem.Memory // frozen; machines attach views
 	// ageList is the full sampled aging profile in draw order, including
-	// lines sampled more than once — the eager replay path consumes it
-	// exactly as the original sampling loop did.
+	// lines sampled more than once. It feeds the tree image's load and
+	// two-level range warm-up.
 	ageList []secmem.AgedLine
-	// agePages holds one representative line address per distinct
-	// default-geometry (4 KiB) counter page, in first-touch order: the
-	// root-draw replay sequence for machines that attach the aged state.
+	// agePages holds one line address per distinct page, in the order
+	// the template drew the pages' roots: every machine's predictor
+	// replays the draws in this order.
 	agePages []uint64
 	aged     *secmem.AgedTemplate
 
@@ -78,9 +83,10 @@ type machineTemplate struct {
 	treeLoads atomic.Int32 // tree image builds started (tests)
 }
 
-// treeEntry is one loaded tree image: the frozen tree eager aging leaves
-// on an integrity machine with that DRAM configuration, and the data
-// channel its load updates wrote to. Built at most once, like tmplEntry.
+// treeEntry is one loaded tree image: the frozen tree holding the aged
+// lines' leaves for an integrity machine with that DRAM configuration,
+// and the data channel its load updates wrote to. Built at most once,
+// like tmplEntry.
 type treeEntry struct {
 	once sync.Once
 	tree *integrity.Tree
@@ -209,9 +215,9 @@ func dropTemplate(key templateKey) {
 // once: build the workload, sample its aging profile, and pre-age the
 // off-chip counters (each line's pad is sealed under the machine key on
 // its first full-model use, see secmem.AgedTemplate). Root counters are
-// drawn through a throwaway default-geometry predictor so the draw
-// sequence matches what any machine's own predictor produces when it
-// replays roots in agePages order.
+// drawn through a throwaway predictor seeded as every machine's own is,
+// so a machine's predictor replaying roots in agePages order draws the
+// same values.
 func buildTemplate(bench string, cfg Config) (*machineTemplate, error) {
 	image := mem.New()
 	wl, err := workload.Build(bench, cfg.Scale, image, cfg.Seed)
@@ -248,11 +254,10 @@ func buildTemplate(bench string, cfg Config) (*machineTemplate, error) {
 	pages := 0
 	ks := ctr.NewKeystream(machineKey(cfg.Seed))
 	// Roots are drawn in the builder's order: aged lines first, in
-	// sampling order, so their counters and root-draw sequence match
-	// eager aging exactly; then every other image line at its root
-	// counter (offset 0), which is precisely what Controller first-touch
-	// materialization would produce — done here once instead of on the
-	// fetch path of every machine.
+	// sampling order, then every other image line at offset 0 from the
+	// root its page was mapped with, which the line keeps until its first
+	// writeback — done here once instead of on the fetch path of every
+	// machine.
 	t.aged = secmem.BuildAgedTemplate(ks, image, func(la uint64) uint64 {
 		root := tp.Root(la)
 		if n := tp.PageCount(); n > pages {

@@ -15,7 +15,6 @@ import (
 
 	"ctrpred/internal/dram"
 	"ctrpred/internal/faults"
-	"ctrpred/internal/integrity"
 	"ctrpred/internal/predictor"
 	"ctrpred/internal/secmem"
 	"ctrpred/internal/workload"
@@ -193,38 +192,14 @@ func TestHitRateSweepLeavesPadsUnbuilt(t *testing.T) {
 	}
 }
 
-// integrityPair is one configuration of TestIntegrityTemplateMatchesEager
-// and its eager twin: the same machine forced down the eager aging loop
-// by a custom predictor config of the default geometry.
-func integrityPair(s Scheme, dcfg dram.Config, seed uint64) (Config, Config) {
-	cfg := testConfig(s).WithSeed(seed).WithIntegrity()
-	cfg.Scale.Instructions = 20_000
-	cfg.DRAM = dcfg
-	eager := cfg
-	pc := predictor.DefaultConfig(s.Pred)
-	eager.Scheme.PredConfig = &pc
-	return cfg, eager
-}
-
-// loadedState is what an integrity machine holds right after NewMachine
-// that its run would reveal only indirectly: the tree root and the data
-// channel's statistics.
-func loadedState(t *testing.T, bench string, cfg Config) (*Machine, integrity.Digest, dram.Stats) {
-	t.Helper()
-	m, err := NewMachine(bench, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m, m.Ctrl.IntegrityTree().Root(), m.DRAM.Stats()
-}
-
 // TestIntegrityTemplateMatchesEager pins an integrity machine built from
 // the template (a clone of its loaded tree and data channel, leaves of
 // unaged lines installed at first touch) to the eager aging loop it
-// replaces: the same tree root and DRAM statistics right after
-// NewMachine and the same snapshot after the run, over every benchmark,
-// four counter schemes and two DRAM geometries, with the self-check
-// alternating and one fault plan of each kind armed under quarantine.
+// replaces (eagerMachine): the same tree root and DRAM statistics right
+// after NewMachine and the same snapshot after the run, over every
+// benchmark, four counter schemes and two DRAM geometries, with the
+// self-check alternating and one fault plan of each kind armed under
+// quarantine.
 func TestIntegrityTemplateMatchesEager(t *testing.T) {
 	schemes := []Scheme{
 		SchemePred(predictor.SchemeContext),
@@ -241,9 +216,9 @@ func TestIntegrityTemplateMatchesEager(t *testing.T) {
 	for bi, bench := range workload.Names() {
 		for si, s := range schemes {
 			for di, dcfg := range drams {
-				cfg, eagerCfg := integrityPair(s, dcfg, 0x1e7+uint64(bi))
+				cfg := eagerConfig(s, 0x1e7+uint64(bi)).WithIntegrity()
+				cfg.DRAM = dcfg
 				cfg.SelfCheck = n%2 == 0
-				eagerCfg.SelfCheck = cfg.SelfCheck
 				n++
 				if si == 0 && di == 1 {
 					kind := kinds[bi%len(kinds)]
@@ -251,33 +226,10 @@ func TestIntegrityTemplateMatchesEager(t *testing.T) {
 						{Kind: kind, Trigger: faults.Trigger{Fetch: uint64(5 + 3*bi)}},
 					}}
 					cfg = cfg.WithFaults(plan).WithRecovery(secmem.RecoveryQuarantine)
-					eagerCfg = eagerCfg.WithFaults(plan).WithRecovery(secmem.RecoveryQuarantine)
 				}
 				name := fmt.Sprintf("%s/%s/dram%d/sc%v", bench, s.Name, di, cfg.SelfCheck)
-
-				tm, troot, tdram := loadedState(t, bench, cfg)
-				em, eroot, edram := loadedState(t, bench, eagerCfg)
-				if troot != eroot {
-					t.Errorf("%s: loaded tree root differs from eager aging", name)
-				}
-				if tdram != edram {
-					t.Errorf("%s: loaded DRAM stats %+v, eager %+v", name, tdram, edram)
-				}
-				tres, eres := tm.Run(), em.Run()
-				tm.Close()
-				em.Close()
-				tjs, err := tres.Snapshot().JSON()
-				if err != nil {
-					t.Fatal(err)
-				}
-				ejs, err := eres.Snapshot().JSON()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(tjs, ejs) {
-					t.Errorf("%s: snapshot differs from eager aging", name)
-				}
-				if cfg.Faults != nil && tres.Faults.TotalInjected() > 0 {
+				res := matchEager(t, name, bench, cfg)
+				if cfg.Faults != nil && res.Faults.TotalInjected() > 0 {
 					armed[cfg.Faults.Attacks[0].Kind] = true
 				}
 			}

@@ -3,15 +3,17 @@
 // additionally tagged with the page's root sequence number; in this
 // implementation the root lives in the predictor's page table (the
 // architectural "per-process security context") and the TLB contributes
-// timing: a miss costs a page-walk penalty.
+// timing: a miss costs a page-walk penalty. Pages are mem.PageShift
+// (4 KiB) pages.
 package tlb
+
+import "ctrpred/internal/mem"
 
 // Config describes a TLB.
 type Config struct {
 	Name        string
 	Entries     int
 	Ways        int
-	PageBits    uint   // log2 of page size (12 for 4 KB)
 	MissPenalty uint64 // cycles added by a page walk
 }
 
@@ -55,9 +57,6 @@ func New(cfg Config) *TLB {
 	if numSets&(numSets-1) != 0 {
 		panic("tlb: sets not a power of two")
 	}
-	if cfg.PageBits == 0 {
-		cfg.PageBits = 12
-	}
 	t := &TLB{cfg: cfg, numSets: numSets, setMask: uint64(numSets - 1)}
 	t.sets = make([][]entry, numSets)
 	backing := make([]entry, cfg.Entries)
@@ -78,7 +77,7 @@ func (t *TLB) Stats() Stats { return t.stats }
 func (t *TLB) Lookup(addr uint64) uint64 {
 	t.clock++
 	t.stats.Accesses++
-	vpage := addr >> t.cfg.PageBits
+	vpage := addr >> mem.PageShift
 	set := int(vpage & t.setMask)
 	ways := t.sets[set]
 	for i := range ways {

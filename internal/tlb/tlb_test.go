@@ -3,7 +3,7 @@ package tlb
 import "testing"
 
 func newTLB() *TLB {
-	return New(Config{Name: "d", Entries: 256, Ways: 4, PageBits: 12, MissPenalty: 30})
+	return New(Config{Name: "d", Entries: 256, Ways: 4, MissPenalty: 30})
 }
 
 func TestMissThenHit(t *testing.T) {
@@ -29,7 +29,7 @@ func TestMissThenHit(t *testing.T) {
 func TestCapacityEviction(t *testing.T) {
 	// 8 entries, 2 ways → 4 sets. Pages p and p+4 share a set; a third
 	// conflicting page evicts the LRU.
-	tl := New(Config{Entries: 8, Ways: 2, PageBits: 12, MissPenalty: 10})
+	tl := New(Config{Entries: 8, Ways: 2, MissPenalty: 10})
 	page := func(n uint64) uint64 { return n << 12 }
 	tl.Lookup(page(0))
 	tl.Lookup(page(4))
@@ -67,12 +67,5 @@ func TestBadGeometryPanics(t *testing.T) {
 			}()
 			New(cfg)
 		}()
-	}
-}
-
-func TestDefaultPageBits(t *testing.T) {
-	tl := New(Config{Entries: 4, Ways: 1, MissPenalty: 5})
-	if tl.Config().PageBits != 12 {
-		t.Fatalf("default PageBits = %d, want 12", tl.Config().PageBits)
 	}
 }
