@@ -12,18 +12,22 @@
 # to the tracked ledger BENCH_sim.json (label via BENCH_LABEL=...), so
 # perf changes land with their before/after numbers. benchjson refuses a
 # label the ledger already holds (re-record deliberately with
-# BENCH_FLAGS=-force) and prints non-blocking warnings for metrics that
-# regressed >10% against the previous entry. See EXPERIMENTS.md for the
-# profiling workflow built on top of it.
+# BENCH_FLAGS=-force) and compares the new entry with the most recent
+# earlier entry that ran the same benchmarks (saying so when none did):
+# non-blocking warnings for metrics that regressed >10%, then per
+# benchmark the rounds the new entry won on ns/op and both medians. See
+# EXPERIMENTS.md for the profiling workflow built on top of it.
 #
 # `make bench-ab BASE=<rev>` is a same-session A/B of the root
 # benchmarks: it builds the root test binary of <rev> (from git archive,
 # with this tree's bench_test.go copied in, so both sides run the same
 # benchmarks) and this tree's own, runs the two alternately for ROUNDS
 # rounds of 5 iterations over the BENCH regexp, and records each side in
-# BENCH_sim.json as $(BENCH_LABEL)-parent and $(BENCH_LABEL). The
-# binaries and their output live in a temporary directory (under
-# $TMPDIR) removed on exit.
+# BENCH_sim.json as $(BENCH_LABEL)-parent and $(BENCH_LABEL). Recording
+# $(BENCH_LABEL) compares it with $(BENCH_LABEL)-parent, so its ns/op
+# lines are the verdict: rounds won, each round against the base's round
+# run beside it. The binaries and their output live in a temporary
+# directory (under $TMPDIR) removed on exit.
 
 GO ?= go
 BENCH_LABEL ?= local

@@ -10,7 +10,10 @@
 //	go test -run '^$' -bench . -benchmem . | go run ./cmd/benchjson -label after -o BENCH_sim.json
 //
 // The input stream is echoed to stderr so piping through benchjson does
-// not hide benchmark progress.
+// not hide benchmark progress. Before appending, it compares the entry
+// with the most recent earlier entry that ran the same benchmarks: a
+// "benchjson: WARNING:" line per metric that moved >10% the wrong way,
+// then per benchmark the rounds this entry won on ns/op and both medians.
 package main
 
 import (
@@ -80,17 +83,9 @@ func main() {
 	if err := checkLabel(&ledger, entry.Label, *force); err != nil {
 		fatal(fmt.Errorf("%w in %s; pick a new label or pass -force to append anyway", err, *out))
 	}
-	// Non-blocking regression check: compare the fresh entry against the
-	// ledger's previous last run and warn about >10% movements in the
-	// wrong direction. Advisory only — benchmark hosts are noisy, so the
-	// exit status never depends on it; authoritative comparisons remain
-	// deliberate before/after entries (see EXPERIMENTS.md).
-	if len(ledger.Runs) > 0 {
-		prev := ledger.Runs[len(ledger.Runs)-1]
-		for _, w := range compareRuns(prev, entry) {
-			fmt.Fprintln(os.Stderr, "benchjson: WARNING:", w)
-		}
-	}
+	// Non-blocking: benchmark hosts are noisy, so the exit status never
+	// depends on the comparison (see EXPERIMENTS.md).
+	report(os.Stderr, *out, ledger.Runs, entry)
 	ledger.Runs = append(ledger.Runs, entry)
 
 	data, err := json.MarshalIndent(&ledger, "", "  ")
@@ -100,8 +95,8 @@ func main() {
 	if err := os.WriteFile(*out, append(data, '\n'), 0o644); err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "benchjson: recorded %d benchmarks as %q in %s\n",
-		len(entry.Benchmarks), *label, *out)
+	fmt.Fprintf(os.Stderr, "benchjson: recorded %d results of %d benchmarks as %q in %s\n",
+		len(entry.Benchmarks), len(roundMeans(entry.Benchmarks)), *label, *out)
 }
 
 // readRun parses a `go test -bench` stream into a run entry's Go, CPU
@@ -162,6 +157,101 @@ func checkLabel(ledger *Ledger, label string, force bool) error {
 	return nil
 }
 
+// report compares the fresh entry cur with its baseline among the
+// ledger's runs (see baselineFor) and writes the result to w: a
+// "WARNING:" line per >10% movement in the wrong direction, then per
+// benchmark the rounds cur won on ns/op and both medians (see
+// verdicts). With no baseline it writes one warning line saying so.
+func report(w io.Writer, ledgerName string, runs []RunEntry, cur RunEntry) {
+	base, ok := baselineFor(runs, cur)
+	if !ok {
+		fmt.Fprintf(w, "benchjson: WARNING: no earlier entry in %s ran the same %d benchmarks; nothing compared\n",
+			ledgerName, len(roundMeans(cur.Benchmarks)))
+		return
+	}
+	for _, line := range compareRuns(base, cur) {
+		fmt.Fprintln(w, "benchjson: WARNING:", line)
+	}
+	for _, line := range verdicts(base, cur) {
+		fmt.Fprintln(w, "benchjson:", line)
+	}
+}
+
+// baselineFor returns the most recent of runs that ran exactly the
+// benchmark names cur ran, and whether there is one. The ledger
+// interleaves unrelated suites (a full `make bench` run, a bench-ab
+// pair over a few names, a cluster-only run), and diffing entries that
+// share few or no names compares nothing.
+func baselineFor(runs []RunEntry, cur RunEntry) (RunEntry, bool) {
+	names := roundMeans(cur.Benchmarks)
+	for i := len(runs) - 1; i >= 0; i-- {
+		prev := roundMeans(runs[i].Benchmarks)
+		same := len(prev) == len(names)
+		for name := range names {
+			if _, ok := prev[name]; !ok {
+				same = false
+			}
+		}
+		if same {
+			return runs[i], true
+		}
+	}
+	return RunEntry{}, false
+}
+
+// verdicts returns a line per benchmark of cur, in name order, that base
+// ran for as many rounds: how many rounds cur won on ns/op, round i of
+// one entry against round i of the other (bench-ab runs the two sides'
+// rounds back to back), and the median ns/op of each.
+func verdicts(base, cur RunEntry) []string {
+	baseNs, curNs := roundValues(base.Benchmarks, "ns/op"), roundValues(cur.Benchmarks, "ns/op")
+	names := make([]string, 0, len(curNs))
+	for name := range curNs {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	var lines []string
+	for _, name := range names {
+		b, c := baseNs[name], curNs[name]
+		if len(b) != len(c) {
+			continue
+		}
+		won := 0
+		for i := range c {
+			if c[i] < b[i] {
+				won++
+			}
+		}
+		lines = append(lines, fmt.Sprintf("%s ns/op: won %d of %d rounds against %q; median %g -> %g",
+			name, won, len(c), base.Label, median(b), median(c)))
+	}
+	return lines
+}
+
+// roundValues lists each benchmark's value of unit, one per round that
+// reports it, in round order.
+func roundValues(bs []Benchmark, unit string) map[string][]float64 {
+	vals := map[string][]float64{}
+	for _, b := range bs {
+		if v, ok := b.Metrics[unit]; ok {
+			vals[b.Name] = append(vals[b.Name], v)
+		}
+	}
+	return vals
+}
+
+// median returns the median of vs, the mean of the middle two for an
+// even count. vs must not be empty; it is left unsorted.
+func median(vs []float64) float64 {
+	s := append([]float64(nil), vs...)
+	sort.Float64s(s)
+	n := len(s)
+	if n%2 == 1 {
+		return s[n/2]
+	}
+	return (s[n/2-1] + s[n/2]) / 2
+}
+
 // regressionThreshold is the relative movement past which compareRuns
 // flags a metric: 10%, chosen to sit above typical same-host run-to-run
 // noise while still catching real slowdowns.
@@ -173,30 +263,13 @@ const regressionThreshold = 0.10
 // (anything ending in "/s") regress downward; cost units (ns/op, B/op,
 // allocs/op, …) regress upward. A multi-round entry lists each name
 // once per round; its rounds are averaged first (roundMeans), so every
-// name and metric is compared, and warned about, once. A benchmark
-// present in only one run has no numbers to compare, but its appearance
-// or disappearance is itself worth a line: two consecutive entries with
-// disjoint suites (it happened — a cluster-only run following a
-// chaos-only run) would otherwise diff as "no movement" when really
-// nothing was compared at all.
+// name and metric is compared, and warned about, once. The two entries
+// ran the same benchmarks (see baselineFor).
 func compareRuns(prev, cur RunEntry) []string {
 	prevBy, curBy := roundMeans(prev.Benchmarks), roundMeans(cur.Benchmarks)
 	var warnings []string
-	for name := range prevBy {
-		if _, ok := curBy[name]; !ok {
-			warnings = append(warnings, fmt.Sprintf(
-				"%s removed: present in %q (%s) but not in this run",
-				name, prev.Label, prev.Date))
-		}
-	}
 	for name, metrics := range curBy {
-		pm, ok := prevBy[name]
-		if !ok {
-			warnings = append(warnings, fmt.Sprintf(
-				"%s added: no baseline in %q (%s) to compare against",
-				name, prev.Label, prev.Date))
-			continue
-		}
+		pm := prevBy[name]
 		for unit, v := range metrics {
 			pv, ok := pm[unit]
 			if !ok || pv == 0 {

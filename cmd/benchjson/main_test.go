@@ -2,7 +2,6 @@ package main
 
 import (
 	"io"
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -58,14 +57,13 @@ func TestCheckLabelRejectsDuplicates(t *testing.T) {
 
 // TestCompareRuns pins the regression-warning logic: cost metrics warn
 // when they rise >10%, throughput metrics when they fall >10%, moves
-// inside the threshold and improvements stay quiet. A benchmark present
-// in only one run is reported as added or removed (units without a
-// counterpart are still skipped silently — a new b.ReportMetric is not
-// a suite change).
+// inside the threshold and improvements stay quiet, and units without a
+// counterpart are skipped silently (a new b.ReportMetric is not a suite
+// change).
 func TestCompareRuns(t *testing.T) {
 	prev := RunEntry{Label: "before", Date: "2026-01-01T00:00:00Z", Benchmarks: []Benchmark{
 		{Name: "Hot", Metrics: map[string]float64{"ns/op": 100, "sim_instrs/s": 10_000_000, "B/op": 1000}},
-		{Name: "Gone", Metrics: map[string]float64{"ns/op": 50}},
+		{Name: "Cold", Metrics: map[string]float64{"ns/op": 50}},
 	}}
 	cur := RunEntry{Label: "after", Benchmarks: []Benchmark{
 		{Name: "Hot", Metrics: map[string]float64{
@@ -74,17 +72,15 @@ func TestCompareRuns(t *testing.T) {
 			"B/op":         1050,      // +5%: inside threshold, quiet
 			"allocs/op":    999,       // no counterpart unit in prev, skip
 		}},
-		{Name: "New", Metrics: map[string]float64{"ns/op": 1}}, // report as added
+		{Name: "Cold", Metrics: map[string]float64{"ns/op": 50}},
 	}}
 	warnings := compareRuns(prev, cur)
-	if len(warnings) != 4 {
-		t.Fatalf("got %d warnings %v, want 4", len(warnings), warnings)
+	if len(warnings) != 2 {
+		t.Fatalf("got %d warnings %v, want 2", len(warnings), warnings)
 	}
 	for _, want := range []string{
 		"ns/op regressed +25.0%",
 		"sim_instrs/s regressed -20.0%",
-		"New added",
-		"Gone removed",
 	} {
 		found := false
 		for _, w := range warnings {
@@ -97,66 +93,19 @@ func TestCompareRuns(t *testing.T) {
 		}
 	}
 
-	// Improvements never warn, in either direction; only the dropped
-	// benchmark is reported.
+	// Improvements never warn, in either direction.
 	better := RunEntry{Label: "faster", Benchmarks: []Benchmark{
 		{Name: "Hot", Metrics: map[string]float64{"ns/op": 50, "sim_instrs/s": 20_000_000}},
+		{Name: "Cold", Metrics: map[string]float64{"ns/op": 40}},
 	}}
-	if w := compareRuns(prev, better); len(w) != 1 || !strings.Contains(w[0], "Gone removed") {
-		t.Errorf("improvement run: warnings = %v, want only the removal of Gone", w)
-	}
-}
-
-// TestCompareRunsDisjointSuites reproduces the ledger shape that
-// motivated the added/removed reporting: the pr8-cluster entry
-// (ClusterSweepNodes1/2/4) followed by the pr9-chaos entry
-// (ClusterChaosNodes1/2/4) share no benchmark at all. The old
-// compareRuns returned nothing — indistinguishable from "compared
-// everything, no movement" — where it must now say every benchmark
-// changed hands.
-func TestCompareRunsDisjointSuites(t *testing.T) {
-	m := func() map[string]float64 { return map[string]float64{"ns/op": 1e9, "sim_instrs/s": 1e7} }
-	prev := RunEntry{Label: "pr8-cluster", Date: "2026-01-01T00:00:00Z", Benchmarks: []Benchmark{
-		{Name: "ClusterSweepNodes1", Metrics: m()},
-		{Name: "ClusterSweepNodes2", Metrics: m()},
-		{Name: "ClusterSweepNodes4", Metrics: m()},
-	}}
-	cur := RunEntry{Label: "pr9-chaos", Benchmarks: []Benchmark{
-		{Name: "ClusterChaosNodes1", Metrics: m()},
-		{Name: "ClusterChaosNodes2", Metrics: m()},
-		{Name: "ClusterChaosNodes4", Metrics: m()},
-	}}
-	warnings := compareRuns(prev, cur)
-	if len(warnings) != 6 {
-		t.Fatalf("got %d warnings %v, want 6 (3 added + 3 removed)", len(warnings), warnings)
-	}
-	for _, n := range []int{1, 2, 4} {
-		wantAdd := "ClusterChaosNodes" + strconv.Itoa(n) + " added"
-		wantGone := "ClusterSweepNodes" + strconv.Itoa(n) + " removed"
-		for _, want := range []string{wantAdd, wantGone} {
-			found := false
-			for _, w := range warnings {
-				if strings.Contains(w, want) {
-					found = true
-				}
-			}
-			if !found {
-				t.Errorf("no warning containing %q in %v", want, warnings)
-			}
-		}
-	}
-	// No spurious metric regressions between unrelated benchmarks.
-	for _, w := range warnings {
-		if strings.Contains(w, "regressed") {
-			t.Errorf("disjoint suites produced a metric regression: %q", w)
-		}
+	if w := compareRuns(prev, better); len(w) != 0 {
+		t.Errorf("improvement run: warnings = %v, want none", w)
 	}
 }
 
 // TestCompareRunsMultiRound pins that a multi-round entry (-count N, or
-// concatenated runs) is compared once per name: an added or removed
-// benchmark is one line, not one per round, and a metric is judged on
-// its mean over the rounds.
+// concatenated runs) is compared once per name: a metric is judged on
+// its mean over the rounds and warns at most once.
 func TestCompareRunsMultiRound(t *testing.T) {
 	rounds := func(n int, bs ...Benchmark) []Benchmark {
 		var out []Benchmark
@@ -168,25 +117,21 @@ func TestCompareRunsMultiRound(t *testing.T) {
 	ns := func(v float64) map[string]float64 { return map[string]float64{"ns/op": v} }
 	prev := RunEntry{Label: "before", Date: "2026-01-01T00:00:00Z", Benchmarks: rounds(3,
 		Benchmark{Name: "Hot", Metrics: ns(100)},
-		Benchmark{Name: "Gone", Metrics: ns(50)},
+		Benchmark{Name: "Cold", Metrics: ns(50)},
 	)}
 	for _, tc := range []struct {
 		name string
 		cur  []Benchmark
 		want []string
 	}{
-		{"added and removed", rounds(3,
-			Benchmark{Name: "Hot", Metrics: ns(100)},
-			Benchmark{Name: "New", Metrics: ns(1)},
-		), []string{"Gone removed", "New added"}},
 		{"rounds averaged", append(rounds(2,
 			Benchmark{Name: "Hot", Metrics: ns(130)}, // each round +30%
-			Benchmark{Name: "Gone", Metrics: ns(50)},
+			Benchmark{Name: "Cold", Metrics: ns(50)},
 		), Benchmark{Name: "Hot", Metrics: ns(40)}), // mean 100: no movement
 			nil},
 		{"one regression per metric", rounds(3,
 			Benchmark{Name: "Hot", Metrics: ns(125)},
-			Benchmark{Name: "Gone", Metrics: ns(50)},
+			Benchmark{Name: "Cold", Metrics: ns(50)},
 		), []string{"Hot ns/op regressed +25.0%"}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -200,6 +145,88 @@ func TestCompareRunsMultiRound(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestBaselineSameSuite pins the baseline choice: the most recent
+// earlier entry that ran exactly the fresh entry's benchmark names, in
+// any order and any number of rounds, past more recent entries of other
+// suites; with none, report says so in one warning line.
+func TestBaselineSameSuite(t *testing.T) {
+	ns := map[string]float64{"ns/op": 1}
+	suite := func(label string, names ...string) RunEntry {
+		e := RunEntry{Label: label}
+		for _, n := range names {
+			e.Benchmarks = append(e.Benchmarks, Benchmark{Name: n, Metrics: ns})
+		}
+		return e
+	}
+	runs := []RunEntry{
+		suite("old-ab", "A", "B"),
+		suite("full", "A", "B", "C"),
+		suite("ab", "B", "A", "B", "A"), // two rounds
+		suite("cluster", "X"),
+		suite("subset", "A"),
+	}
+	for _, tc := range []struct {
+		cur  RunEntry
+		want string // "" for no baseline
+	}{
+		{suite("new-ab", "A", "B"), "ab"},
+		{suite("new-full", "C", "B", "A"), "full"},
+		{suite("new-cluster", "X"), "cluster"},
+		{suite("new-subset", "A"), "subset"},
+		{suite("other", "A", "Z"), ""},
+	} {
+		base, ok := baselineFor(runs, tc.cur)
+		if got := map[bool]string{true: base.Label}[ok]; got != tc.want {
+			t.Errorf("%s: baseline %q, want %q", tc.cur.Label, got, tc.want)
+		}
+	}
+
+	var out strings.Builder
+	report(&out, "BENCH_sim.json", runs, suite("other", "A", "Z"))
+	if want := "benchjson: WARNING: no earlier entry in BENCH_sim.json ran the same 2 benchmarks; nothing compared\n"; out.String() != want {
+		t.Errorf("report without a baseline = %q, want %q", out.String(), want)
+	}
+}
+
+// TestVerdicts pins the per-benchmark verdict: the rounds the fresh entry
+// won on ns/op, round by round, and both medians; a benchmark whose
+// entries ran different numbers of rounds gets no verdict.
+func TestVerdicts(t *testing.T) {
+	entry := func(label string, hot, cold []float64) RunEntry {
+		e := RunEntry{Label: label}
+		for _, v := range hot {
+			e.Benchmarks = append(e.Benchmarks, Benchmark{Name: "Hot", Metrics: map[string]float64{"ns/op": v}})
+		}
+		for _, v := range cold {
+			e.Benchmarks = append(e.Benchmarks, Benchmark{Name: "Cold", Metrics: map[string]float64{"ns/op": v}})
+		}
+		return e
+	}
+	base := entry("x-parent", []float64{100, 110, 90, 105}, []float64{50, 50})
+	base.Date = "2026-01-01T00:00:00Z"
+	cur := entry("x", []float64{95, 112, 80, 100}, []float64{40})
+	got := verdicts(base, cur)
+	want := []string{`Hot ns/op: won 3 of 4 rounds against "x-parent"; median 102.5 -> 97.5`}
+	if len(got) != len(want) || got[0] != want[0] {
+		t.Fatalf("verdicts = %q, want %q", got, want)
+	}
+
+	// report prints the verdict after any regression warning, against
+	// the baseline it chose.
+	cur = entry("x", []float64{130, 140, 120, 135}, []float64{50, 50})
+	var out strings.Builder
+	report(&out, "BENCH_sim.json", []RunEntry{base}, cur)
+	lines := strings.Split(strings.TrimSuffix(out.String(), "\n"), "\n")
+	wantLines := []string{
+		`benchjson: WARNING: Hot ns/op regressed +29.6% vs "x-parent" (2026-01-01T00:00:00Z): 101.25 -> 131.25`,
+		`benchjson: Cold ns/op: won 0 of 2 rounds against "x-parent"; median 50 -> 50`,
+		`benchjson: Hot ns/op: won 0 of 4 rounds against "x-parent"; median 102.5 -> 132.5`,
+	}
+	if strings.Join(lines, "\n") != strings.Join(wantLines, "\n") {
+		t.Errorf("report =\n%s\nwant\n%s", out.String(), strings.Join(wantLines, "\n"))
 	}
 }
 

@@ -16,14 +16,23 @@
 // can therefore never corrupt data — a mispredicted pad simply fails the
 // counter comparison and is discarded, exactly as in the hardware.
 //
+// A line's off-chip state is what the untrusted RAM holds for it: an
+// 8-byte counter-table entry, and the ciphertext with the pad that
+// sealed it. The adversary's writes (TamperData, TamperCounter,
+// SpliceLines, ReplayStale) leave a forged (counter, ciphertext) pair
+// beside that state rather than in it; a fetch reads the forgery in the
+// line's place, and the line's next writeback discards it. The tables so
+// hold only legitimate state, and every writeback advances from the last
+// legitimate counter.
+//
 // Pads are computed only for lines whose data actually moves. Machines
 // built from a shared pre-aged image (AgedTemplate) start from its
 // counters, and each template line is encrypted the first time any of
 // those machines fetches or writes it, into a slot every later machine
 // reads; a cold machine pays AES for the lines it touches, not the
-// whole image. A machine with an integrity tree starts from a clone of
-// the tree the image loads into (see AgedTemplate.LoadTree) and seals
-// the template lines it touches into its own pad table.
+// whole image. A machine with an integrity tree reads the same slots and
+// starts from a clone of the tree the image loads into (see
+// AgedTemplate.LoadTree).
 package secmem
 
 import (
@@ -176,13 +185,20 @@ type Controller struct {
 	// arrays (flat indexing, no hashing on the fetch/evict hot path) with
 	// a sparse fallback beyond the dense horizon; a line is materialized
 	// exactly when its counter-table entry exists.
-	ctrs *paged.Table[ctrState]
+	ctrs *paged.Table[uint64]
 	pads *paged.Table[padState]
-	// tmpl is the pre-aged template a full-model controller without a
-	// tree views (nil otherwise). Its lines have no entry in pads until
-	// this controller writes them; until then they read through the
-	// template's sealed slots. An integrity controller on a template
-	// leaves tmpl nil: it seals a template line into pads at first touch.
+	// forged holds the pairs the adversary wrote over lines, by line
+	// address; nil until the first attack lands. A fetch reads a line's
+	// forgery in place of its own pair, and the line's next writeback
+	// deletes it. The tables above so never hold adversarial state: the
+	// counter-table entry is the counter a writeback advances from (the
+	// role the root of trust plays in hardware), and an attack on a
+	// template line copies no page out of the template.
+	forged map[uint64]pair
+	// tmpl is the pre-aged template a full-model controller views (nil
+	// otherwise). Its lines have no entry in pads until this controller
+	// writes them; until then they read through the template's sealed
+	// slots.
 	tmpl   *AgedTemplate
 	tree   *integrity.Tree   // optional hash-tree integrity protection
 	direct *ctr.DirectCipher // non-nil in direct mode
@@ -210,36 +226,26 @@ type Controller struct {
 	seqBufTick uint64
 }
 
-// ctrState is the hot half of one protected line's off-chip state: what
-// every fetch and eviction must read, and all a counters-only controller
-// ever stores (24 bytes against the pad half's 72).
-type ctrState struct {
-	seq uint64 // counter-table entry
-	// goodSeq shadows the last legitimately written counter. Adversarial
-	// counter corruption changes seq only, so recovery and evictions can
-	// always advance from a counter known fresh — the role the root of
-	// trust plays in hardware — and never reuse a pad.
-	goodSeq uint64
-	// tampered marks ciphertext the adversary corrupted, so the
-	// plaintext self-check knows not to expect a faithful decryption.
-	tampered bool
-}
-
-// padState is the cold half: the functional ciphertext and pad material,
-// touched only by paths that actually move data bits. A template line
-// this controller has not written has no padState of its own: it reads
-// the template's sealed slot, and its first write copies that slot here.
+// padState is the cold half of a line's off-chip state (the counter
+// table is the hot half): its ciphertext and the pad that sealed it,
+// touched only by paths that actually move data bits. Every path that
+// sets a counter seals the line under it (a template slot's seal,
+// materialization, writeback, heal), so the pad is always the OTP for
+// (line address, counter): a fetch books its pipeline slots normally
+// and skips re-running AES, the functional analogue of the paper's
+// precomputation buffer. A template line this controller has not
+// written has no padState of its own: it reads the template's sealed
+// slot, and its first write copies that slot here.
 type padState struct {
 	enc ctr.Line // encrypted RAM contents
-	// pad, when padValid, holds the OTP for (line address, seq), kept by
-	// sealPad, which every path that encrypts the line goes through
-	// (a template slot's seal, materialization, writeback, heal). Counter
-	// mode decrypts with the exact pad, so a fetch books its pipeline
-	// slots normally and skips re-running AES; every path that changes
-	// seq either reseals the line or clears padValid. This is the
-	// functional analogue of the paper's precomputation buffer.
-	pad      ctr.Pad
-	padValid bool
+	pad ctr.Pad
+}
+
+// pair is a (counter, ciphertext) pair as the untrusted RAM holds it for
+// one line: what the adversary forges, and what it snoops off the bus.
+type pair struct {
+	seq uint64
+	enc ctr.Line
 }
 
 // New wires a controller. pred must be non-nil (use predictor.SchemeNone
@@ -277,7 +283,7 @@ func New(cfg Config, d *dram.DRAM, e cryptoengine.EngineModel, pred *predictor.P
 		pred:    pred,
 		scache:  sc,
 		image:   image,
-		ctrs:    paged.New[ctrState](ctr.LineSize),
+		ctrs:    paged.New[uint64](ctr.LineSize),
 		pads:    paged.New[padState](ctr.LineSize),
 		stats:   Stats{FetchLatency: stats.NewHistogram(100, 150, 200, 300, 500)},
 	}
@@ -343,17 +349,18 @@ func (c *Controller) IntegrityTree() *integrity.Tree { return c.tree }
 // TamperData flips one ciphertext bit of line la in the untrusted RAM —
 // the basic adversary move. The next fetch must fail integrity
 // verification (with a tree attached) and would otherwise silently
-// decrypt to garbage; the plaintext self-check is suppressed for
-// tampered lines so the corruption is observable, not a model bug.
+// decrypt to garbage; a fetch of a forged pair skips the plaintext
+// self-check, so the corruption is observable, not a model bug.
 // It refuses in counters-only mode (no ciphertext exists to corrupt).
 // Implements faults.Target.
 func (c *Controller) TamperData(la uint64, bit int) bool {
 	if c.cfg.CountersOnly {
 		return false
 	}
-	cs, ps := c.owned(mem.LineAddr(la))
-	ps.enc[(bit/8)%ctr.LineSize] ^= 1 << (bit % 8)
-	cs.tampered = true
+	la = mem.LineAddr(la)
+	p := c.offChip(la)
+	p.enc[(bit/8)%ctr.LineSize] ^= 1 << (bit % 8)
+	c.forge(la, p)
 	return true
 }
 
@@ -368,18 +375,15 @@ func (c *Controller) TamperCounter(la uint64, delta uint64) bool {
 	if c.direct != nil || c.cfg.CountersOnly {
 		return false
 	}
-	cs, ps := c.owned(mem.LineAddr(la))
-	if delta == 0 || cs.seq == 0 {
+	la = mem.LineAddr(la)
+	p := c.offChip(la)
+	if delta == 0 || p.seq == 0 {
 		return false // nothing to roll back; the attack stays armed
 	}
-	if delta > cs.seq {
-		// Saturate rather than wrap: an underflowed ~2^64 counter must
-		// never leak into any recovery or writeback path.
-		delta = cs.seq
-	}
-	cs.seq -= delta
-	ps.padValid = false // the stored pad no longer matches the counter
-	cs.tampered = true
+	// Saturate rather than wrap: a fetch must never read an underflowed
+	// ~2^64 counter.
+	p.seq -= min(delta, p.seq)
+	c.forge(la, p)
 	return true
 }
 
@@ -405,10 +409,10 @@ func (c *Controller) SpliceLines(la, lb uint64) bool {
 	if la == lb {
 		return false
 	}
-	ca, pa := c.owned(la)
-	cb, pb := c.owned(lb)
+	pa, pb := c.offChip(la), c.offChip(lb)
 	pa.enc, pb.enc = pb.enc, pa.enc
-	ca.tampered, cb.tampered = true, true
+	c.forge(la, pa)
+	c.forge(lb, pb)
 	return true
 }
 
@@ -420,15 +424,37 @@ func (c *Controller) ReplayStale(la uint64, enc ctr.Line, seq uint64) bool {
 	if c.cfg.CountersOnly {
 		return false
 	}
-	cs, ps := c.owned(mem.LineAddr(la))
-	if cs.seq == seq && ps.enc == enc {
+	la = mem.LineAddr(la)
+	p := pair{seq: seq, enc: enc}
+	if c.offChip(la) == p {
 		return false
 	}
-	ps.enc = enc
-	cs.seq = seq
-	ps.padValid = false // the stored pad no longer matches the counter
-	cs.tampered = true
+	c.forge(la, p)
 	return true
+}
+
+// offChip returns the pair line la holds in the untrusted RAM,
+// materializing the line if needed: the adversary's forgery if one is in
+// place, else the line's own counter and (outside counters-only mode)
+// ciphertext.
+func (c *Controller) offChip(la uint64) pair {
+	seq, ps := c.materialize(la)
+	if p, ok := c.forged[la]; ok {
+		return p
+	}
+	p := pair{seq: seq}
+	if ps != nil {
+		p.enc = ps.enc
+	}
+	return p
+}
+
+// forge writes the adversary's pair p over line la's off-chip state.
+func (c *Controller) forge(la uint64, p pair) {
+	if c.forged == nil {
+		c.forged = make(map[uint64]pair)
+	}
+	c.forged[la] = p
 }
 
 // ArmFaults installs a fault injector on the fetch/writeback path and
@@ -503,34 +529,29 @@ func (c *Controller) fetchCounter(now uint64, la uint64) uint64 {
 // image through the crypto engine. A template line already holds its
 // counter: the root its page was mapped with, plus its aged offset, even
 // if the page's root has reset since. Any other line is created under
-// its page's current root. It returns the line's off-chip state for
-// *reading*: when the state is a view of a shared pre-aged template the
-// pointers may reach into the template (a template line this controller
-// never wrote reads its sealed slot, sealing it if no controller has
-// yet), so mutation paths must go through owned instead. The pad half
-// is nil in counters-only mode.
-func (c *Controller) materialize(la uint64) (*ctrState, *padState) {
+// its page's current root. It returns the line's own counter and its pad
+// half for *reading*: the pad half of a template line this controller
+// never wrote is the template's sealed slot (see tmplLine), so mutation
+// paths must go through owned instead. The pad half is nil in
+// counters-only mode.
+func (c *Controller) materialize(la uint64) (uint64, *padState) {
 	if cs := c.ctrs.Lookup(la); cs != nil {
 		if c.cfg.CountersOnly {
-			return cs, nil
+			return *cs, nil
 		}
 		if ps := c.pads.Lookup(la); ps != nil {
-			return cs, ps
+			return *cs, ps
 		}
-		if c.tmpl != nil {
-			return cs, c.tmpl.slot(la)
-		}
-		ps, _ := c.pads.Ensure(la)
-		c.loadLine(ps, la, cs.seq)
-		return cs, ps
+		return *cs, c.tmplLine(la, *cs)
 	}
-	return c.owned(la)
+	cs, ps := c.owned(la)
+	return *cs, ps
 }
 
 // owned returns la's off-chip state for *writing*: it materializes the
 // line if needed and, when the state is a view of a shared template,
 // forces the copy-on-write so the caller's mutation stays machine-local.
-func (c *Controller) owned(la uint64) (*ctrState, *padState) {
+func (c *Controller) owned(la uint64) (*uint64, *padState) {
 	cs, ps, fresh := c.ensure(la)
 	if fresh {
 		c.initLine(cs, ps, la, 0)
@@ -540,10 +561,9 @@ func (c *Controller) owned(la uint64) (*ctrState, *padState) {
 
 // ensure creates la's table entries, or copies them out of a shared
 // template, and reports whether the line is new. A template line's first
-// write starts from its sealed slot, or on an integrity controller from
-// loadLine. Counters-only mode never touches the pad table and returns a
-// nil pad half.
-func (c *Controller) ensure(la uint64) (*ctrState, *padState, bool) {
+// write starts from its sealed slot. Counters-only mode never touches
+// the pad table and returns a nil pad half.
+func (c *Controller) ensure(la uint64) (*uint64, *padState, bool) {
 	cs, fresh := c.ctrs.Ensure(la)
 	if c.cfg.CountersOnly {
 		return cs, nil, fresh
@@ -551,25 +571,22 @@ func (c *Controller) ensure(la uint64) (*ctrState, *padState, bool) {
 	ps, padFresh := c.pads.Ensure(la)
 	if padFresh && !fresh {
 		// Only template lines have a counter but no pad entry.
-		if c.tmpl != nil {
-			*ps = *c.tmpl.slot(la)
-		} else {
-			c.loadLine(ps, la, cs.seq)
-		}
+		*ps = *c.tmplLine(la, *cs)
 	}
 	return cs, ps, fresh
 }
 
-// loadLine is an integrity controller's first touch of template line la:
-// it seals the line under its template counter seq into this
-// controller's pad table and, unless the tree already holds the leaf
-// (the aged lines LoadTree installed), installs it exactly as initLine
-// does when eager aging's controller first touches the line.
-func (c *Controller) loadLine(ps *padState, la, seq uint64) {
-	sealPad(c.engine.Keystream(), c.image, ps, la, seq)
-	if !c.tree.Has(la) {
+// tmplLine returns template line la's sealed slot (see
+// AgedTemplate.slot). An integrity controller's first touch of a line
+// the loaded tree image lacks also installs the line's leaf under its
+// template counter seq at cycle 0, as initLine does for a line eager
+// aging creates at first touch.
+func (c *Controller) tmplLine(la, seq uint64) *padState {
+	ps := c.tmpl.slot(la)
+	if c.tree != nil && !c.tree.Has(la) {
 		c.tree.Update(0, la, seq, ps.enc)
 	}
+	return ps
 }
 
 // initLine encrypts a freshly created line's architectural contents into
@@ -578,7 +595,7 @@ func (c *Controller) loadLine(ps *padState, la, seq uint64) {
 // the address tweak alone in direct mode. The tree leaf is installed at
 // cycle 0, and that load update is timed: its node writes occupy the
 // node cache and the data channel like any writeback's.
-func (c *Controller) initLine(cs *ctrState, ps *padState, la, offset uint64) {
+func (c *Controller) initLine(cs *uint64, ps *padState, la, offset uint64) {
 	var seq uint64
 	if c.direct != nil {
 		ps.enc = c.direct.EncryptLine(c.image.LineAt(la), la)
@@ -595,8 +612,8 @@ func (c *Controller) initLine(cs *ctrState, ps *padState, la, offset uint64) {
 // (counters-only mode), encrypts the line's architectural contents under
 // it, keeping the pad: the next fetch, and any later one while the
 // counter is unchanged, decrypts under the identical pad.
-func (c *Controller) seal(cs *ctrState, ps *padState, la, seq uint64) {
-	cs.seq, cs.goodSeq, cs.tampered = seq, seq, false
+func (c *Controller) seal(cs *uint64, ps *padState, la, seq uint64) {
+	*cs = seq
 	if ps != nil {
 		sealPad(c.engine.Keystream(), c.image, ps, la, seq)
 	}
@@ -614,7 +631,6 @@ func sealPad(ks *ctr.Keystream, image *mem.Memory, ps *padState, la, seq uint64)
 		plain = &ctr.Line{}
 	}
 	ctr.XORLine(&ps.enc, plain, &ps.pad)
-	ps.padValid = true
 }
 
 // AgeLine initializes the counter of the line containing vaddr to
@@ -640,24 +656,22 @@ func (c *Controller) AgeLine(vaddr uint64, offset uint64) {
 // megabytes of lines per run. Build one with BuildAgedTemplate and attach
 // it with Controller.UseAgedTemplate.
 //
-// It has two halves. The counter half (24 bytes a line) is built eagerly
+// It has two halves. The counter half (8 bytes a line) is built eagerly
 // and frozen; it is all a counters-only machine reads. The pad half is a
 // table of slots, one per counter-half line, allocated when the first
-// full-model controller without a tree attaches: a slot holds the line's
-// ciphertext and pad under its counter-half seq (72 bytes) and is sealed
-// the first time any attached controller reads or writes the line. A
-// cold machine so pays AES only for the lines it touches, and every
-// later machine reads the seals earlier ones made. Pads depend only on
-// (key, line, seq), so the seal order never shows in any result.
-//
-// Integrity controllers never read the pad half: each starts from a clone
-// of a tree LoadTree built once and seals the lines it touches into its
-// own pad table, so an integrity-only template allocates no slots.
+// full-model controller attaches or the first tree loads: a slot holds
+// the line's ciphertext and pad under its counter-half seq (68 bytes
+// with its state) and is sealed the first time any attached controller
+// or tree load reads or writes the line. A cold machine so pays AES only
+// for the lines it touches, and every later machine reads the seals
+// earlier ones made. Pads depend only on (key, line, seq), so the seal
+// order never shows in any result. Controllers with and without an
+// integrity tree read the same slots.
 type AgedTemplate struct {
-	ctrs *paged.Table[ctrState]
+	ctrs *paged.Table[uint64]
 	// ks and image are the slot seal's key and frozen plaintext. A
-	// keystream serves one goroutine at a time, and controllers seal
-	// slots and tree loads seal lines concurrently: sealMu takes turns.
+	// keystream serves one goroutine at a time, and controllers and tree
+	// loads seal slots concurrently: sealMu takes turns.
 	ks     *ctr.Keystream
 	image  *mem.Memory
 	sealMu sync.Mutex
@@ -691,7 +705,7 @@ const (
 func (t *AgedTemplate) Lines() int { return t.ctrs.Count() }
 
 // SealedLines reports how many of the template's lines attached
-// full-model controllers have sealed so far.
+// full-model controllers and tree loads have sealed so far.
 func (t *AgedTemplate) SealedLines() int { return int(t.nsealed.Load()) }
 
 // AgedLine is one sample of a workload's aging profile: the line at Addr
@@ -714,52 +728,39 @@ type AgedLine struct {
 // plaintext of the pad half, sealed later line by line; the caller must
 // not modify image afterwards.
 func BuildAgedTemplate(ks *ctr.Keystream, image *mem.Memory, roots func(la uint64) uint64, aged []AgedLine) *AgedTemplate {
-	t := &AgedTemplate{ctrs: paged.New[ctrState](ctr.LineSize), ks: ks, image: image}
+	t := &AgedTemplate{ctrs: paged.New[uint64](ctr.LineSize), ks: ks, image: image}
 	for _, a := range aged {
 		la := mem.LineAddr(a.Addr)
 		if cs, fresh := t.ctrs.Ensure(la); fresh {
-			seq := roots(la) + a.Offset
-			cs.seq, cs.goodSeq = seq, seq
+			*cs = roots(la) + a.Offset
 		}
 	}
-	mem.Cover(t.ctrs, image, func(la uint64, cs *ctrState) {
-		seq := roots(la)
-		cs.seq, cs.goodSeq = seq, seq
-	})
+	mem.Cover(t.ctrs, image, func(la uint64, cs *uint64) { *cs = roots(la) })
 	t.ctrs.Freeze()
 	return t
 }
 
 // LoadTree installs into tree, at cycle 0 and in sampling order, the
-// leaf of each distinct aged line: under its counter-half seq, over its
-// ciphertext sealed with the template key into a temporary. A line the
-// tree already holds is skipped, as AgeLine skips a touched line, so
-// eager aging's samples reproduce the tree, node-cache and DRAM state
-// that aging leaves on an integrity machine. Every line must be a
-// template line.
+// leaf of each distinct aged line: under its counter-half seq, over the
+// ciphertext of its slot, which the load seals if no controller has
+// (allocating the pad half if none has attached). A line the tree
+// already holds is skipped, as AgeLine skips a touched line, so eager
+// aging's samples reproduce the tree, node-cache and DRAM state that
+// aging leaves on an integrity machine. Every line must be a template
+// line.
 func (t *AgedTemplate) LoadTree(tree *integrity.Tree, aged []AgedLine) {
-	var ps padState
+	t.padOnce.Do(t.buildPadHalf)
 	for _, a := range aged {
 		la := mem.LineAddr(a.Addr)
-		if tree.Has(la) {
-			continue
+		if !tree.Has(la) {
+			tree.Update(0, la, *t.ctrs.Lookup(la), t.slot(la).enc)
 		}
-		seq := t.ctrs.Lookup(la).seq
-		t.seal(&ps, la, seq)
-		tree.Update(0, la, seq, ps.enc)
 	}
-}
-
-// seal is sealPad under the template key, from any goroutine.
-func (t *AgedTemplate) seal(ps *padState, la, seq uint64) {
-	t.sealMu.Lock()
-	sealPad(t.ks, t.image, ps, la, seq)
-	t.sealMu.Unlock()
 }
 
 // buildPadHalf allocates one empty slot per counter-half line, a page of
 // slots per counter-half page, and the page pool, on the first
-// full-model attach. It computes no pad.
+// full-model attach or tree load. It computes no pad.
 func (t *AgedTemplate) buildPadHalf() {
 	t.slots = paged.New[padSlot](ctr.LineSize)
 	paged.Cover(t.slots, t.ctrs, nil)
@@ -777,7 +778,9 @@ func (t *AgedTemplate) slot(la uint64) *padState {
 		return &s.ps
 	}
 	if s.state.CompareAndSwap(slotEmpty, slotSealing) {
-		t.seal(&s.ps, la, t.ctrs.Lookup(la).seq)
+		t.sealMu.Lock()
+		sealPad(t.ks, t.image, &s.ps, la, *t.ctrs.Lookup(la))
+		t.sealMu.Unlock()
 		t.nsealed.Add(1)
 		s.state.Store(slotSealed)
 		return &s.ps
@@ -793,21 +796,20 @@ func (t *AgedTemplate) slot(la uint64) *padState {
 // sealed it yet.
 func (t *AgedTemplate) usedPad(la, seq uint64) bool {
 	cs := t.ctrs.Lookup(la)
-	return cs != nil && cs.seq == seq
+	return cs != nil && *cs == seq
 }
 
 // UseAgedTemplate replaces the controller's empty off-chip state with a
-// copy-on-write view of the template's counter half. A full-model
-// controller counts every template pad as used, so re-encrypting a line
-// under its template counter is still a violation. Without a tree it
-// also reads the pad half (allocating its empty slots if no controller
-// has yet) and its own pad table starts empty; with one (attached first,
-// see AttachIntegrity) it seals each template line into its own pad
-// table at first touch. A counters-only controller views the counter
-// half alone. The caller must have advanced the controller's predictor
-// to the same per-page roots the template was built with — sim does this
-// by replaying the root draws in template order. Must be called before
-// any line is touched.
+// copy-on-write view of the template's counter half. A counters-only
+// controller views the counter half alone. A full-model controller also
+// reads the pad half (allocating its empty slots if no controller or tree
+// load has yet), its own pad table starts empty, and it counts every
+// template pad as used, so re-encrypting a line under its template
+// counter is still a violation. An integrity controller attaches its tree
+// first (see AttachIntegrity). The caller must have advanced the
+// controller's predictor to the same per-page roots the template was
+// built with — sim does this by replaying the root draws in template
+// order. Must be called before any line is touched.
 func (c *Controller) UseAgedTemplate(t *AgedTemplate) {
 	if c.ctrs.Count() != 0 {
 		panic("secmem: UseAgedTemplate after lines were touched")
@@ -817,9 +819,6 @@ func (c *Controller) UseAgedTemplate(t *AgedTemplate) {
 		return
 	}
 	c.tracker.SetBase(t.usedPad)
-	if c.tree != nil {
-		return
-	}
 	t.padOnce.Do(t.buildPadHalf)
 	c.tmpl = t
 	c.pads = paged.NewView(t.pool)
@@ -849,28 +848,35 @@ func (c *Controller) Release() {
 func (c *Controller) FetchLine(now uint64, vaddr uint64) FetchResult {
 	la := mem.LineAddr(vaddr)
 	c.stats.Fetches++
-	cs, ps := c.materialize(la)
+	seq, ps := c.materialize(la)
 	if c.faults != nil {
-		if !cs.tampered && c.faults.WantsPairs() {
+		if _, forged := c.forged[la]; !forged && c.faults.WantsPairs() {
 			// The adversary snoops reads as well as writes: the pair on
 			// the bus is replay material.
-			c.faults.ObservePair(la, ps.enc, cs.seq)
+			c.faults.ObservePair(la, ps.enc, seq)
 		}
 		// The adversary strikes between the DRAM read and verification.
 		c.faults.BeforeFetch(now, la)
-		// An attack mutates through owned, which may have copied the
-		// line's page out of a shared template; re-acquire so the fetch
-		// reads the corrupted machine-local copy, not the template's.
-		cs, ps = c.materialize(la)
+	}
+	// A forged pair is read in the line's place: its ciphertext under the
+	// pad of its counter.
+	var fp padState
+	p, forged := c.forged[la]
+	if forged {
+		seq, fp.enc = p.seq, p.enc
+		if c.direct == nil {
+			c.engine.Keystream().PadInto(&fp.pad, la, seq)
+		}
+		ps = &fp
 	}
 	var res FetchResult
 	if c.direct != nil {
 		c.fetchDirect(&res, now, la)
 	} else {
-		c.fetchTiming(&res, now, la, cs.seq)
+		c.fetchTiming(&res, now, la, seq)
 	}
 	if ps != nil {
-		c.payload(&res, now, la, cs, ps)
+		c.payload(&res, now, la, ps, forged)
 	}
 	c.observeFetch(now, &res)
 	return res
@@ -948,21 +954,15 @@ func (c *Controller) fetchDirect(res *FetchResult, now, la uint64) {
 }
 
 // payload is the fetch's data stage. Counter mode decrypts under the pad
-// the line kept from its last encryption; only after the adversary has
-// changed the counter is the pad recomputed from the keystream. The
-// result is then verified against the integrity tree, handed to tamper
-// handling if rejected, and compared with the architectural image.
-func (c *Controller) payload(res *FetchResult, now, la uint64, cs *ctrState, ps *padState) {
+// kept with the ciphertext: the line's own, or for a forged pair the pad
+// recomputed for its counter. The result is then verified against the
+// integrity tree, handed to tamper handling if rejected, and, unless the
+// pair was forged, compared with the architectural image.
+func (c *Controller) payload(res *FetchResult, now, la uint64, ps *padState, forged bool) {
 	if c.direct != nil {
 		res.Plain = c.direct.DecryptLine(ps.enc, la)
 	} else {
-		pad := &ps.pad
-		var fresh ctr.Pad
-		if !ps.padValid {
-			c.engine.Keystream().PadInto(&fresh, la, res.TrueSeq)
-			pad = &fresh
-		}
-		ctr.XORLine(&res.Plain, &ps.enc, pad)
+		ctr.XORLine(&res.Plain, &ps.enc, &ps.pad)
 	}
 
 	// Integrity verification proceeds from ciphertext arrival, in
@@ -973,11 +973,11 @@ func (c *Controller) payload(res *FetchResult, now, la uint64, cs *ctrState, ps 
 		res.Authentic = ok
 		res.Done = max(res.Done, vDone+1)
 		if !ok {
-			c.handleTamper(res, now, la, cs, ps)
+			c.handleTamper(res, now, la, ps)
 		}
 	}
 
-	if c.cfg.SelfCheck && (res.Authentic || res.Recovered) && !cs.tampered {
+	if c.cfg.SelfCheck && (res.Authentic || res.Recovered) && !forged {
 		want := c.image.LineRef(la) // nil for never-written memory, which reads as zero
 		if (want != nil && res.Plain != *want) || (want == nil && res.Plain != (ctr.Line{})) {
 			c.stats.SelfCheckFails++
@@ -991,8 +991,8 @@ func (c *Controller) payload(res *FetchResult, now, la uint64, cs *ctrState, ps 
 // next checkpoint); under RecoveryQuarantine it quarantines the line,
 // re-fetches within the retry budget, and heals persistent corruption
 // from the protected domain, updating res with the recovered data and
-// completion time.
-func (c *Controller) handleTamper(res *FetchResult, now, la uint64, cs *ctrState, ps *padState) {
+// completion time. ps holds the ciphertext the fetch read.
+func (c *Controller) handleTamper(res *FetchResult, now, la uint64, ps *padState) {
 	c.stats.TamperDetected++
 	if c.faults != nil {
 		c.faults.ObserveDetection(la, res.Done)
@@ -1001,7 +1001,7 @@ func (c *Controller) handleTamper(res *FetchResult, now, la uint64, cs *ctrState
 		c.recordSecurityError(KindTamper, la, res.TrueSeq, now)
 		return
 	}
-	plain, done := c.quarantine(res.Done, la, cs, ps)
+	plain, done := c.quarantine(res.Done, la, res.TrueSeq, ps)
 	res.Plain = plain
 	res.Recovered = true
 	res.Done = max(res.Done, done)
@@ -1009,9 +1009,10 @@ func (c *Controller) handleTamper(res *FetchResult, now, la uint64, cs *ctrState
 
 // quarantine re-fetches a rejected line up to the retry budget (a
 // transient fault would clear here) and, when the corruption persists,
-// restores the line from the protected domain. It returns the usable
-// plaintext and the cycle recovery completed.
-func (c *Controller) quarantine(now uint64, la uint64, cs *ctrState, ps *padState) (ctr.Line, uint64) {
+// restores the line from the protected domain. seq and ps are the
+// rejected pair. It returns the usable plaintext and the cycle recovery
+// completed.
+func (c *Controller) quarantine(now uint64, la, seq uint64, ps *padState) (ctr.Line, uint64) {
 	c.sec.Quarantined++
 	budget := c.cfg.RetryBudget
 	if budget <= 0 {
@@ -1020,7 +1021,6 @@ func (c *Controller) quarantine(now uint64, la uint64, cs *ctrState, ps *padStat
 	// Direct mode keys the tree with counter 0 everywhere (fetches and
 	// writebacks); the re-verify must match or a transient fault could
 	// never requalify.
-	seq := cs.seq
 	if c.direct != nil {
 		seq = 0
 	}
@@ -1040,7 +1040,7 @@ func (c *Controller) quarantine(now uint64, la uint64, cs *ctrState, ps *padStat
 			if c.direct != nil {
 				return c.direct.DecryptLine(ps.enc, la), t + 1
 			}
-			return c.engine.Keystream().DecryptLine(ps.enc, la, cs.seq), t + 1
+			return c.engine.Keystream().DecryptLine(ps.enc, la, seq), t + 1
 		}
 	}
 	// Persistent corruption: restore from the architectural image under
@@ -1072,7 +1072,8 @@ func (c *Controller) EvictLine(now uint64, vaddr uint64) uint64 {
 		// The adversary records the off-chip pair this writeback replaces:
 		// the most stale replay material an attacker snooping the bus from
 		// run begin could hold.
-		c.faults.ObservePair(la, ps.enc, cs.seq)
+		p := c.offChip(la)
+		c.faults.ObservePair(la, p.enc, p.seq)
 	}
 	done, _ := c.writeback(now, la, cs, ps)
 	return done
@@ -1082,23 +1083,22 @@ func (c *Controller) EvictLine(now uint64, vaddr uint64) uint64 {
 // books the engine's writeback pad and re-encrypts la's architectural
 // contents — under the line's next counter in counter mode, under the
 // address tweak in direct mode — then updates the tree and books the
-// line and counter writes. Counters-only mode advances the counter and
-// books identical timing without sealing any data. It returns the cycle
-// the pad and the DRAM writes complete, and separately the cycle the
-// tree update completes (0 without a tree).
-func (c *Controller) writeback(now, la uint64, cs *ctrState, ps *padState) (done, treeDone uint64) {
+// line and counter writes, and it replaces any pair the adversary
+// forged at la. Counters-only mode advances the counter and books
+// identical timing without sealing any data. It returns the cycle the
+// pad and the DRAM writes complete, and separately the cycle the tree
+// update completes (0 without a tree).
+func (c *Controller) writeback(now, la uint64, cs *uint64, ps *padState) (done, treeDone uint64) {
 	done = c.engine.ScheduleOnly(now, cryptoengine.ClassWriteback)
+	delete(c.forged, la)
 	var seq uint64
 	if c.direct != nil {
 		ps.enc = c.direct.EncryptLine(c.image.LineAt(la), la)
-		cs.tampered = false
 	} else {
-		// Advance from the shadow goodSeq, never the off-chip counter: a
-		// legitimate cs.seq equals goodSeq, and any divergence is
-		// adversarial (rollback, replay, or underflow wrap) — a writeback
-		// must never let it pick the pad.
-		seq = c.pred.NextSeqForEvict(la, cs.goodSeq)
-		c.seal(cs, ps, la, seq) // also clears tampered: the writeback replaces corrupted data
+		// The counter table holds no forged counter, so the pad is never
+		// picked by a rollback or a replay.
+		seq = c.pred.NextSeqForEvict(la, *cs)
+		c.seal(cs, ps, la, seq)
 	}
 	if c.tree != nil {
 		treeDone = c.tree.Update(now, la, seq, ps.enc)
@@ -1119,10 +1119,10 @@ func (c *Controller) writeback(now, la uint64, cs *ctrState, ps *padState) (done
 	return done, treeDone
 }
 
-// Seq returns the current counter of the line containing vaddr (tests).
+// Seq returns the off-chip counter of the line containing vaddr, as an
+// adversary probing the RAM would see it (tests).
 func (c *Controller) Seq(vaddr uint64) uint64 {
-	cs, _ := c.materialize(mem.LineAddr(vaddr))
-	return cs.seq
+	return c.offChip(mem.LineAddr(vaddr)).seq
 }
 
 // EncryptedLine returns the off-chip ciphertext of the line containing
@@ -1132,7 +1132,5 @@ func (c *Controller) EncryptedLine(vaddr uint64) ctr.Line {
 	if c.cfg.CountersOnly {
 		panic("secmem: EncryptedLine on a counters-only controller")
 	}
-	la := mem.LineAddr(vaddr)
-	_, ps := c.materialize(la)
-	return ps.enc
+	return c.offChip(mem.LineAddr(vaddr)).enc
 }

@@ -166,8 +166,8 @@ func TestRollbackDecryptsUnderStaleCounter(t *testing.T) {
 
 func TestRollbackNeverReusesPad(t *testing.T) {
 	// After an adversarial rollback, recovery and later writebacks must
-	// advance from the shadow goodSeq — never re-encrypt under a counter
-	// value that already carried data.
+	// advance from the last legitimate counter — never re-encrypt under a
+	// counter value that already carried data.
 	r := newSecurityRig(t, RecoveryQuarantine)
 	addr := uint64(0x6000)
 	r.image.Store(addr, 8, 1)
@@ -185,9 +185,8 @@ func TestRollbackNeverReusesPad(t *testing.T) {
 
 func TestOversizedRollbackSaturatesAndHealsFresh(t *testing.T) {
 	// A rollback larger than the counter's value must saturate to zero,
-	// not wrap to ~2^64: an underflowed st.seq above goodSeq would
-	// otherwise steer recovery's fresh-counter choice and re-encrypt
-	// under a previously used pad.
+	// not wrap to ~2^64, and recovery must still pick a fresh counter
+	// above the last legitimate one, never a previously used pad.
 	r := newSecurityRig(t, RecoveryQuarantine)
 	addr := uint64(0xe000)
 	r.image.Store(addr, 8, 1)
@@ -309,8 +308,8 @@ func TestDirectModeTamperTyped(t *testing.T) {
 func TestDirectQuarantineRequalifiesWithCounterZero(t *testing.T) {
 	// Direct mode keys the integrity tree with counter 0 everywhere; the
 	// quarantine re-verify must do the same or a transient fault could
-	// never requalify once st.seq holds stray nonzero state (e.g. from a
-	// replayed pair).
+	// never requalify once the rejected pair holds a stray nonzero counter
+	// (e.g. from a replayed pair).
 	r := newDirectRig()
 	r.ctrl.cfg.Recovery = RecoveryQuarantine
 	tree := integrity.New(integrity.DefaultConfig(), dram.New(dram.DefaultConfig()))
@@ -318,11 +317,11 @@ func TestDirectQuarantineRequalifiesWithCounterZero(t *testing.T) {
 	addr := uint64(0x2000)
 	r.image.Store(addr, 8, 5)
 	r.ctrl.FetchLine(0, addr)
-	cs, ps := r.ctrl.materialize(addr)
-	cs.seq = 12345 // stray counter state; direct mode has no counters
+	_, ps := r.ctrl.materialize(addr)
 	// The off-chip line itself is intact — the model of a transient
-	// verification fault that cleared by the re-read.
-	plain, _ := r.ctrl.quarantine(1000, addr, cs, ps)
+	// verification fault that cleared by the re-read — but its counter is
+	// stray state; direct mode has no counters.
+	plain, _ := r.ctrl.quarantine(1000, addr, 12345, ps)
 	if plain != r.image.LineAt(addr) {
 		t.Fatal("requalified plaintext differs from the architectural image")
 	}
@@ -334,7 +333,7 @@ func TestDirectQuarantineRequalifiesWithCounterZero(t *testing.T) {
 
 func TestSelfCheckFailureReturnsTypedError(t *testing.T) {
 	// Corrupt the architectural image relative to the off-chip state
-	// without marking the line tampered: decryption then mismatches the
+	// without forging the line's pair: decryption then mismatches the
 	// image, which is the simulator invariant the self-check guards. No
 	// panic — a typed *SecurityError wrapping ErrSelfCheckFailed.
 	r := newRig(predictor.SchemeRegular, 0, false)

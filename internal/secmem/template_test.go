@@ -1,9 +1,11 @@
 package secmem
 
 import (
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"ctrpred/internal/cryptoengine"
 	"ctrpred/internal/ctr"
@@ -263,7 +265,7 @@ func TestAgedTemplateEvictFirstReuseIsViolation(t *testing.T) {
 	c := s.controller(DefaultConfig())
 	c.UseAgedTemplate(tmpl)
 	const la = 0x10040
-	tseq := tmpl.ctrs.Lookup(la).seq
+	tseq := *tmpl.ctrs.Lookup(la)
 	c.EvictLine(0, la)
 	if c.Seq(la) == tseq {
 		t.Fatal("the writeback did not advance the template counter")
@@ -284,7 +286,7 @@ func TestAgedTemplateReplayOfTemplatePairRefused(t *testing.T) {
 	c := s.controller(DefaultConfig())
 	c.UseAgedTemplate(tmpl)
 	const la = 0x12000
-	seq := tmpl.ctrs.Lookup(la).seq
+	seq := *tmpl.ctrs.Lookup(la)
 	enc := ctr.NewKeystream(s.key).EncryptLine(s.image.LineAt(la), la, seq)
 	if c.ReplayStale(la, enc, seq) {
 		t.Fatal("replaying the line's current template pair was accepted")
@@ -366,14 +368,25 @@ func (s *agedSetup) integrityController(tmpl *AgedTemplate, img *integrity.Tree,
 
 // TestAgedTemplateIntegrityMatchesEager pins an integrity controller on a
 // template — a clone of the loaded tree image, each unaged line's leaf
-// installed at first touch, pads sealed into its own table — to eager
-// aging call for call, and checks that its writes never reach the image
-// a second clone starts from.
+// installed at first touch, pads read from the template's shared slots —
+// to eager aging call for call, and checks that its writes never reach
+// the image a second clone starts from, and that a second controller
+// over the same lines finds every slot it reads sealed.
 func TestAgedTemplateIntegrityMatchesEager(t *testing.T) {
 	s := newAgedSetup()
 	tmpl := s.build()
 	img, imgDRAM := s.loadedTree(tmpl)
 	root := img.Clone(nil).Root()
+	if tmpl.slots == nil {
+		t.Fatal("the tree load left the template's pad half unallocated")
+	}
+	aged := map[uint64]bool{}
+	for _, a := range s.ages {
+		aged[mem.LineAddr(a.Addr)] = true
+	}
+	if got := tmpl.SealedLines(); got != len(aged) {
+		t.Fatalf("loading %d distinct aged lines sealed %d slots", len(aged), got)
+	}
 
 	lazy := s.integrityController(tmpl, img, imgDRAM)
 	ed := dram.New(dram.DefaultConfig())
@@ -401,12 +414,10 @@ func TestAgedTemplateIntegrityMatchesEager(t *testing.T) {
 	if lt.Root() != et.Root() || lt.Stats() != et.Stats() || lazy.dram.Stats() != ed.Stats() {
 		t.Fatal("after a fetch and a writeback of every line, the trees differ")
 	}
-	if tmpl.slots != nil || tmpl.SealedLines() != 0 {
-		t.Fatal("an integrity controller allocated or sealed the template's pad half")
-	}
 	if err := lazy.SecurityErr(); err != nil || lazy.PadViolations() != 0 {
 		t.Fatalf("security error %v, %d pad violations", err, lazy.PadViolations())
 	}
+	sealed := tmpl.SealedLines()
 
 	again := s.integrityController(tmpl, img, imgDRAM)
 	if again.IntegrityTree().Root() != root || again.dram.Stats() != imgDRAM.Stats() {
@@ -417,6 +428,107 @@ func TestAgedTemplateIntegrityMatchesEager(t *testing.T) {
 			t.Fatalf("aged line %#x rejected by a second clone", a.Addr)
 		}
 	}
+	for _, la := range s.lines {
+		if res := again.FetchLine(0, la); !res.Authentic || res.Plain != s.image.LineAt(la) {
+			t.Fatalf("line %#x: second clone's fetch %+v", la, res)
+		}
+	}
+	if got := tmpl.SealedLines(); got != sealed {
+		t.Fatalf("a second integrity controller over the same lines sealed %d new slots", got-sealed)
+	}
+}
+
+// tableElem returns the size of one entry of table.
+func tableElem[V any](*paged.Table[V]) uintptr {
+	var v V
+	return unsafe.Sizeof(v)
+}
+
+// TestAgedTemplateAttackStaysLocal puts two full-model controllers on one
+// template, one with a clone of the loaded tree and one without, and lets
+// one of them, A, apply each RAM attack to a never-written template line.
+// The attack must stay in A: A's counter entry is still the template's
+// (no page was copied), A's fetch is rejected with a tree or decrypts
+// wrong without one, and the other controller, B, still reads the image.
+// A's writeback then advances from the legitimate counter and clears the
+// forgery, and A's next fetch verifies.
+func TestAgedTemplateAttackStaysLocal(t *testing.T) {
+	s := newAgedSetup()
+	la, lb := s.lines[10], s.lines[20] // unaged template lines
+	attacks := []struct {
+		name  string
+		apply func(c *Controller, tmpl *AgedTemplate) bool
+	}{
+		{"bitflip", func(c *Controller, _ *AgedTemplate) bool { return c.TamperData(la, 77) }},
+		{"rollback", func(c *Controller, _ *AgedTemplate) bool { return c.TamperCounter(la, 1) }},
+		{"splice", func(c *Controller, _ *AgedTemplate) bool { return c.SpliceLines(la, lb) }},
+		{"replay", func(c *Controller, tmpl *AgedTemplate) bool {
+			// What the line held one update ago, with other contents.
+			seq := *tmpl.ctrs.Lookup(la) - 1
+			stale := ctr.NewKeystream(s.key).EncryptLine(ctr.Line{0: 0xee}, la, seq)
+			return c.ReplayStale(la, stale, seq)
+		}},
+	}
+	for _, atk := range attacks {
+		for _, aTree := range []bool{true, false} {
+			name := fmt.Sprintf("%s/tree=%v", atk.name, aTree)
+			tmpl := s.build()
+			img, imgDRAM := s.loadedTree(tmpl)
+			a, b := s.integrityController(tmpl, img, imgDRAM), s.controller(DefaultConfig())
+			b.UseAgedTemplate(tmpl)
+			if !aTree {
+				a, b = b, a
+			}
+			tseq := *tmpl.ctrs.Lookup(la)
+			if !atk.apply(a, tmpl) {
+				t.Fatalf("%s: the attack was refused", name)
+			}
+			for _, l := range []uint64{la, lb} {
+				if a.ctrs.Lookup(l) != tmpl.ctrs.Lookup(l) || a.pads.Lookup(l) != nil {
+					t.Fatalf("%s: the attack copied line %#x's page out of the template", name, l)
+				}
+			}
+			res := a.FetchLine(0, la)
+			if aTree && res.Authentic {
+				t.Fatalf("%s: the attacked fetch verified", name)
+			}
+			if !aTree && res.Plain == s.image.LineAt(la) {
+				t.Fatalf("%s: the attacked fetch decrypted to the image", name)
+			}
+			if a.ctrs.Lookup(la) != tmpl.ctrs.Lookup(la) {
+				t.Fatalf("%s: the attacked fetch copied the line's page out of the template", name)
+			}
+			if res := b.FetchLine(0, la); !res.Authentic || res.Plain != s.image.LineAt(la) {
+				t.Fatalf("%s: the other controller's fetch %+v", name, res)
+			}
+
+			done := a.EvictLine(res.Done, la)
+			if got := a.Seq(la); got != tseq+1 {
+				t.Fatalf("%s: writeback sealed counter %d, want %d (one past the legitimate counter)", name, got, tseq+1)
+			}
+			if _, ok := a.forged[la]; ok {
+				t.Fatalf("%s: the writeback left the forgery in place", name)
+			}
+			if res := a.FetchLine(done, la); !res.Authentic || res.Plain != s.image.LineAt(la) {
+				t.Fatalf("%s: fetch after the writeback %+v", name, res)
+			}
+			for i, c := range []*Controller{a, b} {
+				if c.Stats().SelfCheckFails != 0 || c.PadViolations() != 0 {
+					t.Fatalf("%s: controller %d: %d self-check failures, %d pad violations",
+						name, i, c.Stats().SelfCheckFails, c.PadViolations())
+				}
+			}
+		}
+	}
+
+	c := s.controller(DefaultConfig())
+	c.UseAgedTemplate(s.build())
+	if n := tableElem(c.ctrs); n != 8 {
+		t.Errorf("a counter-table entry is %d bytes, want 8", n)
+	}
+	if n := tableElem(c.pads); n != 64 {
+		t.Errorf("a pad-table entry is %d bytes, want 64", n)
+	}
 }
 
 // perLineTemplate is the per-line construction the page-wise builders
@@ -424,12 +536,11 @@ func TestAgedTemplateIntegrityMatchesEager(t *testing.T) {
 // line in ascending address order, through one Ensure each, a root
 // drawn for each line the Ensure creates; and a pad half of one Ensure
 // per counter-half line.
-func perLineTemplate(lines []uint64, roots func(la uint64) uint64, aged []AgedLine) (*paged.Table[ctrState], *paged.Table[padSlot]) {
-	ctrs := paged.New[ctrState](ctr.LineSize)
+func perLineTemplate(lines []uint64, roots func(la uint64) uint64, aged []AgedLine) (*paged.Table[uint64], *paged.Table[padSlot]) {
+	ctrs := paged.New[uint64](ctr.LineSize)
 	age := func(la, offset uint64) {
 		if cs, fresh := ctrs.Ensure(la); fresh {
-			seq := roots(la) + offset
-			cs.seq, cs.goodSeq = seq, seq
+			*cs = roots(la) + offset
 		}
 	}
 	for _, a := range aged {
@@ -439,7 +550,7 @@ func perLineTemplate(lines []uint64, roots func(la uint64) uint64, aged []AgedLi
 		age(la, 0)
 	}
 	slots := paged.New[padSlot](ctr.LineSize)
-	ctrs.ForEach(func(la uint64, _ *ctrState) { slots.Ensure(la) })
+	ctrs.ForEach(func(la uint64, _ *uint64) { slots.Ensure(la) })
 	return ctrs, slots
 }
 
@@ -516,13 +627,10 @@ func TestAgedTemplateMatchesPerLineOracle(t *testing.T) {
 		if tmpl.Lines() != ctrs.Count() || tmpl.ctrs.Count() != ctrs.Count() {
 			t.Fatalf("seed %d: counter half holds %d lines, the oracle %d", seed, tmpl.Lines(), ctrs.Count())
 		}
-		type line struct {
-			la uint64
-			cs ctrState
-		}
+		type line struct{ la, seq uint64 }
 		var got, want []line
-		tmpl.ctrs.ForEach(func(la uint64, cs *ctrState) { got = append(got, line{la, *cs}) })
-		ctrs.ForEach(func(la uint64, cs *ctrState) { want = append(want, line{la, *cs}) })
+		tmpl.ctrs.ForEach(func(la uint64, seq *uint64) { got = append(got, line{la, *seq}) })
+		ctrs.ForEach(func(la uint64, seq *uint64) { want = append(want, line{la, *seq}) })
 		if !slices.Equal(got, want) {
 			t.Fatalf("seed %d: counter half differs from the per-line oracle", seed)
 		}

@@ -13,23 +13,22 @@
 // table takes one page per counter-half page. What remains is mostly
 // allocating and first touching those pages.
 //
-// The pre-aged state is a secmem.AgedTemplate. Its counter half is built
-// with the template. Its pad half is a table of per-line slots that
-// exists only once a full-model machine without a tree attaches, and
-// each slot is sealed (encrypted under the line's aged counter) the
-// first time any machine reads or writes that line. The counters-only
-// machines of the hit-rate figures so never pay for AES; a cold
-// full-model machine pays for the lines it touches (about one in ten at
-// service scale); a warm one finds them sealed by the machines before
-// it.
+// The pre-aged state is a secmem.AgedTemplate. Its counter half, 8
+// bytes a line, is built with the template. Its pad half is a table of
+// per-line slots that exists only once a full-model machine attaches or
+// a tree image loads, and each slot is sealed (encrypted under the
+// line's aged counter) the first time any machine or tree load reads or
+// writes that line. The counters-only machines of the hit-rate figures
+// so never pay for AES; a cold full-model machine pays for the lines it
+// touches (about one in ten at service scale); a warm one finds them
+// sealed by the machines before it.
 //
-// Integrity machines attach the counter half too. Every aged line's leaf
-// is loaded into the machine's hash tree at cycle 0, and those timed
+// Integrity machines read the same slots. Every aged line's leaf is
+// loaded into the machine's hash tree at cycle 0, and those timed
 // updates leave node-cache and data-DRAM state behind, so the template
 // keeps one loaded, frozen tree per DRAM configuration (built on first
-// use, like the template) and each integrity machine starts from a clone
-// of it and of its DRAM channel. Such a machine seals the template lines
-// it touches into its own pad table.
+// use, like the template, over the aged lines' sealed slots) and each
+// integrity machine starts from a clone of it and of its DRAM channel.
 //
 // Sharing is sound because all of the cached artifacts are functions of
 // the key (seed-derived), the image (seed-derived), the counter roots
@@ -116,21 +115,22 @@ var (
 )
 
 // tmplCacheMax bounds cached templates (FIFO). A template (image, aging
-// profile and counter half) measures 1.1–1.3 MiB at 512 KiB footprints,
-// 2.1–2.5 MiB at 1 MiB and 16–17 MiB at the hit-rate figures' 8 MiB. The
-// first full-model machine to attach adds the pad-slot table, 72 bytes a
-// line: 1.1–1.4, 2.3–2.8 and 18–19 MiB, where a slot is written only
-// when its line is sealed. The first integrity machine adds a loaded
+// profile and counter half) measures 0.6–1.1 MiB at 512 KiB footprints,
+// 1.0–2.0 MiB at 1 MiB and 1.1–15 MiB at the hit-rate figures' 8 MiB
+// (median 12; twolf's image stops at 512 KiB). The first full-model
+// machine to attach, or the first tree image to load, adds the pad-slot
+// table, 68 bytes a line: 1.0–1.6, 1.3–3.0 and 1.3–20 MiB (median 18),
+// where a slot is written only when its line is sealed; integrity
+// templates carry it too. The first integrity machine adds a loaded
 // tree image per DRAM configuration, about 370 bytes a tree node: at
 // most 0.44 MiB at 256 KiB and 14 MiB at 8 MiB, where benchmarks whose
 // aged lines cluster load 0.01–3 MiB. The cap covers a full benchmark
 // sweep at two scales. An evicted template is rebuilt on its next use:
-// on a 2-vCPU host, building one with its pad-slot table takes a median
-// over the 14 benchmarks of 1.6–2.6 ms at 512 KiB, 5.0–5.7 ms at 1 MiB
-// and 29–40 ms at 8 MiB (lowest and highest of two runs; at 8 MiB the
-// benchmarks range from 1.5 ms for twolf, whose image stops at 512 KiB,
-// to 40 ms). The benchmark's service-mix draws its cold sims from 384
-// (benchmark, seed) keys, so about 95% of them rebuild their template.
+// on a 2-vCPU Xeon host, building one with its pad-slot table takes a
+// median over the 14 benchmarks of 2.2–3.0 ms at 512 KiB, 5.0–6.2 ms at
+// 1 MiB and 43–54 ms at 8 MiB (lowest and highest of three runs). The
+// benchmark's service-mix draws its cold sims from 384 (benchmark, seed)
+// keys, so about 95% of them rebuild their template.
 const tmplCacheMax = 32
 
 // getTemplate returns the cached template for (bench, scale, seed),

@@ -242,9 +242,9 @@ func TestIntegrityTemplateMatchesEager(t *testing.T) {
 
 // TestIntegrityTemplateConcurrentAttach races integrity machines onto one
 // fresh template, mixed with full-model and counters-only ones (run
-// under -race by make race): every snapshot matches its sequential twin,
-// the tree image is loaded exactly once, and no machine seals a slot of
-// the template's shared pad half for an integrity run.
+// under -race by make race): they race to seal the same slots of the
+// template's shared pad half, every snapshot matches its sequential
+// twin, and the tree image is loaded exactly once.
 func TestIntegrityTemplateConcurrentAttach(t *testing.T) {
 	const seed = 0x1d7e6
 	const bench = "twolf"
@@ -294,26 +294,32 @@ func TestIntegrityTemplateConcurrentAttach(t *testing.T) {
 }
 
 // TestIntegrityTemplateOnly runs integrity machines alone on a fresh
-// template: they load one tree image per DRAM configuration and seal no
-// slot of the template's pad half.
+// template: they load one tree image per DRAM configuration and share
+// the template's sealed slots, so a run repeating an earlier one's
+// configuration seals no slot.
 func TestIntegrityTemplateOnly(t *testing.T) {
 	cfg := testConfig(SchemePred(predictor.SchemeContext)).WithIntegrity().WithSeed(0x0a1e)
 	small := cfg
 	small.DRAM.Banks = 4
-	for _, c := range []Config{cfg, small, cfg} {
-		if _, err := Run("bzip2", c); err != nil {
-			t.Fatal(err)
-		}
-	}
 	tmpl, err := getTemplate("bzip2", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	var sealed int
+	for i, c := range []Config{cfg, small, cfg} {
+		sealed = tmpl.aged.SealedLines()
+		if _, err := Run("bzip2", c); err != nil {
+			t.Fatal(err)
+		}
+		if n := tmpl.aged.SealedLines(); i == 0 && n == 0 {
+			t.Error("the first integrity run sealed no template slot")
+		}
+	}
+	if n := tmpl.aged.SealedLines() - sealed; n != 0 {
+		t.Errorf("repeating the first run's configuration sealed %d more template slots", n)
+	}
 	if n := tmpl.treeLoads.Load(); n != 2 {
 		t.Errorf("two DRAM configurations loaded %d tree images, want 2", n)
-	}
-	if n := tmpl.aged.SealedLines(); n != 0 {
-		t.Errorf("integrity machines sealed %d shared template slots", n)
 	}
 	forgetTemplate("bzip2", cfg)
 }
