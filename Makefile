@@ -72,7 +72,7 @@ race:
 	$(GO) test -race ./internal/runpool ./internal/server ./internal/cryptoengine ./internal/cluster ./internal/chaos ./internal/tenancy
 	$(GO) test -race ./internal/experiments -run 'Parallel|SweepProgress|SweepError|SweepCancel|SweepPreCancelled|SimTimeout|EnginesDeterministic|TenantsDeterministic|CapacityDeterministic|MergeParts'
 	$(GO) test -race ./internal/faults ./internal/secmem
-	$(GO) test -race ./internal/sim -run 'Tamper|Replay|Halt|CleanRunWithArmed|RunContextCancel|TemplateConcurrentAttach|TemplateBuildErrorNotCached|IntegrityTreeImageErrorNotCached|Group'
+	$(GO) test -race ./internal/sim -run 'Tamper|Replay|Halt|CleanRunWithArmed|RunContextCancel|TemplateConcurrentAttach|TemplateBuildErrorNotCached|Group'
 
 # Boot the job server on an ephemeral port, push one simulation through
 # the full HTTP path (streamed NDJSON, then a cache-hit repeat), and

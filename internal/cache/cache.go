@@ -18,11 +18,10 @@ import (
 
 // Config describes one cache.
 type Config struct {
-	Name       string
-	SizeBytes  int
-	LineSize   int
-	Ways       int // 1 = direct-mapped
-	HitLatency uint64
+	Name      string
+	SizeBytes int
+	LineSize  int
+	Ways      int // 1 = direct-mapped
 	// WriteThrough, when true, propagates writes below immediately and
 	// never marks lines dirty in this cache.
 	WriteThrough bool

@@ -6,7 +6,7 @@ import (
 )
 
 func dmCache(sizeBytes int) *Cache {
-	return New(Config{Name: "t", SizeBytes: sizeBytes, LineSize: 32, Ways: 1, HitLatency: 1})
+	return New(Config{Name: "t", SizeBytes: sizeBytes, LineSize: 32, Ways: 1})
 }
 
 func TestValidate(t *testing.T) {

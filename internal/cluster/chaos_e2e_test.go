@@ -651,7 +651,7 @@ func TestBackoffBounds(t *testing.T) {
 // open excludes, cooldown expiry admits one trial as a failover
 // candidate, a failed trial re-opens, a successful one closes.
 func TestRegistryBreakerHalfOpen(t *testing.T) {
-	g := NewRegistry(0, 1, 60*time.Millisecond)
+	g := NewRegistry(1, 60*time.Millisecond)
 	g.Add("http://a:1")
 	g.Add("http://b:1")
 	boom := errors.New("boom")

@@ -34,8 +34,6 @@ type Config struct {
 	// CacheEntries bounds the coordinator's own result cache (0: 256;
 	// < 0: disabled).
 	CacheEntries int
-	// VNodes is the ring points per worker (0: 64).
-	VNodes int
 	// FailThreshold is consecutive failures before mark-down (0: 2).
 	FailThreshold int
 	// ProbeInterval paces the health prober (0: 1 s; < 0: disabled —
@@ -66,9 +64,6 @@ type Config struct {
 	// to 2× the observed p90 cell latency (off until enough samples
 	// exist); > 0 fixes it; < 0 disables hedging.
 	HedgeAfter time.Duration
-	// LookupTimeout bounds one peer GET /v1/results/{key} probe (0: 2 s)
-	// so a stalled worker cannot wedge a cache-recovery sweep.
-	LookupTimeout time.Duration
 	// StreamIdleTimeout bounds the silence between events on a relayed
 	// worker stream (0: 15 s; < 0: unbounded). Workers heartbeat every
 	// few hundred milliseconds, so a silent stream is a wedged worker;
@@ -89,6 +84,10 @@ type Config struct {
 	// ErrDispatchExhausted.
 	DisableLocalFallback bool
 }
+
+// lookupTimeout bounds one peer GET /v1/results/{key} probe, so a
+// stalled worker cannot wedge a cache-recovery sweep.
+const lookupTimeout = 2 * time.Second
 
 // withDefaults fills the cluster knobs; Backlog, CacheEntries and
 // DrainTimeout take the front's defaults, which are the same.
@@ -122,9 +121,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.CellTimeout <= 0 {
 		cfg.CellTimeout = 60 * time.Second
-	}
-	if cfg.LookupTimeout <= 0 {
-		cfg.LookupTimeout = 2 * time.Second
 	}
 	if cfg.StreamIdleTimeout == 0 {
 		cfg.StreamIdleTimeout = 15 * time.Second
@@ -187,7 +183,7 @@ func New(cfg Config) *Coordinator {
 	client.StreamIdle = cfg.StreamIdleTimeout
 	c := &Coordinator{
 		cfg:      cfg,
-		reg:      NewRegistry(cfg.VNodes, cfg.FailThreshold, cfg.BreakerCooldown),
+		reg:      NewRegistry(cfg.FailThreshold, cfg.BreakerCooldown),
 		client:   client,
 		rngState: 0x9e3779b97f4a7c15,
 	}
@@ -285,7 +281,7 @@ func (c *Coordinator) Experiment(ctx context.Context, job *server.ExperimentJob,
 // deadlined so one stalled worker cannot wedge the sweep.
 func (c *Coordinator) Lookup(ctx context.Context, key string) ([]byte, bool) {
 	for _, node := range c.reg.Candidates(key) {
-		lctx, cancel := context.WithTimeout(ctx, c.cfg.LookupTimeout)
+		lctx, cancel := context.WithTimeout(ctx, lookupTimeout)
 		b, ok, err := c.client.LookupResult(lctx, node, key)
 		cancel()
 		if err == nil && ok {
@@ -398,7 +394,7 @@ func (c *Coordinator) relayStream(ctx context.Context, node, path string, body [
 	if !noCache {
 		// Deadlined: recovering the canonical form is an optimization,
 		// not worth wedging on.
-		lctx, cancel := context.WithTimeout(ctx, c.cfg.LookupTimeout)
+		lctx, cancel := context.WithTimeout(ctx, lookupTimeout)
 		defer cancel()
 		if canon, ok, err := c.client.LookupResult(lctx, node, key); err == nil && ok {
 			res.Body, res.Compacted = canon, false

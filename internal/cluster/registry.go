@@ -90,7 +90,7 @@ type WorkerInfo struct {
 // be the victim of a mid-request kill; two in a row is a pattern).
 // cooldown is the breaker's open window before a half-open trial
 // (<= 0: 5 s).
-func NewRegistry(vnodes, failThreshold int, cooldown time.Duration) *Registry {
+func NewRegistry(failThreshold int, cooldown time.Duration) *Registry {
 	if failThreshold <= 0 {
 		failThreshold = 2
 	}
@@ -98,7 +98,7 @@ func NewRegistry(vnodes, failThreshold int, cooldown time.Duration) *Registry {
 		cooldown = 5 * time.Second
 	}
 	return &Registry{
-		ring:          NewRing(vnodes),
+		ring:          NewRing(),
 		workers:       make(map[string]*workerState),
 		failThreshold: failThreshold,
 		cooldown:      cooldown,

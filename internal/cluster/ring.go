@@ -41,7 +41,6 @@ import (
 // only the keys that hashed to its points — everyone else's cache stays
 // warm. Not safe for concurrent use; Registry serializes access.
 type Ring struct {
-	vnodes int
 	nodes  map[string]bool
 	points []ringPoint // sorted by hash
 }
@@ -51,19 +50,15 @@ type ringPoint struct {
 	node string
 }
 
-// defaultVNodes balances placement smoothness against lookup cost: 64
-// points per node keeps the largest/smallest arc ratio small for the
-// 2-8 node clusters this serves, and lookups stay a binary search over
-// a few hundred points.
-const defaultVNodes = 64
+// vnodes balances placement smoothness against lookup cost: 64 points
+// per node keeps the largest/smallest arc ratio small for the 2-8 node
+// clusters this serves, and lookups stay a binary search over a few
+// hundred points.
+const vnodes = 64
 
-// NewRing creates an empty ring with the given points per node
-// (<= 0: defaultVNodes).
-func NewRing(vnodes int) *Ring {
-	if vnodes <= 0 {
-		vnodes = defaultVNodes
-	}
-	return &Ring{vnodes: vnodes, nodes: make(map[string]bool)}
+// NewRing creates an empty ring.
+func NewRing() *Ring {
+	return &Ring{nodes: make(map[string]bool)}
 }
 
 // ringHash maps a string to a ring position: the first 8 bytes of its
@@ -80,7 +75,7 @@ func (r *Ring) Add(node string) {
 		return
 	}
 	r.nodes[node] = true
-	for i := 0; i < r.vnodes; i++ {
+	for i := 0; i < vnodes; i++ {
 		r.points = append(r.points, ringPoint{
 			hash: ringHash(fmt.Sprintf("%s#%d", node, i)),
 			node: node,

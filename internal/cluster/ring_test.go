@@ -8,7 +8,7 @@ import (
 
 func TestRingDeterministicPlacement(t *testing.T) {
 	build := func() *Ring {
-		r := NewRing(0)
+		r := NewRing()
 		r.Add("http://a:1")
 		r.Add("http://b:1")
 		r.Add("http://c:1")
@@ -25,7 +25,7 @@ func TestRingDeterministicPlacement(t *testing.T) {
 	}
 	// Insertion order must not matter either: the ring is a pure
 	// function of its membership.
-	r3 := NewRing(0)
+	r3 := NewRing()
 	r3.Add("http://c:1")
 	r3.Add("http://a:1")
 	r3.Add("http://b:1")
@@ -40,7 +40,7 @@ func TestRingDeterministicPlacement(t *testing.T) {
 }
 
 func TestRingSpreadsKeys(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	nodes := []string{"http://a:1", "http://b:1", "http://c:1", "http://d:1"}
 	for _, n := range nodes {
 		r.Add(n)
@@ -65,7 +65,7 @@ func TestRingSpreadsKeys(t *testing.T) {
 }
 
 func TestRingRemoveMovesOnlyOrphanedKeys(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	for _, n := range []string{"http://a:1", "http://b:1", "http://c:1"} {
 		r.Add(n)
 	}
@@ -90,7 +90,7 @@ func TestRingRemoveMovesOnlyOrphanedKeys(t *testing.T) {
 }
 
 func TestRingSequenceDistinctAndHomeFirst(t *testing.T) {
-	r := NewRing(0)
+	r := NewRing()
 	nodes := []string{"http://a:1", "http://b:1", "http://c:1"}
 	for _, n := range nodes {
 		r.Add(n)
@@ -113,13 +113,13 @@ func TestRingSequenceDistinctAndHomeFirst(t *testing.T) {
 			seen[n] = true
 		}
 	}
-	if got := NewRing(0).Sequence("k", 3); got != nil {
+	if got := NewRing().Sequence("k", 3); got != nil {
 		t.Errorf("Sequence on an empty ring = %v; want nil", got)
 	}
 }
 
 func TestRegistryMarkDownAndRevive(t *testing.T) {
-	g := NewRegistry(0, 2, 0)
+	g := NewRegistry(2, 0)
 	g.Add("http://a:1")
 	g.Add("http://b:1")
 	errBoom := errors.New("boom")
@@ -159,7 +159,7 @@ func TestRegistryMarkDownAndRevive(t *testing.T) {
 }
 
 func TestRegistryImmediateMarkDown(t *testing.T) {
-	g := NewRegistry(0, 3, 0)
+	g := NewRegistry(3, 0)
 	g.Add("http://a:1/")
 	// Trailing slash normalizes away: same worker.
 	if g.Add("http://a:1") {

@@ -3,20 +3,14 @@ package cpu
 // gshare is a global-history branch direction predictor with 2-bit
 // saturating counters, plus a small last-target table for indirect jumps.
 type gshare struct {
-	histBits uint
 	history  uint64
-	counters []uint8 // 2-bit saturating, initialized weakly taken
+	counters [1 << gshareBits]uint8 // 2-bit saturating, initialized weakly not-taken
 
 	targets map[uint64]uint64 // jalr last-target BTB
 }
 
-func newGshare(histBits uint) *gshare {
-	n := 1 << histBits
-	g := &gshare{
-		histBits: histBits,
-		counters: make([]uint8, n),
-		targets:  make(map[uint64]uint64),
-	}
+func newGshare() *gshare {
+	g := &gshare{targets: make(map[uint64]uint64)}
 	for i := range g.counters {
 		g.counters[i] = 1 // weakly not-taken
 	}
@@ -24,7 +18,7 @@ func newGshare(histBits uint) *gshare {
 }
 
 func (g *gshare) index(pc uint64) int {
-	return int((pc>>3 ^ g.history) & (1<<g.histBits - 1))
+	return int((pc>>3 ^ g.history) & (1<<gshareBits - 1))
 }
 
 // predictDirection returns the predicted taken/not-taken for pc.

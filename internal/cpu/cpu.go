@@ -37,59 +37,42 @@ import (
 	"ctrpred/internal/stats"
 )
 
-// Config holds the core parameters (Table 1 defaults via DefaultConfig).
-type Config struct {
-	FetchWidth  int
-	IssueWidth  int
-	CommitWidth int
-	ROBSize     int
-	// FrontendDepth is the fetch-to-dispatch pipeline depth in cycles.
-	FrontendDepth uint64
-	// MispredictPenalty is the frontend refill delay added after a
+// Table 1's core. Table1 in package experiments prints the widths and
+// the ROB size.
+const (
+	FetchWidth  = 8
+	IssueWidth  = 8
+	CommitWidth = 8
+	ROBSize     = 128
+	// frontendDepth is the fetch-to-dispatch pipeline depth in cycles.
+	frontendDepth = 3
+	// mispredictPenalty is the frontend refill delay added after a
 	// mispredicted branch resolves.
-	MispredictPenalty uint64
+	mispredictPenalty = 3
 	// Functional unit counts.
-	IntALUs  int
-	MulDivs  int
-	FPUs     int
-	MemPorts int
+	intALUs  = 4
+	mulDivs  = 1
+	fpus     = 2
+	memPorts = 2
 	// Latencies per class, in cycles.
-	LatALU   uint64
-	LatMul   uint64
-	LatDiv   uint64
-	LatFPAdd uint64
-	LatFPMul uint64
-	LatFPDiv uint64
-	// GshareBits sizes the branch predictor (2^bits counters).
-	GshareBits uint
+	latALU   = 1
+	latMul   = 3
+	latDiv   = 20
+	latFPAdd = 2
+	latFPMul = 4
+	latFPDiv = 12
+	// gshareBits sizes the branch predictor (2^bits counters).
+	gshareBits = 12
+)
+
+// Config holds the core's one optional mechanism; the zero value is
+// Table 1's core.
+type Config struct {
 	// LVPEntries enables a last-value load-value predictor of that many
 	// entries (Section 9.3's alternative latency-tolerance mechanism;
 	// 0 disables). Confident correct predictions let dependents proceed
 	// at ALU latency; confident wrong ones squash like a branch.
 	LVPEntries int
-}
-
-// DefaultConfig returns the Table 1 core.
-func DefaultConfig() Config {
-	return Config{
-		FetchWidth:        8,
-		IssueWidth:        8,
-		CommitWidth:       8,
-		ROBSize:           128,
-		FrontendDepth:     3,
-		MispredictPenalty: 3,
-		IntALUs:           4,
-		MulDivs:           1,
-		FPUs:              2,
-		MemPorts:          2,
-		LatALU:            1,
-		LatMul:            3,
-		LatDiv:            20,
-		LatFPAdd:          2,
-		LatFPMul:          4,
-		LatFPDiv:          12,
-		GshareBits:        12,
-	}
 }
 
 // Stats reports the outcome of a run.
@@ -146,7 +129,6 @@ type decoded struct {
 // Core is one processor instance bound to a program, architectural
 // memory, and a memory hierarchy.
 type Core struct {
-	cfg  Config
 	prog *isa.Program
 	meta []decoded // parallel to prog.Instrs
 	mem  *mem.Memory
@@ -165,7 +147,7 @@ type Core struct {
 	curFetchLine  uint64 // I-cache line the frontend is streaming from
 	haveFetchLine bool
 	regReady      [32]uint64
-	retireRing    []uint64 // commit cycles of the last ROBSize instrs
+	retireRing    [ROBSize]uint64 // commit cycles of the last ROBSize instrs
 	retireIdx     int
 	lastCommit    uint64
 	commitCount   int
@@ -186,29 +168,27 @@ type Core struct {
 // New creates a core at the program's first instruction.
 func New(cfg Config, prog *isa.Program, m *mem.Memory, sys *memsys.System) *Core {
 	c := &Core{
-		cfg:  cfg,
 		prog: prog,
 		mem:  m,
 		sys:  sys,
-		bp:   newGshare(cfg.GshareBits),
+		bp:   newGshare(),
 		lvp:  newLVP(cfg.LVPEntries),
 		pc:   prog.Base,
 	}
-	c.retireRing = make([]uint64, cfg.ROBSize)
 	c.meta = make([]decoded, len(prog.Instrs))
 	for i, in := range prog.Instrs {
 		c.meta[i] = decode(in)
 	}
-	c.fu[isa.ClassALU] = make([]uint64, cfg.IntALUs)
-	c.fu[isa.ClassMul] = make([]uint64, cfg.MulDivs)
-	c.fu[isa.ClassDiv] = make([]uint64, cfg.MulDivs)
-	c.fu[isa.ClassFPAdd] = make([]uint64, cfg.FPUs)
-	c.fu[isa.ClassFPMul] = make([]uint64, cfg.FPUs)
-	c.fu[isa.ClassFPDiv] = make([]uint64, cfg.FPUs)
-	c.fu[isa.ClassLoad] = make([]uint64, cfg.MemPorts)
-	c.fu[isa.ClassStore] = make([]uint64, cfg.MemPorts)
-	c.fu[isa.ClassBranch] = make([]uint64, cfg.IntALUs)
-	c.fu[isa.ClassJump] = make([]uint64, cfg.IntALUs)
+	c.fu[isa.ClassALU] = make([]uint64, intALUs)
+	c.fu[isa.ClassMul] = make([]uint64, mulDivs)
+	c.fu[isa.ClassDiv] = make([]uint64, mulDivs)
+	c.fu[isa.ClassFPAdd] = make([]uint64, fpus)
+	c.fu[isa.ClassFPMul] = make([]uint64, fpus)
+	c.fu[isa.ClassFPDiv] = make([]uint64, fpus)
+	c.fu[isa.ClassLoad] = make([]uint64, memPorts)
+	c.fu[isa.ClassStore] = make([]uint64, memPorts)
+	c.fu[isa.ClassBranch] = make([]uint64, intALUs)
+	c.fu[isa.ClassJump] = make([]uint64, intALUs)
 	return c
 }
 
@@ -241,17 +221,17 @@ func (c *Core) Stats() Stats {
 func (c *Core) latency(cl isa.Class) uint64 {
 	switch cl {
 	case isa.ClassALU, isa.ClassBranch, isa.ClassJump:
-		return c.cfg.LatALU
+		return latALU
 	case isa.ClassMul:
-		return c.cfg.LatMul
+		return latMul
 	case isa.ClassDiv:
-		return c.cfg.LatDiv
+		return latDiv
 	case isa.ClassFPAdd:
-		return c.cfg.LatFPAdd
+		return latFPAdd
 	case isa.ClassFPMul:
-		return c.cfg.LatFPMul
+		return latFPMul
 	case isa.ClassFPDiv:
-		return c.cfg.LatFPDiv
+		return latFPDiv
 	}
 	return 1
 }
@@ -390,7 +370,7 @@ func (c *Core) step() {
 		fetch = occ
 	}
 	// Fetch-group bandwidth.
-	if fetch == c.fetchedAt && c.fetchedCount >= c.cfg.FetchWidth {
+	if fetch == c.fetchedAt && c.fetchedCount >= FetchWidth {
 		fetch++
 	}
 	// I-cache: streaming within a line is free; a new line pays a fetch.
@@ -410,7 +390,7 @@ func (c *Core) step() {
 	c.fetchedCount++
 	c.nextFetch = fetch
 
-	dispatch := fetch + c.cfg.FrontendDepth
+	dispatch := fetch + frontendDepth
 
 	// ---- Operand readiness ----
 	ready := dispatch
@@ -424,7 +404,7 @@ func (c *Core) step() {
 
 	// ---- Issue ----
 	issue := ready
-	if issue == c.issuedAt && c.issuedCount >= c.cfg.IssueWidth {
+	if issue == c.issuedAt && c.issuedCount >= IssueWidth {
 		issue++
 	}
 	var complete uint64
@@ -442,12 +422,12 @@ func (c *Core) step() {
 				if correct {
 					// Dependents used the predicted value; the access
 					// verifies it in the background.
-					complete = issue + c.cfg.LatALU
+					complete = issue + latALU
 					c.stats.LVPHits++
 				} else {
 					// Squash: dependents replay after the true value
 					// arrives, plus the refill penalty.
-					complete = memDone + c.cfg.MispredictPenalty
+					complete = memDone + mispredictPenalty
 					c.stats.LVPMisses++
 				}
 			}
@@ -509,7 +489,7 @@ func (c *Core) step() {
 	if commit < c.lastCommit {
 		commit = c.lastCommit
 	}
-	if commit == c.lastCommit && c.commitCount >= c.cfg.CommitWidth {
+	if commit == c.lastCommit && c.commitCount >= CommitWidth {
 		commit++
 	}
 	if commit != c.lastCommit {
@@ -518,7 +498,7 @@ func (c *Core) step() {
 	}
 	c.commitCount++
 	c.retireRing[c.retireIdx] = commit
-	if c.retireIdx++; c.retireIdx == len(c.retireRing) {
+	if c.retireIdx++; c.retireIdx == ROBSize {
 		c.retireIdx = 0
 	}
 
@@ -532,7 +512,7 @@ func (c *Core) step() {
 // redirect models a branch misprediction: fetch resumes after resolution
 // plus the refill penalty, and the current fetch line is discarded.
 func (c *Core) redirect(resolve uint64) {
-	restart := resolve + c.cfg.MispredictPenalty
+	restart := resolve + mispredictPenalty
 	if restart > c.nextFetch {
 		c.nextFetch = restart
 	}

@@ -24,13 +24,13 @@ func newCore(t *testing.T, src string, scheme predictor.Scheme) (*Core, *mem.Mem
 	image := mem.New()
 	image.WriteBytes(prog.Base, prog.Bytes())
 	d := dram.New(dram.DefaultConfig())
-	e := cryptoengine.New(cryptoengine.DefaultConfig(), ctr.NewKeystream(key))
+	e := cryptoengine.NewAES(cryptoengine.DefaultSpec(), ctr.NewKeystream(key))
 	p := predictor.New(predictor.DefaultConfig(scheme))
 	ctrl := secmem.New(secmem.DefaultConfig(), d, e, p, nil, image)
 	mcfg := memsys.DefaultConfig()
 	mcfg.FlushInterval = 0
 	sys := memsys.New(mcfg, ctrl)
-	return New(DefaultConfig(), prog, image, sys), image
+	return New(Config{}, prog, image, sys), image
 }
 
 func run(t *testing.T, src string) (*Core, Stats) {
@@ -391,7 +391,7 @@ func TestStoreThenLoadThroughHierarchy(t *testing.T) {
 }
 
 func TestGshareLearnsLoop(t *testing.T) {
-	g := newGshare(10)
+	g := newGshare()
 	pc := uint64(0x400)
 	for i := 0; i < 50; i++ {
 		g.updateDirection(pc, true)
@@ -402,7 +402,7 @@ func TestGshareLearnsLoop(t *testing.T) {
 }
 
 func TestGshareTargets(t *testing.T) {
-	g := newGshare(10)
+	g := newGshare()
 	if _, ok := g.predictTarget(0x100); ok {
 		t.Fatal("cold target predicted")
 	}
@@ -464,7 +464,6 @@ func TestLVPSpeedsStableLoadChain(t *testing.T) {
 		halt`
 	build := func(entries int) (*Core, Stats) {
 		c, _ := newCore(t, src, predictor.SchemeRegular)
-		c.cfg.LVPEntries = entries
 		c.lvp = newLVP(entries)
 		return c, c.Run(0)
 	}
@@ -498,7 +497,6 @@ func TestLVPMispredictsCostSquash(t *testing.T) {
 		bne  r9, r0, loop
 		halt`
 	c, _ := newCore(t, src, predictor.SchemeRegular)
-	c.cfg.LVPEntries = 256
 	c.lvp = newLVP(256)
 	st := c.Run(0)
 	// Architectural check: sum of (i >> 4) for i = 3000 .. 1.

@@ -20,11 +20,11 @@ type BipBip struct {
 
 var _ EngineModel = (*BipBip)(nil)
 
-// NewBipBip builds a bipbip model from a (normalized) spec.
+// NewBipBip builds a bipbip model from spec's timing (zero fields take
+// the model's defaults).
 func NewBipBip(spec Spec, ks *ctr.Keystream) *BipBip {
-	spec = spec.Normalized()
 	spec.Model = ModelBipBip
-	b := &BipBip{spec: spec, ks: ks}
+	b := &BipBip{spec: spec.Normalized(), ks: ks}
 	b.stats.QueueWait = stats.NewHistogram(0, 1, 2, 4, 8, 16, 32, 64, 128)
 	b.stats.Model = ModelBipBip
 	return b

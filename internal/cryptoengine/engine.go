@@ -21,22 +21,6 @@ import (
 	"ctrpred/internal/stats"
 )
 
-// Config holds the engine's timing parameters.
-type Config struct {
-	// LatencyCycles is the pipeline depth in CPU cycles (default 96,
-	// matching 96 ns at 1 GHz).
-	LatencyCycles uint64
-	// IssuePerCycle is how many pad requests (one request = both 16-byte
-	// pads of a line, i.e. the paper's dual-AES arrangement in Figure 3)
-	// can enter the pipeline per cycle.
-	IssuePerCycle int
-}
-
-// DefaultConfig matches Table 1.
-func DefaultConfig() Config {
-	return Config{LatencyCycles: 96, IssuePerCycle: 1}
-}
-
 // Class labels the purpose of a pad request, for accounting.
 type Class int
 
@@ -114,9 +98,12 @@ func (s *Stats) AddTo(n *stats.Snapshot) {
 	}
 }
 
-// Engine is the pipelined AES pad engine.
+// Engine is the pipelined AES pad engine. Its spec's LatencyCycles is
+// the pipeline depth in CPU cycles; IssuePerCycle is how many pad
+// requests (one request = both 16-byte pads of a line, i.e. the paper's
+// dual-AES arrangement in Figure 3) can enter the pipeline per cycle.
 type Engine struct {
-	cfg   Config
+	spec  Spec
 	ks    *ctr.Keystream
 	stats Stats
 	// nextIssue is the earliest cycle at which a new request may enter the
@@ -126,15 +113,12 @@ type Engine struct {
 	issuedThisCycle int
 }
 
-// New creates an engine using key material via the given keystream.
-func New(cfg Config, ks *ctr.Keystream) *Engine {
-	if cfg.LatencyCycles == 0 {
-		cfg.LatencyCycles = 96
-	}
-	if cfg.IssuePerCycle <= 0 {
-		cfg.IssuePerCycle = 1
-	}
-	e := &Engine{cfg: cfg, ks: ks}
+// NewAES builds the pipelined AES model from spec's timing (zero fields
+// take the model's defaults, Table 1's), carrying ks for the
+// controller's pad bits.
+func NewAES(spec Spec, ks *ctr.Keystream) *Engine {
+	spec.Model = ModelAES
+	e := &Engine{spec: spec.Normalized(), ks: ks}
 	e.stats.QueueWait = stats.NewHistogram(0, 1, 2, 4, 8, 16, 32, 64, 128)
 	e.stats.Model = ModelAES
 	return e
@@ -143,13 +127,8 @@ func New(cfg Config, ks *ctr.Keystream) *Engine {
 // Engine is the default EngineModel.
 var _ EngineModel = (*Engine)(nil)
 
-// Config returns the engine's configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
-// Spec returns the canonical spec describing this engine's timing.
-func (e *Engine) Spec() Spec {
-	return Spec{Model: ModelAES, LatencyCycles: e.cfg.LatencyCycles, IssuePerCycle: e.cfg.IssuePerCycle}.Normalized()
-}
+// Spec returns the normalized spec the engine was built from.
+func (e *Engine) Spec() Spec { return e.spec }
 
 // Stats returns a copy of the accumulated statistics.
 func (e *Engine) Stats() Stats { return e.stats }
@@ -164,7 +143,7 @@ func (e *Engine) ScheduleOnly(now uint64, class Class) uint64 {
 	if start > now {
 		e.stats.StallCycles += start - now
 	}
-	ready := start + e.cfg.LatencyCycles
+	ready := start + e.spec.LatencyCycles
 	if ready > e.stats.LastBusy {
 		e.stats.LastBusy = ready
 	}
@@ -192,7 +171,7 @@ func (e *Engine) ScheduleGuesses(now uint64, guesses []uint64, trueSeq uint64) (
 	if n == 0 {
 		return -1, 0
 	}
-	if e.cfg.IssuePerCycle != 1 {
+	if e.spec.IssuePerCycle != 1 {
 		// Multi-issue: a burst does not map to one slot per cycle, so
 		// book the guesses one request at a time.
 		for i := range guesses {
@@ -212,12 +191,12 @@ func (e *Engine) ScheduleGuesses(now uint64, guesses []uint64, trueSeq uint64) (
 	e.stats.Issued[ClassPrediction] += n
 	e.stats.StallCycles += wait*n + n*(n-1)/2
 	e.stats.QueueWait.ObserveRange(wait, n)
-	if last := start0 + n - 1 + e.cfg.LatencyCycles; last > e.stats.LastBusy {
+	if last := start0 + n - 1 + e.spec.LatencyCycles; last > e.stats.LastBusy {
 		e.stats.LastBusy = last
 	}
 	e.nextIssue = start0 + n
 	if matchIdx >= 0 {
-		padReady = start0 + uint64(matchIdx) + e.cfg.LatencyCycles
+		padReady = start0 + uint64(matchIdx) + e.spec.LatencyCycles
 	}
 	return matchIdx, padReady
 }
@@ -229,7 +208,7 @@ func (e *Engine) reserveSlot(now uint64) uint64 {
 	}
 	start := e.nextIssue
 	e.issuedThisCycle++
-	if e.issuedThisCycle >= e.cfg.IssuePerCycle {
+	if e.issuedThisCycle >= e.spec.IssuePerCycle {
 		e.nextIssue = start + 1
 		e.issuedThisCycle = 0
 	}

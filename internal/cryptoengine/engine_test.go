@@ -8,14 +8,14 @@ import (
 	"ctrpred/internal/rng"
 )
 
-func newEngine(cfg Config) *Engine {
+func newEngine(spec Spec) *Engine {
 	var key [32]byte
 	key[0] = 1
-	return New(cfg, ctr.NewKeystream(key))
+	return NewAES(spec, ctr.NewKeystream(key))
 }
 
 func TestLatency(t *testing.T) {
-	e := newEngine(Config{LatencyCycles: 96, IssuePerCycle: 1})
+	e := newEngine(Spec{LatencyCycles: 96, IssuePerCycle: 1})
 	if ready := e.ScheduleOnly(100, ClassDemand); ready != 196 {
 		t.Fatalf("ready = %d, want 196", ready)
 	}
@@ -24,7 +24,7 @@ func TestLatency(t *testing.T) {
 func TestPipelinedIssue(t *testing.T) {
 	// Back-to-back requests at the same cycle issue on consecutive cycles
 	// (1/cycle) and finish one cycle apart: the pipeline overlaps them.
-	e := newEngine(Config{LatencyCycles: 10, IssuePerCycle: 1})
+	e := newEngine(Spec{LatencyCycles: 10, IssuePerCycle: 1})
 	var readies []uint64
 	for i := 0; i < 4; i++ {
 		readies = append(readies, e.ScheduleOnly(0, ClassPrediction))
@@ -40,7 +40,7 @@ func TestPipelinedIssue(t *testing.T) {
 }
 
 func TestMultiIssue(t *testing.T) {
-	e := newEngine(Config{LatencyCycles: 10, IssuePerCycle: 2})
+	e := newEngine(Spec{LatencyCycles: 10, IssuePerCycle: 2})
 	var readies []uint64
 	for i := 0; i < 4; i++ {
 		readies = append(readies, e.ScheduleOnly(0, ClassPrediction))
@@ -54,7 +54,7 @@ func TestMultiIssue(t *testing.T) {
 }
 
 func TestIdleEngineAcceptsImmediately(t *testing.T) {
-	e := newEngine(Config{LatencyCycles: 5, IssuePerCycle: 1})
+	e := newEngine(Spec{LatencyCycles: 5, IssuePerCycle: 1})
 	r1 := e.ScheduleOnly(0, ClassDemand)
 	r2 := e.ScheduleOnly(1000, ClassDemand)
 	if r1 != 5 || r2 != 1005 {
@@ -66,7 +66,7 @@ func TestIdleEngineAcceptsImmediately(t *testing.T) {
 }
 
 func TestClassAccounting(t *testing.T) {
-	e := newEngine(Config{LatencyCycles: 1, IssuePerCycle: 4})
+	e := newEngine(Spec{LatencyCycles: 1, IssuePerCycle: 4})
 	e.ScheduleOnly(0, ClassPrediction)
 	e.ScheduleOnly(0, ClassPrediction)
 	e.ScheduleOnly(0, ClassDemand)
@@ -88,8 +88,8 @@ func TestClassAccounting(t *testing.T) {
 // between. They must agree on every match index and ready cycle and end
 // with identical Stats, QueueWait histogram included.
 func TestBatchedGuessesMatchOneAtATime(t *testing.T) {
-	cfg := Config{LatencyCycles: 96, IssuePerCycle: 1}
-	batched, single := newEngine(cfg), newEngine(cfg)
+	spec := Spec{LatencyCycles: 96, IssuePerCycle: 1}
+	batched, single := newEngine(spec), newEngine(spec)
 	r := rng.New(0xba7c4ed)
 	var now uint64
 	for i := 0; i < 5000; i++ {
@@ -130,16 +130,23 @@ func TestBatchedGuessesMatchOneAtATime(t *testing.T) {
 }
 
 func TestScheduleOnlyTiming(t *testing.T) {
-	e := newEngine(Config{LatencyCycles: 7, IssuePerCycle: 1})
+	e := newEngine(Spec{LatencyCycles: 7, IssuePerCycle: 1})
 	if r := e.ScheduleOnly(3, ClassDemand); r != 10 {
 		t.Fatalf("ready = %d, want 10", r)
 	}
 }
 
+// TestDefaultsApplied builds each model from the zero spec: it gets its
+// own model's defaults, and the AES pipe's are Table 1's.
 func TestDefaultsApplied(t *testing.T) {
-	e := newEngine(Config{}) // zero config gets defaults
-	if e.Config().LatencyCycles != 96 || e.Config().IssuePerCycle != 1 {
-		t.Fatalf("defaults not applied: %+v", e.Config())
+	if e := newEngine(Spec{}); e.Spec() != DefaultSpec() {
+		t.Fatalf("aes defaults not applied: %+v", e.Spec())
+	}
+	ks := ctr.NewKeystream([32]byte{1})
+	for _, m := range []EngineModel{NewSealer(Spec{}, ks), NewBipBip(Spec{}, ks)} {
+		if want := (Spec{Model: m.Stats().Model}).Normalized(); m.Spec() != want {
+			t.Errorf("%s from the zero spec: %+v, want %+v", want.Model, m.Spec(), want)
+		}
 	}
 }
 

@@ -217,7 +217,7 @@ func NewModel(spec Spec, ks *ctr.Keystream) (EngineModel, error) {
 	spec = spec.Normalized()
 	switch spec.Model {
 	case ModelAES:
-		return New(Config{LatencyCycles: spec.LatencyCycles, IssuePerCycle: spec.IssuePerCycle}, ks), nil
+		return NewAES(spec, ks), nil
 	case ModelSealer:
 		return NewSealer(spec, ks), nil
 	case ModelBipBip:

@@ -27,10 +27,11 @@ type Sealer struct {
 
 var _ EngineModel = (*Sealer)(nil)
 
-// NewSealer builds a sealer model from a (normalized) spec.
+// NewSealer builds a sealer model from spec's timing (zero fields take
+// the model's defaults).
 func NewSealer(spec Spec, ks *ctr.Keystream) *Sealer {
-	spec = spec.Normalized()
 	spec.Model = ModelSealer
+	spec = spec.Normalized()
 	s := &Sealer{spec: spec, ks: ks, bankFree: make([]uint64, spec.Banks)}
 	s.stats.QueueWait = stats.NewHistogram(0, 1, 2, 4, 8, 16, 32, 64, 128)
 	s.stats.Model = ModelSealer

@@ -18,43 +18,30 @@ import (
 	"ctrpred/internal/stats"
 )
 
+// Table 1's PC200-class SDRAM channel: 2 KB rows, a 200 MHz × 8-byte
+// data bus, 30 ns RCD/CAS/RP. A full 32-byte line read from an idle
+// bank costs 30+30+4×5 = 80 ns; a row conflict costs 110 ns; a row hit
+// 50 ns.
+const (
+	rowShift = 11            // log2(RowBytes)
+	RowBytes = 1 << rowShift // bytes per row per bank
+	BusBytes = 8             // bytes transferred per bus beat
+	BusRatio = 5             // CPU cycles per bus beat (200 MHz at 1 GHz)
+	TRCD     = 30            // activate → column command, CPU cycles
+	TCAS     = 30            // column command → first data, CPU cycles
+	TRP      = 30            // precharge, CPU cycles
+)
+
 // Config describes the DRAM channel.
 type Config struct {
-	Banks    int    // number of banks (power of two)
-	RowBytes int    // bytes per row per bank
-	BusBytes int    // bytes transferred per bus beat (8)
-	BusRatio uint64 // CPU cycles per bus beat (5 for 200 MHz at 1 GHz)
-	TRCD     uint64 // activate → column command, CPU cycles
-	TCAS     uint64 // column command → first data, CPU cycles
-	TRP      uint64 // precharge, CPU cycles
-	// PartitionAddr, when non-zero, splits the bank set: addresses at or
-	// above it (the secure controller's counter table) map onto the last
-	// PartitionBanks banks, everything else onto the rest. Without the
-	// split, counter fetches interleaved with data fetches thrash each
-	// other's open rows on every memory access — a pathology the counter
-	// organizations in the literature avoid by giving counter storage its
-	// own devices or region.
-	PartitionAddr  uint64
-	PartitionBanks int
+	Banks int // number of banks (power of two)
 }
 
-// DefaultConfig models PC200-class SDRAM: 8 banks, 2 KB rows,
-// 30 ns RCD/CAS/RP. A full 32-byte line read from an idle bank costs
-// 30+30+4×5 = 80 ns; a row conflict costs 110 ns; a row hit 50 ns.
+// DefaultConfig is the data channel: 8 banks. The secure memory
+// controller gives the counter table a channel of its own (see secmem),
+// so the data channel keeps all its banks.
 func DefaultConfig() Config {
-	return Config{
-		Banks:    8,
-		RowBytes: 2048,
-		BusBytes: 8,
-		BusRatio: 5,
-		TRCD:     30,
-		TCAS:     30,
-		TRP:      30,
-		// No partition by default: the secure memory controller gives the
-		// counter table its own channel (see secmem), so the data channel
-		// keeps all its banks. Set PartitionAddr/PartitionBanks when
-		// modeling a shared-channel organization instead.
-	}
+	return Config{Banks: 8}
 }
 
 // Stats counts DRAM events.
@@ -85,37 +72,21 @@ type bank struct {
 
 // DRAM is the channel model.
 type DRAM struct {
-	cfg     Config
-	banks   []bank
-	busFree uint64
-	stats   Stats
-	// rowShift caches log2(RowBytes) when RowBytes is a power of two
-	// (rowPow2), replacing a 64-bit division on the address-mapping path
-	// of every access with a shift.
-	rowShift uint
-	rowPow2  bool
+	banks []bank
+	// bankShift is log2(len(banks)): the row bits above the bank index.
+	bankShift uint
+	busFree   uint64
+	stats     Stats
 }
 
-// New creates a DRAM channel; it panics on invalid geometry.
+// New creates a DRAM channel; it panics unless the bank count is a
+// positive power of two.
 func New(cfg Config) *DRAM {
 	if cfg.Banks <= 0 || cfg.Banks&(cfg.Banks-1) != 0 {
 		panic("dram: banks must be a positive power of two")
 	}
-	if cfg.RowBytes <= 0 || cfg.BusBytes <= 0 || cfg.BusRatio == 0 {
-		panic("dram: invalid timing/geometry")
-	}
-	d := &DRAM{cfg: cfg, banks: make([]bank, cfg.Banks)}
-	if rb := cfg.RowBytes; rb&(rb-1) == 0 {
-		d.rowPow2 = true
-		for s := rb; s > 1; s >>= 1 {
-			d.rowShift++
-		}
-	}
-	return d
+	return &DRAM{banks: make([]bank, cfg.Banks), bankShift: uint(bits.TrailingZeros(uint(cfg.Banks)))}
 }
-
-// Config returns the channel configuration.
-func (d *DRAM) Config() Config { return d.cfg }
 
 // Clone returns an independent copy of the channel: same open rows, bank
 // and bus reservations, and statistics.
@@ -129,29 +100,11 @@ func (d *DRAM) Clone() *DRAM {
 func (d *DRAM) Stats() Stats { return d.stats }
 
 func (d *DRAM) mapAddr(addr uint64) (bankIdx int, row uint64) {
-	lo, n := 0, d.cfg.Banks
-	if d.cfg.PartitionAddr != 0 && d.cfg.PartitionBanks > 0 && d.cfg.PartitionBanks < d.cfg.Banks {
-		if addr >= d.cfg.PartitionAddr {
-			addr -= d.cfg.PartitionAddr
-			lo, n = d.cfg.Banks-d.cfg.PartitionBanks, d.cfg.PartitionBanks
-		} else {
-			n = d.cfg.Banks - d.cfg.PartitionBanks
-		}
-	}
-	var rowOfBank uint64
-	if d.rowPow2 {
-		rowOfBank = addr >> d.rowShift
-	} else {
-		rowOfBank = addr / uint64(d.cfg.RowBytes)
-	}
+	rowOfBank := addr >> rowShift
 	// Bank bits are hashed with higher row bits (XOR interleave), as real
 	// controllers do, so strided streams spread across banks.
 	h := rowOfBank ^ rowOfBank>>3 ^ rowOfBank>>7
-	if n&(n-1) == 0 {
-		// Full bank set or power-of-two partition: mask and shift.
-		return lo + int(h&uint64(n-1)), rowOfBank >> uint(bits.TrailingZeros(uint(n)))
-	}
-	return lo + int(h%uint64(n)), rowOfBank / uint64(n)
+	return int(h & uint64(len(d.banks)-1)), rowOfBank >> d.bankShift
 }
 
 // Access performs a read or write of n bytes at addr, starting no earlier
@@ -179,24 +132,24 @@ func (d *DRAM) Access(now uint64, addr uint64, n int, write bool) uint64 {
 	switch {
 	case b.rowValid && b.openRow == row:
 		d.stats.RowHits++
-		access = d.cfg.TCAS
+		access = TCAS
 	case !b.rowValid:
 		d.stats.RowMisses++
-		access = d.cfg.TRCD + d.cfg.TCAS
+		access = TRCD + TCAS
 	default:
 		d.stats.RowConflicts++
-		access = d.cfg.TRP + d.cfg.TRCD + d.cfg.TCAS
+		access = TRP + TRCD + TCAS
 	}
 	b.openRow, b.rowValid = row, true
 
-	beats := uint64((n + d.cfg.BusBytes - 1) / d.cfg.BusBytes)
+	beats := uint64((n + BusBytes - 1) / BusBytes)
 	xferStart := start + access
 	if d.busFree > xferStart {
 		xferStart = d.busFree
 	}
-	done := xferStart + beats*d.cfg.BusRatio
+	done := xferStart + beats*BusRatio
 	d.busFree = done
-	d.stats.BusBusy += beats * d.cfg.BusRatio
+	d.stats.BusBusy += beats * BusRatio
 	b.busyUntil = done
 	return done
 }
@@ -205,6 +158,6 @@ func (d *DRAM) Access(now uint64, addr uint64, n int, write bool) uint64 {
 // bytes from an idle, row-closed bank — a convenience for configuring
 // models that need a representative memory latency.
 func (d *DRAM) LineReadLatency(n int) uint64 {
-	beats := uint64((n + d.cfg.BusBytes - 1) / d.cfg.BusBytes)
-	return d.cfg.TRCD + d.cfg.TCAS + beats*d.cfg.BusRatio
+	beats := uint64((n + BusBytes - 1) / BusBytes)
+	return TRCD + TCAS + beats*BusRatio
 }

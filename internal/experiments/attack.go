@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"sort"
 
 	"ctrpred/internal/faults"
 	"ctrpred/internal/predictor"
@@ -71,13 +70,12 @@ type campaignCell struct {
 // off-chip state, so the choice prefers write-heavy kernels with tight
 // reuse (not memory-bound streamers, which touch each line once per
 // pass and may not complete two passes in the window); any benchmark
-// works for the other classes.
+// works for the other classes. names is sorted (Options.normalized), so
+// the pick does not depend on the order the caller listed them in.
 func campaignBench(names []string) string {
-	sorted := append([]string(nil), names...)
-	sort.Strings(sorted)
-	pick := sorted[0]
+	pick := names[0]
 	found := false
-	for _, n := range sorted {
+	for _, n := range names {
 		s, ok := workload.Lookup(n)
 		if !ok || !s.WriteHeavy {
 			continue

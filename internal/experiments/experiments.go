@@ -38,7 +38,8 @@ type Options struct {
 	// Scale is the per-simulation workload budget. Zero-value fields are
 	// replaced by DefaultOptions' values.
 	Scale workload.Scale
-	// Benchmarks restricts the benchmark set (default: all 14).
+	// Benchmarks restricts the benchmark set (default: all 14). Its
+	// order does not matter: experiments run the set sorted.
 	Benchmarks []string
 	// Seed drives all randomness.
 	Seed uint64
@@ -100,6 +101,10 @@ func (o Options) normalized() Options {
 	if len(o.Benchmarks) == 0 {
 		o.Benchmarks = workload.Names()
 	}
+	// Sorted, so that a set of benchmarks gives the same bytes in any
+	// order: the averaged studies sum their rows in this order.
+	o.Benchmarks = slices.Clone(o.Benchmarks)
+	slices.Sort(o.Benchmarks)
 	if o.Seed == 0 {
 		o.Seed = def.Seed
 	}

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
+	"ctrpred/internal/cryptoengine"
 	"ctrpred/internal/workload"
 )
 
@@ -94,6 +96,31 @@ func TestFigure4Timeline(t *testing.T) {
 	}
 	if !(warm < base) || !(orac < base) {
 		t.Fatalf("warm cache (%v) / oracle (%v) not faster than baseline (%v)", warm, orac, base)
+	}
+}
+
+// TestFigure4Engine runs Figure 4 under each cipher engine: the
+// baseline miss waits for the counter and then for its engine's pad, so
+// its data_ready moves with the engine's latency (96-cycle AES, 128-cycle
+// sealer bank, 4-cycle bipbip).
+func TestFigure4Engine(t *testing.T) {
+	for _, tc := range []struct {
+		engine string
+		want   float64
+	}{{"aes", 177}, {"sealer", 209}, {"bipbip", 85}} {
+		opt := quickOpts()
+		eng, err := cryptoengine.ParseEngine(tc.engine)
+		if err != nil {
+			t.Fatal(err)
+		}
+		opt.Engine = eng
+		res, err := Figure4Timeline(context.Background(), opt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Series["baseline"]["data_ready"]; got != tc.want {
+			t.Errorf("%s: baseline data_ready %v, want %v", tc.engine, got, tc.want)
+		}
 	}
 }
 
@@ -327,5 +354,42 @@ func TestOptionsNormalized(t *testing.T) {
 func TestL2Name(t *testing.T) {
 	if l2Name(256<<10) != "256KB" || l2Name(1<<20) != "1MB" {
 		t.Fatal("l2Name wrong")
+	}
+}
+
+// TestBenchmarkOrderIrrelevant runs every experiment over a benchmark
+// list and its reverse: the snapshots must match byte for byte. The
+// averaged studies sum one value per benchmark, and floating-point sums
+// depend on their order, so they must sum in one order whatever the
+// caller's. At this scale and seed, summing in request order makes all
+// six of them (ablation, ctxswitch, integrity, hybrid, seqsweep,
+// valuepred) differ.
+func TestBenchmarkOrderIrrelevant(t *testing.T) {
+	benchmarks := []string{"gzip", "mcf", "swim", "twolf", "art"}
+	for _, id := range IDs() {
+		t.Run(id, func(t *testing.T) {
+			var snaps [2][]byte
+			for i := range snaps {
+				opt := Options{
+					Scale:      workload.Scale{Footprint: 64 << 10, Instructions: 5_000},
+					Benchmarks: slices.Clone(benchmarks),
+					Seed:       5,
+					Workers:    2,
+				}
+				if i == 1 {
+					slices.Reverse(opt.Benchmarks)
+				}
+				res, err := ByID(context.Background(), id, opt)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if snaps[i], err = res.Snapshot().JSON(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if !bytes.Equal(snaps[0], snaps[1]) {
+				t.Errorf("%v and its reverse export different snapshots", benchmarks)
+			}
+		})
 	}
 }

@@ -41,20 +41,18 @@ func fixedTitle(title string) func(Options) string {
 // run computes the grid's cells on this node and assembles them.
 func (g *grid) run(ctx context.Context, opt Options) (Result, error) {
 	opt = opt.normalized()
-	benchmarks := slices.Clone(opt.Benchmarks)
-	slices.Sort(benchmarks)
-	vals, err := g.cells(ctx, opt, benchmarks)
+	vals, err := g.cells(ctx, opt, opt.Benchmarks)
 	if err != nil {
 		return Result{}, err
 	}
 	series := make(map[string]map[string]float64, len(g.cols))
 	for i, name := range g.cols {
-		series[name] = make(map[string]float64, len(benchmarks)+1)
-		for b, bench := range benchmarks {
+		series[name] = make(map[string]float64, len(opt.Benchmarks)+1)
+		for b, bench := range opt.Benchmarks {
 			series[name][bench] = vals[b*len(g.cols)+i]
 		}
 	}
-	return g.assemble(g.title(opt), g.notes, benchmarks, series)
+	return g.assemble(g.title(opt), g.notes, opt.Benchmarks, series)
 }
 
 // assemble builds the grid's Result from series, which holds every

@@ -4,10 +4,12 @@ import (
 	"context"
 	"fmt"
 
+	"ctrpred/internal/cpu"
 	"ctrpred/internal/cryptoengine"
 	"ctrpred/internal/ctr"
 	"ctrpred/internal/dram"
 	"ctrpred/internal/mem"
+	"ctrpred/internal/memsys"
 	"ctrpred/internal/predictor"
 	"ctrpred/internal/runpool"
 	"ctrpred/internal/secmem"
@@ -19,22 +21,22 @@ import (
 // Table1 renders the processor model parameters actually configured in
 // the simulator, for side-by-side comparison with the paper's Table 1.
 func Table1() Result {
-	cfg := sim.DefaultConfig(sim.SchemeBaseline())
 	t := stats.NewTable("Table 1 — Processor model parameters", "Parameter", "Value")
 	add := func(k, v string) { t.AddRow(k, v) }
-	add("Fetch/Decode width", fmt.Sprintf("%d", cfg.CPU.FetchWidth))
-	add("Issue/Commit width", fmt.Sprintf("%d/%d", cfg.CPU.IssueWidth, cfg.CPU.CommitWidth))
-	add("ROB size", fmt.Sprintf("%d", cfg.CPU.ROBSize))
-	add("L1 I-Cache", fmt.Sprintf("DM, %dKB, 32B line", cfg.Mem.L1ISize>>10))
-	add("L1 D-Cache", fmt.Sprintf("DM, %dKB, 32B line, write-through", cfg.Mem.L1DSize>>10))
-	add("L2 Cache", fmt.Sprintf("%d-way, unified, 32B line, writeback, 256KB and 1MB", cfg.Mem.L2Ways))
-	add("L1 latency", fmt.Sprintf("%d cycle", cfg.Mem.L1Latency))
-	add("L2 latency", "4 cycles (256KB), 8 cycles (1MB)")
-	add("I-TLB / D-TLB", fmt.Sprintf("%d-way, %d entries", cfg.Mem.TLBWays, cfg.Mem.TLBEntries))
-	add("Memory bus", fmt.Sprintf("200MHz, %dB wide", cfg.DRAM.BusBytes))
+	add("Fetch/Decode width", fmt.Sprintf("%d", cpu.FetchWidth))
+	add("Issue/Commit width", fmt.Sprintf("%d/%d", cpu.IssueWidth, cpu.CommitWidth))
+	add("ROB size", fmt.Sprintf("%d", cpu.ROBSize))
+	add("L1 I-Cache", fmt.Sprintf("DM, %dKB, 32B line", memsys.L1Size>>10))
+	add("L1 D-Cache", fmt.Sprintf("DM, %dKB, 32B line, write-through", memsys.L1Size>>10))
+	add("L2 Cache", fmt.Sprintf("%d-way, unified, 32B line, writeback, 256KB and 1MB", memsys.L2Ways))
+	add("L1 latency", fmt.Sprintf("%d cycle", memsys.L1Latency))
+	add("L2 latency", fmt.Sprintf("%d cycles (256KB), %d cycles (1MB)",
+		memsys.Config{L2Size: 256 << 10}.L2Latency(), memsys.Config{L2Size: 1 << 20}.L2Latency()))
+	add("I-TLB / D-TLB", fmt.Sprintf("%d-way, %d entries", memsys.TLBWays, memsys.TLBEntries))
+	add("Memory bus", fmt.Sprintf("200MHz, %dB wide", dram.BusBytes))
 	add("DRAM", fmt.Sprintf("%d banks, %dB rows, tRCD/tCAS/tRP = %d/%d/%d ns",
-		cfg.DRAM.Banks, cfg.DRAM.RowBytes, cfg.DRAM.TRCD, cfg.DRAM.TCAS, cfg.DRAM.TRP))
-	add("AES latency", fmt.Sprintf("%d ns, fully pipelined (AES-256)", cfg.Engine.LatencyCycles))
+		dram.DefaultConfig().Banks, dram.RowBytes, dram.TRCD, dram.TCAS, dram.TRP))
+	add("AES latency", fmt.Sprintf("%d ns, fully pipelined (AES-256)", cryptoengine.DefaultSpec().LatencyCycles))
 	pc := predictor.DefaultConfig(predictor.SchemeContext)
 	add("Sequence number cache", "4KB, 32KB, 128KB, 512KB (32B line) in sweeps")
 	add("Prediction history vector", fmt.Sprintf("%d bits", pc.PHVBits))
@@ -53,7 +55,8 @@ func Table1() Result {
 
 // Figure4Timeline reproduces the Figure 4 timelines as a microbenchmark:
 // the latency of a single cold L2 miss under the baseline, sequence
-// number caching (warm), OTP prediction, and the oracle.
+// number caching (warm), OTP prediction, and the oracle, on
+// Options.Engine's cipher engine.
 func Figure4Timeline(ctx context.Context, opt Options) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
@@ -87,7 +90,10 @@ func Figure4Timeline(ctx context.Context, opt Options) (Result, error) {
 	for _, sc := range scenarios {
 		image := mem.New()
 		d := dram.New(dram.DefaultConfig())
-		e := cryptoengine.New(cryptoengine.DefaultConfig(), ctr.NewKeystream(key))
+		e, err := cryptoengine.NewModel(opt.Engine, ctr.NewKeystream(key))
+		if err != nil {
+			return Result{}, err
+		}
 		p := predictor.New(predictor.DefaultConfig(sc.scheme))
 		var cache *seqcache.Cache
 		if sc.warmSC > 0 {

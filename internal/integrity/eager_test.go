@@ -45,7 +45,6 @@ func newEager(cfg Config, d *dram.DRAM) *eagerTree {
 		dram:   d,
 	}
 	if cfg.NodeCacheBytes > 0 {
-		nodeBytes := cfg.Arity * sha256.Size
 		ways := 4
 		if cfg.NodeCacheBytes/nodeBytes < ways {
 			ways = 1
@@ -79,14 +78,13 @@ func (t *eagerTree) leafIndex(lineAddr uint64) uint64 {
 }
 
 func (t *eagerTree) parentOf(level int, index uint64) (eagerKey, int) {
-	return eagerKey{level: level + 1, index: index / uint64(t.cfg.Arity)},
-		int(index % uint64(t.cfg.Arity))
+	return eagerKey{level: level + 1, index: index / arity}, int(index % arity)
 }
 
 func (t *eagerTree) getNode(k eagerKey) *eagerNode {
 	n := t.nodes[k]
 	if n == nil {
-		n = &eagerNode{children: make([]Digest, t.cfg.Arity)}
+		n = &eagerNode{children: make([]Digest, arity)}
 		t.nodes[k] = n
 	}
 	return n
@@ -105,8 +103,7 @@ func (t *eagerTree) nodeDigest(n *eagerNode) Digest {
 }
 
 func (t *eagerTree) nodeAddr(k eagerKey) uint64 {
-	nodeBytes := uint64(t.cfg.Arity * sha256.Size)
-	return t.cfg.TreeBase + uint64(k.level)<<36 + k.index*nodeBytes
+	return treeBase + uint64(k.level)<<36 + k.index*nodeBytes
 }
 
 func (t *eagerTree) Update(now uint64, lineAddr uint64, counter uint64, ct ctr.Line) uint64 {
@@ -124,7 +121,7 @@ func (t *eagerTree) Update(now uint64, lineAddr uint64, counter uint64, ct ctr.L
 		d = t.nodeDigest(n)
 		index = k.index
 
-		done += t.cfg.HashLatency
+		done += hashLatency
 		if t.nodeCache != nil {
 			if hit, _ := t.nodeCache.Access(t.nodeAddr(k), true); hit {
 				continue
@@ -132,7 +129,7 @@ func (t *eagerTree) Update(now uint64, lineAddr uint64, counter uint64, ct ctr.L
 		}
 		t.stats.NodeWrites++
 		if t.dram != nil {
-			done = t.dram.Access(done, t.nodeAddr(k), t.cfg.Arity*sha256.Size, true)
+			done = t.dram.Access(done, t.nodeAddr(k), nodeBytes, true)
 		}
 	}
 	t.root = d
@@ -162,7 +159,7 @@ func (t *eagerTree) Verify(now uint64, lineAddr uint64, counter uint64, ct ctr.L
 		d = t.nodeDigest(n)
 		index = k.index
 
-		done += t.cfg.HashLatency
+		done += hashLatency
 		if t.nodeCache != nil {
 			if hit, _ := t.nodeCache.Access(t.nodeAddr(k), false); hit {
 				t.stats.CacheHits++
@@ -171,7 +168,7 @@ func (t *eagerTree) Verify(now uint64, lineAddr uint64, counter uint64, ct ctr.L
 		}
 		t.stats.NodeReads++
 		if t.dram != nil {
-			done = t.dram.Access(done, t.nodeAddr(k), t.cfg.Arity*sha256.Size, false)
+			done = t.dram.Access(done, t.nodeAddr(k), nodeBytes, false)
 		}
 	}
 	if !authentic {

@@ -25,7 +25,8 @@
 // A leaf's digest is stored once, in its level-1 parent's slot. Each
 // level keeps its nodes in a flat table indexed by node number (package
 // paged), so a walk indexes arrays instead of hashing keys, and a node
-// keeps its children's digests back to back, so it hashes in one call.
+// holds its eight children's digests back to back, in one allocation
+// with the node, so it hashes in one call.
 //
 // A frozen tree is a shareable image: Clone gives each copy a
 // copy-on-write view of every level, so a clone costs the same for any
@@ -37,7 +38,6 @@ package integrity
 import (
 	"encoding/binary"
 	"math/bits"
-	"slices"
 
 	"ctrpred/internal/cache"
 	"ctrpred/internal/ctr"
@@ -50,35 +50,35 @@ import (
 // Digest is one tree-node hash.
 type Digest = [sha256.Size]byte
 
+// The tree's fixed shape and timing, AEGIS-flavored.
+const (
+	// arity is the number of children per interior node.
+	arity = 8
+	// nodeBytes is one interior node: its children's digests.
+	nodeBytes = arity * sha256.Size
+	// hashLatency is the cycles to hash one node (SHA-256 over ≤256 B).
+	hashLatency = 80
+	// treeBase is the DRAM region holding interior nodes.
+	treeBase = 1 << 42
+)
+
 // Config parameterizes the tree.
 type Config struct {
-	// Arity is the number of children per interior node (8 → a node is
-	// 256 bytes of child digests); at most 64.
-	Arity int
-	// Levels is the tree height above the leaves; Arity^Levels leaves are
+	// Levels is the tree height above the leaves; 8^Levels leaves are
 	// addressable per tree "segment", and any 64-bit space is covered by
 	// as many segments as it needs. Segments are not chained together:
 	// Root is the top digest of the most recently updated segment. 8
-	// levels of arity 8 cover 16 M lines (512 MB) per segment.
+	// levels cover 16 M lines (512 MB) per segment.
 	Levels int
-	// NodeCacheBytes sizes the trusted on-chip cache of verified nodes.
+	// NodeCacheBytes sizes the trusted on-chip cache of verified nodes
+	// (0: none, so every walk reaches the top).
 	NodeCacheBytes int
-	// HashLatency is the cycles to hash one node (SHA-256 over ≤256 B).
-	HashLatency uint64
-	// TreeBase is the DRAM region holding interior nodes.
-	TreeBase uint64
 }
 
-// DefaultConfig returns an AEGIS-flavored configuration: arity-8 tree,
-// 8 levels, 32 KB node cache, 80-cycle hash.
+// DefaultConfig returns the simulated machine's tree: 8 levels and a
+// 32 KB node cache.
 func DefaultConfig() Config {
-	return Config{
-		Arity:          8,
-		Levels:         8,
-		NodeCacheBytes: 32 << 10,
-		HashLatency:    80,
-		TreeBase:       1 << 42,
-	}
+	return Config{Levels: 8, NodeCacheBytes: 32 << 10}
 }
 
 // Stats counts tree activity.
@@ -110,9 +110,9 @@ type nodeKey struct {
 }
 
 type node struct {
-	// children holds the Arity child digests back to back: slot i is
+	// children holds the child digests back to back: slot i is
 	// children[i*sha256.Size:(i+1)*sha256.Size].
-	children []byte
+	children [nodeBytes]byte
 	// stale has bit i set while slot i lags behind child i's digest;
 	// the slot is refreshed when this node's digest is read.
 	stale uint64
@@ -157,8 +157,8 @@ type Tree struct {
 // New builds an empty tree over the given DRAM channel (used for node
 // fetch/writeback timing; may be the data channel).
 func New(cfg Config, d *dram.DRAM) *Tree {
-	if cfg.Arity < 2 || cfg.Arity > 64 || cfg.Levels < 1 {
-		panic("integrity: invalid tree geometry")
+	if cfg.Levels < 1 {
+		panic("integrity: a tree needs at least one level")
 	}
 	t := &Tree{
 		cfg:    cfg,
@@ -169,7 +169,6 @@ func New(cfg Config, d *dram.DRAM) *Tree {
 		t.levels[i] = paged.New[*node](1) // keyed by node index
 	}
 	if cfg.NodeCacheBytes > 0 {
-		nodeBytes := cfg.Arity * sha256.Size
 		ways := 4
 		if cfg.NodeCacheBytes/nodeBytes < ways {
 			ways = 1
@@ -215,8 +214,7 @@ func (t *Tree) leafIndex(lineAddr uint64) uint64 {
 // parentOf returns the key of the given entity's parent (leaf index at
 // level 0, or node index at level ≥ 1) and the entity's slot in it.
 func (t *Tree) parentOf(level int, index uint64) (nodeKey, int) {
-	return nodeKey{level: level + 1, index: index / uint64(t.cfg.Arity)},
-		int(index % uint64(t.cfg.Arity))
+	return nodeKey{level: level + 1, index: index / arity}, int(index % arity)
 }
 
 // node returns node k, or nil when nothing was ever written under it.
@@ -233,10 +231,9 @@ func (t *Tree) writable(k nodeKey) *node {
 	p, _ := t.levels[k.level-1].Ensure(k.index)
 	switch n := *p; {
 	case n == nil:
-		*p = &node{children: make([]byte, t.cfg.Arity*sha256.Size)}
+		*p = &node{}
 	case n.shared:
 		own := *n
-		own.children = slices.Clone(n.children)
 		own.shared = false
 		*p = &own
 	}
@@ -263,11 +260,11 @@ func (t *Tree) nodeDigest(k nodeKey, n *node) Digest {
 	if !n.valid {
 		for s := n.stale; s != 0; s &= s - 1 {
 			i := bits.TrailingZeros64(s)
-			ck := nodeKey{level: k.level - 1, index: k.index*uint64(t.cfg.Arity) + uint64(i)}
+			ck := nodeKey{level: k.level - 1, index: k.index*arity + uint64(i)}
 			n.setChild(i, t.nodeDigest(ck, t.node(ck)))
 		}
 		n.stale = 0
-		n.sum = sha256.Sum256(n.children)
+		n.sum = sha256.Sum256(n.children[:])
 		n.valid = true
 	}
 	return n.sum
@@ -275,9 +272,8 @@ func (t *Tree) nodeDigest(k nodeKey, n *node) Digest {
 
 // nodeAddr maps a node to its DRAM location (for timing only).
 func (t *Tree) nodeAddr(k nodeKey) uint64 {
-	nodeBytes := uint64(t.cfg.Arity * sha256.Size)
 	// Offset levels into disjoint regions; indices are dense per level.
-	return t.cfg.TreeBase + uint64(k.level)<<36 + k.index*nodeBytes
+	return treeBase + uint64(k.level)<<36 + k.index*nodeBytes
 }
 
 // Update installs the leaf for (lineAddr, counter, ciphertext) and
@@ -310,7 +306,7 @@ func (t *Tree) Update(now uint64, lineAddr uint64, counter uint64, ct ctr.Line) 
 		// Timing: updated nodes are hashed and written back; the node
 		// cache absorbs most of the DRAM traffic (write-back of dirty
 		// nodes is folded into the write here for simplicity).
-		done += t.cfg.HashLatency
+		done += hashLatency
 		if t.nodeCache != nil {
 			if hit, _ := t.nodeCache.Access(t.nodeAddr(k), true); hit {
 				continue
@@ -318,7 +314,7 @@ func (t *Tree) Update(now uint64, lineAddr uint64, counter uint64, ct ctr.Line) 
 		}
 		t.stats.NodeWrites++
 		if t.dram != nil {
-			done = t.dram.Access(done, t.nodeAddr(k), t.cfg.Arity*sha256.Size, true)
+			done = t.dram.Access(done, t.nodeAddr(k), nodeBytes, true)
 		}
 	}
 	t.top, t.topDirty = nodeKey{level: t.cfg.Levels, index: index}, true
@@ -372,7 +368,7 @@ func (t *Tree) Verify(now uint64, lineAddr uint64, counter uint64, ct ctr.Line) 
 		below, belowNode = k, n
 		index = k.index
 
-		done += t.cfg.HashLatency
+		done += hashLatency
 		if t.nodeCache != nil {
 			if hit, _ := t.nodeCache.Access(t.nodeAddr(k), false); hit {
 				t.stats.CacheHits++
@@ -381,7 +377,7 @@ func (t *Tree) Verify(now uint64, lineAddr uint64, counter uint64, ct ctr.Line) 
 		}
 		t.stats.NodeReads++
 		if t.dram != nil {
-			done = t.dram.Access(done, t.nodeAddr(k), t.cfg.Arity*sha256.Size, false)
+			done = t.dram.Access(done, t.nodeAddr(k), nodeBytes, false)
 		}
 	}
 	if !authentic {

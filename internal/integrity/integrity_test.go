@@ -30,7 +30,7 @@ func TestUpdateThenVerify(t *testing.T) {
 	if !ok {
 		t.Fatal("authentic line rejected")
 	}
-	if done < 100+tr.Config().HashLatency {
+	if done < 100+hashLatency {
 		t.Fatalf("verification free? done=%d", done)
 	}
 }
@@ -170,11 +170,7 @@ func TestVerifyUpdateProperty(t *testing.T) {
 }
 
 func TestBadGeometryPanics(t *testing.T) {
-	for _, cfg := range []Config{
-		{Arity: 1, Levels: 4},
-		{Arity: 8, Levels: 0},
-		{Arity: 65, Levels: 4}, // wider than the stale mask
-	} {
+	for _, cfg := range []Config{{Levels: 0}, {Levels: -1}} {
 		func() {
 			defer func() {
 				if recover() == nil {

@@ -23,23 +23,30 @@ package memsys
 
 import (
 	"ctrpred/internal/cache"
+	"ctrpred/internal/ctr"
 	"ctrpred/internal/secmem"
 	"ctrpred/internal/stats"
 	"ctrpred/internal/tlb"
 )
 
-// Config sizes the hierarchy. DefaultConfig returns Table 1's values.
+// Table 1's hierarchy. Table1 in package experiments prints these.
+const (
+	// L1Size is the size of each direct-mapped L1 (instruction and data).
+	L1Size    = 8 << 10
+	L1Latency = 1
+	L2Ways    = 4
+	// TLBEntries and TLBWays size each TLB (instruction and data).
+	TLBEntries     = 256
+	TLBWays        = 4
+	tlbMissPenalty = 30
+)
+
+// Config holds the hierarchy's settings; everything else is Table 1's.
+// DefaultConfig returns Table 1's values.
 type Config struct {
-	LineSize       int
-	L1ISize        int
-	L1DSize        int
-	L1Latency      uint64
-	L2Size         int
-	L2Ways         int
-	L2Latency      uint64
-	TLBEntries     int
-	TLBWays        int
-	TLBMissPenalty uint64
+	// L2Size is the unified L2's size; its hit latency follows from it
+	// (see L2Latency).
+	L2Size int
 	// FlushInterval flushes dirty L2 lines every so many cycles
 	// (25,000,000 in the paper; scaled down with the instruction counts
 	// in the experiments). 0 disables.
@@ -62,36 +69,21 @@ type Config struct {
 
 // DefaultConfig returns the Table 1 hierarchy with the 256 KB L2.
 func DefaultConfig() Config {
-	return Config{
-		LineSize:       32,
-		L1ISize:        8 << 10,
-		L1DSize:        8 << 10,
-		L1Latency:      1,
-		L2Size:         256 << 10,
-		L2Ways:         4,
-		L2Latency:      4,
-		TLBEntries:     256,
-		TLBWays:        4,
-		TLBMissPenalty: 30,
-		FlushInterval:  25_000_000,
-	}
+	return Config{L2Size: 256 << 10, FlushInterval: 25_000_000}
 }
 
-// WithL2 returns the config with the given L2 size, adjusting the L2
-// latency as Table 1 does (4 cycles at 256 KB, 8 cycles at 1 MB).
-func (c Config) WithL2(size int) Config {
-	c.L2Size = size
-	if size >= 1<<20 {
-		c.L2Latency = 8
-	} else {
-		c.L2Latency = 4
+// L2Latency is the L2 hit latency Table 1 gives its size: 4 cycles
+// below 1 MB (the 256 KB L2), 8 cycles at 1 MB and above.
+func (c Config) L2Latency() uint64 {
+	if c.L2Size >= 1<<20 {
+		return 8
 	}
-	return c
+	return 4
 }
 
 // L2Cache returns the L2's cache geometry, the one New builds.
 func (c Config) L2Cache() cache.Config {
-	return cache.Config{Name: "L2", SizeBytes: c.L2Size, LineSize: c.LineSize, Ways: c.L2Ways, HitLatency: c.L2Latency}
+	return cache.Config{Name: "L2", SizeBytes: c.L2Size, LineSize: ctr.LineSize, Ways: L2Ways}
 }
 
 // Stats aggregates hierarchy-level counters beyond the per-cache stats.
@@ -120,12 +112,13 @@ func (s Stats) AddTo(n *stats.Snapshot) {
 
 // System is the assembled hierarchy.
 type System struct {
-	cfg  Config
-	l1i  *cache.Cache
-	l1d  *cache.Cache
-	l2   *cache.Cache
-	itlb *tlb.TLB
-	dtlb *tlb.TLB
+	cfg       Config
+	l2Latency uint64
+	l1i       *cache.Cache
+	l1d       *cache.Cache
+	l2        *cache.Cache
+	itlb      *tlb.TLB
+	dtlb      *tlb.TLB
 	// ctrls are the machine's controller followed by its mirrors: each
 	// receives every fetch and writeback, in the same order and at the
 	// same cycles.
@@ -145,12 +138,12 @@ type System struct {
 // New wires the hierarchy onto a secure memory controller, and onto the
 // mirror controllers, if any (see the package doc).
 func New(cfg Config, ctrl *secmem.Controller, mirrors ...*secmem.Controller) *System {
-	s := &System{cfg: cfg, ctrls: append([]*secmem.Controller{ctrl}, mirrors...)}
-	s.l1i = cache.New(cache.Config{Name: "L1I", SizeBytes: cfg.L1ISize, LineSize: cfg.LineSize, Ways: 1, HitLatency: cfg.L1Latency})
-	s.l1d = cache.New(cache.Config{Name: "L1D", SizeBytes: cfg.L1DSize, LineSize: cfg.LineSize, Ways: 1, HitLatency: cfg.L1Latency, WriteThrough: true})
+	s := &System{cfg: cfg, l2Latency: cfg.L2Latency(), ctrls: append([]*secmem.Controller{ctrl}, mirrors...)}
+	s.l1i = cache.New(cache.Config{Name: "L1I", SizeBytes: L1Size, LineSize: ctr.LineSize, Ways: 1})
+	s.l1d = cache.New(cache.Config{Name: "L1D", SizeBytes: L1Size, LineSize: ctr.LineSize, Ways: 1, WriteThrough: true})
 	s.l2 = cache.New(cfg.L2Cache())
-	s.itlb = tlb.New(tlb.Config{Name: "ITLB", Entries: cfg.TLBEntries, Ways: cfg.TLBWays, MissPenalty: cfg.TLBMissPenalty})
-	s.dtlb = tlb.New(tlb.Config{Name: "DTLB", Entries: cfg.TLBEntries, Ways: cfg.TLBWays, MissPenalty: cfg.TLBMissPenalty})
+	s.itlb = tlb.New(tlb.Config{Name: "ITLB", Entries: TLBEntries, Ways: TLBWays, MissPenalty: tlbMissPenalty})
+	s.dtlb = tlb.New(tlb.Config{Name: "DTLB", Entries: TLBEntries, Ways: TLBWays, MissPenalty: tlbMissPenalty})
 	return s
 }
 
@@ -211,9 +204,9 @@ func (s *System) accessL2(now uint64, addr uint64, write bool) uint64 {
 	hit, ev := s.l2.Access(addr, write)
 	s.handleL2Eviction(now, ev)
 	if hit {
-		return now + s.cfg.L2Latency
+		return now + s.l2Latency
 	}
-	done := s.fetch(now+s.cfg.L2Latency, addr)
+	done := s.fetch(now+s.l2Latency, addr)
 	s.prefetchAfterMiss(now, addr)
 	return done
 }
@@ -223,14 +216,14 @@ func (s *System) accessL2(now uint64, addr uint64, write bool) uint64 {
 // notes) and their pads are computed off the critical path.
 func (s *System) prefetchAfterMiss(now uint64, addr uint64) {
 	for d := 1; d <= s.cfg.PrefetchDegree; d++ {
-		next := (addr &^ uint64(s.cfg.LineSize-1)) + uint64(d*s.cfg.LineSize)
+		next := (addr &^ (ctr.LineSize - 1)) + uint64(d*ctr.LineSize)
 		if s.l2.Probe(next) {
 			continue
 		}
 		s.stats.Prefetches++
 		_, ev := s.l2.Access(next, false)
 		s.handleL2Eviction(now, ev)
-		s.fetch(now+s.cfg.L2Latency, next)
+		s.fetch(now+s.l2Latency, next)
 	}
 }
 
@@ -246,10 +239,10 @@ func (s *System) Access(now uint64, addr uint64, write bool) uint64 {
 	t := now + s.dtlb.Lookup(addr)
 	l1Hit, _ := s.l1d.Access(addr, write) // write-through: evictions never dirty
 	if l1Hit && !write {
-		return t + s.cfg.L1Latency
+		return t + L1Latency
 	}
 	// Loads that miss L1, and every store (write-through), proceed to L2.
-	return s.accessL2(t+s.cfg.L1Latency, addr, write)
+	return s.accessL2(t+L1Latency, addr, write)
 }
 
 // FetchInstr performs an instruction fetch of the line containing pc.
@@ -260,9 +253,9 @@ func (s *System) FetchInstr(now uint64, pc uint64) uint64 {
 	t := now + s.itlb.Lookup(pc)
 	hit, _ := s.l1i.Access(pc, false)
 	if hit {
-		return t + s.cfg.L1Latency
+		return t + L1Latency
 	}
-	return s.accessL2(t+s.cfg.L1Latency, pc, false)
+	return s.accessL2(t+L1Latency, pc, false)
 }
 
 // inOrder clamps an access start time to the latest start time issued.

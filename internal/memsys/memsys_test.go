@@ -18,7 +18,7 @@ func newSys(t *testing.T, cfg Config, scheme predictor.Scheme) (*System, *mem.Me
 	key[0] = 7
 	image := mem.New()
 	d := dram.New(dram.DefaultConfig())
-	e := cryptoengine.New(cryptoengine.DefaultConfig(), ctr.NewKeystream(key))
+	e := cryptoengine.NewAES(cryptoengine.DefaultSpec(), ctr.NewKeystream(key))
 	p := predictor.New(predictor.DefaultConfig(scheme))
 	ctrl := secmem.New(secmem.DefaultConfig(), d, e, p, nil, image)
 	return New(cfg, ctrl), image
@@ -26,8 +26,6 @@ func newSys(t *testing.T, cfg Config, scheme predictor.Scheme) (*System, *mem.Me
 
 func smallCfg() Config {
 	cfg := DefaultConfig()
-	cfg.L1ISize = 512
-	cfg.L1DSize = 512
 	cfg.L2Size = 4 << 10
 	cfg.FlushInterval = 0
 	return cfg
@@ -37,19 +35,19 @@ func TestL1HitFast(t *testing.T) {
 	s, _ := newSys(t, smallCfg(), predictor.SchemeRegular)
 	s.Access(0, 0x1000, false) // cold: TLB miss + full path
 	done := s.Access(10000, 0x1000, false)
-	if done != 10000+s.Config().L1Latency {
-		t.Fatalf("L1 hit done = %d, want %d", done, 10000+s.Config().L1Latency)
+	if done != 10000+L1Latency {
+		t.Fatalf("L1 hit done = %d, want %d", done, 10000+L1Latency)
 	}
 }
 
 func TestL2HitLatency(t *testing.T) {
 	s, _ := newSys(t, smallCfg(), predictor.SchemeRegular)
 	s.Access(0, 0x1000, false)
-	// Evict from tiny L1 (512 B direct-mapped: conflicting address) but
-	// keep in L2.
-	s.Access(5000, 0x1000+512, false)
+	// Evict from the direct-mapped L1 (a conflicting address) but keep
+	// in L2, whose 4 ways hold both.
+	s.Access(5000, 0x1000+L1Size, false)
 	done := s.Access(10000, 0x1000, false)
-	want := uint64(10000) + s.Config().L1Latency + s.Config().L2Latency
+	want := uint64(10000) + L1Latency + s.Config().L2Latency()
 	if done != want {
 		t.Fatalf("L2 hit done = %d, want %d", done, want)
 	}
@@ -107,8 +105,8 @@ func TestInclusionBackInvalidatesL1(t *testing.T) {
 	}
 	// Conflict 0x5000 out of the single L2 set it occupies (addresses
 	// 1 KB apart share a set: 32 sets × 32 B). Conflicting traffic goes
-	// through the I-side so the victim stays resident in L1D — any D-side
-	// traffic at these addresses would displace it from the tiny L1 first.
+	// through the I-side so that only the back-invalidation can remove
+	// the victim from L1D.
 	for i := uint64(1); i <= 4; i++ {
 		s.FetchInstr(100*i, 0x5000+i*1024)
 	}
@@ -128,7 +126,7 @@ func TestInstrFetchPath(t *testing.T) {
 		t.Fatalf("cold I-fetch done = %d, implausibly fast", d1)
 	}
 	d2 := s.FetchInstr(10000, 0x8008) // same line
-	if d2 != 10000+s.Config().L1Latency {
+	if d2 != 10000+L1Latency {
 		t.Fatalf("warm I-fetch done = %d", d2)
 	}
 	if s.Stats().InstrFetches != 2 {
@@ -194,14 +192,11 @@ func TestDataRoundTripThroughEviction(t *testing.T) {
 	}
 }
 
-func TestWithL2(t *testing.T) {
-	cfg := DefaultConfig().WithL2(1 << 20)
-	if cfg.L2Size != 1<<20 || cfg.L2Latency != 8 {
-		t.Fatalf("WithL2(1M) = %+v", cfg)
-	}
-	cfg = cfg.WithL2(256 << 10)
-	if cfg.L2Latency != 4 {
-		t.Fatalf("WithL2(256K) latency = %d", cfg.L2Latency)
+func TestL2Latency(t *testing.T) {
+	for size, want := range map[int]uint64{16 << 10: 4, 256 << 10: 4, 1 << 20: 8, 4 << 20: 8} {
+		if got := (Config{L2Size: size}).L2Latency(); got != want {
+			t.Errorf("%d-byte L2: latency %d, want %d", size, got, want)
+		}
 	}
 }
 
@@ -253,7 +248,7 @@ func TestContextSwitchInvalidatesSeqCache(t *testing.T) {
 	var key [32]byte
 	image := mem.New()
 	d := dram.New(dram.DefaultConfig())
-	e := cryptoengine.New(cryptoengine.DefaultConfig(), ctr.NewKeystream(key))
+	e := cryptoengine.NewAES(cryptoengine.DefaultSpec(), ctr.NewKeystream(key))
 	p := predictor.New(predictor.DefaultConfig(predictor.SchemeNone))
 	sc := seqcache.New(4 << 10)
 	ctrl := secmem.New(secmem.DefaultConfig(), d, e, p, sc, image)
@@ -286,7 +281,7 @@ func TestPrefetchPreDecryption(t *testing.T) {
 	}
 	// The demand access to the prefetched line is now an L2 hit.
 	done := s.Access(10_000, 0x1020, false)
-	if done != 10_000+s.Config().L1Latency+s.Config().L2Latency {
+	if done != 10_000+L1Latency+s.Config().L2Latency() {
 		t.Fatalf("prefetched line not an L2 hit: done=%d", done)
 	}
 }

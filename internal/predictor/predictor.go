@@ -77,13 +77,14 @@ type Config struct {
 	RangeTableEntries int
 	// RangeBits is the per-line range index width (4 → 16 ranges).
 	RangeBits int
-	// MaxRootDistance bounds the offset a sequence number may have from
-	// the current root and still be considered as counting from it
-	// (Section 3.2's "negative or too large" test).
-	MaxRootDistance uint64
 	// Seed drives the hardware random number generator model.
 	Seed uint64
 }
+
+// maxRootDistance bounds the offset a sequence number may have from the
+// current root and still be considered as counting from it (Section
+// 3.2's "negative or too large" test).
+const maxRootDistance = 1 << 32
 
 // DefaultConfig returns the Table 1 parameters for the given scheme.
 func DefaultConfig(scheme Scheme) Config {
@@ -97,7 +98,6 @@ func DefaultConfig(scheme Scheme) Config {
 		HistoryDepth:      0,
 		RangeTableEntries: 64,
 		RangeBits:         4,
-		MaxRootDistance:   1 << 32,
 		Seed:              0x5eed,
 	}
 }
@@ -202,9 +202,6 @@ func New(cfg Config) *Predictor {
 	if cfg.ResetThreshold <= 0 || cfg.ResetThreshold > cfg.PHVBits {
 		panic("predictor: ResetThreshold must be in 1..PHVBits")
 	}
-	if cfg.MaxRootDistance == 0 {
-		cfg.MaxRootDistance = 1 << 32
-	}
 	p := &Predictor{
 		cfg:       cfg,
 		rnd:       rng.New(cfg.Seed),
@@ -307,7 +304,7 @@ func (p *Predictor) Root(vaddr uint64) uint64 { return p.page(vaddr).root }
 
 // fromCurrentRoot reports whether seq plausibly counts from root.
 func (p *Predictor) fromCurrentRoot(seq, root uint64) bool {
-	return seq-root <= p.cfg.MaxRootDistance // wraps for seq < root → huge
+	return seq-root <= maxRootDistance // wraps for seq < root → huge
 }
 
 // Predict returns the guessed sequence numbers for a missing line at
@@ -485,7 +482,7 @@ func (p *Predictor) rangeTableResident(vp uint64) bool {
 
 // rangeUpdate records the new offset's range for vaddr's line.
 func (p *Predictor) rangeUpdate(vaddr uint64, offset uint64) {
-	if offset > p.cfg.MaxRootDistance {
+	if offset > maxRootDistance {
 		return // stale offset; don't poison the table
 	}
 	m := p.page(vaddr)

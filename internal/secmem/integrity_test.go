@@ -124,7 +124,7 @@ func newDirectRig() *rig {
 	key[0] = 0x42
 	image := mem.New()
 	d := dram.New(dram.DefaultConfig())
-	e := cryptoengine.New(cryptoengine.DefaultConfig(), ctr.NewKeystream(key))
+	e := cryptoengine.NewAES(cryptoengine.DefaultSpec(), ctr.NewKeystream(key))
 	p := predictor.New(predictor.DefaultConfig(predictor.SchemeNone))
 	cfg := DefaultConfig()
 	cfg.Direct = true

@@ -265,10 +265,7 @@ func New(cfg Config, d *dram.DRAM, e cryptoengine.EngineModel, pred *predictor.P
 	}
 	var seqD *dram.DRAM
 	if d != nil {
-		scfg := d.Config()
-		scfg.Banks = counterBanks
-		scfg.PartitionAddr = 0
-		seqD = dram.New(scfg)
+		seqD = dram.New(dram.Config{Banks: counterBanks})
 	}
 	var direct *ctr.DirectCipher
 	if cfg.Direct && e != nil {

@@ -21,7 +21,7 @@ func newRig(scheme predictor.Scheme, seqCacheBytes int, oracle bool) *rig {
 	key[0] = 0x42
 	image := mem.New()
 	d := dram.New(dram.DefaultConfig())
-	e := cryptoengine.New(cryptoengine.DefaultConfig(), ctr.NewKeystream(key))
+	e := cryptoengine.NewAES(cryptoengine.DefaultSpec(), ctr.NewKeystream(key))
 	p := predictor.New(predictor.DefaultConfig(scheme))
 	var sc *seqcache.Cache
 	if seqCacheBytes > 0 {
@@ -283,7 +283,7 @@ func TestCounterTableClearOfData(t *testing.T) {
 	var key [32]byte
 	image := mem.New()
 	d := dram.New(dram.DefaultConfig())
-	e := cryptoengine.New(cryptoengine.DefaultConfig(), ctr.NewKeystream(key))
+	e := cryptoengine.NewAES(cryptoengine.DefaultSpec(), ctr.NewKeystream(key))
 	p := predictor.New(predictor.DefaultConfig(predictor.SchemeNone))
 	c := New(Config{SelfCheck: true}, d, e, p, nil, image)
 	c.FetchLine(0, 0)

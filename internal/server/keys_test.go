@@ -86,6 +86,7 @@ func TestResultKeysGolden(t *testing.T) {
 	s := NewFront("keys", Config{Workers: 1}, stubExecutor{})
 	t.Cleanup(func() { s.Shutdown(context.Background()) })
 	var out bytes.Buffer
+	got := map[string]string{}
 	for _, tc := range keyCases {
 		var key string
 		t.Run(tc.name, func(t *testing.T) {
@@ -108,7 +109,9 @@ func TestResultKeysGolden(t *testing.T) {
 			}
 		})
 		fmt.Fprintf(&out, "%s %s\n", tc.name, key)
+		got[tc.name] = key
 	}
+	checkKeySharing(t, got)
 	if *updateGolden {
 		if err := os.MkdirAll("testdata", 0o755); err != nil {
 			t.Fatal(err)
@@ -120,6 +123,51 @@ func TestResultKeysGolden(t *testing.T) {
 	}
 	if len(want) != len(keyCases) {
 		t.Errorf("%s holds %d keys, want %d (run with -update)", keysGolden, len(want), len(keyCases))
+	}
+}
+
+// keyGroups are the keyCases rows that spell one request two or three
+// ways and so must share a key; every other row has a key of its own.
+var keyGroups = [][]string{
+	{"sim-baseline-omitted", "sim-baseline-spelled", "sim-result-neutral"},
+	{"exp-fig7-omitted-benchmarks", "exp-fig7-explicit-benchmarks"},
+	{"exp-capacity-defaults-omitted", "exp-capacity-defaults-spelled"},
+}
+
+// checkKeySharing holds the keys of one run, before any comparison with
+// (or rewrite of) the golden, to keyGroups: the rows of a group share
+// one key and no two other rows do, so a change to the request grammar
+// or to sim.Config can neither merge nor split rows unnoticed.
+func checkKeySharing(t *testing.T, keys map[string]string) {
+	t.Helper()
+	group := map[string]int{}
+	for g, names := range keyGroups {
+		for _, name := range names {
+			group[name] = g
+			if keys[name] != keys[names[0]] {
+				t.Errorf("%s has key %s, %s has %s; want one key", name, keys[name], names[0], keys[names[0]])
+			}
+		}
+	}
+	owner := map[string]string{}
+	for _, tc := range keyCases {
+		key := keys[tc.name]
+		prev, seen := owner[key]
+		if !seen {
+			owner[key] = tc.name
+			continue
+		}
+		g, grouped := group[tc.name]
+		if pg, ok := group[prev]; !grouped || !ok || pg != g {
+			t.Errorf("%s shares key %s with %s", tc.name, key, prev)
+		}
+	}
+	want := len(keyCases)
+	for _, names := range keyGroups {
+		want -= len(names) - 1
+	}
+	if len(owner) != want {
+		t.Errorf("%d distinct keys over %d rows, want %d", len(owner), len(keyCases), want)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"ctrpred/internal/ctr"
 	"ctrpred/internal/faults"
+	"ctrpred/internal/memsys"
 	"ctrpred/internal/predictor"
 	"ctrpred/internal/workload"
 )
@@ -25,7 +26,7 @@ func TestSteadyStateAccessAllocFree(t *testing.T) {
 	}
 
 	a := uint64(1 << 20)
-	b := a + uint64(cfg.Mem.L1DSize) // same L1 set, different L2 set
+	b := a + memsys.L1Size // same L1 set, different L2 set
 	now := m.Sys.Access(0, a, false)
 	now = m.Sys.Access(now, b, false)
 	now = m.Sys.Access(now, a, true)
@@ -59,10 +60,10 @@ func TestSteadyStateMissAllocFree(t *testing.T) {
 	}
 	defer m.Close()
 
-	stride := uint64(cfg.Mem.L2Size / cfg.Mem.L2Ways)
+	stride := uint64(cfg.Mem.L2Size / memsys.L2Ways)
 	var now uint64
 	cycle := func() {
-		for i := range uint64(cfg.Mem.L2Ways + 1) {
+		for i := range uint64(memsys.L2Ways + 1) {
 			now = m.Sys.Access(now, 1<<20+i*stride, true)
 		}
 	}

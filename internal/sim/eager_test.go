@@ -26,7 +26,7 @@ func eagerMachine(bench string, cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	image := mem.NewView(tmpl.image)
-	d := dram.New(cfg.DRAM)
+	d := dram.New(dram.DefaultConfig())
 	var tree *integrity.Tree
 	if cfg.Integrity {
 		tree = integrity.New(integrity.DefaultConfig(), d)

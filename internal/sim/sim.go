@@ -94,9 +94,8 @@ func sizeLabel(bytes int) string {
 
 // Config is a full machine + run configuration.
 type Config struct {
-	CPU  cpu.Config
-	Mem  memsys.Config
-	DRAM dram.Config
+	CPU cpu.Config
+	Mem memsys.Config
 	// Engine selects the cipher-engine timing model (see
 	// cryptoengine.ParseEngine). The zero Spec is the default pipelined
 	// AES, so configs predating engine models keep their meaning.
@@ -142,9 +141,7 @@ const DefaultCheckInterval = 10_000
 // 256 KB L2, performance mode, and the default workload scale.
 func DefaultConfig(s Scheme) Config {
 	return Config{
-		CPU:       cpu.DefaultConfig(),
 		Mem:       memsys.DefaultConfig(),
-		DRAM:      dram.DefaultConfig(),
 		Engine:    cryptoengine.DefaultSpec(),
 		Scheme:    s,
 		Scale:     workload.DefaultScale(),
@@ -154,9 +151,10 @@ func DefaultConfig(s Scheme) Config {
 	}
 }
 
-// WithL2 returns the config with the L2 size (and latency) adjusted.
+// WithL2 returns the config with the given L2 size (its latency
+// follows, see memsys.Config.L2Latency).
 func (c Config) WithL2(size int) Config {
-	c.Mem = c.Mem.WithL2(size)
+	c.Mem.L2Size = size
 	return c
 }
 
@@ -382,17 +380,14 @@ func newSide(cfg Config, tmpl *machineTemplate, image *mem.Memory) (*side, error
 	var tree *integrity.Tree
 	switch {
 	case cfg.Integrity && !cfg.Scheme.Direct:
-		imgTree, imgDRAM, err := tmpl.treeImage(cfg.DRAM)
-		if err != nil {
-			return nil, err
-		}
+		imgTree, imgDRAM := tmpl.treeImage()
 		d = imgDRAM.Clone()
 		tree = imgTree.Clone(d)
 	case cfg.Integrity:
-		d = dram.New(cfg.DRAM)
+		d = dram.New(dram.DefaultConfig())
 		tree = integrity.New(integrity.DefaultConfig(), d)
 	default:
-		d = dram.New(cfg.DRAM)
+		d = dram.New(dram.DefaultConfig())
 	}
 	s, err := wireSide(cfg, d, tree, image)
 	if err != nil || cfg.Scheme.Direct {

@@ -148,7 +148,7 @@ func TestSchemeLabelSubKiB(t *testing.T) {
 
 func TestWithL2AndMode(t *testing.T) {
 	cfg := DefaultConfig(SchemeBaseline()).WithL2(1 << 20).WithMode(HitRate)
-	if cfg.Mem.L2Size != 1<<20 || cfg.Mem.L2Latency != 8 || cfg.Mode != HitRate {
+	if cfg.Mem.L2Size != 1<<20 || cfg.Mem.L2Latency() != 8 || cfg.Mode != HitRate {
 		t.Fatalf("cfg = %+v", cfg)
 	}
 	if Performance.String() != "performance" || HitRate.String() != "hitrate" {

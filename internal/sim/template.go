@@ -26,15 +26,14 @@
 // Integrity machines read the same slots. Every aged line's leaf is
 // loaded into the machine's hash tree at cycle 0, and those timed
 // updates leave node-cache and data-DRAM state behind, so the template
-// keeps one loaded, frozen tree per DRAM configuration (built on first
-// use, like the template, over the aged lines' sealed slots) and each
+// keeps one loaded, frozen tree image (built when the first integrity
+// machine attaches, over the aged lines' sealed slots) and each
 // integrity machine starts from a clone of it and of its DRAM channel.
 //
 // Sharing is sound because all of the cached artifacts are functions of
-// the key (seed-derived), the image (seed-derived), the counter roots
+// the key (seed-derived), the image (seed-derived) and the counter roots
 // (drawn from rng.New(seed^0xabcdef) in aged-page first-touch order,
-// which is itself seed-derived) and, for a tree image, the DRAM
-// configuration — scheme choice influences none of them.
+// which is itself seed-derived) — scheme choice influences none of them.
 //
 // The template is the only way a counter-mode machine gets its starting
 // state. The per-line aging loop it replaced (Controller.AgeLine over the
@@ -77,20 +76,12 @@ type machineTemplate struct {
 	agePages []uint64
 	aged     *secmem.AgedTemplate
 
-	treeMu    sync.Mutex // guards trees, never a build
-	trees     map[dram.Config]*treeEntry
-	treeLoads atomic.Int32 // tree image builds started (tests)
-}
-
-// treeEntry is one loaded tree image: the frozen tree holding the aged
-// lines' leaves for an integrity machine with that DRAM configuration,
-// and the data channel its load updates wrote to. Built at most once,
-// like tmplEntry.
-type treeEntry struct {
-	once sync.Once
-	tree *integrity.Tree
-	dram *dram.DRAM
-	err  error
+	// treeImage returns the frozen tree holding the aged lines' leaves
+	// and the data channel its load updates wrote to, loading them (see
+	// loadTree) on the first call. Callers clone both; neither may be
+	// used directly.
+	treeImage func() (*integrity.Tree, *dram.DRAM)
+	treeLoads atomic.Int32 // tree image loads started (tests)
 }
 
 type templateKey struct {
@@ -121,10 +112,11 @@ var (
 // machine to attach, or the first tree image to load, adds the pad-slot
 // table, 68 bytes a line: 1.0–1.6, 1.3–3.0 and 1.3–20 MiB (median 18),
 // where a slot is written only when its line is sealed; integrity
-// templates carry it too. The first integrity machine adds a loaded
-// tree image per DRAM configuration, about 370 bytes a tree node: at
-// most 0.44 MiB at 256 KiB and 14 MiB at 8 MiB, where benchmarks whose
-// aged lines cluster load 0.01–3 MiB. The cap covers a full benchmark
+// templates carry it too. The first integrity machine adds the loaded
+// tree image, about 350 bytes a tree node (a 320-byte node holding its
+// child digests, its table slot and page overhead): at most 0.42 MiB at
+// 256 KiB and 13.4 MiB at 8 MiB, where benchmarks whose aged lines
+// cluster load 0.01–3 MiB. The cap covers a full benchmark
 // sweep at two scales. An evicted template is rebuilt on its next use:
 // on a 2-vCPU Xeon host, building one with its pad-slot table takes a
 // median over the 14 benchmarks of 2.2–3.0 ms at 512 KiB, 5.0–6.2 ms at
@@ -170,39 +162,16 @@ func getTemplate(bench string, cfg Config) (*machineTemplate, error) {
 	return e.t, nil
 }
 
-// treeImage returns the template's loaded tree and data channel for
-// dcfg, building them on first use outside every cache lock. Callers
-// clone both; neither may be used directly. A build that panics leaves
-// no entry, so the next call retries.
-func (t *machineTemplate) treeImage(dcfg dram.Config) (*integrity.Tree, *dram.DRAM, error) {
-	t.treeMu.Lock()
-	e := t.trees[dcfg]
-	if e == nil {
-		e = &treeEntry{}
-		t.trees[dcfg] = e
-	}
-	t.treeMu.Unlock()
-
-	e.once.Do(func() {
-		// Cleared unless the build panics; then the entry is dropped
-		// before the panic propagates, and the key's waiting callers get
-		// this error.
-		e.err = fmt.Errorf("sim: loading the integrity tree image panicked")
-		defer func() {
-			if e.err != nil {
-				t.treeMu.Lock()
-				delete(t.trees, dcfg)
-				t.treeMu.Unlock()
-			}
-		}()
-		t.treeLoads.Add(1)
-		e.dram = dram.New(dcfg)
-		e.tree = integrity.New(integrity.DefaultConfig(), e.dram)
-		t.aged.LoadTree(e.tree, t.ageList)
-		e.tree.Freeze()
-		e.err = nil
-	})
-	return e.tree, e.dram, e.err
+// loadTree builds the template's tree image: an integrity machine's
+// tree and data channel with every aged line's leaf loaded at cycle 0,
+// frozen for cloning.
+func (t *machineTemplate) loadTree() (*integrity.Tree, *dram.DRAM) {
+	t.treeLoads.Add(1)
+	d := dram.New(dram.DefaultConfig())
+	tree := integrity.New(integrity.DefaultConfig(), d)
+	t.aged.LoadTree(tree, t.ageList)
+	tree.Freeze()
+	return tree, d
 }
 
 // dropTemplate removes key from the cache. The caller holds tmplMu.
@@ -224,7 +193,8 @@ func buildTemplate(bench string, cfg Config) (*machineTemplate, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &machineTemplate{prog: wl.Prog, image: image, trees: map[dram.Config]*treeEntry{}}
+	t := &machineTemplate{prog: wl.Prog, image: image}
+	t.treeImage = sync.OnceValues(t.loadTree)
 
 	ager := rng.New(cfg.Seed ^ 0xa6e0a6e)
 	// A span yields at most one sample per covered line; sizing the list

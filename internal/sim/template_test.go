@@ -13,7 +13,6 @@ import (
 	"sync"
 	"testing"
 
-	"ctrpred/internal/dram"
 	"ctrpred/internal/faults"
 	"ctrpred/internal/predictor"
 	"ctrpred/internal/secmem"
@@ -197,9 +196,8 @@ func TestHitRateSweepLeavesPadsUnbuilt(t *testing.T) {
 // unaged lines installed at first touch) to the eager aging loop it
 // replaces (eagerMachine): the same tree root and DRAM statistics right
 // after NewMachine and the same snapshot after the run, over every
-// benchmark, four counter schemes and two DRAM geometries, with the
-// self-check alternating and one fault plan of each kind armed under
-// quarantine.
+// benchmark and four counter schemes, with the self-check on and off and
+// one fault plan of each kind armed under quarantine.
 func TestIntegrityTemplateMatchesEager(t *testing.T) {
 	schemes := []Scheme{
 		SchemePred(predictor.SchemeContext),
@@ -207,27 +205,21 @@ func TestIntegrityTemplateMatchesEager(t *testing.T) {
 		SchemeBaseline(),
 		SchemeSeqCache(32 << 10),
 	}
-	small := dram.DefaultConfig()
-	small.Banks, small.RowBytes = 4, 1<<10
-	drams := []dram.Config{dram.DefaultConfig(), small}
 	kinds := faults.Kinds()
 	armed := map[faults.Kind]bool{}
-	n := 0
 	for bi, bench := range workload.Names() {
 		for si, s := range schemes {
-			for di, dcfg := range drams {
+			for _, selfCheck := range []bool{true, false} {
 				cfg := eagerConfig(s, 0x1e7+uint64(bi)).WithIntegrity()
-				cfg.DRAM = dcfg
-				cfg.SelfCheck = n%2 == 0
-				n++
-				if si == 0 && di == 1 {
+				cfg.SelfCheck = selfCheck
+				if si == 0 && !selfCheck {
 					kind := kinds[bi%len(kinds)]
 					plan := &faults.Plan{Attacks: []faults.Attack{
 						{Kind: kind, Trigger: faults.Trigger{Fetch: uint64(5 + 3*bi)}},
 					}}
 					cfg = cfg.WithFaults(plan).WithRecovery(secmem.RecoveryQuarantine)
 				}
-				name := fmt.Sprintf("%s/%s/dram%d/sc%v", bench, s.Name, di, cfg.SelfCheck)
+				name := fmt.Sprintf("%s/%s/sc%v", bench, s.Name, cfg.SelfCheck)
 				res := matchEager(t, name, bench, cfg)
 				if cfg.Faults != nil && res.Faults.TotalInjected() > 0 {
 					armed[cfg.Faults.Attacks[0].Kind] = true
@@ -294,19 +286,19 @@ func TestIntegrityTemplateConcurrentAttach(t *testing.T) {
 }
 
 // TestIntegrityTemplateOnly runs integrity machines alone on a fresh
-// template: they load one tree image per DRAM configuration and share
-// the template's sealed slots, so a run repeating an earlier one's
+// template: under any scheme they clone one tree image and share the
+// template's sealed slots, so a run repeating an earlier one's
 // configuration seals no slot.
 func TestIntegrityTemplateOnly(t *testing.T) {
 	cfg := testConfig(SchemePred(predictor.SchemeContext)).WithIntegrity().WithSeed(0x0a1e)
-	small := cfg
-	small.DRAM.Banks = 4
+	baseline := cfg
+	baseline.Scheme = SchemeBaseline()
 	tmpl, err := getTemplate("bzip2", cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var sealed int
-	for i, c := range []Config{cfg, small, cfg} {
+	for i, c := range []Config{cfg, baseline, cfg} {
 		sealed = tmpl.aged.SealedLines()
 		if _, err := Run("bzip2", c); err != nil {
 			t.Fatal(err)
@@ -318,42 +310,10 @@ func TestIntegrityTemplateOnly(t *testing.T) {
 	if n := tmpl.aged.SealedLines() - sealed; n != 0 {
 		t.Errorf("repeating the first run's configuration sealed %d more template slots", n)
 	}
-	if n := tmpl.treeLoads.Load(); n != 2 {
-		t.Errorf("two DRAM configurations loaded %d tree images, want 2", n)
+	if n := tmpl.treeLoads.Load(); n != 1 {
+		t.Errorf("three integrity runs loaded %d tree images, want 1", n)
 	}
 	forgetTemplate("bzip2", cfg)
-}
-
-// TestIntegrityTreeImageErrorNotCached loads a tree image over a DRAM
-// geometry the channel model rejects: the panic reaches the caller and
-// leaves no cache entry, so the next machine retries the load.
-func TestIntegrityTreeImageErrorNotCached(t *testing.T) {
-	cfg := testConfig(SchemeBaseline()).WithIntegrity().WithSeed(0xbad)
-	cfg.DRAM.Banks = 3
-	tmpl, err := getTemplate("gzip", cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatalf("call %d: a 3-bank channel did not panic", i)
-				}
-			}()
-			NewMachine("gzip", cfg)
-		}()
-		tmpl.treeMu.Lock()
-		_, cached := tmpl.trees[cfg.DRAM]
-		tmpl.treeMu.Unlock()
-		if cached {
-			t.Fatalf("call %d: the failed load left a cache entry", i)
-		}
-	}
-	if n := tmpl.treeLoads.Load(); n != 2 {
-		t.Errorf("two calls started %d loads, want 2 (the failure was cached)", n)
-	}
-	forgetTemplate("gzip", cfg)
 }
 
 const countersGolden = "counters.golden"
