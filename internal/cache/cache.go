@@ -1,17 +1,22 @@
-// Package cache provides the set-associative cache timing model used for
-// the L1 instruction/data caches, the unified L2, and (via package
-// seqcache) the sequence-number cache of the baseline architecture.
+// Package cache provides the set-associative, tag-only LRU store behind
+// every lookup structure of the machine: the L1 instruction and data
+// caches and the unified L2 (package memsys), the instruction and data
+// TLBs (memsys, one 4 KiB page a line), the sequence-number cache of the
+// baseline architecture (package seqcache), the counter-line fetch
+// buffer (package secmem), the two-level scheme's range table (package
+// predictor) and the integrity tree's node cache (package integrity).
 //
-// The model is tag-only: it tracks presence, dirtiness and LRU order but
-// not data (the simulator keeps architectural data in package mem and
-// encrypted data in package secmem). Caches are write-back, write-allocate
-// by default; the L1 data cache is configured write-through by the
-// hierarchy so that dirty state — and therefore sequence-number increments
-// — is owned by the L2, as in the paper's secure-processor boundary.
+// The model tracks presence, dirtiness and LRU order but not data (the
+// simulator keeps architectural data in package mem and encrypted data
+// in package secmem). Caches are write-back, write-allocate by default;
+// the L1 data cache is configured write-through by the hierarchy so that
+// dirty state — and therefore sequence-number increments — is owned by
+// the L2, as in the paper's secure-processor boundary.
 package cache
 
 import (
 	"fmt"
+	"slices"
 
 	"ctrpred/internal/stats"
 )
@@ -89,9 +94,10 @@ type Eviction struct {
 
 // Cache is a single level of cache.
 type Cache struct {
-	cfg      Config
-	sets     [][]line
-	numSets  int
+	cfg Config
+	// lines holds every set's ways back to back, set by set, so a
+	// lookup costs one dependent load.
+	lines    []line
 	setShift uint
 	setMask  uint64
 	clock    uint64
@@ -104,19 +110,14 @@ func New(cfg Config) *Cache {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	numSets := cfg.SizeBytes / cfg.LineSize / cfg.Ways
+	lines := cfg.SizeBytes / cfg.LineSize
 	c := &Cache{
 		cfg:     cfg,
-		numSets: numSets,
-		setMask: uint64(numSets - 1),
+		lines:   make([]line, lines),
+		setMask: uint64(lines/cfg.Ways - 1),
 	}
 	for s := cfg.LineSize; s > 1; s >>= 1 {
 		c.setShift++
-	}
-	c.sets = make([][]line, numSets)
-	backing := make([]line, numSets*cfg.Ways)
-	for i := range c.sets {
-		c.sets[i] = backing[i*cfg.Ways : (i+1)*cfg.Ways]
 	}
 	return c
 }
@@ -128,26 +129,19 @@ func (c *Cache) Config() Config { return c.cfg }
 // and statistics.
 func (c *Cache) Clone() *Cache {
 	d := *c
-	backing := make([]line, c.numSets*c.cfg.Ways)
-	d.sets = make([][]line, c.numSets)
-	for i, ways := range c.sets {
-		d.sets[i] = backing[i*c.cfg.Ways : (i+1)*c.cfg.Ways]
-		copy(d.sets[i], ways)
-	}
+	d.lines = slices.Clone(c.lines)
 	return &d
 }
 
 // Stats returns a copy of the accumulated statistics.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// LineAddr returns addr rounded down to its line.
-func (c *Cache) LineAddr(addr uint64) uint64 {
-	return addr &^ uint64(c.cfg.LineSize-1)
-}
-
-func (c *Cache) index(addr uint64) (set int, tag uint64) {
-	la := addr >> c.setShift
-	return int(la & c.setMask), la >> 0 // tag keeps full line address for easy reconstruction
+// set returns the ways of addr's set and addr's tag, the full line
+// address (so a line's address is its tag shifted back).
+func (c *Cache) set(addr uint64) (ways []line, tag uint64) {
+	tag = addr >> (c.setShift & 63)
+	i := int(tag&c.setMask) * c.cfg.Ways
+	return c.lines[i : i+c.cfg.Ways], tag
 }
 
 // Access looks up addr (any byte address), allocating on miss, and
@@ -156,18 +150,24 @@ func (c *Cache) index(addr uint64) (set int, tag uint64) {
 func (c *Cache) Access(addr uint64, write bool) (hit bool, ev Eviction) {
 	c.clock++
 	c.stats.Accesses++
-	set, tag := c.index(addr)
-	ways := c.sets[set]
+	ways, tag := c.set(addr)
 	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
+		if w := &ways[i]; w.tag == tag && w.valid {
 			c.stats.Hits++
-			ways[i].lastUse = c.clock
+			w.lastUse = c.clock
 			if write && !c.cfg.WriteThrough {
-				ways[i].dirty = true
+				w.dirty = true
 			}
 			return true, Eviction{}
 		}
 	}
+	return false, c.fill(ways, tag, write)
+}
+
+// fill is Access's miss path: it installs tag in an invalid way if the
+// set has one, else in place of the least recently used line, and
+// returns the line it displaced.
+func (c *Cache) fill(ways []line, tag uint64, write bool) (ev Eviction) {
 	c.stats.Misses++
 	victim := 0
 	for i := 1; i < len(ways); i++ {
@@ -183,40 +183,21 @@ func (c *Cache) Access(addr uint64, write bool) (hit bool, ev Eviction) {
 		}
 	}
 	if ways[victim].valid {
-		ev = Eviction{Valid: true, Addr: ways[victim].tag << c.setShift, Dirty: ways[victim].dirty}
+		ev = Eviction{Valid: true, Addr: ways[victim].tag << (c.setShift & 63), Dirty: ways[victim].dirty}
 		c.stats.Evictions++
 		if ev.Dirty {
 			c.stats.DirtyEvictions++
 		}
 	}
 	ways[victim] = line{tag: tag, valid: true, dirty: write && !c.cfg.WriteThrough, lastUse: c.clock}
-	return false, ev
+	return ev
 }
 
 // Probe reports whether addr is present without updating LRU or stats.
 func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.index(addr)
-	for _, w := range c.sets[set] {
+	ways, tag := c.set(addr)
+	for _, w := range ways {
 		if w.valid && w.tag == tag {
-			return true
-		}
-	}
-	return false
-}
-
-// Touch marks addr dirty if present (used when an upper write-through
-// level pushes a write into this cache without a full access — not
-// currently used by the hierarchy but part of the model's API).
-func (c *Cache) Touch(addr uint64, write bool) bool {
-	set, tag := c.index(addr)
-	ways := c.sets[set]
-	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
-			c.clock++
-			ways[i].lastUse = c.clock
-			if write && !c.cfg.WriteThrough {
-				ways[i].dirty = true
-			}
 			return true
 		}
 	}
@@ -226,8 +207,7 @@ func (c *Cache) Touch(addr uint64, write bool) bool {
 // Invalidate removes addr's line if present, returning whether it was
 // present and dirty. Used for back-invalidation (inclusive hierarchies).
 func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
-	set, tag := c.index(addr)
-	ways := c.sets[set]
+	ways, tag := c.set(addr)
 	for i := range ways {
 		if ways[i].valid && ways[i].tag == tag {
 			present, dirty = true, ways[i].dirty
@@ -243,37 +223,27 @@ func (c *Cache) Invalidate(addr uint64) (present, dirty bool) {
 // paper's periodic OS-induced flush of dirty cache lines every 25M cycles.
 func (c *Cache) FlushDirty(fn func(lineAddr uint64)) int {
 	n := 0
-	for _, ways := range c.sets {
-		for i := range ways {
-			if ways[i].valid && ways[i].dirty {
-				if fn != nil {
-					fn(ways[i].tag << c.setShift)
-				}
-				ways[i].dirty = false
-				n++
+	for i := range c.lines {
+		if l := &c.lines[i]; l.valid && l.dirty {
+			if fn != nil {
+				fn(l.tag << c.setShift)
 			}
+			l.dirty = false
+			n++
 		}
 	}
 	return n
 }
 
 // InvalidateAll empties the cache (used between simulation phases).
-func (c *Cache) InvalidateAll() {
-	for _, ways := range c.sets {
-		for i := range ways {
-			ways[i] = line{}
-		}
-	}
-}
+func (c *Cache) InvalidateAll() { clear(c.lines) }
 
 // DirtyLines returns the number of currently dirty lines.
 func (c *Cache) DirtyLines() int {
 	n := 0
-	for _, ways := range c.sets {
-		for i := range ways {
-			if ways[i].valid && ways[i].dirty {
-				n++
-			}
+	for _, l := range c.lines {
+		if l.valid && l.dirty {
+			n++
 		}
 	}
 	return n

@@ -121,21 +121,6 @@ func TestProbeDoesNotDisturb(t *testing.T) {
 	}
 }
 
-func TestTouch(t *testing.T) {
-	c := dmCache(1024)
-	if c.Touch(0x40, true) {
-		t.Fatal("touch hit on empty cache")
-	}
-	c.Access(0x40, false)
-	if !c.Touch(0x40, true) {
-		t.Fatal("touch missed present line")
-	}
-	_, ev := c.Access(0x40+1024, false)
-	if !ev.Dirty {
-		t.Fatal("touch(write) did not mark dirty")
-	}
-}
-
 func TestInvalidate(t *testing.T) {
 	c := dmCache(1024)
 	c.Access(0x20, true)
@@ -179,13 +164,6 @@ func TestInvalidateAll(t *testing.T) {
 	c.InvalidateAll()
 	if c.Probe(0) {
 		t.Fatal("line survived InvalidateAll")
-	}
-}
-
-func TestLineAddr(t *testing.T) {
-	c := dmCache(1024)
-	if got := c.LineAddr(0x7f); got != 0x60 {
-		t.Fatalf("LineAddr(0x7f) = %#x, want 0x60", got)
 	}
 }
 

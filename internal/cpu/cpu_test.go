@@ -24,9 +24,10 @@ func newCore(t *testing.T, src string, scheme predictor.Scheme) (*Core, *mem.Mem
 	image := mem.New()
 	image.WriteBytes(prog.Base, prog.Bytes())
 	d := dram.New(dram.DefaultConfig())
-	e := cryptoengine.NewAES(cryptoengine.DefaultSpec(), ctr.NewKeystream(key))
+	e := cryptoengine.NewAES(cryptoengine.DefaultSpec())
+	ks := ctr.NewKeystream(key)
 	p := predictor.New(predictor.DefaultConfig(scheme))
-	ctrl := secmem.New(secmem.DefaultConfig(), d, e, p, nil, image)
+	ctrl := secmem.New(secmem.DefaultConfig(), d, e, ks, p, nil, image)
 	mcfg := memsys.DefaultConfig()
 	mcfg.FlushInterval = 0
 	sys := memsys.New(mcfg, ctrl)

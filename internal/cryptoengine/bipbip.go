@@ -1,10 +1,5 @@
 package cryptoengine
 
-import (
-	"ctrpred/internal/ctr"
-	"ctrpred/internal/stats"
-)
-
 // BipBip models a very-low-latency tweakable block cipher decrypting on
 // fetch (BipBipCache): every demand or writeback request completes a
 // fixed handful of cycles after it arrives, with no shared pipeline to
@@ -13,42 +8,21 @@ import (
 // costs almost nothing, precomputing pads buys almost nothing, which is
 // the null hypothesis the `engines` experiment tests prediction against.
 type BipBip struct {
-	spec  Spec
-	ks    *ctr.Keystream
-	stats Stats
+	base
 }
 
 var _ EngineModel = (*BipBip)(nil)
 
 // NewBipBip builds a bipbip model from spec's timing (zero fields take
 // the model's defaults).
-func NewBipBip(spec Spec, ks *ctr.Keystream) *BipBip {
-	spec.Model = ModelBipBip
-	b := &BipBip{spec: spec.Normalized(), ks: ks}
-	b.stats.QueueWait = stats.NewHistogram(0, 1, 2, 4, 8, 16, 32, 64, 128)
-	b.stats.Model = ModelBipBip
-	return b
+func NewBipBip(spec Spec) *BipBip {
+	return &BipBip{base: newBase(ModelBipBip, spec)}
 }
 
-// Spec returns the normalized spec the model was built from.
-func (b *BipBip) Spec() Spec { return b.spec }
-
-// Stats returns a copy of the accumulated statistics.
-func (b *BipBip) Stats() Stats { return b.stats }
-
-// Keystream exposes the machine's keystream.
-func (b *BipBip) Keystream() *ctr.Keystream { return b.ks }
-
-// ScheduleOnly books one request; with no contention it is ready a
-// fixed LatencyCycles after now.
+// ScheduleOnly books one request; with no contention it starts at now
+// and is ready a fixed LatencyCycles later.
 func (b *BipBip) ScheduleOnly(now uint64, class Class) uint64 {
-	b.stats.Issued[class]++
-	b.stats.QueueWait.Observe(0)
-	ready := now + b.spec.LatencyCycles
-	if ready > b.stats.LastBusy {
-		b.stats.LastBusy = ready
-	}
-	return ready
+	return b.book(class, now, now)
 }
 
 // ScheduleGuesses accepts the speculative burst but treats it as free:

@@ -3,8 +3,6 @@ package cryptoengine
 import (
 	"errors"
 	"testing"
-
-	"ctrpred/internal/ctr"
 )
 
 // conformanceSpecs is the model grid the conformance suite runs: every
@@ -22,7 +20,7 @@ func conformanceSpecs() []Spec {
 
 func newConformanceModel(t *testing.T, spec Spec) EngineModel {
 	t.Helper()
-	m, err := NewModel(spec, ctr.NewKeystream([32]byte{1, 2, 3}))
+	m, err := NewModel(spec)
 	if err != nil {
 		t.Fatalf("NewModel(%v): %v", spec, err)
 	}
@@ -208,7 +206,7 @@ func TestParseEngine(t *testing.T) {
 	if _, err := ParseEngine("aes:banks=4"); errors.Is(err, ErrUnknownEngine) {
 		t.Error("bad parameter error should not report an unknown engine")
 	}
-	if _, err := NewModel(Spec{Model: "quantum"}, ctr.NewKeystream([32]byte{})); !errors.Is(err, ErrUnknownEngine) {
+	if _, err := NewModel(Spec{Model: "quantum"}); !errors.Is(err, ErrUnknownEngine) {
 		t.Errorf("NewModel(quantum) = %v, want errors.Is(err, ErrUnknownEngine)", err)
 	}
 }
@@ -217,7 +215,7 @@ func TestParseEngine(t *testing.T) {
 // same-cycle requests at full latency each, and request B+1 waits for
 // the earliest bank.
 func TestSealerTiming(t *testing.T) {
-	s := NewSealer(Spec{Model: ModelSealer, Banks: 2, LatencyCycles: 10}, ctr.NewKeystream([32]byte{}))
+	s := NewSealer(Spec{Model: ModelSealer, Banks: 2, LatencyCycles: 10})
 	if r := s.ScheduleOnly(100, ClassDemand); r != 110 {
 		t.Fatalf("bank 0 ready at %d, want 110", r)
 	}
@@ -239,7 +237,7 @@ func TestSealerTiming(t *testing.T) {
 // TestBipBipTiming pins the low-latency model: fixed latency, no
 // contention, and speculative bursts bypassed for free.
 func TestBipBipTiming(t *testing.T) {
-	b := NewBipBip(Spec{Model: ModelBipBip, LatencyCycles: 4}, ctr.NewKeystream([32]byte{}))
+	b := NewBipBip(Spec{Model: ModelBipBip, LatencyCycles: 4})
 	for i := 0; i < 10; i++ {
 		if r := b.ScheduleOnly(100, ClassDemand); r != 104 {
 			t.Fatalf("request %d ready at %d, want 104 (no contention ever)", i, r)

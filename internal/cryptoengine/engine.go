@@ -12,14 +12,11 @@
 // paper cites as the reason prediction depth cannot simply be increased.
 //
 // The engine models timing only. The controller draws the pad bits it
-// books requests for from the ctr.Keystream the engine carries, so the
-// simulator still decrypts real ciphertext with real pads.
+// books requests for from its own ctr.Keystream, so the simulator still
+// decrypts real ciphertext with real pads.
 package cryptoengine
 
-import (
-	"ctrpred/internal/ctr"
-	"ctrpred/internal/stats"
-)
+import "ctrpred/internal/stats"
 
 // Class labels the purpose of a pad request, for accounting.
 type Class int
@@ -103,9 +100,7 @@ func (s *Stats) AddTo(n *stats.Snapshot) {
 // requests (one request = both 16-byte pads of a line, i.e. the paper's
 // dual-AES arrangement in Figure 3) can enter the pipeline per cycle.
 type Engine struct {
-	spec  Spec
-	ks    *ctr.Keystream
-	stats Stats
+	base
 	// nextIssue is the earliest cycle at which a new request may enter the
 	// pipeline, given everything issued so far.
 	nextIssue uint64
@@ -114,40 +109,20 @@ type Engine struct {
 }
 
 // NewAES builds the pipelined AES model from spec's timing (zero fields
-// take the model's defaults, Table 1's), carrying ks for the
-// controller's pad bits.
-func NewAES(spec Spec, ks *ctr.Keystream) *Engine {
-	spec.Model = ModelAES
-	e := &Engine{spec: spec.Normalized(), ks: ks}
-	e.stats.QueueWait = stats.NewHistogram(0, 1, 2, 4, 8, 16, 32, 64, 128)
-	e.stats.Model = ModelAES
-	return e
+// take the model's defaults, Table 1's).
+func NewAES(spec Spec) *Engine {
+	return &Engine{base: newBase(ModelAES, spec)}
 }
 
 // Engine is the default EngineModel.
 var _ EngineModel = (*Engine)(nil)
-
-// Spec returns the normalized spec the engine was built from.
-func (e *Engine) Spec() Spec { return e.spec }
-
-// Stats returns a copy of the accumulated statistics.
-func (e *Engine) Stats() Stats { return e.stats }
 
 // ScheduleOnly issues a pad request at or after cycle now and returns the
 // cycle at which it emerges from the pipeline. Requests are serviced in
 // issue order; if the current cycle's issue slots are full the request
 // slips to a later cycle (recorded as stall time).
 func (e *Engine) ScheduleOnly(now uint64, class Class) uint64 {
-	start := e.reserveSlot(now)
-	e.stats.Issued[class]++
-	if start > now {
-		e.stats.StallCycles += start - now
-	}
-	ready := start + e.spec.LatencyCycles
-	if ready > e.stats.LastBusy {
-		e.stats.LastBusy = ready
-	}
-	return ready
+	return e.book(class, now, e.reserveSlot(now))
 }
 
 // ScheduleGuesses books one prediction-class pipeline slot per guess —
@@ -212,10 +187,5 @@ func (e *Engine) reserveSlot(now uint64) uint64 {
 		e.nextIssue = start + 1
 		e.issuedThisCycle = 0
 	}
-	e.stats.QueueWait.Observe(start - now)
 	return start
 }
-
-// Keystream exposes the machine's keystream, the source of every pad bit
-// the controller uses.
-func (e *Engine) Keystream() *ctr.Keystream { return e.ks }

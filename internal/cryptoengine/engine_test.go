@@ -4,15 +4,10 @@ import (
 	"reflect"
 	"testing"
 
-	"ctrpred/internal/ctr"
 	"ctrpred/internal/rng"
 )
 
-func newEngine(spec Spec) *Engine {
-	var key [32]byte
-	key[0] = 1
-	return NewAES(spec, ctr.NewKeystream(key))
-}
+func newEngine(spec Spec) *Engine { return NewAES(spec) }
 
 func TestLatency(t *testing.T) {
 	e := newEngine(Spec{LatencyCycles: 96, IssuePerCycle: 1})
@@ -142,8 +137,7 @@ func TestDefaultsApplied(t *testing.T) {
 	if e := newEngine(Spec{}); e.Spec() != DefaultSpec() {
 		t.Fatalf("aes defaults not applied: %+v", e.Spec())
 	}
-	ks := ctr.NewKeystream([32]byte{1})
-	for _, m := range []EngineModel{NewSealer(Spec{}, ks), NewBipBip(Spec{}, ks)} {
+	for _, m := range []EngineModel{NewSealer(Spec{}), NewBipBip(Spec{})} {
 		if want := (Spec{Model: m.Stats().Model}).Normalized(); m.Spec() != want {
 			t.Errorf("%s from the zero spec: %+v, want %+v", want.Model, m.Spec(), want)
 		}

@@ -13,9 +13,10 @@
 //   - bipbip: a low-latency tweakable block cipher decrypting on fetch,
 //     so speculative pads buy nothing; predictions become free no-ops.
 //
-// Models are timing-only: each carries the machine's ctr.Keystream, from
-// which the controller draws pad bits itself, so decryption stays real
-// under every model and results differ only in timing.
+// Models are timing-only: the controller draws pad bits from its own
+// ctr.Keystream, so decryption stays real under every model and results
+// differ only in timing. The three share their accounting (base); each
+// decides only when a request starts and how it books a guess burst.
 package cryptoengine
 
 import (
@@ -25,13 +26,14 @@ import (
 	"strconv"
 	"strings"
 
-	"ctrpred/internal/ctr"
+	"ctrpred/internal/stats"
 )
 
 // EngineModel is the timing contract between the memory controller and
 // a cipher engine: reserve issue slots, report ready cycles, account
-// activity. Pad bits come from the shared ctr.Keystream, never from the
-// model, so a model shapes when data is ready, never what it decrypts to.
+// activity. Pad bits come from the controller's ctr.Keystream, never
+// from the model, so a model shapes when data is ready, never what it
+// decrypts to.
 type EngineModel interface {
 	// ScheduleOnly books one request and returns its ready cycle.
 	ScheduleOnly(now uint64, class Class) uint64
@@ -43,9 +45,40 @@ type EngineModel interface {
 	Stats() Stats
 	// Spec returns the normalized spec the model was built from.
 	Spec() Spec
-	// Keystream exposes the machine's keystream, the source of every
-	// pad bit the controller uses.
-	Keystream() *ctr.Keystream
+}
+
+// base is what the three models share: the normalized spec and the
+// accounting of every request.
+type base struct {
+	spec  Spec
+	stats Stats
+}
+
+// newBase normalizes spec as a spec of model and starts its accounting.
+func newBase(model string, spec Spec) base {
+	spec.Model = model
+	b := base{spec: spec.Normalized()}
+	b.stats.QueueWait = stats.NewHistogram(0, 1, 2, 4, 8, 16, 32, 64, 128)
+	b.stats.Model = b.spec.Model
+	b.stats.Banks = b.spec.Banks
+	return b
+}
+
+// Spec returns the normalized spec the model was built from.
+func (b *base) Spec() Spec { return b.spec }
+
+// Stats returns a copy of the accumulated statistics.
+func (b *base) Stats() Stats { return b.stats }
+
+// book accounts one request of class that arrived at now and starts at
+// start, and returns the cycle it is ready.
+func (b *base) book(class Class, now, start uint64) uint64 {
+	b.stats.Issued[class]++
+	b.stats.StallCycles += start - now
+	b.stats.QueueWait.Observe(start - now)
+	ready := start + b.spec.LatencyCycles
+	b.stats.LastBusy = max(b.stats.LastBusy, ready)
+	return ready
 }
 
 // Model names accepted by Spec and ParseEngine.
@@ -210,18 +243,17 @@ func keyList(keys map[string]bool) string {
 	return strings.Join(names, ", ")
 }
 
-// NewModel builds the engine model the spec names, carrying ks for the
-// controller's pad bits. Unknown model names return an error wrapping
-// ErrUnknownEngine.
-func NewModel(spec Spec, ks *ctr.Keystream) (EngineModel, error) {
+// NewModel builds the engine model the spec names. Unknown model names
+// return an error wrapping ErrUnknownEngine.
+func NewModel(spec Spec) (EngineModel, error) {
 	spec = spec.Normalized()
 	switch spec.Model {
 	case ModelAES:
-		return NewAES(spec, ks), nil
+		return NewAES(spec), nil
 	case ModelSealer:
-		return NewSealer(spec, ks), nil
+		return NewSealer(spec), nil
 	case ModelBipBip:
-		return NewBipBip(spec, ks), nil
+		return NewBipBip(spec), nil
 	}
 	return nil, fmt.Errorf("%w %q (want aes, sealer, bipbip)", ErrUnknownEngine, spec.Model)
 }

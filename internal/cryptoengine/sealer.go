@@ -1,10 +1,5 @@
 package cryptoengine
 
-import (
-	"ctrpred/internal/ctr"
-	"ctrpred/internal/stats"
-)
-
 // Sealer models a banked, non-pipelined cipher engine in the style of
 // in-SRAM AES macros (Sealer): each bank seals or unseals one line at a
 // time with a high per-request latency, and throughput comes from bank
@@ -18,9 +13,7 @@ import (
 // bursts its banks saturate sooner, which is exactly the trade the
 // `engines` experiment measures.
 type Sealer struct {
-	spec  Spec
-	ks    *ctr.Keystream
-	stats Stats
+	base
 	// bankFree[i] is the cycle at which bank i accepts its next request.
 	bankFree []uint64
 }
@@ -29,24 +22,11 @@ var _ EngineModel = (*Sealer)(nil)
 
 // NewSealer builds a sealer model from spec's timing (zero fields take
 // the model's defaults).
-func NewSealer(spec Spec, ks *ctr.Keystream) *Sealer {
-	spec.Model = ModelSealer
-	spec = spec.Normalized()
-	s := &Sealer{spec: spec, ks: ks, bankFree: make([]uint64, spec.Banks)}
-	s.stats.QueueWait = stats.NewHistogram(0, 1, 2, 4, 8, 16, 32, 64, 128)
-	s.stats.Model = ModelSealer
-	s.stats.Banks = spec.Banks
+func NewSealer(spec Spec) *Sealer {
+	s := &Sealer{base: newBase(ModelSealer, spec)}
+	s.bankFree = make([]uint64, s.spec.Banks)
 	return s
 }
-
-// Spec returns the normalized spec the model was built from.
-func (s *Sealer) Spec() Spec { return s.spec }
-
-// Stats returns a copy of the accumulated statistics.
-func (s *Sealer) Stats() Stats { return s.stats }
-
-// Keystream exposes the machine's keystream.
-func (s *Sealer) Keystream() *ctr.Keystream { return s.ks }
 
 // reserveBank dispatches a request at cycle now to the earliest-free
 // bank and returns the cycle work starts on it.
@@ -62,22 +42,12 @@ func (s *Sealer) reserveBank(now uint64) uint64 {
 		start = s.bankFree[best]
 	}
 	s.bankFree[best] = start + s.spec.LatencyCycles
-	s.stats.QueueWait.Observe(start - now)
 	return start
 }
 
 // ScheduleOnly books one request and returns its ready cycle.
 func (s *Sealer) ScheduleOnly(now uint64, class Class) uint64 {
-	start := s.reserveBank(now)
-	s.stats.Issued[class]++
-	if start > now {
-		s.stats.StallCycles += start - now
-	}
-	ready := start + s.spec.LatencyCycles
-	if ready > s.stats.LastBusy {
-		s.stats.LastBusy = ready
-	}
-	return ready
+	return s.book(class, now, s.reserveBank(now))
 }
 
 // ScheduleGuesses books one prediction per guess across the banks, in

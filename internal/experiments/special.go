@@ -90,7 +90,7 @@ func Figure4Timeline(ctx context.Context, opt Options) (Result, error) {
 	for _, sc := range scenarios {
 		image := mem.New()
 		d := dram.New(dram.DefaultConfig())
-		e, err := cryptoengine.NewModel(opt.Engine, ctr.NewKeystream(key))
+		e, err := cryptoengine.NewModel(opt.Engine)
 		if err != nil {
 			return Result{}, err
 		}
@@ -102,7 +102,7 @@ func Figure4Timeline(ctx context.Context, opt Options) (Result, error) {
 		cfg := secmem.DefaultConfig()
 		cfg.Oracle = sc.oracle
 		cfg.Direct = sc.direct
-		ctrl := secmem.New(cfg, d, e, p, cache, image)
+		ctrl := secmem.New(cfg, d, e, ctr.NewKeystream(key), p, cache, image)
 		const addr = 0x100000
 		if cache != nil {
 			// Warm the counter into the cache with an earlier fetch.

@@ -24,9 +24,9 @@ package memsys
 import (
 	"ctrpred/internal/cache"
 	"ctrpred/internal/ctr"
+	"ctrpred/internal/mem"
 	"ctrpred/internal/secmem"
 	"ctrpred/internal/stats"
-	"ctrpred/internal/tlb"
 )
 
 // Table 1's hierarchy. Table1 in package experiments prints these.
@@ -35,7 +35,12 @@ const (
 	L1Size    = 8 << 10
 	L1Latency = 1
 	L2Ways    = 4
-	// TLBEntries and TLBWays size each TLB (instruction and data).
+	// TLBEntries and TLBWays size each TLB (instruction and data). A TLB
+	// is a tag store of 4 KiB pages; a miss costs a page walk of
+	// tlbMissPenalty cycles. In the paper each entry also carries the
+	// page's root sequence number; here the root lives in the predictor
+	// (the process's security context), so the TLB contributes timing
+	// only.
 	TLBEntries     = 256
 	TLBWays        = 4
 	tlbMissPenalty = 30
@@ -117,8 +122,8 @@ type System struct {
 	l1i       *cache.Cache
 	l1d       *cache.Cache
 	l2        *cache.Cache
-	itlb      *tlb.TLB
-	dtlb      *tlb.TLB
+	itlb      *cache.Cache
+	dtlb      *cache.Cache
 	// ctrls are the machine's controller followed by its mirrors: each
 	// receives every fetch and writeback, in the same order and at the
 	// same cycles.
@@ -142,8 +147,8 @@ func New(cfg Config, ctrl *secmem.Controller, mirrors ...*secmem.Controller) *Sy
 	s.l1i = cache.New(cache.Config{Name: "L1I", SizeBytes: L1Size, LineSize: ctr.LineSize, Ways: 1})
 	s.l1d = cache.New(cache.Config{Name: "L1D", SizeBytes: L1Size, LineSize: ctr.LineSize, Ways: 1, WriteThrough: true})
 	s.l2 = cache.New(cfg.L2Cache())
-	s.itlb = tlb.New(tlb.Config{Name: "ITLB", Entries: TLBEntries, Ways: TLBWays, MissPenalty: tlbMissPenalty})
-	s.dtlb = tlb.New(tlb.Config{Name: "DTLB", Entries: TLBEntries, Ways: TLBWays, MissPenalty: tlbMissPenalty})
+	s.itlb = cache.New(cache.Config{Name: "ITLB", SizeBytes: TLBEntries << mem.PageShift, LineSize: 1 << mem.PageShift, Ways: TLBWays})
+	s.dtlb = cache.New(cache.Config{Name: "DTLB", SizeBytes: TLBEntries << mem.PageShift, LineSize: 1 << mem.PageShift, Ways: TLBWays})
 	return s
 }
 
@@ -155,9 +160,6 @@ func (s *System) Controller() *secmem.Controller { return s.ctrls[0] }
 
 // Caches returns the three caches for statistics reporting.
 func (s *System) Caches() (l1i, l1d, l2 *cache.Cache) { return s.l1i, s.l1d, s.l2 }
-
-// TLBs returns the two TLBs for statistics reporting.
-func (s *System) TLBs() (itlb, dtlb *tlb.TLB) { return s.itlb, s.dtlb }
 
 // Stats returns a copy of the hierarchy statistics.
 func (s *System) Stats() Stats { return s.stats }
@@ -236,7 +238,7 @@ func (s *System) Access(now uint64, addr uint64, write bool) uint64 {
 	now = s.inOrder(now)
 	s.MaybeFlush(now)
 	s.maybeContextSwitch(now)
-	t := now + s.dtlb.Lookup(addr)
+	t := now + translate(s.dtlb, addr)
 	l1Hit, _ := s.l1d.Access(addr, write) // write-through: evictions never dirty
 	if l1Hit && !write {
 		return t + L1Latency
@@ -250,12 +252,21 @@ func (s *System) FetchInstr(now uint64, pc uint64) uint64 {
 	s.stats.InstrFetches++
 	now = s.inOrder(now)
 	s.maybeContextSwitch(now)
-	t := now + s.itlb.Lookup(pc)
+	t := now + translate(s.itlb, pc)
 	hit, _ := s.l1i.Access(pc, false)
 	if hit {
 		return t + L1Latency
 	}
 	return s.accessL2(t+L1Latency, pc, false)
+}
+
+// translate looks addr's page up in a TLB, filling it on a miss, and
+// returns the cycles the translation adds.
+func translate(tlb *cache.Cache, addr uint64) uint64 {
+	if hit, _ := tlb.Access(addr, false); hit {
+		return 0
+	}
+	return tlbMissPenalty
 }
 
 // inOrder clamps an access start time to the latest start time issued.
@@ -304,8 +315,8 @@ func (s *System) ContextSwitch(now uint64) {
 	s.l1i.InvalidateAll()
 	s.l1d.InvalidateAll()
 	s.l2.InvalidateAll()
-	s.itlb.FlushAll()
-	s.dtlb.FlushAll()
+	s.itlb.InvalidateAll()
+	s.dtlb.InvalidateAll()
 	for _, c := range s.ctrls {
 		if sc := c.SeqCache(); sc != nil {
 			sc.InvalidateAll()

@@ -18,9 +18,10 @@ func newSys(t *testing.T, cfg Config, scheme predictor.Scheme) (*System, *mem.Me
 	key[0] = 7
 	image := mem.New()
 	d := dram.New(dram.DefaultConfig())
-	e := cryptoengine.NewAES(cryptoengine.DefaultSpec(), ctr.NewKeystream(key))
+	e := cryptoengine.NewAES(cryptoengine.DefaultSpec())
+	ks := ctr.NewKeystream(key)
 	p := predictor.New(predictor.DefaultConfig(scheme))
-	ctrl := secmem.New(secmem.DefaultConfig(), d, e, p, nil, image)
+	ctrl := secmem.New(secmem.DefaultConfig(), d, e, ks, p, nil, image)
 	return New(cfg, ctrl), image
 }
 
@@ -200,15 +201,50 @@ func TestL2Latency(t *testing.T) {
 	}
 }
 
+// TestTLBPenaltyApplied pins the DTLB's replacement: five pages 64 apart
+// share one 4-way set, the least recently used one is the page that
+// pays the miss penalty again, and after a context switch every page
+// pays it. Each page's line sits in its own L1D and L2 set, so every
+// compared load hits in the caches and the TLB is the only difference.
 func TestTLBPenaltyApplied(t *testing.T) {
 	s, _ := newSys(t, smallCfg(), predictor.SchemeRegular)
-	s.Access(0, 0xb000, false)
-	// Same page, different (conflicting) line: TLB hit but L1 miss; vs a
-	// new page far away: TLB miss adds its penalty.
-	samePageDone := s.Access(100000, 0xb200, false) - 100000
-	newPageDone := s.Access(200000, 0x100b000, false) - 200000
-	if newPageDone <= samePageDone {
-		t.Skipf("DRAM state makes comparison unstable: %d vs %d", newPageDone, samePageDone)
+	const sets = TLBEntries / TLBWays
+	addr := func(i uint64) uint64 { return 0x400000 + i*sets<<mem.PageShift + i*ctr.LineSize }
+	now := uint64(0)
+	load := func(i uint64) uint64 {
+		now += 10_000
+		return s.Access(now, addr(i), false) - now
+	}
+	for i := uint64(0); i < TLBWays; i++ {
+		load(i) // cold: fills the TLB set and the caches
+	}
+	for i := uint64(0); i < TLBWays; i++ {
+		if lat := load(i); lat != L1Latency {
+			t.Fatalf("resident page %d: latency %d, want %d", i, lat, L1Latency)
+		}
+	}
+	load(0) // page 1 is now the least recently used
+	load(TLBWays)
+	for _, i := range []uint64{0, 2, 3, TLBWays} {
+		if lat := load(i); lat != L1Latency {
+			t.Fatalf("page %d after the fifth page: latency %d, want %d", i, lat, L1Latency)
+		}
+	}
+	if lat := load(1); lat != L1Latency+tlbMissPenalty {
+		t.Fatalf("least recently used page: latency %d, want %d", lat, L1Latency+tlbMissPenalty)
+	}
+
+	now += 10_000
+	s.ContextSwitch(now)
+	for i := uint64(0); i <= TLBWays; i++ {
+		// An instruction fetch refills the L2 through the ITLB, so the
+		// load below misses only in the L1D and the DTLB.
+		now += 10_000
+		s.FetchInstr(now, addr(i))
+		want := L1Latency + s.Config().L2Latency() + tlbMissPenalty
+		if lat := load(i); lat != want {
+			t.Fatalf("page %d after a context switch: latency %d, want %d", i, lat, want)
+		}
 	}
 }
 
@@ -248,10 +284,11 @@ func TestContextSwitchInvalidatesSeqCache(t *testing.T) {
 	var key [32]byte
 	image := mem.New()
 	d := dram.New(dram.DefaultConfig())
-	e := cryptoengine.NewAES(cryptoengine.DefaultSpec(), ctr.NewKeystream(key))
+	e := cryptoengine.NewAES(cryptoengine.DefaultSpec())
+	ks := ctr.NewKeystream(key)
 	p := predictor.New(predictor.DefaultConfig(predictor.SchemeNone))
 	sc := seqcache.New(4 << 10)
-	ctrl := secmem.New(secmem.DefaultConfig(), d, e, p, sc, image)
+	ctrl := secmem.New(secmem.DefaultConfig(), d, e, ks, p, sc, image)
 	s := New(cfg, ctrl)
 
 	s.Access(0, 0x3000, false)

@@ -15,6 +15,7 @@ package predictor
 import (
 	"fmt"
 
+	"ctrpred/internal/cache"
 	"ctrpred/internal/ctr"
 	"ctrpred/internal/mem"
 	"ctrpred/internal/rng"
@@ -159,14 +160,6 @@ type pageMeta struct {
 	ranges   []uint8  // two-level range index per line (lazily allocated)
 }
 
-// rangeEntry is one page's slot in the on-chip range table (recency and
-// capacity accounting for the 4 KB structure).
-type rangeEntry struct {
-	vpage   uint64
-	valid   bool
-	lastUse uint64
-}
-
 // Predictor implements all schemes behind one type; construct with New.
 type Predictor struct {
 	cfg Config
@@ -183,8 +176,9 @@ type Predictor struct {
 	rnd        *rng.Xoshiro256
 	lor        uint64 // latest offset register
 	lorValid   bool
-	rangeTable []rangeEntry
-	rangeClock uint64
+	// rangeTable is the on-chip range table's residency: one fully
+	// associative set of RangeTableEntries pages (two-level only).
+	rangeTable *cache.Cache
 	rangeSpan  uint64 // width of one range = Depth+1
 	maxRange   uint8
 	stats      Stats
@@ -212,7 +206,12 @@ func New(cfg Config) *Predictor {
 		if cfg.RangeTableEntries <= 0 || cfg.RangeBits <= 0 || cfg.RangeBits > 8 {
 			panic("predictor: invalid two-level parameters")
 		}
-		p.rangeTable = make([]rangeEntry, cfg.RangeTableEntries)
+		p.rangeTable = cache.New(cache.Config{
+			Name:      "range table",
+			SizeBytes: cfg.RangeTableEntries << mem.PageShift,
+			LineSize:  1 << mem.PageShift,
+			Ways:      cfg.RangeTableEntries,
+		})
 	}
 	p.stats.HitDepth = stats.NewHistogram(1, 2, 3, 4, 6, 8, 12, 16)
 	return p
@@ -241,8 +240,8 @@ func (p *Predictor) FlushTransient() {
 	for _, m := range p.pageSparse {
 		m.phv, m.phvFill = 0, 0
 	}
-	for i := range p.rangeTable {
-		p.rangeTable[i] = rangeEntry{}
+	if p.rangeTable != nil {
+		p.rangeTable.InvalidateAll()
 	}
 }
 
@@ -253,8 +252,6 @@ func (p *Predictor) Stats() Stats { return p.stats }
 func (p *Predictor) Name() string { return p.cfg.Scheme.String() }
 
 const linesPerPage = 1 << mem.PageShift / ctr.LineSize
-
-func vpage(vaddr uint64) uint64 { return vaddr >> mem.PageShift }
 
 func lineIndex(vaddr uint64) int {
 	return int(vaddr & (1<<mem.PageShift - 1) / ctr.LineSize)
@@ -268,7 +265,7 @@ const densePageMax = 1 << 20
 // fresh page gets a random root — the model of the hardware RNG assigning
 // a root when the virtual page is mapped.
 func (p *Predictor) page(vaddr uint64) *pageMeta {
-	vp := vpage(vaddr)
+	vp := vaddr >> mem.PageShift
 	if vp < densePageMax {
 		if vp < uint64(len(p.pageDense)) {
 			if m := p.pageDense[vp]; m != nil {
@@ -462,22 +459,10 @@ func (p *Predictor) rangeLookup(vaddr uint64) (uint8, bool) {
 	if m.ranges == nil {
 		return 0, false
 	}
-	resident := p.rangeTableResident(vpage(vaddr))
-	p.touchRangeTable(vpage(vaddr)) // refill / refresh
-	if !resident {
+	if !p.touchRangeTable(vaddr) {
 		return 0, false
 	}
 	return m.ranges[lineIndex(vaddr)], true
-}
-
-func (p *Predictor) rangeTableResident(vp uint64) bool {
-	for i := range p.rangeTable {
-		e := &p.rangeTable[i]
-		if e.valid && e.vpage == vp {
-			return true
-		}
-	}
-	return false
 }
 
 // rangeUpdate records the new offset's range for vaddr's line.
@@ -489,7 +474,7 @@ func (p *Predictor) rangeUpdate(vaddr uint64, offset uint64) {
 	if m.ranges == nil {
 		m.ranges = make([]uint8, linesPerPage)
 	}
-	p.touchRangeTable(vpage(vaddr))
+	p.touchRangeTable(vaddr)
 	r := offset / p.rangeSpan
 	if r > uint64(p.maxRange) {
 		r = uint64(p.maxRange)
@@ -497,32 +482,15 @@ func (p *Predictor) rangeUpdate(vaddr uint64, offset uint64) {
 	m.ranges[lineIndex(vaddr)] = uint8(r)
 }
 
-// touchRangeTable maintains the on-chip table's LRU state and eviction
-// count for the 64-entry structure.
-func (p *Predictor) touchRangeTable(vp uint64) {
-	p.rangeClock++
-	for i := range p.rangeTable {
-		e := &p.rangeTable[i]
-		if e.valid && e.vpage == vp {
-			e.lastUse = p.rangeClock
-			return
-		}
-	}
-	victim := &p.rangeTable[0]
-	for i := range p.rangeTable {
-		e := &p.rangeTable[i]
-		if !e.valid {
-			victim = e
-			break
-		}
-		if e.lastUse < victim.lastUse {
-			victim = e
-		}
-	}
-	if victim.valid {
+// touchRangeTable refreshes vaddr's page in the on-chip table, or
+// refills it, displacing the least recently used page, and reports
+// whether the page was resident.
+func (p *Predictor) touchRangeTable(vaddr uint64) bool {
+	hit, ev := p.rangeTable.Access(vaddr, false)
+	if ev.Valid {
 		p.stats.RangeEvictions++
 	}
-	*victim = rangeEntry{vpage: vp, valid: true, lastUse: p.rangeClock}
+	return hit
 }
 
 func popcount(x uint32) int {

@@ -273,6 +273,13 @@ func TestTwoLevelFallsBackWithoutEntry(t *testing.T) {
 	}
 }
 
+// TestTwoLevelTableEviction pins the range table's replacement with two
+// entries and three pages. Range info is backed by the page's security
+// context (Section 7.2 stores 256 bits per page), but the on-chip table
+// must be resident to steer speculation: a displaced page's access falls
+// back to regular prediction while its entry refills, evicting the least
+// recently used page, and the next access predicts the deep offset
+// again.
 func TestTwoLevelTableEviction(t *testing.T) {
 	cfg := DefaultConfig(SchemeTwoLevel)
 	cfg.RangeTableEntries = 2
@@ -285,21 +292,33 @@ func TestTwoLevelTableEviction(t *testing.T) {
 			seq = p.NextSeqForEvict(a, seq)
 		}
 	}
-	if p.Stats().RangeEvictions == 0 {
-		t.Fatal("no range-table evictions with 3 pages in 2 entries")
+	// Offset 8 is in range 1, [6,11].
+	span := uint64(cfg.Depth + 1)
+	check := func(i int, resident bool, evictions uint64) {
+		t.Helper()
+		a := pageAddr(i)
+		start := p.Root(a)
+		if resident {
+			start += span
+		}
+		g := p.Predict(a)
+		if len(g) != cfg.Depth+1 || g[0] != start || g[cfg.Depth] != start+uint64(cfg.Depth) {
+			t.Fatalf("page %d (resident %v): guesses %v, want %d…%d", i, resident, g, start, start+uint64(cfg.Depth))
+		}
+		if got := p.Stats().RangeEvictions; got != evictions {
+			t.Fatalf("after page %d: RangeEvictions = %d, want %d", i, got, evictions)
+		}
 	}
-	// Range info is backed by the page's security context (Section 7.2
-	// stores 256 bits per page), but the on-chip table must be resident
-	// to steer speculation: the first access after displacement falls
-	// back to regular prediction while the entry refills, and the next
-	// access predicts the deep offset again.
-	a := pageAddr(0)
-	if contains(p.Predict(a), p.Root(a)+8) {
-		t.Fatal("displaced range entry used without a refill")
-	}
-	if !contains(p.Predict(a), p.Root(a)+8) {
-		t.Fatal("range info not recovered after refill")
-	}
+	check(1, true, 1)  // page 2 displaced page 0
+	check(0, false, 2) // refill displaces page 2
+	check(0, true, 2)
+	check(2, false, 3) // refill displaces page 1
+	check(2, true, 3)
+	p.FlushTransient()
+	check(0, false, 3) // refills into an empty table
+	check(1, false, 3)
+	check(0, true, 3)
+	check(1, true, 3)
 }
 
 func TestTwoLevelRangeClamped(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"ctrpred/internal/ctr"
 	"ctrpred/internal/predictor"
 	"ctrpred/internal/rng"
 )
@@ -102,5 +103,35 @@ func TestCounterBufferSpatialHit(t *testing.T) {
 	res = r.ctrl.FetchLine(2000, 0x9000)
 	if res.SeqDone == 2000 {
 		t.Fatal("distant counter served from buffer")
+	}
+}
+
+// TestCounterBufferEvictsLeastRecent pins the buffer's replacement: it
+// keeps the four most recently used counter lines. Lines 128 bytes apart
+// have their counters in distinct 32-byte counter lines.
+func TestCounterBufferEvictsLeastRecent(t *testing.T) {
+	r := newRig(predictor.SchemeNone, 0, false)
+	const span = 4 * ctr.LineSize // data one counter line covers
+	now := uint64(0)
+	fetch := func(i, j uint64, buffered bool) {
+		t.Helper()
+		now += 10_000
+		res := r.ctrl.FetchLine(now, 0x10000+i*span+j*ctr.LineSize)
+		if (res.SeqDone == now) != buffered {
+			t.Fatalf("counter line %d (block %d): SeqDone %d at issue %d, want buffered %v", i, j, res.SeqDone, now, buffered)
+		}
+	}
+	for i := uint64(0); i < 5; i++ {
+		fetch(i, 0, false) // the fifth displaces counter line 0
+	}
+	fetch(1, 1, true)
+	fetch(0, 1, false) // displaces 2, now the least recently used
+	fetch(3, 1, true)
+	fetch(4, 1, true)
+	fetch(0, 2, true)
+	fetch(2, 1, false) // displaces 1
+	fetch(1, 2, false)
+	if hits := r.ctrl.Stats().CounterBufHits; hits != 4 {
+		t.Fatalf("CounterBufHits = %d, want 4", hits)
 	}
 }

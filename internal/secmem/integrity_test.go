@@ -124,11 +124,12 @@ func newDirectRig() *rig {
 	key[0] = 0x42
 	image := mem.New()
 	d := dram.New(dram.DefaultConfig())
-	e := cryptoengine.NewAES(cryptoengine.DefaultSpec(), ctr.NewKeystream(key))
+	e := cryptoengine.NewAES(cryptoengine.DefaultSpec())
+	ks := ctr.NewKeystream(key)
 	p := predictor.New(predictor.DefaultConfig(predictor.SchemeNone))
 	cfg := DefaultConfig()
 	cfg.Direct = true
-	return &rig{ctrl: New(cfg, d, e, p, nil, image), image: image}
+	return &rig{ctrl: New(cfg, d, e, ks, p, nil, image), image: image}
 }
 
 func TestDirectModeRoundTrip(t *testing.T) {

@@ -41,6 +41,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"ctrpred/internal/cache"
 	"ctrpred/internal/cryptoengine"
 	"ctrpred/internal/ctr"
 	"ctrpred/internal/dram"
@@ -171,6 +172,7 @@ type Controller struct {
 	dram    *dram.DRAM
 	seqDRAM *dram.DRAM // counter-table channel
 	engine  cryptoengine.EngineModel
+	ks      *ctr.Keystream // the source of every pad bit
 	pred    *predictor.Predictor
 	scache  *seqcache.Cache // nil when the design has no seq cache
 	image   *mem.Memory     // architectural plaintext
@@ -215,15 +217,14 @@ type Controller struct {
 	// buckets cannot provide; nil costs one branch per fetch.
 	fetchObs func(latency uint64)
 
-	// seqBuf is the counter-line fetch buffer: counters are fetched at
+	// ctrBuf is the counter-line fetch buffer: counters are fetched at
 	// DRAM burst granularity (a 32-byte counter line covers four memory
-	// blocks), and the last few counter lines remain in the controller.
-	// This 128-byte buffer is part of the fetch pipeline in every
-	// configuration; without it, every miss would pay a separate 8-byte
-	// DRAM transaction for a counter its neighbor just fetched.
-	seqBuf     [4]uint64
-	seqBufAge  [4]uint64
-	seqBufTick uint64
+	// blocks), and the four most recently used counter lines remain in
+	// the controller. This 128-byte buffer is part of the fetch pipeline
+	// in every configuration; without it, every miss would pay a
+	// separate 8-byte DRAM transaction for a counter its neighbor just
+	// fetched.
+	ctrBuf *cache.Cache
 }
 
 // padState is the cold half of a line's off-chip state (the counter
@@ -248,10 +249,11 @@ type pair struct {
 	enc ctr.Line
 }
 
-// New wires a controller. pred must be non-nil (use predictor.SchemeNone
-// for designs without prediction — the predictor still owns per-page roots
-// and counter assignment). sc may be nil.
-func New(cfg Config, d *dram.DRAM, e cryptoengine.EngineModel, pred *predictor.Predictor, sc *seqcache.Cache, image *mem.Memory) *Controller {
+// New wires a controller. e books the pad requests' timing and ks
+// supplies their bits. pred must be non-nil (use predictor.SchemeNone
+// for designs without prediction — the predictor still owns per-page
+// roots and counter assignment). sc may be nil.
+func New(cfg Config, d *dram.DRAM, e cryptoengine.EngineModel, ks *ctr.Keystream, pred *predictor.Predictor, sc *seqcache.Cache, image *mem.Memory) *Controller {
 	if pred == nil {
 		panic("secmem: predictor must not be nil")
 	}
@@ -268,8 +270,8 @@ func New(cfg Config, d *dram.DRAM, e cryptoengine.EngineModel, pred *predictor.P
 		seqD = dram.New(dram.Config{Banks: counterBanks})
 	}
 	var direct *ctr.DirectCipher
-	if cfg.Direct && e != nil {
-		direct = e.Keystream().DirectCipher()
+	if cfg.Direct && ks != nil {
+		direct = ks.DirectCipher()
 	}
 	return &Controller{
 		cfg:     cfg,
@@ -277,12 +279,14 @@ func New(cfg Config, d *dram.DRAM, e cryptoengine.EngineModel, pred *predictor.P
 		dram:    d,
 		seqDRAM: seqD,
 		engine:  e,
+		ks:      ks,
 		pred:    pred,
 		scache:  sc,
 		image:   image,
 		ctrs:    paged.New[uint64](ctr.LineSize),
 		pads:    paged.New[padState](ctr.LineSize),
 		stats:   Stats{FetchLatency: stats.NewHistogram(100, 150, 200, 300, 500)},
+		ctrBuf:  cache.New(cache.Config{Name: "counter buffer", SizeBytes: 4 * ctr.LineSize, LineSize: ctr.LineSize, Ways: 4}),
 	}
 }
 
@@ -503,22 +507,11 @@ func (c *Controller) seqAddr(lineAddr uint64) uint64 {
 // buffer already holds it.
 func (c *Controller) fetchCounter(now uint64, la uint64) uint64 {
 	lineAddr := c.seqAddr(la) &^ uint64(ctr.LineSize-1)
-	c.seqBufTick++
-	victim := 0
-	for i, a := range c.seqBuf {
-		if a == lineAddr && c.seqBufAge[i] != 0 {
-			c.seqBufAge[i] = c.seqBufTick
-			c.stats.CounterBufHits++
-			return now
-		}
-		if c.seqBufAge[i] < c.seqBufAge[victim] {
-			victim = i
-		}
+	if hit, _ := c.ctrBuf.Access(lineAddr, false); hit {
+		c.stats.CounterBufHits++
+		return now
 	}
-	done := c.seqDRAM.Access(now, lineAddr, ctr.LineSize, false)
-	c.seqBuf[victim] = lineAddr
-	c.seqBufAge[victim] = c.seqBufTick
-	return done
+	return c.seqDRAM.Access(now, lineAddr, ctr.LineSize, false)
 }
 
 // materialize lazily creates the encrypted copy of a line the first time
@@ -612,7 +605,7 @@ func (c *Controller) initLine(cs *uint64, ps *padState, la, offset uint64) {
 func (c *Controller) seal(cs *uint64, ps *padState, la, seq uint64) {
 	*cs = seq
 	if ps != nil {
-		sealPad(c.engine.Keystream(), c.image, ps, la, seq)
+		sealPad(c.ks, c.image, ps, la, seq)
 	}
 	if c.cfg.SelfCheck {
 		c.tracker.RecordEncrypt(la, seq)
@@ -862,7 +855,7 @@ func (c *Controller) FetchLine(now uint64, vaddr uint64) FetchResult {
 	if forged {
 		seq, fp.enc = p.seq, p.enc
 		if c.direct == nil {
-			c.engine.Keystream().PadInto(&fp.pad, la, seq)
+			c.ks.PadInto(&fp.pad, la, seq)
 		}
 		ps = &fp
 	}
@@ -1037,7 +1030,7 @@ func (c *Controller) quarantine(now uint64, la, seq uint64, ps *padState) (ctr.L
 			if c.direct != nil {
 				return c.direct.DecryptLine(ps.enc, la), t + 1
 			}
-			return c.engine.Keystream().DecryptLine(ps.enc, la, seq), t + 1
+			return c.ks.DecryptLine(ps.enc, la, seq), t + 1
 		}
 	}
 	// Persistent corruption: restore from the architectural image under

@@ -21,7 +21,8 @@ func newRig(scheme predictor.Scheme, seqCacheBytes int, oracle bool) *rig {
 	key[0] = 0x42
 	image := mem.New()
 	d := dram.New(dram.DefaultConfig())
-	e := cryptoengine.NewAES(cryptoengine.DefaultSpec(), ctr.NewKeystream(key))
+	e := cryptoengine.NewAES(cryptoengine.DefaultSpec())
+	ks := ctr.NewKeystream(key)
 	p := predictor.New(predictor.DefaultConfig(scheme))
 	var sc *seqcache.Cache
 	if seqCacheBytes > 0 {
@@ -29,7 +30,7 @@ func newRig(scheme predictor.Scheme, seqCacheBytes int, oracle bool) *rig {
 	}
 	cfg := DefaultConfig()
 	cfg.Oracle = oracle
-	return &rig{ctrl: New(cfg, d, e, p, sc, image), image: image}
+	return &rig{ctrl: New(cfg, d, e, ks, p, sc, image), image: image}
 }
 
 func TestFetchDecryptsImage(t *testing.T) {
@@ -274,7 +275,7 @@ func TestNilPredictorPanics(t *testing.T) {
 			t.Fatal("nil predictor accepted")
 		}
 	}()
-	New(DefaultConfig(), nil, nil, nil, nil, nil)
+	New(DefaultConfig(), nil, nil, nil, nil, nil, nil)
 }
 
 // TestCounterTableClearOfData fetches the line at address 0: data there
@@ -283,9 +284,10 @@ func TestCounterTableClearOfData(t *testing.T) {
 	var key [32]byte
 	image := mem.New()
 	d := dram.New(dram.DefaultConfig())
-	e := cryptoengine.NewAES(cryptoengine.DefaultSpec(), ctr.NewKeystream(key))
+	e := cryptoengine.NewAES(cryptoengine.DefaultSpec())
+	ks := ctr.NewKeystream(key)
 	p := predictor.New(predictor.DefaultConfig(predictor.SchemeNone))
-	c := New(Config{SelfCheck: true}, d, e, p, nil, image)
+	c := New(Config{SelfCheck: true}, d, e, ks, p, nil, image)
 	c.FetchLine(0, 0)
 	if c.Stats().SelfCheckFails != 0 {
 		t.Fatal("self-check failed on the line at address 0")

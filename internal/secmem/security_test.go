@@ -156,7 +156,7 @@ func TestRollbackDecryptsUnderStaleCounter(t *testing.T) {
 	if res.TrueSeq != stale {
 		t.Fatalf("fetch read counter %d, want the rolled-back %d", res.TrueSeq, stale)
 	}
-	if want := r.ctrl.engine.Keystream().DecryptLine(enc, addr, stale); res.Plain != want {
+	if want := r.ctrl.ks.DecryptLine(enc, addr, stale); res.Plain != want {
 		t.Fatal("fetch after a rollback did not decrypt under the stale counter's pad")
 	}
 	if res.Plain == r.image.LineAt(addr) {
@@ -378,7 +378,7 @@ func TestConstructorNilPredictorPanics(t *testing.T) {
 			t.Fatal("New(nil predictor) did not panic")
 		}
 	}()
-	New(DefaultConfig(), dram.New(dram.DefaultConfig()), nil, nil, nil, nil)
+	New(DefaultConfig(), dram.New(dram.DefaultConfig()), nil, nil, nil, nil, nil)
 }
 
 func TestInjectorEndToEnd(t *testing.T) {

@@ -68,8 +68,9 @@ func (s *agedSetup) controller(cfg Config) *Controller {
 func (s *agedSetup) controllerOn(cfg Config, d *dram.DRAM) *Controller {
 	p := predictor.New(predictor.DefaultConfig(predictor.SchemeRegular))
 	s.visit(func(la, _ uint64) { p.Root(la) })
-	e := cryptoengine.NewAES(cryptoengine.DefaultSpec(), ctr.NewKeystream(s.key))
-	return New(cfg, d, e, p, nil, mem.NewView(s.image))
+	e := cryptoengine.NewAES(cryptoengine.DefaultSpec())
+	ks := ctr.NewKeystream(s.key)
+	return New(cfg, d, e, ks, p, nil, mem.NewView(s.image))
 }
 
 func countersOnlyConfig() Config {

@@ -413,7 +413,7 @@ func newSide(cfg Config, tmpl *machineTemplate, image *mem.Memory) (*side, error
 // controller over data channel d, attaches tree when it is non-nil and
 // arms cfg's fault plan. The side's off-chip state starts empty.
 func wireSide(cfg Config, d *dram.DRAM, tree *integrity.Tree, image *mem.Memory) (*side, error) {
-	engine, err := cryptoengine.NewModel(cfg.Engine, ctr.NewKeystream(machineKey(cfg.Seed)))
+	engine, err := cryptoengine.NewModel(cfg.Engine)
 	if err != nil {
 		return nil, err
 	}
@@ -438,7 +438,7 @@ func wireSide(cfg Config, d *dram.DRAM, tree *integrity.Tree, image *mem.Memory)
 	scfg.Scheme = cfg.Scheme.Name
 	scfg.Recovery = cfg.Recovery
 	scfg.RetryBudget = cfg.RetryBudget
-	ctrl := secmem.New(scfg, d, engine, pred, sc, image)
+	ctrl := secmem.New(scfg, d, engine, ctr.NewKeystream(machineKey(cfg.Seed)), pred, sc, image)
 	if tree != nil {
 		ctrl.AttachIntegrity(tree)
 	}
