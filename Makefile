@@ -64,13 +64,15 @@ purego:
 # worker pool; a full -race suite multiplies the 40 s experiment tests
 # several-fold for no extra concurrency coverage. The MergeParts tests
 # run every grid whole and split by benchmark, through the one assemble
-# a node's run and a cluster merge share. cryptoengine rides
+# a node's run and a cluster merge share; OracleCells and StudiesAverage
+# run the performance-mode grids (the oracle-normalized figures and
+# studies, integrity) through the pool. cryptoengine rides
 # along (it is cheap) so the engine-model conformance suite runs under
 # the race detector too — engine models are shared state inside every
 # concurrently-run machine of a sweep.
 race:
 	$(GO) test -race ./internal/runpool ./internal/server ./internal/cryptoengine ./internal/cluster ./internal/chaos ./internal/tenancy
-	$(GO) test -race ./internal/experiments -run 'Parallel|SweepProgress|SweepError|SweepCancel|SweepPreCancelled|SimTimeout|EnginesDeterministic|TenantsDeterministic|CapacityDeterministic|MergeParts'
+	$(GO) test -race ./internal/experiments -run 'Parallel|SweepProgress|SweepError|SweepCancel|SweepPreCancelled|SimTimeout|OracleCells|StudiesAverage|EnginesDeterministic|TenantsDeterministic|CapacityDeterministic|MergeParts'
 	$(GO) test -race ./internal/faults ./internal/secmem
 	$(GO) test -race ./internal/sim -run 'Tamper|Replay|Halt|CleanRunWithArmed|RunContextCancel|TemplateConcurrentAttach|TemplateBuildErrorNotCached|Group'
 

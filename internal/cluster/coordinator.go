@@ -264,8 +264,8 @@ func (c *Coordinator) Sim(ctx context.Context, job *server.SimJob, progress func
 }
 
 // Experiment splits a partitionable grid into per-benchmark cells.
-// Grids that do not decompose by benchmark run whole on the key's home
-// worker, exactly as a single node would run them.
+// Every other experiment, the averaged studies included, runs whole on
+// the key's home worker, exactly as a single node would run it.
 func (c *Coordinator) Experiment(ctx context.Context, job *server.ExperimentJob, progress func(server.Event)) (server.Result, error) {
 	if experiments.Partitionable(job.Request.ID) && len(job.Options.Benchmarks) > 1 {
 		c.expsSplit.Add(1)

@@ -107,16 +107,6 @@ func (r *Ring) Remove(node string) {
 // Len reports how many nodes are on the ring.
 func (r *Ring) Len() int { return len(r.nodes) }
 
-// Nodes returns the ring's members, sorted.
-func (r *Ring) Nodes() []string {
-	out := make([]string, 0, len(r.nodes))
-	for n := range r.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Home returns the node owning key: the first ring point clockwise from
 // the key's hash. False when the ring is empty.
 func (r *Ring) Home(key string) (string, bool) {

@@ -36,7 +36,9 @@ func (b *BipBip) ScheduleGuesses(now uint64, guesses []uint64, trueSeq uint64) (
 	}
 	b.stats.Issued[ClassPrediction] += n
 	b.stats.Bypassed += n
-	b.stats.QueueWait.ObserveRange(0, n)
+	for range n {
+		b.stats.QueueWait.Observe(0) // a guess waits for nothing
+	}
 	ready := now + b.spec.LatencyCycles
 	if ready > b.stats.LastBusy {
 		b.stats.LastBusy = ready

@@ -112,6 +112,25 @@ func TestConformanceIssuedAccounting(t *testing.T) {
 	})
 }
 
+// TestConformanceQueueWaitMatchesStalls: every model records one
+// QueueWait sample per request, speculative guesses included, and the
+// samples add up to StallCycles.
+func TestConformanceQueueWaitMatchesStalls(t *testing.T) {
+	forEachModel(t, func(t *testing.T, m EngineModel) {
+		guesses := []uint64{1, 2, 3, 4, 5, 6}
+		m.ScheduleOnly(10, ClassDemand)
+		m.ScheduleGuesses(10, guesses, 4)
+		m.ScheduleOnly(10, ClassWriteback)
+		st := m.Stats()
+		if want := uint64(len(guesses) + 2); st.QueueWait.Total != want {
+			t.Errorf("QueueWait observed %d requests, want %d", st.QueueWait.Total, want)
+		}
+		if st.QueueWait.Sum != st.StallCycles {
+			t.Errorf("QueueWait sums to %d cycles, StallCycles is %d", st.QueueWait.Sum, st.StallCycles)
+		}
+	})
+}
+
 // TestConformanceGuessSemantics: a guess burst reports the index of the
 // first guess equal to the true counter with a nonzero ready cycle, and
 // (-1, 0) on a miss or an empty burst, under every model.

@@ -6,7 +6,6 @@ import (
 
 	"ctrpred/internal/cryptoengine"
 	"ctrpred/internal/predictor"
-	"ctrpred/internal/runpool"
 	"ctrpred/internal/sim"
 )
 
@@ -60,26 +59,17 @@ func enginesGrid() *grid {
 			// pred-context machine back to back: the edge is a ratio of the
 			// two, so pairing them in one job keeps the grid half the size
 			// and the division local.
-			jobs := make([]runpool.Job[float64], 0, len(benchmarks)*len(specs))
-			for _, bench := range benchmarks {
-				for _, spec := range specs {
-					jobs = append(jobs, runpool.Job[float64]{
-						Label: fmt.Sprintf("engines %s/%s", bench, spec),
-						Fn: func(ctx context.Context) (float64, error) {
-							base, err := opt.runSim(ctx, bench, perfConfig(opt, sim.SchemeBaseline(), 256<<10).WithEngine(spec))
-							if err != nil {
-								return 0, fmt.Errorf("engines: %s/%s baseline: %w", bench, spec, err)
-							}
-							pred, err := opt.runSim(ctx, bench, perfConfig(opt, sim.SchemePred(predictor.SchemeContext), 256<<10).WithEngine(spec))
-							if err != nil {
-								return 0, fmt.Errorf("engines: %s/%s pred-context: %w", bench, spec, err)
-							}
-							return pred.IPC() / base.IPC(), nil
-						},
-					})
+			return sweep(ctx, opt, "engines", benchmarks, cols, func(ctx context.Context, bench string, col int) (float64, error) {
+				base, err := opt.runSim(ctx, bench, perfConfig(opt, sim.SchemeBaseline(), 256<<10).WithEngine(specs[col]))
+				if err != nil {
+					return 0, fmt.Errorf("baseline: %w", err)
 				}
-			}
-			return runpool.RunContext(ctx, opt.pool(), jobs)
+				pred, err := opt.runSim(ctx, bench, perfConfig(opt, sim.SchemePred(predictor.SchemeContext), 256<<10).WithEngine(specs[col]))
+				if err != nil {
+					return 0, fmt.Errorf("pred-context: %w", err)
+				}
+				return pred.IPC() / base.IPC(), nil
+			})
 		},
 	}
 }

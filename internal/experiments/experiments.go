@@ -215,9 +215,62 @@ func coverage(sch sim.Scheme, r sim.Result) float64 {
 	return r.SeqHitRate()
 }
 
-// cellLabel names one (benchmark, scheme) cell of a figure's grid.
-func cellLabel(id, bench string, sch sim.Scheme) string {
-	return fmt.Sprintf("%s %s/%s", id, bench, sch.Name)
+// coverageCells computes a hit-rate grid's cells under L2 size l2. A
+// benchmark runs one row per edit (one unedited row when edits is nil);
+// a row runs schemes, each config changed by the row's edit when it has
+// one, over one shared front end as one pool job, and its cells are the
+// schemes' coverage. A benchmark's cells are its rows' in order, named
+// by cols.
+func coverageCells(ctx context.Context, opt Options, id string, benchmarks, cols []string, schemes []sim.Scheme, l2 int, edits []func(*sim.Config)) ([]float64, error) {
+	if edits == nil {
+		edits = make([]func(*sim.Config), 1)
+	}
+	rows := make([]runpool.Row[float64], 0, len(benchmarks)*len(edits))
+	for _, bench := range benchmarks {
+		for r, edit := range edits {
+			labels := make([]string, len(schemes))
+			cfgs := make([]sim.Config, len(schemes))
+			for i, sch := range schemes {
+				labels[i] = cellLabel(id, bench, cols[r*len(schemes)+i])
+				cfgs[i] = hitRateConfig(opt, sch, l2)
+				if edit != nil {
+					edit(&cfgs[i])
+				}
+			}
+			rows = append(rows, hitRateRow(opt, id+": "+bench, bench, labels, cfgs,
+				func(i int, r sim.Result) float64 { return coverage(schemes[i], r) }))
+		}
+	}
+	return runpool.RunRowsContext(ctx, opt.pool(), rows)
+}
+
+// normalizedIPCCells computes an oracle-normalized IPC grid's cells
+// under L2 size l2: column i runs schemes[i] in performance mode, its
+// config changed by edits[i] when there is one, and reads its IPC over
+// the oracle's on the same benchmark. The oracle runs are cells of the
+// same sweep, an extra first column "oracle" divided out once every
+// cell is in, so progress and a cancelled run's PartialError count them
+// with the rest.
+func normalizedIPCCells(ctx context.Context, opt Options, id string, benchmarks, cols []string, schemes []sim.Scheme, l2 int, edits []func(*sim.Config)) ([]float64, error) {
+	cfgs := []sim.Config{perfConfig(opt, sim.SchemeOracle(), l2)}
+	for i, sch := range schemes {
+		cfg := perfConfig(opt, sch, l2)
+		if i < len(edits) && edits[i] != nil {
+			edits[i](&cfg)
+		}
+		cfgs = append(cfgs, cfg)
+	}
+	ipcs, err := sweep(ctx, opt, id, benchmarks, append([]string{"oracle"}, cols...), func(ctx context.Context, bench string, col int) (float64, error) {
+		r, err := opt.runSim(ctx, bench, cfgs[col])
+		if err != nil {
+			return 0, err
+		}
+		return r.IPC(), nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return divideOutOracle(ipcs, len(cfgs)), nil
 }
 
 // divideOutOracle turns row-major cells, rows of n whose first cell is
@@ -345,40 +398,16 @@ func (f figure) at(id string, l2 int, cells func(ctx context.Context, opt Option
 // one job.
 func (f figure) hitRates(id string, l2 int) *grid {
 	return f.at(id, l2, func(ctx context.Context, opt Options, benchmarks []string) ([]float64, error) {
-		rows := make([]runpool.Row[float64], len(benchmarks))
-		for b, bench := range benchmarks {
-			labels := make([]string, len(f.schemes))
-			cfgs := make([]sim.Config, len(f.schemes))
-			for i, sch := range f.schemes {
-				labels[i] = cellLabel(id, bench, sch)
-				cfgs[i] = hitRateConfig(opt, sch, l2)
-			}
-			rows[b] = hitRateRow(opt, id+": "+bench, bench, labels, cfgs,
-				func(i int, r sim.Result) float64 { return coverage(f.schemes[i], r) })
-		}
-		return runpool.RunRowsContext(ctx, opt.pool(), rows)
+		return coverageCells(ctx, opt, id, benchmarks, f.cols, f.schemes, l2, nil)
 	})
 }
 
 // normalizedIPC declares the figure as a performance-mode grid (Figures
 // 10/11, 15/16): each cell is its scheme's IPC normalized to the
-// oracle's on the same benchmark. The oracle runs are cells of the same
-// sweep, an extra first column divided out once every cell is in, so
-// progress and a cancelled run's PartialError count them with the rest.
+// oracle's on the same benchmark.
 func (f figure) normalizedIPC(id string, l2 int) *grid {
-	schemes := append([]sim.Scheme{sim.SchemeOracle()}, f.schemes...)
 	return f.at(id, l2, func(ctx context.Context, opt Options, benchmarks []string) ([]float64, error) {
-		ipcs, err := sweep(ctx, opt, id, benchmarks, schemes, func(ctx context.Context, bench string, _ int, sch sim.Scheme) (float64, error) {
-			r, err := opt.runSim(ctx, bench, perfConfig(opt, sch, l2))
-			if err != nil {
-				return 0, err
-			}
-			return r.IPC(), nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		return divideOutOracle(ipcs, len(schemes)), nil
+		return normalizedIPCCells(ctx, opt, id, benchmarks, f.cols, f.schemes, l2, nil)
 	})
 }
 
@@ -416,15 +445,15 @@ func figure9() *grid {
 // L2 size.
 func figure14() *grid {
 	l2s := []int{256 << 10, 1 << 20}
-	schemes := []sim.Scheme{sim.SchemePred(predictor.SchemeContext), sim.SchemePred(predictor.SchemeContext)}
+	cols := []string{"256KB_L2", "1MB_L2"}
 	return &grid{
 		id:    "Figure 14",
-		cols:  []string{"256KB_L2", "1MB_L2"},
+		cols:  cols,
 		title: fixedTitle("Number of Predictions under 256KB vs 1MB L2 (context-based)"),
 		notes: "Paper: larger L2 ⇒ fewer misses ⇒ far fewer predictions.",
 		cells: func(ctx context.Context, opt Options, benchmarks []string) ([]float64, error) {
-			return sweep(ctx, opt, "Figure 14", benchmarks, schemes, func(ctx context.Context, bench string, col int, sch sim.Scheme) (float64, error) {
-				res, err := opt.runSim(ctx, bench, hitRateConfig(opt, sch, l2s[col]))
+			return sweep(ctx, opt, "Figure 14", benchmarks, cols, func(ctx context.Context, bench string, col int) (float64, error) {
+				res, err := opt.runSim(ctx, bench, hitRateConfig(opt, sim.SchemePred(predictor.SchemeContext), l2s[col]))
 				if err != nil {
 					return 0, err
 				}
@@ -441,8 +470,8 @@ func l2Name(l2 int) string {
 	return fmt.Sprintf("%dKB", l2>>10)
 }
 
-// An experiment is one registry entry: a grid, or the run function of
-// an experiment whose rows are not benchmarks.
+// An experiment is one registry entry: a grid whose parts merge, or the
+// run function of an experiment that runs whole on one node.
 type experiment struct {
 	id   string
 	grid *grid
@@ -464,12 +493,13 @@ var registry = []experiment{
 	{id: "fig14", grid: figure14()},
 	{id: "fig15", grid: predictorIPC.normalizedIPC("Figure 15", 256<<10)},
 	{id: "fig16", grid: predictorIPC.normalizedIPC("Figure 16", 1<<20)},
-	{id: "ablation", run: Ablation},
-	{id: "ctxswitch", run: ContextSwitch},
-	{id: "integrity", run: Integrity},
-	{id: "hybrid", run: Hybrid},
-	{id: "seqsweep", run: SeqCacheSweep},
-	{id: "valuepred", run: ValuePrediction},
+	// The averaged studies are grids that run whole on one node.
+	{id: "ablation", run: ablation().run},
+	{id: "ctxswitch", run: contextSwitch().run},
+	{id: "integrity", run: integrity().run},
+	{id: "hybrid", run: hybrid().run},
+	{id: "seqsweep", run: seqCacheSweep().run},
+	{id: "valuepred", run: valuePrediction().run},
 	{id: "attack", run: AttackCampaign},
 	{id: "engines", grid: enginesGrid()},
 	{id: "tenants", grid: tenantsGrid()},

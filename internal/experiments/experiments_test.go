@@ -206,7 +206,7 @@ func TestFigure14Shape(t *testing.T) {
 func TestAblationShape(t *testing.T) {
 	opt := quickOpts()
 	opt.Benchmarks = []string{"gzip", "mcf"}
-	res, err := Ablation(context.Background(), opt)
+	res, err := ByID(context.Background(), "ablation", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestAblationShape(t *testing.T) {
 func TestContextSwitchShape(t *testing.T) {
 	opt := quickOpts()
 	opt.Benchmarks = []string{"mcf", "vpr"}
-	res, err := ContextSwitch(context.Background(), opt)
+	res, err := ByID(context.Background(), "ctxswitch", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +247,7 @@ func TestContextSwitchShape(t *testing.T) {
 func TestIntegrityShape(t *testing.T) {
 	opt := quickOpts()
 	opt.Benchmarks = []string{"mcf"}
-	res, err := Integrity(context.Background(), opt)
+	res, err := ByID(context.Background(), "integrity", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,7 +264,7 @@ func TestIntegrityShape(t *testing.T) {
 func TestHybridShape(t *testing.T) {
 	opt := quickOpts()
 	opt.Benchmarks = []string{"mcf"}
-	res, err := Hybrid(context.Background(), opt)
+	res, err := ByID(context.Background(), "hybrid", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,7 +280,7 @@ func TestHybridShape(t *testing.T) {
 func TestSeqCacheSweepShape(t *testing.T) {
 	opt := quickOpts()
 	opt.Benchmarks = []string{"mcf", "vpr"}
-	res, err := SeqCacheSweep(context.Background(), opt)
+	res, err := ByID(context.Background(), "seqsweep", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestSeqCacheSweepShape(t *testing.T) {
 func TestValuePredictionShape(t *testing.T) {
 	opt := quickOpts()
 	opt.Benchmarks = []string{"mcf"}
-	res, err := ValuePrediction(context.Background(), opt)
+	res, err := ByID(context.Background(), "valuepred", opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,6 +310,58 @@ func TestValuePredictionShape(t *testing.T) {
 	}
 	if v["otp-pred+lvp"] < v["otp-pred-only"]-0.02 {
 		t.Fatalf("adding LVP hurt (%.3f vs %.3f)", v["otp-pred+lvp"], v["otp-pred-only"])
+	}
+}
+
+// TestStudiesAverageTheirBenchmarks: every point of an averaged study
+// is the average of that point over one-benchmark runs, summed in
+// sorted benchmark order and divided by their count — the Average row
+// of a grid over the same benchmarks.
+func TestStudiesAverageTheirBenchmarks(t *testing.T) {
+	for _, tc := range []struct {
+		id     string
+		points int
+	}{
+		{"ablation", 10}, {"ctxswitch", 8}, {"integrity", 5},
+		{"hybrid", 4}, {"seqsweep", 8}, {"valuepred", 4},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			opt := goldenOpts()
+			whole, err := ByID(context.Background(), tc.id, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			benchmarks := slices.Clone(opt.Benchmarks)
+			slices.Sort(benchmarks)
+			parts := make([]Result, len(benchmarks))
+			for b, bench := range benchmarks {
+				sub := opt
+				sub.Benchmarks = []string{bench}
+				if parts[b], err = ByID(context.Background(), tc.id, sub); err != nil {
+					t.Fatalf("%s alone: %v", bench, err)
+				}
+			}
+			points := 0
+			for name, series := range whole.Series {
+				for point, got := range series {
+					var sum float64
+					for b, part := range parts {
+						v, ok := part.Series[name][point]
+						if !ok {
+							t.Fatalf("%s alone has no %s/%s", benchmarks[b], name, point)
+						}
+						sum += v
+					}
+					if want := sum / float64(len(parts)); got != want {
+						t.Errorf("%s/%s = %v, want the benchmarks' average %v", name, point, got, want)
+					}
+					points++
+				}
+			}
+			if points != tc.points {
+				t.Errorf("%d series points, want %d", points, tc.points)
+			}
+		})
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"slices"
 
 	"ctrpred/internal/runpool"
-	"ctrpred/internal/sim"
 	"ctrpred/internal/stats"
 )
 
@@ -15,7 +14,10 @@ import (
 // cells for one benchmark depend on nothing but that benchmark and the
 // options, so a grid also splits into per-benchmark parts that
 // MergeParts reassembles: a single-node run and a cluster merge both
-// build the table with assemble.
+// build the table with assemble. An averaged study is a grid whose
+// finish replaces that table and its series with a summary of the
+// Average row; its result holds no benchmark's values, so it runs whole
+// on one node (see Partitionable).
 type grid struct {
 	// id is the Result ID; it also prefixes the table title and the
 	// cells' progress labels ("Figure 7").
@@ -28,7 +30,8 @@ type grid struct {
 	// benchmarks[b]'s value for cols[i] at b*len(cols)+i.
 	cells func(ctx context.Context, opt Options, benchmarks []string) ([]float64, error)
 	// finish, when set, derives further series and the notes from the
-	// columns' averages, after the table is complete.
+	// columns' averages, after the table is complete, or (an averaged
+	// study's) replaces the table and series with its summary of them.
 	finish func(res *Result, avgs []float64)
 }
 
@@ -92,24 +95,51 @@ func (g *grid) assemble(title, notes string, benchmarks []string, series map[str
 	return res, nil
 }
 
-// cellRunner computes one cell of a sweep: benchmark bench under scheme
-// sch, the grid's column col (for grids whose columns vary something
-// besides the scheme, such as Figure 14's L2 size).
-type cellRunner func(ctx context.Context, bench string, col int, sch sim.Scheme) (float64, error)
+// averageRows is the finish of an averaged study whose table lists the
+// Average row as rows of w = len(headers)-1 values: row r is names[r]
+// with avgs[r*w:(r+1)*w], under the title "<id> — caption". The first
+// len(series) values of every row are its points of those series; the
+// rest appear only in the table.
+func averageRows(caption string, headers, series, names []string) func(*Result, []float64) {
+	return func(res *Result, avgs []float64) {
+		w := len(headers) - 1
+		res.Table = stats.NewTable(res.ID+" — "+caption, headers...)
+		res.Series = make(map[string]map[string]float64, len(series))
+		for _, s := range series {
+			res.Series[s] = make(map[string]float64, len(names))
+		}
+		for r, name := range names {
+			row := avgs[r*w : (r+1)*w]
+			for j, s := range series {
+				res.Series[s][name] = row[j]
+			}
+			res.Table.AddFloats(name, 3, row...)
+		}
+	}
+}
 
-// sweep runs every benchmark × scheme cell as its own job, labeled
-// "<id> <bench>/<scheme>", across the worker pool; a failure reads
-// "<id>: <bench>/<scheme>: cause".
-func sweep(ctx context.Context, opt Options, id string, benchmarks []string, schemes []sim.Scheme, run cellRunner) ([]float64, error) {
-	jobs := make([]runpool.Job[float64], 0, len(benchmarks)*len(schemes))
+// cellLabel names one cell of a grid: "<id> <bench>/<column>".
+func cellLabel(id, bench, col string) string {
+	return fmt.Sprintf("%s %s/%s", id, bench, col)
+}
+
+// cellRunner computes one cell of a sweep: column col of benchmark
+// bench's row.
+type cellRunner func(ctx context.Context, bench string, col int) (float64, error)
+
+// sweep runs every benchmark × column cell as its own job, labeled
+// "<id> <bench>/<column>", across the worker pool; a failure reads
+// "<id>: <bench>/<column>: cause".
+func sweep(ctx context.Context, opt Options, id string, benchmarks, cols []string, run cellRunner) ([]float64, error) {
+	jobs := make([]runpool.Job[float64], 0, len(benchmarks)*len(cols))
 	for _, bench := range benchmarks {
-		for i, sch := range schemes {
+		for i, col := range cols {
 			jobs = append(jobs, runpool.Job[float64]{
-				Label: cellLabel(id, bench, sch),
+				Label: cellLabel(id, bench, col),
 				Fn: func(ctx context.Context) (float64, error) {
-					v, err := run(ctx, bench, i, sch)
+					v, err := run(ctx, bench, i)
 					if err != nil {
-						return 0, fmt.Errorf("%s: %s/%s: %w", id, bench, sch.Name, err)
+						return 0, fmt.Errorf("%s: %s/%s: %w", id, bench, col, err)
 					}
 					return v, nil
 				},

@@ -20,11 +20,13 @@ import (
 // — is byte-identical to a single-node RunExperimentContext of the full
 // grid.
 
-// Partitionable reports whether the experiment is a grid: its table
+// Partitionable reports whether the experiment is a grid whose table
 // decomposes into independent per-benchmark cells that MergeParts can
-// reassemble. Experiments whose rows are not benchmarks (ablation
-// variants, attack classes, cache-size sweeps, the static tables) run
-// as a single cell on one node.
+// reassemble. The averaged studies (ablation, ctxswitch, integrity,
+// hybrid, seqsweep, valuepred) are grids too, but their results hold
+// only averages, which cannot be split back into benchmarks; they, like
+// the experiments whose rows are not benchmarks (attack classes, the
+// static tables), run as a single cell on one node.
 func Partitionable(id string) bool {
 	e := find(id)
 	return e != nil && e.grid != nil

@@ -119,25 +119,16 @@ func Figure4Timeline(ctx context.Context, opt Options) (Result, error) {
 	return res, nil
 }
 
-// Ablation sweeps the design parameters Sections 3, 7 and 8 discuss:
-// adaptive resets on/off, prediction depth, root-history depth, and the
-// context swing, reporting average prediction rate over the benchmarks.
-func Ablation(ctx context.Context, opt Options) (Result, error) {
-	opt = opt.normalized()
-	res := Result{
-		ID:     "Ablation",
-		Title:  "Predictor design-parameter sweeps (average prediction rate)",
-		Notes:  "Paper: adaptivity is essential for write-heavy programs; depth beyond ~5 overloads the engine; root history is marginal.",
-		Series: map[string]map[string]float64{"pred_rate": {}},
-	}
-	res.Table = stats.NewTable("Ablation — average prediction rate across benchmarks",
-		"variant", "pred_rate", "guesses/fetch")
-
-	type variant struct {
+// ablation declares the sweep of the design parameters Sections 3, 7
+// and 8 discuss: adaptive resets on/off, prediction depth, root-history
+// depth, reset threshold and the context swing. Each variant is two
+// columns, its prediction rate and its guesses per fetch; the table
+// lists their averages over the benchmarks, one row per variant.
+func ablation() *grid {
+	variants := []struct {
 		name string
 		mod  func(*predictor.Config)
-	}
-	variants := []variant{
+	}{
 		{"regular (default)", func(c *predictor.Config) {}},
 		{"non-adaptive", func(c *predictor.Config) { c.Adaptive = false }},
 		{"depth=1", func(c *predictor.Config) { c.Depth = 1 }},
@@ -150,42 +141,46 @@ func Ablation(ctx context.Context, opt Options) (Result, error) {
 		{"context swing=7", func(c *predictor.Config) { c.Scheme = predictor.SchemeContext; c.Swing = 7 }},
 	}
 	schemes := make([]sim.Scheme, len(variants))
+	names := make([]string, len(variants))
+	var cols []string
 	for i, v := range variants {
 		pc := predictor.DefaultConfig(predictor.SchemeRegular)
 		v.mod(&pc)
 		schemes[i] = sim.Scheme{Name: v.name, Pred: pc.Scheme, PredConfig: &pc}
+		names[i] = v.name
+		cols = append(cols, v.name+" pred_rate", v.name+" guesses/fetch")
 	}
-	var jobs []runpool.Row[[2]float64]
-	for _, bench := range opt.Benchmarks {
-		labels := make([]string, len(schemes))
-		cfgs := make([]sim.Config, len(schemes))
-		for i, sch := range schemes {
-			labels[i] = fmt.Sprintf("Ablation %s/%s", bench, sch.Name)
-			cfgs[i] = hitRateConfig(opt, sch, 256<<10)
-		}
-		jobs = append(jobs, hitRateRow(opt, "ablation "+bench, bench, labels, cfgs, func(_ int, r sim.Result) [2]float64 {
-			var gpf float64
-			if r.Pred.Fetches > 0 {
-				gpf = float64(r.Pred.Guesses) / float64(r.Pred.Fetches)
+	return &grid{
+		id:    "Ablation",
+		cols:  cols,
+		title: fixedTitle("Predictor design-parameter sweeps (average prediction rate)"),
+		notes: "Paper: adaptivity is essential for write-heavy programs; depth beyond ~5 overloads the engine; root history is marginal.",
+		// A benchmark's variants share one front end, so its row is one
+		// job with a cell, and a progress update, per variant.
+		cells: func(ctx context.Context, opt Options, benchmarks []string) ([]float64, error) {
+			rows := make([]runpool.Row[[2]float64], len(benchmarks))
+			for b, bench := range benchmarks {
+				labels := make([]string, len(schemes))
+				cfgs := make([]sim.Config, len(schemes))
+				for i, sch := range schemes {
+					labels[i] = cellLabel("Ablation", bench, sch.Name)
+					cfgs[i] = hitRateConfig(opt, sch, 256<<10)
+				}
+				rows[b] = hitRateRow(opt, "Ablation: "+bench, bench, labels, cfgs, func(_ int, r sim.Result) [2]float64 {
+					return [2]float64{r.PredRate(), stats.Rate(r.Pred.Guesses, r.Pred.Fetches)}
+				})
 			}
-			return [2]float64{r.PredRate(), gpf}
-		}))
+			pairs, err := runpool.RunRowsContext(ctx, opt.pool(), rows)
+			if err != nil {
+				return nil, err
+			}
+			vals := make([]float64, 0, 2*len(pairs))
+			for _, p := range pairs {
+				vals = append(vals, p[0], p[1])
+			}
+			return vals, nil
+		},
+		finish: averageRows("average prediction rate across benchmarks",
+			[]string{"variant", "pred_rate", "guesses/fetch"}, []string{"pred_rate"}, names),
 	}
-	vals, err := runpool.RunRowsContext(ctx, opt.pool(), jobs)
-	if err != nil {
-		return Result{}, err
-	}
-	// vals holds one row per benchmark, one cell per variant.
-	nb, nv := len(opt.Benchmarks), len(variants)
-	for i, v := range variants {
-		var rateSum, guessPerFetch float64
-		for b := range nb {
-			rateSum += vals[b*nv+i][0]
-			guessPerFetch += vals[b*nv+i][1]
-		}
-		avg := rateSum / float64(nb)
-		res.Series["pred_rate"][v.name] = avg
-		res.Table.AddFloats(v.name, 3, avg, guessPerFetch/float64(nb))
-	}
-	return res, nil
 }

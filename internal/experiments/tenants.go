@@ -229,9 +229,10 @@ func capacityGrid() *grid {
 		sim.SchemePred(predictor.SchemeRegular),
 		sim.SchemeCombined(32<<10, predictor.SchemeRegular),
 	}
+	cols := []string{"Seq_Cache_32K", "Pred", "Combined_32K"}
 	return &grid{
 		id:   "Capacity",
-		cols: []string{"Seq_Cache_32K", "Pred", "Combined_32K"},
+		cols: cols,
 		title: func(opt Options) string {
 			return fmt.Sprintf("Max sustainable tenants (SLO: slowdown ≤ %g%s, %s arrivals, ≤ %d tenants)",
 				opt.SLOMaxSlowdown, p99Clause(opt.SLOP99Fetch), opt.Arrival, opt.MaxTenants)
@@ -239,8 +240,8 @@ func capacityGrid() *grid {
 		notes: "Capacity = largest co-tenant count meeting the SLO; the binary search converges " +
 			"to the same count for a fixed seed and SLO on every run and worker count.",
 		cells: func(ctx context.Context, opt Options, benchmarks []string) ([]float64, error) {
-			return sweep(ctx, opt, "Capacity", benchmarks, schemes, func(ctx context.Context, bench string, _ int, sch sim.Scheme) (float64, error) {
-				return capacitySearch(ctx, opt, bench, sch)
+			return sweep(ctx, opt, "Capacity", benchmarks, cols, func(ctx context.Context, bench string, col int) (float64, error) {
+				return capacitySearch(ctx, opt, bench, schemes[col])
 			})
 		},
 	}
