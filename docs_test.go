@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -53,6 +54,44 @@ func TestDocsListEveryPackage(t *testing.T) {
 				t.Errorf("README.md's Architecture tree does not list %s", dir)
 			}
 		}
+	}
+}
+
+// backticked matches a code span's text.
+var backticked = regexp.MustCompile("`([^`]+)`")
+
+// TestDocsModulesColumnNamesPackages holds DESIGN.md §6's Modules column
+// to the package tree: every backticked name there, or for a name like
+// sim.DefaultConfig the part before the dot, is a directory under
+// internal/.
+func TestDocsModulesColumnNamesPackages(t *testing.T) {
+	index := between(t, "DESIGN.md", readDoc(t, "DESIGN.md"), "\n## 6.", "\n## ")
+	col, checked := -1, 0
+	for _, line := range strings.Split(index, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			continue
+		}
+		cells := strings.Split(line, "|")
+		if col < 0 {
+			col = slices.IndexFunc(cells, func(c string) bool { return strings.TrimSpace(c) == "Modules" })
+			if col < 0 {
+				t.Fatal("DESIGN.md §6's table has no Modules column")
+			}
+			continue
+		}
+		if col >= len(cells) {
+			continue
+		}
+		for _, m := range backticked.FindAllStringSubmatch(cells[col], -1) {
+			pkg, _, _ := strings.Cut(m[1], ".")
+			if fi, err := os.Stat(filepath.Join("internal", pkg)); err != nil || !fi.IsDir() {
+				t.Errorf("DESIGN.md §6 lists module %s, but internal/%s is not a directory", m[1], pkg)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("DESIGN.md §6's Modules column names no package")
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package cache provides the set-associative, tag-only LRU store behind
 // every lookup structure of the machine: the L1 instruction and data
 // caches and the unified L2 (package memsys), the instruction and data
-// TLBs (memsys, one 4 KiB page a line), the sequence-number cache of the
-// baseline architecture (package seqcache), the counter-line fetch
-// buffer (package secmem), the two-level scheme's range table (package
-// predictor) and the integrity tree's node cache (package integrity).
+// TLBs (memsys, one 4 KiB page a line), the prior-art sequence-number
+// cache and the counter-line fetch buffer (package secmem), the
+// two-level scheme's range table (package predictor) and the integrity
+// tree's node cache (package integrity).
 //
 // The model tracks presence, dirtiness and LRU order but not data (the
 // simulator keeps architectural data in package mem and encrypted data

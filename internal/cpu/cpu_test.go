@@ -27,7 +27,7 @@ func newCore(t *testing.T, src string, scheme predictor.Scheme) (*Core, *mem.Mem
 	e := cryptoengine.NewAES(cryptoengine.DefaultSpec())
 	ks := ctr.NewKeystream(key)
 	p := predictor.New(predictor.DefaultConfig(scheme))
-	ctrl := secmem.New(secmem.DefaultConfig(), d, e, ks, p, nil, image)
+	ctrl := secmem.New(secmem.DefaultConfig(), d, e, ks, p, image)
 	mcfg := memsys.DefaultConfig()
 	mcfg.FlushInterval = 0
 	sys := memsys.New(mcfg, ctrl)

@@ -13,7 +13,6 @@ import (
 	"ctrpred/internal/predictor"
 	"ctrpred/internal/runpool"
 	"ctrpred/internal/secmem"
-	"ctrpred/internal/seqcache"
 	"ctrpred/internal/sim"
 	"ctrpred/internal/stats"
 )
@@ -95,16 +94,13 @@ func Figure4Timeline(ctx context.Context, opt Options) (Result, error) {
 			return Result{}, err
 		}
 		p := predictor.New(predictor.DefaultConfig(sc.scheme))
-		var cache *seqcache.Cache
-		if sc.warmSC > 0 {
-			cache = seqcache.New(sc.warmSC)
-		}
 		cfg := secmem.DefaultConfig()
 		cfg.Oracle = sc.oracle
 		cfg.Direct = sc.direct
-		ctrl := secmem.New(cfg, d, e, ctr.NewKeystream(key), p, cache, image)
+		cfg.SeqCacheBytes = sc.warmSC
+		ctrl := secmem.New(cfg, d, e, ctr.NewKeystream(key), p, image)
 		const addr = 0x100000
-		if cache != nil {
+		if sc.warmSC > 0 {
 			// Warm the counter into the cache with an earlier fetch.
 			ctrl.FetchLine(0, addr)
 		}

@@ -62,11 +62,8 @@ func adversaryConfig(opt Options, scheme sim.Scheme, seed uint64) sim.Config {
 // runScenario executes one tenancy scenario under the per-simulation
 // deadline, like runSim does for single machines.
 func (o Options) runScenario(ctx context.Context, cfg tenancy.Config) (tenancy.Report, error) {
-	if o.SimTimeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, o.SimTimeout)
-		defer cancel()
-	}
+	ctx, cancel := o.simContext(ctx)
+	defer cancel()
 	return tenancy.Run(ctx, cfg)
 }
 

@@ -292,7 +292,8 @@ func (s *System) MaybeFlush(now uint64) {
 
 // maybeContextSwitch evicts this process's on-chip state when its
 // timeslice boundary passes: dirty data is written back (advancing
-// counters), caches, TLBs and the sequence-number cache are invalidated.
+// counters), caches, TLBs and the controllers' counter caches are
+// invalidated.
 func (s *System) maybeContextSwitch(now uint64) {
 	if s.cfg.ContextSwitchInterval == 0 || now < s.lastSwitch ||
 		now-s.lastSwitch < s.cfg.ContextSwitchInterval {
@@ -304,7 +305,8 @@ func (s *System) maybeContextSwitch(now uint64) {
 
 // ContextSwitch applies the timeslice-boundary disturbance immediately:
 // dirty data is written back (advancing counters), and caches, TLBs and
-// the sequence-number cache are invalidated — the state this process
+// every controller's on-chip counter state are invalidated (see
+// secmem.Controller.ContextSwitch) — the state this process
 // finds when it is switched back in after another process used the
 // machine. maybeContextSwitch calls it on the periodic interval;
 // interleaving schedulers (internal/tenancy) call it directly at their
@@ -318,9 +320,7 @@ func (s *System) ContextSwitch(now uint64) {
 	s.itlb.InvalidateAll()
 	s.dtlb.InvalidateAll()
 	for _, c := range s.ctrls {
-		if sc := c.SeqCache(); sc != nil {
-			sc.InvalidateAll()
-		}
+		c.ContextSwitch()
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"ctrpred/internal/mem"
 	"ctrpred/internal/predictor"
 	"ctrpred/internal/secmem"
-	"ctrpred/internal/seqcache"
 )
 
 func newSys(t *testing.T, cfg Config, scheme predictor.Scheme) (*System, *mem.Memory) {
@@ -21,7 +20,7 @@ func newSys(t *testing.T, cfg Config, scheme predictor.Scheme) (*System, *mem.Me
 	e := cryptoengine.NewAES(cryptoengine.DefaultSpec())
 	ks := ctr.NewKeystream(key)
 	p := predictor.New(predictor.DefaultConfig(scheme))
-	ctrl := secmem.New(secmem.DefaultConfig(), d, e, ks, p, nil, image)
+	ctrl := secmem.New(secmem.DefaultConfig(), d, e, ks, p, image)
 	return New(cfg, ctrl), image
 }
 
@@ -287,16 +286,20 @@ func TestContextSwitchInvalidatesSeqCache(t *testing.T) {
 	e := cryptoengine.NewAES(cryptoengine.DefaultSpec())
 	ks := ctr.NewKeystream(key)
 	p := predictor.New(predictor.DefaultConfig(predictor.SchemeNone))
-	sc := seqcache.New(4 << 10)
-	ctrl := secmem.New(secmem.DefaultConfig(), d, e, ks, p, sc, image)
-	s := New(cfg, ctrl)
+	scfg := secmem.DefaultConfig()
+	scfg.SeqCacheBytes = 4 << 10
+	s := New(cfg, secmem.New(scfg, d, e, ks, p, image))
+	hits := func() uint64 { return s.Controller().Stats().SeqCacheHits }
 
+	// 0x3000, 0x3020 and 0x3040 have their counters in one counter line.
 	s.Access(0, 0x3000, false)
-	if !sc.Lookup(0x3000) {
-		t.Fatal("counter not cached after access")
+	s.Access(1000, 0x3020, false)
+	if hits() != 1 {
+		t.Fatalf("seq-cache hits = %d before the switch, want 1", hits())
 	}
 	s.Access(10_000, 0x4000, false) // triggers the switch
-	if sc.Lookup(0x3000) {
+	s.Access(11_000, 0x3040, false)
+	if hits() != 1 {
 		t.Fatal("sequence-number cache survived a context switch")
 	}
 }

@@ -129,7 +129,7 @@ func newDirectRig() *rig {
 	p := predictor.New(predictor.DefaultConfig(predictor.SchemeNone))
 	cfg := DefaultConfig()
 	cfg.Direct = true
-	return &rig{ctrl: New(cfg, d, e, ks, p, nil, image), image: image}
+	return &rig{ctrl: New(cfg, d, e, ks, p, image), image: image}
 }
 
 func TestDirectModeRoundTrip(t *testing.T) {

@@ -50,7 +50,6 @@ import (
 	"ctrpred/internal/mem"
 	"ctrpred/internal/paged"
 	"ctrpred/internal/predictor"
-	"ctrpred/internal/seqcache"
 	"ctrpred/internal/stats"
 )
 
@@ -88,6 +87,10 @@ type Config struct {
 	// RetryBudget bounds quarantine re-fetch attempts per detection
 	// (0 = DefaultRetryBudget).
 	RetryBudget int
+	// SeqCacheBytes > 0 gives the controller a dedicated sequence-number
+	// cache of that capacity (SeqCacheGeometry), the prior-art scheme of
+	// [Suh et al. 2003] and [Yang et al. 2003].
+	SeqCacheBytes int
 }
 
 // DefaultConfig returns the standard controller configuration.
@@ -95,16 +98,31 @@ func DefaultConfig() Config {
 	return Config{SelfCheck: true}
 }
 
-// The counter table sits at seqTableBase, far from data, and is read
-// and written over a dedicated channel of counterBanks banks with the
-// data channel's timing: counter storage with its own devices, the usual
-// organization. Interleaving 8-byte counter reads between line bursts on
-// one channel would thrash open rows on every miss and penalize every
-// scheme that must fetch counters.
+// The counter table sits at seqTableBase, far from data, one seqBytes
+// counter per line, and is read and written over a dedicated channel of
+// counterBanks banks with the data channel's timing: counter storage with
+// its own devices, the usual organization. Interleaving 8-byte counter
+// reads between line bursts on one channel would thrash open rows on
+// every miss and penalize every scheme that must fetch counters.
 const (
 	seqTableBase = 1 << 40
+	seqBytes     = 8
 	counterBanks = 2
 )
+
+// SeqCacheGeometry returns the shape of a sequence-number cache of
+// sizeBytes (4 KB … 512 KB in the paper's sweeps): 4-way (1-way below
+// four lines) over 32-byte counter lines, so one cache line holds the
+// counters of four adjacent memory blocks, the source of the scheme's
+// spatial locality. Check it with Validate before New, which panics on a
+// size the cache model cannot build.
+func SeqCacheGeometry(sizeBytes int) cache.Config {
+	ways := 4
+	if sizeBytes/ctr.LineSize < ways {
+		ways = 1
+	}
+	return cache.Config{Name: "seqcache", SizeBytes: sizeBytes, LineSize: ctr.LineSize, Ways: ways}
+}
 
 // Stats aggregates controller activity.
 type Stats struct {
@@ -174,8 +192,7 @@ type Controller struct {
 	engine  cryptoengine.EngineModel
 	ks      *ctr.Keystream // the source of every pad bit
 	pred    *predictor.Predictor
-	scache  *seqcache.Cache // nil when the design has no seq cache
-	image   *mem.Memory     // architectural plaintext
+	image   *mem.Memory // architectural plaintext
 
 	// The untrusted-RAM model is split into a hot counter table and a
 	// cold ciphertext/pad table so the two can be touched — and, under
@@ -217,14 +234,21 @@ type Controller struct {
 	// buckets cannot provide; nil costs one branch per fetch.
 	fetchObs func(latency uint64)
 
-	// ctrBuf is the counter-line fetch buffer: counters are fetched at
-	// DRAM burst granularity (a 32-byte counter line covers four memory
-	// blocks), and the four most recently used counter lines remain in
-	// the controller. This 128-byte buffer is part of the fetch pipeline
-	// in every configuration; without it, every miss would pay a
-	// separate 8-byte DRAM transaction for a counter its neighbor just
-	// fetched.
+	// The controller's two on-chip caches of counter lines, both keyed
+	// by counterLine. ctrBuf is the counter-line fetch buffer: counters
+	// are fetched at DRAM burst granularity (a 32-byte counter line
+	// covers four memory blocks), and the four most recently used
+	// counter lines remain in the controller. This 128-byte buffer is
+	// part of the fetch pipeline in every configuration; without it,
+	// every miss would pay a separate 8-byte DRAM transaction for a
+	// counter its neighbor just fetched. scache is the sequence-number
+	// cache (nil when Config.SeqCacheBytes is 0): read-allocate on a
+	// fetch, and write-update on a writeback, where a miss allocates too
+	// (the evicted line is the block most recently displaced, a likely
+	// near-future miss). Counter writes are write-through, so neither
+	// holds dirty state.
 	ctrBuf *cache.Cache
+	scache *cache.Cache
 }
 
 // padState is the cold half of a line's off-chip state (the counter
@@ -252,8 +276,8 @@ type pair struct {
 // New wires a controller. e books the pad requests' timing and ks
 // supplies their bits. pred must be non-nil (use predictor.SchemeNone
 // for designs without prediction — the predictor still owns per-page
-// roots and counter assignment). sc may be nil.
-func New(cfg Config, d *dram.DRAM, e cryptoengine.EngineModel, ks *ctr.Keystream, pred *predictor.Predictor, sc *seqcache.Cache, image *mem.Memory) *Controller {
+// roots and counter assignment).
+func New(cfg Config, d *dram.DRAM, e cryptoengine.EngineModel, ks *ctr.Keystream, pred *predictor.Predictor, image *mem.Memory) *Controller {
 	if pred == nil {
 		panic("secmem: predictor must not be nil")
 	}
@@ -273,6 +297,10 @@ func New(cfg Config, d *dram.DRAM, e cryptoengine.EngineModel, ks *ctr.Keystream
 	if cfg.Direct && ks != nil {
 		direct = ks.DirectCipher()
 	}
+	var sc *cache.Cache
+	if cfg.SeqCacheBytes > 0 {
+		sc = cache.New(SeqCacheGeometry(cfg.SeqCacheBytes))
+	}
 	return &Controller{
 		cfg:     cfg,
 		direct:  direct,
@@ -281,12 +309,12 @@ func New(cfg Config, d *dram.DRAM, e cryptoengine.EngineModel, ks *ctr.Keystream
 		engine:  e,
 		ks:      ks,
 		pred:    pred,
-		scache:  sc,
 		image:   image,
 		ctrs:    paged.New[uint64](ctr.LineSize),
 		pads:    paged.New[padState](ctr.LineSize),
 		stats:   Stats{FetchLatency: stats.NewHistogram(100, 150, 200, 300, 500)},
 		ctrBuf:  cache.New(cache.Config{Name: "counter buffer", SizeBytes: 4 * ctr.LineSize, LineSize: ctr.LineSize, Ways: 4}),
+		scache:  sc,
 	}
 }
 
@@ -318,8 +346,25 @@ func (c *Controller) observeFetch(now uint64, res *FetchResult) {
 // Predictor returns the counter predictor in use.
 func (c *Controller) Predictor() *predictor.Predictor { return c.pred }
 
-// SeqCache returns the sequence-number cache, or nil.
-func (c *Controller) SeqCache() *seqcache.Cache { return c.scache }
+// SeqCacheStats returns the sequence-number cache's statistics, or nil
+// when the controller has none.
+func (c *Controller) SeqCacheStats() *cache.Stats {
+	if c.scache == nil {
+		return nil
+	}
+	st := c.scache.Stats()
+	return &st
+}
+
+// ContextSwitch empties the controller's on-chip counter state, the
+// state a process finds when it is switched back in after another
+// process's traffic displaced it. Per-page roots and other predictor
+// state are the predictor's to keep or flush.
+func (c *Controller) ContextSwitch() {
+	if c.scache != nil {
+		c.scache.InvalidateAll()
+	}
+}
 
 // PadViolations reports one-time-pad reuse detected by the self-check.
 func (c *Controller) PadViolations() uint64 { return c.tracker.Violations }
@@ -498,20 +543,27 @@ func (c *Controller) recordSecurityError(kind ErrorKind, la, seq, cycle uint64) 
 	c.secErr = &SecurityError{Kind: kind, LineAddr: la, Seq: seq, Cycle: cycle, Scheme: c.cfg.Scheme}
 }
 
-func (c *Controller) seqAddr(lineAddr uint64) uint64 {
-	return seqTableBase + lineAddr/ctr.LineSize*seqcache.SeqBytes
+// seqAddr is the address of la's counter in the counter table.
+func seqAddr(la uint64) uint64 {
+	return seqTableBase + la/ctr.LineSize*seqBytes
 }
 
-// fetchCounter returns the cycle at which the counter of la is available,
-// reading a full counter line from the counter channel unless the fetch
-// buffer already holds it.
-func (c *Controller) fetchCounter(now uint64, la uint64) uint64 {
-	lineAddr := c.seqAddr(la) &^ uint64(ctr.LineSize-1)
-	if hit, _ := c.ctrBuf.Access(lineAddr, false); hit {
+// counterLine is the address of the counter line holding la's counter:
+// the key of both on-chip counter caches and the counter channel's read
+// address.
+func counterLine(la uint64) uint64 {
+	return seqAddr(la) &^ uint64(ctr.LineSize-1)
+}
+
+// fetchCounter returns the cycle at which the counter line cl is
+// available, reading it from the counter channel unless the fetch buffer
+// already holds it.
+func (c *Controller) fetchCounter(now, cl uint64) uint64 {
+	if hit, _ := c.ctrBuf.Access(cl, false); hit {
 		c.stats.CounterBufHits++
 		return now
 	}
-	return c.seqDRAM.Access(now, lineAddr, ctr.LineSize, false)
+	return c.seqDRAM.Access(now, cl, ctr.LineSize, false)
 }
 
 // materialize lazily creates the encrypted copy of a line the first time
@@ -881,7 +933,11 @@ func (c *Controller) FetchLine(now uint64, vaddr uint64) FetchResult {
 func (c *Controller) fetchTiming(res *FetchResult, now, la, trueSeq uint64) {
 	res.TrueSeq = trueSeq
 	res.Authentic = true
-	seqInCache := c.scache != nil && c.scache.Access(la)
+	cl := counterLine(la)
+	var seqInCache bool
+	if c.scache != nil {
+		seqInCache, _ = c.scache.Access(cl, false)
+	}
 	switch {
 	case c.cfg.Oracle:
 		res.SeqDone = now
@@ -891,7 +947,7 @@ func (c *Controller) fetchTiming(res *FetchResult, now, la, trueSeq uint64) {
 		res.SeqHit = true
 		c.stats.SeqCacheHits++
 	default:
-		res.SeqDone = c.fetchCounter(now, la)
+		res.SeqDone = c.fetchCounter(now, cl)
 	}
 	res.LineDone = c.dram.Access(now, la, ctr.LineSize, false)
 
@@ -1099,12 +1155,12 @@ func (c *Controller) writeback(now, la uint64, cs *uint64, ps *padState) (done, 
 	// serializes channel reservations in call order).
 	done = max(done, c.dram.Access(now, la, ctr.LineSize, true))
 	if c.direct == nil {
-		// Counter writes are write-through; the cached copy (if any) is
-		// updated in place.
+		// Counter writes are write-through; the seq cache is updated in
+		// place, allocating on a miss.
 		if c.scache != nil {
-			c.scache.Update(la)
+			c.scache.Access(counterLine(la), false)
 		}
-		done = max(done, c.seqDRAM.Access(now, c.seqAddr(la), seqcache.SeqBytes, true))
+		done = max(done, c.seqDRAM.Access(now, seqAddr(la), seqBytes, true))
 	}
 	return done, treeDone
 }

@@ -8,7 +8,6 @@ import (
 	"ctrpred/internal/dram"
 	"ctrpred/internal/mem"
 	"ctrpred/internal/predictor"
-	"ctrpred/internal/seqcache"
 )
 
 type rig struct {
@@ -24,13 +23,10 @@ func newRig(scheme predictor.Scheme, seqCacheBytes int, oracle bool) *rig {
 	e := cryptoengine.NewAES(cryptoengine.DefaultSpec())
 	ks := ctr.NewKeystream(key)
 	p := predictor.New(predictor.DefaultConfig(scheme))
-	var sc *seqcache.Cache
-	if seqCacheBytes > 0 {
-		sc = seqcache.New(seqCacheBytes)
-	}
 	cfg := DefaultConfig()
 	cfg.Oracle = oracle
-	return &rig{ctrl: New(cfg, d, e, ks, p, sc, image), image: image}
+	cfg.SeqCacheBytes = seqCacheBytes
+	return &rig{ctrl: New(cfg, d, e, ks, p, image), image: image}
 }
 
 func TestFetchDecryptsImage(t *testing.T) {
@@ -167,6 +163,62 @@ func TestSeqCachePath(t *testing.T) {
 	}
 }
 
+// TestSeqCacheLines pins what the sequence-number cache keeps: a 32-byte
+// counter line, so four adjacent blocks share an entry; a writeback
+// allocates its line (write-update); a line is its counter-table
+// address, so distant blocks never alias; and a two-line cache is
+// direct-mapped but still hits.
+func TestSeqCacheLines(t *testing.T) {
+	type op struct {
+		evict bool
+		addr  uint64
+		hit   bool // fetches only: want the counter from the seq cache
+	}
+	for _, tc := range []struct {
+		name  string
+		bytes int
+		ops   []op
+	}{
+		{"four blocks a line", 4 << 10, []op{
+			{false, 0x1000, false}, {false, 0x1020, true}, {false, 0x1040, true},
+			{false, 0x1060, true}, {false, 0x1080, false},
+		}},
+		{"writeback allocates", 4 << 10, []op{{true, 0x5000, false}, {false, 0x5000, true}, {false, 0x5060, true}}},
+		{"distant blocks", 512 << 10, []op{{false, 0, false}, {false, 1 << 30, false}, {false, 0, true}}},
+		{"two lines", 64, []op{{false, 0x2000, false}, {false, 0x2000, true}}},
+	} {
+		r := newRig(predictor.SchemeNone, tc.bytes, false)
+		for i, o := range tc.ops {
+			now := uint64(i+1) * 10_000
+			if o.evict {
+				r.ctrl.EvictLine(now, o.addr)
+				continue
+			}
+			if got := r.ctrl.FetchLine(now, o.addr).SeqHit; got != o.hit {
+				t.Errorf("%s: op %d fetch %#x: seq-cache hit %v, want %v", tc.name, i, o.addr, got, o.hit)
+			}
+		}
+	}
+}
+
+// TestSeqCacheCapacity sweeps 64 KB of data through a 4 KB cache, which
+// holds the counters of 16 KB: three of every four fetches find their
+// counter line, and the first line is gone by the end.
+func TestSeqCacheCapacity(t *testing.T) {
+	r := newRig(predictor.SchemeNone, 4<<10, false)
+	now := uint64(0)
+	for la := uint64(0); la < 64<<10; la += ctr.LineSize {
+		now += 1000
+		r.ctrl.FetchLine(now, la)
+	}
+	if st := r.ctrl.SeqCacheStats(); st.Hits != 3*st.Misses || st.Accesses != 2048 {
+		t.Fatalf("sweep: %d hits, %d misses over %d accesses, want 3:1 over 2048", st.Hits, st.Misses, st.Accesses)
+	}
+	if r.ctrl.FetchLine(now+1000, 0).SeqHit {
+		t.Fatal("first counter line survived a 4x-capacity sweep")
+	}
+}
+
 func TestOraclePath(t *testing.T) {
 	r := newRig(predictor.SchemeNone, 0, true)
 	res := r.ctrl.FetchLine(50, 0x9000)
@@ -275,7 +327,7 @@ func TestNilPredictorPanics(t *testing.T) {
 			t.Fatal("nil predictor accepted")
 		}
 	}()
-	New(DefaultConfig(), nil, nil, nil, nil, nil, nil)
+	New(DefaultConfig(), nil, nil, nil, nil, nil)
 }
 
 // TestCounterTableClearOfData fetches the line at address 0: data there
@@ -287,7 +339,7 @@ func TestCounterTableClearOfData(t *testing.T) {
 	e := cryptoengine.NewAES(cryptoengine.DefaultSpec())
 	ks := ctr.NewKeystream(key)
 	p := predictor.New(predictor.DefaultConfig(predictor.SchemeNone))
-	c := New(Config{SelfCheck: true}, d, e, ks, p, nil, image)
+	c := New(Config{SelfCheck: true}, d, e, ks, p, image)
 	c.FetchLine(0, 0)
 	if c.Stats().SelfCheckFails != 0 {
 		t.Fatal("self-check failed on the line at address 0")

@@ -378,7 +378,7 @@ func TestConstructorNilPredictorPanics(t *testing.T) {
 			t.Fatal("New(nil predictor) did not panic")
 		}
 	}()
-	New(DefaultConfig(), dram.New(dram.DefaultConfig()), nil, nil, nil, nil, nil)
+	New(DefaultConfig(), dram.New(dram.DefaultConfig()), nil, nil, nil, nil)
 }
 
 func TestInjectorEndToEnd(t *testing.T) {

@@ -70,7 +70,7 @@ func (s *agedSetup) controllerOn(cfg Config, d *dram.DRAM) *Controller {
 	s.visit(func(la, _ uint64) { p.Root(la) })
 	e := cryptoengine.NewAES(cryptoengine.DefaultSpec())
 	ks := ctr.NewKeystream(s.key)
-	return New(cfg, d, e, ks, p, nil, mem.NewView(s.image))
+	return New(cfg, d, e, ks, p, mem.NewView(s.image))
 }
 
 func countersOnlyConfig() Config {

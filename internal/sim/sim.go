@@ -26,7 +26,6 @@ import (
 	"ctrpred/internal/memsys"
 	"ctrpred/internal/predictor"
 	"ctrpred/internal/secmem"
-	"ctrpred/internal/seqcache"
 	"ctrpred/internal/workload"
 )
 
@@ -254,7 +253,7 @@ func (r Result) SeqHitRate() float64 {
 
 // Machine is an assembled simulator instance. Most callers use Run; the
 // examples use Machine directly to poke at components. The counter
-// side's components — Ctrl, Pred, SCache, Engine, DRAM and Faults — are
+// side's components — Ctrl, Pred, Engine, DRAM and Faults — are
 // promoted from the embedded side.
 type Machine struct {
 	Config Config
@@ -276,15 +275,14 @@ type Machine struct {
 	progress func(committed uint64)
 }
 
-// side is one counter side: the secure memory controller with its
-// predictor, sequence-number cache, cipher-engine model and DRAM
-// channels. Everything above it — the image view, the core, the caches,
+// side is one counter side: the secure memory controller (with its
+// on-chip counter caches) and its predictor, cipher-engine model and
+// DRAM channels. Everything above it — the image view, the core, the caches,
 // the TLBs and memsys — is the front end, which a group run shares
 // among several sides.
 type side struct {
 	Ctrl   *secmem.Controller
 	Pred   *predictor.Predictor
-	SCache *seqcache.Cache
 	Engine cryptoengine.EngineModel
 	DRAM   *dram.DRAM
 	// Faults is the armed adversary, or nil for clean memory.
@@ -409,8 +407,8 @@ func newSide(cfg Config, tmpl *machineTemplate, image *mem.Memory) (*side, error
 	return s, nil
 }
 
-// wireSide builds cfg's engine, predictor, sequence-number cache and
-// controller over data channel d, attaches tree when it is non-nil and
+// wireSide builds cfg's engine, predictor and controller over data
+// channel d, attaches tree when it is non-nil and
 // arms cfg's fault plan. The side's off-chip state starts empty.
 func wireSide(cfg Config, d *dram.DRAM, tree *integrity.Tree, image *mem.Memory) (*side, error) {
 	engine, err := cryptoengine.NewModel(cfg.Engine)
@@ -425,11 +423,6 @@ func wireSide(cfg Config, d *dram.DRAM, tree *integrity.Tree, image *mem.Memory)
 	pcfg.Seed = cfg.Seed ^ 0xabcdef
 	pred := predictor.New(pcfg)
 
-	var sc *seqcache.Cache
-	if cfg.Scheme.SeqCacheBytes > 0 {
-		sc = seqcache.New(cfg.Scheme.SeqCacheBytes)
-	}
-
 	scfg := secmem.DefaultConfig()
 	scfg.Oracle = cfg.Scheme.Oracle
 	scfg.Direct = cfg.Scheme.Direct
@@ -438,7 +431,8 @@ func wireSide(cfg Config, d *dram.DRAM, tree *integrity.Tree, image *mem.Memory)
 	scfg.Scheme = cfg.Scheme.Name
 	scfg.Recovery = cfg.Recovery
 	scfg.RetryBudget = cfg.RetryBudget
-	ctrl := secmem.New(scfg, d, engine, ctr.NewKeystream(machineKey(cfg.Seed)), pred, sc, image)
+	scfg.SeqCacheBytes = cfg.Scheme.SeqCacheBytes
+	ctrl := secmem.New(scfg, d, engine, ctr.NewKeystream(machineKey(cfg.Seed)), pred, image)
 	if tree != nil {
 		ctrl.AttachIntegrity(tree)
 	}
@@ -448,7 +442,7 @@ func wireSide(cfg Config, d *dram.DRAM, tree *integrity.Tree, image *mem.Memory)
 		ctrl.ArmFaults(inj)
 	}
 	return &side{
-		Ctrl: ctrl, Pred: pred, SCache: sc, Engine: engine, DRAM: d,
+		Ctrl: ctrl, Pred: pred, Engine: engine, DRAM: d,
 		Faults: inj, scheme: cfg.Scheme.Name,
 	}, nil
 }
@@ -537,11 +531,8 @@ func (m *Machine) collect(cs cpu.Stats, s *side) Result {
 		Hierarchy:     m.Sys.Stats(),
 		L1D:           l1d.Stats(),
 		L2:            l2.Stats(),
+		SeqCache:      s.Ctrl.SeqCacheStats(),
 		PadViolations: s.Ctrl.PadViolations(),
-	}
-	if s.SCache != nil {
-		st := s.SCache.Stats()
-		res.SeqCache = &st
 	}
 	if tree := s.Ctrl.IntegrityTree(); tree != nil {
 		st := tree.Stats()

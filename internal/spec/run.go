@@ -19,7 +19,6 @@ import (
 	"ctrpred/internal/cryptoengine"
 	"ctrpred/internal/faults"
 	"ctrpred/internal/secmem"
-	"ctrpred/internal/seqcache"
 	"ctrpred/internal/sim"
 	"ctrpred/internal/workload"
 )
@@ -89,7 +88,7 @@ func (r Run) Resolve() (string, sim.Config, error) {
 		return "", zero, err
 	}
 	if sch.SeqCacheBytes > 0 {
-		if err := seqcache.Geometry(sch.SeqCacheBytes).Validate(); err != nil {
+		if err := secmem.SeqCacheGeometry(sch.SeqCacheBytes).Validate(); err != nil {
 			return "", zero, fmt.Errorf("scheme %q: %w", r.Scheme, err)
 		}
 	}

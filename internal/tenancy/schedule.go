@@ -24,11 +24,6 @@ type ScheduleConfig struct {
 	// Seed drives every arrival draw. Tenant i's process is seeded from
 	// (Seed, i), so adding a tenant never perturbs the others' streams.
 	Seed uint64
-	// MeanDemand is the average job service demand in instructions
-	// (0 derives 2×Quantum); MeanGap is the average inter-arrival gap
-	// (0 derives MeanDemand, i.e. each tenant alone would keep roughly
-	// one core busy, so N tenants genuinely contend).
-	MeanDemand, MeanGap uint64
 }
 
 // BuildSchedule runs the arrival processes through a FIFO run queue and
@@ -56,14 +51,11 @@ func BuildSchedule(cfg ScheduleConfig) []Slice {
 			quantum = 1000
 		}
 	}
-	meanDem := float64(cfg.MeanDemand)
-	if meanDem == 0 {
-		meanDem = 2 * float64(quantum)
-	}
-	meanGap := float64(cfg.MeanGap)
-	if meanGap == 0 {
-		meanGap = meanDem
-	}
+	// A job demands two quanta on average, and jobs arrive as far apart
+	// as they take to serve: each tenant alone would keep roughly one
+	// core busy, so N tenants genuinely contend.
+	meanDem := 2 * float64(quantum)
+	meanGap := meanDem
 
 	procs := make([]process, n)
 	nextArrival := make([]uint64, n) // absolute virtual time of the next job

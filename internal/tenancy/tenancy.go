@@ -43,10 +43,10 @@ type SLO struct {
 type Config struct {
 	// Tenants lists the machines to interleave (at least one).
 	Tenants []Tenant
-	// Kind selects the arrival process; Quantum, MeanDemand and MeanGap
-	// pass through to ScheduleConfig (0 = its derived defaults).
-	Kind                         ArrivalKind
-	Quantum, MeanDemand, MeanGap uint64
+	// Kind selects the arrival process; Quantum passes through to
+	// ScheduleConfig (0 = its derived default).
+	Kind    ArrivalKind
+	Quantum uint64
 	// Seed drives the arrival schedule (independent of tenant seeds).
 	Seed uint64
 	// RetainPredictor keeps each tenant's transient predictor state
@@ -145,8 +145,7 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 		budgets[i] = t.Config.Scale.Instructions
 	}
 	schedule := BuildSchedule(ScheduleConfig{
-		Budgets: budgets, Quantum: cfg.Quantum, Kind: cfg.Kind,
-		Seed: cfg.Seed, MeanDemand: cfg.MeanDemand, MeanGap: cfg.MeanGap,
+		Budgets: budgets, Quantum: cfg.Quantum, Kind: cfg.Kind, Seed: cfg.Seed,
 	})
 
 	machines := make([]*sim.Machine, n)
@@ -181,7 +180,7 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 			// apply the switch-in disturbance before its slice.
 			machines[t].SwitchIn(cfg.RetainPredictor)
 			tr.Switches++
-			if machines[t].SCache != nil {
+			if cfg.Tenants[t].Config.Scheme.SeqCacheBytes > 0 {
 				tr.SeqCacheInvalidations++
 			}
 			if !cfg.RetainPredictor {

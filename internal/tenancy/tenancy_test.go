@@ -135,8 +135,7 @@ func TestInterleavedAttribution(t *testing.T) {
 		cfg.Tenants[1].Config.Scale.Instructions,
 	}
 	schedule := BuildSchedule(ScheduleConfig{
-		Budgets: budgets, Quantum: cfg.Quantum, Kind: cfg.Kind,
-		Seed: cfg.Seed, MeanDemand: cfg.MeanDemand, MeanGap: cfg.MeanGap,
+		Budgets: budgets, Quantum: cfg.Quantum, Kind: cfg.Kind, Seed: cfg.Seed,
 	})
 	m, err := sim.NewMachine(cfg.Tenants[victim].Bench, cfg.Tenants[victim].Config)
 	if err != nil {
