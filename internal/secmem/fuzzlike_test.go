@@ -106,6 +106,21 @@ func TestCounterBufferSpatialHit(t *testing.T) {
 	}
 }
 
+// TestContextSwitchForgetsCounterLines: after a switch the neighbour of
+// a line fetched before it finds its counter line in neither on-chip
+// cache, as the other process's traffic would have displaced it.
+func TestContextSwitchForgetsCounterLines(t *testing.T) {
+	r := newRig(predictor.SchemeNone, 4<<10, false)
+	r.ctrl.FetchLine(0, 0x3000)
+	r.ctrl.ContextSwitch()
+	if res := r.ctrl.FetchLine(1000, 0x3020); res.SeqDone == 1000 {
+		t.Fatal("neighbour's counter available at issue after a context switch")
+	}
+	if st := r.ctrl.Stats(); st.SeqCacheHits != 0 || st.CounterBufHits != 0 {
+		t.Fatalf("seq-cache hits %d, counter-buffer hits %d after a context switch, want 0 and 0", st.SeqCacheHits, st.CounterBufHits)
+	}
+}
+
 // TestCounterBufferEvictsLeastRecent pins the buffer's replacement: it
 // keeps the four most recently used counter lines. Lines 128 bytes apart
 // have their counters in distinct 32-byte counter lines.

@@ -357,10 +357,12 @@ func (c *Controller) SeqCacheStats() *cache.Stats {
 }
 
 // ContextSwitch empties the controller's on-chip counter state, the
-// state a process finds when it is switched back in after another
-// process's traffic displaced it. Per-page roots and other predictor
-// state are the predictor's to keep or flush.
+// counter-line buffer and the sequence-number cache: the state a process
+// finds when it is switched back in after another process's traffic
+// displaced it. Per-page roots and other predictor state are the
+// predictor's to keep or flush.
 func (c *Controller) ContextSwitch() {
+	c.ctrBuf.InvalidateAll()
 	if c.scache != nil {
 		c.scache.InvalidateAll()
 	}

@@ -571,8 +571,8 @@ func (m *Machine) RunSliceContext(ctx context.Context, target uint64) (bool, err
 
 // SwitchIn applies the context-switch disturbance another process left
 // behind before this machine's next slice runs: dirty data written back
-// (advancing counters), caches/TLBs/sequence-number cache invalidated,
-// and — unless retainPredictor — the predictor's transient state
+// (advancing counters), caches, TLBs and the controller's counter caches
+// invalidated, and — unless retainPredictor — the predictor's transient state
 // flushed. Per-page roots always survive; they are part of the saved
 // process context (see predictor.FlushTransient).
 func (m *Machine) SwitchIn(retainPredictor bool) {
