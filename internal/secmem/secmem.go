@@ -234,20 +234,20 @@ type Controller struct {
 	// buckets cannot provide; nil costs one branch per fetch.
 	fetchObs func(latency uint64)
 
-	// The controller's two on-chip caches of counter lines, both keyed
-	// by counterLine. ctrBuf is the counter-line fetch buffer: counters
-	// are fetched at DRAM burst granularity (a 32-byte counter line
-	// covers four memory blocks), and the four most recently used
-	// counter lines remain in the controller. This 128-byte buffer is
-	// part of the fetch pipeline in every configuration; without it,
-	// every miss would pay a separate 8-byte DRAM transaction for a
-	// counter its neighbor just fetched. scache is the sequence-number
-	// cache (nil when Config.SeqCacheBytes is 0): read-allocate on a
-	// fetch, and write-update on a writeback, where a miss allocates too
-	// (the evicted line is the block most recently displaced, a likely
-	// near-future miss). Counter writes are write-through, so neither
-	// holds dirty state.
+	// ctrBuf is the counter-line fetch buffer: counters are fetched at
+	// DRAM burst granularity (a 32-byte counter line covers four memory
+	// blocks), and the four most recently used counter lines remain in
+	// the controller. This 128-byte buffer is part of the fetch pipeline
+	// in every configuration; without it, every miss would pay a
+	// separate 8-byte DRAM transaction for a counter its neighbor just
+	// fetched.
 	ctrBuf *cache.Cache
+	// scache is the sequence-number cache, nil when Config.SeqCacheBytes
+	// is 0: read-allocate on a fetch, write-update on a writeback, where
+	// a miss allocates too (the evicted line is the block most recently
+	// displaced, a likely near-future miss). Both caches are keyed by
+	// counterLine, and counter writes are write-through, so neither holds
+	// dirty state.
 	scache *cache.Cache
 }
 

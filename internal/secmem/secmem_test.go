@@ -187,17 +187,19 @@ func TestSeqCacheLines(t *testing.T) {
 		{"distant blocks", 512 << 10, []op{{false, 0, false}, {false, 1 << 30, false}, {false, 0, true}}},
 		{"two lines", 64, []op{{false, 0x2000, false}, {false, 0x2000, true}}},
 	} {
-		r := newRig(predictor.SchemeNone, tc.bytes, false)
-		for i, o := range tc.ops {
-			now := uint64(i+1) * 10_000
-			if o.evict {
-				r.ctrl.EvictLine(now, o.addr)
-				continue
+		t.Run(tc.name, func(t *testing.T) {
+			r := newRig(predictor.SchemeNone, tc.bytes, false)
+			for i, o := range tc.ops {
+				now := uint64(i+1) * 10_000
+				if o.evict {
+					r.ctrl.EvictLine(now, o.addr)
+					continue
+				}
+				if got := r.ctrl.FetchLine(now, o.addr).SeqHit; got != o.hit {
+					t.Errorf("op %d fetch %#x: seq-cache hit %v, want %v", i, o.addr, got, o.hit)
+				}
 			}
-			if got := r.ctrl.FetchLine(now, o.addr).SeqHit; got != o.hit {
-				t.Errorf("%s: op %d fetch %#x: seq-cache hit %v, want %v", tc.name, i, o.addr, got, o.hit)
-			}
-		}
+		})
 	}
 }
 

@@ -277,9 +277,9 @@ type Machine struct {
 
 // side is one counter side: the secure memory controller (with its
 // on-chip counter caches) and its predictor, cipher-engine model and
-// DRAM channels. Everything above it — the image view, the core, the caches,
-// the TLBs and memsys — is the front end, which a group run shares
-// among several sides.
+// DRAM channels. Everything above it — the image view, the core, the
+// caches, the TLBs and memsys — is the front end, which a group run
+// shares among several sides.
 type side struct {
 	Ctrl   *secmem.Controller
 	Pred   *predictor.Predictor
@@ -408,8 +408,8 @@ func newSide(cfg Config, tmpl *machineTemplate, image *mem.Memory) (*side, error
 }
 
 // wireSide builds cfg's engine, predictor and controller over data
-// channel d, attaches tree when it is non-nil and
-// arms cfg's fault plan. The side's off-chip state starts empty.
+// channel d, attaches tree when it is non-nil and arms cfg's fault plan.
+// The side's off-chip state starts empty.
 func wireSide(cfg Config, d *dram.DRAM, tree *integrity.Tree, image *mem.Memory) (*side, error) {
 	engine, err := cryptoengine.NewModel(cfg.Engine)
 	if err != nil {
@@ -572,9 +572,9 @@ func (m *Machine) RunSliceContext(ctx context.Context, target uint64) (bool, err
 // SwitchIn applies the context-switch disturbance another process left
 // behind before this machine's next slice runs: dirty data written back
 // (advancing counters), caches, TLBs and the controller's counter caches
-// invalidated, and — unless retainPredictor — the predictor's transient state
-// flushed. Per-page roots always survive; they are part of the saved
-// process context (see predictor.FlushTransient).
+// invalidated, and — unless retainPredictor — the predictor's transient
+// state flushed. Per-page roots always survive; they are part of the
+// saved process context (see predictor.FlushTransient).
 func (m *Machine) SwitchIn(retainPredictor bool) {
 	m.Sys.ContextSwitch(m.Core.Stats().Cycles)
 	if !retainPredictor {
