@@ -163,8 +163,9 @@ func TestSeqCachePath(t *testing.T) {
 	}
 }
 
-// TestSeqCacheLines pins what the sequence-number cache keeps: a 32-byte
-// counter line, so four adjacent blocks share an entry; a writeback
+// TestSeqCacheLines pins what the sequence-number cache keeps: a counter
+// line missed once is found the next time; a 32-byte counter line, so
+// four adjacent blocks share an entry; a writeback
 // allocates its line (write-update); a line is its counter-table
 // address, so distant blocks never alias; and a two-line cache is
 // direct-mapped but still hits.
@@ -179,6 +180,7 @@ func TestSeqCacheLines(t *testing.T) {
 		bytes int
 		ops   []op
 	}{
+		{"miss then hit", 4 << 10, []op{{false, 0x1000, false}, {false, 0x1000, true}}},
 		{"four blocks a line", 4 << 10, []op{
 			{false, 0x1000, false}, {false, 0x1020, true}, {false, 0x1040, true},
 			{false, 0x1060, true}, {false, 0x1080, false},
