@@ -27,6 +27,9 @@ var runCases = []struct {
 	{"mcf-pred-context", []string{"-bench", "mcf", "-scheme", "pred-context", "-instr", "30000", "-footprint", "256K", "-flush", "3000"}},
 	{"swim-seqcache-hitrate", []string{"-bench", "swim", "-scheme", "seqcache:32K", "-mode", "hitrate", "-instr", "50000", "-footprint", "256K", "-flush", "5000", "-seed", "7"}},
 	{"gzip-sealer-l2-integrity", []string{"-bench", "gzip", "-scheme", "baseline", "-engine", "sealer:banks=4", "-l2", "64K", "-instr", "30000", "-footprint", "128K", "-flush", "3000", "-integrity"}},
+	{"swim-sealer-pred-context", []string{"-bench", "swim", "-scheme", "pred-context", "-engine", "sealer", "-instr", "30000", "-footprint", "256K", "-flush", "3000"}},
+	{"mcf-bipbip-pred-context", []string{"-bench", "mcf", "-scheme", "pred-context", "-engine", "bipbip", "-instr", "30000", "-footprint", "256K", "-flush", "3000"}},
+	{"swim-aes-issue2-pred-context", []string{"-bench", "swim", "-scheme", "pred-context", "-engine", "aes:lat=48,issue=2", "-instr", "30000", "-footprint", "256K", "-flush", "3000", "-integrity"}},
 	{"gzip-faults-quarantine", []string{"-bench", "gzip", "-scheme", "pred-regular", "-instr", "60000", "-footprint", "64K", "-flush", "6000", "-faults", "bitflip@fetch:50", "-recovery", "quarantine"}},
 	{"tenants-combined-slo", []string{"-tenants", "gzip,mcf", "-scheme", "combined:32K", "-instr", "20000", "-footprint", "128K", "-flush", "4000", "-quantum", "5000", "-slo-slowdown", "8"}},
 	{"tenants-bursty-faults", []string{"-tenants", "gzip,mcf,mcf", "-instr", "20000", "-footprint", "128K", "-flush", "4000", "-arrival", "bursty", "-faults", "bitflip@fetch:200"}},

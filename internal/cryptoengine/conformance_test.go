@@ -3,6 +3,8 @@ package cryptoengine
 import (
 	"errors"
 	"testing"
+
+	"ctrpred/internal/stats"
 )
 
 // conformanceSpecs is the model grid the conformance suite runs: every
@@ -270,8 +272,10 @@ func TestBipBipTiming(t *testing.T) {
 	if st.StallCycles != 0 {
 		t.Fatalf("StallCycles = %d, want 0", st.StallCycles)
 	}
-	if st.Bypassed != 3 {
-		t.Fatalf("Bypassed = %d, want 3 (the speculative burst)", st.Bypassed)
+	snap := stats.NewSnapshot("engine")
+	st.AddTo(snap)
+	if got, _ := snap.CounterValue("bypassed"); got != 3 {
+		t.Fatalf("bypassed = %d, want 3 (the speculative burst)", got)
 	}
 	if st.Issued[ClassPrediction] != 3 || st.Issued[ClassDemand] != 10 {
 		t.Fatalf("Issued = %v", st.Issued)

@@ -48,6 +48,23 @@ func TestMultiIssue(t *testing.T) {
 	}
 }
 
+// TestMultiIssueOutOfOrder: requests need not arrive in time order (a
+// fetch's demand pad is booked at SeqDone, and the next fetch's guesses
+// then arrive earlier). Issue width is slots of one pipeline cycle, not
+// independent pipes: once a request has moved the issue cycle to 100,
+// two requests arriving at 50 share that cycle's remaining slot and the
+// next cycle's, rather than starting at 50.
+func TestMultiIssueOutOfOrder(t *testing.T) {
+	e := newEngine(Spec{LatencyCycles: 10, IssuePerCycle: 2})
+	var readies []uint64
+	for _, now := range []uint64{100, 50, 50} {
+		readies = append(readies, e.ScheduleOnly(now, ClassDemand))
+	}
+	if want := []uint64{110, 110, 111}; !reflect.DeepEqual(readies, want) {
+		t.Fatalf("readies = %v, want %v", readies, want)
+	}
+}
+
 func TestIdleEngineAcceptsImmediately(t *testing.T) {
 	e := newEngine(Spec{LatencyCycles: 5, IssuePerCycle: 1})
 	r1 := e.ScheduleOnly(0, ClassDemand)
