@@ -202,9 +202,8 @@ func BenchmarkSingleRunMcfContext(b *testing.B) {
 
 // BenchmarkSingleRunMcfEngineBipBip is BenchmarkSingleRunMcfContext on
 // the bipbip engine model: same workload and scheme, near-free
-// decryption. It prices the EngineModel interface dispatch on a
-// non-default model and tracks the alternative-engine path's throughput
-// in BENCH_sim.json.
+// decryption. It tracks the throughput of a non-default engine setting,
+// one with no units for requests to wait on, in BENCH_sim.json.
 func BenchmarkSingleRunMcfEngineBipBip(b *testing.B) {
 	eng, err := ParseEngine("bipbip")
 	if err != nil {

@@ -113,10 +113,10 @@ type (
 	FaultKind = faults.Kind
 	// FaultStats is the injector's per-class injection/detection ledger.
 	FaultStats = faults.Stats
-	// EngineModel is the timing contract a cipher-engine model satisfies;
-	// Config.Engine selects one by spec and Machine.Engine exposes the
-	// built instance.
-	EngineModel = cryptoengine.EngineModel
+	// Engine is the cipher engine's timing model, one pool of units for
+	// every model; Config.Engine selects one by spec and Machine.Engine
+	// exposes the built instance.
+	Engine = cryptoengine.Engine
 	// EngineSpec names a cipher-engine model plus its timing parameters
 	// ("aes", "sealer", "bipbip" with lat/issue/banks knobs). The zero
 	// value is the paper's default pipelined AES.

@@ -24,7 +24,7 @@ func newCore(t *testing.T, src string, scheme predictor.Scheme) (*Core, *mem.Mem
 	image := mem.New()
 	image.WriteBytes(prog.Base, prog.Bytes())
 	d := dram.New(dram.DefaultConfig())
-	e := cryptoengine.NewAES(cryptoengine.DefaultSpec())
+	e, _ := cryptoengine.New(cryptoengine.DefaultSpec()) // the default spec always builds
 	ks := ctr.NewKeystream(key)
 	p := predictor.New(predictor.DefaultConfig(scheme))
 	ctrl := secmem.New(secmem.DefaultConfig(), d, e, ks, p, image)

@@ -20,21 +20,12 @@ func conformanceSpecs() []Spec {
 	}
 }
 
-func newConformanceModel(t *testing.T, spec Spec) EngineModel {
-	t.Helper()
-	m, err := NewModel(spec)
-	if err != nil {
-		t.Fatalf("NewModel(%v): %v", spec, err)
-	}
-	return m
-}
-
 // forEachModel runs fn once per conformance spec, as a subtest named by
 // the spec's canonical string.
-func forEachModel(t *testing.T, fn func(t *testing.T, m EngineModel)) {
+func forEachModel(t *testing.T, fn func(t *testing.T, m *Engine)) {
 	for _, spec := range conformanceSpecs() {
 		t.Run(spec.String(), func(t *testing.T) {
-			fn(t, newConformanceModel(t, spec))
+			fn(t, newEngine(t, spec))
 		})
 	}
 }
@@ -42,7 +33,7 @@ func forEachModel(t *testing.T, fn func(t *testing.T, m EngineModel)) {
 // TestConformanceMonotoneReady: with non-decreasing request times, every
 // model's ready cycles are non-decreasing and strictly after the request.
 func TestConformanceMonotoneReady(t *testing.T) {
-	forEachModel(t, func(t *testing.T, m EngineModel) {
+	forEachModel(t, func(t *testing.T, m *Engine) {
 		nows := []uint64{0, 0, 0, 5, 5, 6, 100, 100, 100, 100, 10_000}
 		var prev uint64
 		for i, now := range nows {
@@ -62,7 +53,7 @@ func TestConformanceMonotoneReady(t *testing.T) {
 // cycle are served in issue order — interleaving classes and the
 // single-request and guess-burst entry points must not reorder service.
 func TestConformanceReservationOrder(t *testing.T) {
-	forEachModel(t, func(t *testing.T, m EngineModel) {
+	forEachModel(t, func(t *testing.T, m *Engine) {
 		var readies []uint64
 		for i := 0; i < 12; i++ {
 			var r uint64
@@ -88,7 +79,7 @@ func TestConformanceReservationOrder(t *testing.T) {
 // TestConformanceIssuedAccounting: Stats.Issued tracks every entry point
 // per class, including one prediction per guess of a speculative burst.
 func TestConformanceIssuedAccounting(t *testing.T) {
-	forEachModel(t, func(t *testing.T, m EngineModel) {
+	forEachModel(t, func(t *testing.T, m *Engine) {
 		guesses := []uint64{7, 8, 9, 10}
 		m.ScheduleGuesses(0, guesses, 9)
 		m.ScheduleGuesses(50, guesses, 1) // no match
@@ -118,7 +109,7 @@ func TestConformanceIssuedAccounting(t *testing.T) {
 // QueueWait sample per request, speculative guesses included, and the
 // samples add up to StallCycles.
 func TestConformanceQueueWaitMatchesStalls(t *testing.T) {
-	forEachModel(t, func(t *testing.T, m EngineModel) {
+	forEachModel(t, func(t *testing.T, m *Engine) {
 		guesses := []uint64{1, 2, 3, 4, 5, 6}
 		m.ScheduleOnly(10, ClassDemand)
 		m.ScheduleGuesses(10, guesses, 4)
@@ -137,7 +128,7 @@ func TestConformanceQueueWaitMatchesStalls(t *testing.T) {
 // first guess equal to the true counter with a nonzero ready cycle, and
 // (-1, 0) on a miss or an empty burst, under every model.
 func TestConformanceGuessSemantics(t *testing.T) {
-	forEachModel(t, func(t *testing.T, m EngineModel) {
+	forEachModel(t, func(t *testing.T, m *Engine) {
 		guesses := []uint64{3, 4, 5, 6}
 		idx, ready := m.ScheduleGuesses(0, guesses, 5)
 		if idx != 2 || ready == 0 {
@@ -155,7 +146,7 @@ func TestConformanceGuessSemantics(t *testing.T) {
 // TestConformanceZeroAlloc: the per-L2-miss entry points must not
 // allocate under any model (they run once per miss and per eviction).
 func TestConformanceZeroAlloc(t *testing.T) {
-	forEachModel(t, func(t *testing.T, m EngineModel) {
+	forEachModel(t, func(t *testing.T, m *Engine) {
 		guesses := []uint64{1, 2, 3, 4, 5}
 		var now uint64
 		if n := testing.AllocsPerRun(100, func() {
@@ -177,7 +168,7 @@ func TestConformanceZeroAlloc(t *testing.T) {
 // model was built from, and ParseEngine(String()) round-trips it.
 func TestConformanceSpecRoundTrip(t *testing.T) {
 	for _, spec := range conformanceSpecs() {
-		m := newConformanceModel(t, spec)
+		m := newEngine(t, spec)
 		want := spec.Normalized()
 		if got := m.Spec(); got != want {
 			t.Errorf("Spec() = %+v, want %+v", got, want)
@@ -227,8 +218,8 @@ func TestParseEngine(t *testing.T) {
 	if _, err := ParseEngine("aes:banks=4"); errors.Is(err, ErrUnknownEngine) {
 		t.Error("bad parameter error should not report an unknown engine")
 	}
-	if _, err := NewModel(Spec{Model: "quantum"}); !errors.Is(err, ErrUnknownEngine) {
-		t.Errorf("NewModel(quantum) = %v, want errors.Is(err, ErrUnknownEngine)", err)
+	if _, err := New(Spec{Model: "quantum"}); !errors.Is(err, ErrUnknownEngine) {
+		t.Errorf("New(quantum) = %v, want errors.Is(err, ErrUnknownEngine)", err)
 	}
 }
 
@@ -236,7 +227,7 @@ func TestParseEngine(t *testing.T) {
 // same-cycle requests at full latency each, and request B+1 waits for
 // the earliest bank.
 func TestSealerTiming(t *testing.T) {
-	s := NewSealer(Spec{Model: ModelSealer, Banks: 2, LatencyCycles: 10})
+	s := newEngine(t, Spec{Model: ModelSealer, Banks: 2, LatencyCycles: 10})
 	if r := s.ScheduleOnly(100, ClassDemand); r != 110 {
 		t.Fatalf("bank 0 ready at %d, want 110", r)
 	}
@@ -258,7 +249,7 @@ func TestSealerTiming(t *testing.T) {
 // TestBipBipTiming pins the low-latency model: fixed latency, no
 // contention, and speculative bursts bypassed for free.
 func TestBipBipTiming(t *testing.T) {
-	b := NewBipBip(Spec{Model: ModelBipBip, LatencyCycles: 4})
+	b := newEngine(t, Spec{Model: ModelBipBip, LatencyCycles: 4})
 	for i := 0; i < 10; i++ {
 		if r := b.ScheduleOnly(100, ClassDemand); r != 104 {
 			t.Fatalf("request %d ready at %d, want 104 (no contention ever)", i, r)

@@ -7,10 +7,19 @@ import (
 	"ctrpred/internal/rng"
 )
 
-func newEngine(spec Spec) *Engine { return NewAES(spec) }
+// newEngine builds spec's engine; a spec with no model names the
+// default pipelined AES.
+func newEngine(t testing.TB, spec Spec) *Engine {
+	t.Helper()
+	e, err := New(spec)
+	if err != nil {
+		t.Fatalf("New(%v): %v", spec, err)
+	}
+	return e
+}
 
 func TestLatency(t *testing.T) {
-	e := newEngine(Spec{LatencyCycles: 96, IssuePerCycle: 1})
+	e := newEngine(t, Spec{LatencyCycles: 96, IssuePerCycle: 1})
 	if ready := e.ScheduleOnly(100, ClassDemand); ready != 196 {
 		t.Fatalf("ready = %d, want 196", ready)
 	}
@@ -19,7 +28,7 @@ func TestLatency(t *testing.T) {
 func TestPipelinedIssue(t *testing.T) {
 	// Back-to-back requests at the same cycle issue on consecutive cycles
 	// (1/cycle) and finish one cycle apart: the pipeline overlaps them.
-	e := newEngine(Spec{LatencyCycles: 10, IssuePerCycle: 1})
+	e := newEngine(t, Spec{LatencyCycles: 10, IssuePerCycle: 1})
 	var readies []uint64
 	for i := 0; i < 4; i++ {
 		readies = append(readies, e.ScheduleOnly(0, ClassPrediction))
@@ -35,7 +44,7 @@ func TestPipelinedIssue(t *testing.T) {
 }
 
 func TestMultiIssue(t *testing.T) {
-	e := newEngine(Spec{LatencyCycles: 10, IssuePerCycle: 2})
+	e := newEngine(t, Spec{LatencyCycles: 10, IssuePerCycle: 2})
 	var readies []uint64
 	for i := 0; i < 4; i++ {
 		readies = append(readies, e.ScheduleOnly(0, ClassPrediction))
@@ -55,7 +64,7 @@ func TestMultiIssue(t *testing.T) {
 // two requests arriving at 50 share that cycle's remaining slot and the
 // next cycle's, rather than starting at 50.
 func TestMultiIssueOutOfOrder(t *testing.T) {
-	e := newEngine(Spec{LatencyCycles: 10, IssuePerCycle: 2})
+	e := newEngine(t, Spec{LatencyCycles: 10, IssuePerCycle: 2})
 	var readies []uint64
 	for _, now := range []uint64{100, 50, 50} {
 		readies = append(readies, e.ScheduleOnly(now, ClassDemand))
@@ -66,7 +75,7 @@ func TestMultiIssueOutOfOrder(t *testing.T) {
 }
 
 func TestIdleEngineAcceptsImmediately(t *testing.T) {
-	e := newEngine(Spec{LatencyCycles: 5, IssuePerCycle: 1})
+	e := newEngine(t, Spec{LatencyCycles: 5, IssuePerCycle: 1})
 	r1 := e.ScheduleOnly(0, ClassDemand)
 	r2 := e.ScheduleOnly(1000, ClassDemand)
 	if r1 != 5 || r2 != 1005 {
@@ -78,7 +87,7 @@ func TestIdleEngineAcceptsImmediately(t *testing.T) {
 }
 
 func TestClassAccounting(t *testing.T) {
-	e := newEngine(Spec{LatencyCycles: 1, IssuePerCycle: 4})
+	e := newEngine(t, Spec{LatencyCycles: 1, IssuePerCycle: 4})
 	e.ScheduleOnly(0, ClassPrediction)
 	e.ScheduleOnly(0, ClassPrediction)
 	e.ScheduleOnly(0, ClassDemand)
@@ -101,7 +110,7 @@ func TestClassAccounting(t *testing.T) {
 // with identical Stats, QueueWait histogram included.
 func TestBatchedGuessesMatchOneAtATime(t *testing.T) {
 	spec := Spec{LatencyCycles: 96, IssuePerCycle: 1}
-	batched, single := newEngine(spec), newEngine(spec)
+	batched, single := newEngine(t, spec), newEngine(t, spec)
 	r := rng.New(0xba7c4ed)
 	var now uint64
 	for i := 0; i < 5000; i++ {
@@ -142,21 +151,22 @@ func TestBatchedGuessesMatchOneAtATime(t *testing.T) {
 }
 
 func TestScheduleOnlyTiming(t *testing.T) {
-	e := newEngine(Spec{LatencyCycles: 7, IssuePerCycle: 1})
+	e := newEngine(t, Spec{LatencyCycles: 7, IssuePerCycle: 1})
 	if r := e.ScheduleOnly(3, ClassDemand); r != 10 {
 		t.Fatalf("ready = %d, want 10", r)
 	}
 }
 
-// TestDefaultsApplied builds each model from the zero spec: it gets its
+// TestDefaultsApplied builds each model from its zero spec: it gets its
 // own model's defaults, and the AES pipe's are Table 1's.
 func TestDefaultsApplied(t *testing.T) {
-	if e := newEngine(Spec{}); e.Spec() != DefaultSpec() {
+	if e := newEngine(t, Spec{}); e.Spec() != DefaultSpec() {
 		t.Fatalf("aes defaults not applied: %+v", e.Spec())
 	}
-	for _, m := range []EngineModel{NewSealer(Spec{}), NewBipBip(Spec{})} {
-		if want := (Spec{Model: m.Stats().Model}).Normalized(); m.Spec() != want {
-			t.Errorf("%s from the zero spec: %+v, want %+v", want.Model, m.Spec(), want)
+	for _, model := range []string{ModelSealer, ModelBipBip} {
+		want := Spec{Model: model}.Normalized()
+		if got := newEngine(t, Spec{Model: model}).Spec(); got != want {
+			t.Errorf("%s from the zero spec: %+v, want %+v", model, got, want)
 		}
 	}
 }

@@ -1,22 +1,3 @@
-// Engine models. The paper fixes one crypto engine — the fully
-// pipelined 96-cycle AES of Table 1 — but the question its Figure 7
-// begs is how much of prediction's win survives a different engine.
-// EngineModel is the timing-only contract the memory controller
-// programs against; Spec names a model plus its timing parameters and
-// is what configs, fingerprints, CLIs and the job server carry.
-//
-// Three models ship:
-//
-//   - aes: the paper's pipelined AES (the default; Engine in engine.go).
-//   - sealer: banked non-pipelined wide units, in the style of in-SRAM
-//     AES macros — high per-request latency amortized across banks.
-//   - bipbip: a low-latency tweakable block cipher decrypting on fetch,
-//     so speculative pads buy nothing; predictions become free no-ops.
-//
-// Models are timing-only: the controller draws pad bits from its own
-// ctr.Keystream, so decryption stays real under every model and results
-// differ only in timing. The three share their accounting (base); each
-// decides only when a request starts and how it books a guess burst.
 package cryptoengine
 
 import (
@@ -25,61 +6,7 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-
-	"ctrpred/internal/stats"
 )
-
-// EngineModel is the timing contract between the memory controller and
-// a cipher engine: reserve issue slots, report ready cycles, account
-// activity. Pad bits come from the controller's ctr.Keystream, never
-// from the model, so a model shapes when data is ready, never what it
-// decrypts to.
-type EngineModel interface {
-	// ScheduleOnly books one request and returns its ready cycle.
-	ScheduleOnly(now uint64, class Class) uint64
-	// ScheduleGuesses books one prediction-class request per guess and
-	// returns the index of the first guess equal to trueSeq (-1 if
-	// none) plus that guess's ready cycle (0 if none).
-	ScheduleGuesses(now uint64, guesses []uint64, trueSeq uint64) (matchIdx int, padReady uint64)
-	// Stats returns a copy of the accumulated accounting.
-	Stats() Stats
-	// Spec returns the normalized spec the model was built from.
-	Spec() Spec
-}
-
-// base is what the three models share: the normalized spec and the
-// accounting of every request.
-type base struct {
-	spec  Spec
-	stats Stats
-}
-
-// newBase normalizes spec as a spec of model and starts its accounting.
-func newBase(model string, spec Spec) base {
-	spec.Model = model
-	b := base{spec: spec.Normalized()}
-	b.stats.QueueWait = stats.NewHistogram(0, 1, 2, 4, 8, 16, 32, 64, 128)
-	b.stats.Model = b.spec.Model
-	b.stats.Banks = b.spec.Banks
-	return b
-}
-
-// Spec returns the normalized spec the model was built from.
-func (b *base) Spec() Spec { return b.spec }
-
-// Stats returns a copy of the accumulated statistics.
-func (b *base) Stats() Stats { return b.stats }
-
-// book accounts one request of class that arrived at now and starts at
-// start, and returns the cycle it is ready.
-func (b *base) book(class Class, now, start uint64) uint64 {
-	b.stats.Issued[class]++
-	b.stats.StallCycles += start - now
-	b.stats.QueueWait.Observe(start - now)
-	ready := start + b.spec.LatencyCycles
-	b.stats.LastBusy = max(b.stats.LastBusy, ready)
-	return ready
-}
 
 // Model names accepted by Spec and ParseEngine.
 const (
@@ -88,7 +15,7 @@ const (
 	ModelBipBip = "bipbip"
 )
 
-// ErrUnknownEngine is wrapped by ParseEngine and NewModel when the spec
+// ErrUnknownEngine is wrapped by ParseEngine and New when the spec
 // names no known engine model; callers branch with errors.Is instead of
 // matching message substrings.
 var ErrUnknownEngine = errors.New("unknown engine")
@@ -112,7 +39,7 @@ type Spec struct {
 	Banks int `json:"banks,omitempty"`
 }
 
-// Model defaults, shared by Normalized and the constructors.
+// Model defaults, applied by Normalized.
 const (
 	defaultAESLatency    = 96
 	defaultSealerLatency = 128
@@ -128,7 +55,7 @@ func DefaultSpec() Spec {
 
 // Normalized fills model defaults and zeroes fields the model ignores,
 // so equal timing behavior hashes to equal bytes. Unknown model names
-// pass through untouched; NewModel rejects them.
+// pass through untouched; New rejects them.
 func (s Spec) Normalized() Spec {
 	if s.Model == "" {
 		s.Model = ModelAES
@@ -241,19 +168,4 @@ func keyList(keys map[string]bool) string {
 	}
 	sort.Strings(names)
 	return strings.Join(names, ", ")
-}
-
-// NewModel builds the engine model the spec names. Unknown model names
-// return an error wrapping ErrUnknownEngine.
-func NewModel(spec Spec) (EngineModel, error) {
-	spec = spec.Normalized()
-	switch spec.Model {
-	case ModelAES:
-		return NewAES(spec), nil
-	case ModelSealer:
-		return NewSealer(spec), nil
-	case ModelBipBip:
-		return NewBipBip(spec), nil
-	}
-	return nil, fmt.Errorf("%w %q (want aes, sealer, bipbip)", ErrUnknownEngine, spec.Model)
 }

@@ -89,7 +89,7 @@ func Figure4Timeline(ctx context.Context, opt Options) (Result, error) {
 	for _, sc := range scenarios {
 		image := mem.New()
 		d := dram.New(dram.DefaultConfig())
-		e, err := cryptoengine.NewModel(opt.Engine)
+		e, err := cryptoengine.New(opt.Engine)
 		if err != nil {
 			return Result{}, err
 		}

@@ -17,7 +17,7 @@ func newSys(t *testing.T, cfg Config, scheme predictor.Scheme) (*System, *mem.Me
 	key[0] = 7
 	image := mem.New()
 	d := dram.New(dram.DefaultConfig())
-	e := cryptoengine.NewAES(cryptoengine.DefaultSpec())
+	e, _ := cryptoengine.New(cryptoengine.DefaultSpec()) // the default spec always builds
 	ks := ctr.NewKeystream(key)
 	p := predictor.New(predictor.DefaultConfig(scheme))
 	ctrl := secmem.New(secmem.DefaultConfig(), d, e, ks, p, image)
@@ -283,7 +283,7 @@ func TestContextSwitchInvalidatesSeqCache(t *testing.T) {
 	var key [32]byte
 	image := mem.New()
 	d := dram.New(dram.DefaultConfig())
-	e := cryptoengine.NewAES(cryptoengine.DefaultSpec())
+	e, _ := cryptoengine.New(cryptoengine.DefaultSpec()) // the default spec always builds
 	ks := ctr.NewKeystream(key)
 	p := predictor.New(predictor.DefaultConfig(predictor.SchemeNone))
 	scfg := secmem.DefaultConfig()

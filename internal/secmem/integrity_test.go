@@ -124,7 +124,7 @@ func newDirectRig() *rig {
 	key[0] = 0x42
 	image := mem.New()
 	d := dram.New(dram.DefaultConfig())
-	e := cryptoengine.NewAES(cryptoengine.DefaultSpec())
+	e, _ := cryptoengine.New(cryptoengine.DefaultSpec()) // the default spec always builds
 	ks := ctr.NewKeystream(key)
 	p := predictor.New(predictor.DefaultConfig(predictor.SchemeNone))
 	cfg := DefaultConfig()

@@ -189,7 +189,7 @@ type Controller struct {
 	cfg     Config
 	dram    *dram.DRAM
 	seqDRAM *dram.DRAM // counter-table channel
-	engine  cryptoengine.EngineModel
+	engine  *cryptoengine.Engine
 	ks      *ctr.Keystream // the source of every pad bit
 	pred    *predictor.Predictor
 	image   *mem.Memory // architectural plaintext
@@ -277,7 +277,7 @@ type pair struct {
 // supplies their bits. pred must be non-nil (use predictor.SchemeNone
 // for designs without prediction — the predictor still owns per-page
 // roots and counter assignment).
-func New(cfg Config, d *dram.DRAM, e cryptoengine.EngineModel, ks *ctr.Keystream, pred *predictor.Predictor, image *mem.Memory) *Controller {
+func New(cfg Config, d *dram.DRAM, e *cryptoengine.Engine, ks *ctr.Keystream, pred *predictor.Predictor, image *mem.Memory) *Controller {
 	if pred == nil {
 		panic("secmem: predictor must not be nil")
 	}

@@ -20,7 +20,7 @@ func newRig(scheme predictor.Scheme, seqCacheBytes int, oracle bool) *rig {
 	key[0] = 0x42
 	image := mem.New()
 	d := dram.New(dram.DefaultConfig())
-	e := cryptoengine.NewAES(cryptoengine.DefaultSpec())
+	e, _ := cryptoengine.New(cryptoengine.DefaultSpec()) // the default spec always builds
 	ks := ctr.NewKeystream(key)
 	p := predictor.New(predictor.DefaultConfig(scheme))
 	cfg := DefaultConfig()
@@ -340,7 +340,7 @@ func TestCounterTableClearOfData(t *testing.T) {
 	var key [32]byte
 	image := mem.New()
 	d := dram.New(dram.DefaultConfig())
-	e := cryptoengine.NewAES(cryptoengine.DefaultSpec())
+	e, _ := cryptoengine.New(cryptoengine.DefaultSpec()) // the default spec always builds
 	ks := ctr.NewKeystream(key)
 	p := predictor.New(predictor.DefaultConfig(predictor.SchemeNone))
 	c := New(Config{SelfCheck: true}, d, e, ks, p, image)

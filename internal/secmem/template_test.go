@@ -68,7 +68,7 @@ func (s *agedSetup) controller(cfg Config) *Controller {
 func (s *agedSetup) controllerOn(cfg Config, d *dram.DRAM) *Controller {
 	p := predictor.New(predictor.DefaultConfig(predictor.SchemeRegular))
 	s.visit(func(la, _ uint64) { p.Root(la) })
-	e := cryptoengine.NewAES(cryptoengine.DefaultSpec())
+	e, _ := cryptoengine.New(cryptoengine.DefaultSpec()) // the default spec always builds
 	ks := ctr.NewKeystream(s.key)
 	return New(cfg, d, e, ks, p, mem.NewView(s.image))
 }

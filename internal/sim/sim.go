@@ -283,7 +283,7 @@ type Machine struct {
 type side struct {
 	Ctrl   *secmem.Controller
 	Pred   *predictor.Predictor
-	Engine cryptoengine.EngineModel
+	Engine *cryptoengine.Engine
 	DRAM   *dram.DRAM
 	// Faults is the armed adversary, or nil for clean memory.
 	Faults *faults.Injector
@@ -411,7 +411,7 @@ func newSide(cfg Config, tmpl *machineTemplate, image *mem.Memory) (*side, error
 // channel d, attaches tree when it is non-nil and arms cfg's fault plan.
 // The side's off-chip state starts empty.
 func wireSide(cfg Config, d *dram.DRAM, tree *integrity.Tree, image *mem.Memory) (*side, error) {
-	engine, err := cryptoengine.NewModel(cfg.Engine)
+	engine, err := cryptoengine.New(cfg.Engine)
 	if err != nil {
 		return nil, err
 	}
