@@ -12,7 +12,9 @@
 // Each experiment's benchmark × scheme grid runs across -j workers
 // (default: one per CPU); results are assembled in input order, so the
 // output is byte-identical to -j 1 for the same seed. Per-simulation
-// progress lines go to stderr (suppress with -progress=false).
+// progress lines and each experiment's wall-clock time go to stderr
+// (suppress both with -progress=false), so stdout depends only on the
+// flags.
 //
 // Ctrl-C cancels cleanly: in-flight simulations stop at their next
 // instruction checkpoint and the error reports which grid cells had
@@ -129,7 +131,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if res.Notes != "" {
 			fmt.Fprintf(stdout, "paper shape: %s\n", res.Notes)
 		}
-		fmt.Fprintf(stdout, "(%s regenerated in %.1fs)\n\n", res.ID, time.Since(start).Seconds())
+		fmt.Fprintln(stdout)
+		if *progress {
+			fmt.Fprintf(stderr, "(%s regenerated in %.1fs)\n", res.ID, time.Since(start).Seconds())
+		}
 		if *metrics != "" {
 			root.Children = append(root.Children, res.Snapshot())
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -76,6 +77,40 @@ func TestMetricsMatchesByID(t *testing.T) {
 	}
 	if !strings.HasPrefix(stdout, res.Table.String()) {
 		t.Fatalf("stdout does not open with the figure's table:\n%.400s", stdout)
+	}
+}
+
+// TestStdoutIsByID: stdout carries each experiment's table and notes as
+// experiments.ByID returns them, and nothing that varies from run to
+// run; the wall-clock time of each experiment goes to stderr with the
+// progress lines.
+func TestStdoutIsByID(t *testing.T) {
+	ids := []string{"table1", "fig7"}
+	args := []string{"-exp", strings.Join(ids, ","), "-bench", "mcf,gzip", "-instr", "5000", "-footprint", "64K"}
+	code, stdout, stderr := cli(t, append(args, "-progress=false")...)
+	if code != 0 {
+		t.Fatalf("exit %d\nstderr:\n%s", code, stderr)
+	}
+	if stderr != "" {
+		t.Errorf("-progress=false wrote to stderr:\n%s", stderr)
+	}
+	var want strings.Builder
+	for _, id := range ids {
+		res, err := experiments.ByID(context.Background(), id, experiments.Options{
+			Scale:      workload.Scale{Footprint: 64 << 10, Instructions: 5_000},
+			Benchmarks: []string{"mcf", "gzip"},
+			Seed:       1,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fmt.Fprintf(&want, "%s\npaper shape: %s\n\n", res.Table, res.Notes)
+	}
+	if stdout != want.String() {
+		t.Fatalf("stdout is not ByID's tables and notes\ngot:\n%s\nwant:\n%s", stdout, want.String())
+	}
+	if _, _, stderr := cli(t, args...); !strings.Contains(stderr, "(Figure 7 regenerated in ") {
+		t.Errorf("progress stderr lacks Figure 7's timing line:\n%s", stderr)
 	}
 }
 
