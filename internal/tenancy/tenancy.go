@@ -85,11 +85,11 @@ type TenantReport struct {
 	// Fetches is the number of latency samples behind the percentiles.
 	Fetches uint64
 	// Slices and Switches count the tenant's timeslices and the
-	// switch-in disturbances it absorbed; SeqCacheInvalidations and
-	// PredictorFlushes split the disturbance by structure.
-	Slices, Switches      uint64
-	SeqCacheInvalidations uint64
-	PredictorFlushes      uint64
+	// switch-in disturbances it absorbed; PredictorFlushes counts the
+	// switches that also flushed its predictor (none when the scenario
+	// retains predictors).
+	Slices, Switches uint64
+	PredictorFlushes uint64
 	// MeetsSLO reports whether this tenant satisfied every declared
 	// bound.
 	MeetsSLO bool
@@ -180,9 +180,6 @@ func Run(ctx context.Context, cfg Config) (Report, error) {
 			// apply the switch-in disturbance before its slice.
 			machines[t].SwitchIn(cfg.RetainPredictor)
 			tr.Switches++
-			if cfg.Tenants[t].Config.Scheme.SeqCacheBytes > 0 {
-				tr.SeqCacheInvalidations++
-			}
 			if !cfg.RetainPredictor {
 				tr.PredictorFlushes++
 			}
@@ -300,7 +297,6 @@ func (r Report) Snapshot() *stats.Snapshot {
 		c.Counter("fetch_samples", tr.Fetches)
 		c.Counter("slices", tr.Slices)
 		c.Counter("switches", tr.Switches)
-		c.Counter("seqcache_invalidations", tr.SeqCacheInvalidations)
 		c.Counter("predictor_flushes", tr.PredictorFlushes)
 	}
 	return n

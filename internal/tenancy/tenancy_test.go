@@ -100,11 +100,8 @@ func TestRunReportShape(t *testing.T) {
 			t.Errorf("tenant %d (%s): completion %d outside (0, %d]", i, tr.Bench, tr.CompletionCycles, rep.GlobalCycles)
 		}
 	}
-	// The seqcache tenant must see invalidations; the flush policy is
-	// off by default, so predictor flushes must be counted on switches.
-	if rep.Tenants[0].SeqCacheInvalidations == 0 {
-		t.Error("seqcache tenant recorded no invalidations despite switches")
-	}
+	// Predictors are not retained by default, so every switch flushes
+	// the switched-in tenant's predictor.
 	if rep.Tenants[1].PredictorFlushes != rep.Tenants[1].Switches {
 		t.Errorf("flush-policy accounting: %d flushes vs %d switches",
 			rep.Tenants[1].PredictorFlushes, rep.Tenants[1].Switches)
