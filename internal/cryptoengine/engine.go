@@ -144,6 +144,7 @@ func New(spec Spec) (*Engine, error) {
 	case ModelSealer:
 		e.units, e.hold = make([]unit, spec.Banks), spec.LatencyCycles
 	case ModelBipBip:
+		// No units: every request starts the cycle it arrives.
 	default:
 		return nil, fmt.Errorf("%w %q (want aes, sealer, bipbip)", ErrUnknownEngine, spec.Model)
 	}
@@ -179,7 +180,8 @@ func (e *Engine) start(now uint64) uint64 {
 		u.free, u.started = now, 0
 	}
 	start := u.free
-	if u.started++; u.started >= e.width {
+	u.started++
+	if u.started >= e.width {
 		u.free, u.started = start+e.hold, 0
 	}
 	return start
@@ -205,30 +207,35 @@ func (e *Engine) ScheduleOnly(now uint64, class Class) uint64 {
 // StallCycles, LastBusy, QueueWait) is that of one ScheduleOnly per
 // guess, in guess order.
 func (e *Engine) ScheduleGuesses(now uint64, guesses []uint64, trueSeq uint64) (matchIdx int, padReady uint64) {
-	matchIdx = -1
-	if len(e.units) != 1 || e.width != 1 || e.hold != 1 || len(guesses) == 0 {
-		for i, g := range guesses {
-			ready := e.ScheduleOnly(now, ClassPrediction)
-			if matchIdx < 0 && g == trueSeq {
-				matchIdx, padReady = i, ready
-			}
-		}
-		return matchIdx, padReady
+	if len(e.units) == 1 && e.width == 1 && e.hold == 1 && len(guesses) > 0 {
+		return e.burst(now, guesses, trueSeq)
 	}
-	// A single-issue pipeline takes the burst on consecutive cycles, so
-	// the i-th guess waits one cycle longer than its predecessor and the
-	// whole burst books with a few arithmetic updates.
+	matchIdx = -1
+	for i, g := range guesses {
+		ready := e.ScheduleOnly(now, ClassPrediction)
+		if matchIdx < 0 && g == trueSeq {
+			matchIdx, padReady = i, ready
+		}
+	}
+	return matchIdx, padReady
+}
+
+// burst is ScheduleGuesses on a single-issue pipeline, which takes the
+// burst on consecutive cycles: the i-th guess waits one cycle longer
+// than its predecessor, so the whole burst books with a few arithmetic
+// updates instead of one reservation per guess.
+func (e *Engine) burst(now uint64, guesses []uint64, trueSeq uint64) (matchIdx int, padReady uint64) {
 	u := &e.units[0]
-	start0 := max(now, u.free)
-	n, wait := uint64(len(guesses)), start0-now
-	u.free = start0 + n
+	start := max(now, u.free)
+	n, wait := uint64(len(guesses)), start-now
+	u.free = start + n
 	e.stats.Issued[ClassPrediction] += n
 	e.stats.StallCycles += wait*n + n*(n-1)/2
 	e.stats.QueueWait.ObserveRange(wait, n)
 	e.stats.LastBusy = max(e.stats.LastBusy, u.free-1+e.spec.LatencyCycles)
 	for i, g := range guesses {
 		if g == trueSeq {
-			return i, start0 + uint64(i) + e.spec.LatencyCycles
+			return i, start + uint64(i) + e.spec.LatencyCycles
 		}
 	}
 	return -1, 0
