@@ -67,9 +67,9 @@ purego:
 # a node's run and a cluster merge share; OracleCells and StudiesAverage
 # run the performance-mode grids (the oracle-normalized figures and
 # studies, integrity) through the pool. cryptoengine rides
-# along (it is cheap) so the engine-model conformance suite runs under
-# the race detector too — engine models are shared state inside every
-# concurrently-run machine of a sweep.
+# along (it is cheap) so its conformance suite runs under the race
+# detector too. An engine belongs to one machine and is never shared,
+# so the sweeps' concurrent machines never touch the same one.
 race:
 	$(GO) test -race ./internal/runpool ./internal/server ./internal/cryptoengine ./internal/cluster ./internal/chaos ./internal/tenancy
 	$(GO) test -race ./internal/experiments -run 'Parallel|SweepProgress|SweepError|SweepCancel|SweepPreCancelled|SimTimeout|OracleCells|StudiesAverage|EnginesDeterministic|TenantsDeterministic|CapacityDeterministic|MergeParts'

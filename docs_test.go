@@ -2,7 +2,8 @@
 // that exist, and the two package maps — DESIGN.md §2 and the code block
 // under README.md's Architecture heading — list every one. A deleted or
 // renamed package has to leave the docs with it, and a new one has to be
-// entered in both maps.
+// entered in both maps. README.md's cipher-engine table is held to the
+// engine spec grammar the same way.
 package ctrpred
 
 import (
@@ -10,8 +11,11 @@ import (
 	"path/filepath"
 	"regexp"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
+
+	"ctrpred/internal/cryptoengine"
 )
 
 // pkgRef matches a package directory named in prose: internal/x, cmd/x
@@ -92,6 +96,62 @@ func TestDocsModulesColumnNamesPackages(t *testing.T) {
 	}
 	if checked == 0 {
 		t.Fatal("DESIGN.md §6's Modules column names no package")
+	}
+}
+
+// engineParam matches one entry of README.md's engine table's
+// Parameters column: a backticked key and the leading digits of its
+// default, e.g. `lat` (96).
+var engineParam = regexp.MustCompile("`([a-z]+)` \\(([0-9]+)")
+
+// TestDocsEngineTable holds README.md's cipher-engine table to the spec
+// grammar: each model's row lists exactly the parameters ParseEngine
+// accepts for it, each with the default Spec.Normalized fills in.
+func TestDocsEngineTable(t *testing.T) {
+	section := between(t, "README.md", readDoc(t, "README.md"), "\n## Cipher-engine models", "\n## ")
+	col := -1
+	var models []string
+	for _, line := range strings.Split(section, "\n") {
+		if !strings.HasPrefix(line, "|") {
+			continue
+		}
+		cells := strings.Split(line, "|")
+		if col < 0 {
+			col = slices.IndexFunc(cells, func(c string) bool { return strings.HasPrefix(strings.TrimSpace(c), "Parameters") })
+			if col < 0 {
+				t.Fatal("README.md's engine table has no Parameters column")
+			}
+			continue
+		}
+		m := backticked.FindStringSubmatch(cells[1])
+		if m == nil || col >= len(cells) {
+			continue // the header's separator row
+		}
+		model := m[1]
+		models = append(models, model)
+		d := cryptoengine.Spec{Model: model}.Normalized()
+		defaults := map[string]uint64{"lat": d.LatencyCycles, "issue": uint64(d.IssuePerCycle), "banks": uint64(d.Banks)}
+		listed := map[string]string{}
+		for _, p := range engineParam.FindAllStringSubmatch(cells[col], -1) {
+			listed[p[1]] = p[2]
+		}
+		for key := range defaults {
+			_, err := cryptoengine.ParseEngine(model + ":" + key + "=1")
+			val, ok := listed[key]
+			delete(listed, key)
+			switch {
+			case ok != (err == nil):
+				t.Errorf("README.md's %s row lists %s: %v; ParseEngine(%q) accepts it: %v", model, key, ok, model+":"+key+"=1", err == nil)
+			case ok && val != strconv.FormatUint(defaults[key], 10):
+				t.Errorf("README.md's %s row gives %s a default of %s; Spec.Normalized gives %d", model, key, val, defaults[key])
+			}
+		}
+		for key := range listed {
+			t.Errorf("README.md's %s row lists %s, which is no engine parameter", model, key)
+		}
+	}
+	if want := []string{cryptoengine.ModelAES, cryptoengine.ModelSealer, cryptoengine.ModelBipBip}; !slices.Equal(models, want) {
+		t.Errorf("README.md's engine table has rows %v, want %v", models, want)
 	}
 }
 
