@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -371,6 +372,56 @@ func TestMiddlewareFaults(t *testing.T) {
 	resp, body, err = get(t, c, srv.URL)
 	if err != nil || resp.StatusCode != 200 || string(body) != payload {
 		t.Fatalf("request 4: resp=%v body=%q err=%v, want clean pass-through", resp, body, err)
+	}
+}
+
+// TestMiddlewareDropAndReset: a dropped request (a partition window or
+// a flap down window) never reaches the handler, and the client gets an
+// error; a reset request runs the handler exactly once, and the client
+// gets no intact body — the work happened, the answer was lost.
+func TestMiddlewareDropAndReset(t *testing.T) {
+	const payload = "payload"
+	for _, tc := range []struct {
+		name, sched string
+		before      int   // clean requests served ahead of the faulted one
+		runs        int64 // handler runs the faulted request makes
+	}{
+		{"partition", "partition:from=0,to=1", 0, 0},
+		{"flap-down", "flap:up=1,down=1", 1, 0},
+		{"reset", "reset:count=1", 0, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			// The handler runs on the server's goroutine.
+			var runs atomic.Int64
+			srv := httptest.NewServer(Middleware(New(mustParse(t, tc.sched), 1), http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				runs.Add(1)
+				io.WriteString(w, payload)
+			})))
+			defer srv.Close()
+			// Fresh connection per request, as in TestMiddlewareFaults: a
+			// retried request would both shift the injector's indices and
+			// run the handler twice.
+			tr := &http.Transport{DisableKeepAlives: true}
+			defer tr.CloseIdleConnections()
+			c := &http.Client{Transport: tr}
+
+			for i := range tc.before {
+				if _, body, err := get(t, c, srv.URL); err != nil || string(body) != payload {
+					t.Fatalf("request %d: body=%q err=%v, want clean pass-through", i, body, err)
+				}
+			}
+			served := runs.Load()
+			_, body, err := get(t, c, srv.URL)
+			if got := runs.Load() - served; got != tc.runs {
+				t.Errorf("%s: handler ran %d times, want %d", tc.sched, got, tc.runs)
+			}
+			if tc.runs == 0 && err == nil {
+				t.Errorf("%s: want an error for the dropped request, got body %q", tc.sched, body)
+			}
+			if err == nil && string(body) == payload {
+				t.Errorf("%s: response survived intact", tc.sched)
+			}
+		})
 	}
 }
 
