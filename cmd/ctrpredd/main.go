@@ -22,6 +22,12 @@
 //
 //	ctrpredd -addr :8847 -join http://localhost:8844
 //
+// A worker can misbehave on a seeded fault schedule (see
+// internal/chaos), injected on the requests it serves; a coordinator
+// refuses -chaos:
+//
+//	ctrpredd -addr :8845 -chaos 'latency:p=0.2,ms=500;err:p=0.1' -chaos-seed 7
+//
 // A first session:
 //
 //	curl -s localhost:8844/v1/benchmarks | jq '.[].name'
@@ -79,21 +85,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fanout    = fs.Int("fanout", 0, "coordinator: max in-flight experiment cells (0 = 2 per worker)")
 		journal   = fs.String("journal", "", "coordinator: sweep-journal file; completed experiment cells persist here and survive restarts")
 		localFB   = fs.Bool("local-fallback", true, "coordinator: run jobs in-process when every worker is down instead of failing")
-		chaosStr  = fs.String("chaos", "", `fault-injection schedule (see internal/chaos), e.g. "latency:p=0.2,ms=500;err:p=0.1"; a coordinator injects on its worker connections, a worker on its served requests`)
+		chaosStr  = fs.String("chaos", "", `fault-injection schedule (see internal/chaos), e.g. "latency:p=0.2,ms=500;err:p=0.1"; a worker injects on the requests it serves (not with -coordinator)`)
 		chaosSeed = fs.Uint64("chaos-seed", 1, "seed for the -chaos schedule's deterministic draws")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
-	}
-
-	var inj *chaos.Injector
-	if *chaosStr != "" {
-		sched, err := chaos.Parse(*chaosStr)
-		if err != nil {
-			fmt.Fprintf(stderr, "ctrpredd: -chaos: %v\n", err)
-			return 2
-		}
-		inj = chaos.New(sched, *chaosSeed)
 	}
 
 	if *coord {
@@ -103,6 +99,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		if *timeout != 0 || *pprofF {
 			fmt.Fprintln(stderr, `ctrpredd: -coordinator takes no -timeout or -pprof; bound a job with its own "timeout" field`)
+			return 2
+		}
+		if *chaosStr != "" {
+			fmt.Fprintln(stderr, "ctrpredd: -coordinator takes no -chaos; mount the schedule on the workers (ctrpredd -chaos ... on each)")
 			return 2
 		}
 		urls := splitURLs(*workers)
@@ -124,12 +124,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 			ccfg.Journal = j
 			fmt.Fprintf(stdout, "ctrpredd: sweep journal %s holds %d cell(s)\n", *journal, j.Len())
 		}
-		if inj != nil {
-			// The coordinator's side of chaos: every connection it makes to
-			// a worker runs through the fault-injecting transport.
-			ccfg.HTTPClient = &http.Client{Transport: chaos.NewTransport(nil, inj)}
-			fmt.Fprintf(stdout, "ctrpredd: injecting faults on worker connections: %s (seed %d)\n", *chaosStr, *chaosSeed)
-		}
 		c := cluster.New(ccfg)
 		fmt.Fprintf(stdout, "ctrpredd coordinator over %d worker(s)\n", len(urls))
 		return serveLoop(c.ServeHTTP, c.Shutdown, *addr, *drain, stdout, stderr)
@@ -139,6 +133,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		fmt.Fprintf(stderr, "ctrpredd: -workers: %v\n", err)
 		return 2
+	}
+	var inj *chaos.Injector
+	if *chaosStr != "" {
+		sched, err := chaos.Parse(*chaosStr)
+		if err != nil {
+			fmt.Fprintf(stderr, "ctrpredd: -chaos: %v\n", err)
+			return 2
+		}
+		inj = chaos.New(sched, *chaosSeed)
 	}
 	cfg := server.Config{
 		Workers: nWorkers, Backlog: *queue, CacheEntries: *cache,
@@ -151,8 +154,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	s := server.New(cfg)
 	handler := http.Handler(s)
 	if inj != nil {
-		// The worker's side of chaos: served requests fault before,
-		// during, or after the real handler runs.
+		// Served requests fault before, during, or after the real
+		// handler runs.
 		handler = chaos.Middleware(inj, s)
 		fmt.Fprintf(stdout, "ctrpredd: injecting faults on served requests: %s (seed %d)\n", *chaosStr, *chaosSeed)
 	}

@@ -76,11 +76,11 @@ func TestCoordinatorSmokeRejected(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRejectsNodeOnlyFlags: -timeout and -pprof configure a
-// single node's server; a coordinator must refuse them rather than
-// silently ignore them.
+// TestCoordinatorRejectsNodeOnlyFlags: -timeout, -pprof and -chaos
+// configure a single node's server; a coordinator must refuse them
+// rather than silently ignore them.
 func TestCoordinatorRejectsNodeOnlyFlags(t *testing.T) {
-	for _, flag := range [][]string{{"-timeout", "30s"}, {"-pprof"}} {
+	for _, flag := range [][]string{{"-timeout", "30s"}, {"-pprof"}, {"-chaos", "latency:ms=1"}} {
 		var out, errOut strings.Builder
 		// An unlistenable -addr: a coordinator that accepted the flag
 		// exits 1 at its listener instead of serving.

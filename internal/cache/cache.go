@@ -122,9 +122,6 @@ func New(cfg Config) *Cache {
 	return c
 }
 
-// Config returns the cache's configuration.
-func (c *Cache) Config() Config { return c.cfg }
-
 // Clone returns an independent copy of the cache: same lines, LRU order
 // and statistics.
 func (c *Cache) Clone() *Cache {

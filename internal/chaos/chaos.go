@@ -6,13 +6,13 @@
 // Where internal/faults attacks the *simulated* memory system, this
 // package attacks the *real* distributed system built in
 // internal/cluster — the adversary the ROADMAP's "production means
-// slow, flaky, lying networks" line asks for. Faults mount at either
-// end of a connection:
-//
-//   - Transport (client side): an http.RoundTripper wrapper perturbing
-//     requests the coordinator sends to workers
-//   - Middleware (server side): an http.Handler wrapper perturbing the
-//     responses a worker serves
+// slow, flaky, lying networks" line asks for. Faults mount at one place,
+// where a worker serves: Middleware wraps a worker's http.Handler and
+// perturbs the requests it serves and the responses it writes. The
+// coordinator cannot tell a fault injected there from the same fault on
+// the wire: a dropped request is a transport error, a lost reset answer
+// is recoverable from the worker's cache, and a corrupted or truncated
+// body fails the snapshot digest or the read.
 //
 // A Schedule is parsed from a compact grammar modeled on
 // faults.ParsePlan:
@@ -25,7 +25,7 @@
 //
 // Kinds and their parameters (beyond the common ones):
 //
-//	latency    add ms (+ up to jitter ms) of delay before dispatch
+//	latency    add ms (+ up to jitter ms) of delay before serving
 //	reset      process the request, then kill the connection so the
 //	           response is lost (the work happened; the answer didn't)
 //	err        short-circuit with an HTTP error (status, default 503)
@@ -308,7 +308,7 @@ func (r *Rule) validate() error {
 type Decision struct {
 	// Index is the request's arrival index at this injector (0-based).
 	Index uint64
-	// Delay is added latency before the request is dispatched/served.
+	// Delay is added latency before the request is served.
 	Delay time.Duration
 	// Drop refuses the request outright: the connection dies before any
 	// processing (a partitioned or down-flapping worker).
@@ -339,8 +339,8 @@ func (d Decision) Faulty() bool {
 }
 
 // Injector evaluates a Schedule deterministically. One injector owns
-// one request counter; mount the same injector in a Transport or a
-// Middleware, not both, or they will share the index stream.
+// one request counter: mounted on several workers, it numbers their
+// requests in one stream, in arrival order.
 type Injector struct {
 	sched Schedule
 	seed  uint64

@@ -1,8 +1,6 @@
 package chaos
 
 import (
-	"context"
-	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -210,15 +208,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func newBackend(t *testing.T, body string) *httptest.Server {
-	t.Helper()
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		io.WriteString(w, body)
-	}))
-	t.Cleanup(srv.Close)
-	return srv
-}
-
 func get(t *testing.T, c *http.Client, url string) (*http.Response, []byte, error) {
 	t.Helper()
 	resp, err := c.Get(url)
@@ -228,110 +217,6 @@ func get(t *testing.T, c *http.Client, url string) (*http.Response, []byte, erro
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	return resp, b, err
-}
-
-func TestTransportErrAndDrop(t *testing.T) {
-	srv := newBackend(t, "payload")
-	c := &http.Client{Transport: NewTransport(nil, New(mustParse(t, "err:status=502,count=1;partition:from=1,to=2"), 1))}
-	resp, _, err := get(t, c, srv.URL)
-	if err != nil || resp.StatusCode != 502 {
-		t.Fatalf("request 0: resp=%v err=%v, want synthesized 502", resp, err)
-	}
-	if _, _, err = get(t, c, srv.URL); err == nil {
-		t.Fatal("request 1: want drop error, got nil")
-	}
-	resp, body, err := get(t, c, srv.URL)
-	if err != nil || resp.StatusCode != 200 || string(body) != "payload" {
-		t.Fatalf("request 2: resp=%v body=%q err=%v, want clean pass-through", resp, body, err)
-	}
-}
-
-func TestTransportCorruptAndTruncate(t *testing.T) {
-	srv := newBackend(t, strings.Repeat("a", 64))
-	c := &http.Client{Transport: NewTransport(nil, New(mustParse(t, "corrupt:count=1"), 9))}
-	_, body, err := get(t, c, srv.URL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(body) == strings.Repeat("a", 64) {
-		t.Fatal("corrupt: body came back unmodified")
-	}
-	diff := 0
-	for _, ch := range body {
-		if ch != 'a' {
-			diff++
-		}
-	}
-	if diff != 1 {
-		t.Fatalf("corrupt flipped %d bytes, want exactly 1", diff)
-	}
-
-	c = &http.Client{Transport: NewTransport(nil, New(mustParse(t, "truncate:bytes=10"), 9))}
-	_, body, err = get(t, c, srv.URL)
-	if err == nil {
-		t.Fatal("truncate: want mid-body read error, got clean EOF")
-	}
-	if len(body) > 10 {
-		t.Fatalf("truncate passed %d bytes, want <= 10", len(body))
-	}
-}
-
-func TestTransportReset(t *testing.T) {
-	hit := 0
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		hit++
-		io.WriteString(w, "ok")
-	}))
-	defer srv.Close()
-	c := &http.Client{Transport: NewTransport(nil, New(mustParse(t, "reset:count=1"), 1))}
-	if _, _, err := get(t, c, srv.URL); err == nil {
-		t.Fatal("reset: want error, got nil")
-	}
-	if hit != 1 {
-		t.Fatalf("reset: backend hits = %d, want 1 (work done, response lost)", hit)
-	}
-}
-
-// closeRecorder is a request body that records whether it was closed.
-type closeRecorder struct {
-	io.Reader
-	closed bool
-}
-
-func (c *closeRecorder) Close() error {
-	c.closed = true
-	return nil
-}
-
-// TestTransportClosesRequestBody: an http.RoundTripper must close the
-// request body on every path, errors included, and these three never
-// hand the request to the base transport that would close it.
-func TestTransportClosesRequestBody(t *testing.T) {
-	srv := newBackend(t, "payload")
-	for _, tc := range []struct{ name, sched string }{
-		{"synthesized-err", "err:status=503"},
-		{"partition-drop", "partition:from=0,to=1"},
-		{"latency-cut-short", "latency:ms=5000"},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			// A cancelled context cuts the injected delay short; the other
-			// rows inject none, so it does not change their path.
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			body := &closeRecorder{Reader: strings.NewReader("job")}
-			req, err := http.NewRequestWithContext(ctx, http.MethodPost, srv.URL, body)
-			if err != nil {
-				t.Fatal(err)
-			}
-			resp, err := NewTransport(nil, New(mustParse(t, tc.sched), 1)).RoundTrip(req)
-			if err == nil {
-				resp.Body.Close()
-			}
-			if !body.closed {
-				t.Errorf("%s: RoundTrip returned (err %v) without closing the request body", tc.sched, err)
-			}
-		})
-	}
 }
 
 func TestMiddlewareFaults(t *testing.T) {
@@ -366,8 +251,11 @@ func TestMiddlewareFaults(t *testing.T) {
 	if err != nil {
 		t.Fatalf("request 3 (corrupt): %v", err)
 	}
-	if string(body) == payload {
-		t.Fatal("request 3 (corrupt): body unmodified")
+	if len(body) != len(payload) {
+		t.Fatalf("request 3 (corrupt): got %d bytes, want %d", len(body), len(payload))
+	}
+	if diff := len(body) - strings.Count(string(body), "b"); diff != 1 {
+		t.Fatalf("request 3 (corrupt): %d bytes differ, want exactly 1", diff)
 	}
 	resp, body, err = get(t, c, srv.URL)
 	if err != nil || resp.StatusCode != 200 || string(body) != payload {
@@ -488,16 +376,5 @@ func TestMiddlewareLatencyRespectsClientCancel(t *testing.T) {
 	case <-handled:
 		t.Fatal("handler ran despite cancelled delayed request")
 	case <-time.After(50 * time.Millisecond):
-	}
-}
-
-func TestInjectedErrorIsTransportLike(t *testing.T) {
-	var e error = &errInjected{kind: KindReset, url: "http://x"}
-	if !strings.Contains(e.Error(), "reset") {
-		t.Fatalf("error text %q lacks the fault kind", e)
-	}
-	var se *errInjected
-	if !errors.As(e, &se) {
-		t.Fatal("errors.As failed on errInjected")
 	}
 }

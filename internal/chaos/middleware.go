@@ -1,13 +1,15 @@
 package chaos
 
 import (
+	"context"
 	"net/http"
 	"sync"
 	"time"
 )
 
 // Middleware wraps an http.Handler with fault injection driven by inj:
-// the worker-side mount. Terminal faults sever the connection via
+// a worker mounts it in front of its server, so every request it serves
+// crosses the fault schedule. Terminal faults sever the connection via
 // panic(http.ErrAbortHandler), which net/http turns into an abrupt
 // close — exactly what a crashed or partitioned worker looks like from
 // the coordinator.
@@ -27,7 +29,7 @@ func Middleware(inj *Injector, next http.Handler) http.Handler {
 			return
 		}
 		if d.Reset || d.Corrupt || d.TruncateAfter > 0 || d.StallAfter > 0 {
-			w = &chaosWriter{ResponseWriter: w, d: d, ctx: r}
+			w = &chaosWriter{ResponseWriter: w, d: d, ctx: r.Context()}
 		}
 		next.ServeHTTP(w, r)
 	})
@@ -37,7 +39,7 @@ func Middleware(inj *Injector, next http.Handler) http.Handler {
 type chaosWriter struct {
 	http.ResponseWriter
 	d       Decision
-	ctx     *http.Request
+	ctx     context.Context
 	mu      sync.Mutex
 	written int // body bytes passed through
 	writes  int // Write calls (~NDJSON lines for the streaming path)
@@ -56,14 +58,9 @@ func (cw *chaosWriter) Write(p []byte) (int, error) {
 		panic(http.ErrAbortHandler)
 	}
 	if cw.d.StallAfter > 0 && cw.writes >= cw.d.StallAfter {
-		// Hold the stream silent, then sever. Bounded by the client
-		// hanging up (request context) or the stall hold elapsing.
-		t := time.NewTimer(cw.d.StallHold)
-		select {
-		case <-cw.ctx.Context().Done():
-			t.Stop()
-		case <-t.C:
-		}
+		// Hold the stream silent, then sever: after the stall hold, or
+		// sooner if the client hangs up (the connection goes either way).
+		sleepCtx(cw.ctx, cw.d.StallHold)
 		panic(http.ErrAbortHandler)
 	}
 	if cw.d.TruncateAfter > 0 && cw.written+len(p) > cw.d.TruncateAfter {
@@ -88,4 +85,17 @@ func (cw *chaosWriter) Write(p []byte) (int, error) {
 	cw.written += n
 	cw.writes++
 	return n, err
+}
+
+// sleepCtx waits d, or until ctx is done, whichever is first; it
+// returns ctx's error when cut short.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return ctx.Err()
+	case <-t.C:
+		return nil
+	}
 }

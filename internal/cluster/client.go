@@ -60,7 +60,7 @@ func (e *IntegrityError) Error() string {
 var ErrStreamStalled = errors.New("stream stalled")
 
 // Client is the coordinator's HTTP client for worker nodes. The zero
-// value is not usable; NewClient wires the transport.
+// value is not usable; build one with NewClient.
 type Client struct {
 	hc *http.Client
 	// StreamIdle bounds the silence between consecutive events on a
@@ -69,14 +69,11 @@ type Client struct {
 	StreamIdle time.Duration
 }
 
-// NewClient wraps an http.Client (nil: a default client with no global
-// timeout — job deadlines come from request contexts, and streams live
-// as long as the job runs).
-func NewClient(hc *http.Client) *Client {
-	if hc == nil {
-		hc = &http.Client{}
-	}
-	return &Client{hc: hc}
+// NewClient returns a client over a default http.Client with no global
+// timeout: job deadlines come from request contexts, and streams live
+// as long as the job runs.
+func NewClient() *Client {
+	return &Client{hc: &http.Client{}}
 }
 
 // Healthz probes a worker's GET /healthz. Any response but 200 — a

@@ -52,8 +52,6 @@ type Config struct {
 	MaxRetryWait time.Duration
 	// DrainTimeout is how long Shutdown lets running jobs finish (0: 5 s).
 	DrainTimeout time.Duration
-	// HTTPClient overrides the transport to workers (nil: default).
-	HTTPClient *http.Client
 	// CellTimeout bounds one cell dispatch attempt (0: 60 s). A cell
 	// still unanswered at the deadline counts as a failed dispatch and
 	// fails over.
@@ -179,7 +177,7 @@ type Coordinator struct {
 // prober (unless probing is disabled).
 func New(cfg Config) *Coordinator {
 	cfg = cfg.withDefaults()
-	client := NewClient(cfg.HTTPClient)
+	client := NewClient()
 	client.StreamIdle = cfg.StreamIdleTimeout
 	c := &Coordinator{
 		cfg:      cfg,

@@ -35,6 +35,13 @@ var testBenches = []string{"gzip", "mcf", "swim"}
 // newWorker boots one real single-node server behind httptest.
 func newWorker(t *testing.T, cfg server.Config) (*server.Server, *httptest.Server) {
 	t.Helper()
+	return newWorkerBehind(t, cfg, nil)
+}
+
+// newWorkerBehind is newWorker with the server wrapped by mount (nil:
+// served as is), the way ctrpredd -chaos mounts chaos.Middleware.
+func newWorkerBehind(t *testing.T, cfg server.Config, mount func(http.Handler) http.Handler) (*server.Server, *httptest.Server) {
+	t.Helper()
 	// Registered before the server cleanups below, so (cleanups being
 	// LIFO) the leak check runs after shutdown has reaped everything.
 	testutil.VerifyNoLeaks(t)
@@ -45,7 +52,11 @@ func newWorker(t *testing.T, cfg server.Config) (*server.Server, *httptest.Serve
 		cfg.DrainTimeout = 2 * time.Second
 	}
 	s := server.New(cfg)
-	ts := httptest.NewServer(s)
+	var h http.Handler = s
+	if mount != nil {
+		h = mount(s)
+	}
+	ts := httptest.NewServer(h)
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
@@ -60,10 +71,17 @@ func newWorker(t *testing.T, cfg server.Config) (*server.Server, *httptest.Serve
 // mark-downs.
 func newCluster(t *testing.T, n int, cfg Config) (*Coordinator, *httptest.Server, []*httptest.Server) {
 	t.Helper()
+	return newClusterBehind(t, n, cfg, nil)
+}
+
+// newClusterBehind is newCluster with each worker's server wrapped by
+// mount (see newWorkerBehind).
+func newClusterBehind(t *testing.T, n int, cfg Config, mount func(http.Handler) http.Handler) (*Coordinator, *httptest.Server, []*httptest.Server) {
+	t.Helper()
 	testutil.VerifyNoLeaks(t)
 	workers := make([]*httptest.Server, n)
 	for i := range workers {
-		_, workers[i] = newWorker(t, server.Config{})
+		_, workers[i] = newWorkerBehind(t, server.Config{}, mount)
 		cfg.Workers = append(cfg.Workers, workers[i].URL)
 	}
 	if cfg.ProbeInterval == 0 {
@@ -458,8 +476,9 @@ func TestClusterSimRelayStreams(t *testing.T) {
 // then send each distinct request plain (verify). Every cold stream
 // ends in a result, every warm stream is answered from cache, and every
 // plain body is byte-identical to a direct library run. The
-// chaos-transport row runs every coordinator->worker connection through
-// a fault-injecting transport; the clients must not see the difference.
+// chaos-workers row mounts one fault injector's middleware on both
+// workers, so every request they serve crosses one fault schedule; the
+// clients must not see the difference.
 func TestClusterConcurrentStreamingClients(t *testing.T) {
 	const (
 		clients  = 8
@@ -473,27 +492,32 @@ func TestClusterConcurrentStreamingClients(t *testing.T) {
 	}
 	for _, tc := range []struct {
 		name  string
-		sched string // fault schedule on the coordinator's worker connections ("": none)
+		sched string // fault schedule served by both workers ("": none)
 	}{
 		{"clean", ""},
-		{"chaos-transport", "latency:p=0.1,ms=50;err:p=0.1,status=503;corrupt:p=0.05"},
+		{"chaos-workers", "latency:p=0.1,ms=50;err:p=0.1,status=503;corrupt:p=0.05"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			// Saturation is expected under this load: wait it out.
 			cfg := Config{SaturationRetries: 10_000, MaxRetryWait: 200 * time.Millisecond, Jobs: 16}
-			var inj *chaos.Injector
+			var (
+				inj   *chaos.Injector
+				mount func(http.Handler) http.Handler
+			)
 			if tc.sched != "" {
 				sched, err := chaos.Parse(tc.sched)
 				if err != nil {
 					t.Fatal(err)
 				}
+				// One injector on both workers numbers their requests in
+				// one stream.
 				inj = chaos.New(sched, 7)
-				cfg.HTTPClient = &http.Client{Transport: chaos.NewTransport(nil, inj)}
+				mount = func(h http.Handler) http.Handler { return chaos.Middleware(inj, h) }
 				// A deeper redispatch budget absorbs the injected failures.
 				cfg.RetryBudget = 12
 				cfg.BreakerCooldown = 250 * time.Millisecond
 			}
-			_, ts, _ := newCluster(t, 2, cfg)
+			_, ts, _ := newClusterBehind(t, 2, cfg, mount)
 
 			// stream sends every request through the clients and returns
 			// how many were answered from cache.
@@ -537,7 +561,7 @@ func TestClusterConcurrentStreamingClients(t *testing.T) {
 				t.FailNow()
 			}
 			// Warm answers come from the coordinator's own cache, so no
-			// warm request crosses the chaos transport.
+			// warm request reaches a worker.
 			if hits := stream(); hits != requests {
 				t.Errorf("warm phase: %d of %d streams answered from cache; want all", hits, requests)
 			}

@@ -30,7 +30,6 @@ type Journal struct {
 	mu      sync.Mutex
 	f       *os.File
 	entries map[string][]byte
-	appends uint64
 }
 
 // journalEntry is one JSONL line. Body is the canonical snapshot kept
@@ -118,7 +117,6 @@ func (j *Journal) Put(key string, body []byte) error {
 		return fmt.Errorf("journal: %w", err)
 	}
 	j.entries[key] = body
-	j.appends++
 	return nil
 }
 
@@ -127,14 +125,6 @@ func (j *Journal) Len() int {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return len(j.entries)
-}
-
-// Appends is how many new cells this process journaled (excludes
-// entries loaded at open).
-func (j *Journal) Appends() uint64 {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.appends
 }
 
 // Close closes the underlying file. The journal must not be used after.

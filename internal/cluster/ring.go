@@ -37,9 +37,10 @@ import (
 // Ring is a consistent-hash ring mapping content-address keys to node
 // names. Each node occupies vnodes points on the ring so load spreads
 // evenly even with two or three nodes; a key's home is the first point
-// clockwise from the key's own hash. Adding or removing one node moves
-// only the keys that hashed to its points — everyone else's cache stays
-// warm. Not safe for concurrent use; Registry serializes access.
+// clockwise from the key's own hash. Adding a node moves only the keys
+// that now hash to its points — everyone else's cache stays warm. Nodes
+// never leave the ring (see Registry). Not safe for concurrent use;
+// Registry serializes access.
 type Ring struct {
 	nodes  map[string]bool
 	points []ringPoint // sorted by hash
@@ -89,33 +90,8 @@ func (r *Ring) Add(node string) {
 	})
 }
 
-// Remove deletes a node's points. Removing an absent node is a no-op.
-func (r *Ring) Remove(node string) {
-	if !r.nodes[node] {
-		return
-	}
-	delete(r.nodes, node)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.node != node {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
 // Len reports how many nodes are on the ring.
 func (r *Ring) Len() int { return len(r.nodes) }
-
-// Home returns the node owning key: the first ring point clockwise from
-// the key's hash. False when the ring is empty.
-func (r *Ring) Home(key string) (string, bool) {
-	seq := r.Sequence(key, 1)
-	if len(seq) == 0 {
-		return "", false
-	}
-	return seq[0], true
-}
 
 // Sequence returns up to n distinct nodes in clockwise order starting
 // at key's home — the failover order: if the home is down, the next

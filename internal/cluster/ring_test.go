@@ -17,10 +17,9 @@ func TestRingDeterministicPlacement(t *testing.T) {
 	r1, r2 := build(), build()
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		h1, ok1 := r1.Home(key)
-		h2, ok2 := r2.Home(key)
-		if !ok1 || !ok2 || h1 != h2 {
-			t.Fatalf("placement of %q not deterministic: %q/%v vs %q/%v", key, h1, ok1, h2, ok2)
+		h1, h2 := home(t, r1, key), home(t, r2, key)
+		if h1 != h2 {
+			t.Fatalf("placement of %q not deterministic: %q vs %q", key, h1, h2)
 		}
 	}
 	// Insertion order must not matter either: the ring is a pure
@@ -31,9 +30,7 @@ func TestRingDeterministicPlacement(t *testing.T) {
 	r3.Add("http://b:1")
 	for i := 0; i < 200; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		h1, _ := r1.Home(key)
-		h3, _ := r3.Home(key)
-		if h1 != h3 {
+		if h1, h3 := home(t, r1, key), home(t, r3, key); h1 != h3 {
 			t.Fatalf("placement of %q depends on insertion order: %q vs %q", key, h1, h3)
 		}
 	}
@@ -48,11 +45,7 @@ func TestRingSpreadsKeys(t *testing.T) {
 	counts := make(map[string]int)
 	const n = 4000
 	for i := 0; i < n; i++ {
-		home, ok := r.Home(fmt.Sprintf("key-%d", i))
-		if !ok {
-			t.Fatal("Home on a populated ring returned false")
-		}
-		counts[home]++
+		counts[home(t, r, fmt.Sprintf("key-%d", i))]++
 	}
 	for _, node := range nodes {
 		got := counts[node]
@@ -64,7 +57,10 @@ func TestRingSpreadsKeys(t *testing.T) {
 	}
 }
 
-func TestRingRemoveMovesOnlyOrphanedKeys(t *testing.T) {
+// TestRingAddMovesOnlyToTheNewNode: a worker joining the ring (POST
+// /v1/cluster/join) takes over keys, and every other key keeps its
+// home, so the joined worker costs no other worker its warm cache.
+func TestRingAddMovesOnlyToTheNewNode(t *testing.T) {
 	r := NewRing()
 	for _, n := range []string{"http://a:1", "http://b:1", "http://c:1"} {
 		r.Add(n)
@@ -72,20 +68,22 @@ func TestRingRemoveMovesOnlyOrphanedKeys(t *testing.T) {
 	before := make(map[string]string)
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("key-%d", i)
-		before[key], _ = r.Home(key)
+		before[key] = home(t, r, key)
 	}
-	r.Remove("http://b:1")
+	const joined = "http://d:1"
+	r.Add(joined)
+	moved := 0
 	for key, prev := range before {
-		now, ok := r.Home(key)
-		if !ok {
-			t.Fatal("Home on a populated ring returned false")
+		switch now := home(t, r, key); now {
+		case prev:
+		case joined:
+			moved++
+		default:
+			t.Fatalf("key %q moved from %s to %s, which is not the joined node", key, prev, now)
 		}
-		if prev != "http://b:1" && now != prev {
-			t.Fatalf("key %q moved from %s to %s though its home never left the ring", key, prev, now)
-		}
-		if now == "http://b:1" {
-			t.Fatalf("key %q still maps to a removed node", key)
-		}
+	}
+	if moved == 0 {
+		t.Fatal("the joined node took over no key")
 	}
 }
 
@@ -101,9 +99,8 @@ func TestRingSequenceDistinctAndHomeFirst(t *testing.T) {
 		if len(seq) != len(nodes) {
 			t.Fatalf("Sequence(%q) = %v; want all %d nodes", key, seq, len(nodes))
 		}
-		home, _ := r.Home(key)
-		if seq[0] != home {
-			t.Fatalf("Sequence(%q)[0] = %s; want home %s", key, seq[0], home)
+		if h := home(t, r, key); seq[0] != h {
+			t.Fatalf("Sequence(%q)[0] = %s; want home %s", key, seq[0], h)
 		}
 		seen := make(map[string]bool)
 		for _, n := range seq {
@@ -116,6 +113,16 @@ func TestRingSequenceDistinctAndHomeFirst(t *testing.T) {
 	if got := NewRing().Sequence("k", 3); got != nil {
 		t.Errorf("Sequence on an empty ring = %v; want nil", got)
 	}
+}
+
+// home is key's home node: the head of its ring sequence.
+func home(t *testing.T, r *Ring, key string) string {
+	t.Helper()
+	seq := r.Sequence(key, 1)
+	if len(seq) != 1 {
+		t.Fatalf("Sequence(%q, 1) on a populated ring = %v", key, seq)
+	}
+	return seq[0]
 }
 
 func TestRegistryMarkDownAndRevive(t *testing.T) {

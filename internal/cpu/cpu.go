@@ -202,9 +202,6 @@ func (c *Core) SetReg(r int, v uint64) {
 	}
 }
 
-// PC returns the current program counter.
-func (c *Core) PC() uint64 { return c.pc }
-
 // Halted reports whether the program has executed halt.
 func (c *Core) Halted() bool { return c.halted }
 

@@ -248,9 +248,6 @@ func (p *Predictor) FlushTransient() {
 // Stats returns a copy of the accumulated statistics.
 func (p *Predictor) Stats() Stats { return p.stats }
 
-// Name reports the scheme name, for experiment output.
-func (p *Predictor) Name() string { return p.cfg.Scheme.String() }
-
 const linesPerPage = 1 << mem.PageShift / ctr.LineSize
 
 func lineIndex(vaddr uint64) int {

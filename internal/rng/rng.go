@@ -66,9 +66,6 @@ func (x *Xoshiro256) Uint64() uint64 {
 	return result
 }
 
-// Uint32 returns a uniformly distributed 32-bit value.
-func (x *Xoshiro256) Uint32() uint32 { return uint32(x.Uint64() >> 32) }
-
 // Intn returns a uniformly distributed int in [0, n). It panics if n <= 0.
 func (x *Xoshiro256) Intn(n int) int {
 	if n <= 0 {

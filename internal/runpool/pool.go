@@ -3,7 +3,6 @@ package runpool
 import (
 	"context"
 	"errors"
-	"runtime/debug"
 	"sync"
 )
 
@@ -58,7 +57,7 @@ type Pool struct {
 	// inflight counter, never by a send racing a worker's receive, so a
 	// zero-backlog pool admits its first task even before the worker
 	// goroutines have been scheduled.
-	queue chan poolTask
+	queue chan func()
 
 	mu       sync.Mutex
 	closed   bool
@@ -66,15 +65,6 @@ type Pool struct {
 	stats    PoolStats
 	workerWG sync.WaitGroup
 	taskWG   sync.WaitGroup
-
-	// OnPanic, when set before any Submit, receives contained task
-	// panics as *PanicError (for logging); the worker always survives.
-	OnPanic func(*PanicError)
-}
-
-type poolTask struct {
-	label string
-	fn    func()
 }
 
 // NewPool starts a pool with the given worker count (<= 0 means
@@ -87,7 +77,7 @@ func NewPool(workers, backlog int) *Pool {
 	if backlog < 0 {
 		backlog = 0
 	}
-	p := &Pool{queue: make(chan poolTask, workers+backlog)}
+	p := &Pool{queue: make(chan func(), workers+backlog)}
 	p.stats.Workers = workers
 	p.stats.Backlog = backlog
 	p.workerWG.Add(workers)
@@ -99,35 +89,29 @@ func NewPool(workers, backlog int) *Pool {
 
 func (p *Pool) worker() {
 	defer p.workerWG.Done()
-	for t := range p.queue {
-		p.run(t)
+	for fn := range p.queue {
+		p.run(fn)
 	}
 }
 
-func (p *Pool) run(t poolTask) {
+func (p *Pool) run(fn func()) {
 	p.mu.Lock()
 	p.stats.Running++
 	p.mu.Unlock()
 	defer func() {
-		var perr *PanicError
-		if v := recover(); v != nil {
-			perr = &PanicError{Label: t.label, Value: v, Stack: debug.Stack()}
-		}
+		// A panicking task is counted and contained: the worker survives.
+		panicked := recover() != nil
 		p.mu.Lock()
 		p.inflight--
 		p.stats.Running--
 		p.stats.Completed++
-		if perr != nil {
+		if panicked {
 			p.stats.Panics++
 		}
-		onPanic := p.OnPanic
 		p.mu.Unlock()
 		p.taskWG.Done()
-		if perr != nil && onPanic != nil {
-			onPanic(perr)
-		}
 	}()
-	t.fn()
+	fn()
 }
 
 // TrySubmit enqueues fn for execution, never blocking: it returns
@@ -135,7 +119,7 @@ func (p *Pool) run(t poolTask) {
 // Shutdown began. fn is responsible for its own cancellation (a task
 // built around a context should check it first thing, so tasks that
 // waited in the backlog past their deadline fail fast).
-func (p *Pool) TrySubmit(label string, fn func()) error {
+func (p *Pool) TrySubmit(fn func()) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -150,7 +134,7 @@ func (p *Pool) TrySubmit(label string, fn func()) error {
 	p.stats.Submitted++
 	p.taskWG.Add(1)
 	// Guaranteed room: the buffer matches the admission capacity.
-	p.queue <- poolTask{label: label, fn: fn}
+	p.queue <- fn
 	return nil
 }
 

@@ -18,7 +18,7 @@ func TestPoolRunsSubmittedTasks(t *testing.T) {
 		// Retry on saturation, as a load-shedding client would: 32 rapid
 		// submissions legitimately overrun 4 workers + 16 backlog.
 		for {
-			err := p.TrySubmit("task", func() {
+			err := p.TrySubmit(func() {
 				defer wg.Done()
 				n.Add(1)
 			})
@@ -49,15 +49,15 @@ func TestPoolSaturationRejects(t *testing.T) {
 	p := NewPool(1, 1)
 	block := make(chan struct{})
 	started := make(chan struct{})
-	if err := p.TrySubmit("blocker", func() { close(started); <-block }); err != nil {
+	if err := p.TrySubmit(func() { close(started); <-block }); err != nil {
 		t.Fatalf("first submit: %v", err)
 	}
 	<-started // worker occupied
-	if err := p.TrySubmit("backlogged", func() {}); err != nil {
+	if err := p.TrySubmit(func() {}); err != nil {
 		t.Fatalf("backlog submit: %v", err)
 	}
 	// Worker busy + backlog full → saturation.
-	err := p.TrySubmit("overflow", func() {})
+	err := p.TrySubmit(func() {})
 	if !errors.Is(err, ErrPoolSaturated) {
 		t.Fatalf("overflow submit = %v, want ErrPoolSaturated", err)
 	}
@@ -75,10 +75,10 @@ func TestPoolShutdownDrainsBacklog(t *testing.T) {
 	var ran atomic.Int64
 	gate := make(chan struct{})
 	started := make(chan struct{})
-	p.TrySubmit("gate", func() { close(started); <-gate; ran.Add(1) })
+	p.TrySubmit(func() { close(started); <-gate; ran.Add(1) })
 	<-started
 	for i := 0; i < 4; i++ {
-		if err := p.TrySubmit("queued", func() { ran.Add(1) }); err != nil {
+		if err := p.TrySubmit(func() { ran.Add(1) }); err != nil {
 			t.Fatalf("queued submit: %v", err)
 		}
 	}
@@ -87,7 +87,7 @@ func TestPoolShutdownDrainsBacklog(t *testing.T) {
 	// Admission stops immediately, even while the drain is in flight.
 	deadline := time.Now().Add(2 * time.Second)
 	for {
-		if err := p.TrySubmit("late", func() {}); errors.Is(err, ErrPoolClosed) {
+		if err := p.TrySubmit(func() {}); errors.Is(err, ErrPoolClosed) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -108,7 +108,7 @@ func TestPoolShutdownDeadline(t *testing.T) {
 	p := NewPool(1, 0)
 	block := make(chan struct{})
 	started := make(chan struct{})
-	p.TrySubmit("stuck", func() { close(started); <-block })
+	p.TrySubmit(func() { close(started); <-block })
 	<-started
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
@@ -123,15 +123,13 @@ func TestPoolShutdownDeadline(t *testing.T) {
 
 func TestPoolContainsPanics(t *testing.T) {
 	p := NewPool(1, 4)
-	var got atomic.Pointer[PanicError]
-	p.OnPanic = func(pe *PanicError) { got.Store(pe) }
 	var wg sync.WaitGroup
 	wg.Add(1)
-	p.TrySubmit("bomb", func() { defer wg.Done(); panic("boom") })
+	p.TrySubmit(func() { defer wg.Done(); panic("boom") })
 	wg.Wait()
 	// The worker must survive to run the next task.
 	ok := make(chan struct{})
-	if err := p.TrySubmit("after", func() { close(ok) }); err != nil {
+	if err := p.TrySubmit(func() { close(ok) }); err != nil {
 		t.Fatalf("submit after panic: %v", err)
 	}
 	<-ok
@@ -140,9 +138,6 @@ func TestPoolContainsPanics(t *testing.T) {
 	}
 	if s := p.Stats(); s.Panics != 1 {
 		t.Fatalf("panics = %d, want 1", s.Panics)
-	}
-	if pe := got.Load(); pe == nil || pe.Label != "bomb" || pe.Value != "boom" {
-		t.Fatalf("OnPanic got %+v", got.Load())
 	}
 }
 

@@ -412,7 +412,6 @@ func (s *Server) handleSim(w http.ResponseWriter, r *http.Request) {
 	job := &SimJob{Request: req, Bench: bench, Config: cfg, Key: key, Stream: wantsStream(r)}
 	s.dispatch(w, r, dispatchSpec{
 		key: key, noCache: req.NoCache, stream: job.Stream, timeout: timeout,
-		label: fmt.Sprintf("sim %s/%s %s", bench, cfg.Scheme.Name, key[:12]),
 		run: func(ctx context.Context, progress func(Event)) (Result, error) {
 			return s.exec.Sim(ctx, job, progress)
 		},
@@ -450,7 +449,6 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 	job := &ExperimentJob{Request: req, Options: opt, Key: key, Stream: wantsStream(r)}
 	s.dispatch(w, r, dispatchSpec{
 		key: key, noCache: req.NoCache, stream: job.Stream, timeout: timeout,
-		label: fmt.Sprintf("exp %s %s", req.ID, key[:12]),
 		run: func(ctx context.Context, progress func(Event)) (Result, error) {
 			return s.exec.Experiment(ctx, job, progress)
 		},
@@ -459,7 +457,6 @@ func (s *Server) handleExperiment(w http.ResponseWriter, r *http.Request) {
 
 type dispatchSpec struct {
 	key     string
-	label   string
 	noCache bool
 	stream  bool
 	timeout time.Duration
@@ -532,7 +529,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, spec dispatchS
 
 	ps := s.pool.Stats()
 	queueDepth := ps.Pending
-	if err := s.pool.TrySubmit(spec.label, job); err != nil {
+	if err := s.pool.TrySubmit(job); err != nil {
 		s.rejected.Add(1)
 		switch {
 		case errors.Is(err, runpool.ErrPoolSaturated):
