@@ -2,11 +2,15 @@
 // that exist, and the two package maps — DESIGN.md §2 and the code block
 // under README.md's Architecture heading — list every one. A deleted or
 // renamed package has to leave the docs with it, and a new one has to be
-// entered in both maps. README.md's cipher-engine table is held to the
-// engine spec grammar the same way.
+// entered in both maps. A code identifier the docs qualify with an
+// internal package must be declared there, and README.md's cipher-engine
+// table is held to the engine spec grammar the same way.
 package ctrpred
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -18,12 +22,15 @@ import (
 	"ctrpred/internal/cryptoengine"
 )
 
+// docs are the documents the inventory checks read.
+var docs = []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"}
+
 // pkgRef matches a package directory named in prose: internal/x, cmd/x
 // or examples/x, bare or behind ./ or the module path.
 var pkgRef = regexp.MustCompile(`\b(?:internal|cmd|examples)/[a-z0-9_]+`)
 
 func TestDocsNameExistingPackages(t *testing.T) {
-	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md", ".claude/skills/verify/SKILL.md"} {
+	for _, doc := range docs {
 		seen := map[string]bool{}
 		for _, ref := range pkgRef.FindAllString(readDoc(t, doc), -1) {
 			if seen[ref] {
@@ -97,6 +104,85 @@ func TestDocsModulesColumnNamesPackages(t *testing.T) {
 	if checked == 0 {
 		t.Fatal("DESIGN.md §6's Modules column names no package")
 	}
+}
+
+// qualifiedIdent matches a code span that opens with a package-qualified
+// exported identifier, e.g. chaos.Middleware or sim.Config{...}.
+var qualifiedIdent = regexp.MustCompile(`^([a-z0-9_]+)\.([A-Z][A-Za-z0-9_]*)`)
+
+// fence matches a fenced code block, which holds commands and output,
+// not prose references.
+var fence = regexp.MustCompile("(?ms)^```.*?^```")
+
+// TestDocsNameDeclaredIdentifiers holds the docs' code identifiers to
+// the code: each backticked span outside fenced blocks that opens with
+// pkg.Name, where internal/pkg is a directory, names a function, method,
+// type, constant or variable that the package's non-test files declare.
+func TestDocsNameDeclaredIdentifiers(t *testing.T) {
+	declared := map[string]map[string]bool{}
+	checked := 0
+	for _, doc := range docs {
+		prose := fence.ReplaceAllString(readDoc(t, doc), "")
+		for _, span := range backticked.FindAllStringSubmatch(prose, -1) {
+			m := qualifiedIdent.FindStringSubmatch(span[1])
+			if m == nil {
+				continue
+			}
+			pkg, name := m[1], m[2]
+			if fi, err := os.Stat(filepath.Join("internal", pkg)); err != nil || !fi.IsDir() {
+				continue
+			}
+			if declared[pkg] == nil {
+				declared[pkg] = declarations(t, filepath.Join("internal", pkg))
+			}
+			if !declared[pkg][name] {
+				t.Errorf("%s names %s.%s, which internal/%s does not declare", doc, pkg, name, pkg)
+			}
+			checked++
+		}
+	}
+	if checked == 0 {
+		t.Fatal("the docs name no package-qualified identifier")
+	}
+}
+
+// declarations returns the names dir's non-test Go files declare at top
+// level: functions, methods, types, constants and variables.
+func declarations(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, file, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			switch d := d.(type) {
+			case *ast.FuncDecl:
+				names[d.Name.Name] = true
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch spec := spec.(type) {
+					case *ast.TypeSpec:
+						names[spec.Name.Name] = true
+					case *ast.ValueSpec:
+						for _, id := range spec.Names {
+							names[id.Name] = true
+						}
+					}
+				}
+			}
+		}
+	}
+	return names
 }
 
 // engineParam matches one entry of README.md's engine table's
