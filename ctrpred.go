@@ -66,10 +66,13 @@ type (
 	Scale = workload.Scale
 	// PredScheme selects a prediction algorithm.
 	PredScheme = predictor.Scheme
-	// PredConfig exposes every predictor knob (depth, swing, PHV, …).
-	// Page geometry is not one: every machine has 4 KiB pages of 32-byte
-	// lines, the geometry its aged starting state is built for, so the
-	// config has no page or line size.
+	// PredConfig holds the predictor settings a run can vary: depth,
+	// swing, reset threshold, adaptivity and root-history depth. The
+	// scheme is Scheme.Pred, the root seed derives from Config.Seed, and
+	// the PHV width and the two-level range table are Table 1 constants.
+	// Page geometry is not a setting either: every machine has 4 KiB
+	// pages of 32-byte lines, the geometry its aged starting state is
+	// built for.
 	PredConfig = predictor.Config
 	// Machine is an assembled simulator instance for direct component
 	// access (the examples use it).
@@ -224,10 +227,10 @@ func SchemeCombined(bytes int, p PredScheme) Scheme {
 	return sim.SchemeCombined(bytes, p)
 }
 
-// DefaultPredConfig returns the Table 1 predictor parameters for a
-// scheme (depth 5, swing 3, 16-bit PHV, threshold 12, 64-entry range
-// table).
-func DefaultPredConfig(p PredScheme) PredConfig { return predictor.DefaultConfig(p) }
+// DefaultPredConfig returns the Table 1 predictor settings (depth 5,
+// swing 3, reset threshold 12 of the 16-bit PHV, adaptive, no root
+// history).
+func DefaultPredConfig() PredConfig { return predictor.DefaultConfig() }
 
 // Benchmarks lists the fourteen SPEC2000-like workload kernels.
 func Benchmarks() []string { return workload.Names() }

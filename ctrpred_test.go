@@ -49,7 +49,7 @@ func TestFacadeSchemes(t *testing.T) {
 	if SchemeCombined(32<<10, PredRegular).Pred != PredRegular {
 		t.Fatal("combined scheme not plumbed")
 	}
-	if DefaultPredConfig(PredContext).Depth != 5 {
+	if DefaultPredConfig().Depth != 5 {
 		t.Fatal("default pred config wrong")
 	}
 }

@@ -26,7 +26,7 @@ func newCore(t *testing.T, src string, scheme predictor.Scheme) (*Core, *mem.Mem
 	d := dram.New(dram.DefaultConfig())
 	e, _ := cryptoengine.New(cryptoengine.DefaultSpec()) // the default spec always builds
 	ks := ctr.NewKeystream(key)
-	p := predictor.New(predictor.DefaultConfig(scheme))
+	p := predictor.New(scheme, predictor.DefaultConfig(), 0x5eed)
 	ctrl := secmem.New(secmem.DefaultConfig(), d, e, ks, p, image)
 	mcfg := memsys.DefaultConfig()
 	mcfg.FlushInterval = 0

@@ -36,13 +36,13 @@ func Table1() Result {
 	add("DRAM", fmt.Sprintf("%d banks, %dB rows, tRCD/tCAS/tRP = %d/%d/%d ns",
 		dram.DefaultConfig().Banks, dram.RowBytes, dram.TRCD, dram.TCAS, dram.TRP))
 	add("AES latency", fmt.Sprintf("%d ns, fully pipelined (AES-256)", cryptoengine.DefaultSpec().LatencyCycles))
-	pc := predictor.DefaultConfig(predictor.SchemeContext)
+	pc := predictor.DefaultConfig()
 	add("Sequence number cache", "4KB, 32KB, 128KB, 512KB (32B line) in sweeps")
-	add("Prediction history vector", fmt.Sprintf("%d bits", pc.PHVBits))
+	add("Prediction history vector", fmt.Sprintf("%d bits", predictor.PHVBits))
 	add("PHV reset threshold", fmt.Sprintf("%d", pc.ResetThreshold))
 	add("Prediction depth", fmt.Sprintf("%d", pc.Depth))
 	add("Prediction swing (context)", fmt.Sprintf("%d", pc.Swing))
-	add("Range table (two-level)", fmt.Sprintf("%d entries, %d-bit ranges", pc.RangeTableEntries, pc.RangeBits))
+	add("Range table (two-level)", fmt.Sprintf("%d entries, %d-bit ranges", predictor.RangeTableEntries, predictor.RangeBits))
 	add("Dirty-line flush", "every 25M cycles (scaled with run length)")
 	return Result{
 		ID:    "Table 1",
@@ -93,7 +93,7 @@ func Figure4Timeline(ctx context.Context, opt Options) (Result, error) {
 		if err != nil {
 			return Result{}, err
 		}
-		p := predictor.New(predictor.DefaultConfig(sc.scheme))
+		p := predictor.New(sc.scheme, predictor.DefaultConfig(), 0x5eed)
 		cfg := secmem.DefaultConfig()
 		cfg.Oracle = sc.oracle
 		cfg.Direct = sc.direct
@@ -122,27 +122,28 @@ func Figure4Timeline(ctx context.Context, opt Options) (Result, error) {
 // lists their averages over the benchmarks, one row per variant.
 func ablation() *grid {
 	variants := []struct {
-		name string
-		mod  func(*predictor.Config)
+		name   string
+		scheme predictor.Scheme
+		mod    func(*predictor.Config)
 	}{
-		{"regular (default)", func(c *predictor.Config) {}},
-		{"non-adaptive", func(c *predictor.Config) { c.Adaptive = false }},
-		{"depth=1", func(c *predictor.Config) { c.Depth = 1 }},
-		{"depth=11", func(c *predictor.Config) { c.Depth = 11 }},
-		{"history=1", func(c *predictor.Config) { c.HistoryDepth = 1 }},
-		{"history=2", func(c *predictor.Config) { c.HistoryDepth = 2 }},
-		{"threshold=4", func(c *predictor.Config) { c.ResetThreshold = 4 }},
-		{"threshold=16", func(c *predictor.Config) { c.ResetThreshold = 16 }},
-		{"context swing=1", func(c *predictor.Config) { c.Scheme = predictor.SchemeContext; c.Swing = 1 }},
-		{"context swing=7", func(c *predictor.Config) { c.Scheme = predictor.SchemeContext; c.Swing = 7 }},
+		{"regular (default)", predictor.SchemeRegular, func(c *predictor.Config) {}},
+		{"non-adaptive", predictor.SchemeRegular, func(c *predictor.Config) { c.Adaptive = false }},
+		{"depth=1", predictor.SchemeRegular, func(c *predictor.Config) { c.Depth = 1 }},
+		{"depth=11", predictor.SchemeRegular, func(c *predictor.Config) { c.Depth = 11 }},
+		{"history=1", predictor.SchemeRegular, func(c *predictor.Config) { c.HistoryDepth = 1 }},
+		{"history=2", predictor.SchemeRegular, func(c *predictor.Config) { c.HistoryDepth = 2 }},
+		{"threshold=4", predictor.SchemeRegular, func(c *predictor.Config) { c.ResetThreshold = 4 }},
+		{"threshold=16", predictor.SchemeRegular, func(c *predictor.Config) { c.ResetThreshold = 16 }},
+		{"context swing=1", predictor.SchemeContext, func(c *predictor.Config) { c.Swing = 1 }},
+		{"context swing=7", predictor.SchemeContext, func(c *predictor.Config) { c.Swing = 7 }},
 	}
 	schemes := make([]sim.Scheme, len(variants))
 	names := make([]string, len(variants))
 	var cols []string
 	for i, v := range variants {
-		pc := predictor.DefaultConfig(predictor.SchemeRegular)
+		pc := predictor.DefaultConfig()
 		v.mod(&pc)
-		schemes[i] = sim.Scheme{Name: v.name, Pred: pc.Scheme, PredConfig: &pc}
+		schemes[i] = sim.Scheme{Name: v.name, Pred: v.scheme, PredConfig: &pc}
 		names[i] = v.name
 		cols = append(cols, v.name+" pred_rate", v.name+" guesses/fetch")
 	}

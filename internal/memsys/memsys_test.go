@@ -19,7 +19,7 @@ func newSys(t *testing.T, cfg Config, scheme predictor.Scheme) (*System, *mem.Me
 	d := dram.New(dram.DefaultConfig())
 	e, _ := cryptoengine.New(cryptoengine.DefaultSpec()) // the default spec always builds
 	ks := ctr.NewKeystream(key)
-	p := predictor.New(predictor.DefaultConfig(scheme))
+	p := predictor.New(scheme, predictor.DefaultConfig(), 0x5eed)
 	ctrl := secmem.New(secmem.DefaultConfig(), d, e, ks, p, image)
 	return New(cfg, ctrl), image
 }
@@ -285,7 +285,7 @@ func TestContextSwitchInvalidatesSeqCache(t *testing.T) {
 	d := dram.New(dram.DefaultConfig())
 	e, _ := cryptoengine.New(cryptoengine.DefaultSpec()) // the default spec always builds
 	ks := ctr.NewKeystream(key)
-	p := predictor.New(predictor.DefaultConfig(predictor.SchemeNone))
+	p := predictor.New(predictor.SchemeNone, predictor.DefaultConfig(), 0x5eed)
 	scfg := secmem.DefaultConfig()
 	scfg.SeqCacheBytes = 4 << 10
 	s := New(cfg, secmem.New(scfg, d, e, ks, p, image))

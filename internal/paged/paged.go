@@ -1,21 +1,23 @@
 // Package paged provides the line-granular backing store behind the
 // simulator's hot memory tables: the architectural image in package mem,
-// the encrypted-RAM state in package secmem, and each level of the
-// integrity tree (keyed by node index, with a line size of 1). The seed
-// implementation kept those tables in Go maps, which put a hash + probe
-// on every load, store and fetch; workload footprints are bounded and
-// known at config time, so the common case deserves plain array
+// the encrypted-RAM state in package secmem, each level of the integrity
+// tree (keyed by node index, with a line size of 1) and the predictor's
+// page table (a line size of 4 KiB, one line per virtual page). The
+// seed implementation kept those tables in Go maps, which put a hash +
+// probe on every load, store and fetch; workload footprints are bounded
+// and known at config time, so the common case deserves plain array
 // indexing.
 //
-// A Table divides the line-address space into fixed 64 KiB pages (2048
-// 32-byte lines). Pages below the dense horizon (4 GiB) live behind a
-// flat pointer directory grown on demand — one shift, one bounds check
-// and two indexed loads per access, no hashing. Pages beyond the horizon
-// (nothing the built-in workloads generate, but the API must not care)
-// fall back to a sparse map. A per-page bitmap distinguishes touched
-// lines from never-written ones so lookups of untouched memory cost no
-// allocation and sparse-map semantics ("present or not") are preserved
-// exactly.
+// A Table divides the line-address space into fixed pages of 2048 lines
+// (64 KiB of address space at 32-byte lines, 8 MiB at 4 KiB lines). The
+// first 65,536 pages (the dense horizon: 4 GiB at 32-byte lines, 512
+// GiB at 4 KiB lines) live behind a flat pointer directory grown on
+// demand — one shift, one bounds check and two indexed loads per
+// access, no hashing. Pages beyond the horizon (nothing the built-in
+// workloads generate, but the API must not care) fall back to a sparse
+// map. A per-page bitmap distinguishes touched lines from never-written
+// ones so lookups of untouched memory cost no allocation and sparse-map
+// semantics ("present or not") are preserved exactly.
 package paged
 
 import (
@@ -31,8 +33,8 @@ const (
 	pageLineBits = 11
 	pageLines    = 1 << pageLineBits
 	// denseMaxPages bounds the flat directory: pages below cover the
-	// first 4 GiB of address space; the directory itself grows lazily
-	// and tops out at 512 KiB of pointers.
+	// first 4 GiB of address space at 32-byte lines; the directory
+	// itself grows lazily and tops out at 512 KiB of pointers.
 	denseMaxPages = 1 << 16
 )
 
@@ -90,9 +92,10 @@ func (f *freeList[V]) put(p *page[V]) {
 	f.mu.Unlock()
 }
 
-// New creates a table for the given line size (a power of two; 32 for
-// every table in the simulator). Addresses passed to Lookup/Ensure are
-// byte addresses; all bytes of one line share one V.
+// New creates a table for the given line size (a power of two: 32 for
+// the memory tables, 1 for the tree's node tables and 4 KiB for the
+// predictor's page table). Addresses passed to Lookup/Ensure are byte
+// addresses; all bytes of one line share one V.
 func New[V any](lineSize int) *Table[V] {
 	if lineSize <= 0 || lineSize&(lineSize-1) != 0 {
 		panic(fmt.Sprintf("paged: line size %d is not a positive power of two", lineSize))

@@ -18,6 +18,7 @@ import (
 	"ctrpred/internal/cache"
 	"ctrpred/internal/ctr"
 	"ctrpred/internal/mem"
+	"ctrpred/internal/paged"
 	"ctrpred/internal/rng"
 	"ctrpred/internal/stats"
 )
@@ -52,19 +53,28 @@ func (s Scheme) String() string {
 	return fmt.Sprintf("Scheme(%d)", int(s))
 }
 
-// Config holds the prediction parameters; the zero value is invalid, use
-// DefaultConfig (Table 1 values) and override.
+// The Table 1 parameters no run varies.
+const (
+	// PHVBits is the width of the per-page prediction history vector.
+	PHVBits = 16
+	// RangeTableEntries is the number of pages the two-level range
+	// table tracks (64 ≈ 4 KB with 4-bit ranges and 128 lines/page).
+	RangeTableEntries = 64
+	// RangeBits is the per-line range index width (4 → 16 ranges).
+	RangeBits = 4
+	maxRange  = 1<<RangeBits - 1
+)
+
+// Config holds the prediction parameters a run can vary; the zero
+// value is invalid, use DefaultConfig (Table 1 values) and override.
 type Config struct {
-	Scheme Scheme
 	// Depth is the prediction depth: guesses root … root+Depth, i.e.
 	// Depth+1 guesses (Section 7.4's accounting).
 	Depth int
 	// Swing is the context-prediction swing around the LOR value.
 	Swing int
-	// PHVBits is the width of the prediction history vector (16).
-	PHVBits int
 	// ResetThreshold triggers a root reset when the number of
-	// mispredictions in the PHV reaches it (12).
+	// mispredictions in the PHV reaches it (12 of PHVBits).
 	ResetThreshold int
 	// Adaptive enables PHV tracking and root resets (Section 3.2). The
 	// paper's evaluated "Pred" is always adaptive; turning this off gives
@@ -73,13 +83,6 @@ type Config struct {
 	// HistoryDepth old roots are remembered per page and also used for
 	// guessing (Section 7.3). 0 disables.
 	HistoryDepth int
-	// RangeTableEntries is the number of pages tracked by the two-level
-	// range table (64 ≈ 4 KB with 4-bit ranges and 128 lines/page).
-	RangeTableEntries int
-	// RangeBits is the per-line range index width (4 → 16 ranges).
-	RangeBits int
-	// Seed drives the hardware random number generator model.
-	Seed uint64
 }
 
 // maxRootDistance bounds the offset a sequence number may have from the
@@ -87,20 +90,9 @@ type Config struct {
 // 3.2's "negative or too large" test).
 const maxRootDistance = 1 << 32
 
-// DefaultConfig returns the Table 1 parameters for the given scheme.
-func DefaultConfig(scheme Scheme) Config {
-	return Config{
-		Scheme:            scheme,
-		Depth:             5,
-		Swing:             3,
-		PHVBits:           16,
-		ResetThreshold:    12,
-		Adaptive:          true,
-		HistoryDepth:      0,
-		RangeTableEntries: 64,
-		RangeBits:         4,
-		Seed:              0x5eed,
-	}
+// DefaultConfig returns the Table 1 parameters.
+func DefaultConfig() Config {
+	return Config{Depth: 5, Swing: 3, ResetThreshold: 12, Adaptive: true}
 }
 
 // Stats aggregates predictor activity.
@@ -162,63 +154,50 @@ type pageMeta struct {
 
 // Predictor implements all schemes behind one type; construct with New.
 type Predictor struct {
-	cfg Config
-	// Page metadata sits on the hot path (Predict/Observe/Root all hit
-	// it, several times per fetch), so the common low-address pages live
-	// in a flat pointer directory grown on demand — one bounds check and
-	// one indexed load instead of a hash probe. Pages beyond the dense
-	// horizon (nothing the built-in workloads map, but the API must not
-	// care) fall back to a sparse map. First-touch order, and therefore
-	// the root-draw sequence, is identical either way.
-	pageDense  []*pageMeta
-	pageSparse map[uint64]*pageMeta
-	pageCount  int
-	rnd        *rng.Xoshiro256
-	lor        uint64 // latest offset register
-	lorValid   bool
+	scheme Scheme
+	cfg    Config
+	// pages holds each touched virtual page's metadata, one line per
+	// 4 KiB page. Values are pointers: a table page of pageMeta values
+	// would cost 144 KiB (2,048 × 72 B) for each 8 MiB of address space.
+	pages    *paged.Table[*pageMeta]
+	rnd      *rng.Xoshiro256
+	lor      uint64 // latest offset register
+	lorValid bool
 	// rangeTable is the on-chip range table's residency: one fully
 	// associative set of RangeTableEntries pages (two-level only).
 	rangeTable *cache.Cache
 	rangeSpan  uint64 // width of one range = Depth+1
-	maxRange   uint8
 	stats      Stats
 	scratch    []uint64 // reused guess buffer
 }
 
-// New creates a predictor; it panics on nonsensical parameters.
-func New(cfg Config) *Predictor {
+// New creates a predictor for scheme whose page roots are drawn from a
+// generator seeded with seed; it panics on nonsensical parameters.
+func New(scheme Scheme, cfg Config, seed uint64) *Predictor {
 	if cfg.Depth < 0 {
 		panic("predictor: negative Depth")
 	}
-	if cfg.PHVBits <= 0 || cfg.PHVBits > 32 {
-		panic("predictor: PHVBits must be in 1..32")
-	}
-	if cfg.ResetThreshold <= 0 || cfg.ResetThreshold > cfg.PHVBits {
+	if cfg.ResetThreshold <= 0 || cfg.ResetThreshold > PHVBits {
 		panic("predictor: ResetThreshold must be in 1..PHVBits")
 	}
 	p := &Predictor{
+		scheme:    scheme,
 		cfg:       cfg,
-		rnd:       rng.New(cfg.Seed),
+		pages:     paged.New[*pageMeta](1 << mem.PageShift),
+		rnd:       rng.New(seed),
 		rangeSpan: uint64(cfg.Depth + 1),
-		maxRange:  uint8(1<<cfg.RangeBits - 1),
 	}
-	if cfg.Scheme == SchemeTwoLevel {
-		if cfg.RangeTableEntries <= 0 || cfg.RangeBits <= 0 || cfg.RangeBits > 8 {
-			panic("predictor: invalid two-level parameters")
-		}
+	if scheme == SchemeTwoLevel {
 		p.rangeTable = cache.New(cache.Config{
 			Name:      "range table",
-			SizeBytes: cfg.RangeTableEntries << mem.PageShift,
+			SizeBytes: RangeTableEntries << mem.PageShift,
 			LineSize:  1 << mem.PageShift,
-			Ways:      cfg.RangeTableEntries,
+			Ways:      RangeTableEntries,
 		})
 	}
 	p.stats.HitDepth = stats.NewHistogram(1, 2, 3, 4, 6, 8, 12, 16)
 	return p
 }
-
-// Config returns the predictor's configuration.
-func (p *Predictor) Config() Config { return p.cfg }
 
 // FlushTransient clears the prediction state that does not survive a
 // context switch: the latest-offset register the context scheme keys on,
@@ -232,14 +211,7 @@ func (p *Predictor) Config() Config { return p.cfg }
 // "flush" half of the flush-vs-retain switch policy; retain is a no-op.
 func (p *Predictor) FlushTransient() {
 	p.lor, p.lorValid = 0, false
-	for _, m := range p.pageDense {
-		if m != nil {
-			m.phv, m.phvFill = 0, 0
-		}
-	}
-	for _, m := range p.pageSparse {
-		m.phv, m.phvFill = 0, 0
-	}
+	p.pages.ForEach(func(_ uint64, m **pageMeta) { (*m).phv, (*m).phvFill = 0, 0 })
 	if p.rangeTable != nil {
 		p.rangeTable.InvalidateAll()
 	}
@@ -254,40 +226,15 @@ func lineIndex(vaddr uint64) int {
 	return int(vaddr & (1<<mem.PageShift - 1) / ctr.LineSize)
 }
 
-// densePageMax bounds the flat page directory: virtual pages below
-// cover the first 4 GiB of address space.
-const densePageMax = 1 << 20
-
 // page returns (allocating if needed) the metadata for vaddr's page. A
 // fresh page gets a random root — the model of the hardware RNG assigning
 // a root when the virtual page is mapped.
 func (p *Predictor) page(vaddr uint64) *pageMeta {
-	vp := vaddr >> mem.PageShift
-	if vp < densePageMax {
-		if vp < uint64(len(p.pageDense)) {
-			if m := p.pageDense[vp]; m != nil {
-				return m
-			}
-		} else {
-			grown := make([]*pageMeta, vp+64)
-			copy(grown, p.pageDense)
-			p.pageDense = grown
-		}
-		m := &pageMeta{root: p.rnd.Uint64()}
-		p.pageDense[vp] = m
-		p.pageCount++
-		return m
+	m, fresh := p.pages.Ensure(vaddr)
+	if fresh {
+		*m = &pageMeta{root: p.rnd.Uint64()}
 	}
-	if p.pageSparse == nil {
-		p.pageSparse = make(map[uint64]*pageMeta)
-	}
-	m := p.pageSparse[vp]
-	if m == nil {
-		m = &pageMeta{root: p.rnd.Uint64()}
-		p.pageSparse[vp] = m
-		p.pageCount++
-	}
-	return m
+	return *m
 }
 
 // Root returns the current root sequence number for vaddr's page. The
@@ -305,7 +252,7 @@ func (p *Predictor) fromCurrentRoot(seq, root uint64) bool {
 // vaddr, most-likely first, deduplicated. The returned slice is reused by
 // the next call. SchemeNone returns nil.
 func (p *Predictor) Predict(vaddr uint64) []uint64 {
-	if p.cfg.Scheme == SchemeNone {
+	if p.scheme == SchemeNone {
 		return nil
 	}
 	m := p.page(vaddr)
@@ -313,7 +260,7 @@ func (p *Predictor) Predict(vaddr uint64) []uint64 {
 
 	base := m.root
 	lo := uint64(0)
-	if p.cfg.Scheme == SchemeTwoLevel {
+	if p.scheme == SchemeTwoLevel {
 		if r, ok := p.rangeLookup(vaddr); ok {
 			lo = uint64(r) * p.rangeSpan
 		}
@@ -322,7 +269,7 @@ func (p *Predictor) Predict(vaddr uint64) []uint64 {
 		g = append(g, base+lo+i)
 	}
 
-	if p.cfg.Scheme == SchemeContext && p.lorValid {
+	if p.scheme == SchemeContext && p.lorValid {
 		swing := uint64(p.cfg.Swing)
 		start := uint64(0)
 		if p.lor > swing {
@@ -369,7 +316,7 @@ func appendUnique(g []uint64, v uint64) []uint64 {
 // Observe for a fetch whose Predict was not the most recent call must
 // not inherit another line's guesses.
 func (p *Predictor) Observe(vaddr uint64, trueSeq uint64, guesses []uint64) bool {
-	if p.cfg.Scheme == SchemeNone {
+	if p.scheme == SchemeNone {
 		return false
 	}
 	p.stats.Fetches++
@@ -389,12 +336,11 @@ func (p *Predictor) Observe(vaddr uint64, trueSeq uint64, guesses []uint64) bool
 		if !hit {
 			bit = 1
 		}
-		mask := uint32(1)<<p.cfg.PHVBits - 1
-		m.phv = (m.phv<<1 | bit) & mask
-		if m.phvFill < p.cfg.PHVBits {
+		m.phv = (m.phv<<1 | bit) & (1<<PHVBits - 1)
+		if m.phvFill < PHVBits {
 			m.phvFill++
 		}
-		if m.phvFill == p.cfg.PHVBits && popcount(m.phv) >= p.cfg.ResetThreshold {
+		if m.phvFill == PHVBits && popcount(m.phv) >= p.cfg.ResetThreshold {
 			p.resetRoot(m)
 		}
 	}
@@ -434,13 +380,13 @@ func (p *Predictor) resetRoot(m *pageMeta) {
 func (p *Predictor) NextSeqForEvict(vaddr uint64, cur uint64) uint64 {
 	m := p.page(vaddr)
 	var next uint64
-	if p.cfg.Scheme != SchemeNone && !p.fromCurrentRoot(cur, m.root) {
+	if p.scheme != SchemeNone && !p.fromCurrentRoot(cur, m.root) {
 		p.stats.Rebases++
 		next = m.root
 	} else {
 		next = cur + 1
 	}
-	if p.cfg.Scheme == SchemeTwoLevel {
+	if p.scheme == SchemeTwoLevel {
 		p.rangeUpdate(vaddr, next-m.root)
 	}
 	return next
@@ -472,11 +418,7 @@ func (p *Predictor) rangeUpdate(vaddr uint64, offset uint64) {
 		m.ranges = make([]uint8, linesPerPage)
 	}
 	p.touchRangeTable(vaddr)
-	r := offset / p.rangeSpan
-	if r > uint64(p.maxRange) {
-		r = uint64(p.maxRange)
-	}
-	m.ranges[lineIndex(vaddr)] = uint8(r)
+	m.ranges[lineIndex(vaddr)] = uint8(min(offset/p.rangeSpan, maxRange))
 }
 
 // touchRangeTable refreshes vaddr's page in the on-chip table, or
@@ -505,11 +447,11 @@ func popcount(x uint32) int {
 // themselves — arrives warm at the measured window. A no-op for other
 // schemes.
 func (p *Predictor) WarmRange(vaddr uint64, offset uint64) {
-	if p.cfg.Scheme != SchemeTwoLevel {
+	if p.scheme != SchemeTwoLevel {
 		return
 	}
 	p.rangeUpdate(vaddr, offset)
 }
 
 // PageCount reports how many pages have metadata (touched pages).
-func (p *Predictor) PageCount() int { return p.pageCount }
+func (p *Predictor) PageCount() int { return p.pages.Count() }

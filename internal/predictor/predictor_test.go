@@ -3,9 +3,13 @@ package predictor
 import (
 	"testing"
 	"testing/quick"
+
+	"ctrpred/internal/rng"
 )
 
-func newPred(s Scheme) *Predictor { return New(DefaultConfig(s)) }
+const testSeed = 0x5eed
+
+func newPred(s Scheme) *Predictor { return New(s, DefaultConfig(), testSeed) }
 
 // hitList fabricates the guess list an Observe should see: the true
 // sequence number when the test wants a hit, nothing when it wants a
@@ -44,10 +48,10 @@ func TestRegularGuessesRootRange(t *testing.T) {
 	p := newPred(SchemeRegular)
 	root := p.Root(0x4000)
 	g := p.Predict(0x4000)
-	if len(g) != p.Config().Depth+1 {
-		t.Fatalf("got %d guesses, want %d", len(g), p.Config().Depth+1)
+	if len(g) != DefaultConfig().Depth+1 {
+		t.Fatalf("got %d guesses, want %d", len(g), DefaultConfig().Depth+1)
 	}
-	for i := 0; i <= p.Config().Depth; i++ {
+	for i := 0; i <= DefaultConfig().Depth; i++ {
 		if g[i] != root+uint64(i) {
 			t.Fatalf("guess %d = %d, want root+%d", i, g[i], i)
 		}
@@ -78,11 +82,11 @@ func TestPredictHitAfterFewUpdates(t *testing.T) {
 	p := newPred(SchemeRegular)
 	addr := uint64(0x8000)
 	seq := p.Root(addr)
-	for i := 0; i < p.Config().Depth; i++ {
+	for i := 0; i < DefaultConfig().Depth; i++ {
 		seq = p.NextSeqForEvict(addr, seq)
 	}
 	if !contains(p.Predict(addr), seq) {
-		t.Fatalf("counter after %d updates not predicted", p.Config().Depth)
+		t.Fatalf("counter after %d updates not predicted", DefaultConfig().Depth)
 	}
 	seq = p.NextSeqForEvict(addr, seq) // one beyond the depth
 	if contains(p.Predict(addr), seq) {
@@ -104,7 +108,7 @@ func TestObserveStats(t *testing.T) {
 	if s.HitRate() != 0.5 {
 		t.Fatalf("hit rate = %v", s.HitRate())
 	}
-	if s.Guesses != uint64(p.Config().Depth+1) {
+	if s.Guesses != uint64(DefaultConfig().Depth+1) {
 		t.Fatalf("guesses = %d", s.Guesses)
 	}
 }
@@ -114,7 +118,7 @@ func TestAdaptiveResetAfterSustainedMisses(t *testing.T) {
 	addr := uint64(0x2000)
 	oldRoot := p.Root(addr)
 	// Fill the 16-bit PHV with misses; at threshold 12 the root resets.
-	for i := 0; i < p.Config().PHVBits; i++ {
+	for i := 0; i < PHVBits; i++ {
 		p.Observe(addr, 999999, nil)
 	}
 	if p.Stats().Resets == 0 {
@@ -130,7 +134,7 @@ func TestNoResetBeforePHVFull(t *testing.T) {
 	// otherwise a few cold misses would thrash roots.
 	p := newPred(SchemeRegular)
 	addr := uint64(0x2000)
-	for i := 0; i < p.Config().ResetThreshold; i++ {
+	for i := 0; i < DefaultConfig().ResetThreshold; i++ {
 		p.Observe(addr, 999999, nil)
 	}
 	if p.Stats().Resets != 0 {
@@ -156,9 +160,9 @@ func TestNoResetWhenMostlyHitting(t *testing.T) {
 }
 
 func TestNonAdaptiveNeverResets(t *testing.T) {
-	cfg := DefaultConfig(SchemeRegular)
+	cfg := DefaultConfig()
 	cfg.Adaptive = false
-	p := New(cfg)
+	p := New(SchemeRegular, cfg, testSeed)
 	for i := 0; i < 200; i++ {
 		p.Observe(0x1000, 999999, nil)
 	}
@@ -172,7 +176,7 @@ func TestRebaseAfterReset(t *testing.T) {
 	addr := uint64(0x6000)
 	seq := p.NextSeqForEvict(addr, p.Root(addr)) // root+1, from current root
 	// Force a reset.
-	for i := 0; i < p.Config().PHVBits; i++ {
+	for i := 0; i < PHVBits; i++ {
 		p.Observe(addr, 0xdeadbeef, nil)
 	}
 	newRoot := p.Root(addr)
@@ -205,7 +209,7 @@ func TestContextPredictionCoversLOR(t *testing.T) {
 	if !contains(g, root) || !contains(g, root+5) {
 		t.Fatal("regular guesses missing from context prediction")
 	}
-	maxGuesses := (p.Config().Depth + 1) + (2*p.Config().Swing + 1)
+	maxGuesses := (DefaultConfig().Depth + 1) + (2*DefaultConfig().Swing + 1)
 	if len(g) > maxGuesses {
 		t.Fatalf("%d guesses exceed max %d", len(g), maxGuesses)
 	}
@@ -243,7 +247,7 @@ func TestContextLORClampAtZero(t *testing.T) {
 	p.Observe(addr, root+1, []uint64{root + 1}) // LOR=1 < swing → lower bound clamps to 0
 	g := p.Predict(addr)
 	for _, v := range g {
-		if v-root > uint64(p.Config().Depth) && v-root > uint64(1+p.Config().Swing) {
+		if v-root > uint64(DefaultConfig().Depth) && v-root > uint64(1+DefaultConfig().Swing) {
 			t.Fatalf("guess offset %d outside any window", v-root)
 		}
 	}
@@ -268,24 +272,23 @@ func TestTwoLevelFallsBackWithoutEntry(t *testing.T) {
 	addr := uint64(0xd000)
 	g := p.Predict(addr) // page never evicted anything → no range entry
 	root := p.Root(addr)
-	if g[0] != root || len(g) != p.Config().Depth+1 {
+	if g[0] != root || len(g) != DefaultConfig().Depth+1 {
 		t.Fatalf("fallback guesses = %v, want regular range at root", g)
 	}
 }
 
-// TestTwoLevelTableEviction pins the range table's replacement with two
-// entries and three pages. Range info is backed by the page's security
-// context (Section 7.2 stores 256 bits per page), but the on-chip table
-// must be resident to steer speculation: a displaced page's access falls
-// back to regular prediction while its entry refills, evicting the least
-// recently used page, and the next access predicts the deep offset
-// again.
+// TestTwoLevelTableEviction pins the range table's replacement with
+// one page more than it has entries. Range info is backed by the page's
+// security context (Section 7.2 stores 256 bits per page), but the
+// on-chip table must be resident to steer speculation: a displaced
+// page's access falls back to regular prediction while its entry
+// refills, evicting the least recently used page, and the next access
+// predicts the deep offset again.
 func TestTwoLevelTableEviction(t *testing.T) {
-	cfg := DefaultConfig(SchemeTwoLevel)
-	cfg.RangeTableEntries = 2
-	p := New(cfg)
+	cfg := DefaultConfig()
+	p := New(SchemeTwoLevel, cfg, testSeed)
 	pageAddr := func(i int) uint64 { return uint64(i) * 4096 }
-	for i := 0; i < 3; i++ {
+	for i := 0; i <= RangeTableEntries; i++ {
 		a := pageAddr(i)
 		seq := p.Root(a)
 		for j := 0; j < 8; j++ {
@@ -309,10 +312,10 @@ func TestTwoLevelTableEviction(t *testing.T) {
 			t.Fatalf("after page %d: RangeEvictions = %d, want %d", i, got, evictions)
 		}
 	}
-	check(1, true, 1)  // page 2 displaced page 0
+	check(1, true, 1)  // page 64 displaced page 0
 	check(0, false, 2) // refill displaces page 2
 	check(0, true, 2)
-	check(2, false, 3) // refill displaces page 1
+	check(2, false, 3) // refill displaces page 3
 	check(2, true, 3)
 	p.FlushTransient()
 	check(0, false, 3) // refills into an empty table
@@ -322,29 +325,27 @@ func TestTwoLevelTableEviction(t *testing.T) {
 }
 
 func TestTwoLevelRangeClamped(t *testing.T) {
-	cfg := DefaultConfig(SchemeTwoLevel)
-	cfg.RangeBits = 2 // 4 ranges, matching Section 7.2's example
-	p := New(cfg)
+	p := newPred(SchemeTwoLevel)
 	addr := uint64(0xe000)
 	seq := p.Root(addr)
-	for i := 0; i < 40; i++ { // offset 40 ≫ 4 ranges × span 6
+	for i := 0; i < 100; i++ { // offset 100 ≫ 16 ranges × span 6
 		seq = p.NextSeqForEvict(addr, seq)
 	}
 	g := p.Predict(addr)
 	root := p.Root(addr)
-	// Clamped to the top range [18,23]; guesses start at 18.
-	if g[0] != root+18 {
-		t.Fatalf("clamped range starts at offset %d, want 18", g[0]-root)
+	// Clamped to the top range [90,95]; guesses start at 90.
+	if g[0] != root+90 {
+		t.Fatalf("clamped range starts at offset %d, want 90", g[0]-root)
 	}
 }
 
 func TestRootHistoryPredictsOldRoots(t *testing.T) {
-	cfg := DefaultConfig(SchemeRegular)
+	cfg := DefaultConfig()
 	cfg.HistoryDepth = 1
-	p := New(cfg)
+	p := New(SchemeRegular, cfg, testSeed)
 	addr := uint64(0xf000)
 	oldRoot := p.Root(addr)
-	for i := 0; i < cfg.PHVBits; i++ {
+	for i := 0; i < PHVBits; i++ {
 		p.Observe(addr, 0xabcdef, nil)
 	}
 	if p.Root(addr) == oldRoot {
@@ -357,12 +358,12 @@ func TestRootHistoryPredictsOldRoots(t *testing.T) {
 }
 
 func TestRootHistoryBounded(t *testing.T) {
-	cfg := DefaultConfig(SchemeRegular)
+	cfg := DefaultConfig()
 	cfg.HistoryDepth = 2
-	p := New(cfg)
+	p := New(SchemeRegular, cfg, testSeed)
 	addr := uint64(0x11000)
 	for r := 0; r < 5; r++ {
-		for i := 0; i < cfg.PHVBits; i++ {
+		for i := 0; i < PHVBits; i++ {
 			p.Observe(addr, 0xabcdef, nil)
 		}
 	}
@@ -379,7 +380,7 @@ func TestRootHistoryBounded(t *testing.T) {
 func TestPHVClearedOnReset(t *testing.T) {
 	p := newPred(SchemeRegular)
 	addr := uint64(0x12000)
-	for i := 0; i < p.Config().PHVBits; i++ {
+	for i := 0; i < PHVBits; i++ {
 		p.Observe(addr, 0xabc, nil)
 	}
 	resets := p.Stats().Resets
@@ -404,7 +405,7 @@ func TestMonotoneCountersUnique(t *testing.T) {
 		seen[seq] = true
 		for i := 0; i < int(evictions%50)+2; i++ {
 			if i == int(resetAt%20) {
-				for j := 0; j < p.Config().PHVBits; j++ {
+				for j := 0; j < PHVBits; j++ {
 					p.Observe(addr, 0xffffffffff, nil)
 				}
 			}
@@ -423,10 +424,9 @@ func TestMonotoneCountersUnique(t *testing.T) {
 
 func TestBadConfigsPanic(t *testing.T) {
 	bad := []Config{
-		{Scheme: SchemeRegular, Depth: -1, PHVBits: 16, ResetThreshold: 12},
-		{Scheme: SchemeRegular, Depth: 5, PHVBits: 0, ResetThreshold: 12},
-		{Scheme: SchemeRegular, Depth: 5, PHVBits: 16, ResetThreshold: 20},
-		{Scheme: SchemeTwoLevel, Depth: 5, PHVBits: 16, ResetThreshold: 12, RangeTableEntries: 0},
+		{Depth: -1, ResetThreshold: 12},
+		{Depth: 5, ResetThreshold: 0},
+		{Depth: 5, ResetThreshold: PHVBits + 1},
 	}
 	for i, cfg := range bad {
 		func() {
@@ -435,7 +435,7 @@ func TestBadConfigsPanic(t *testing.T) {
 					t.Errorf("bad config %d did not panic", i)
 				}
 			}()
-			New(cfg)
+			New(SchemeRegular, cfg, testSeed)
 		}()
 	}
 }
@@ -459,6 +459,62 @@ func TestPageCount(t *testing.T) {
 	p.Root(0x1040)
 	if p.PageCount() != 2 {
 		t.Fatalf("PageCount = %d, want 2", p.PageCount())
+	}
+}
+
+// TestPagesPastDenseHorizons touches pages below 4 GiB, past it (the
+// old page directory's dense horizon) and past 512 GiB (the page
+// table's): each draws its root in first-touch order, counts in
+// PageCount, and loses its history vector on FlushTransient.
+func TestPagesPastDenseHorizons(t *testing.T) {
+	p := newPred(SchemeRegular)
+	pages := []uint64{600 << 30, 0x1000, 5 << 30, 1 << 50}
+	draws := rng.New(testSeed)
+	for _, a := range pages {
+		if got, want := p.Root(a), draws.Uint64(); got != want {
+			t.Fatalf("page %#x: root %#x, want the next draw %#x", a, got, want)
+		}
+	}
+	if p.PageCount() != len(pages) {
+		t.Fatalf("PageCount = %d, want %d", p.PageCount(), len(pages))
+	}
+	// One miss short of a full history, a flush, then one more miss: a
+	// kept history would be full of misses and reset every root.
+	for _, a := range pages {
+		for range PHVBits - 1 {
+			p.Observe(a, 0, nil)
+		}
+	}
+	p.FlushTransient()
+	for _, a := range pages {
+		p.Observe(a, 0, nil)
+	}
+	if r := p.Stats().Resets; r != 0 {
+		t.Fatalf("%d roots reset after the flush", r)
+	}
+	for _, a := range pages {
+		for range PHVBits - 1 {
+			p.Observe(a, 0, nil)
+		}
+	}
+	if r := p.Stats().Resets; r != uint64(len(pages)) {
+		t.Fatalf("resets = %d after refilling every history, want %d", r, len(pages))
+	}
+}
+
+// TestAscendingPagesAllocs touches 4,096 pages in ascending order: past
+// each page's own metadata, the page table allocates a bounded handful
+// of times, not once per few dozen pages.
+func TestAscendingPagesAllocs(t *testing.T) {
+	const pages = 4096
+	allocs := testing.AllocsPerRun(1, func() {
+		p := newPred(SchemeRegular)
+		for i := range uint64(pages) {
+			p.Root(i << 12)
+		}
+	})
+	if allocs > pages+16 {
+		t.Fatalf("%v allocations for %d pages, want at most %d", allocs, pages, pages+16)
 	}
 }
 
@@ -507,28 +563,28 @@ func TestResetInvalidatesLOR(t *testing.T) {
 	addr := uint64(0x5000)
 	root := p.Root(addr)
 	p.Observe(addr, root+20, nil) // LOR = 20, valid, outside the regular depth
-	withLOR := p.Config().Depth + 1 + 2*p.Config().Swing + 1
+	withLOR := DefaultConfig().Depth + 1 + 2*DefaultConfig().Swing + 1
 	if n := len(p.Predict(addr)); n != withLOR {
 		t.Fatalf("guesses with LOR = %d, want %d", n, withLOR)
 	}
 	guessesBefore := p.Stats().Guesses
 	// Sustained misses reset the page root.
-	for i := 0; i < p.Config().PHVBits; i++ {
+	for i := 0; i < PHVBits; i++ {
 		p.Observe(addr, 0xdead, nil)
 	}
 	if p.Stats().Resets == 0 {
 		t.Fatal("expected an adaptive reset")
 	}
 	g := p.Predict(addr)
-	if n := p.Config().Depth + 1; len(g) != n {
+	if n := DefaultConfig().Depth + 1; len(g) != n {
 		t.Fatalf("guesses after reset = %d, want %d (LOR offsets die with their root)", len(g), n)
 	}
-	if got, want := p.Stats().Guesses-guessesBefore, uint64(p.Config().Depth+1); got != want {
+	if got, want := p.Stats().Guesses-guessesBefore, uint64(DefaultConfig().Depth+1); got != want {
 		t.Fatalf("Guesses grew by %d across the reset, want %d", got, want)
 	}
 	// The LOR revalidates at the next fetch counting from a live root.
 	p.Observe(addr, p.Root(addr)+9, nil)
-	if n := len(p.Predict(addr)); n <= p.Config().Depth+1 {
+	if n := len(p.Predict(addr)); n <= DefaultConfig().Depth+1 {
 		t.Fatalf("LOR did not revalidate: %d guesses", n)
 	}
 }
@@ -538,18 +594,21 @@ func TestPredictorAccountingProperties(t *testing.T) {
 	// variant): Predict's guesses are always deduplicated, Stats.Guesses
 	// equals the summed lengths of the returned guess lists, and the hit
 	// depth histogram records exactly one sample per hit.
-	configs := map[string]Config{
-		"regular":  DefaultConfig(SchemeRegular),
-		"twolevel": DefaultConfig(SchemeTwoLevel),
-		"context":  DefaultConfig(SchemeContext),
-	}
-	hist := DefaultConfig(SchemeRegular)
+	hist := DefaultConfig()
 	hist.HistoryDepth = 2
-	configs["regular+history"] = hist
+	configs := map[string]struct {
+		scheme Scheme
+		cfg    Config
+	}{
+		"regular":         {SchemeRegular, DefaultConfig()},
+		"twolevel":        {SchemeTwoLevel, DefaultConfig()},
+		"context":         {SchemeContext, DefaultConfig()},
+		"regular+history": {SchemeRegular, hist},
+	}
 
-	for name, cfg := range configs {
+	for name, c := range configs {
 		t.Run(name, func(t *testing.T) {
-			p := New(cfg)
+			p := New(c.scheme, c.cfg, testSeed)
 			rnd := uint64(0x9e3779b97f4a7c15)
 			next := func(n uint64) uint64 { // xorshift; deterministic, no global rand
 				rnd ^= rnd << 13

@@ -126,7 +126,7 @@ func newDirectRig() *rig {
 	d := dram.New(dram.DefaultConfig())
 	e, _ := cryptoengine.New(cryptoengine.DefaultSpec()) // the default spec always builds
 	ks := ctr.NewKeystream(key)
-	p := predictor.New(predictor.DefaultConfig(predictor.SchemeNone))
+	p := predictor.New(predictor.SchemeNone, predictor.DefaultConfig(), 0x5eed)
 	cfg := DefaultConfig()
 	cfg.Direct = true
 	return &rig{ctrl: New(cfg, d, e, ks, p, image), image: image}

@@ -22,7 +22,7 @@ func newRig(scheme predictor.Scheme, seqCacheBytes int, oracle bool) *rig {
 	d := dram.New(dram.DefaultConfig())
 	e, _ := cryptoengine.New(cryptoengine.DefaultSpec()) // the default spec always builds
 	ks := ctr.NewKeystream(key)
-	p := predictor.New(predictor.DefaultConfig(scheme))
+	p := predictor.New(scheme, predictor.DefaultConfig(), 0x5eed)
 	cfg := DefaultConfig()
 	cfg.Oracle = oracle
 	cfg.SeqCacheBytes = seqCacheBytes
@@ -342,7 +342,7 @@ func TestCounterTableClearOfData(t *testing.T) {
 	d := dram.New(dram.DefaultConfig())
 	e, _ := cryptoengine.New(cryptoengine.DefaultSpec()) // the default spec always builds
 	ks := ctr.NewKeystream(key)
-	p := predictor.New(predictor.DefaultConfig(predictor.SchemeNone))
+	p := predictor.New(predictor.SchemeNone, predictor.DefaultConfig(), 0x5eed)
 	c := New(Config{SelfCheck: true}, d, e, ks, p, image)
 	c.FetchLine(0, 0)
 	if c.Stats().SelfCheckFails != 0 {

@@ -54,7 +54,7 @@ func (s *agedSetup) visit(yield func(la, offset uint64)) {
 }
 
 func (s *agedSetup) build() *AgedTemplate {
-	tp := predictor.New(predictor.DefaultConfig(predictor.SchemeNone))
+	tp := predictor.New(predictor.SchemeNone, predictor.DefaultConfig(), 0x5eed)
 	return BuildAgedTemplate(ctr.NewKeystream(s.key), s.image, tp.Root, s.ages)
 }
 
@@ -66,7 +66,7 @@ func (s *agedSetup) controller(cfg Config) *Controller {
 
 // controllerOn is controller over data channel d.
 func (s *agedSetup) controllerOn(cfg Config, d *dram.DRAM) *Controller {
-	p := predictor.New(predictor.DefaultConfig(predictor.SchemeRegular))
+	p := predictor.New(predictor.SchemeRegular, predictor.DefaultConfig(), 0x5eed)
 	s.visit(func(la, _ uint64) { p.Root(la) })
 	e, _ := cryptoengine.New(cryptoengine.DefaultSpec()) // the default spec always builds
 	ks := ctr.NewKeystream(s.key)
@@ -191,11 +191,11 @@ func TestAgedTemplateKeepsMappingRootAfterReset(t *testing.T) {
 	resetRoot := func(c *Controller) uint64 {
 		p := c.Predictor()
 		mapped := p.Root(la)
-		for range p.Config().PHVBits {
+		for range predictor.PHVBits {
 			p.Observe(la, 0, nil)
 		}
 		if p.Stats().Resets != 1 || p.Root(la) == mapped {
-			t.Fatalf("%d misses reset the root %d times", p.Config().PHVBits, p.Stats().Resets)
+			t.Fatalf("%d misses reset the root %d times", predictor.PHVBits, p.Stats().Resets)
 		}
 		return mapped
 	}
@@ -559,7 +559,7 @@ func perLineTemplate(lines []uint64, roots func(la uint64) uint64, aged []AgedLi
 // predictor, as sim's template builder does, and records the line of
 // every draw.
 func recordingRoots() (func(la uint64) uint64, *[]uint64) {
-	tp := predictor.New(predictor.DefaultConfig(predictor.SchemeNone))
+	tp := predictor.New(predictor.SchemeNone, predictor.DefaultConfig(), 0x5eed)
 	var calls []uint64
 	return func(la uint64) uint64 {
 		calls = append(calls, la)

@@ -47,27 +47,27 @@ func eagerMachine(bench string, cfg Config) (*Machine, error) {
 	return &Machine{Config: cfg, Benchmark: bench, Image: image, Core: core, Sys: sys, side: s}, nil
 }
 
-// predVariant is a scheme with a modified regular-predictor config, the
-// shape of the ablation experiment's variants.
-func predVariant(name string, mod func(*predictor.Config)) Scheme {
-	pc := predictor.DefaultConfig(predictor.SchemeRegular)
+// predVariant is a prediction scheme with a modified predictor config,
+// the shape of the ablation experiment's variants.
+func predVariant(name string, scheme predictor.Scheme, mod func(*predictor.Config)) Scheme {
+	pc := predictor.DefaultConfig()
 	mod(&pc)
-	return Scheme{Name: name, Pred: pc.Scheme, PredConfig: &pc}
+	return Scheme{Name: name, Pred: scheme, PredConfig: &pc}
 }
 
 // ablationVariants are the ablation experiment's nine non-default
 // predictor variants.
 func ablationVariants() []Scheme {
 	return []Scheme{
-		predVariant("non-adaptive", func(c *predictor.Config) { c.Adaptive = false }),
-		predVariant("depth=1", func(c *predictor.Config) { c.Depth = 1 }),
-		predVariant("depth=11", func(c *predictor.Config) { c.Depth = 11 }),
-		predVariant("history=1", func(c *predictor.Config) { c.HistoryDepth = 1 }),
-		predVariant("history=2", func(c *predictor.Config) { c.HistoryDepth = 2 }),
-		predVariant("threshold=4", func(c *predictor.Config) { c.ResetThreshold = 4 }),
-		predVariant("threshold=16", func(c *predictor.Config) { c.ResetThreshold = 16 }),
-		predVariant("context swing=1", func(c *predictor.Config) { c.Scheme = predictor.SchemeContext; c.Swing = 1 }),
-		predVariant("context swing=7", func(c *predictor.Config) { c.Scheme = predictor.SchemeContext; c.Swing = 7 }),
+		predVariant("non-adaptive", predictor.SchemeRegular, func(c *predictor.Config) { c.Adaptive = false }),
+		predVariant("depth=1", predictor.SchemeRegular, func(c *predictor.Config) { c.Depth = 1 }),
+		predVariant("depth=11", predictor.SchemeRegular, func(c *predictor.Config) { c.Depth = 11 }),
+		predVariant("history=1", predictor.SchemeRegular, func(c *predictor.Config) { c.HistoryDepth = 1 }),
+		predVariant("history=2", predictor.SchemeRegular, func(c *predictor.Config) { c.HistoryDepth = 2 }),
+		predVariant("threshold=4", predictor.SchemeRegular, func(c *predictor.Config) { c.ResetThreshold = 4 }),
+		predVariant("threshold=16", predictor.SchemeRegular, func(c *predictor.Config) { c.ResetThreshold = 16 }),
+		predVariant("context swing=1", predictor.SchemeContext, func(c *predictor.Config) { c.Swing = 1 }),
+		predVariant("context swing=7", predictor.SchemeContext, func(c *predictor.Config) { c.Swing = 7 }),
 	}
 }
 

@@ -34,10 +34,10 @@ func groupSchemeSets() [][]Scheme {
 		{SchemePred(predictor.SchemeRegular), SchemePred(predictor.SchemeTwoLevel), SchemePred(predictor.SchemeContext)},
 		{SchemeSeqCache(4 << 10), SchemeSeqCache(64 << 10), SchemeSeqCache(1 << 20), SchemePred(predictor.SchemeRegular)},
 		{
-			predVariant("non-adaptive", func(c *predictor.Config) { c.Adaptive = false }),
-			predVariant("depth=1", func(c *predictor.Config) { c.Depth = 1 }),
-			predVariant("history=2", func(c *predictor.Config) { c.HistoryDepth = 2 }),
-			predVariant("context swing=1", func(c *predictor.Config) { c.Scheme = predictor.SchemeContext; c.Swing = 1 }),
+			predVariant("non-adaptive", predictor.SchemeRegular, func(c *predictor.Config) { c.Adaptive = false }),
+			predVariant("depth=1", predictor.SchemeRegular, func(c *predictor.Config) { c.Depth = 1 }),
+			predVariant("history=2", predictor.SchemeRegular, func(c *predictor.Config) { c.HistoryDepth = 2 }),
+			predVariant("context swing=1", predictor.SchemeContext, func(c *predictor.Config) { c.Swing = 1 }),
 		},
 		{SchemeCombined(32<<10, predictor.SchemeRegular), SchemeOracle(), SchemeBaseline()},
 	}

@@ -54,8 +54,9 @@ type Scheme struct {
 	SeqCacheBytes int
 	// Pred selects the prediction scheme (predictor.SchemeNone disables).
 	Pred predictor.Scheme
-	// PredConfig optionally overrides the full predictor configuration;
-	// when nil, predictor.DefaultConfig(Pred) is used.
+	// PredConfig optionally overrides the predictor's settings; when
+	// nil, predictor.DefaultConfig() is used. The scheme is Pred either
+	// way, and the root seed derives from Config.Seed.
 	PredConfig *predictor.Config
 	// Oracle makes every counter available instantly.
 	Oracle bool
@@ -391,7 +392,7 @@ func newSide(cfg Config, tmpl *machineTemplate, image *mem.Memory) (*side, error
 	if err != nil || cfg.Scheme.Direct {
 		return s, err
 	}
-	if s.Pred.Config().Scheme == predictor.SchemeTwoLevel {
+	if cfg.Scheme.Pred == predictor.SchemeTwoLevel {
 		// The paper simulates the prediction mechanism during
 		// fast-forward, so two-level range state starts warm. The table
 		// walks create pages in sample order, the order the template
@@ -416,12 +417,11 @@ func wireSide(cfg Config, d *dram.DRAM, tree *integrity.Tree, image *mem.Memory)
 		return nil, err
 	}
 
-	pcfg := predictor.DefaultConfig(cfg.Scheme.Pred)
+	pcfg := predictor.DefaultConfig()
 	if cfg.Scheme.PredConfig != nil {
 		pcfg = *cfg.Scheme.PredConfig
 	}
-	pcfg.Seed = cfg.Seed ^ 0xabcdef
-	pred := predictor.New(pcfg)
+	pred := predictor.New(cfg.Scheme.Pred, pcfg, rootSeed(cfg.Seed))
 
 	scfg := secmem.DefaultConfig()
 	scfg.Oracle = cfg.Scheme.Oracle
@@ -446,6 +446,12 @@ func wireSide(cfg Config, d *dram.DRAM, tree *integrity.Tree, image *mem.Memory)
 		Faults: inj, scheme: cfg.Scheme.Name,
 	}, nil
 }
+
+// rootSeed derives the seed of a machine's page-root generator from the
+// run seed. The template draws its roots from the same generator, so a
+// machine replaying them holds the roots the template aged its lines
+// under.
+func rootSeed(seed uint64) uint64 { return seed ^ 0xabcdef }
 
 // Run executes the machine to the configured instruction budget and
 // collects the result, labeled with the benchmark the machine was built

@@ -187,7 +187,7 @@ func TestDeterministicResults(t *testing.T) {
 }
 
 func TestCustomPredictorConfig(t *testing.T) {
-	pc := predictor.DefaultConfig(predictor.SchemeRegular)
+	pc := predictor.DefaultConfig()
 	pc.Depth = 0 // only the root guess
 	s := SchemePred(predictor.SchemeRegular)
 	s.PredConfig = &pc

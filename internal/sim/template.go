@@ -32,7 +32,7 @@
 //
 // Sharing is sound because all of the cached artifacts are functions of
 // the key (seed-derived), the image (seed-derived) and the counter roots
-// (drawn from rng.New(seed^0xabcdef) in aged-page first-touch order,
+// (drawn from rng.New(rootSeed(seed)) in aged-page first-touch order,
 // which is itself seed-derived) — scheme choice influences none of them.
 //
 // The template is the only way a counter-mode machine gets its starting
@@ -218,9 +218,7 @@ func buildTemplate(bench string, cfg Config) (*machineTemplate, error) {
 		t.ageList = append(make([]secmem.AgedLine, 0, len(t.ageList)), t.ageList...)
 	}
 
-	tpcfg := predictor.DefaultConfig(predictor.SchemeNone)
-	tpcfg.Seed = cfg.Seed ^ 0xabcdef
-	tp := predictor.New(tpcfg)
+	tp := predictor.New(predictor.SchemeNone, predictor.DefaultConfig(), rootSeed(cfg.Seed))
 	pages := 0
 	ks := ctr.NewKeystream(machineKey(cfg.Seed))
 	// Roots are drawn in the builder's order: aged lines first, in
