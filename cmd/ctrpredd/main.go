@@ -92,19 +92,33 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
+	// A flag the chosen mode would not read is refused, not ignored.
+	// Visit sees only the flags given, so a default never trips this.
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+	for _, u := range []struct {
+		flag   string
+		unread bool
+		why    string
+	}{
+		{"smoke", *coord, "-coordinator has no -smoke; the cluster self-test is go test ./internal/cluster -run TestClusterConcurrentStreamingClients"},
+		{"timeout", *coord, `-coordinator takes no -timeout; bound a job with its own "timeout" field`},
+		{"pprof", *coord, "-coordinator takes no -pprof"},
+		{"chaos", *coord, "-coordinator takes no -chaos; mount the schedule on the workers (ctrpredd -chaos ... on each)"},
+		{"chaos-seed", *coord || *chaosStr == "", "-chaos-seed seeds a worker's -chaos schedule"},
+		{"join", *coord, "-coordinator takes no -join; workers join it"},
+		{"advertise", *coord || *join == "", "-advertise is the URL a worker announces with -join"},
+		{"fanout", !*coord, "-fanout is a -coordinator flag"},
+		{"journal", !*coord, "-journal is a -coordinator flag"},
+		{"local-fallback", !*coord, "-local-fallback is a -coordinator flag"},
+	} {
+		if u.unread && set[u.flag] {
+			fmt.Fprintf(stderr, "ctrpredd: %s\n", u.why)
+			return 2
+		}
+	}
+
 	if *coord {
-		if *smoke {
-			fmt.Fprintln(stderr, "ctrpredd: -coordinator has no -smoke; the cluster self-test is go test ./internal/cluster -run TestClusterConcurrentStreamingClients")
-			return 2
-		}
-		if *timeout != 0 || *pprofF {
-			fmt.Fprintln(stderr, `ctrpredd: -coordinator takes no -timeout or -pprof; bound a job with its own "timeout" field`)
-			return 2
-		}
-		if *chaosStr != "" {
-			fmt.Fprintln(stderr, "ctrpredd: -coordinator takes no -chaos; mount the schedule on the workers (ctrpredd -chaos ... on each)")
-			return 2
-		}
 		urls := splitURLs(*workers)
 		ccfg := cluster.Config{
 			Workers:              urls,

@@ -76,11 +76,14 @@ func TestCoordinatorSmokeRejected(t *testing.T) {
 	}
 }
 
-// TestCoordinatorRejectsNodeOnlyFlags: -timeout, -pprof and -chaos
-// configure a single node's server; a coordinator must refuse them
-// rather than silently ignore them.
+// TestCoordinatorRejectsNodeOnlyFlags: -timeout, -pprof, -chaos,
+// -chaos-seed, -join and -advertise configure a single node's server; a
+// coordinator must refuse them rather than silently ignore them.
 func TestCoordinatorRejectsNodeOnlyFlags(t *testing.T) {
-	for _, flag := range [][]string{{"-timeout", "30s"}, {"-pprof"}, {"-chaos", "latency:ms=1"}} {
+	for _, flag := range [][]string{
+		{"-timeout", "30s"}, {"-pprof"}, {"-chaos", "latency:ms=1"},
+		{"-chaos-seed", "7"}, {"-join", "http://127.0.0.1:1"}, {"-advertise", "http://127.0.0.1:2"},
+	} {
 		var out, errOut strings.Builder
 		// An unlistenable -addr: a coordinator that accepted the flag
 		// exits 1 at its listener instead of serving.
@@ -90,6 +93,28 @@ func TestCoordinatorRejectsNodeOnlyFlags(t *testing.T) {
 		}
 		if !strings.Contains(errOut.String(), flag[0]) {
 			t.Fatalf("stderr does not name %s: %s", flag[0], errOut.String())
+		}
+	}
+}
+
+// TestWorkerRejectsUnreadFlags: a worker refuses the coordinator-only
+// flags, -chaos-seed without -chaos and -advertise without -join, even
+// when the value given is the default.
+func TestWorkerRejectsUnreadFlags(t *testing.T) {
+	for _, flag := range [][]string{
+		{"-fanout", "4"}, {"-journal", "sweep.journal"}, {"-local-fallback=true"}, {"-local-fallback=false"},
+		{"-chaos-seed", "1"}, {"-advertise", "http://127.0.0.1:2"},
+	} {
+		var out, errOut strings.Builder
+		// An unlistenable -addr: a worker that accepted the flag exits 1
+		// at its listener instead of serving.
+		args := append([]string{"-addr", "no-port"}, flag...)
+		if code := run(args, &out, &errOut); code != 2 {
+			t.Fatalf("run %v = %d, want 2", args, code)
+		}
+		name, _, _ := strings.Cut(flag[0], "=")
+		if !strings.Contains(errOut.String(), name) {
+			t.Fatalf("stderr does not name %s: %s", name, errOut.String())
 		}
 	}
 }
