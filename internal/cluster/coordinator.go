@@ -37,8 +37,9 @@ type Config struct {
 	// FailThreshold is consecutive failures before mark-down (0: 2).
 	FailThreshold int
 	// ProbeInterval paces the health prober (0: 1 s; < 0: disabled —
-	// dispatch failures still mark workers down, but nothing revives
-	// them).
+	// dispatch failures still mark workers down, and a down worker
+	// revives only through its breaker's half-open trial dispatch once
+	// BreakerCooldown has passed).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one health probe (0: 2 s).
 	ProbeTimeout time.Duration
@@ -356,7 +357,7 @@ func (c *Coordinator) forward(ctx context.Context, path string, req any, key str
 	return c.place(ctx, key, noCache, func(ctx context.Context, node, _ string) (server.Result, string, error) {
 		c.reg.NoteDispatch(node)
 		if stream {
-			res, err := c.relayStream(ctx, node, path, body, key, noCache, progress)
+			res, err := c.relayStream(ctx, node, path, body, progress)
 			return res, node, err
 		}
 		out, _, err := c.client.PostJSON(ctx, node, path, body)
@@ -366,10 +367,10 @@ func (c *Coordinator) forward(ctx context.Context, path string, req any, key str
 
 // relayStream runs one streamed dispatch on node, relaying the worker's
 // progress but not its "accepted" line (the front sent its own). The
-// stream embeds the snapshot compacted; the canonical indented body is
-// recovered from the worker's cache, so the front caches exactly what a
-// single node would have.
-func (c *Coordinator) relayStream(ctx context.Context, node, path string, body []byte, key string, noCache bool, progress func(server.Event)) (server.Result, error) {
+// stream embeds the snapshot compacted; re-indenting it restores the
+// canonical body, so the front caches exactly what a single node would
+// have.
+func (c *Coordinator) relayStream(ctx context.Context, node, path string, body []byte, progress func(server.Event)) (server.Result, error) {
 	var final *server.Event
 	err := c.client.PostStream(ctx, node, path, body, func(ev server.Event) {
 		switch ev.Event {
@@ -388,17 +389,8 @@ func (c *Coordinator) relayStream(ctx context.Context, node, path string, body [
 	case final.Event == "error":
 		return server.Result{}, eventError(*final)
 	}
-	res := server.Result{Body: final.Snapshot, Cached: final.Cached, Compacted: true}
-	if !noCache {
-		// Deadlined: recovering the canonical form is an optimization,
-		// not worth wedging on.
-		lctx, cancel := context.WithTimeout(ctx, lookupTimeout)
-		defer cancel()
-		if canon, ok, err := c.client.LookupResult(lctx, node, key); err == nil && ok {
-			res.Body, res.Compacted = canon, false
-		}
-	}
-	return res, nil
+	canon, err := stats.Canonical(final.Snapshot)
+	return server.Result{Body: canon, Cached: final.Cached}, err
 }
 
 // execPartitioned splits a partitionable experiment into one cell per

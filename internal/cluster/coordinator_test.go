@@ -455,8 +455,8 @@ func TestClusterSimRelayStreams(t *testing.T) {
 	}
 
 	// Plain-mode byte-identity: the coordinator's plain response — here
-	// served from the canonical body it cached off the worker — matches
-	// a direct worker plain response exactly.
+	// served from the canonical body it cached off the relayed stream —
+	// matches a direct worker plain response exactly.
 	respC, viaCluster := postJSON(t, ts.URL+"/v1/sim", simReq)
 	if respC.StatusCode != http.StatusOK {
 		t.Fatalf("cluster plain run: status %d: %s", respC.StatusCode, viaCluster)
@@ -467,6 +467,37 @@ func TestClusterSimRelayStreams(t *testing.T) {
 	}
 	if !bytes.Equal(viaCluster, direct) {
 		t.Error("plain sim via coordinator differs from a direct worker run")
+	}
+}
+
+// TestClusterCachesRelayedStream: a streamed sim's result enters the
+// coordinator's cache in its canonical form even when the worker that
+// ran it caches nothing, so a plain repeat is a hit with a single
+// node's bytes and runs nothing again.
+func TestClusterCachesRelayedStream(t *testing.T) {
+	_, worker := newWorker(t, server.Config{CacheEntries: -1})
+	c := New(Config{Workers: []string{worker.URL}, ProbeInterval: -1})
+	ts := httptest.NewServer(c)
+	defer ts.Close()
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		c.Shutdown(ctx)
+	}()
+	simReq := server.SimRequest{
+		Bench: "mcf", Scheme: "pred-regular",
+		Footprint: "1M", Instructions: testInstr, Seed: testSeed,
+	}
+	if events := readStream(t, ts.URL+"/v1/sim", simReq); len(events) == 0 || events[len(events)-1].Event != "result" {
+		t.Fatalf("streamed sim did not end in a result: %+v", events)
+	}
+	resp, viaCluster := postJSON(t, ts.URL+"/v1/sim", simReq)
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("X-Cache") != "hit" {
+		t.Fatalf("plain repeat: status %d, X-Cache %q; want 200, hit", resp.StatusCode, resp.Header.Get("X-Cache"))
+	}
+	_, direct := postJSON(t, worker.URL+"/v1/sim", simReq)
+	if !bytes.Equal(viaCluster, direct) {
+		t.Error("cached relayed result differs from a single node's plain body")
 	}
 }
 

@@ -130,10 +130,6 @@ type Result struct {
 	// Cached marks a body some cache already held; a streamed result
 	// event says so.
 	Cached bool
-	// Compacted marks a body copied off a relayed NDJSON stream instead
-	// of the canonical indented form. It answers this request but never
-	// enters the cache, which holds only canonical bodies.
-	Compacted bool
 }
 
 // Server is the HTTP front. Create with New (or NewFront), mount as an
@@ -521,7 +517,7 @@ func (s *Server) dispatch(w http.ResponseWriter, r *http.Request, spec dispatchS
 			events <- errEvent(err)
 			return
 		}
-		if !spec.noCache && !res.Compacted {
+		if !spec.noCache {
 			s.cache.Put(spec.key, res.Body)
 		}
 		events <- Event{Event: "result", Key: spec.key, Cached: res.Cached, Snapshot: res.Body}

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -134,14 +135,27 @@ func (s *Snapshot) sortTree() {
 }
 
 // JSON serializes the tree as indented JSON with all nodes and metrics
-// sorted by name.
+// sorted by name, in the layout Canonical fixes.
 func (s *Snapshot) JSON() ([]byte, error) {
 	s.sortTree()
-	b, err := json.MarshalIndent(s, "", "  ")
+	b, err := json.Marshal(s)
 	if err != nil {
 		return nil, err
 	}
-	return append(b, '\n'), nil
+	return Canonical(b)
+}
+
+// Canonical lays out JSON text b the way JSON writes a snapshot:
+// indented by two spaces, with a trailing newline. A snapshot carried
+// compacted, as an NDJSON result event embeds it, so regains the bytes
+// its JSON wrote.
+func Canonical(b []byte) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := json.Indent(&buf, b, "", "  "); err != nil {
+		return nil, err
+	}
+	buf.WriteByte('\n')
+	return buf.Bytes(), nil
 }
 
 // Export writes the snapshot to path: JSON by default, CSV when the
