@@ -3,9 +3,10 @@ package cluster
 import (
 	"context"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
+
+	"ctrpred/internal/stats"
 )
 
 // latencyTracker keeps a sliding window of successful cell dispatch
@@ -28,29 +29,19 @@ func (t *latencyTracker) record(d time.Duration) {
 	t.mu.Unlock()
 }
 
-// quantile returns the q-quantile (nearest-rank) of the window, or
-// false before minHedgeSamples observations exist.
+// quantile returns the q-quantile of the window by stats.Percentile's
+// nearest-rank rule, or false before minHedgeSamples observations exist.
 func (t *latencyTracker) quantile(q float64) (time.Duration, bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if t.n < minHedgeSamples {
 		return 0, false
 	}
-	k := len(t.buf)
-	if t.n < uint64(k) {
-		k = int(t.n)
+	window := make([]float64, min(t.n, uint64(len(t.buf))))
+	for i := range window {
+		window[i] = float64(t.buf[i])
 	}
-	window := make([]time.Duration, k)
-	copy(window, t.buf[:k])
-	sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-	idx := int(q*float64(k)+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= k {
-		idx = k - 1
-	}
-	return window[idx], true
+	return time.Duration(stats.Percentile(window, q)), true
 }
 
 // postResult is one dispatch attempt's outcome.

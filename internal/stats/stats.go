@@ -111,40 +111,6 @@ func (h *Histogram) Mean() float64 {
 	return float64(h.Sum) / float64(h.Total)
 }
 
-// Quantile returns the smallest bucket upper bound such that at least
-// q (0..1) of the samples fall at or below it. For the open last bucket it
-// returns the observed max.
-//
-// The rank is nearest-rank, ⌈q·n⌉ — the same definition Percentile uses
-// on exact samples — so a histogram quantile and a Percentile over the
-// histogram's raw observations name the same sample (the histogram just
-// rounds it up to its bucket bound). An earlier version floored the
-// rank, which disagreed with Percentile one sample below every exact
-// bucket boundary.
-func (h *Histogram) Quantile(q float64) uint64 {
-	if h.Total == 0 {
-		return 0
-	}
-	target := uint64(math.Ceil(q * float64(h.Total)))
-	if target == 0 {
-		target = 1
-	}
-	if target > h.Total {
-		target = h.Total
-	}
-	var cum uint64
-	for i, c := range h.Counts {
-		cum += c
-		if cum >= target {
-			if i < len(h.Bounds) {
-				return h.Bounds[i]
-			}
-			return h.Max
-		}
-	}
-	return h.Max
-}
-
 // String renders a compact single-line summary.
 func (h *Histogram) String() string {
 	var b strings.Builder
