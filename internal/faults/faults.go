@@ -265,28 +265,6 @@ func (i *Injector) Bind(t Target) { i.target = t }
 // Trigger.Instr conditions. Without one, instruction triggers never arm.
 func (i *Injector) SetInstrSource(fn func() uint64) { i.instr = fn }
 
-// Armed reports whether any attack is still waiting to fire.
-func (i *Injector) Armed() bool {
-	for idx := range i.attacks {
-		if !i.attacks[idx].fired {
-			return true
-		}
-	}
-	return false
-}
-
-// Pending counts attacks that have not fired (trigger unmet or class
-// inapplicable so far).
-func (i *Injector) Pending() int {
-	n := 0
-	for idx := range i.attacks {
-		if !i.attacks[idx].fired {
-			n++
-		}
-	}
-	return n
-}
-
 // Stats returns a copy of the injection/detection ledger.
 func (i *Injector) Stats() Stats { return i.stats }
 

@@ -54,9 +54,6 @@ func TestTriggerFetchOrdinal(t *testing.T) {
 	if got := inj.Stats().Injected[BitFlip]; got != 1 {
 		t.Fatalf("injected = %d after ordinal reached, want 1", got)
 	}
-	if inj.Pending() != 0 {
-		t.Fatal("fired attack still pending")
-	}
 	// An attack fires exactly once.
 	inj.BeforeFetch(40, 0x4000)
 	if got := inj.Stats().Injected[BitFlip]; got != 1 {
@@ -154,9 +151,6 @@ func TestInapplicableAttackStaysArmed(t *testing.T) {
 	inj.BeforeFetch(1, 0x2000)
 	if inj.Stats().TotalInjected() != 0 {
 		t.Fatal("refused attack counted as injected")
-	}
-	if !inj.Armed() || inj.Pending() != 1 {
-		t.Fatal("refused attack no longer armed")
 	}
 	tgt.refuseCtr = false
 	inj.BeforeFetch(2, 0x3000)

@@ -250,19 +250,6 @@ type Program struct {
 // PC returns the address of instruction index i.
 func (p *Program) PC(i int) uint64 { return p.Base + uint64(i)*InstrBytes }
 
-// At returns the instruction at address pc, or (Instr{OpHalt}, false) if
-// pc is outside the program.
-func (p *Program) At(pc uint64) (Instr, bool) {
-	if pc < p.Base || (pc-p.Base)%InstrBytes != 0 {
-		return Instr{Op: OpHalt}, false
-	}
-	i := (pc - p.Base) / InstrBytes
-	if i >= uint64(len(p.Instrs)) {
-		return Instr{Op: OpHalt}, false
-	}
-	return p.Instrs[i], true
-}
-
 // Bytes encodes the whole program.
 func (p *Program) Bytes() []byte {
 	out := make([]byte, len(p.Instrs)*InstrBytes)

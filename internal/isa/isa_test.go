@@ -178,25 +178,6 @@ func TestMustAssemblePanics(t *testing.T) {
 	MustAssemble("bogus", 0)
 }
 
-func TestProgramAt(t *testing.T) {
-	p := MustAssemble("nop\nhalt", 0x2000)
-	if in, ok := p.At(0x2000); !ok || in.Op != OpNop {
-		t.Fatalf("At(base) = %v, %v", in, ok)
-	}
-	if in, ok := p.At(0x2008); !ok || in.Op != OpHalt {
-		t.Fatalf("At(base+8) = %v, %v", in, ok)
-	}
-	if _, ok := p.At(0x2010); ok {
-		t.Fatal("At past end reported ok")
-	}
-	if _, ok := p.At(0x2004); ok {
-		t.Fatal("misaligned At reported ok")
-	}
-	if _, ok := p.At(0x1000); ok {
-		t.Fatal("At below base reported ok")
-	}
-}
-
 func TestProgramBytesDecode(t *testing.T) {
 	p := MustAssemble("addi r1, r0, 7\nhalt", 0)
 	b := p.Bytes()

@@ -121,12 +121,6 @@ func (e *PartialError) Unwrap() error { return e.Cause }
 // one per available CPU.
 func DefaultWorkers() int { return runtime.GOMAXPROCS(0) }
 
-// Run executes every job across the pool with a background context; see
-// RunContext.
-func Run[T any](opt Options, jobs []Job[T]) ([]T, error) {
-	return RunContext(context.Background(), opt, jobs)
-}
-
 // RunContext executes every job across the pool and returns their values
 // in input order.
 //

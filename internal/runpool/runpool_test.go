@@ -25,7 +25,7 @@ func TestOrderPreservedAcrossWorkers(t *testing.T) {
 		}
 	}
 	for _, workers := range []int{1, 4, 16, n + 5} {
-		got, err := Run(Options{Workers: workers}, jobs)
+		got, err := RunContext(context.Background(), Options{Workers: workers}, jobs)
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -43,7 +43,7 @@ func TestPanicCaptured(t *testing.T) {
 		{Label: "bomb", Fn: func(context.Context) (string, error) { panic("boom") }},
 		{Label: "also-fine", Fn: func(context.Context) (string, error) { return "ok", nil }},
 	}
-	got, err := Run(Options{Workers: 2}, jobs)
+	got, err := RunContext(context.Background(), Options{Workers: 2}, jobs)
 	if err == nil {
 		t.Fatal("panic did not surface as an error")
 	}
@@ -82,7 +82,7 @@ func TestLowestIndexErrorWins(t *testing.T) {
 			return i, nil
 		}}
 	}
-	_, err := Run(Options{Workers: 8}, jobs)
+	_, err := RunContext(context.Background(), Options{Workers: 8}, jobs)
 	if err == nil || err.Error() != "slow failure" {
 		t.Fatalf("err = %v, want job 2's slow failure", err)
 	}
@@ -96,7 +96,7 @@ func TestProgressSerializedAndComplete(t *testing.T) {
 	}
 	var updates []Update
 	var inFlight atomic.Int32
-	_, err := Run(Options{
+	_, err := RunContext(context.Background(), Options{
 		Workers: 8,
 		Progress: func(u Update) {
 			if inFlight.Add(1) != 1 {
@@ -128,7 +128,7 @@ func TestProgressSerializedAndComplete(t *testing.T) {
 }
 
 func TestEmptyAndDefaults(t *testing.T) {
-	got, err := Run[int](Options{}, nil)
+	got, err := RunContext[int](context.Background(), Options{}, nil)
 	if err != nil || len(got) != 0 {
 		t.Fatalf("empty run: %v, %v", got, err)
 	}
@@ -136,7 +136,7 @@ func TestEmptyAndDefaults(t *testing.T) {
 		t.Fatalf("DefaultWorkers() = %d", DefaultWorkers())
 	}
 	// Workers <= 0 falls back to the default and still runs everything.
-	vals, err := Run(Options{Workers: -3}, []Job[int]{{Label: "x", Fn: func(context.Context) (int, error) { return 42, nil }}})
+	vals, err := RunContext(context.Background(), Options{Workers: -3}, []Job[int]{{Label: "x", Fn: func(context.Context) (int, error) { return 42, nil }}})
 	if err != nil || vals[0] != 42 {
 		t.Fatalf("default-worker run: %v, %v", vals, err)
 	}
