@@ -3,11 +3,13 @@
 // under README.md's Architecture heading — list every one. A deleted or
 // renamed package has to leave the docs with it, and a new one has to be
 // entered in both maps. A code identifier the docs qualify with an
-// internal package must be declared there, and README.md's cipher-engine
-// table is held to the engine spec grammar the same way.
+// internal package must be declared there, README.md's cipher-engine
+// table is held to the engine spec grammar the same way, and its
+// predictor table to the predictor's Table 1 parameters.
 package ctrpred
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -20,6 +22,7 @@ import (
 	"testing"
 
 	"ctrpred/internal/cryptoengine"
+	"ctrpred/internal/predictor"
 )
 
 // docs are the documents the inventory checks read.
@@ -238,6 +241,37 @@ func TestDocsEngineTable(t *testing.T) {
 	}
 	if want := []string{cryptoengine.ModelAES, cryptoengine.ModelSealer, cryptoengine.ModelBipBip}; !slices.Equal(models, want) {
 		t.Errorf("README.md's engine table has rows %v, want %v", models, want)
+	}
+}
+
+// TestDocsPredictorTable holds README.md's predictor table to the
+// predictor's Table 1 parameters: each scheme's row states the values
+// DefaultConfig and the package's constants give.
+func TestDocsPredictorTable(t *testing.T) {
+	section := between(t, "README.md", readDoc(t, "README.md"), "\n## The predictors", "\n## ")
+	rows := map[string]string{}
+	for _, line := range strings.Split(section, "\n") {
+		if cells := strings.Split(line, "|"); len(cells) > 2 {
+			rows[strings.TrimSpace(cells[1])] = line
+		}
+	}
+	d := predictor.DefaultConfig()
+	for scheme, want := range map[string][]string{
+		"regular":   {fmt.Sprintf("`root … root+%d`", d.Depth)},
+		"adaptive":  {fmt.Sprintf("%d-bit per-page history", predictor.PHVBits), fmt.Sprintf("≥%d misses", d.ResetThreshold), fmt.Sprintf("+%d bits/page", predictor.PHVBits)},
+		"two-level": {fmt.Sprintf("%d-bit per-line range index", predictor.RangeBits), fmt.Sprintf("window of %d", d.Depth+1), fmt.Sprintf("%d-entry", predictor.RangeTableEntries)},
+		"context":   {fmt.Sprintf("LOR ± %d", d.Swing)},
+	} {
+		row, ok := rows[scheme]
+		if !ok {
+			t.Errorf("README.md's predictor table has no %s row", scheme)
+			continue
+		}
+		for _, w := range want {
+			if !strings.Contains(row, w) {
+				t.Errorf("README.md's %s row does not state %q:\n%s", scheme, w, row)
+			}
+		}
 	}
 }
 
