@@ -193,11 +193,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "predictions issued     %d\n", res.Pred.Guesses)
 		fmt.Fprintf(stdout, "root resets/rebases    %d/%d\n", res.Pred.Resets, res.Pred.Rebases)
 		fmt.Fprintf(stdout, "counter-buffer hits    %d\n", res.Ctrl.CounterBufHits)
-		fmt.Fprintf(stdout, "engine issued          %v (stall %d)\n", res.Engine.Issued, res.Engine.StallCycles)
-		fmt.Fprintf(stdout, "DRAM r/w               %d/%d (row hit %d, miss %d, conflict %d)\n",
-			res.DRAM.Reads, res.DRAM.Writes, res.DRAM.RowHits, res.DRAM.RowMisses, res.DRAM.RowConflicts)
-		fmt.Fprintf(stdout, "fetch latency          %s\n", res.Ctrl.FetchLatency)
-		fmt.Fprintf(stdout, "decrypt exposure       %d cycles total\n", res.Ctrl.DecryptExposed)
+		if res.Mode == ctrpred.ModePerformance {
+			// A hit-rate run books no engine, DRAM or fetch time.
+			fmt.Fprintf(stdout, "engine issued          %v (stall %d)\n", res.Engine.Issued, res.Engine.StallCycles)
+			fmt.Fprintf(stdout, "DRAM r/w               %d/%d (row hit %d, miss %d, conflict %d)\n",
+				res.DRAM.Reads, res.DRAM.Writes, res.DRAM.RowHits, res.DRAM.RowMisses, res.DRAM.RowConflicts)
+			fmt.Fprintf(stdout, "fetch latency          %s\n", res.Ctrl.FetchLatency)
+			fmt.Fprintf(stdout, "decrypt exposure       %d cycles total\n", res.Ctrl.DecryptExposed)
+		}
 		fmt.Fprintf(stdout, "flushes (lines)        %d (%d)\n", res.Hierarchy.Flushes, res.Hierarchy.FlushedLines)
 	}
 	printSecurity(stdout, res)

@@ -101,6 +101,33 @@ func TestUnknownEngineFailsFast(t *testing.T) {
 	}
 }
 
+// TestVerboseTimingLines: -v prints the engine, DRAM, fetch-latency and
+// decrypt-exposure lines for a performance run only. A hit-rate run
+// books no time, so it prints the rest of the detail without them.
+func TestVerboseTimingLines(t *testing.T) {
+	timing := []string{"engine issued", "DRAM r/w", "fetch latency", "decrypt exposure"}
+	for _, tc := range []struct {
+		mode       string
+		wantTiming bool
+	}{{"performance", true}, {"hitrate", false}} {
+		t.Run(tc.mode, func(t *testing.T) {
+			code, stdout, stderr := cli(t, "-bench", "mcf", "-scheme", "pred-context", "-mode", tc.mode,
+				"-instr", "20000", "-footprint", "64K", "-v")
+			if code != 0 {
+				t.Fatalf("exit %d, stderr %q", code, stderr)
+			}
+			if !strings.Contains(stdout, "counter-buffer hits") || !strings.Contains(stdout, "flushes (lines)") {
+				t.Fatalf("-v detail missing:\n%s", stdout)
+			}
+			for _, line := range timing {
+				if got := strings.Contains(stdout, line); got != tc.wantTiming {
+					t.Errorf("%q printed = %v, want %v:\n%s", line, got, tc.wantTiming, stdout)
+				}
+			}
+		})
+	}
+}
+
 func TestParseSize(t *testing.T) {
 	cases := map[string]int{
 		"256":  256,

@@ -118,7 +118,8 @@ type (
 	FaultStats = faults.Stats
 	// Engine is the cipher engine's timing model, one pool of units for
 	// every model; Config.Engine selects one by spec and Machine.Engine
-	// exposes the built instance.
+	// exposes the built instance (nil in ModeHitRate, which books no
+	// time).
 	Engine = cryptoengine.Engine
 	// EngineSpec names a cipher-engine model plus its timing parameters
 	// ("aes", "sealer", "bipbip" with lat/issue/banks knobs). The zero

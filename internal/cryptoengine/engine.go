@@ -33,11 +33,7 @@
 // differ only in timing.
 package cryptoengine
 
-import (
-	"fmt"
-
-	"ctrpred/internal/stats"
-)
+import "ctrpred/internal/stats"
 
 // Class labels the purpose of a pad request, for accounting.
 type Class int
@@ -136,6 +132,9 @@ type Engine struct {
 // defaults, Table 1's for aes). Unknown model names return an error
 // wrapping ErrUnknownEngine.
 func New(spec Spec) (*Engine, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
 	spec = spec.Normalized()
 	e := &Engine{spec: spec, width: 1, hold: 1}
 	switch spec.Model {
@@ -145,8 +144,6 @@ func New(spec Spec) (*Engine, error) {
 		e.units, e.hold = make([]unit, spec.Banks), spec.LatencyCycles
 	case ModelBipBip:
 		// No units: every request starts the cycle it arrives.
-	default:
-		return nil, fmt.Errorf("%w %q (want aes, sealer, bipbip)", ErrUnknownEngine, spec.Model)
 	}
 	e.stats = Stats{
 		QueueWait: stats.NewHistogram(0, 1, 2, 4, 8, 16, 32, 64, 128),

@@ -87,6 +87,17 @@ func (s Spec) Normalized() Spec {
 	return s
 }
 
+// Validate reports whether New would build s: an error wrapping
+// ErrUnknownEngine when s names no known model. A caller that books no
+// engine time checks its spec with it instead.
+func (s Spec) Validate() error {
+	switch s.Normalized().Model {
+	case ModelAES, ModelSealer, ModelBipBip:
+		return nil
+	}
+	return fmt.Errorf("%w %q (want aes, sealer, bipbip)", ErrUnknownEngine, s.Model)
+}
+
 // String renders the canonical spec form ParseEngine accepts:
 // the model name alone when every parameter is the model default,
 // otherwise "model:key=val[,key=val]" with only non-default keys.

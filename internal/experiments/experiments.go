@@ -62,7 +62,9 @@ type Options struct {
 	SimTimeout time.Duration
 	// Engine selects the cipher-engine timing model every simulation of
 	// the experiment runs under (zero value: the default pipelined AES).
-	// The "engines" experiment ignores it — sweeping engines is its job.
+	// Only performance-mode runs book engine time, so hit-rate results
+	// read the same under every engine. The "engines" experiment ignores
+	// it — sweeping engines is its job.
 	Engine cryptoengine.Spec
 	// Arrival selects the tenancy experiments' job-arrival process
 	// (zero value: Poisson).
@@ -298,7 +300,9 @@ func divideOutOracle(ipcs []float64, n int) []float64 {
 // resets — only emerge over long windows.
 const hitRateWindowFactor = 20
 
-// hitRateConfig builds a HitRate-mode config.
+// hitRateConfig builds a HitRate-mode config. Its run books no time, so
+// the engine it carries (Options.Engine, part of the result's key)
+// moves no number.
 func hitRateConfig(opt Options, scheme sim.Scheme, l2 int) sim.Config {
 	cfg := sim.DefaultConfig(scheme).WithL2(l2).WithMode(sim.HitRate)
 	cfg.Scale = opt.Scale
@@ -307,8 +311,9 @@ func hitRateConfig(opt Options, scheme sim.Scheme, l2 int) sim.Config {
 	// Hit-rate figures observe counter/predictor/cache dynamics only;
 	// dropping the per-decryption self-check lets sim run the controller's
 	// counters-only model (identical statistics, a fraction of the memory
-	// over these 20x-longer windows). The equivalence suite pins the two
-	// models against each other, so correctness is not traded away here.
+	// over these 20x-longer windows) on an untimed counter side. The
+	// equivalence suite pins the two models against each other, so
+	// correctness is not traded away here.
 	cfg.SelfCheck = false
 	// In functional mode a cycle ≈ an instruction; keep the OS flush at a
 	// cadence proportional to the scaled window (the paper flushes every

@@ -159,7 +159,13 @@ type Predictor struct {
 	// pages holds each touched virtual page's metadata, one line per
 	// 4 KiB page. Values are pointers: a table page of pageMeta values
 	// would cost 144 KiB (2,048 × 72 B) for each 8 MiB of address space.
-	pages    *paged.Table[*pageMeta]
+	pages *paged.Table[*pageMeta]
+	// last memoizes page's latest answer, the metadata of page lastPage:
+	// one fetch's Predict, Observe and NextSeqForEvict ask for the same
+	// page. A page's pointer never changes once drawn, and FlushTransient
+	// edits pages in place, so the memo never goes stale.
+	last     *pageMeta
+	lastPage uint64
 	rnd      *rng.Xoshiro256
 	lor      uint64 // latest offset register
 	lorValid bool
@@ -230,10 +236,15 @@ func lineIndex(vaddr uint64) int {
 // fresh page gets a random root — the model of the hardware RNG assigning
 // a root when the virtual page is mapped.
 func (p *Predictor) page(vaddr uint64) *pageMeta {
+	pn := vaddr >> mem.PageShift
+	if p.last != nil && pn == p.lastPage {
+		return p.last
+	}
 	m, fresh := p.pages.Ensure(vaddr)
 	if fresh {
 		*m = &pageMeta{root: p.rnd.Uint64()}
 	}
+	p.last, p.lastPage = *m, pn
 	return *m
 }
 
@@ -261,7 +272,7 @@ func (p *Predictor) Predict(vaddr uint64) []uint64 {
 	base := m.root
 	lo := uint64(0)
 	if p.scheme == SchemeTwoLevel {
-		if r, ok := p.rangeLookup(vaddr); ok {
+		if r, ok := p.rangeLookup(m, vaddr); ok {
 			lo = uint64(r) * p.rangeSpan
 		}
 	}
@@ -387,18 +398,18 @@ func (p *Predictor) NextSeqForEvict(vaddr uint64, cur uint64) uint64 {
 		next = cur + 1
 	}
 	if p.scheme == SchemeTwoLevel {
-		p.rangeUpdate(vaddr, next-m.root)
+		p.rangeUpdate(m, vaddr, next-m.root)
 	}
 	return next
 }
 
-// rangeLookup returns the stored range index for vaddr's line. Range
+// rangeLookup returns the stored range index for vaddr's line, whose
+// page's metadata is m. Range
 // info is backed by the page's security context, but the predictor can
 // only consult the 64-entry on-chip table in time to steer speculation:
 // when the page's entry is not resident, this fetch falls back to regular
 // prediction while the entry refills for subsequent accesses.
-func (p *Predictor) rangeLookup(vaddr uint64) (uint8, bool) {
-	m := p.page(vaddr)
+func (p *Predictor) rangeLookup(m *pageMeta, vaddr uint64) (uint8, bool) {
 	if m.ranges == nil {
 		return 0, false
 	}
@@ -408,12 +419,12 @@ func (p *Predictor) rangeLookup(vaddr uint64) (uint8, bool) {
 	return m.ranges[lineIndex(vaddr)], true
 }
 
-// rangeUpdate records the new offset's range for vaddr's line.
-func (p *Predictor) rangeUpdate(vaddr uint64, offset uint64) {
+// rangeUpdate records the new offset's range for vaddr's line, whose
+// page's metadata is m.
+func (p *Predictor) rangeUpdate(m *pageMeta, vaddr uint64, offset uint64) {
 	if offset > maxRootDistance {
 		return // stale offset; don't poison the table
 	}
-	m := p.page(vaddr)
 	if m.ranges == nil {
 		m.ranges = make([]uint8, linesPerPage)
 	}
@@ -447,10 +458,10 @@ func popcount(x uint32) int {
 // themselves — arrives warm at the measured window. A no-op for other
 // schemes.
 func (p *Predictor) WarmRange(vaddr uint64, offset uint64) {
-	if p.scheme != SchemeTwoLevel {
-		return
+	if p.scheme != SchemeTwoLevel || offset > maxRootDistance {
+		return // a stale offset warms nothing, so it maps no page either
 	}
-	p.rangeUpdate(vaddr, offset)
+	p.rangeUpdate(p.page(vaddr), vaddr, offset)
 }
 
 // PageCount reports how many pages have metadata (touched pages).

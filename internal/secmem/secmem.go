@@ -4,11 +4,18 @@
 // mode; every block entering it is decrypted. The controller owns
 //
 //   - the encrypted off-chip image and the per-block counter table,
-//   - the DRAM timing for line and counter fetches/writebacks,
-//   - the crypto-engine pipeline scheduling, and
+//   - the DRAM timing for line and counter fetches/writebacks (when it
+//     has a data channel),
+//   - the crypto-engine pipeline scheduling (likewise), and
 //   - the counter-availability mechanisms under study: nothing (baseline),
 //     a sequence-number cache, OTP prediction, the two combined, or an
 //     oracle that always knows the counter (Figure 4's three timelines).
+//
+// A controller built without a data channel is untimed, the model of
+// the paper's simplified hit-rate mode: its fetches and writebacks run
+// every counter step — the counter caches, prediction, counter
+// assignment and their statistics — and book no DRAM, engine or
+// fetch-latency time.
 //
 // The controller is *functionally real*: it stores real AES-encrypted
 // bytes, fetches really decrypt them, and a self-check compares each
@@ -37,7 +44,6 @@ package secmem
 
 import (
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -67,13 +73,14 @@ type Config struct {
 	// in tests and examples).
 	SelfCheck bool
 	// CountersOnly skips the payload stage of every fetch and writeback:
-	// the controller tracks counters, predictor state, caches, DRAM and
-	// engine timing — everything the hit-rate figures observe — but never
-	// stores pads or ciphertext and never XORs data. The timing stage is
-	// the same code either way, so every statistic and every returned
-	// timing is identical to the full model; only FetchResult.Plain, which
-	// has no consumer in this mode, stays zero. Long functional-mode
-	// sweeps use it to cut the dominant allocations.
+	// the controller tracks counters, predictor state and the counter
+	// caches — everything the hit-rate figures observe — and, when it has
+	// a data channel, DRAM and engine timing, but never stores pads or
+	// ciphertext and never XORs data. The timing stage is the same code
+	// either way, so every statistic and every returned timing is
+	// identical to the full model; only FetchResult.Plain, which has no
+	// consumer in this mode, stays zero. Long functional-mode sweeps use
+	// it, on an untimed controller, to cut the dominant allocations.
 	// Incompatible with SelfCheck, Direct, integrity trees and fault
 	// injection — New and the attach points enforce that.
 	CountersOnly bool
@@ -136,11 +143,12 @@ type Stats struct {
 	OracleHits     uint64 // fetches served by the oracle
 	SelfCheckFails uint64 // decryptions that did not match the image
 	// FetchLatency is the distribution of fetch completion latency in
-	// cycles (request to decrypted data).
+	// cycles (request to decrypted data); nil on an untimed controller,
+	// which books no time.
 	FetchLatency *stats.Histogram
 	// DecryptExposed accumulates the cycles by which decryption completed
 	// *after* the line arrived from memory — the latency the paper's
-	// techniques try to drive to zero.
+	// techniques try to drive to zero. It stays 0 when untimed.
 	DecryptExposed uint64
 }
 
@@ -151,6 +159,7 @@ func (s *Stats) CounterCoverage() float64 {
 }
 
 // AddTo registers the controller's counters into a metrics snapshot node.
+// An untimed controller's node has no timing entries.
 func (s *Stats) AddTo(n *stats.Snapshot) {
 	n.Counter("fetches", s.Fetches)
 	n.Counter("evictions", s.Evictions)
@@ -161,12 +170,16 @@ func (s *Stats) AddTo(n *stats.Snapshot) {
 	n.Counter("both_hits", s.BothHits)
 	n.Counter("oracle_hits", s.OracleHits)
 	n.Counter("selfcheck_fails", s.SelfCheckFails)
-	n.Counter("decrypt_exposed_cycles", s.DecryptExposed)
-	n.Histogram("fetch_latency", s.FetchLatency)
 	n.Value("counter_coverage", s.CounterCoverage())
+	if s.FetchLatency != nil {
+		n.Counter("decrypt_exposed_cycles", s.DecryptExposed)
+		n.Histogram("fetch_latency", s.FetchLatency)
+	}
 }
 
-// FetchResult describes one line fetch, for tests and tracing.
+// FetchResult describes one line fetch, for tests and tracing. On an
+// untimed controller every cycle in it is the fetch's start, plus any
+// hashing time of an attached tree.
 type FetchResult struct {
 	Done     uint64 // cycle at which decrypted data is available
 	LineDone uint64 // cycle at which ciphertext arrived from DRAM
@@ -186,9 +199,11 @@ type FetchResult struct {
 
 // Controller is the secure memory controller.
 type Controller struct {
-	cfg     Config
+	cfg Config
+	// dram is the data channel, seqDRAM the counter-table channel and
+	// engine the pad pipeline; all three are nil on an untimed controller.
 	dram    *dram.DRAM
-	seqDRAM *dram.DRAM // counter-table channel
+	seqDRAM *dram.DRAM
 	engine  *cryptoengine.Engine
 	ks      *ctr.Keystream // the source of every pad bit
 	pred    *predictor.Predictor
@@ -273,13 +288,17 @@ type pair struct {
 	enc ctr.Line
 }
 
-// New wires a controller. e books the pad requests' timing and ks
-// supplies their bits. pred must be non-nil (use predictor.SchemeNone
-// for designs without prediction — the predictor still owns per-page
-// roots and counter assignment).
+// New wires a controller. Lines move over data channel d, e books the
+// pad requests' timing and ks supplies their bits. With d and e both nil
+// the controller is untimed (see the package doc). pred must be non-nil
+// (use predictor.SchemeNone for designs without prediction — the
+// predictor still owns per-page roots and counter assignment).
 func New(cfg Config, d *dram.DRAM, e *cryptoengine.Engine, ks *ctr.Keystream, pred *predictor.Predictor, image *mem.Memory) *Controller {
 	if pred == nil {
 		panic("secmem: predictor must not be nil")
+	}
+	if (d == nil) != (e == nil) {
+		panic("secmem: a data channel and an engine come together; pass neither for an untimed controller")
 	}
 	if cfg.CountersOnly {
 		if cfg.SelfCheck {
@@ -290,8 +309,10 @@ func New(cfg Config, d *dram.DRAM, e *cryptoengine.Engine, ks *ctr.Keystream, pr
 		}
 	}
 	var seqD *dram.DRAM
+	var lat *stats.Histogram
 	if d != nil {
 		seqD = dram.New(dram.Config{Banks: counterBanks})
+		lat = stats.NewHistogram(100, 150, 200, 300, 500)
 	}
 	var direct *ctr.DirectCipher
 	if cfg.Direct && ks != nil {
@@ -312,7 +333,7 @@ func New(cfg Config, d *dram.DRAM, e *cryptoengine.Engine, ks *ctr.Keystream, pr
 		image:   image,
 		ctrs:    paged.New[uint64](ctr.LineSize),
 		pads:    paged.New[padState](ctr.LineSize),
-		stats:   Stats{FetchLatency: stats.NewHistogram(100, 150, 200, 300, 500)},
+		stats:   Stats{FetchLatency: lat},
 		ctrBuf:  cache.New(cache.Config{Name: "counter buffer", SizeBytes: 4 * ctr.LineSize, LineSize: ctr.LineSize, Ways: 4}),
 		scache:  sc,
 	}
@@ -322,7 +343,8 @@ func New(cfg Config, d *dram.DRAM, e *cryptoengine.Engine, ks *ctr.Keystream, pr
 func (c *Controller) Stats() Stats { return c.stats }
 
 // SetFetchObserver registers fn to receive the exact latency of every
-// line fetch the controller services, in cycles, as each completes. The
+// line fetch the controller services, in cycles, as each completes; an
+// untimed controller never calls it. The
 // bucketed FetchLatency histogram cannot answer percentile questions
 // tighter than its bounds; SLO reporting samples through this hook
 // instead. Pass nil to unregister. The observer must not re-enter the
@@ -555,17 +577,6 @@ func seqAddr(la uint64) uint64 {
 // address.
 func counterLine(la uint64) uint64 {
 	return seqAddr(la) &^ uint64(ctr.LineSize-1)
-}
-
-// fetchCounter returns the cycle at which the counter line cl is
-// available, reading it from the counter channel unless the fetch buffer
-// already holds it.
-func (c *Controller) fetchCounter(now, cl uint64) uint64 {
-	if hit, _ := c.ctrBuf.Access(cl, false); hit {
-		c.stats.CounterBufHits++
-		return now
-	}
-	return c.seqDRAM.Access(now, cl, ctr.LineSize, false)
 }
 
 // materialize lazily creates the encrypted copy of a line the first time
@@ -886,8 +897,9 @@ func (c *Controller) Release() {
 // Every fetch runs two stages. The timing stage — fetchTiming in counter
 // mode, fetchDirect under direct encryption — books counter
 // availability, the DRAM line access and the engine's pad requests, and
-// fixes when the data is usable. The payload stage then moves the data
-// bits: decryption, integrity verification, tamper handling and the
+// fixes when the data is usable; on an untimed controller only its
+// counter half runs. The payload stage then moves the data bits:
+// decryption, integrity verification, tamper handling and the
 // self-check. Counters-only mode stores no ciphertext and skips it.
 func (c *Controller) FetchLine(now uint64, vaddr uint64) FetchResult {
 	la := mem.LineAddr(vaddr)
@@ -922,13 +934,19 @@ func (c *Controller) FetchLine(now uint64, vaddr uint64) FetchResult {
 	if ps != nil {
 		c.payload(&res, now, la, ps, forged)
 	}
-	c.observeFetch(now, &res)
+	if c.dram != nil {
+		c.observeFetch(now, &res)
+	}
 	return res
 }
 
-// fetchTiming is the counter-mode timing stage (Figure 4). The counter
-// fetch is issued ahead of the line fetch (it is on the pad critical
-// path) and both stream over DRAM; speculative pads are booked for the
+// fetchTiming is the counter-mode timing stage (Figure 4). Its counter
+// half finds where the counter is — the oracle, the seq cache, the
+// counter-line buffer or, failing those, the counter channel — and runs
+// the predictor; a hit is decided by membership in the guess list, never
+// by timing, so an untimed controller stops there. The timed half issues
+// the counter fetch ahead of the line fetch (it is on the pad critical
+// path) and streams both over DRAM; speculative pads are booked for the
 // predicted counters, and a demand pad follows the true counter unless a
 // prediction already covers it. Data is usable one XOR cycle after both
 // ciphertext and pad are in hand.
@@ -940,37 +958,29 @@ func (c *Controller) fetchTiming(res *FetchResult, now, la, trueSeq uint64) {
 	if c.scache != nil {
 		seqInCache, _ = c.scache.Access(cl, false)
 	}
+	ctrFetch := false // the counter line must come over the counter channel
 	switch {
 	case c.cfg.Oracle:
-		res.SeqDone = now
 		c.stats.OracleHits++
 	case seqInCache:
-		res.SeqDone = now
 		res.SeqHit = true
 		c.stats.SeqCacheHits++
 	default:
-		res.SeqDone = c.fetchCounter(now, cl)
+		hit, _ := c.ctrBuf.Access(cl, false)
+		if hit {
+			c.stats.CounterBufHits++
+		}
+		ctrFetch = !hit
 	}
-	res.LineDone = c.dram.Access(now, la, ctr.LineSize, false)
 
 	// Prediction only engages when the counter is not already on chip;
 	// membership is still evaluated for the Figure 9 overlap accounting.
-	// Every guess occupies a pipeline slot (a discarded pad's value is
-	// unobservable, its timing is not); the whole burst is booked in one
-	// batched engine pass.
-	var padReady uint64
+	var guesses []uint64
 	if !c.cfg.Oracle {
-		if guesses := c.pred.Predict(la); len(guesses) > 0 {
-			if res.SeqHit {
-				res.PredHit = slices.Contains(guesses, trueSeq)
-			} else {
-				var matchIdx int
-				matchIdx, padReady = c.engine.ScheduleGuesses(now, guesses, trueSeq)
-				res.PredHit = matchIdx >= 0
-			}
+		if guesses = c.pred.Predict(la); len(guesses) > 0 {
 			// The guess list is handed back so the hit depth is attributed
 			// to this fetch's own guesses, never a stale internal buffer.
-			c.pred.Observe(la, trueSeq, guesses)
+			res.PredHit = c.pred.Observe(la, trueSeq, guesses)
 		}
 	}
 	if res.PredHit {
@@ -978,6 +988,24 @@ func (c *Controller) fetchTiming(res *FetchResult, now, la, trueSeq uint64) {
 		if res.SeqHit {
 			c.stats.BothHits++
 		}
+	}
+	// An untimed controller stops here: its counter, line and data are
+	// at hand the cycle the fetch starts.
+	res.SeqDone, res.LineDone, res.Done = now, now, now
+	if c.dram == nil {
+		return
+	}
+
+	if ctrFetch {
+		res.SeqDone = c.seqDRAM.Access(now, cl, ctr.LineSize, false)
+	}
+	res.LineDone = c.dram.Access(now, la, ctr.LineSize, false)
+	// Every guess occupies a pipeline slot (a discarded pad's value is
+	// unobservable, its timing is not); the whole burst is booked in one
+	// batched engine pass.
+	var padReady uint64
+	if len(guesses) > 0 && !res.SeqHit {
+		_, padReady = c.engine.ScheduleGuesses(now, guesses, trueSeq)
 	}
 	if res.PredHit && !res.SeqHit {
 		// A speculative pad is confirmed only when the true counter is
@@ -993,12 +1021,15 @@ func (c *Controller) fetchTiming(res *FetchResult, now, la, trueSeq uint64) {
 
 // fetchDirect is the timing stage under direct encryption: decryption
 // can only start once the whole ciphertext has arrived — the
-// serialization counter mode exists to break.
+// serialization counter mode exists to break. It has no counter half.
 func (c *Controller) fetchDirect(res *FetchResult, now, la uint64) {
 	res.Authentic = true
-	res.LineDone = c.dram.Access(now, la, ctr.LineSize, false)
+	res.LineDone, res.Done = now, now
+	if c.dram != nil {
+		res.LineDone = c.dram.Access(now, la, ctr.LineSize, false)
+		res.Done = c.engine.ScheduleOnly(res.LineDone, cryptoengine.ClassDemand) + 1
+	}
 	res.SeqDone = res.LineDone // no counters in this mode
-	res.Done = c.engine.ScheduleOnly(res.LineDone, cryptoengine.ClassDemand) + 1
 }
 
 // payload is the fetch's data stage. Counter mode decrypts under the pad
@@ -1075,7 +1106,9 @@ func (c *Controller) quarantine(now uint64, la, seq uint64, ps *padState) (ctr.L
 	t := now
 	for i := 0; i < budget; i++ {
 		c.sec.Retries++
-		t = c.dram.Access(t, la, ctr.LineSize, false)
+		if c.dram != nil {
+			t = c.dram.Access(t, la, ctr.LineSize, false)
+		}
 		ok, vDone := c.tree.Verify(t, la, seq, ps.enc)
 		if vDone > t {
 			t = vDone
@@ -1128,16 +1161,16 @@ func (c *Controller) EvictLine(now uint64, vaddr uint64) uint64 {
 }
 
 // writeback is the one writeback pipeline behind EvictLine and heal. It
-// books the engine's writeback pad and re-encrypts la's architectural
-// contents — under the line's next counter in counter mode, under the
-// address tweak in direct mode — then updates the tree and books the
-// line and counter writes, and it replaces any pair the adversary
-// forged at la. Counters-only mode advances the counter and books
-// identical timing without sealing any data. It returns the cycle the
-// pad and the DRAM writes complete, and separately the cycle the tree
-// update completes (0 without a tree).
+// re-encrypts la's architectural contents — under the line's next
+// counter in counter mode, under the address tweak in direct mode —
+// replacing any pair the adversary forged at la, updates the tree and
+// the seq cache, and then books the engine's writeback pad and the line
+// and counter writes. Counters-only mode advances the counter and books
+// identical timing without sealing any data; an untimed controller
+// books no time. It returns the cycle the pad and the DRAM writes
+// complete (now when untimed), and separately the cycle the tree update
+// completes (0 without a tree).
 func (c *Controller) writeback(now, la uint64, cs *uint64, ps *padState) (done, treeDone uint64) {
-	done = c.engine.ScheduleOnly(now, cryptoengine.ClassWriteback)
 	delete(c.forged, la)
 	var seq uint64
 	if c.direct != nil {
@@ -1151,17 +1184,23 @@ func (c *Controller) writeback(now, la uint64, cs *uint64, ps *padState) (done, 
 	if c.tree != nil {
 		treeDone = c.tree.Update(now, la, seq, ps.enc)
 	}
+	if c.direct == nil && c.scache != nil {
+		// Counter writes are write-through; the seq cache is updated in
+		// place, allocating on a miss.
+		c.scache.Access(counterLine(la), false)
+	}
+	if c.dram == nil {
+		return now, treeDone
+	}
+
 	// The evicted line sits in the write buffer while its pad is
 	// computed; its DRAM traffic is scheduled from the eviction time so
 	// buffered writebacks do not block younger demand fetches (the model
-	// serializes channel reservations in call order).
+	// serializes channel reservations in call order, the tree's node
+	// writes above first).
+	done = c.engine.ScheduleOnly(now, cryptoengine.ClassWriteback)
 	done = max(done, c.dram.Access(now, la, ctr.LineSize, true))
 	if c.direct == nil {
-		// Counter writes are write-through; the seq cache is updated in
-		// place, allocating on a miss.
-		if c.scache != nil {
-			c.scache.Access(counterLine(la), false)
-		}
 		done = max(done, c.seqDRAM.Access(now, seqAddr(la), seqBytes, true))
 	}
 	return done, treeDone

@@ -8,6 +8,8 @@ import (
 	"ctrpred/internal/dram"
 	"ctrpred/internal/mem"
 	"ctrpred/internal/predictor"
+	"ctrpred/internal/rng"
+	"ctrpred/internal/stats"
 )
 
 type rig struct {
@@ -16,11 +18,16 @@ type rig struct {
 }
 
 func newRig(scheme predictor.Scheme, seqCacheBytes int, oracle bool) *rig {
+	e, _ := cryptoengine.New(cryptoengine.DefaultSpec()) // the default spec always builds
+	return newRigOn(dram.New(dram.DefaultConfig()), e, scheme, seqCacheBytes, oracle)
+}
+
+// newRigOn is newRig over data channel d and engine e, both nil for an
+// untimed controller.
+func newRigOn(d *dram.DRAM, e *cryptoengine.Engine, scheme predictor.Scheme, seqCacheBytes int, oracle bool) *rig {
 	var key [32]byte
 	key[0] = 0x42
 	image := mem.New()
-	d := dram.New(dram.DefaultConfig())
-	e, _ := cryptoengine.New(cryptoengine.DefaultSpec()) // the default spec always builds
 	ks := ctr.NewKeystream(key)
 	p := predictor.New(scheme, predictor.DefaultConfig(), 0x5eed)
 	cfg := DefaultConfig()
@@ -332,6 +339,104 @@ func TestNilPredictorPanics(t *testing.T) {
 		}
 	}()
 	New(DefaultConfig(), nil, nil, nil, nil, nil)
+}
+
+// TestChannelWithoutEnginePanics: a controller is timed by a data
+// channel and an engine together or by neither.
+func TestChannelWithoutEnginePanics(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a data channel without an engine was accepted")
+		}
+	}()
+	newRigOn(dram.New(dram.DefaultConfig()), nil, predictor.SchemeRegular, 0, false)
+}
+
+// TestUntimedMatchesTimedCounters drives one stream of fetches and
+// writebacks, deep enough to reset roots, through a timed controller and
+// an untimed one: every counter, cache and predictor statistic, each
+// fetch's hit flags and data and each line's counter must agree, and the
+// untimed controller must book no time at all.
+func TestUntimedMatchesTimedCounters(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		scheme predictor.Scheme
+		sc     int
+		oracle bool
+	}{
+		{"context+seqcache", predictor.SchemeContext, 1 << 10, false},
+		{"two-level", predictor.SchemeTwoLevel, 0, false},
+		{"oracle", predictor.SchemeNone, 0, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			timed := newRig(tc.scheme, tc.sc, tc.oracle)
+			untimed := newRigOn(nil, nil, tc.scheme, tc.sc, tc.oracle)
+			r := rng.New(7)
+			for i := 0; i < 6000; i++ {
+				now := uint64(i) * 40
+				la := uint64(r.Intn(256)) * ctr.LineSize
+				if r.Bool(0.5) {
+					var l ctr.Line
+					l[0], l[1] = byte(i), byte(i>>8)
+					timed.image.SetLine(la, l)
+					untimed.image.SetLine(la, l)
+					timed.ctrl.EvictLine(now, la)
+					if done := untimed.ctrl.EvictLine(now, la); done != now {
+						t.Fatalf("untimed writeback %d done at %d, want %d", i, done, now)
+					}
+					continue
+				}
+				a, b := timed.ctrl.FetchLine(now, la), untimed.ctrl.FetchLine(now, la)
+				if a.PredHit != b.PredHit || a.SeqHit != b.SeqHit || a.TrueSeq != b.TrueSeq || a.Plain != b.Plain {
+					t.Fatalf("fetch %d of %#x: timed %+v, untimed %+v", i, la, a, b)
+				}
+				if b.SeqDone != now || b.LineDone != now || b.Done != now {
+					t.Fatalf("untimed fetch %d at %d booked time: %+v", i, now, b)
+				}
+			}
+			ts, us := timed.ctrl.Stats(), untimed.ctrl.Stats()
+			if us.FetchLatency != nil || us.DecryptExposed != 0 {
+				t.Fatalf("untimed controller booked fetch time: %+v", us)
+			}
+			n := stats.NewSnapshot("controller")
+			us.AddTo(n)
+			if _, ok := n.CounterValue("decrypt_exposed_cycles"); ok || len(n.Histograms) != 0 {
+				t.Fatalf("untimed snapshot carries timing entries: %+v", n)
+			}
+			ts.FetchLatency, ts.DecryptExposed = nil, 0
+			if ts != us {
+				t.Fatalf("stats differ: timed %+v, untimed %+v", ts, us)
+			}
+			if ts.Evictions == 0 || ts.Fetches == 0 || (tc.scheme != predictor.SchemeNone && ts.PredHits == 0) {
+				t.Fatalf("stream exercised too little: %+v", ts)
+			}
+			if got, want := snapshotOf(untimed.ctrl.Predictor().Stats()), snapshotOf(timed.ctrl.Predictor().Stats()); got != want {
+				t.Fatalf("predictor stats differ:\ntimed   %s\nuntimed %s", want, got)
+			}
+			if tc.scheme == predictor.SchemeContext && timed.ctrl.Predictor().Stats().Resets == 0 {
+				t.Fatal("the stream reset no root")
+			}
+			if a, b := timed.ctrl.SeqCacheStats(), untimed.ctrl.SeqCacheStats(); (a == nil) != (b == nil) || (a != nil && *a != *b) {
+				t.Fatalf("seq cache stats differ: timed %v, untimed %v", a, b)
+			}
+			for la := uint64(0); la < 256*ctr.LineSize; la += ctr.LineSize {
+				if a, b := timed.ctrl.Seq(la), untimed.ctrl.Seq(la); a != b {
+					t.Fatalf("line %#x: timed counter %d, untimed %d", la, a, b)
+				}
+			}
+		})
+	}
+}
+
+// snapshotOf renders s's snapshot node.
+func snapshotOf(s interface{ AddTo(*stats.Snapshot) }) string {
+	n := stats.NewSnapshot("stats")
+	s.AddTo(n)
+	js, err := n.JSON()
+	if err != nil {
+		panic(err)
+	}
+	return string(js)
 }
 
 // TestCounterTableClearOfData fetches the line at address 0: data there

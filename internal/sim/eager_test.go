@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"ctrpred/internal/cpu"
-	"ctrpred/internal/dram"
 	"ctrpred/internal/integrity"
 	"ctrpred/internal/mem"
 	"ctrpred/internal/memsys"
@@ -15,7 +14,8 @@ import (
 )
 
 // eagerMachine is the reference the aged template replaced: bench's
-// machine under cfg with a fresh data channel (and tree), aged line by
+// machine under cfg with a fresh data channel in performance mode (and
+// a fresh tree), aged line by
 // line by Controller.AgeLine and Predictor.WarmRange over the template's
 // sample list, every other line created at its first touch. NewMachine
 // must agree with it unless a page's root resets before a template line
@@ -26,7 +26,7 @@ func eagerMachine(bench string, cfg Config) (*Machine, error) {
 		return nil, err
 	}
 	image := mem.NewView(tmpl.image)
-	d := dram.New(dram.DefaultConfig())
+	d := dataChannel(cfg)
 	var tree *integrity.Tree
 	if cfg.Integrity {
 		tree = integrity.New(integrity.DefaultConfig(), d)

@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"context"
 	"errors"
+	"fmt"
 	"testing"
 
 	"ctrpred/internal/cryptoengine"
@@ -59,11 +61,97 @@ func TestEngineLatencyOrdersCycles(t *testing.T) {
 
 // TestNewMachineRejectsUnknownEngine: a config naming no known model
 // fails construction with the sentinel, before any simulation state is
-// built.
+// built, in both modes: a HitRate machine builds no engine but still
+// checks the spec.
 func TestNewMachineRejectsUnknownEngine(t *testing.T) {
 	cfg := testConfig(SchemeBaseline())
 	cfg.Engine = cryptoengine.Spec{Model: "quantum"}
 	if _, err := NewMachine("mcf", cfg); !errors.Is(err, cryptoengine.ErrUnknownEngine) {
 		t.Fatalf("NewMachine = %v, want errors.Is(err, cryptoengine.ErrUnknownEngine)", err)
+	}
+	if _, err := NewMachine("mcf", cfg.WithMode(HitRate)); !errors.Is(err, cryptoengine.ErrUnknownEngine) {
+		t.Fatalf("HitRate NewMachine = %v, want errors.Is(err, cryptoengine.ErrUnknownEngine)", err)
+	}
+}
+
+// TestHitRateBooksNoTime pins what a HitRate run leaves out: it has no
+// engine and no DRAM channel, so its snapshot is byte-identical under
+// every engine model, with the self-check on (the full model) and off
+// (counters only), and carries no engine or dram child and no fetch
+// timing. The same configurations in performance mode still differ by
+// engine.
+func TestHitRateBooksNoTime(t *testing.T) {
+	engines := []string{"aes", "sealer", "bipbip"}
+	for _, bench := range []string{"mcf", "swim"} {
+		for _, sch := range []Scheme{SchemePred(predictor.SchemeContext), SchemeCombined(32<<10, predictor.SchemeRegular)} {
+			for _, selfCheck := range []bool{false, true} {
+				name := fmt.Sprintf("%s/%s/sc%v", bench, sch.Name, selfCheck)
+				var hitRate string
+				perf := map[string]string{}
+				for _, spec := range engines {
+					eng, err := cryptoengine.ParseEngine(spec)
+					if err != nil {
+						t.Fatal(err)
+					}
+					cfg := testConfig(sch).WithEngine(eng)
+					cfg.SelfCheck = selfCheck
+					m, err := NewMachine(bench, cfg.WithMode(HitRate))
+					if err != nil {
+						t.Fatal(err)
+					}
+					if m.Engine != nil || m.DRAM != nil {
+						t.Fatalf("%s/%s: HitRate machine has an engine or a DRAM channel", name, spec)
+					}
+					res := m.Run()
+					m.Close()
+					if res.Ctrl.Fetches == 0 {
+						t.Fatalf("%s/%s: no fetches", name, spec)
+					}
+					snap := res.Snapshot()
+					if snap.Lookup("engine") != nil || snap.Lookup("dram") != nil {
+						t.Fatalf("%s/%s: HitRate snapshot has an engine or dram child", name, spec)
+					}
+					ctl := snap.Lookup("controller")
+					if _, ok := ctl.CounterValue("decrypt_exposed_cycles"); ok || len(ctl.Histograms) != 0 {
+						t.Fatalf("%s/%s: HitRate controller node carries fetch timing", name, spec)
+					}
+					js, err := snap.JSON()
+					if err != nil {
+						t.Fatal(err)
+					}
+					if hitRate == "" {
+						hitRate = string(js)
+					} else if string(js) != hitRate {
+						t.Errorf("%s: HitRate snapshot under %s differs from aes's", name, spec)
+					}
+					if perf[spec], err = snapshotOf(bench, cfg); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for i, a := range engines {
+					for _, b := range engines[i+1:] {
+						if perf[a] == perf[b] {
+							t.Errorf("%s: performance snapshots under %s and %s are identical", name, a, b)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestHitRateRefusesSlices: a HitRate machine books no time for the
+// timing core to wait on, so running it in slices is an error.
+func TestHitRateRefusesSlices(t *testing.T) {
+	m, err := NewMachine("mcf", testConfig(SchemeBaseline()).WithMode(HitRate))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer m.Close()
+	if _, err := m.RunSliceContext(context.Background(), 1000); err == nil {
+		t.Fatal("RunSliceContext on a HitRate machine succeeded")
+	}
+	if m.Core.Committed() != 0 {
+		t.Fatalf("the refused slice committed %d instructions", m.Core.Committed())
 	}
 }

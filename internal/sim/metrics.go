@@ -19,8 +19,11 @@ func (r Result) Snapshot() *stats.Snapshot {
 	r.CPU.AddTo(n.Child("cpu"))
 	r.Ctrl.AddTo(n.Child("controller"))
 	r.Pred.AddTo(n.Child("predictor"))
-	r.Engine.AddTo(n.Child("engine"))
-	r.DRAM.AddTo(n.Child("dram"))
+	if r.Mode == Performance {
+		// A HitRate run books no time: it has no engine and no DRAM.
+		r.Engine.AddTo(n.Child("engine"))
+		r.DRAM.AddTo(n.Child("dram"))
+	}
 	r.Hierarchy.AddTo(n.Child("hierarchy"))
 	r.L1D.AddTo(n.Child("l1d"))
 	r.L2.AddTo(n.Child("l2"))

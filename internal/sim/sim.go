@@ -6,13 +6,17 @@
 // Two modes mirror the paper's methodology (Section 5.1): Performance
 // mode runs the detailed out-of-order model and reports IPC; HitRate mode
 // runs the fast functional model over longer windows and reports
-// prediction/seq-cache hit rates. A HitRate run's front end does the
-// same work under every counter scheme, so RunGroupContext runs one
-// front end for several schemes at once.
+// prediction/seq-cache hit rates. The functional core reads no latency,
+// so a HitRate machine has no DRAM channels or cipher engine and books
+// no time below its core: its controller is untimed (see package
+// secmem). A HitRate run's front end does the same work under every
+// counter scheme, so RunGroupContext runs one front end for several
+// schemes at once.
 package sim
 
 import (
 	"context"
+	"errors"
 	"fmt"
 
 	"ctrpred/internal/cache"
@@ -218,9 +222,11 @@ type Result struct {
 	Scheme    string
 	Mode      Mode
 
-	CPU       cpu.Stats
-	Ctrl      secmem.Stats
-	Pred      predictor.Stats
+	CPU  cpu.Stats
+	Ctrl secmem.Stats
+	Pred predictor.Stats
+	// Engine and DRAM are the timing models' statistics, zero in HitRate
+	// mode, which has neither.
 	Engine    cryptoengine.Stats
 	DRAM      dram.Stats
 	Hierarchy memsys.Stats
@@ -277,13 +283,14 @@ type Machine struct {
 }
 
 // side is one counter side: the secure memory controller (with its
-// on-chip counter caches) and its predictor, cipher-engine model and
-// DRAM channels. Everything above it — the image view, the core, the
-// caches, the TLBs and memsys — is the front end, which a group run
-// shares among several sides.
+// on-chip counter caches) and its predictor, and in performance mode its
+// cipher-engine model and DRAM channels. Everything above it — the image
+// view, the core, the caches, the TLBs and memsys — is the front end,
+// which a group run shares among several sides.
 type side struct {
-	Ctrl   *secmem.Controller
-	Pred   *predictor.Predictor
+	Ctrl *secmem.Controller
+	Pred *predictor.Predictor
+	// Engine and DRAM (the data channel) are nil on a HitRate side.
 	Engine *cryptoengine.Engine
 	DRAM   *dram.DRAM
 	// Faults is the armed adversary, or nil for clean memory.
@@ -316,12 +323,12 @@ func (m *Machine) Close() {
 
 // countersOnly reports whether cfg runs the controller's counters-only
 // model. Functional hit-rate runs observe only counter, predictor and
-// cache dynamics; when nothing needs the plaintext path — no self-check,
-// no integrity tree, no armed adversary, not direct encryption — the
-// controller skips its payload stage: identical timing and statistics
-// without storing pads or ciphertext. This is what lets long hit-rate
-// sweeps run in a fraction of the memory, and what lets a row of them
-// share one front end.
+// cache dynamics, and their controllers book no time; when nothing needs
+// the plaintext path either — no self-check, no integrity tree, no armed
+// adversary, not direct encryption — the controller also skips its
+// payload stage: identical statistics without storing pads or
+// ciphertext. This is what lets long hit-rate sweeps run in a fraction
+// of the memory, and what lets a row of them share one front end.
 func countersOnly(cfg Config) bool {
 	return cfg.Mode == HitRate && !cfg.SelfCheck && !cfg.Integrity &&
 		cfg.Faults == nil && !cfg.Scheme.Direct
@@ -371,22 +378,24 @@ func build(bench string, cfgs []Config) (*Machine, error) {
 // the template's pre-aged counters copy-on-write and replays the
 // template's per-page root draws into its own predictor. An integrity
 // side starts from a clone of the tree the template loads with those
-// counters, and of the data channel that load wrote to. Direct mode has
+// counters, on a clone of the data channel that load wrote to in
+// performance mode and on no channel in HitRate mode. Direct mode has
 // no counters to age: it starts from a fresh channel (and tree) and
 // encrypts each line at first touch.
 func newSide(cfg Config, tmpl *machineTemplate, image *mem.Memory) (*side, error) {
 	var d *dram.DRAM
 	var tree *integrity.Tree
-	switch {
-	case cfg.Integrity && !cfg.Scheme.Direct:
+	if cfg.Integrity && !cfg.Scheme.Direct {
 		imgTree, imgDRAM := tmpl.treeImage()
-		d = imgDRAM.Clone()
+		if cfg.Mode == Performance {
+			d = imgDRAM.Clone()
+		}
 		tree = imgTree.Clone(d)
-	case cfg.Integrity:
-		d = dram.New(dram.DefaultConfig())
-		tree = integrity.New(integrity.DefaultConfig(), d)
-	default:
-		d = dram.New(dram.DefaultConfig())
+	} else {
+		d = dataChannel(cfg)
+		if cfg.Integrity {
+			tree = integrity.New(integrity.DefaultConfig(), d)
+		}
 	}
 	s, err := wireSide(cfg, d, tree, image)
 	if err != nil || cfg.Scheme.Direct {
@@ -408,11 +417,28 @@ func newSide(cfg Config, tmpl *machineTemplate, image *mem.Memory) (*side, error
 	return s, nil
 }
 
-// wireSide builds cfg's engine, predictor and controller over data
-// channel d, attaches tree when it is non-nil and arms cfg's fault plan.
-// The side's off-chip state starts empty.
+// dataChannel returns a fresh data channel for a performance-mode side
+// and nil for a HitRate one.
+func dataChannel(cfg Config) *dram.DRAM {
+	if cfg.Mode == HitRate {
+		return nil
+	}
+	return dram.New(dram.DefaultConfig())
+}
+
+// wireSide builds cfg's predictor and controller over data channel d and,
+// when there is one, cfg's engine; it attaches tree when it is non-nil
+// and arms cfg's fault plan. A side without a channel is untimed, but
+// its engine spec must still name a known model. The side's off-chip
+// state starts empty.
 func wireSide(cfg Config, d *dram.DRAM, tree *integrity.Tree, image *mem.Memory) (*side, error) {
-	engine, err := cryptoengine.New(cfg.Engine)
+	var engine *cryptoengine.Engine
+	var err error
+	if d != nil {
+		engine, err = cryptoengine.New(cfg.Engine)
+	} else {
+		err = cfg.Engine.Validate()
+	}
 	if err != nil {
 		return nil, err
 	}
@@ -532,13 +558,15 @@ func (m *Machine) collect(cs cpu.Stats, s *side) Result {
 		CPU:           cs,
 		Ctrl:          s.Ctrl.Stats(),
 		Pred:          s.Pred.Stats(),
-		Engine:        s.Engine.Stats(),
-		DRAM:          s.DRAM.Stats(),
 		Hierarchy:     m.Sys.Stats(),
 		L1D:           l1d.Stats(),
 		L2:            l2.Stats(),
 		SeqCache:      s.Ctrl.SeqCacheStats(),
 		PadViolations: s.Ctrl.PadViolations(),
+	}
+	if s.DRAM != nil {
+		res.Engine = s.Engine.Stats()
+		res.DRAM = s.DRAM.Stats()
 	}
 	if tree := s.Ctrl.IntegrityTree(); tree != nil {
 		st := tree.Stats()
@@ -561,8 +589,13 @@ func (m *Machine) collect(cs cpu.Stats, s *side) Result {
 // stopped. Checkpoints poll exactly as in RunContext. It reports whether
 // the core can continue (false once the program halts or the budget
 // passes target) alongside any interrupting error. Slicing is a
-// performance-mode facility; HitRate machines run whole via RunContext.
+// performance-mode facility: a HitRate machine books no time for the
+// timing core to wait on, so it runs whole via RunContext and slicing it
+// is an error.
 func (m *Machine) RunSliceContext(ctx context.Context, target uint64) (bool, error) {
+	if m.Config.Mode == HitRate {
+		return false, errors.New("sim: a HitRate machine cannot run in slices; use RunContext")
+	}
 	if err := ctx.Err(); err != nil {
 		return false, err
 	}
